@@ -393,6 +393,7 @@ func benchSeriesPair(b *testing.B, length int) (dtw.Series, dtw.Series) {
 
 func BenchmarkConstrainedDTW(b *testing.B) {
 	v1, v2 := benchSeriesPair(b, 128)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dtw.Constrained(v1, v2, 0.10)
@@ -403,6 +404,7 @@ func BenchmarkConstrainedDTWPaperScale(b *testing.B) {
 	// ~500-sample sequences, as in [32]: the regime of the paper's "60
 	// distances per second".
 	v1, v2 := benchSeriesPair(b, 500)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dtw.Constrained(v1, v2, 0.10)

@@ -121,7 +121,9 @@ func ConstrainedWindow(a, b Series, w int) float64 {
 }
 
 // dtwWindow runs the DP. w < 0 means unconstrained. The effective window is
-// max(w, |n-m|) so the corner cell is always reachable.
+// max(w, |n-m|) so the corner cell is always reachable. Rectangular inputs
+// whose samples are all finite take the banded kernel (kernel.go); any
+// other input takes scalarDTW, which defines the bits the kernel returns.
 func dtwWindow(a, b Series, w int) float64 {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
@@ -130,8 +132,9 @@ func dtwWindow(a, b Series, w int) float64 {
 		}
 		return math.Inf(1)
 	}
-	if a.Dims() != b.Dims() {
-		panic(fmt.Sprintf("dtw: dimensionality mismatch %d vs %d", a.Dims(), b.Dims()))
+	d := a.Dims()
+	if d != b.Dims() {
+		panic(fmt.Sprintf("dtw: dimensionality mismatch %d vs %d", d, b.Dims()))
 	}
 	if w >= 0 {
 		diff := n - m
@@ -142,7 +145,19 @@ func dtwWindow(a, b Series, w int) float64 {
 			w = diff
 		}
 	}
+	if !regular(a, d) || !regular(b, d) {
+		return scalarDTW(a, b, w)
+	}
+	return bandDTW(a, b, w)
+}
 
+// scalarDTW is the DP one cell at a time over two full rows, with
+// float comparisons and the +Inf skip. It serves the inputs the banded
+// kernel does not take (a NaN or ±Inf sample, or a ragged series), on
+// which it is the reference: its NaN propagation follows the order of
+// the comparisons below. w is already widened (< 0 for unconstrained).
+func scalarDTW(a, b Series, w int) float64 {
+	n, m := len(a), len(b)
 	inf := math.Inf(1)
 	prev := make([]float64, m+1)
 	curr := make([]float64, m+1)

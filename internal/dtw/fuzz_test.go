@@ -74,3 +74,53 @@ func FuzzDTWWindowMonotone(f *testing.F) {
 		}
 	})
 }
+
+// fuzzSample maps a fuzz byte to a sample value: the top six bytes are
+// NaN of both signs, ±Inf and overflow-sized finite values, the rest
+// spread over [-15.625, 15.5] in steps of 1/8.
+func fuzzSample(c byte) float64 {
+	switch c {
+	case 250:
+		return math.NaN()
+	case 251:
+		return math.Float64frombits(0xfff8000000000000)
+	case 252:
+		return math.Inf(1)
+	case 253:
+		return math.Inf(-1)
+	case 254:
+		return 1e300
+	case 255:
+		return -1e300
+	}
+	return (float64(c) - 125) / 8
+}
+
+// FuzzConstrainedMatchesPath fuzzes the kernel's contract: DTW and
+// ConstrainedWindow return exactly the bits of Path's total (+Inf where
+// Path finds no feasible alignment), for any lengths, dimensionality,
+// window and sample values, NaN and ±Inf included. A negative window is
+// the unconstrained distance.
+func FuzzConstrainedMatchesPath(f *testing.F) {
+	f.Add([]byte{125, 133, 141, 149, 117, 125, 133, 141, 149, 157}, uint8(0), uint8(4), int8(1))
+	f.Add([]byte{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110}, uint8(1), uint8(1), int8(-1))
+	f.Add([]byte{125, 250, 125, 125, 130, 140}, uint8(0), uint8(2), int8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, dRaw, split uint8, w int8) {
+		dims := 1 + int(dRaw%3)
+		samples := len(raw) / dims
+		if samples < 2 || samples > 64 {
+			t.Skip()
+		}
+		n := 1 + int(split)%(samples-1)
+		all := make(Series, samples)
+		for i := range all {
+			all[i] = make([]float64, dims)
+			for k := range all[i] {
+				all[i][k] = fuzzSample(raw[i*dims+k])
+			}
+		}
+		a, b := all[:n], all[n:]
+		checkMatchesPath(t, a, b, int(w))
+		checkMatchesPath(t, b, a, int(w))
+	})
+}

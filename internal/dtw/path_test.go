@@ -1,7 +1,6 @@
 package dtw
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -54,15 +53,16 @@ func TestPathCostMatchesDistance(t *testing.T) {
 			} else {
 				want = ConstrainedWindow(a, b, w)
 			}
-			if math.Abs(total-want) > 1e-9 {
+			if total != want {
 				t.Fatalf("path cost %v != distance %v (w=%d)", total, want, w)
 			}
-			// Recomputing the cost from the steps must agree.
+			// Recomputing the cost from the steps must agree: the DP adds
+			// the same distances in the same (path) order.
 			var recomputed float64
 			for _, s := range path {
 				recomputed += sampleDist(a[s.I], b[s.J])
 			}
-			if math.Abs(recomputed-total) > 1e-9 {
+			if recomputed != total {
 				t.Fatalf("recomputed %v != reported %v", recomputed, total)
 			}
 		}

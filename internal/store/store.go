@@ -1035,10 +1035,13 @@ func (s *Store[T]) AddMeta(x T, md meta.Map) (uint64, error) {
 	if err := s.reg.Register(md); err != nil {
 		return 0, err
 	}
+	// Embed before locking: the EmbedCost exact distances are most of an
+	// add's work, and concurrent adds must not queue behind each other's.
+	v := s.model.Embed(x)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
-	seg, _, err := old.seg.AddWithVectorMeta(x, s.model.Embed(x), md)
+	seg, _, err := old.seg.AddWithVectorMeta(x, v, md)
 	if err != nil {
 		return 0, err
 	}

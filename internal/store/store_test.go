@@ -30,6 +30,13 @@ func l1(a, b []float64) float64 {
 // database with it.
 func fixture(t testing.TB, n int) (*core.Model[[]float64], [][]float64) {
 	t.Helper()
+	return fixtureWith(t, n, l1)
+}
+
+// fixtureWith is fixture with the model's oracle supplied: dist must
+// agree with l1, since the stores built over it refine with l1.
+func fixtureWith(t testing.TB, n int, dist func(a, b []float64) float64) (*core.Model[[]float64], [][]float64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	db := make([][]float64, n)
 	for i := range db {
@@ -43,7 +50,7 @@ func fixture(t testing.TB, n int) (*core.Model[[]float64], [][]float64) {
 	opts.NumTriples = 400
 	opts.K1 = 3
 	opts.Seed = 1
-	model, _, err := core.Train(db, l1, opts)
+	model, _, err := core.Train(db, dist, opts)
 	if err != nil {
 		t.Fatalf("training fixture: %v", err)
 	}

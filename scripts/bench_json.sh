@@ -7,7 +7,8 @@
 #   scripts/bench_json.sh [output-dir]
 #
 # Environment:
-#   BENCH_PATTERN   benchmark regexp       (default: the CI smoke set + Search)
+#   BENCH_PATTERN   benchmark regexp       (default: the CI smoke set + Search
+#                                           + the cDTW oracle)
 #   BENCH_TIME      -benchtime per bench   (default: 1x — smoke; use e.g. 20x locally)
 #   BENCH_COUNT     -count per bench       (default: 1)
 #
@@ -16,15 +17,17 @@
 #    "benchmarks": [{"name": "BenchmarkSearch", "iterations": 20,
 #                    "ns_per_op": 1382941.0}, ...]}
 # Benchmarks that report extra metrics via b.ReportMetric (e.g. the
-# quantized filter scan's exactFrac pruned-rows report) carry them in an
-# additional "metrics" object: {"name": ..., "ns_per_op": ...,
-# "metrics": {"exactFrac": 0.018, "vs-exact-ratio": 0.9, ...}}.
+# quantized filter scan's exactFrac pruned-rows report) or b.ReportAllocs
+# (the cDTW oracle) carry them in an additional "metrics" object:
+# {"name": ..., "ns_per_op": ...,
+#  "metrics": {"exactFrac": 0.018, "vs-exact-ratio": 0.9, ...}}, or
+#  "metrics": {"B/op": 5376, "allocs/op": 1} for allocations.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 outdir="${1:-.}"
 mkdir -p "$outdir"
-pattern="${BENCH_PATTERN:-Filter|StoreAdd|SaveDirty|CalibrateP|Search}"
+pattern="${BENCH_PATTERN:-Filter|StoreAdd|SaveDirty|CalibrateP|Search|ConstrainedDTW}"
 benchtime="${BENCH_TIME:-1x}"
 count="${BENCH_COUNT:-1}"
 
