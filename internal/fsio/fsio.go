@@ -56,6 +56,6 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp
 func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
-func (osFS) Rename(oldpath, newpath string) error  { return os.Rename(oldpath, newpath) }
-func (osFS) Remove(name string) error              { return os.Remove(name) }
+func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }

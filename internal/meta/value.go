@@ -60,10 +60,10 @@ type Value struct {
 }
 
 // IntValue, FloatValue, StringValue and BoolValue construct typed values.
-func IntValue(v int64) Value      { return Value{Kind: KindInt, Int: v} }
-func FloatValue(v float64) Value  { return Value{Kind: KindFloat, Flt: v} }
-func StringValue(v string) Value  { return Value{Kind: KindString, Str: v} }
-func BoolValue(v bool) Value      { return Value{Kind: KindBool, Bool: v} }
+func IntValue(v int64) Value     { return Value{Kind: KindInt, Int: v} }
+func FloatValue(v float64) Value { return Value{Kind: KindFloat, Flt: v} }
+func StringValue(v string) Value { return Value{Kind: KindString, Str: v} }
+func BoolValue(v bool) Value     { return Value{Kind: KindBool, Bool: v} }
 
 // Equal reports whether two values have the same kind and payload.
 func (v Value) Equal(o Value) bool {

@@ -26,6 +26,10 @@
 // entirely: a dead row's upper bound must never tighten tau, or it could
 // evict a live row from the survivor set.
 //
+// A large 8-bit base segment runs phase 1 as the seeded screen: a first
+// pass over every base row's head sets a seed for tau before the screen
+// proper starts (see screenSeeded).
+//
 // This file also hosts the scan kernels themselves. The sub-byte widths
 // never materialize unpacked codes: each kernel extracts fields with a
 // shift-and-mask and indexes fixed-stride [16]float64 per-dimension
@@ -33,9 +37,7 @@
 // so the innermost loop carries no bounds checks. The vafile package
 // keeps the packed layout and the table math (property-tested and fuzzed
 // in isolation); this file owns the traversal — per-row unrolling,
-// early-abort, L1-sized panel blocking, and the query-batched phase 1
-// behind Segmented.SearchBatch that streams the shadow once per batch
-// instead of once per query.
+// early-abort, and the two passes of the seeded screen.
 //
 // (This file extends package retrieval; the package comment lives in
 // retrieval.go.)
@@ -46,7 +48,9 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
+	"sync"
 	"time"
 
 	"qse/internal/metrics"
@@ -277,6 +281,18 @@ func (h ubHeap) siftUp(i int) {
 	}
 }
 
+// offer keeps ub in the heap if it is among the p smallest upper bounds
+// offered so far.
+func (h *ubHeap) offer(ub float64, p int) {
+	if len(*h) < p {
+		*h = append(*h, ub)
+		h.siftUp(len(*h) - 1)
+	} else if ub < (*h)[0] {
+		(*h)[0] = ub
+		h.siftDown()
+	}
+}
+
 func (h ubHeap) siftDown() {
 	i := 0
 	for {
@@ -309,10 +325,6 @@ type rowKernel struct {
 	lower func(row []uint8) float64
 	// upper is the row's upper bound (tau candidates).
 	upper func(row []uint8) float64
-	// tableBytes is the resident size of the bound tables behind the
-	// three closures — what one query contributes to cache pressure when
-	// the batched traversal interleaves several queries over one panel.
-	tableBytes int
 }
 
 // newKernel builds the packed-width kernels for one query's tables. An
@@ -326,11 +338,7 @@ type rowKernel struct {
 // brackets the exact kernel's sequentially-rounded distance.
 func newKernel(t *vafile.Tables, bits int) rowKernel {
 	if bits == 8 {
-		// Full 256-cell lower and upper tables, dims entries each.
-		return rowKernel{
-			lowerBounded: t.RowLowerBounded, lower: t.RowLower, upper: t.RowUpper,
-			tableBytes: t.Dims() * 256 * 8 * 2,
-		}
+		return rowKernel{lowerBounded: t.RowLowerBounded, lower: t.RowLower, upper: t.RowUpper}
 	}
 	var sum func(t16 [][16]float64, row []uint8, stop float64) (float64, bool)
 	switch bits {
@@ -344,7 +352,6 @@ func newKernel(t *vafile.Tables, bits int) rowKernel {
 	lb16, ub16 := t.Tab16()
 	mrel, inv := t.Slack()
 	return rowKernel{
-		tableBytes: t.Dims() * 16 * 8 * 2,
 		lowerBounded: func(row []uint8, bound float64) (float64, bool) {
 			s, aborted := sum(lb16, row, bound*inv)
 			if aborted {
@@ -529,9 +536,7 @@ func sumPacked1(t16 [][16]float64, row []uint8, stop float64) (float64, bool) {
 
 // shadowView is the non-generic slice of a Segmented the screening loop
 // needs: the packed shadow blocks, liveness/match bitmaps, and the
-// base/delta split. Extracting it lets the row loop and the panel
-// traversal be shared verbatim between the single-query and the batched
-// phase 1.
+// base/delta split.
 type shadowView struct {
 	bn, stride              int
 	baseShadow, deltaShadow []uint8
@@ -551,33 +556,74 @@ func (s *Segmented[T]) shadowView(matchBase, matchDelta bitmap, useMatch bool) *
 	}
 }
 
-// screenState is one (query, partition) phase-1 accumulator: the tau
-// heap, the admitted candidates with their lower bounds, and the scanned
-// count. screenRange advances it over a row range; partitions merge in
-// partition order via mergeScreenParts.
+// baseLive reports whether base row pos takes part in the scan: live,
+// and matching when the scan runs under a filter.
+func (v *shadowView) baseLive(pos int) bool {
+	if v.useMatch {
+		return v.matchBase.get(pos)
+	}
+	return !v.baseDead.get(pos)
+}
+
+// liveBase counts the base rows of [lo, hi) for which baseLive holds.
+func (v *shadowView) liveBase(lo, hi int) int {
+	if v.useMatch {
+		return v.matchBase.countRange(lo, hi)
+	}
+	return hi - lo - v.baseDead.countRange(lo, hi)
+}
+
+// countRange returns the number of set bits at positions [lo, hi).
+func (b bitmap) countRange(lo, hi int) int {
+	n := 0
+	for w := lo >> 6; w < len(b) && w<<6 < hi; w++ {
+		word := b[w]
+		base := w << 6
+		if base < lo {
+			word &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if rem := hi - base; rem < 64 {
+			word &= ^uint64(0) >> uint(64-rem)
+		}
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// screenState is one partition's phase-1 accumulator: the tau heap, the
+// admitted candidates with their lower bounds, and the scanned count.
+// seed caps every bound the screen compares against (+Inf when the scan
+// is unseeded). Partitions merge in partition order via
+// mergeScreenParts.
 type screenState struct {
 	kern    rowKernel
 	p       int
+	seed    float64
 	ubs     ubHeap
 	cands   []int32
 	clbs    []float64
 	scanned int64
 }
 
+// bound is the threshold a row's lower bound must not cross: the heap
+// top once p upper bounds are in, capped by the seed.
+func (st *screenState) bound() float64 {
+	if len(st.ubs) == st.p && st.ubs[0] < st.seed {
+		return st.ubs[0]
+	}
+	return st.seed
+}
+
 // screenRange screens rows [lo, hi) in ascending position order into st.
 // Because the state machine is sequential in position, splitting a range
-// into consecutive sub-ranges (as the panel traversal does) leaves the
-// result byte-identical to one unbroken pass.
+// into consecutive sub-ranges leaves the result byte-identical to one
+// unbroken pass.
 func (v *shadowView) screenRange(st *screenState, lo, hi int) {
 	stride := v.stride
 	for pos := lo; pos < hi; pos++ {
 		var row []uint8
 		if pos < v.bn {
-			if v.useMatch {
-				if !v.matchBase.get(pos) {
-					continue
-				}
-			} else if v.baseDead.get(pos) {
+			if !v.baseLive(pos) {
 				continue
 			}
 			row = v.baseShadow[pos*stride : pos*stride+stride]
@@ -602,11 +648,10 @@ func (v *shadowView) screenRange(st *screenState, lo, hi int) {
 			row = v.deltaShadow[j*stride : j*stride+stride]
 		}
 		st.scanned++
-		if len(st.ubs) < st.p {
+		if len(st.ubs) < st.p && math.IsInf(st.seed, 1) {
 			st.cands = append(st.cands, int32(pos))
 			st.clbs = append(st.clbs, st.kern.lower(row))
-			st.ubs = append(st.ubs, st.kern.upper(row))
-			st.ubs.siftUp(len(st.ubs) - 1)
+			st.ubs.offer(st.kern.upper(row), st.p)
 			continue
 		}
 		// The heap top only shrinks toward the final tau, so a lower
@@ -620,77 +665,187 @@ func (v *shadowView) screenRange(st *screenState, lo, hi int) {
 		// everywhere by the same dominance. ub >= lb, so a dropped row
 		// cannot improve the heap either, skipping the second table
 		// pass.
-		lb, within := st.kern.lowerBounded(row, st.ubs[0])
+		lb, within := st.kern.lowerBounded(row, st.bound())
 		if !within {
 			continue
 		}
 		st.cands = append(st.cands, int32(pos))
 		st.clbs = append(st.clbs, lb)
-		if ub := st.kern.upper(row); ub < st.ubs[0] {
-			st.ubs[0] = ub
-			st.ubs.siftDown()
-		}
+		st.ubs.offer(st.kern.upper(row), st.p)
 	}
 }
 
-// screenPanelBytes is the shadow panel size for the batched traversal:
-// small enough that a panel plus one query's 16-cell lower-bound table
-// (dims x 128 bytes) stays L1-resident while the inner query loop
-// revisits the panel.
-const screenPanelBytes = 16 << 10
+// The seeded screen (DESIGN §16) splits phase 1 into two passes over the
+// base rows of an 8-bit shadow. Pass 1 (seedFromHeads) writes every base
+// row's head — the lower-bound sum sumRow checks first, over the row's
+// first vafile.HeadDims codes — and derives a seed: the p-th smallest
+// upper bound among the seedKeepPerP·p live rows with the smallest
+// heads. Pass 2 (screenSeeded) drops, block by block and without a
+// branch, every row whose head already exceeds seed·inv, and runs the
+// screenRange state machine on the survivors against min(heap top,
+// seed), resuming each survivor's lower bound from its head. The seed is
+// the p-th smallest upper bound of p distinct live rows, so seed >= tau:
+// every exclusion still uses a threshold >= tau, and the p rows that
+// define tau (head <= lb <= ub <= tau) are never dropped. Tau, the
+// phase-2 set and the answers are those of the unseeded screen; what
+// changes is how many rows reach the candidate lists.
+const (
+	// seedMinBase and seedBaseRowsPerP gate the seeded screen on scan
+	// size (the measured crossover is in DESIGN §16).
+	seedMinBase      = 16384
+	seedBaseRowsPerP = 128
+	// seedKeepPerP·p best-head rows feed the seed.
+	seedKeepPerP = 4
+	// headChunk is how many heads pass 1 writes before it selects from
+	// them, so the selection reads heads that are still in L1.
+	headChunk = 2048
+	// seedBlock is pass 2's compaction block (a power of two).
+	seedBlock = 256
+)
 
-// screenTableBudget caps how many queries' bound tables the batched
-// traversal keeps hot at once. The panel inner loop cycles its group's
-// tables on every panel, so the whole group must fit in cache next to
-// the panel itself — past that point the tables evict each other every
-// panel and the batched pass moves more bytes than the solo scans it
-// replaces (an 8-bit query at 64 dims carries 256 KiB of tables; the
-// 16-cell sub-byte tables are 16 KiB). Queries beyond the budget form
-// further groups, each re-streaming the shadow once — still 1/group of
-// the per-query traffic.
-const screenTableBudget = 256 << 10
+// headBufs recycles pass 1's head buffers: one float64 per base row for
+// each in-flight seeded scan.
+var headBufs sync.Pool
 
-// screenPanels screens rows [lo, hi) for every state. With one state
-// (the single-query scan) the pass is a plain stream — blocking buys
-// nothing without reuse. With several (the batched phase 1) the states
-// are cut into groups whose bound tables fit screenTableBudget, the
-// range into L1-sized panels of packed rows, and each panel is screened
-// for the whole group before moving on, so the shadow is pulled from
-// memory once per (group, partition) instead of once per (query,
-// partition). Each query still visits rows in ascending position order,
-// so its state machine — and its candidates and tau — are byte-identical
-// to a solo scan.
-func (v *shadowView) screenPanels(states []*screenState, lo, hi int) {
-	group := len(states)
-	if tb := states[0].kern.tableBytes; tb > 0 && group > 1 {
-		if g := screenTableBudget / tb; g < group {
-			group = g
-			if group < 1 {
-				group = 1
+// headEntry is one pass-1 candidate for the seed: a base row and its
+// head, ordered by (head, position).
+type headEntry struct {
+	h   float64
+	pos int32
+}
+
+func (a headEntry) less(b headEntry) bool {
+	return a.h < b.h || (a.h == b.h && a.pos < b.pos)
+}
+
+// headHeap is a max-heap retaining the keep smallest headEntries offered.
+type headHeap []headEntry
+
+func (hp *headHeap) offer(e headEntry, keep int) {
+	h := *hp
+	if len(h) < keep {
+		h = append(h, e)
+		for i := len(h) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !h[parent].less(h[i]) {
+				break
+			}
+			h[i], h[parent] = h[parent], h[i]
+			i = parent
+		}
+		*hp = h
+		return
+	}
+	if !e.less(h[0]) {
+		return
+	}
+	h[0] = e
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		big := l
+		if r := l + 1; r < len(h) && h[l].less(h[r]) {
+			big = r
+		}
+		if !h[i].less(h[big]) {
+			return
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+}
+
+// headRange is pass 1 over base rows [lo, hi): it writes their heads
+// into heads[lo:hi] and returns the keep live rows of the range with the
+// smallest (head, position).
+func (v *shadowView) headRange(t *vafile.Tables, heads []float64, lo, hi, keep int) headHeap {
+	best := make(headHeap, 0, keep)
+	for clo := lo; clo < hi; clo += headChunk {
+		chi := min(clo+headChunk, hi)
+		chunk := heads[clo:chi]
+		t.Heads(v.baseShadow[clo*v.stride:chi*v.stride], v.stride, chunk)
+		for i, h := range chunk {
+			// Positions ascend, so an equal head never displaces the top.
+			if len(best) == keep && !(h < best[0].h) {
+				continue
+			}
+			if pos := clo + i; v.baseLive(pos) {
+				best.offer(headEntry{h, int32(pos)}, keep)
 			}
 		}
 	}
-	rows := screenPanelBytes / v.stride
-	if rows < 64 {
-		rows = 64
+	return best
+}
+
+// seedFromHeads is pass 1 of the seeded screen: it fills heads (one per
+// base row) and returns the seed, the p-th smallest upper bound among the
+// seedKeepPerP·p live base rows with the smallest heads — +Inf when
+// fewer than p live base rows exist.
+func (v *shadowView) seedFromHeads(t *vafile.Tables, kern rowKernel, heads []float64, p int, parallel bool) float64 {
+	keep := seedKeepPerP * p
+	var parts []headHeap
+	if !parallel || v.bn < minParallelScan {
+		parts = []headHeap{v.headRange(t, heads, 0, v.bn, keep)}
+	} else {
+		w := par.Workers()
+		all := make([]headHeap, w)
+		shards := par.Shards(w, v.bn, minParallelScan, func(sh, lo, hi int) {
+			all[sh] = v.headRange(t, heads, lo, hi, keep)
+		})
+		parts = all[:shards]
 	}
-	for gs := 0; gs < len(states); gs += group {
-		ge := gs + group
-		if ge > len(states) {
-			ge = len(states)
+	best := parts[0]
+	for _, pt := range parts[1:] {
+		for _, e := range pt {
+			best.offer(e, keep)
 		}
-		if ge-gs == 1 {
-			v.screenRange(states[gs], lo, hi)
-			continue
+	}
+	if len(best) < p {
+		return math.Inf(1)
+	}
+	ubs := make(ubHeap, 0, p)
+	for _, e := range best {
+		pos := int(e.pos)
+		ubs.offer(kern.upper(v.baseShadow[pos*v.stride:pos*v.stride+v.stride]), p)
+	}
+	return ubs[0]
+}
+
+// screenSeeded is pass 2 of the seeded screen over base rows [lo, hi):
+// per block it compacts the positions whose head is within stop =
+// st.seed·inv (a row whose head exceeds it would abort at sumRow's first
+// check against any bound <= seed), then screens the live survivors like
+// screenRange, their lower bounds resumed from the head. Every live row
+// counts as scanned, dropped or not, so BoundScannedRows matches the
+// unseeded screen.
+func (v *shadowView) screenSeeded(st *screenState, t *vafile.Tables, lo, hi int, heads []float64, stop float64) {
+	st.scanned += int64(v.liveBase(lo, hi))
+	stride := v.stride
+	var idx [seedBlock]int32
+	for blo := lo; blo < hi; blo += seedBlock {
+		n := 0
+		for i, h := range heads[blo:min(blo+seedBlock, hi)] {
+			idx[n&(seedBlock-1)] = int32(blo + i)
+			keep := 1
+			if h > stop {
+				keep = 0
+			}
+			n += keep
 		}
-		for plo := lo; plo < hi; plo += rows {
-			phi := plo + rows
-			if phi > hi {
-				phi = hi
+		for _, pos := range idx[:n] {
+			if !v.baseLive(int(pos)) {
+				continue
 			}
-			for _, st := range states[gs:ge] {
-				v.screenRange(st, plo, phi)
+			row := v.baseShadow[int(pos)*stride : int(pos)*stride+stride]
+			lb, within := t.RowLowerBoundedFrom(row, heads[pos], st.bound())
+			if !within {
+				continue
 			}
+			st.cands = append(st.cands, pos)
+			st.clbs = append(st.clbs, lb)
+			st.ubs.offer(st.kern.upper(row), st.p)
 		}
 	}
 }
@@ -730,14 +885,28 @@ func mergeScreenParts(parts []*screenState, p int, clk *FilterClock) *boundPrune
 
 // boundScan is phase 1 for one query: walk the packed shadow of every
 // candidate row (live rows, or the match bitsets when useMatch),
-// accumulate lower bounds, and derive tau. Returns nil — exact scan, no
+// accumulate lower bounds, and derive tau. An 8-bit base segment large
+// relative to p takes the seeded screen. Returns nil — exact scan, no
 // pruning — when quantization is off/dormant or the query cannot support
 // valid bounds.
 func (s *Segmented[T]) boundScan(qvec, weights []float64, p int, parallel bool, clk *FilterClock, matchBase, matchDelta bitmap, useMatch bool) *boundPrune {
-	qs := s.quant
-	if qs == nil || qs.bounds == nil {
+	if s.quant == nil || s.quant.bounds == nil {
 		return nil
 	}
+	// Heads are defined over 8-bit codes (the 256-cell tables) and at
+	// least vafile.HeadDims dimensions.
+	bn := s.base.Size()
+	seeded := s.quant.bits == 8 && s.base.dims >= vafile.HeadDims && bn >= seedMinBase && bn >= seedBaseRowsPerP*p
+	return s.screen(qvec, weights, p, parallel, clk, s.shadowView(matchBase, matchDelta, useMatch), seeded)
+}
+
+// screen is boundScan with the gate's verdict passed in: seeded asks for
+// the seeded screen, which runs when pass 1 finds a seed and needs an
+// 8-bit shadow of at least vafile.HeadDims dimensions; the delta rows,
+// and every row of an unseeded scan, go through screenRange. The shadow
+// must be live (non-nil bounds).
+func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk *FilterClock, v *shadowView, seeded bool) *boundPrune {
+	qs := s.quant
 	tbl, ok := qs.bounds.QueryTables(qvec, weights)
 	if !ok {
 		return nil
@@ -747,208 +916,45 @@ func (s *Segmented[T]) boundScan(qvec, weights []float64, p int, parallel bool, 
 		return nil
 	}
 	kern := newKernel(&tbl, qs.bits)
-	v := s.shadowView(matchBase, matchDelta, useMatch)
+	seed, stop := math.Inf(1), math.Inf(1)
+	var heads []float64
+	if seeded {
+		buf, _ := headBufs.Get().(*[]float64)
+		if buf == nil || cap(*buf) < v.bn {
+			b := make([]float64, v.bn)
+			buf = &b
+		}
+		defer headBufs.Put(buf)
+		heads = (*buf)[:v.bn]
+		if sd := v.seedFromHeads(&tbl, kern, heads, p, parallel); sd < math.Inf(1) {
+			_, inv := tbl.Slack()
+			seed, stop = sd, sd*inv
+		} else {
+			heads = nil
+		}
+	}
+	run := func(lo, hi int) *screenState {
+		st := &screenState{kern: kern, p: p, seed: seed}
+		if heads != nil && lo < v.bn {
+			mid := min(hi, v.bn)
+			v.screenSeeded(st, &tbl, lo, mid, heads, stop)
+			lo = mid
+		}
+		v.screenRange(st, lo, hi)
+		return st
+	}
 	var parts []*screenState
 	if !parallel || total < minParallelScan {
-		st := &screenState{kern: kern, p: p}
-		v.screenPanels([]*screenState{st}, 0, total)
-		parts = []*screenState{st}
+		parts = []*screenState{run(0, total)}
 	} else {
 		w := par.Workers()
 		all := make([]*screenState, w)
 		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			st := &screenState{kern: kern, p: p}
-			all[sh] = st
-			v.screenPanels([]*screenState{st}, lo, hi)
+			all[sh] = run(lo, hi)
 		})
 		parts = all[:shards]
 	}
 	return mergeScreenParts(parts, p, clk)
-}
-
-// boundScanBatch is phase 1 for a query batch: per-query bound tables
-// are built up front, then one partitioned pass over the packed shadow
-// screens each panel of rows against every query (screenPanels), so the
-// shadow block is streamed from memory once per partition instead of
-// once per query. Per query the verdict — candidates, lower bounds, tau
-// — is byte-identical to boundScan's, because its rows are visited in
-// the same ascending order by the same state machine; only the traversal
-// interleaving differs, which the per-query state never observes.
-//
-// out[i] is nil — that query falls back to the per-query path — when its
-// embedding failed (nil qvec) or its tables were rejected; the whole
-// batch returns nils when quantization is off/dormant or the position
-// space is too large, exactly the boundScan fallbacks.
-func (s *Segmented[T]) boundScanBatch(qvecs, weightsList [][]float64, p int, parallel bool, clks []*FilterClock) []*boundPrune {
-	out := make([]*boundPrune, len(qvecs))
-	qs := s.quant
-	if qs == nil || qs.bounds == nil || p <= 0 {
-		return out
-	}
-	total := s.Total()
-	if total > math.MaxInt32 {
-		return out
-	}
-	kerns := make([]rowKernel, len(qvecs))
-	active := make([]int, 0, len(qvecs))
-	for i, qv := range qvecs {
-		if qv == nil {
-			continue
-		}
-		tbl, ok := qs.bounds.QueryTables(qv, weightsList[i])
-		if !ok {
-			continue
-		}
-		kerns[i] = newKernel(&tbl, qs.bits)
-		active = append(active, i)
-	}
-	if len(active) == 0 {
-		return out
-	}
-	v := s.shadowView(nil, nil, false)
-	newStates := func() []*screenState {
-		sts := make([]*screenState, len(active))
-		for ai, qi := range active {
-			sts[ai] = &screenState{kern: kerns[qi], p: p}
-		}
-		return sts
-	}
-	var partStates [][]*screenState
-	if !parallel || total < minParallelScan {
-		sts := newStates()
-		v.screenPanels(sts, 0, total)
-		partStates = [][]*screenState{sts}
-	} else {
-		w := par.Workers()
-		all := make([][]*screenState, w)
-		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			sts := newStates()
-			all[sh] = sts
-			v.screenPanels(sts, lo, hi)
-		})
-		partStates = all[:shards]
-	}
-	parts := make([]*screenState, len(partStates))
-	for ai, qi := range active {
-		for pi := range partStates {
-			parts[pi] = partStates[pi][ai]
-		}
-		out[qi] = mergeScreenParts(parts, p, clks[qi])
-	}
-	return out
-}
-
-// searchBatchQuantized is Segmented.SearchBatch's quantized pipeline:
-// embed every query, run the shared batched phase 1 (one streaming pass
-// over the shadow for the whole batch), then finish each query — phase
-// 2, merge, refine — independently across the worker pool. Per-query
-// results and stats are bit-identical to the serial per-query path: the
-// batched phase 1 produces the same candidates and tau (see
-// boundScanBatch), and everything downstream of it is the same code the
-// per-query path runs.
-func (s *Segmented[T]) searchBatchQuantized(queries []T, k, p int) ([][]space.Neighbor, []Stats, error) {
-	nq := len(queries)
-	results := make([][]space.Neighbor, nq)
-	stats := make([]Stats, nq)
-	errs := make([]error, nq)
-	qvecs := make([][]float64, nq)
-	weightsList := make([][]float64, nq)
-	embedNs := make([]int64, nq)
-	par.For(nq, 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t0 := time.Now()
-			qv := s.base.embedder.Embed(queries[i])
-			if len(qv) != s.base.dims {
-				errs[i] = QueryDimsError(len(qv), s.base.dims)
-				continue
-			}
-			if w, ok := s.base.embedder.(Weighter); ok {
-				weightsList[i] = w.QueryWeights(qv)
-			}
-			qvecs[i] = qv
-			embedNs[i] = time.Since(t0).Nanoseconds()
-		}
-	})
-	pEff := p
-	if live := s.Live(); pEff > live {
-		pEff = live
-	}
-	clks := make([]*FilterClock, nq)
-	for i := range clks {
-		clks[i] = new(FilterClock)
-	}
-	prunes := make([]*boundPrune, nq)
-	var boundShare int64
-	if pEff > 0 {
-		t0 := time.Now()
-		prunes = s.boundScanBatch(qvecs, weightsList, pEff, true, clks)
-		elapsed := time.Since(t0).Nanoseconds()
-		active := 0
-		for _, pr := range prunes {
-			if pr != nil {
-				active++
-			}
-		}
-		if active > 0 {
-			// The shared pass's wall time, attributed evenly: timing is
-			// observability only, outside the bit-identity contract.
-			boundShare = elapsed / int64(active)
-		}
-	}
-	par.For(nq, 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if errs[i] != nil {
-				continue
-			}
-			share := int64(0)
-			if prunes[i] != nil {
-				share = boundShare
-			}
-			results[i], stats[i], errs[i] = s.finishQuantized(queries[i], qvecs[i], weightsList[i], k, p, prunes[i], clks[i], embedNs[i], share)
-		}
-	})
-	return firstBatchError(results, stats, errs)
-}
-
-// finishQuantized completes one batched query after the shared phase 1:
-// phase 2 over its candidate list, merge, refine, stats — the exact tail
-// of searchPred, with the embed and bound-scan timings carried in. A nil
-// pr (tables rejected, quantization raced off, or pEff hit zero) falls
-// back to filterTopP, which re-derives the right path — the same
-// fallback the serial scan takes.
-func (s *Segmented[T]) finishQuantized(q T, qvec, weights []float64, k, p int, pr *boundPrune, clk *FilterClock, embedNanos, boundNanos int64) ([]space.Neighbor, Stats, error) {
-	var t Timing
-	t.EmbedNanos = embedNanos
-	var candidates []space.Neighbor
-	if pr == nil {
-		candidates = s.filterTopP(qvec, weights, p, false, clk)
-	} else {
-		if live := s.Live(); p > live {
-			p = live
-		}
-		clk.AddBound(boundNanos)
-		heaps := s.scanCandidateChunks(qvec, weights, p, false, pr, clk)
-		t0 := time.Now()
-		candidates = mergeTopP(heaps, p)
-		clk.AddMerge(time.Since(t0).Nanoseconds())
-	}
-	clk.AddTo(&t)
-	t0 := time.Now()
-	refined := make([]space.Neighbor, len(candidates))
-	for i, c := range candidates {
-		refined[i] = space.Neighbor{Index: c.Index, Distance: s.base.dist(q, s.Object(c.Index))}
-	}
-	space.SortNeighbors(refined)
-	t.RefineNanos = time.Since(t0).Nanoseconds()
-	if k > len(refined) {
-		k = len(refined)
-	}
-	stats := Stats{
-		EmbedDistances:  s.base.embedder.EmbedCost(),
-		RefineDistances: len(candidates),
-		Timing:          t,
-	}
-	return refined[:k], stats, nil
 }
 
 // scanCandidateChunks runs phase 2 over the full candidate list,

@@ -531,18 +531,12 @@ func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, plan meta
 }
 
 // SearchBatch pipelines queries across the worker pool like
-// Index.SearchBatch, with the same deterministic first-error semantics.
-// When a shadow block is live, the batch takes the shared-phase-1
-// pipeline instead: one streaming pass over the packed shadow screens
-// every query (searchBatchQuantized), then each query's phase 2, merge,
-// and refine run independently — per-query results and stats are
-// bit-identical to running the queries one at a time.
+// Index.SearchBatch, with the same deterministic first-error semantics:
+// each query runs its own serial scan, so per-query results and stats
+// are bit-identical to running the queries one at a time.
 func (s *Segmented[T]) SearchBatch(queries []T, k, p int) ([][]space.Neighbor, []Stats, error) {
 	if err := CheckKP(k, p); err != nil {
 		return nil, nil, err
-	}
-	if s.quant != nil && s.quant.bounds != nil && len(queries) > 1 {
-		return s.searchBatchQuantized(queries, k, p)
 	}
 	results := make([][]space.Neighbor, len(queries))
 	stats := make([]Stats, len(queries))
@@ -585,31 +579,7 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 		return s.filterTopP(qvec, weights, p, parallel, clk), s.Live(), meta.PlanInline
 	}
 	t0 := time.Now()
-	bn, dn := s.base.Size(), len(s.deltaDB)
-	used := meta.PlanInline
-	var matchBase, matchDelta bitmap
-	if bn > 0 {
-		matchBase = make(bitmap, (bn+63)/64)
-		used = pred.EvalBlock(s.baseMeta, bn, matchBase, plan)
-		for w := range s.baseDead {
-			matchBase[w] &^= s.baseDead[w]
-		}
-	}
-	if dn > 0 {
-		matchDelta = make(bitmap, (dn+63)/64)
-		for j := 0; j < dn; j++ {
-			if s.deltaDead.get(j) {
-				continue
-			}
-			var m meta.Map
-			if s.deltaMeta != nil {
-				m = s.deltaMeta[j]
-			}
-			if pred.Match(m) {
-				matchDelta[j>>6] |= 1 << (uint(j) & 63)
-			}
-		}
-	}
+	matchBase, matchDelta, used := s.matchBits(pred, plan)
 	matched := matchBase.popcount() + matchDelta.popcount()
 	clk.AddEval(time.Since(t0).Nanoseconds())
 	if p > matched {
@@ -645,6 +615,36 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 	out := mergeTopP(heaps, p)
 	clk.AddMerge(time.Since(t0).Nanoseconds())
 	return out, matched, used
+}
+
+// matchBits evaluates pred into per-segment match bitsets ANDed with
+// liveness, and reports the plan actually used for the base segment.
+func (s *Segmented[T]) matchBits(pred *meta.Predicate, plan meta.Plan) (matchBase, matchDelta bitmap, used meta.Plan) {
+	bn, dn := s.base.Size(), len(s.deltaDB)
+	used = meta.PlanInline
+	if bn > 0 {
+		matchBase = make(bitmap, (bn+63)/64)
+		used = pred.EvalBlock(s.baseMeta, bn, matchBase, plan)
+		for w := range s.baseDead {
+			matchBase[w] &^= s.baseDead[w]
+		}
+	}
+	if dn > 0 {
+		matchDelta = make(bitmap, (dn+63)/64)
+		for j := 0; j < dn; j++ {
+			if s.deltaDead.get(j) {
+				continue
+			}
+			var m meta.Map
+			if s.deltaMeta != nil {
+				m = s.deltaMeta[j]
+			}
+			if pred.Match(m) {
+				matchDelta[j>>6] |= 1 << (uint(j) & 63)
+			}
+		}
+	}
+	return matchBase, matchDelta, used
 }
 
 // filterTopP ranks the live rows of both segments under the filter

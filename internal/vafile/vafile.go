@@ -450,7 +450,24 @@ func (t *Tables) RowLower(codes []uint8) float64 {
 func (t *Tables) RowLowerBounded(codes []uint8, bound float64) (lb float64, within bool) {
 	// s - s*mrel > bound <=> s > bound/(1-mrel): hoist the slack out of
 	// the per-block exit check (inv caches the reciprocal).
-	s, aborted := t.sumRow(t.lb, codes, bound*t.inv)
+	s, aborted := t.sumRow(t.lb, codes, 0, 0, bound*t.inv)
+	return t.discount(s, aborted, bound)
+}
+
+// RowLowerBoundedFrom is RowLowerBounded for a row whose head (see
+// Heads) is already known: the sum resumes from head after the first
+// HeadDims codes instead of summing them again. Folding the head's four
+// accumulators into one reassociates the sum, which the same reordering
+// allowance covers, so the result is a valid lower bound that may differ
+// from RowLowerBounded's in its last bits. The tables must have at least
+// HeadDims dimensions.
+func (t *Tables) RowLowerBoundedFrom(codes []uint8, head, bound float64) (lb float64, within bool) {
+	s, aborted := t.sumRow(t.lb, codes, HeadDims, head, bound*t.inv)
+	return t.discount(s, aborted, bound)
+}
+
+// discount turns a lower-bound table sum into RowLowerBounded's result.
+func (t *Tables) discount(s float64, aborted bool, bound float64) (lb float64, within bool) {
 	if aborted {
 		return math.Inf(1), false
 	}
@@ -463,15 +480,17 @@ func (t *Tables) RowLowerBounded(codes []uint8, bound float64) (lb float64, with
 
 // sumRow sums one table entry per dimension over four accumulators,
 // aborting once the partial sum exceeds stop (+Inf never aborts; the
-// terms are non-negative, so the partial only grows). The 256-cell grid
-// — every 8-bit shadow — takes the fast path: constant cell strides and
-// byte-masked indices the compiler can prove in range, eight
-// dimensions per step off a single 8-byte code load.
-func (t *Tables) sumRow(tbl []float64, codes []uint8, stop float64) (float64, bool) {
-	var s0, s1, s2, s3 float64
+// terms are non-negative, so the partial only grows). The sum starts at
+// dimension d0 (a multiple of 16) with s0 in the first accumulator; a
+// whole-row sum passes 0, 0. The 256-cell grid — every 8-bit shadow —
+// takes the fast path: constant cell strides and byte-masked indices the
+// compiler can prove in range, eight dimensions per step off a single
+// 8-byte code load.
+func (t *Tables) sumRow(tbl []float64, codes []uint8, d0 int, s0, stop float64) (float64, bool) {
+	var s1, s2, s3 float64
 	n := len(codes)
 	cells := t.cells
-	off, d := 0, 0
+	off, d := d0*cells, d0
 	if cells == 256 {
 		// The exit check (three serial adds and a branch) is a real
 		// fraction of a group's cost, and the typical excluded row only
@@ -545,11 +564,53 @@ func (t *Tables) sumRow(tbl []float64, codes []uint8, stop float64) (float64, bo
 	return s, s > stop
 }
 
+// HeadDims is the span of a row's head: the dimensions sumRow's 256-cell
+// fast path sums before its first exit check.
+const HeadDims = 16
+
+// Heads writes the head of each row of an 8-bit shadow block into dst
+// (one row per entry, stride bytes per row): the four-accumulator
+// lower-bound sum over the row's first HeadDims codes, bit for bit the
+// partial sum sumRow compares against bound·inv at its first exit check.
+// So head > bound·inv means RowLowerBounded aborts the row at that
+// check, and RowLowerBoundedFrom can resume the sum from it. The grid
+// must have 256 cells and the tables at least HeadDims dimensions; block
+// must hold len(dst) rows.
+func (t *Tables) Heads(block []uint8, stride int, dst []float64) {
+	tbl := t.lb[:2*2048]
+	lo, hi := tbl[:2048:2048], tbl[2048:4096:4096]
+	for r := range dst {
+		row := block[r*stride : r*stride+HeadDims : r*stride+HeadDims]
+		// Zero-initialized like sumRow's accumulators, so a -0 entry
+		// (a -0 weight) sums to the same bits.
+		var s0, s1, s2, s3 float64
+		w := binary.LittleEndian.Uint64(row[:8])
+		s0 += lo[w&0xff]
+		s1 += lo[256+(w>>8)&0xff]
+		s2 += lo[512+(w>>16)&0xff]
+		s3 += lo[768+(w>>24)&0xff]
+		s0 += lo[1024+(w>>32)&0xff]
+		s1 += lo[1280+(w>>40)&0xff]
+		s2 += lo[1536+(w>>48)&0xff]
+		s3 += lo[1792+(w>>56)&0xff]
+		w = binary.LittleEndian.Uint64(row[8:])
+		s0 += hi[w&0xff]
+		s1 += hi[256+(w>>8)&0xff]
+		s2 += hi[512+(w>>16)&0xff]
+		s3 += hi[768+(w>>24)&0xff]
+		s0 += hi[1024+(w>>32)&0xff]
+		s1 += hi[1280+(w>>40)&0xff]
+		s2 += hi[1536+(w>>48)&0xff]
+		s3 += hi[1792+(w>>56)&0xff]
+		dst[r] = s0 + s1 + s2 + s3
+	}
+}
+
 // RowUpper is RowLower's upper-bound counterpart. Like RowLowerBounded
 // it sums over four accumulators for speed and restores validity by
 // padding the result with the reordering slack — a marginally looser
 // upper bound is still an upper bound.
 func (t *Tables) RowUpper(codes []uint8) float64 {
-	s, _ := t.sumRow(t.ub, codes, math.Inf(1))
+	s, _ := t.sumRow(t.ub, codes, 0, 0, math.Inf(1))
 	return s + s*t.mrel
 }
