@@ -17,7 +17,6 @@
 package qse
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"sort"
@@ -93,29 +92,15 @@ func BenchmarkFilterTopP(b *testing.B) {
 			ix.FilterTopP(q, w, 200)
 		}
 	})
-	// The quantized variants run the same scan through a packed shadow
-	// block: a bound pass over sub-byte codes first, exact float64 rows
-	// only where the bounds cannot exclude. exactRows/query reports how
-	// many of the 20k rows still needed an exact evaluation (the
-	// acceptance target is < 15% at p=200 for 8-bit); results are
-	// bit-identical to the exact scan at every width. shadow-bytes
-	// reports the packed shadow's resident size — 4-bit must be half of
-	// 8-bit.
-	for _, bits := range []int{4, 8} {
-		seg, err := retrieval.NewSegmented(ix).Quantize(bits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("quantized%d-unweighted", bits), func(b *testing.B) { benchQuantizedScan(b, ix, seg, q, nil) })
-		b.Run(fmt.Sprintf("quantized%d-weighted", bits), func(b *testing.B) { benchQuantizedScan(b, ix, seg, q, w) })
-	}
-	// At n = 200,000 the 8-bit base segment clears the seeded screen's
-	// size gate (DESIGN §16), which the 20k cases above stay below: this
-	// case times the seeded two-pass phase 1. Its index is built only
-	// when the case is selected.
+	// At n = 200,000 the 8-bit shadow clears the size gate (DESIGN §16)
+	// and p = 200 clears the query gate (128·p rows), so this case times
+	// the seeded screen against the exact scan; exactRows/query reports
+	// how many rows still needed an exact evaluation. At 20,000 rows the
+	// query gate sends p = 200 to the exact scan, so no smaller case is
+	// timed. Its index is built only when the case is selected.
 	b.Run("n200k-quantized8", func(b *testing.B) {
 		ix, q, w := benchRetrievalIndex(b, 200000, 64)
-		seg, err := retrieval.NewSegmented(ix).Quantize(8)
+		seg, err := retrieval.NewSegmented(ix).Quantize()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,10 +193,10 @@ func BenchmarkSearchFiltered(b *testing.B) {
 
 // BenchmarkSearchBatch measures a 64-query batch against the same index;
 // compare ns/op here to 64× BenchmarkSearch to see the batching win. The
-// quantized sub-benchmarks time the same batch against a packed shadow
-// block at 4 and 8 bits: each query runs its own two-phase scan, and
-// results are bit-identical to the exact batch (see
-// TestSearchBatchQuantizedIdentity).
+// quantized sub-benchmark times the same batch with quantization on: the
+// 20,000-row base gets its 8-bit shadow, but at p = 200 the query gate
+// (128·p rows, DESIGN §16) sends every query to the exact scan, so it
+// measures what the gate costs a batch it rejects.
 func BenchmarkSearchBatch(b *testing.B) {
 	ix, _, _ := benchRetrievalIndex(b, 20000, 64)
 	rng := rand.New(rand.NewSource(8))
@@ -230,20 +215,18 @@ func BenchmarkSearchBatch(b *testing.B) {
 			}
 		}
 	})
-	for _, bits := range []int{4, 8} {
-		seg, err := retrieval.NewSegmented(ix).Quantize(bits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("quantized%d", bits), func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := seg.SearchBatch(queries, 10, 200); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	seg, err := retrieval.NewSegmented(ix).Quantize()
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("quantized8", func(b *testing.B) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := seg.SearchBatch(queries, 10, 200); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkCalibrateP measures the offline parameter-selection sweep
@@ -622,7 +605,7 @@ func BenchmarkVAFileFilterStep(b *testing.B) {
 	})
 	b.Run("vafile", func(b *testing.B) {
 		const p = 50
-		bd, err := vafile.BuildBoundaries(flat, n, d, 6)
+		bd, err := vafile.BuildBoundaries(flat, n, d)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,7 +42,7 @@ func main() {
 		pct       = flag.Float64("pct", 95, "recall target for -autop, percent of queries capturing all k true NNs")
 		queryseed = flag.Int64("queryseed", 99, "seed for generating query objects")
 		filter    = flag.String("filter", "", `JSON metadata predicate, e.g. '{"field":"tenant","eq":"acme"}' (requires -bundle)`)
-		quantBits = flag.Int("quantize-bits", -1, "scalar-quantized shadow-block bit width for the filter scan: 1, 2, 4, or 8 bits per dimension (0 off, -1 keeps the bundle's setting; requires -bundle); answers are bit-identical at every width — narrower widths halve shadow memory per step but prune fewer rows")
+		quantBits = flag.Int("quantize-bits", -1, "8 turns on the 8-bit scalar-quantized shadow block for the filter scan, 0 turns it off, -1 keeps the bundle's setting (requires -bundle); a shadow is built only for a shard base of at least 16,384 rows and 16 embedded dimensions, and smaller bases keep the exact scan; answers are bit-identical either way")
 	)
 	flag.Parse()
 
@@ -56,9 +56,9 @@ func main() {
 		fatalf("-quantize-bits configures a store's shadow block; it is only supported with -bundle")
 	}
 	switch *quantBits {
-	case -1, 0, 1, 2, 4, 8:
+	case -1, 0, 8:
 	default:
-		fatalf("-quantize-bits %d: supported widths are 0 (off), 1, 2, 4, or 8 bits per dimension", *quantBits)
+		fatalf("-quantize-bits %d: supported widths are 0 (off) or 8 bits per dimension", *quantBits)
 	}
 
 	switch *dataset {

@@ -109,7 +109,7 @@ func main() {
 		compactDeltaFrac = flag.Float64("compact-delta-frac", defPol.DeltaFrac, "delta-to-base ratio that (with -compact-min-delta) triggers compaction")
 		compactMinDead   = flag.Int("compact-min-dead", defPol.MinDead, "compact when at least this many rows are tombstoned and -compact-dead-frac of the store")
 		compactDeadFrac  = flag.Float64("compact-dead-frac", defPol.DeadFrac, "tombstone-to-total ratio that (with -compact-min-dead) triggers compaction")
-		quantBits        = flag.Int("quantize-bits", -1, "scalar-quantized shadow-block bit width for the filter scan: 1, 2, 4, or 8 bits per dimension (0 turns quantization off, -1 keeps whatever the bundle was saved with); results are bit-identical at every width — narrower widths shrink the shadow and its memory traffic (4-bit is half of 8-bit) but prune less, so more rows fall through to exact evaluation")
+		quantBits        = flag.Int("quantize-bits", -1, "8 turns on the 8-bit scalar-quantized shadow block for the filter scan, 0 turns it off, -1 keeps whatever the bundle was saved with; a shadow is built only for a shard base of at least 16,384 rows and 16 embedded dimensions, and smaller bases keep the exact scan; results are bit-identical either way")
 	)
 	flag.Parse()
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
@@ -259,15 +259,15 @@ func main() {
 	log.Printf("store closed (generation %d)", st.Stats().Generation)
 }
 
-// checkQuantBits rejects -quantize-bits values the packed shadow layout
-// cannot store (codes must tile bytes exactly). -1 means "keep the
-// bundle's setting" and is always fine.
+// checkQuantBits rejects -quantize-bits values other than off (0) and
+// the one shadow width (8). -1 means "keep the bundle's setting" and is
+// always fine.
 func checkQuantBits(bits int) error {
 	switch bits {
-	case -1, 0, 1, 2, 4, 8:
+	case -1, 0, 8:
 		return nil
 	}
-	return fmt.Errorf("-quantize-bits %d: supported widths are 0 (off), 1, 2, 4, or 8 bits per dimension", bits)
+	return fmt.Errorf("-quantize-bits %d: supported widths are 0 (off) or 8 bits per dimension", bits)
 }
 
 type buildConfig struct {

@@ -108,11 +108,13 @@ func main() {
 	if err := served.Start(store.Lifecycle{SnapshotPath: bundle}); err != nil {
 		log.Fatal(err)
 	}
-	// Scalar quantization gives every row an 8-bit shadow the filter scan
-	// screens with cheap distance bounds, touching the exact float64
-	// vectors only for rows the bounds cannot exclude. Answers stay
-	// bit-identical; only scan cost changes. qse-serve exposes this as
-	// -quantize-bits, and the shadow persists inside the bundle.
+	// Scalar quantization gives a large base an 8-bit shadow the filter
+	// scan screens with cheap distance bounds, touching the exact float64
+	// vectors only for rows the bounds cannot exclude. Only a base of at
+	// least 16,384 rows and 16 embedded dimensions gets one, so these few
+	// 2-D points never do: the setting is recorded (and persists inside
+	// the bundle) while every scan stays exact. Answers are bit-identical
+	// either way. qse-serve exposes this as -quantize-bits.
 	if err := served.SetQuantization(8); err != nil {
 		log.Fatal(err)
 	}

@@ -1,13 +1,13 @@
-// Quantized shadow block: an optional packed companion of a Segmented's
-// float64 vectors (bits ∈ {1,2,4,8} per dimension, row-major packed so a
-// 4-bit shadow stores two dimensions per byte; built from the base
-// segment at quantization/compaction time, appended incrementally for
-// the delta) plus the two-phase bound scan that consumes it. Phase 1
-// walks the packed shadow accumulating weighted-L1 lower bounds per
-// candidate row from per-query cell tables (internal/vafile) while
-// maintaining the p-th smallest upper bound tau; phase 2 evaluates the
-// exact float64 block only for rows whose lower bound is <= tau. The
-// result is bit-identical to the exact scan by construction:
+// Quantized shadow block: an optional 8-bit companion of a Segmented's
+// float64 vectors (one code byte per dimension, row-major; built from the
+// base segment at quantization/compaction time, appended incrementally
+// for the delta) plus the two-phase bound scan that consumes it. Phase 1
+// is the seeded screen: it walks the shadow accumulating weighted-L1
+// lower bounds per candidate row from per-query cell tables
+// (internal/vafile) while maintaining the p-th smallest upper bound tau;
+// phase 2 evaluates the exact float64 block only for rows whose lower
+// bound is <= tau. The result is bit-identical to the exact scan by
+// construction:
 //
 //   - every row with upper bound <= tau has true distance <= tau, and at
 //     least p such candidate rows exist whenever tau is finite, so a row
@@ -19,25 +19,16 @@
 //     identical order;
 //   - whenever bounds cannot be trusted — a delta row encoded outside the
 //     base's boundary range, a query or weight vector the tables reject,
-//     fewer than p bounded candidates — the affected rows (or the whole
-//     scan) fall back to exact evaluation.
+//     no finite seed — the affected rows (or the whole scan) fall back to
+//     exact evaluation.
 //
 // Tombstoned and predicate-excluded rows are excluded from phase 1
 // entirely: a dead row's upper bound must never tighten tau, or it could
 // evict a live row from the survivor set.
 //
-// A large 8-bit base segment runs phase 1 as the seeded screen: a first
-// pass over every base row's head sets a seed for tau before the screen
-// proper starts (see screenSeeded).
-//
-// This file also hosts the scan kernels themselves. The sub-byte widths
-// never materialize unpacked codes: each kernel extracts fields with a
-// shift-and-mask and indexes fixed-stride [16]float64 per-dimension
-// tables (vafile.Tables.Tab16) with a value the compiler can prove < 16,
-// so the innermost loop carries no bounds checks. The vafile package
-// keeps the packed layout and the table math (property-tested and fuzzed
-// in isolation); this file owns the traversal — per-row unrolling,
-// early-abort, and the two passes of the seeded screen.
+// The shadow pays off only on long scans, so one gate (DESIGN §16)
+// decides both where a shadow is built (shadowGate) and which queries
+// screen it (seedGate); every scan the gate rejects takes the exact scan.
 //
 // (This file extends package retrieval; the package comment lives in
 // retrieval.go.)
@@ -59,25 +50,47 @@ import (
 	"qse/internal/vafile"
 )
 
+// The gate (DESIGN §16). Below it the seeded screen costs more than the
+// exact scan it replaces: each shard-query first builds 2 × dims × 256
+// bound-table cells, which only a long scan earns back.
+const (
+	// shadowMinRows and shadowMinDims gate the build: a base segment gets
+	// a shadow only with at least this many rows and dimensions (heads
+	// span vafile.HeadDims dimensions).
+	shadowMinRows = 16384
+	shadowMinDims = vafile.HeadDims
+	// seedBaseRowsPerP gates the query: the base must hold at least
+	// seedBaseRowsPerP·p rows.
+	seedBaseRowsPerP = 128
+)
+
+// shadowGate reports whether a base segment of rows × dims gets a shadow.
+func shadowGate(rows, dims int) bool {
+	return rows >= shadowMinRows && dims >= shadowMinDims
+}
+
+// seedGate reports whether a query at p over a shadowed base of bn rows,
+// seedable of them live (and matching the filter), takes the seeded
+// screen: the base is long enough for p, and it holds the p rows the
+// seed is taken from.
+func seedGate(bn, p, seedable int) bool {
+	return bn >= seedBaseRowsPerP*p && seedable >= p
+}
+
 // quantState is one version's shadow-block state. Like the delta arrays
 // it rides the persistent-data-structure discipline: Add copies the
-// struct (a few words), appends packed codes to the shared backing, and
+// struct (a few words), appends codes to the shared backing, and
 // publishes a new pointer; older versions keep reading their own
-// prefixes. A nil bounds marks the dormant state — quantization is
-// requested (bits recorded) but the base segment is empty, so there is
-// no grid to encode against and scans stay exact until a compaction
-// folds rows into a base.
+// prefixes. A nil bounds marks the dormant state — quantization is on
+// but the base segment is below the gate (or empty), so there is no grid
+// to encode against and scans stay exact until a compaction folds a base
+// that clears it.
 type quantState struct {
-	bits int
-	// stride is the packed row width in bytes:
-	// vafile.PackedStride(dims, bits). At 4 bits it is half the
-	// dimensionality — the whole point.
-	stride int
 	bounds *vafile.Boundaries
-	// baseShadow is the base segment's packed codes: BaseSize x stride
-	// bytes, immutable like the base itself.
+	// baseShadow is the base segment's codes: BaseSize x Dims bytes,
+	// immutable like the base itself.
 	baseShadow []uint8
-	// deltaShadow holds the delta rows' packed codes under the same
+	// deltaShadow holds the delta rows' codes under the same
 	// shared-backing prefix discipline as deltaFlat. deltaUnsafe is
 	// aligned with delta rows: true marks a row with a value outside the
 	// base's boundary range, whose clamped codes yield no valid bounds —
@@ -87,28 +100,31 @@ type quantState struct {
 	deltaUnsafe []bool
 }
 
-// Quantize returns a copy of s carrying a bits-wide packed shadow block:
-// equi-populated boundaries built from the base segment's flat block,
-// packed codes for every base and delta row. Only the byte-tiling widths
-// 1, 2, 4, and 8 are supported — a code never straddles a byte, which is
-// what the unrolled kernels and the packed persistence format rely on.
-// With an empty base the state is dormant (recorded bits, exact scans)
-// until compaction. The receiver is unchanged.
-func (s *Segmented[T]) Quantize(bitWidth int) (*Segmented[T], error) {
-	if !vafile.PackedWidth(bitWidth) {
-		return nil, fmt.Errorf("retrieval: quantize bits = %d, want 1, 2, 4, or 8", bitWidth)
+// Quantize returns a copy of s with quantization on. A base segment that
+// clears the gate (shadowGate) gets an 8-bit shadow block; any other
+// leaves the state dormant — no shadow, exact scans — until a compaction
+// folds a base that clears it. The receiver is unchanged.
+func (s *Segmented[T]) Quantize() (*Segmented[T], error) {
+	if !shadowGate(s.base.Size(), s.base.dims) {
+		n := *s
+		n.quant = &quantState{}
+		return &n, nil
+	}
+	return s.withShadow()
+}
+
+// withShadow is Quantize without the gate: equi-populated boundaries
+// built from the (non-empty) base segment's flat block, and codes for
+// every base and delta row. Tests use it to screen bases below the gate.
+func (s *Segmented[T]) withShadow() (*Segmented[T], error) {
+	bn := s.base.Size()
+	b, err := vafile.BuildBoundaries(s.base.flat, bn, s.base.dims)
+	if err != nil {
+		return nil, err
 	}
 	n := *s
-	qs := &quantState{bits: bitWidth, stride: vafile.PackedStride(s.base.dims, bitWidth)}
-	if bn := s.base.Size(); bn > 0 {
-		b, err := vafile.BuildBoundaries(s.base.flat, bn, s.base.dims, bitWidth)
-		if err != nil {
-			return nil, err
-		}
-		qs.bounds = b
-		qs.baseShadow = b.EncodePackedBlock(s.base.flat, bn)
-		qs.encodeDelta(s.deltaFlat, len(s.deltaDB))
-	}
+	qs := &quantState{bounds: b, baseShadow: b.EncodeBlock(s.base.flat, bn)}
+	qs.encodeDelta(s.deltaFlat, len(s.deltaDB))
 	n.quant = qs
 	return &n, nil
 }
@@ -121,66 +137,39 @@ func (s *Segmented[T]) Dequantize() *Segmented[T] {
 	return &n
 }
 
-// QuantizeFromParts restores persisted quantization state — the boundary
-// grid and the base segment's shadow codes — re-encoding the delta rows
-// locally (the delta log does not carry codes; re-encoding a handful of
-// delta rows is cheap and cannot diverge from what Add would have
-// appended). An empty grid triggers a full rebuild via Quantize, so a
-// section that recorded only the bit width still opens quantized. The
+// QuantizeFromParts restores persisted quantization state — the width
+// the section recorded, the boundary grid and the base segment's shadow
+// codes — re-encoding the delta rows locally (the delta log does not
+// carry codes; re-encoding a handful of delta rows is cheap and cannot
+// diverge from what Add would have appended). An 8-bit section's grid
+// and codes are validated, then kept if the base clears the gate. The
 // shadow bytes are trusted to match the base vectors, like the vectors
-// are trusted to match the objects; shapes, pad bits, and (for the
-// legacy layout) code ranges are validated.
-//
-// Two base-shadow layouts open: the packed layout this version writes
-// (bn x PackedStride bytes; every field of a packed row is a valid code
-// by construction since cells fills the field range exactly, so only
-// the pad bits after the last dimension need checking) and the legacy
-// one-byte-per-dimension layout older bundles carry for sub-byte widths
-// (bn x dims bytes — repacked here once at open; the shapes cannot
-// collide because stride < dims exactly when bits < 8). Legacy widths
-// that do not tile bytes (3, 5, 6, 7) no longer have a storage format
-// and are rejected loudly.
+// are trusted to match the objects. A section without a grid, and one
+// written at a narrower width (1 to 7 bits) by an older version, goes
+// through Quantize instead: a shadow is derived from the base vectors,
+// so it is rebuilt at 8 bits or left dormant below the gate. Widths
+// above 8 are rejected.
 func (s *Segmented[T]) QuantizeFromParts(bitWidth int, boundsFlat []float64, baseShadow []uint8) (*Segmented[T], error) {
-	if !vafile.PackedWidth(bitWidth) {
-		return nil, fmt.Errorf("retrieval: quantize bits = %d, want 1, 2, 4, or 8 (width no longer supported; re-quantize via SetQuantization)", bitWidth)
+	if bitWidth < 1 || bitWidth > vafile.Bits {
+		return nil, fmt.Errorf("retrieval: quantize bits = %d, want 1..%d", bitWidth, vafile.Bits)
 	}
 	bn, d := s.base.Size(), s.base.dims
-	if bn == 0 || len(boundsFlat) == 0 {
-		return s.Quantize(bitWidth)
+	if bitWidth < vafile.Bits || bn == 0 || len(boundsFlat) == 0 {
+		return s.Quantize()
 	}
-	b, err := vafile.FromFlat(boundsFlat, d, bitWidth)
+	b, err := vafile.FromFlat(boundsFlat, d)
 	if err != nil {
 		return nil, err
 	}
-	stride := vafile.PackedStride(d, bitWidth)
-	switch {
-	case len(baseShadow) == bn*stride:
-		if pad := stride*8 - d*bitWidth; pad > 0 {
-			mask := uint8(0xff) << (8 - pad)
-			for r := 0; r < bn; r++ {
-				if baseShadow[(r+1)*stride-1]&mask != 0 {
-					return nil, fmt.Errorf("retrieval: base shadow row %d has nonzero pad bits", r)
-				}
-			}
-		}
-	case bitWidth < 8 && len(baseShadow) == bn*d:
-		cells := b.Cells()
-		for i, c := range baseShadow {
-			if int(c) >= cells {
-				return nil, fmt.Errorf("retrieval: base shadow code %d at offset %d, want < %d cells", c, i, cells)
-			}
-		}
-		packed := make([]uint8, bn*stride)
-		for r := 0; r < bn; r++ {
-			vafile.PackRow(baseShadow[r*d:(r+1)*d], bitWidth, packed[r*stride:(r+1)*stride])
-		}
-		baseShadow = packed
-	default:
-		return nil, fmt.Errorf("retrieval: base shadow has %d bytes for %d rows x %d dims at %d bits (want %d)",
-			len(baseShadow), bn, d, bitWidth, bn*stride)
+	if len(baseShadow) != bn*d {
+		return nil, fmt.Errorf("retrieval: base shadow has %d bytes for %d rows x %d dims (want %d)",
+			len(baseShadow), bn, d, bn*d)
+	}
+	if !shadowGate(bn, d) {
+		return s.Quantize()
 	}
 	n := *s
-	qs := &quantState{bits: bitWidth, stride: stride, bounds: b, baseShadow: baseShadow}
+	qs := &quantState{bounds: b, baseShadow: baseShadow}
 	qs.encodeDelta(s.deltaFlat, len(s.deltaDB))
 	n.quant = qs
 	return &n, nil
@@ -189,36 +178,35 @@ func (s *Segmented[T]) QuantizeFromParts(bitWidth int, boundsFlat []float64, bas
 // encodeDelta (re)encodes the current delta rows against qs.bounds into
 // fresh backing arrays; subsequent Adds append to them.
 func (qs *quantState) encodeDelta(deltaFlat []float64, rows int) {
-	d, stride := qs.bounds.Dims(), qs.stride
-	qs.deltaShadow = make([]uint8, rows*stride)
+	d := qs.bounds.Dims()
+	qs.deltaShadow = make([]uint8, rows*d)
 	qs.deltaUnsafe = make([]bool, rows)
 	for j := 0; j < rows; j++ {
-		qs.deltaUnsafe[j] = !qs.bounds.EncodePacked(deltaFlat[j*d:(j+1)*d], qs.deltaShadow[j*stride:(j+1)*stride])
+		qs.deltaUnsafe[j] = !qs.bounds.Encode(deltaFlat[j*d:(j+1)*d], qs.deltaShadow[j*d:(j+1)*d])
 	}
 }
 
-// appendRow returns a copy of qs with one delta row's packed codes
-// appended — the shadow half of AddWithVectorMeta, same prefix
-// discipline.
+// appendRow returns a copy of qs with one delta row's codes appended —
+// the shadow half of AddWithVectorMeta, same prefix discipline.
 func (qs *quantState) appendRow(v []float64, dims int) *quantState {
 	n := *qs
 	if qs.bounds == nil {
 		return &n
 	}
 	off := len(qs.deltaShadow)
-	n.deltaShadow = append(qs.deltaShadow, make([]uint8, qs.stride)...)
-	ok := qs.bounds.EncodePacked(v, n.deltaShadow[off:off+qs.stride])
+	n.deltaShadow = append(qs.deltaShadow, make([]uint8, dims)...)
+	ok := qs.bounds.Encode(v, n.deltaShadow[off:off+dims])
 	n.deltaUnsafe = append(qs.deltaUnsafe, !ok)
 	return &n
 }
 
-// QuantBits returns the shadow block's bit width (0 when quantization is
-// off).
+// QuantBits returns the shadow block's bit width: vafile.Bits when
+// quantization is on (dormant or not), 0 when it is off.
 func (s *Segmented[T]) QuantBits() int {
 	if s.quant == nil {
 		return 0
 	}
-	return s.quant.bits
+	return vafile.Bits
 }
 
 // QuantBounds returns the persisted shape of the boundary grid (nil when
@@ -230,7 +218,7 @@ func (s *Segmented[T]) QuantBounds() []float64 {
 	return s.quant.bounds.Flat()
 }
 
-// BaseShadow returns the base segment's packed shadow codes (nil when
+// BaseShadow returns the base segment's shadow codes (nil when
 // quantization is off or dormant) — the persist shape QuantizeFromParts
 // restores. Callers must not modify it.
 func (s *Segmented[T]) BaseShadow() []uint8 {
@@ -240,10 +228,9 @@ func (s *Segmented[T]) BaseShadow() []uint8 {
 	return s.quant.baseShadow
 }
 
-// ShadowBytes returns the packed shadow block's total footprint in bytes
-// across base and delta (0 when quantization is off or dormant) — the
-// memory phase 1 streams per query, surfaced as a gauge so width changes
-// are observable.
+// ShadowBytes returns the shadow block's total footprint in bytes across
+// base and delta (0 when quantization is off or dormant) — the memory
+// phase 1 streams per query, surfaced as a gauge.
 func (s *Segmented[T]) ShadowBytes() int {
 	if s.quant == nil || s.quant.bounds == nil {
 		return 0
@@ -255,11 +242,12 @@ func (s *Segmented[T]) ShadowBytes() int {
 // scan: the candidate rows (ascending global position) with their lower
 // bounds, and the pruning threshold tau (the p-th smallest candidate
 // upper bound; +Inf when fewer than p candidates had valid bounds). A
-// row missing from cands was excluded against an intermediate heap top,
-// which only ever shrinks toward tau — so the exclusion already holds
-// against tau, and phase 2 only needs the final clbs[i] > tau filter
-// for rows admitted early. Rows without valid bounds (unsafe delta
-// rows) are admitted with a zero lower bound, which never prunes.
+// row missing from cands was excluded against the running bound —
+// min(heap top, seed), which never drops below tau — so the exclusion
+// already holds against tau, and phase 2 only needs the final
+// clbs[i] > tau filter for rows admitted early. Rows without valid
+// bounds (unsafe delta rows) are admitted with a zero lower bound,
+// which never prunes.
 type boundPrune struct {
 	cands []int32
 	clbs  []float64
@@ -312,231 +300,9 @@ func (h ubHeap) siftDown() {
 	}
 }
 
-// rowKernel is one query's bound kernels over one packed shadow row,
-// built once per (query, width) by newKernel so the per-row dispatch is
-// a single indirect call instead of a width switch inside the scan.
-type rowKernel struct {
-	// lowerBounded returns a valid lower bound and whether it is <=
-	// bound, aborting early (+Inf, false) once the partial sum already
-	// crosses it.
-	lowerBounded func(row []uint8, bound float64) (lb float64, within bool)
-	// lower is the unconditional lower bound, used while the tau heap is
-	// still filling.
-	lower func(row []uint8) float64
-	// upper is the row's upper bound (tau candidates).
-	upper func(row []uint8) float64
-}
-
-// newKernel builds the packed-width kernels for one query's tables. An
-// 8-bit packed row is one byte per dimension, so the vafile row methods
-// (with their own 8-codes-per-load fast path) apply directly; the
-// sub-byte widths run the shift-and-mask kernels below over the
-// fixed-stride [16]float64 tables. The reordering-slack discipline is
-// identical to Tables.RowLowerBounded/RowUpper: the reassociated sum is
-// compared against bound*inv, a returned lower bound is discounted by
-// mrel, an upper bound padded by it — so every bound the kernels emit
-// brackets the exact kernel's sequentially-rounded distance.
-func newKernel(t *vafile.Tables, bits int) rowKernel {
-	if bits == 8 {
-		return rowKernel{lowerBounded: t.RowLowerBounded, lower: t.RowLower, upper: t.RowUpper}
-	}
-	var sum func(t16 [][16]float64, row []uint8, stop float64) (float64, bool)
-	switch bits {
-	case 4:
-		sum = sumPacked4
-	case 2:
-		sum = sumPacked2
-	default:
-		sum = sumPacked1
-	}
-	lb16, ub16 := t.Tab16()
-	mrel, inv := t.Slack()
-	return rowKernel{
-		lowerBounded: func(row []uint8, bound float64) (float64, bool) {
-			s, aborted := sum(lb16, row, bound*inv)
-			if aborted {
-				return math.Inf(1), false
-			}
-			lb := s - s*mrel
-			if lb < 0 {
-				lb = 0
-			}
-			return lb, lb <= bound
-		},
-		lower: func(row []uint8) float64 {
-			s, _ := sum(lb16, row, math.Inf(1))
-			lb := s - s*mrel
-			if lb < 0 {
-				lb = 0
-			}
-			return lb
-		},
-		upper: func(row []uint8) float64 {
-			s, _ := sum(ub16, row, math.Inf(1))
-			return s + s*mrel
-		},
-	}
-}
-
-// sumPacked4 sums one [16]float64 table entry per dimension over a 4-bit
-// packed row (two dimensions per byte, low nibble first), aborting once
-// the partial sum exceeds stop. Four independent accumulators break the
-// float-add dependency chain; the main loop covers sixteen dimensions
-// (eight bytes) per exit check. Re-slicing the tables and the row to
-// fixed-length windows plus the provably-<16 nibble indices eliminate
-// every bounds check from the loop body.
-func sumPacked4(t16 [][16]float64, row []uint8, stop float64) (float64, bool) {
-	var s0, s1, s2, s3 float64
-	dims := len(t16)
-	i, d := 0, 0
-	for ; d+16 <= dims; i, d = i+8, d+16 {
-		t := t16[d : d+16 : d+16]
-		r := row[i : i+8 : i+8]
-		b := r[0]
-		s0 += t[0][b&15]
-		s1 += t[1][b>>4]
-		b = r[1]
-		s2 += t[2][b&15]
-		s3 += t[3][b>>4]
-		b = r[2]
-		s0 += t[4][b&15]
-		s1 += t[5][b>>4]
-		b = r[3]
-		s2 += t[6][b&15]
-		s3 += t[7][b>>4]
-		b = r[4]
-		s0 += t[8][b&15]
-		s1 += t[9][b>>4]
-		b = r[5]
-		s2 += t[10][b&15]
-		s3 += t[11][b>>4]
-		b = r[6]
-		s0 += t[12][b&15]
-		s1 += t[13][b>>4]
-		b = r[7]
-		s2 += t[14][b&15]
-		s3 += t[15][b>>4]
-		if s0+s1+s2+s3 > stop {
-			return 0, true
-		}
-	}
-	for ; d+2 <= dims; i, d = i+1, d+2 {
-		b := row[i]
-		s0 += t16[d][b&15]
-		s1 += t16[d+1][b>>4]
-	}
-	if d < dims {
-		// Odd dimension count: the last byte's high nibble is padding.
-		s0 += t16[d][row[i]&15]
-	}
-	s := s0 + s1 + s2 + s3
-	return s, s > stop
-}
-
-// sumPacked2 is sumPacked4 at 2 bits: four dimensions per byte, sixteen
-// dimensions (four bytes) per exit check.
-func sumPacked2(t16 [][16]float64, row []uint8, stop float64) (float64, bool) {
-	var s0, s1, s2, s3 float64
-	dims := len(t16)
-	i, d := 0, 0
-	for ; d+16 <= dims; i, d = i+4, d+16 {
-		t := t16[d : d+16 : d+16]
-		r := row[i : i+4 : i+4]
-		b := r[0]
-		s0 += t[0][b&3]
-		s1 += t[1][(b>>2)&3]
-		s2 += t[2][(b>>4)&3]
-		s3 += t[3][b>>6]
-		b = r[1]
-		s0 += t[4][b&3]
-		s1 += t[5][(b>>2)&3]
-		s2 += t[6][(b>>4)&3]
-		s3 += t[7][b>>6]
-		b = r[2]
-		s0 += t[8][b&3]
-		s1 += t[9][(b>>2)&3]
-		s2 += t[10][(b>>4)&3]
-		s3 += t[11][b>>6]
-		b = r[3]
-		s0 += t[12][b&3]
-		s1 += t[13][(b>>2)&3]
-		s2 += t[14][(b>>4)&3]
-		s3 += t[15][b>>6]
-		if s0+s1+s2+s3 > stop {
-			return 0, true
-		}
-	}
-	for ; d+4 <= dims; i, d = i+1, d+4 {
-		b := row[i]
-		s0 += t16[d][b&3]
-		s1 += t16[d+1][(b>>2)&3]
-		s2 += t16[d+2][(b>>4)&3]
-		s3 += t16[d+3][b>>6]
-	}
-	if d < dims {
-		b := row[i]
-		for sh := 0; d < dims; d, sh = d+1, sh+2 {
-			s0 += t16[d][(b>>sh)&3]
-		}
-	}
-	s := s0 + s1 + s2 + s3
-	return s, s > stop
-}
-
-// sumPacked1 is sumPacked4 at 1 bit: eight dimensions per byte, sixteen
-// dimensions (two bytes) per exit check.
-func sumPacked1(t16 [][16]float64, row []uint8, stop float64) (float64, bool) {
-	var s0, s1, s2, s3 float64
-	dims := len(t16)
-	i, d := 0, 0
-	for ; d+16 <= dims; i, d = i+2, d+16 {
-		t := t16[d : d+16 : d+16]
-		b := row[i]
-		s0 += t[0][b&1]
-		s1 += t[1][(b>>1)&1]
-		s2 += t[2][(b>>2)&1]
-		s3 += t[3][(b>>3)&1]
-		s0 += t[4][(b>>4)&1]
-		s1 += t[5][(b>>5)&1]
-		s2 += t[6][(b>>6)&1]
-		s3 += t[7][b>>7]
-		b = row[i+1]
-		s0 += t[8][b&1]
-		s1 += t[9][(b>>1)&1]
-		s2 += t[10][(b>>2)&1]
-		s3 += t[11][(b>>3)&1]
-		s0 += t[12][(b>>4)&1]
-		s1 += t[13][(b>>5)&1]
-		s2 += t[14][(b>>6)&1]
-		s3 += t[15][b>>7]
-		if s0+s1+s2+s3 > stop {
-			return 0, true
-		}
-	}
-	for ; d+8 <= dims; i, d = i+1, d+8 {
-		b := row[i]
-		s0 += t16[d][b&1]
-		s1 += t16[d+1][(b>>1)&1]
-		s2 += t16[d+2][(b>>2)&1]
-		s3 += t16[d+3][(b>>3)&1]
-		s0 += t16[d+4][(b>>4)&1]
-		s1 += t16[d+5][(b>>5)&1]
-		s2 += t16[d+6][(b>>6)&1]
-		s3 += t16[d+7][b>>7]
-	}
-	if d < dims {
-		b := row[i]
-		for sh := 0; d < dims; d, sh = d+1, sh+1 {
-			s0 += t16[d][(b>>sh)&1]
-		}
-	}
-	s := s0 + s1 + s2 + s3
-	return s, s > stop
-}
-
 // shadowView is the non-generic slice of a Segmented the screening loop
-// needs: the packed shadow blocks, liveness/match bitmaps, and the
-// base/delta split.
+// needs: the shadow blocks, liveness/match bitmaps, and the base/delta
+// split.
 type shadowView struct {
 	bn, stride              int
 	baseShadow, deltaShadow []uint8
@@ -549,11 +315,25 @@ type shadowView struct {
 func (s *Segmented[T]) shadowView(matchBase, matchDelta bitmap, useMatch bool) *shadowView {
 	qs := s.quant
 	return &shadowView{
-		bn: s.base.Size(), stride: qs.stride,
+		bn: s.base.Size(), stride: s.base.dims,
 		baseShadow: qs.baseShadow, deltaShadow: qs.deltaShadow, deltaUnsafe: qs.deltaUnsafe,
 		baseDead: s.baseDead, deltaDead: s.deltaDead,
 		matchBase: matchBase, matchDelta: matchDelta, useMatch: useMatch,
 	}
+}
+
+// seedView applies the query half of the gate: it returns the view the
+// seeded screen runs on, or nil — the exact scan — when the segment has
+// no shadow or seedGate rejects the query.
+func (s *Segmented[T]) seedView(p int, matchBase, matchDelta bitmap, useMatch bool) *shadowView {
+	if s.quant == nil || s.quant.bounds == nil {
+		return nil
+	}
+	v := s.shadowView(matchBase, matchDelta, useMatch)
+	if !seedGate(v.bn, p, v.liveBase(0, v.bn)) {
+		return nil
+	}
+	return v
 }
 
 // baseLive reports whether base row pos takes part in the scan: live,
@@ -592,11 +372,10 @@ func (b bitmap) countRange(lo, hi int) int {
 
 // screenState is one partition's phase-1 accumulator: the tau heap, the
 // admitted candidates with their lower bounds, and the scanned count.
-// seed caps every bound the screen compares against (+Inf when the scan
-// is unseeded). Partitions merge in partition order via
-// mergeScreenParts.
+// seed caps every bound the screen compares against. Partitions merge
+// in partition order via mergeScreenParts.
 type screenState struct {
-	kern    rowKernel
+	tbl     *vafile.Tables
 	p       int
 	seed    float64
 	ubs     ubHeap
@@ -614,86 +393,65 @@ func (st *screenState) bound() float64 {
 	return st.seed
 }
 
-// screenRange screens rows [lo, hi) in ascending position order into st.
-// Because the state machine is sequential in position, splitting a range
-// into consecutive sub-ranges leaves the result byte-identical to one
-// unbroken pass.
-func (v *shadowView) screenRange(st *screenState, lo, hi int) {
+// screenDelta screens the delta rows at global positions [lo, hi) (all
+// >= bn) in ascending position order into st. Because the state machine
+// is sequential in position, splitting a range into consecutive
+// sub-ranges leaves the result byte-identical to one unbroken pass.
+func (v *shadowView) screenDelta(st *screenState, lo, hi int) {
 	stride := v.stride
 	for pos := lo; pos < hi; pos++ {
-		var row []uint8
-		if pos < v.bn {
-			if !v.baseLive(pos) {
+		j := pos - v.bn
+		if v.useMatch {
+			if !v.matchDelta.get(j) {
 				continue
 			}
-			row = v.baseShadow[pos*stride : pos*stride+stride]
-		} else {
-			j := pos - v.bn
-			if v.useMatch {
-				if !v.matchDelta.get(j) {
-					continue
-				}
-			} else if v.deltaDead.get(j) {
-				continue
-			}
-			if v.deltaUnsafe[j] {
-				// No valid bounds: admit unconditionally with a zero
-				// lower bound (never pruned, always evaluated) and keep
-				// its upper bound out of tau.
-				st.scanned++
-				st.cands = append(st.cands, int32(pos))
-				st.clbs = append(st.clbs, 0)
-				continue
-			}
-			row = v.deltaShadow[j*stride : j*stride+stride]
-		}
-		st.scanned++
-		if len(st.ubs) < st.p && math.IsInf(st.seed, 1) {
-			st.cands = append(st.cands, int32(pos))
-			st.clbs = append(st.clbs, st.kern.lower(row))
-			st.ubs.offer(st.kern.upper(row), st.p)
+		} else if v.deltaDead.get(j) {
 			continue
 		}
-		// The heap top only shrinks toward the final tau, so a lower
-		// bound crossing it — whether the full sum or a partial sum
-		// lowerBounded aborts on — already crosses tau, and the row
+		st.scanned++
+		if v.deltaUnsafe[j] {
+			// No valid bounds: admit unconditionally with a zero lower
+			// bound (never pruned, always evaluated) and keep its upper
+			// bound out of tau.
+			st.cands = append(st.cands, int32(pos))
+			st.clbs = append(st.clbs, 0)
+			continue
+		}
+		row := v.deltaShadow[j*stride : j*stride+stride]
+		// The bound only shrinks toward the final tau, so a lower bound
+		// crossing it — whether the full sum or a partial sum
+		// RowLowerBounded aborts on — already crosses tau, and the row
 		// can be dropped here instead of re-filtered in phase 2. The
 		// exclusion set stays identical for any partitioning: a row
 		// surviving to phase 2 under one partitioning has full bound
-		// <= tau <= every intermediate heap top of any other, so it is
+		// <= tau <= every intermediate bound of any other, so it is
 		// admitted everywhere, and droppable rows are droppable
 		// everywhere by the same dominance. ub >= lb, so a dropped row
 		// cannot improve the heap either, skipping the second table
 		// pass.
-		lb, within := st.kern.lowerBounded(row, st.bound())
+		lb, within := st.tbl.RowLowerBounded(row, st.bound())
 		if !within {
 			continue
 		}
 		st.cands = append(st.cands, int32(pos))
 		st.clbs = append(st.clbs, lb)
-		st.ubs.offer(st.kern.upper(row), st.p)
+		st.ubs.offer(st.tbl.RowUpper(row), st.p)
 	}
 }
 
-// The seeded screen (DESIGN §16) splits phase 1 into two passes over the
-// base rows of an 8-bit shadow. Pass 1 (seedFromHeads) writes every base
-// row's head — the lower-bound sum sumRow checks first, over the row's
-// first vafile.HeadDims codes — and derives a seed: the p-th smallest
-// upper bound among the seedKeepPerP·p live rows with the smallest
-// heads. Pass 2 (screenSeeded) drops, block by block and without a
-// branch, every row whose head already exceeds seed·inv, and runs the
-// screenRange state machine on the survivors against min(heap top,
-// seed), resuming each survivor's lower bound from its head. The seed is
-// the p-th smallest upper bound of p distinct live rows, so seed >= tau:
-// every exclusion still uses a threshold >= tau, and the p rows that
-// define tau (head <= lb <= ub <= tau) are never dropped. Tau, the
-// phase-2 set and the answers are those of the unseeded screen; what
-// changes is how many rows reach the candidate lists.
+// The seeded screen (DESIGN §16) is phase 1 in two passes over the base
+// rows. Pass 1 (seedFromHeads) writes every base row's head — the
+// lower-bound sum sumRow checks first, over the row's first
+// vafile.HeadDims codes — and derives a seed: the p-th smallest upper
+// bound among the seedKeepPerP·p live rows with the smallest heads. Pass
+// 2 (screenSeeded) drops, block by block and without a branch, every row
+// whose head already exceeds seed·inv, and screens the survivors against
+// min(heap top, seed), resuming each survivor's lower bound from its
+// head; screenDelta then screens the delta rows against the same bound.
+// The seed is the p-th smallest upper bound of p distinct live rows, so
+// seed >= tau: every exclusion still uses a threshold >= tau, and the p
+// rows that define tau (head <= lb <= ub <= tau) are never dropped.
 const (
-	// seedMinBase and seedBaseRowsPerP gate the seeded screen on scan
-	// size (the measured crossover is in DESIGN §16).
-	seedMinBase      = 16384
-	seedBaseRowsPerP = 128
 	// seedKeepPerP·p best-head rows feed the seed.
 	seedKeepPerP = 4
 	// headChunk is how many heads pass 1 writes before it selects from
@@ -783,7 +541,7 @@ func (v *shadowView) headRange(t *vafile.Tables, heads []float64, lo, hi, keep i
 // base row) and returns the seed, the p-th smallest upper bound among the
 // seedKeepPerP·p live base rows with the smallest heads — +Inf when
 // fewer than p live base rows exist.
-func (v *shadowView) seedFromHeads(t *vafile.Tables, kern rowKernel, heads []float64, p int, parallel bool) float64 {
+func (v *shadowView) seedFromHeads(t *vafile.Tables, heads []float64, p int, parallel bool) float64 {
 	keep := seedKeepPerP * p
 	var parts []headHeap
 	if !parallel || v.bn < minParallelScan {
@@ -808,7 +566,7 @@ func (v *shadowView) seedFromHeads(t *vafile.Tables, kern rowKernel, heads []flo
 	ubs := make(ubHeap, 0, p)
 	for _, e := range best {
 		pos := int(e.pos)
-		ubs.offer(kern.upper(v.baseShadow[pos*v.stride:pos*v.stride+v.stride]), p)
+		ubs.offer(t.RowUpper(v.baseShadow[pos*v.stride:pos*v.stride+v.stride]), p)
 	}
 	return ubs[0]
 }
@@ -817,10 +575,10 @@ func (v *shadowView) seedFromHeads(t *vafile.Tables, kern rowKernel, heads []flo
 // per block it compacts the positions whose head is within stop =
 // st.seed·inv (a row whose head exceeds it would abort at sumRow's first
 // check against any bound <= seed), then screens the live survivors like
-// screenRange, their lower bounds resumed from the head. Every live row
-// counts as scanned, dropped or not, so BoundScannedRows matches the
-// unseeded screen.
-func (v *shadowView) screenSeeded(st *screenState, t *vafile.Tables, lo, hi int, heads []float64, stop float64) {
+// screenDelta, their lower bounds resumed from the head. Every live row
+// counts as scanned, dropped or not, so BoundScannedRows is the number of
+// live (matching) rows.
+func (v *shadowView) screenSeeded(st *screenState, lo, hi int, heads []float64, stop float64) {
 	st.scanned += int64(v.liveBase(lo, hi))
 	stride := v.stride
 	var idx [seedBlock]int32
@@ -839,13 +597,13 @@ func (v *shadowView) screenSeeded(st *screenState, t *vafile.Tables, lo, hi int,
 				continue
 			}
 			row := v.baseShadow[int(pos)*stride : int(pos)*stride+stride]
-			lb, within := t.RowLowerBoundedFrom(row, heads[pos], st.bound())
+			lb, within := st.tbl.RowLowerBoundedFrom(row, heads[pos], st.bound())
 			if !within {
 				continue
 			}
 			st.cands = append(st.cands, pos)
 			st.clbs = append(st.clbs, lb)
-			st.ubs.offer(st.kern.upper(row), st.p)
+			st.ubs.offer(st.tbl.RowUpper(row), st.p)
 		}
 	}
 }
@@ -883,31 +641,14 @@ func mergeScreenParts(parts []*screenState, p int, clk *FilterClock) *boundPrune
 	return pr
 }
 
-// boundScan is phase 1 for one query: walk the packed shadow of every
-// candidate row (live rows, or the match bitsets when useMatch),
-// accumulate lower bounds, and derive tau. An 8-bit base segment large
-// relative to p takes the seeded screen. Returns nil — exact scan, no
-// pruning — when quantization is off/dormant or the query cannot support
-// valid bounds.
-func (s *Segmented[T]) boundScan(qvec, weights []float64, p int, parallel bool, clk *FilterClock, matchBase, matchDelta bitmap, useMatch bool) *boundPrune {
-	if s.quant == nil || s.quant.bounds == nil {
-		return nil
-	}
-	// Heads are defined over 8-bit codes (the 256-cell tables) and at
-	// least vafile.HeadDims dimensions.
-	bn := s.base.Size()
-	seeded := s.quant.bits == 8 && s.base.dims >= vafile.HeadDims && bn >= seedMinBase && bn >= seedBaseRowsPerP*p
-	return s.screen(qvec, weights, p, parallel, clk, s.shadowView(matchBase, matchDelta, useMatch), seeded)
-}
-
-// screen is boundScan with the gate's verdict passed in: seeded asks for
-// the seeded screen, which runs when pass 1 finds a seed and needs an
-// 8-bit shadow of at least vafile.HeadDims dimensions; the delta rows,
-// and every row of an unseeded scan, go through screenRange. The shadow
-// must be live (non-nil bounds).
-func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk *FilterClock, v *shadowView, seeded bool) *boundPrune {
-	qs := s.quant
-	tbl, ok := qs.bounds.QueryTables(qvec, weights)
+// screen is phase 1 for one query, the seeded screen over the view
+// seedView admitted: pass 1 derives the seed from the base rows' heads,
+// then the partitions screen their base rows (screenSeeded) and delta
+// rows (screenDelta) against it. It returns nil — the exact scan, no
+// pruning — when the query or its weights cannot support valid bounds,
+// or when pass 1 finds no finite seed.
+func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk *FilterClock, v *shadowView) *boundPrune {
+	tbl, ok := s.quant.bounds.QueryTables(qvec, weights)
 	if !ok {
 		return nil
 	}
@@ -915,32 +656,27 @@ func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk
 	if total > math.MaxInt32 {
 		return nil
 	}
-	kern := newKernel(&tbl, qs.bits)
-	seed, stop := math.Inf(1), math.Inf(1)
-	var heads []float64
-	if seeded {
-		buf, _ := headBufs.Get().(*[]float64)
-		if buf == nil || cap(*buf) < v.bn {
-			b := make([]float64, v.bn)
-			buf = &b
-		}
-		defer headBufs.Put(buf)
-		heads = (*buf)[:v.bn]
-		if sd := v.seedFromHeads(&tbl, kern, heads, p, parallel); sd < math.Inf(1) {
-			_, inv := tbl.Slack()
-			seed, stop = sd, sd*inv
-		} else {
-			heads = nil
-		}
+	buf, _ := headBufs.Get().(*[]float64)
+	if buf == nil || cap(*buf) < v.bn {
+		b := make([]float64, v.bn)
+		buf = &b
 	}
+	defer headBufs.Put(buf)
+	heads := (*buf)[:v.bn]
+	seed := v.seedFromHeads(&tbl, heads, p, parallel)
+	if !(seed < math.Inf(1)) {
+		return nil
+	}
+	_, inv := tbl.Slack()
+	stop := seed * inv
 	run := func(lo, hi int) *screenState {
-		st := &screenState{kern: kern, p: p, seed: seed}
-		if heads != nil && lo < v.bn {
+		st := &screenState{tbl: &tbl, p: p, seed: seed}
+		if lo < v.bn {
 			mid := min(hi, v.bn)
-			v.screenSeeded(st, &tbl, lo, mid, heads, stop)
+			v.screenSeeded(st, lo, mid, heads, stop)
 			lo = mid
 		}
-		v.screenRange(st, lo, hi)
+		v.screenDelta(st, lo, hi)
 		return st
 	}
 	var parts []*screenState

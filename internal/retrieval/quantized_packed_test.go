@@ -10,75 +10,77 @@ import (
 	"qse/internal/vafile"
 )
 
-// TestPackedKernelBounds property-tests the width-specialized row
-// kernels in isolation: for random blocks at awkward dimensionalities
-// (odd dims leave pad bits in every packed row) and every packed width,
-// the kernel's lower/upper bounds must bracket the true weighted L1
-// distance, and the bounded variant must agree with the unbounded one
-// whenever it completes.
+// TestPackedKernelBounds property-tests the row kernels the screen runs
+// over shadow rows, at awkward dimensionalities (a width that is not a
+// multiple of 8 leaves a tail loop; one below vafile.HeadDims has no
+// head): the lower and upper bounds must bracket the true weighted L1
+// distance, the bounded variant must agree with the unbounded one
+// whenever it completes, and a lower bound resumed from the row's head
+// must bracket it too.
 func TestPackedKernelBounds(t *testing.T) {
 	rng := stats.NewRand(99)
 	for _, dims := range []int{1, 3, 7, 16, 33, 64} {
-		for _, bits := range []int{1, 2, 4, 8} {
-			const rows = 64
-			block := make([]float64, rows*dims)
-			for i := range block {
-				block[i] = rng.NormFloat64() * 3
+		const rows = 64
+		block := make([]float64, rows*dims)
+		for i := range block {
+			block[i] = rng.NormFloat64() * 3
+		}
+		b, err := vafile.BuildBoundaries(block, rows, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := b.EncodeBlock(block, rows)
+		heads := make([]float64, rows)
+		for qi := 0; qi < 8; qi++ {
+			qvec := make([]float64, dims)
+			weights := make([]float64, dims)
+			for d := range qvec {
+				qvec[d] = rng.NormFloat64() * 3
+				weights[d] = rng.Float64() * 2
 			}
-			b, err := vafile.BuildBoundaries(block, rows, dims, bits)
-			if err != nil {
-				t.Fatal(err)
+			if qi%2 == 0 {
+				weights = nil
 			}
-			packed := b.EncodePackedBlock(block, rows)
-			stride := vafile.PackedStride(dims, bits)
-			for qi := 0; qi < 8; qi++ {
-				qvec := make([]float64, dims)
-				weights := make([]float64, dims)
-				for d := range qvec {
-					qvec[d] = rng.NormFloat64() * 3
-					weights[d] = rng.Float64() * 2
+			tbl, ok := b.QueryTables(qvec, weights)
+			if !ok {
+				t.Fatalf("dims=%d: tables rejected a finite query", dims)
+			}
+			if dims >= vafile.HeadDims {
+				tbl.Heads(codes, dims, heads)
+			}
+			for r := 0; r < rows; r++ {
+				row := codes[r*dims : (r+1)*dims]
+				truth := 0.0
+				for d := 0; d < dims; d++ {
+					w := 1.0
+					if weights != nil {
+						w = weights[d]
+					}
+					truth += w * math.Abs(qvec[d]-block[r*dims+d])
 				}
-				if qi%2 == 0 {
-					weights = nil
+				lb, ub := tbl.RowLower(row), tbl.RowUpper(row)
+				if !(lb <= truth && truth <= ub) {
+					t.Fatalf("dims=%d row=%d: bounds [%g, %g] miss true distance %g", dims, r, lb, ub, truth)
 				}
-				tbl, ok := b.QueryTables(qvec, weights)
-				if !ok {
-					t.Fatalf("dims=%d bits=%d: tables rejected a finite query", dims, bits)
+				// RowLowerBounded may round differently from RowLower (it
+				// reassociates and discounts), but it must stay a valid
+				// lower bound, complete whenever the bound is reachable,
+				// and be deterministic about its own verdict.
+				lbb, within := tbl.RowLowerBounded(row, math.Inf(1))
+				if !within || lbb > truth {
+					t.Fatalf("dims=%d row=%d: unbounded RowLowerBounded (%g, %v) vs true %g", dims, r, lbb, within, truth)
 				}
-				kern := newKernel(&tbl, bits)
-				for r := 0; r < rows; r++ {
-					row := packed[r*stride : (r+1)*stride]
-					truth := 0.0
-					for d := 0; d < dims; d++ {
-						w := 1.0
-						if weights != nil {
-							w = weights[d]
-						}
-						truth += w * math.Abs(qvec[d]-block[r*dims+d])
+				if got, within := tbl.RowLowerBounded(row, ub); !within || got != lbb {
+					t.Fatalf("dims=%d row=%d: RowLowerBounded at ub (%g, %v) != (%g, true)", dims, r, got, within, lbb)
+				}
+				if lbb > 0 {
+					if _, within := tbl.RowLowerBounded(row, lbb/2); within {
+						t.Fatalf("dims=%d row=%d: RowLowerBounded claimed within at bound %g < lb %g", dims, r, lbb/2, lbb)
 					}
-					lb, ub := kern.lower(row), kern.upper(row)
-					if !(lb <= truth && truth <= ub) {
-						t.Fatalf("dims=%d bits=%d row=%d: bounds [%g, %g] miss true distance %g",
-							dims, bits, r, lb, ub, truth)
-					}
-					// lowerBounded may round differently from lower (it
-					// reassociates and discounts), but it must stay a valid
-					// lower bound, complete whenever the bound is reachable,
-					// and be deterministic about its own verdict.
-					lbb, within := kern.lowerBounded(row, math.Inf(1))
-					if !within || lbb > truth {
-						t.Fatalf("dims=%d bits=%d row=%d: unbounded lowerBounded (%g, %v) vs true %g",
-							dims, bits, r, lbb, within, truth)
-					}
-					if got, within := kern.lowerBounded(row, ub); !within || got != lbb {
-						t.Fatalf("dims=%d bits=%d row=%d: lowerBounded at ub (%g, %v) != (%g, true)",
-							dims, bits, r, got, within, lbb)
-					}
-					if lbb > 0 {
-						if _, within := kern.lowerBounded(row, lbb/2); within {
-							t.Fatalf("dims=%d bits=%d row=%d: lowerBounded claimed within at bound %g < lb %g",
-								dims, bits, r, lbb/2, lbb)
-						}
+				}
+				if dims >= vafile.HeadDims {
+					if res, within := tbl.RowLowerBoundedFrom(row, heads[r], math.Inf(1)); !within || res > truth {
+						t.Fatalf("dims=%d row=%d: resumed lower bound (%g, %v) vs true %g", dims, r, res, within, truth)
 					}
 				}
 			}
@@ -86,72 +88,97 @@ func TestPackedKernelBounds(t *testing.T) {
 	}
 }
 
-// TestSearchBatchQuantizedIdentity pins the batched phase 1's exactness
-// claim end to end: on a churned quantized head (tombstones in both
-// segments, out-of-range delta rows), SearchBatch must return exactly
-// the per-query Search results and non-timing stats at every packed
-// width — and exactly the exact head's results, since Search itself is
-// proven bit-identical to exact elsewhere. Also pins the serial/batched
-// boundary (a 1-query batch takes the per-query path) and the parallel
-// threshold (the big head exceeds minParallelScan).
+// TestSearchBatchQuantizedIdentity pins the batch path's exactness end
+// to end: on a churned shadowed head (tombstones in both segments,
+// out-of-range delta rows), SearchBatch must return exactly the
+// per-query Search results and non-timing stats, and exactly the exact
+// head's results. The shadow is built below the build gate, so the query
+// gate alone decides: p = 1 screens at both sizes, p = 40 only on the
+// partitioned head (it needs 128·40 base rows), p past the live rows
+// never — and each query's stats must say which ran. Also pins the
+// serial/batched boundary (a 1-query batch takes the per-query path) and
+// the parallel threshold (the big head exceeds minParallelScan). The
+// narrower widths older versions wrote (1, 2 and 4 bits) are reopened
+// through QuantizeFromParts: below the build gate the head is dormant,
+// and every query must take the exact scan through the same identities.
 func TestSearchBatchQuantizedIdentity(t *testing.T) {
 	for name, n := range map[string]int{"small": 300, "partitioned": minParallelScan*2 + 133} {
 		t.Run(name, func(t *testing.T) {
-			base, err := BuildIndex(testDB(n), l2, identityEmbedder{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			head, _ := applyScript(t, NewSegmented(base), 31, n/2)
-			rng := stats.NewRand(123)
-			queries := make([][]float64, 9)
-			for i := range queries {
-				queries[i] = []float64{rng.Float64() * 2, rng.Float64() * 2}
-			}
-			for _, bits := range []int{1, 2, 4, 8} {
+			head := churnHead(t, seedBase(t, n, identityEmbedder{}), n)
+			t.Run("bits8", func(t *testing.T) {
+				checkBatchIdentity(t, head, mustShadow(t, head), n, true)
+			})
+			for _, bits := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("bits%d", bits), func(t *testing.T) {
-					quant, err := head.Quantize(bits)
+					// The stale section's grid and packed codes, shaped as
+					// the older writer laid them out; they are never read.
+					grid := make([]float64, seedDims*(1<<bits+1))
+					codes := make([]uint8, head.base.Size()*seedDims*bits/8)
+					legacy, err := head.QuantizeFromParts(bits, grid, codes)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, p := range []int{1, 40, n + 50} {
-						k := 10
-						if k > p {
-							k = p
-						}
-						batchRes, batchStats, err := quant.SearchBatch(queries, k, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						exactRes, _, err := head.SearchBatch(queries, k, p)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i, q := range queries {
-							res, st, err := quant.Search(q, k, p)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(res, batchRes[i]) {
-								t.Fatalf("p=%d query %d: batch diverges from serial quantized:\n  %v\n  %v", p, i, batchRes[i], res)
-							}
-							if !reflect.DeepEqual(batchRes[i], exactRes[i]) {
-								t.Fatalf("p=%d query %d: batch diverges from exact:\n  %v\n  %v", p, i, batchRes[i], exactRes[i])
-							}
-							if got, want := batchStats[i].WithoutTiming(), st.WithoutTiming(); !reflect.DeepEqual(got, want) {
-								t.Fatalf("p=%d query %d: batch stats diverge: %+v vs %+v", p, i, got, want)
-							}
-							one, _, err := quant.SearchBatch(queries[i:i+1], k, p)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !reflect.DeepEqual(one[0], res) {
-								t.Fatalf("p=%d query %d: single-query batch diverges from Search", p, i)
-							}
-						}
+					if legacy.QuantBits() != 8 || legacy.ShadowBytes() != 0 {
+						t.Fatalf("reopened %d-bit section: %d bits, %d shadow bytes, want a dormant 8-bit state",
+							bits, legacy.QuantBits(), legacy.ShadowBytes())
 					}
+					checkBatchIdentity(t, head, legacy, n, false)
 				})
 			}
 		})
+	}
+}
+
+// checkBatchIdentity runs TestSearchBatchQuantizedIdentity's identities
+// on quant, a quantized copy of the exact head (n base rows). shadowed
+// says whether quant carries a shadow the seeded screen can run on.
+func checkBatchIdentity(t *testing.T, head, quant *Segmented[[]float64], n int, shadowed bool) {
+	t.Helper()
+	seedable := n - quant.baseDead.popcount()
+	queries := append(clusteredDB(5, 5), clusteredDB(4, 123)...)
+	screened := 0
+	for _, p := range []int{1, 40, n + 50} {
+		k := min(10, p)
+		wantScreen := shadowed && seedGate(n, min(p, quant.Live()), seedable)
+		batchRes, batchStats, err := quant.SearchBatch(queries, k, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exactRes, _, err := head.SearchBatch(queries, k, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			res, st, err := quant.Search(q, k, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, batchRes[i]) {
+				t.Fatalf("p=%d query %d: batch diverges from serial quantized:\n  %v\n  %v", p, i, batchRes[i], res)
+			}
+			if !reflect.DeepEqual(batchRes[i], exactRes[i]) {
+				t.Fatalf("p=%d query %d: batch diverges from exact:\n  %v\n  %v", p, i, batchRes[i], exactRes[i])
+			}
+			if got, want := batchStats[i].WithoutTiming(), st.WithoutTiming(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("p=%d query %d: batch stats diverge: %+v vs %+v", p, i, got, want)
+			}
+			if ran := batchStats[i].Timing.BoundScannedRows > 0; ran != wantScreen || (st.Timing.BoundScannedRows > 0) != wantScreen {
+				t.Fatalf("p=%d query %d: screened = %v, gate says %v", p, i, ran, wantScreen)
+			}
+			if wantScreen {
+				screened++
+			}
+			one, _, err := quant.SearchBatch(queries[i:i+1], k, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(one[0], res) {
+				t.Fatalf("p=%d query %d: single-query batch diverges from Search", p, i)
+			}
+		}
+	}
+	if shadowed && screened == 0 {
+		t.Fatal("no query took the seeded screen")
 	}
 }
 
@@ -163,7 +190,7 @@ func TestSearchBatchQuantizedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant, err := NewSegmented(base).Quantize(4)
+	quant, err := NewSegmented(base).Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,23 +203,17 @@ func TestSearchBatchQuantizedErrors(t *testing.T) {
 }
 
 // TestSearchBatchQuantizedDrained: a batch against a head with zero live
-// rows (pEff = 0, no bound scan at all) must answer like the exact path
-// — empty results, no panic.
+// rows (pEff = 0, no screen at all) must answer like the exact path —
+// empty results, no panic.
 func TestSearchBatchQuantizedDrained(t *testing.T) {
-	base, err := BuildIndex(testDB(20), l2, identityEmbedder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := NewSegmented(base).Quantize(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	head := mustShadow(t, seedBase(t, 20, identityEmbedder{}))
+	var err error
 	for pos := 0; pos < head.Total(); pos++ {
 		if head, err = head.Remove(pos); err != nil {
 			t.Fatal(err)
 		}
 	}
-	queries := [][]float64{{0.5, 0.5}, {0.2, 0.9}}
+	queries := clusteredDB(2, 5)
 	res, sts, err := head.SearchBatch(queries, 3, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -205,120 +226,137 @@ func TestSearchBatchQuantizedDrained(t *testing.T) {
 }
 
 // TestQuantizePackedLayout pins the storage contract the persistence
-// layer depends on: the base shadow is bn x PackedStride bytes, 4-bit
-// shadows are half the 8-bit footprint (the tentpole's memory claim),
-// unpacking the packed codes reproduces the unpacked encoding, and
-// non-tiling widths are rejected.
+// layer depends on: a shadow is one code byte per dimension per row (bn
+// x dims bytes, each row exactly vafile's Encode, delta rows appended
+// the same way), and Quantize builds it only for a base that clears the
+// gate — below it the state is 8-bit and dormant, with no grid and no
+// codes, even as delta rows arrive.
 func TestQuantizePackedLayout(t *testing.T) {
-	const n, dims = 50, 2
-	base, err := BuildIndex(testDB(n), l2, identityEmbedder{})
+	const n = 50
+	seg := seedBase(t, n, identityEmbedder{})
+	q := mustShadow(t, seg)
+	if got := len(q.BaseShadow()); got != n*seedDims {
+		t.Fatalf("base shadow %d bytes, want %d", got, n*seedDims)
+	}
+	grid, err := vafile.FromFlat(q.QuantBounds(), seedDims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := NewSegmented(base)
-	shadowBytes := map[int]int{}
-	for _, bits := range []int{1, 2, 4, 8} {
-		q, err := seg.Quantize(bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stride := vafile.PackedStride(dims, bits)
-		if got := len(q.BaseShadow()); got != n*stride {
-			t.Fatalf("bits=%d: base shadow %d bytes, want %d", bits, got, n*stride)
-		}
-		if got := q.ShadowBytes(); got != n*stride {
-			t.Fatalf("bits=%d: ShadowBytes %d, want %d", bits, got, n*stride)
-		}
-		shadowBytes[bits] = q.ShadowBytes()
-		// Round-trip: unpacking each packed row must equal Encode's
-		// unpacked codes.
-		grid, err := vafile.FromFlat(q.QuantBounds(), dims, bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]uint8, dims)
-		got := make([]uint8, dims)
-		for r := 0; r < n; r++ {
-			grid.Encode(seg.Vector(r), want)
-			vafile.UnpackRow(q.BaseShadow()[r*stride:(r+1)*stride], dims, bits, got)
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("bits=%d row %d: packed codes %v != encoded %v", bits, r, got, want)
-			}
+	want := make([]uint8, seedDims)
+	for r := 0; r < n; r++ {
+		grid.Encode(seg.Vector(r), want)
+		if got := q.BaseShadow()[r*seedDims : (r+1)*seedDims]; !reflect.DeepEqual(want, got) {
+			t.Fatalf("row %d: shadow codes %v != encoded %v", r, got, want)
 		}
 	}
-	if 2*shadowBytes[4] != shadowBytes[8] {
-		t.Fatalf("4-bit shadow %dB is not half the 8-bit shadow %dB", shadowBytes[4], shadowBytes[8])
+	x := clusteredDB(1, 6)[0]
+	if q, _, err = q.Add(x); err != nil {
+		t.Fatal(err)
 	}
-	for _, bits := range []int{0, 3, 5, 6, 7, 9} {
-		if _, err := seg.Quantize(bits); err == nil {
-			t.Fatalf("Quantize(%d) accepted a non-packed width", bits)
-		}
+	grid.Encode(x, want)
+	if got := q.quant.deltaShadow[:seedDims]; q.ShadowBytes() != (n+1)*seedDims || !reflect.DeepEqual(want, got) {
+		t.Fatalf("delta row: %d shadow bytes, codes %v, want %d and %v", q.ShadowBytes(), got, (n+1)*seedDims, want)
+	}
+
+	dormant, err := seg.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dormant, _, err = dormant.Add(x); err != nil {
+		t.Fatal(err)
+	}
+	if dormant.QuantBits() != 8 || dormant.ShadowBytes() != 0 || dormant.QuantBounds() != nil || dormant.BaseShadow() != nil {
+		t.Fatalf("below the gate: %d bits, %d shadow bytes, want a dormant 8-bit state", dormant.QuantBits(), dormant.ShadowBytes())
+	}
+
+	big := seedBase(t, shadowMinRows, identityEmbedder{})
+	built, err := big.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(built.BaseShadow(), mustShadow(t, big).BaseShadow()) || built.ShadowBytes() != shadowMinRows*seedDims {
+		t.Fatalf("at the gate Quantize built %d shadow bytes, want the full %d", built.ShadowBytes(), shadowMinRows*seedDims)
 	}
 }
 
-// TestQuantizeFromPartsLegacyUnpacked: a sub-byte shadow persisted by
-// the pre-packing writer (one byte per dimension) must repack at open
-// and answer identically to a fresh quantization; damaged legacy codes
-// and nonzero pad bits must be rejected.
+// TestQuantizeFromPartsLegacyUnpacked: a section persisted at a narrower
+// width by an older writer — a legacy unpacked 4-bit shadow, a packed
+// 4-bit one, a 3-bit one, a 1-bit one without a grid — is not repacked
+// or refused: its grid and codes are ignored, and the shadow is rebuilt
+// at 8 bits (identical to a fresh Quantize) when the base clears the
+// gate, or left dormant below it. An 8-bit section is validated, then
+// kept above the gate and dropped below it; widths outside 1..8 are
+// rejected.
 func TestQuantizeFromPartsLegacyUnpacked(t *testing.T) {
-	const n, dims, bits = 80, 2, 4
-	base, err := BuildIndex(testDB(n), l2, identityEmbedder{})
+	big := seedBase(t, shadowMinRows, identityEmbedder{})
+	small := seedBase(t, 80, identityEmbedder{})
+	fresh, err := big.Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := NewSegmented(base)
-	fresh, err := seg.Quantize(bits)
+	for _, c := range []struct {
+		name   string
+		bits   int
+		grid   []float64
+		shadow []uint8
+	}{
+		{"unpacked4", 4, make([]float64, seedDims*17), make([]uint8, shadowMinRows*seedDims)},
+		{"packed4", 4, make([]float64, seedDims*17), make([]uint8, shadowMinRows*seedDims/2)},
+		{"bits3", 3, make([]float64, seedDims*9), []uint8{0xff}},
+		{"bits1", 1, nil, nil},
+	} {
+		opened, err := big.QuantizeFromParts(c.bits, c.grid, c.shadow)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if opened.QuantBits() != 8 || !reflect.DeepEqual(opened.BaseShadow(), fresh.BaseShadow()) ||
+			!reflect.DeepEqual(opened.QuantBounds(), fresh.QuantBounds()) {
+			t.Fatalf("%s: reopened at %d bits without the rebuilt 8-bit shadow", c.name, opened.QuantBits())
+		}
+		below, err := small.QuantizeFromParts(c.bits, c.grid, c.shadow)
+		if err != nil || below.QuantBits() != 8 || below.ShadowBytes() != 0 {
+			t.Fatalf("%s below the gate: err %v, want a dormant 8-bit state", c.name, err)
+		}
+	}
+
+	kept, err := big.QuantizeFromParts(8, fresh.QuantBounds(), fresh.BaseShadow())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reconstruct what the legacy writer persisted: unpacked codes.
-	grid, err := vafile.FromFlat(fresh.QuantBounds(), dims, bits)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(kept.BaseShadow(), fresh.BaseShadow()) {
+		t.Fatal("an 8-bit section's shadow was not kept")
 	}
-	legacy := make([]uint8, n*dims)
-	for r := 0; r < n; r++ {
-		grid.Encode(seg.Vector(r), legacy[r*dims:(r+1)*dims])
+	q := clusteredDB(1, 5)[0]
+	var clk FilterClock
+	if want, got := big.FilterLive(q, nil, 7, false, nil), kept.FilterLive(q, nil, 7, false, &clk); !reflect.DeepEqual(want, got) {
+		t.Fatalf("reopened 8-bit head diverges: %v vs %v", got, want)
 	}
-	opened, err := seg.QuantizeFromParts(bits, fresh.QuantBounds(), legacy)
-	if err != nil {
-		t.Fatalf("legacy unpacked shadow rejected: %v", err)
+	var tm Timing
+	clk.AddTo(&tm)
+	if tm.BoundScannedRows == 0 {
+		t.Fatal("the reopened 8-bit head did not screen")
 	}
-	if !reflect.DeepEqual(opened.BaseShadow(), fresh.BaseShadow()) {
-		t.Fatal("repacked legacy shadow differs from a fresh packed encoding")
+	smallShadow := mustShadow(t, small)
+	if below, err := small.QuantizeFromParts(8, smallShadow.QuantBounds(), smallShadow.BaseShadow()); err != nil || below.ShadowBytes() != 0 {
+		t.Fatalf("an 8-bit section below the gate: err %v, %d shadow bytes, want dormant", err, below.ShadowBytes())
 	}
-	q := identityEmbedder{}.Embed([]float64{0.4, 0.6})
-	if want, got := fresh.FilterLive(q, nil, 7, false, nil), opened.FilterLive(q, nil, 7, false, nil); !reflect.DeepEqual(want, got) {
-		t.Fatalf("legacy-opened head diverges: %v vs %v", got, want)
+	for name, shadow := range map[string][]uint8{"truncated": fresh.BaseShadow()[:10], "small-truncated": smallShadow.BaseShadow()[:10]} {
+		src, grid := big, fresh.QuantBounds()
+		if name == "small-truncated" {
+			src, grid = small, smallShadow.QuantBounds()
+		}
+		if _, err := src.QuantizeFromParts(8, grid, shadow); err == nil {
+			t.Fatalf("%s 8-bit shadow accepted", name)
+		}
 	}
-	// A legacy code outside the cell range is corruption, not repackable.
-	bad := append([]uint8(nil), legacy...)
-	bad[3] = 16
-	if _, err := seg.QuantizeFromParts(bits, fresh.QuantBounds(), bad); err == nil {
-		t.Fatal("out-of-range legacy code accepted")
+	bad := append([]float64(nil), fresh.QuantBounds()...)
+	bad[1] = math.NaN()
+	if _, err := big.QuantizeFromParts(8, bad, fresh.BaseShadow()); err == nil {
+		t.Fatal("non-finite 8-bit grid accepted")
 	}
-	// A packed shadow of the wrong shape is rejected loudly.
-	if _, err := seg.QuantizeFromParts(bits, fresh.QuantBounds(), fresh.BaseShadow()[:n/2]); err == nil {
-		t.Fatal("truncated packed shadow accepted")
-	}
-	// Nonzero pad bits in a packed odd-dims shadow are rejected. Build a
-	// 1-dim head so the 4-bit rows carry a pad nibble.
-	oneD := make([][]float64, 40)
-	for i := range oneD {
-		oneD[i] = []float64{float64(i) / 40}
-	}
-	base1, err := BuildIndex(oneD, l2, identityEmbedder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg1 := NewSegmented(base1)
-	fresh1, err := seg1.Quantize(bits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := append([]uint8(nil), fresh1.BaseShadow()...)
-	dirty[0] |= 0xf0
-	if _, err := seg1.QuantizeFromParts(bits, fresh1.QuantBounds(), dirty); err == nil {
-		t.Fatal("nonzero pad bits accepted")
+	for _, bits := range []int{0, 9} {
+		if _, err := big.QuantizeFromParts(bits, fresh.QuantBounds(), fresh.BaseShadow()); err == nil {
+			t.Fatalf("width %d accepted", bits)
+		}
 	}
 }

@@ -1,41 +1,22 @@
 package retrieval
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"qse/internal/meta"
-	"qse/internal/stats"
 )
 
-// quantClockRows runs one filtered query on both heads and returns the
-// quantized head's bound-scan counters, failing unless the results are
-// bit-identical. exact must carry no shadow block.
-func assertQuantMatch(t *testing.T, exact, quant *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, pred *meta.Predicate, plan meta.Plan) Timing {
-	t.Helper()
-	var clk FilterClock
-	want, wantN, _ := exact.FilterLiveMatch(qvec, weights, p, parallel, nil, pred, plan)
-	got, gotN, _ := quant.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred, plan)
-	if wantN != gotN {
-		t.Fatalf("p=%d plan=%v: match counts diverge: exact %d, quantized %d", p, plan, wantN, gotN)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("p=%d plan=%v: quantized results diverge\n  exact     %v\n  quantized %v", p, plan, want, got)
-	}
-	var tm Timing
-	clk.AddTo(&tm)
-	return tm
-}
-
-// TestQuantizedFilterCrossProduct pins the tentpole's exactness claim
-// across the full tombstone x delta x predicate cross product: a churned
-// head (live tombstones in both segments, delta rows outside the base's
-// boundary range, rows with and without metadata) must answer filtered
-// top-p queries bit-identically with and without the shadow block, for
-// both the unweighted and the weighted kernel, under both filter plans.
-// Two quantization lifecycles are covered: the shadow built after the
-// churn (bulk encode) and built before it (incremental delta append).
+// TestQuantizedFilterCrossProduct pins the exactness claim across the
+// full tombstone x delta x predicate cross product: on a churned head
+// (live tombstones in both segments, delta rows outside the base's
+// boundary range, rows with and without metadata), the seeded screen —
+// called directly, the head being below the gate — must answer filtered
+// top-p queries bit-identically to the exact head, for both the
+// unweighted and the weighted kernel, under both filter plans, and run
+// whenever p seedable rows exist (assertSeededMatches). Two quantization
+// lifecycles are covered: the shadow built after the churn (bulk encode)
+// and built before it (incremental delta append).
 func TestQuantizedFilterCrossProduct(t *testing.T) {
 	preds := []*meta.Predicate{
 		nil,
@@ -43,95 +24,78 @@ func TestQuantizedFilterCrossProduct(t *testing.T) {
 		mustFilter(t, `{"field":"bucket","exists":false}`),
 		mustFilter(t, `{"and":[{"field":"tag","eq":"a"},{"field":"bucket","ge":5}]}`),
 		// Contradiction: matches nothing, every row is excluded before the
-		// bound scan sees it.
+		// screen sees it.
 		mustFilter(t, `{"and":[{"field":"tag","eq":"a"},{"field":"tag","eq":"b"}]}`),
 	}
 	for name, em := range map[string]Embedder[[]float64]{
 		"unweighted": identityEmbedder{},
-		"weighted":   skewEmbedder{},
+		"weighted":   weightedEmbedder{},
 	} {
 		t.Run(name, func(t *testing.T) {
-			base, err := BuildIndex(testDB(300), l2, em)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, bits := range []int{1, 2, 4, 8} {
-				t.Run(fmt.Sprintf("bits%d", bits), func(t *testing.T) {
-					// lifecycle A: churn first, quantize the churned head.
-					late := metaScript(t, NewSegmented(base), 41, 220)
-					if late.Tombstones() == 0 || late.DeltaLen() == 0 {
-						t.Fatalf("script produced no delta/tombstones: %d/%d", late.DeltaLen(), late.Tombstones())
-					}
-					lateQ, err := late.Quantize(bits)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// lifecycle B: quantize the fresh base, then run the identical
-					// script on both heads (same seed, same decisions) so the
-					// quantized one grows its delta shadow one Add at a time.
-					earlyQ0, err := NewSegmented(base).Quantize(bits)
-					if err != nil {
-						t.Fatal(err)
-					}
-					early := metaScript(t, NewSegmented(base), 43, 220)
-					earlyQ := metaScript(t, earlyQ0, 43, 220)
-					if earlyQ.QuantBits() != bits || earlyQ.DeltaLen() != early.DeltaLen() {
-						t.Fatalf("incremental head lost state: bits %d, delta %d vs %d",
-							earlyQ.QuantBits(), earlyQ.DeltaLen(), early.DeltaLen())
-					}
-					rng := stats.NewRand(77)
-					for pair, heads := range map[string][2]*Segmented[[]float64]{
-						"bulk":        {late, lateQ},
-						"incremental": {early, earlyQ},
-					} {
-						exact, quant := heads[0], heads[1]
-						var engaged int64
-						for qi := 0; qi < 8; qi++ {
-							q := []float64{rng.Float64() * 2, rng.Float64() * 2}
-							qvec := em.Embed(q)
-							var weights []float64
-							if w, ok := em.(Weighter); ok {
-								weights = w.QueryWeights(qvec)
-							}
-							for _, pred := range preds {
-								for _, p := range []int{1, 20, exact.Total() + 10} {
-									for _, plan := range []meta.Plan{meta.PlanInline, meta.PlanBitmap} {
-										tm := assertQuantMatch(t, exact, quant, qvec, weights, p, false, pred, plan)
-										engaged += tm.BoundScannedRows
-										if tm.BoundExactRows > tm.BoundScannedRows {
-											t.Fatalf("%s: evaluated %d of %d bound-scanned rows", pair, tm.BoundExactRows, tm.BoundScannedRows)
-										}
+			t.Run("bits8", func(t *testing.T) {
+				const n = 300
+				// lifecycle A: churn first, shadow the churned head.
+				late := churnHead(t, seedBase(t, n, em), n)
+				lateQ := mustShadow(t, late)
+				// lifecycle B: shadow the fresh base, then run the identical
+				// script on both heads so the shadowed one grows its delta
+				// codes one Add at a time.
+				early := churnHead(t, seedBase(t, n, em), n)
+				earlyQ := churnHead(t, mustShadow(t, seedBase(t, n, em)), n)
+				if earlyQ.QuantBits() != 8 || earlyQ.DeltaLen() != early.DeltaLen() || earlyQ.ShadowBytes() != earlyQ.Total()*seedDims {
+					t.Fatalf("incremental head lost state: bits %d, delta %d vs %d, %d shadow bytes",
+						earlyQ.QuantBits(), earlyQ.DeltaLen(), early.DeltaLen(), earlyQ.ShadowBytes())
+				}
+				queries := append(clusteredDB(4, 5), clusteredDB(4, 77)...)
+				for pair, heads := range map[string][2]*Segmented[[]float64]{
+					"bulk":        {late, lateQ},
+					"incremental": {early, earlyQ},
+				} {
+					exact, quant := heads[0], heads[1]
+					var engaged int64
+					for _, q := range queries {
+						qvec := em.Embed(q)
+						var weights []float64
+						if w, ok := em.(Weighter); ok {
+							weights = w.QueryWeights(qvec)
+						}
+						for _, pred := range preds {
+							for _, p := range []int{1, 20, exact.Total() + 10} {
+								for _, plan := range []meta.Plan{meta.PlanInline, meta.PlanBitmap} {
+									want, _, _ := exact.FilterLiveMatch(qvec, weights, p, false, nil, pred, plan)
+									var mb, md bitmap
+									if pred != nil {
+										mb, md, _ = quant.matchBits(pred, plan)
 									}
+									run := assertSeededMatches(t, quant, qvec, weights, p, false, mb, md, pred != nil)
+									if run.pr != nil && !reflect.DeepEqual(run.res, want) {
+										t.Fatalf("%s p=%d plan=%v: seeded screen diverges from the exact head\n  exact  %v\n  screen %v", pair, p, plan, want, run.res)
+									}
+									engaged += run.tm.BoundScannedRows
 								}
 							}
 						}
-						if engaged == 0 {
-							t.Fatalf("%s: bound scan never engaged — cross product ran exact-only", pair)
-						}
 					}
-				})
-			}
+					if engaged == 0 {
+						t.Fatalf("%s: the screen never ran — cross product ran exact-only", pair)
+					}
+				}
+			})
 		})
 	}
 }
 
-// TestQuantizedFilterEdges covers the degenerate shapes: a quantized head
-// drained to zero live rows, a dormant shadow (quantization requested on
-// an empty base), and a predicate excluding every row — each must answer
-// like the exact path, empty results included, without panicking.
+// TestQuantizedFilterEdges covers the degenerate shapes: a shadowed head
+// drained to zero live rows, the dormant state (quantization on, no
+// shadow: an empty base, or one below the gate), and a predicate
+// excluding every row of a base at the gate — each must answer like the
+// exact path, empty results included, without panicking.
 func TestQuantizedFilterEdges(t *testing.T) {
-	base, err := BuildIndex(testDB(40), l2, identityEmbedder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, err := NewSegmented(base).Quantize(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := identityEmbedder{}.Embed([]float64{0.5, 0.5})
+	q := clusteredDB(1, 5)[0]
 
-	// Every row tombstoned: the bound scan has no candidates.
-	drained := head
+	// Every row tombstoned: the screen has nothing to seed from.
+	drained := mustShadow(t, seedBase(t, 40, identityEmbedder{}))
+	var err error
 	for pos := 0; pos < drained.Total(); pos++ {
 		if drained, err = drained.Remove(pos); err != nil {
 			t.Fatalf("Remove(%d): %v", pos, err)
@@ -140,37 +104,42 @@ func TestQuantizedFilterEdges(t *testing.T) {
 	if res := drained.FilterLive(q, nil, 5, false, nil); len(res) != 0 {
 		t.Fatalf("drained quantized head returned %v", res)
 	}
+	if run := runScreen(drained, q, nil, 5, false, nil, nil, false); run.pr != nil || len(run.res) != 0 {
+		t.Fatalf("drained head screened: %+v", run)
+	}
 
-	// Dormant state: bits recorded against an empty base; scans must stay
-	// exact (and correct) until a compaction builds the grid.
-	empty, err := FromParts[[]float64](nil, nil, 2, l2, identityEmbedder{})
+	// Dormant state: quantization on against an empty base; scans stay
+	// exact (and correct) until a compaction folds a base past the gate.
+	empty, err := FromParts[[]float64](nil, nil, seedDims, l2, identityEmbedder{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dormant, err := NewSegmented(empty).Quantize(8)
+	dormant, err := NewSegmented(empty).Quantize()
 	if err != nil {
 		t.Fatalf("quantizing empty segment: %v", err)
+	}
+	if dormant.QuantBits() != 8 || dormant.ShadowBytes() != 0 {
+		t.Fatalf("dormant state reports %d bits, %d shadow bytes", dormant.QuantBits(), dormant.ShadowBytes())
 	}
 	if res := dormant.FilterLive(q, nil, 3, false, nil); len(res) != 0 {
 		t.Fatalf("dormant empty head returned %v", res)
 	}
-	dormant, _, err = dormant.Add([]float64{0.5, 0.5})
+	dormant, _, err = dormant.Add(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := dormant.FilterLive(q, nil, 1, false, nil); len(res) != 1 || res[0].Distance != 0 {
-		t.Fatalf("dormant head after Add returned %v", res)
+	if res := dormant.FilterLive(q, nil, 1, false, nil); len(res) != 1 || res[0].Distance != 0 || dormant.ShadowBytes() != 0 {
+		t.Fatalf("dormant head after Add returned %v with %d shadow bytes", res, dormant.ShadowBytes())
 	}
 
-	// A predicate no row satisfies: zero matches, zero results, and the
-	// bound scan must not have evaluated anything exactly.
-	rows := make([]meta.Map, 40)
-	for i := range rows {
-		rows[i] = testMeta(i)
-	}
-	tagged, err := NewSegmentedWithMeta(base, meta.NewBlock(rows)).Quantize(8)
+	// A predicate no row satisfies: zero matches, zero results, and
+	// nothing screened or evaluated.
+	tagged, err := seedBase(t, shadowMinRows, identityEmbedder{}).Quantize()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tagged.ShadowBytes() == 0 {
+		t.Fatal("a base at the gate carries no shadow")
 	}
 	none := mustFilter(t, `{"field":"bucket","eq":99}`)
 	var clk FilterClock
@@ -180,40 +149,33 @@ func TestQuantizedFilterEdges(t *testing.T) {
 	}
 	var tm Timing
 	clk.AddTo(&tm)
-	if tm.BoundExactRows != 0 {
-		t.Fatalf("all-excluded predicate still evaluated %d rows exactly", tm.BoundExactRows)
+	if tm.BoundScannedRows != 0 || tm.BoundExactRows != 0 {
+		t.Fatalf("all-excluded predicate still screened %d rows, evaluated %d", tm.BoundScannedRows, tm.BoundExactRows)
 	}
 }
 
-// TestQuantizedParallelSerialIdentity checks the partitioned bound scan:
+// TestQuantizedParallelSerialIdentity checks the partitioned screen:
 // above the parallelism threshold, with tombstones in both segments and
-// unsafe delta rows, parallel and serial quantized scans return exactly
-// the same neighbors as each other and as the exact scan.
+// unsafe delta rows, parallel and serial screens return exactly the same
+// neighbors, tau and exact-row count as each other, and the neighbors of
+// the exact scan.
 func TestQuantizedParallelSerialIdentity(t *testing.T) {
-	base, err := BuildIndex(testDB(minParallelScan*2+133), l2, identityEmbedder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	head, _ := applyScript(t, NewSegmented(base), 19, 900)
-	for _, bits := range []int{1, 2, 4, 8} {
-		quant, err := head.Quantize(bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := stats.NewRand(23)
-		for qi := 0; qi < 6; qi++ {
-			q := []float64{rng.Float64() * 2, rng.Float64() * 2}
-			qvec := identityEmbedder{}.Embed(q)
-			for _, p := range []int{1, 50, 800} {
-				want := head.FilterLive(qvec, nil, p, true, nil)
-				ser := quant.FilterLive(qvec, nil, p, false, nil)
-				par1 := quant.FilterLive(qvec, nil, p, true, nil)
-				if !reflect.DeepEqual(ser, par1) {
-					t.Fatalf("bits=%d query %d p=%d: quantized serial/parallel diverge:\n  %v\n  %v", bits, qi, p, ser, par1)
-				}
-				if !reflect.DeepEqual(want, par1) {
-					t.Fatalf("bits=%d query %d p=%d: quantized diverges from exact:\n  %v\n  %v", bits, qi, p, want, par1)
-				}
+	const n = minParallelScan*2 + 133
+	exact := churnHead(t, seedBase(t, n, identityEmbedder{}), n)
+	quant := mustShadow(t, exact)
+	for qi, q := range append(clusteredDB(3, 5), clusteredDB(3, 23)...) {
+		for _, p := range []int{1, 50, 800} {
+			want := exact.FilterLive(q, nil, p, true, nil)
+			ser := runScreen(quant, q, nil, p, false, nil, nil, false)
+			par1 := runScreen(quant, q, nil, p, true, nil, nil, false)
+			if ser.pr == nil || par1.pr == nil {
+				t.Fatalf("query %d p=%d: the screen did not run", qi, p)
+			}
+			if !reflect.DeepEqual(ser.res, par1.res) || ser.pr.tau != par1.pr.tau || ser.tm.BoundExactRows != par1.tm.BoundExactRows {
+				t.Fatalf("query %d p=%d: serial/parallel screens diverge:\n  %v\n  %v", qi, p, ser.res, par1.res)
+			}
+			if !reflect.DeepEqual(want, par1.res) {
+				t.Fatalf("query %d p=%d: screen diverges from exact:\n  %v\n  %v", qi, p, want, par1.res)
 			}
 		}
 	}

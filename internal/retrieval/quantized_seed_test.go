@@ -51,16 +51,38 @@ func seedWeights() []float64 {
 	return w
 }
 
-// screenRun is one phase 1 + phase 2 pass over s, seeded or not, with
-// p clamped to the matching-live population like FilterLiveMatch: the
-// merged candidates, phase 1's verdict, and the bound-scan counters.
+// weightedEmbedder is the identity embedding whose every query carries
+// seedWeights — the Weighter path at seedDims.
+type weightedEmbedder struct{}
+
+func (weightedEmbedder) Embed(x []float64) []float64      { return append([]float64(nil), x...) }
+func (weightedEmbedder) EmbedCost() int                   { return 0 }
+func (weightedEmbedder) QueryWeights([]float64) []float64 { return seedWeights() }
+
+// mustShadow builds s's shadow whatever its size: tests below the gate
+// screen through it by calling the screen directly.
+func mustShadow(t testing.TB, s *Segmented[[]float64]) *Segmented[[]float64] {
+	t.Helper()
+	q, err := s.withShadow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// screenRun is one phase 1 + phase 2 pass of the seeded screen over s,
+// called directly whatever the gate says, with p clamped to the
+// matching-live population like FilterLiveMatch: the merged candidates,
+// phase 1's verdict (nil when the screen declined), the bound-scan
+// counters, and the clamped p.
 type screenRun struct {
 	res []space.Neighbor
 	pr  *boundPrune
 	tm  Timing
+	p   int
 }
 
-func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, matchBase, matchDelta bitmap, useMatch, seeded bool) screenRun {
+func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, matchBase, matchDelta bitmap, useMatch bool) screenRun {
 	limit := s.Live()
 	if useMatch {
 		limit = matchBase.popcount() + matchDelta.popcount()
@@ -70,8 +92,11 @@ func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel
 		return screenRun{}
 	}
 	var clk FilterClock
-	pr := s.screen(qvec, weights, p, parallel, &clk, s.shadowView(matchBase, matchDelta, useMatch), seeded)
-	out := screenRun{pr: pr, res: mergeTopP(s.scanCandidateChunks(qvec, weights, p, parallel, pr, &clk), p)}
+	pr := s.screen(qvec, weights, p, parallel, &clk, s.shadowView(matchBase, matchDelta, useMatch))
+	out := screenRun{pr: pr, p: p}
+	if pr != nil {
+		out.res = mergeTopP(s.scanCandidateChunks(qvec, weights, p, parallel, pr, &clk), p)
+	}
 	clk.AddTo(&out.tm)
 	return out
 }
@@ -101,15 +126,75 @@ func referenceTopP(s *Segmented[[]float64], qvec, weights []float64, p int, keep
 	return all
 }
 
-// assertSeededMatches runs the seeded and the unseeded screen on one
-// input and fails unless both return the reference top p, the same tau,
-// and the same scanned and exactly evaluated row counts. It returns the
-// two candidate-list lengths.
-func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, matchBase, matchDelta bitmap, useMatch bool) (seededCands, unseededCands int) {
+// referenceTau is tau by brute force: the p-th smallest upper bound over
+// every live (matching) row with valid bounds — base rows and in-range
+// delta rows — or +Inf when fewer exist.
+func referenceTau(s *Segmented[[]float64], qvec, weights []float64, p int, keep func(pos int) bool) float64 {
+	tbl, ok := s.quant.bounds.QueryTables(qvec, weights)
+	if !ok {
+		return math.NaN()
+	}
+	d, bn := s.Dims(), s.BaseSize()
+	var ubs []float64
+	for pos := 0; pos < s.Total(); pos++ {
+		if !keep(pos) {
+			continue
+		}
+		if pos < bn {
+			ubs = append(ubs, tbl.RowUpper(s.quant.baseShadow[pos*d:(pos+1)*d]))
+		} else if j := pos - bn; !s.quant.deltaUnsafe[j] {
+			ubs = append(ubs, tbl.RowUpper(s.quant.deltaShadow[j*d:(j+1)*d]))
+		}
+	}
+	if len(ubs) < p {
+		return math.Inf(1)
+	}
+	sort.Float64s(ubs)
+	return ubs[p-1]
+}
+
+// referenceExact counts the rows phase 2 must evaluate at tau: every
+// live (matching) unsafe delta row, and every other one whose lower
+// bound — resumed from its head for a base row, as the screen sums it —
+// is within tau. Rows the screen dropped early have lower bounds above
+// a threshold >= tau, so they are not counted either way.
+func referenceExact(s *Segmented[[]float64], qvec, weights []float64, tau float64, keep func(pos int) bool) int64 {
+	tbl, _ := s.quant.bounds.QueryTables(qvec, weights)
+	d, bn := s.Dims(), s.BaseSize()
+	heads := make([]float64, bn)
+	tbl.Heads(s.quant.baseShadow, d, heads)
+	var n int64
+	for pos := 0; pos < s.Total(); pos++ {
+		if !keep(pos) {
+			continue
+		}
+		var within bool
+		switch j := pos - bn; {
+		case pos < bn:
+			_, within = tbl.RowLowerBoundedFrom(s.quant.baseShadow[pos*d:(pos+1)*d], heads[pos], tau)
+		case s.quant.deltaUnsafe[j]:
+			within = true
+		default:
+			_, within = tbl.RowLowerBounded(s.quant.deltaShadow[j*d:(j+1)*d], tau)
+		}
+		if within {
+			n++
+		}
+	}
+	return n
+}
+
+// assertSeededMatches runs the seeded screen directly on one input. The
+// screen must run exactly when p live (matching) base rows exist to seed
+// from; when it runs it must return the reference top p, the reference
+// tau (the one the paper's bound argument defines, whatever order the
+// rows are screened in), scan every live matching row, and evaluate
+// exactly the rows whose lower bounds are within tau.
+func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, matchBase, matchDelta bitmap, useMatch bool) screenRun {
 	t.Helper()
 	keep := s.Alive
+	bn := s.BaseSize()
 	if useMatch {
-		bn := s.BaseSize()
 		keep = func(pos int) bool {
 			if pos < bn {
 				return matchBase.get(pos)
@@ -117,56 +202,51 @@ func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []
 			return matchDelta.get(pos - bn)
 		}
 	}
-	want := referenceTopP(s, qvec, weights, p, keep)
-	un := runScreen(s, qvec, weights, p, parallel, matchBase, matchDelta, useMatch, false)
-	se := runScreen(s, qvec, weights, p, parallel, matchBase, matchDelta, useMatch, true)
-	if !reflect.DeepEqual(un.res, want) {
-		t.Fatalf("p=%d: unseeded screen diverges from the reference\n  got  %v\n  want %v", p, un.res, want)
+	live, seedable := 0, 0
+	for pos := 0; pos < s.Total(); pos++ {
+		if keep(pos) {
+			live++
+			if pos < bn {
+				seedable++
+			}
+		}
 	}
-	if !reflect.DeepEqual(se.res, want) {
-		t.Fatalf("p=%d: seeded screen diverges from the reference\n  got  %v\n  want %v", p, se.res, want)
+	run := runScreen(s, qvec, weights, p, parallel, matchBase, matchDelta, useMatch)
+	if ran, want := run.pr != nil, run.p > 0 && seedable >= run.p; ran != want {
+		t.Fatalf("p=%d: screen ran = %v with %d seedable rows, want %v", run.p, ran, seedable, want)
 	}
-	if (un.pr == nil) != (se.pr == nil) {
-		t.Fatalf("p=%d: one screen fell back to the exact scan and the other did not", p)
+	if run.pr == nil {
+		return run
 	}
-	if un.pr == nil {
-		return 0, 0
+	if want := referenceTopP(s, qvec, weights, run.p, keep); !reflect.DeepEqual(run.res, want) {
+		t.Fatalf("p=%d: seeded screen diverges from the reference\n  got  %v\n  want %v", run.p, run.res, want)
 	}
-	if un.pr.tau != se.pr.tau {
-		t.Fatalf("p=%d: tau %v seeded, %v unseeded", p, se.pr.tau, un.pr.tau)
+	if tau := referenceTau(s, qvec, weights, run.p, keep); run.pr.tau != tau {
+		t.Fatalf("p=%d: tau %v, reference %v", run.p, run.pr.tau, tau)
 	}
-	if se.tm.BoundScannedRows != un.tm.BoundScannedRows || se.tm.BoundExactRows != un.tm.BoundExactRows {
-		t.Fatalf("p=%d: seeded screen scanned/evaluated %d/%d rows, unseeded %d/%d", p,
-			se.tm.BoundScannedRows, se.tm.BoundExactRows, un.tm.BoundScannedRows, un.tm.BoundExactRows)
+	if run.tm.BoundScannedRows != int64(live) {
+		t.Fatalf("p=%d: scanned %d rows, want the %d live matching rows", run.p, run.tm.BoundScannedRows, live)
 	}
-	return len(se.pr.cands), len(un.pr.cands)
+	if want := referenceExact(s, qvec, weights, run.pr.tau, keep); run.tm.BoundExactRows != want || want < int64(run.p) {
+		t.Fatalf("p=%d: evaluated %d rows exactly, reference %d", run.p, run.tm.BoundExactRows, want)
+	}
+	return run
 }
 
-// seedHead builds a quantized head below the seeded screen's size gate:
-// tombstones in both segments, delta rows (some outside the base's
-// boundary range, so unsafe), and metadata on every row.
-func seedHead(t *testing.T, n int) *Segmented[[]float64] {
+// churnHead adds n/10+40 clustered delta rows (every seventh with a
+// value far outside the base's range, so unsafe where a shadow exists),
+// then tombstones about n/8 rows, with metadata on every added row. The
+// same seed replays the same script on any head of the same shape.
+func churnHead(t testing.TB, head *Segmented[[]float64], n int) *Segmented[[]float64] {
 	t.Helper()
-	db := clusteredDB(n, 5)
-	base, err := BuildIndex(db, l2, identityEmbedder{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]meta.Map, n)
-	for i := range rows {
-		rows[i] = testMeta(i)
-	}
-	head, err := NewSegmentedWithMeta(base, meta.NewBlock(rows)).Quantize(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := stats.NewRand(9)
 	extra := clusteredDB(n/10+40, 6)
+	var err error
 	for i, x := range extra {
 		if i%7 == 0 {
-			x[i%seedDims] = 100 // outside the base's range: an unsafe delta row
+			x[i%len(x)] = 100
 		}
-		if head, _, err = head.AddWithVectorMeta(x, x, testMeta(n+i)); err != nil {
+		if head, _, err = head.AddWithVectorMeta(x, head.Base().embedder.Embed(x), testMeta(n+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,6 +258,30 @@ func seedHead(t *testing.T, n int) *Segmented[[]float64] {
 			}
 		}
 	}
+	return head
+}
+
+// seedBase builds an n-row clustered base with metadata on every row.
+func seedBase(t testing.TB, n int, em Embedder[[]float64]) *Segmented[[]float64] {
+	t.Helper()
+	base, err := BuildIndex(clusteredDB(n, 5), l2, em)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]meta.Map, n)
+	for i := range rows {
+		rows[i] = testMeta(i)
+	}
+	return NewSegmentedWithMeta(base, meta.NewBlock(rows))
+}
+
+// seedHead builds a shadowed head of n base rows, whatever the gate
+// says, then churns it: tombstones in both segments, delta rows (some
+// outside the base's boundary range, so unsafe), and metadata on every
+// row.
+func seedHead(t *testing.T, n int) *Segmented[[]float64] {
+	t.Helper()
+	head := churnHead(t, mustShadow(t, seedBase(t, n, identityEmbedder{})), n)
 	unsafe := 0
 	for _, u := range head.quant.deltaUnsafe {
 		if u {
@@ -191,12 +295,14 @@ func seedHead(t *testing.T, n int) *Segmented[[]float64] {
 }
 
 // TestSeededScreenMatchesUnseeded pins the seeded screen's contract
-// below its size gate, serial and partitioned: on a churned head, for
-// the unweighted and the weighted distance, unfiltered and filtered,
-// with p from 1 to more than the live rows and under a filter matching
-// fewer than p rows, the seeded screen returns the reference top p and
-// the unseeded screen's tau and row counts. Unfiltered, its candidate
-// lists must also be shorter in all, or the seed never pruned anything.
+// below the gate, serial and partitioned: on a churned head, for the
+// unweighted and the weighted distance, unfiltered and filtered, with p
+// from 1 to more than the live rows and under a filter matching fewer
+// than p rows, the screen runs exactly when p rows can seed it, and then
+// returns the reference top p with the tau and row counts of the
+// unseeded screen it replaced (assertSeededMatches). Unfiltered, its
+// candidate lists must also be shorter than the rows it scanned, or the
+// seed never pruned anything.
 func TestSeededScreenMatchesUnseeded(t *testing.T) {
 	preds := map[string]*meta.Predicate{
 		"unfiltered": nil,
@@ -213,16 +319,22 @@ func TestSeededScreenMatchesUnseeded(t *testing.T) {
 					if pred != nil {
 						mb, md, _ = head.matchBits(pred, meta.PlanInline)
 					}
-					seededCands, unseededCands := 0, 0
+					var cands, scanned, ran int
 					for _, q := range queries {
 						for _, p := range []int{1, 20, 150, head.Live() + 10} {
-							sc, uc := assertSeededMatches(t, head, q, weights, p, n > minParallelScan, mb, md, pred != nil)
-							seededCands += sc
-							unseededCands += uc
+							run := assertSeededMatches(t, head, q, weights, p, n > minParallelScan, mb, md, pred != nil)
+							if run.pr != nil {
+								ran++
+								cands += len(run.pr.cands)
+								scanned += int(run.tm.BoundScannedRows)
+							}
 						}
 					}
-					if pname == "unfiltered" && seededCands >= unseededCands {
-						t.Fatalf("%s: the seeded screen kept %d candidates in all, the unseeded %d", wname, seededCands, unseededCands)
+					if ran == 0 {
+						t.Fatalf("%s/%s: the screen never ran", wname, pname)
+					}
+					if pname == "unfiltered" && cands >= scanned {
+						t.Fatalf("%s: the seeded screen kept %d candidates of %d scanned rows", wname, cands, scanned)
 					}
 				}
 			}
@@ -254,10 +366,7 @@ func TestSeededScreenSkipsDeadAndNonMatching(t *testing.T) {
 	for _, nb := range order {
 		rows[nb.Index] = meta.Map{"near": meta.BoolValue(true)}
 	}
-	head, err := NewSegmentedWithMeta(base, meta.NewBlock(rows)).Quantize(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	head := mustShadow(t, NewSegmentedWithMeta(base, meta.NewBlock(rows)))
 	far, err := meta.CompileFilter([]byte(`{"field":"near","eq":false}`), map[string]meta.Kind{"near": meta.KindBool})
 	if err != nil {
 		t.Fatal(err)
@@ -278,38 +387,159 @@ func TestSeededScreenSkipsDeadAndNonMatching(t *testing.T) {
 }
 
 // TestSeededScreenAtGate drives the seeded screen through the production
-// entry point: a base segment exactly at the size gate, searched at the
-// largest p the gate admits and just past it, must answer like the exact
-// scan.
+// entry point: a base segment exactly at the build gate, searched at the
+// largest p the query gate admits and just past it, must answer like the
+// exact scan — through the screen at the first, through the exact scan
+// at the second.
 func TestSeededScreenAtGate(t *testing.T) {
-	db := clusteredDB(seedMinBase, 13)
+	db := clusteredDB(shadowMinRows, 13)
 	base, err := BuildIndex(db, l2, identityEmbedder{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	exact := NewSegmented(base)
-	quant, err := exact.Quantize(8)
+	quant, err := exact.Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{10, seedMinBase / seedBaseRowsPerP, seedMinBase/seedBaseRowsPerP + 1} {
+	if quant.ShadowBytes() != shadowMinRows*seedDims {
+		t.Fatalf("a base at the gate carries %d shadow bytes", quant.ShadowBytes())
+	}
+	for _, p := range []int{10, shadowMinRows / seedBaseRowsPerP, shadowMinRows/seedBaseRowsPerP + 1} {
 		for qi, q := range clusteredDB(3, 13) {
 			for _, weights := range [][]float64{nil, seedWeights()} {
 				want := exact.FilterLive(q, weights, p, true, nil)
-				if got := quant.FilterLive(q, weights, p, true, nil); !reflect.DeepEqual(got, want) {
-					t.Fatalf("p=%d query %d: seeded scan diverges from exact", p, qi)
+				var clk FilterClock
+				if got := quant.FilterLive(q, weights, p, true, &clk); !reflect.DeepEqual(got, want) {
+					t.Fatalf("p=%d query %d: quantized scan diverges from exact", p, qi)
+				}
+				var tm Timing
+				clk.AddTo(&tm)
+				if screened := tm.BoundScannedRows > 0; screened != (p <= shadowMinRows/seedBaseRowsPerP) {
+					t.Fatalf("p=%d query %d: screened = %v (%d rows)", p, qi, screened, tm.BoundScannedRows)
 				}
 			}
 		}
 	}
 }
 
-// FuzzSeededScreen builds a small quantized head from raw bytes — width
+// TestGate pins the one gate both halves of the policy share: the build
+// decision on (rows, dims), the query decision on (rows, p, seedable
+// rows), and that FilterLive and FilterLiveMatch reach the screen
+// exactly when both hold.
+func TestGate(t *testing.T) {
+	for _, c := range []struct {
+		rows, dims int
+		want       bool
+	}{
+		{shadowMinRows, shadowMinDims, true},
+		{shadowMinRows - 1, shadowMinDims, false},
+		{shadowMinRows, shadowMinDims - 1, false},
+		{200000, 64, true},
+		{5000, 32, false},
+		{0, 32, false},
+	} {
+		if got := shadowGate(c.rows, c.dims); got != c.want {
+			t.Errorf("shadowGate(%d, %d) = %v, want %v", c.rows, c.dims, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		bn, p, seedable int
+		want            bool
+	}{
+		{25600, 200, 200, true},
+		{25599, 200, 25599, false},
+		{200000, 200, 199, false},
+		{200000, 200, 200, true},
+		{16384, 128, 16384, true},
+		{16384, 129, 16384, false},
+		{5000, 1, 5000, true},
+	} {
+		if got := seedGate(c.bn, c.p, c.seedable); got != c.want {
+			t.Errorf("seedGate(%d, %d, %d) = %v, want %v", c.bn, c.p, c.seedable, got, c.want)
+		}
+	}
+
+	// Through the entry points: a base at the build gate, 41 of whose
+	// rows match the filter, plus 60 matching delta rows — so under the
+	// filter the seedable rows, and not the base's length, bind first.
+	const n = shadowMinRows
+	rows := make([]meta.Map, n)
+	for i := range rows {
+		rows[i] = meta.Map{"rare": meta.BoolValue(i%400 == 0)}
+	}
+	base, err := BuildIndex(clusteredDB(n, 5), l2, identityEmbedder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactHead := NewSegmentedWithMeta(base, meta.NewBlock(rows))
+	for _, x := range clusteredDB(60, 6) {
+		if exactHead, _, err = exactHead.AddWithVectorMeta(x, x, meta.Map{"rare": meta.BoolValue(true)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pos := 1; pos < 40; pos++ {
+		if exactHead, err = exactHead.Remove(pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quant, err := exactHead.Quantize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quant.ShadowBytes() == 0 {
+		t.Fatal("no shadow at the build gate")
+	}
+	short, err := BuildIndex(clusteredDB(n-1, 5), l2, identityEmbedder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dormant, err := NewSegmented(short).Quantize(); err != nil || dormant.ShadowBytes() != 0 || dormant.QuantBits() != 8 {
+		t.Fatalf("one row below the build gate: err %v, want a dormant 8-bit state", err)
+	}
+	pred, err := meta.CompileFilter([]byte(`{"field":"rare","eq":true}`), map[string]meta.Kind{"rare": meta.KindBool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, md, _ := quant.matchBits(pred, meta.PlanInline)
+	seedable, matched := mb.popcount(), mb.popcount()+md.popcount()
+	liveBase := n - quant.baseDead.popcount()
+	q := clusteredDB(1, 5)[0]
+	for _, p := range []int{1, seedable, seedable + 1, matched, n / seedBaseRowsPerP, n/seedBaseRowsPerP + 1} {
+		for _, filtered := range []bool{false, true} {
+			var clk FilterClock
+			var want, got []space.Neighbor
+			var gate bool
+			if filtered {
+				want, _, _ = exactHead.FilterLiveMatch(q, nil, p, true, nil, pred, meta.PlanInline)
+				got, _, _ = quant.FilterLiveMatch(q, nil, p, true, &clk, pred, meta.PlanInline)
+				gate = seedGate(n, min(p, matched), seedable)
+			} else {
+				want = exactHead.FilterLive(q, nil, p, true, nil)
+				got = quant.FilterLive(q, nil, p, true, &clk)
+				gate = seedGate(n, p, liveBase)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("p=%d filtered=%v: quantized diverges from exact", p, filtered)
+			}
+			var tm Timing
+			clk.AddTo(&tm)
+			if screened := tm.BoundScannedRows > 0; screened != gate {
+				t.Fatalf("p=%d filtered=%v: screened = %v, gate = %v", p, filtered, screened, gate)
+			}
+		}
+	}
+	if seedable == 0 || seedable >= matched {
+		t.Fatalf("the filter leaves %d seedable of %d matching rows", seedable, matched)
+	}
+}
+
+// FuzzSeededScreen builds a small shadowed head from raw bytes — width
 // 16 to 24, base rows, delta rows (some outside the base's range),
 // tombstones, a match bitset, weights and a query — and checks the
-// seeded screen against the unseeded screen and the brute-force
-// reference (assertSeededMatches). Bytes map to values via (b-128)/16,
-// so duplicates, ties and constant dimensions are common.
+// seeded screen against the brute-force references
+// (assertSeededMatches). Bytes map to values via (b-128)/16, so
+// duplicates, ties and constant dimensions are common.
 func FuzzSeededScreen(f *testing.F) {
 	f.Add([]byte("seeded screen: heads, seed, tau, tombstones, deltas and filters all in one"), uint8(0), uint8(5), uint8(3), false)
 	f.Add([]byte{200, 13, 7, 7, 7, 255, 0, 128, 64, 32, 16, 8, 4, 2, 1, 99, 98, 97, 96, 95}, uint8(8), uint8(1), uint8(40), true)
@@ -333,10 +563,7 @@ func FuzzSeededScreen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		head, err := NewSegmented(base).Quantize(8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		head := mustShadow(t, NewSegmented(base))
 		for r, x := range db[nBase:] {
 			if r%3 == 0 {
 				x[r%dims] = 64 // outside the base's range
@@ -391,8 +618,11 @@ func TestSeededScreenIsDeterministic(t *testing.T) {
 	for i, procs := range []int{1, 2, 3, 8} {
 		var got screenRun
 		withGOMAXPROCS(procs, func() {
-			got = runScreen(head, q, seedWeights(), 64, true, nil, nil, false, true)
+			got = runScreen(head, q, seedWeights(), 64, true, nil, nil, false)
 		})
+		if got.pr == nil {
+			t.Fatalf("GOMAXPROCS=%d: the screen did not run", procs)
+		}
 		if i == 0 {
 			want = got
 			continue
@@ -406,60 +636,77 @@ func TestSeededScreenIsDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkSeededScreen times phase 1 seeded and unseeded on the same
-// queries, interleaved per iteration so host drift hits both sides,
-// partitioned as a single search runs it, at p = 200 and sizes on both
-// sides of the size gate (which opens at 128·p = 25,600 rows here). Two
-// data shapes bracket the trade: clustered 24-wide rows, where most
-// heads already exceed tau, and iid Gaussian 64-wide rows, where a head
-// holds a quarter of a row's distance and almost never does.
-// seeded/unseeded < 1 means the seeded screen is faster.
+// benchSink keeps the benchmarked scans' results live.
+var benchSink []space.Neighbor
+
+// BenchmarkSeededScreen measures the gate's crossover: phase 1 plus
+// phase 2 of the seeded screen (called directly, below the gate too)
+// against the exact scan (filterTopP on the unshadowed head) on the same
+// queries, interleaved per iteration — alternating which side goes
+// first — so host drift hits both sides, partitioned as a single search
+// runs it. The rows are a 32-wide mixture around 64 centres and every
+// query carries random weights, like the served benchmark's vectors.
+// seeded/exact < 1 means the screen is faster; the gate opens at
+// 16,384 rows and 128·p.
 func BenchmarkSeededScreen(b *testing.B) {
-	const p = 200
-	for _, shape := range []string{"clustered", "gaussian"} {
-		for _, n := range []int{10000, 50000, 200000} {
-			b.Run(fmt.Sprintf("%s/n=%d", shape, n), func(b *testing.B) {
-				var db, queries [][]float64
-				if shape == "clustered" {
-					db, queries = clusteredDB(n, 21), clusteredDB(16, 21)
-				} else {
-					rng := stats.NewRand(21)
-					db = make([][]float64, n+16)
-					for i := range db {
-						db[i] = make([]float64, 64)
-						for d := range db[i] {
-							db[i][d] = rng.NormFloat64()
-						}
-					}
-					db, queries = db[:n], db[n:]
-				}
-				base, err := BuildIndex(db, l2, identityEmbedder{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s, err := NewSegmented(base).Quantize(8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				v := s.shadowView(nil, nil, false)
+	const dims, centres = 32, 64
+	rng := stats.NewRand(21)
+	ctr := make([][]float64, centres)
+	for i := range ctr {
+		ctr[i] = make([]float64, dims)
+		for d := range ctr[i] {
+			ctr[i][d] = rng.NormFloat64() * 4
+		}
+	}
+	draw := func(n int) [][]float64 {
+		rows := make([][]float64, n)
+		for i := range rows {
+			c := ctr[rng.Intn(centres)]
+			rows[i] = make([]float64, dims)
+			for d := range rows[i] {
+				rows[i][d] = c[d] + rng.NormFloat64()
+			}
+		}
+		return rows
+	}
+	queries := draw(64)
+	weights := make([][]float64, len(queries))
+	for i := range weights {
+		weights[i] = make([]float64, dims)
+		for d := range weights[i] {
+			weights[i][d] = rng.Float64()
+		}
+	}
+	for _, n := range []int{5000, 10000, shadowMinRows, 25000, 50000, 200000} {
+		base, err := BuildIndex(draw(n), l2, identityEmbedder{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		exact := NewSegmented(base)
+		s := mustShadow(b, exact)
+		v := s.shadowView(nil, nil, false)
+		for _, p := range []int{100, 200} {
+			b.Run(fmt.Sprintf("n=%d/p=%d", n, p), func(b *testing.B) {
 				var took [2]time.Duration
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					q := queries[i%len(queries)]
+					q, w := queries[i%len(queries)], weights[i%len(queries)]
 					for k := 0; k < 2; k++ {
-						seeded := (i+k)%2 == 1 // alternate which side goes first
+						seeded := (i+k)%2 == 1
 						t0 := time.Now()
-						s.screen(q, nil, p, true, nil, v, seeded)
 						if seeded {
+							pr := s.screen(q, w, p, true, nil, v)
+							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, true, pr, nil), p)
 							took[1] += time.Since(t0)
 						} else {
+							benchSink = exact.filterTopP(q, w, p, true, nil)
 							took[0] += time.Since(t0)
 						}
 					}
 				}
-				b.ReportMetric(float64(took[0].Nanoseconds())/float64(b.N), "unseeded-ns/op")
+				b.ReportMetric(float64(took[0].Nanoseconds())/float64(b.N), "exact-ns/op")
 				b.ReportMetric(float64(took[1].Nanoseconds())/float64(b.N), "seeded-ns/op")
-				b.ReportMetric(float64(took[1])/float64(took[0]), "seeded/unseeded")
+				b.ReportMetric(float64(took[1])/float64(took[0]), "seeded/exact")
 			})
 		}
 	}

@@ -240,10 +240,11 @@ type Timing struct {
 	// into per-segment match bitsets before the scan consumes them.
 	// Always zero for unfiltered queries.
 	FilterEvalNanos int64
-	// BoundScanNanos covers the shadow-block bound scan of a quantized
-	// segment: building the query's cell tables, accumulating per-row
-	// lower bounds, and maintaining the p-th smallest upper bound.
-	// Always zero when quantization is off.
+	// BoundScanNanos covers the seeded shadow screen: building the
+	// query's cell tables, deriving the seed, accumulating per-row lower
+	// bounds, and maintaining the p-th smallest upper bound. Always zero
+	// when no screen ran (quantization off, or the size gate sent the
+	// query to the exact scan).
 	BoundScanNanos int64
 	// MergeNanos covers merging per-partition (and, in the sharded
 	// store, per-shard) candidate lists and truncating to top-p.
@@ -254,7 +255,7 @@ type Timing struct {
 	// counters, not durations: rows whose bounds were examined, and rows
 	// that still had to be evaluated against the exact float64 block
 	// (BoundScannedRows - BoundExactRows rows were pruned). Both stay
-	// zero when quantization is off — the exact scan does not count.
+	// zero when no screen ran — the exact scan does not count.
 	BoundScannedRows int64
 	BoundExactRows   int64
 }

@@ -590,9 +590,9 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 	}
 	total := s.Total()
 	var pr *boundPrune
-	if s.quant != nil && s.quant.bounds != nil {
+	if v := s.seedView(p, matchBase, matchDelta, true); v != nil {
 		t0 = time.Now()
-		pr = s.boundScan(qvec, weights, p, parallel, clk, matchBase, matchDelta, true)
+		pr = s.screen(qvec, weights, p, parallel, clk, v)
 		clk.AddBound(time.Since(t0).Nanoseconds())
 	}
 	var heaps []neighborMaxHeap
@@ -663,9 +663,9 @@ func (s *Segmented[T]) filterTopP(qvec, weights []float64, p int, parallel bool,
 		return nil
 	}
 	var pr *boundPrune
-	if s.quant != nil && s.quant.bounds != nil {
+	if v := s.seedView(p, nil, nil, false); v != nil {
 		t0 := time.Now()
-		pr = s.boundScan(qvec, weights, p, parallel, clk, nil, nil, false)
+		pr = s.screen(qvec, weights, p, parallel, clk, v)
 		clk.AddBound(time.Since(t0).Nanoseconds())
 	}
 	var heaps []neighborMaxHeap

@@ -9,7 +9,6 @@ package server
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"qse/internal/obs"
@@ -105,21 +104,11 @@ func (s *Server[T]) initObs() {
 		snapFailures:    r.Gauge("qse_store_snapshot_failures_total", "Failed snapshot attempts since startup."),
 		snapLastOKUnix:  r.Gauge("qse_store_last_snapshot_ok_unix", "Unix time of the last successful snapshot."),
 		degradedPersist: r.Gauge("qse_store_degraded_persistence", "1 while snapshots keep failing past the tolerance, else 0."),
-		quantBits:       r.Gauge("qse_store_quantize_bits", "Scalar-quantization bit width of the shadow block (0 = off)."),
-		shadowBits:      r.Gauge("qse_store_shadow_bits", "Scalar-quantization bit width of the shadow block (0 = off); alias of qse_store_quantize_bits."),
-		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the packed shadow block, base plus delta (0 when quantization is off)."),
-		boundScanned:    r.Gauge("qse_store_bound_scanned_rows_total", "Rows screened by the quantized bound scan since startup."),
-		boundExact:      r.Gauge("qse_store_bound_exact_rows_total", "Bound-screened rows that needed an exact float64 evaluation."),
-		boundPruneRate:  r.Gauge("qse_store_bound_prune_rate", "Fraction of bound-screened rows excluded without exact evaluation."),
-	}
-	for _, bits := range []int{1, 2, 4, 8} {
-		l := obs.Label{Name: "bits", Value: strconv.Itoa(bits)}
-		g.widthScanned[bits] = r.Gauge("qse_store_bound_scanned_rows_by_width_total",
-			"Rows screened by the bound scan, broken down by the quantization width active at query time.", l)
-		g.widthExact[bits] = r.Gauge("qse_store_bound_exact_rows_by_width_total",
-			"Bound-screened rows that needed exact evaluation, by quantization width.", l)
-		g.widthPruneRate[bits] = r.Gauge("qse_store_bound_prune_rate_by_width",
-			"Fraction of bound-screened rows excluded without exact evaluation, by quantization width.", l)
+		quantBits:       r.Gauge("qse_store_quantize_bits", "Scalar-quantization bit width of the shadow block (8 = on, 0 = off)."),
+		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the shadow block, base plus delta (0 when quantization is off or no base clears the size gate)."),
+		boundScanned:    r.Gauge("qse_store_bound_scanned_rows_total", "Rows screened by the seeded shadow screen since startup."),
+		boundExact:      r.Gauge("qse_store_bound_exact_rows_total", "Screened rows that needed an exact float64 evaluation."),
+		boundPruneRate:  r.Gauge("qse_store_bound_prune_rate", "Fraction of screened rows excluded without exact evaluation."),
 	}
 	r.OnScrape(func() {
 		st := s.st.Stats()
@@ -143,7 +132,6 @@ func (s *Server[T]) initObs() {
 			g.degradedPersist.Set(0)
 		}
 		g.quantBits.Set(float64(st.QuantBits))
-		g.shadowBits.Set(float64(st.QuantBits))
 		g.shadowBytes.Set(float64(st.ShadowBytes))
 		g.boundScanned.Set(float64(st.BoundScannedRows))
 		g.boundExact.Set(float64(st.BoundExactRows))
@@ -151,19 +139,6 @@ func (s *Server[T]) initObs() {
 			g.boundPruneRate.Set(1 - float64(st.BoundExactRows)/float64(st.BoundScannedRows))
 		} else {
 			g.boundPruneRate.Set(0)
-		}
-		for bits, wg := range g.widthScanned {
-			if wg == nil {
-				continue
-			}
-			bw := st.BoundWidths[bits]
-			wg.Set(float64(bw.ScannedRows))
-			g.widthExact[bits].Set(float64(bw.ExactRows))
-			if bw.ScannedRows > 0 {
-				g.widthPruneRate[bits].Set(1 - float64(bw.ExactRows)/float64(bw.ScannedRows))
-			} else {
-				g.widthPruneRate[bits].Set(0)
-			}
 		}
 	})
 
@@ -209,10 +184,7 @@ type storeGauges struct {
 	deltaScanShare, snapFailures, snapLastOKUnix        *obs.Gauge
 	degradedPersist                                     *obs.Gauge
 	quantBits, boundScanned, boundExact, boundPruneRate *obs.Gauge
-	shadowBits, shadowBytes                             *obs.Gauge
-	// widthScanned/widthExact/widthPruneRate are the same counters by
-	// quantization width, indexed by bits (only 1, 2, 4, 8 populated).
-	widthScanned, widthExact, widthPruneRate [9]*obs.Gauge
+	shadowBytes                                         *obs.Gauge
 }
 
 // observeSearch feeds one query's cost into the stage histograms and
@@ -226,7 +198,7 @@ func (s *Server[T]) observeSearch(st retrieval.Stats) {
 	if t.FilterEvalNanos > 0 {
 		s.stage[stFilterEval].Observe(t.FilterEvalNanos)
 	}
-	// bound_scan exists only when the store is quantized; same reasoning
+	// bound_scan exists only when the seeded screen ran; same reasoning
 	// as filter_eval.
 	if t.BoundScanNanos > 0 {
 		s.stage[stBoundScan].Observe(t.BoundScanNanos)
@@ -247,9 +219,10 @@ type timingJSON struct {
 	// query carried no filter, so unfiltered responses are byte-identical
 	// to the pre-filter wire format.
 	FilterEvalUs float64 `json:"filter_eval_us,omitempty"`
-	// BoundScanUs is the quantized shadow-block screening pass; omitted
-	// (with its row counters) when the store runs unquantized, keeping
-	// the wire format unchanged for exact-only deployments.
+	// BoundScanUs is the seeded shadow screen; omitted (with its row
+	// counters) when no screen ran — quantization off, or the size gate
+	// sent the query to the exact scan — keeping the wire format
+	// unchanged for exact-only deployments.
 	BoundScanUs   float64 `json:"bound_scan_us,omitempty"`
 	BoundScanned  int64   `json:"bound_scanned_rows,omitempty"`
 	BoundExact    int64   `json:"bound_exact_rows,omitempty"`

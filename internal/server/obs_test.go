@@ -2,12 +2,18 @@ package server
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"qse/internal/core"
+	"qse/internal/embed"
+	"qse/internal/store"
 )
 
 // TestMetricsEndpoint drives real traffic and asserts the scrape holds
@@ -237,69 +243,119 @@ func TestDebugSlowEndpoint(t *testing.T) {
 	}
 }
 
-// TestShadowMetrics quantizes the backing store and asserts the shadow
-// observability block: the width/size gauges and the per-width scan
-// counters appear in both /metrics and /v1/stats, and the per-width rows
-// follow traffic at the active width.
-func TestShadowMetrics(t *testing.T) {
-	st := testStore(t)
-	if err := st.SetQuantization(4); err != nil {
-		t.Fatalf("SetQuantization: %v", err)
+// gatedStore builds a store whose base clears the seeded screen's size
+// gate (16,384 rows, 16 embedded dimensions; DESIGN §16): testStore's
+// 3-D points, embedded by a hand-assembled model as their L1 distances
+// to 16 of them, with every coordinate weighted.
+func gatedStore(t testing.TB) *store.Store[[]float64] {
+	t.Helper()
+	rng := rand.New(rand.NewSource(42))
+	db := make([][]float64, 16384)
+	for i := range db {
+		c := float64(i % 7)
+		db[i] = []float64{c + rng.NormFloat64()*0.2, -c + rng.NormFloat64()*0.2, rng.NormFloat64()}
 	}
-	srv := New(st, decodeVec, Options{})
-	h := srv.Handler()
-	for i := 0; i < 3; i++ {
-		if rec := do(h, "POST", "/v1/search", `{"query":[3,-3,0],"k":5,"p":20}`); rec.Code != http.StatusOK {
-			t.Fatalf("search %d: %d %s", i, rec.Code, rec.Body)
+	snap := &core.Snapshot{Mode: core.QuerySensitive, FormatVersion: 1}
+	for i := 0; i < 16; i++ {
+		snap.CandidateIdx = append(snap.CandidateIdx, i*97)
+		snap.Rules = append(snap.Rules, core.Rule{
+			Def: embed.Def{Kind: embed.KindReference, A: i, Scale: 1},
+			Lo:  math.Inf(-1), Hi: math.Inf(1), Alpha: 1 + float64(i%3),
+		})
+	}
+	model, err := core.Restore(snap, db, l1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.New(model, db, l1, store.Gob[[]float64]())
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	return st
+}
+
+// TestShadowMetrics asserts the shadow observability block in /metrics
+// and /v1/stats: below the size gate quantization reports 8 bits with no
+// shadow and no screened rows; past it the shadow's bytes appear and
+// the scan counters follow the seeded screen's traffic. The per-width
+// series and the shadow_bits alias are gone from both surfaces.
+func TestShadowMetrics(t *testing.T) {
+	scrape := func(h http.Handler) (string, storeStatsJSON, string) {
+		t.Helper()
+		rec := do(h, "GET", "/metrics", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/metrics: %d", rec.Code)
+		}
+		body := rec.Body.String()
+		rec = do(h, "GET", "/v1/stats", "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/v1/stats: %d", rec.Code)
+		}
+		raw := rec.Body.String()
+		var resp statsResponse
+		decodeInto(t, rec, &resp)
+		for _, gone := range []string{"qse_store_shadow_bits", "_by_width"} {
+			if strings.Contains(body, gone) {
+				t.Errorf("scrape still carries %q:\n%s", gone, grepLines(body, gone))
+			}
+		}
+		for _, gone := range []string{`"shadow_bits"`, `"bound_widths"`} {
+			if strings.Contains(raw, gone) {
+				t.Errorf("/v1/stats still carries %s", gone)
+			}
+		}
+		return body, resp.Store, raw
+	}
+	search := func(h http.Handler) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if rec := do(h, "POST", "/v1/search", `{"query":[3,-3,0],"k":5,"p":20}`); rec.Code != http.StatusOK {
+				t.Fatalf("search %d: %d %s", i, rec.Code, rec.Body)
+			}
 		}
 	}
 
-	dims := st.Stats().Dims
-	shadow := 70 * ((dims*4 + 7) / 8) // one packed 4-bit stride per row
-	rec := do(h, "GET", "/metrics", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/metrics: %d", rec.Code)
+	// Below the gate: on, dormant, nothing screened.
+	small := testStore(t)
+	if err := small.SetQuantization(8); err != nil {
+		t.Fatalf("SetQuantization: %v", err)
 	}
-	body := rec.Body.String()
+	h := New(small, decodeVec, Options{}).Handler()
+	search(h)
+	body, s, _ := scrape(h)
+	for _, want := range []string{"qse_store_quantize_bits 8", "qse_store_shadow_bytes 0", "qse_store_bound_scanned_rows_total 0"} {
+		if !strings.Contains(body, want+"\n") {
+			t.Errorf("scrape missing %q, have:\n%s", want, grepLines(body, "qse_store_"))
+		}
+	}
+	if s.QuantBits != 8 || s.ShadowBytes != 0 || s.BoundScannedRows != 0 {
+		t.Fatalf("below the gate /v1/stats reports %d bits, %d shadow bytes, %d screened rows; want 8, 0, 0",
+			s.QuantBits, s.ShadowBytes, s.BoundScannedRows)
+	}
+
+	// Past the gate: 16 bytes a row, and every search screens every row.
+	big := gatedStore(t)
+	if err := big.SetQuantization(8); err != nil {
+		t.Fatalf("SetQuantization: %v", err)
+	}
+	h = New(big, decodeVec, Options{}).Handler()
+	search(h)
+	body, s, _ = scrape(h)
+	shadow := 16384 * 16
 	for _, want := range []string{
-		"qse_store_shadow_bits 4",
+		"qse_store_quantize_bits 8",
 		fmt.Sprintf("qse_store_shadow_bytes %d", shadow),
-		`qse_store_bound_scanned_rows_by_width_total{bits="4"} 210`,
-		`qse_store_bound_scanned_rows_by_width_total{bits="8"} 0`,
-		`qse_store_bound_prune_rate_by_width{bits="8"} 0`,
+		fmt.Sprintf("qse_store_bound_scanned_rows_total %d", 3*16384),
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("scrape missing %q, have:\n%s", want, grepLines(body, "qse_store_"))
 		}
 	}
-	if !strings.Contains(body, `qse_store_bound_exact_rows_by_width_total{bits="4"} `) {
-		t.Errorf("scrape missing 4-bit exact-rows series:\n%s", grepLines(body, "by_width"))
+	if s.QuantBits != 8 || s.ShadowBytes != int64(shadow) || s.BoundScannedRows != 3*16384 {
+		t.Fatalf("past the gate /v1/stats reports %d bits, %d shadow bytes, %d screened rows; want 8, %d, %d",
+			s.QuantBits, s.ShadowBytes, s.BoundScannedRows, shadow, 3*16384)
 	}
-
-	rec = do(h, "GET", "/v1/stats", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v1/stats: %d", rec.Code)
-	}
-	var resp statsResponse
-	decodeInto(t, rec, &resp)
-	s := resp.Store
-	if s.ShadowBits != 4 || s.ShadowBytes != int64(shadow) {
-		t.Fatalf("stats shadow block: bits %d bytes %d, want 4 / %d", s.ShadowBits, s.ShadowBytes, shadow)
-	}
-	bw, ok := s.BoundWidths["4"]
-	if !ok {
-		t.Fatalf("stats missing 4-bit width row: %+v", s.BoundWidths)
-	}
-	if bw.ScannedRows != 210 || bw.ExactRows == 0 || bw.ExactRows > bw.ScannedRows {
-		t.Fatalf("4-bit width row %+v, want 210 scanned with 0 < exact <= scanned", bw)
-	}
-	if bw.PruneRate < 0 || bw.PruneRate >= 1 {
-		t.Fatalf("4-bit prune rate %v out of range", bw.PruneRate)
-	}
-	if _, ok := s.BoundWidths["8"]; ok {
-		t.Fatalf("8-bit width row present without traffic: %+v", s.BoundWidths)
-	}
-	if s.BoundScannedRows != bw.ScannedRows || s.BoundExactRows != bw.ExactRows {
-		t.Fatalf("totals diverge from single-width traffic: %+v vs %+v", s, bw)
+	if s.BoundExactRows == 0 || s.BoundExactRows >= s.BoundScannedRows || s.BoundPruneRate <= 0 || s.BoundPruneRate >= 1 {
+		t.Fatalf("screen counters %d exact of %d scanned, prune rate %v", s.BoundExactRows, s.BoundScannedRows, s.BoundPruneRate)
 	}
 }

@@ -713,28 +713,17 @@ type storeStatsJSON struct {
 	LastSnapshotError   string `json:"last_snapshot_error,omitempty"`
 	LastSnapshotOKUnix  int64  `json:"last_snapshot_ok_unix"`
 	DegradedPersistence bool   `json:"degraded_persistence"`
-	// Quantized-scan health: the shadow block's bit width (0 = off),
-	// cumulative rows screened by the bound scan, the subset that needed
-	// an exact evaluation, and the resulting prune rate
-	// (1 - exact/scanned; 0 before any quantized scan runs).
+	// Quantized-scan health: the shadow block's bit width (8 = on,
+	// 0 = off), cumulative rows screened by the seeded screen, the subset
+	// that needed an exact evaluation, and the resulting prune rate
+	// (1 - exact/scanned; 0 before any screen runs). ShadowBytes is the
+	// resident size of the shadow (base plus delta; 0 while no base
+	// clears the size gate).
 	QuantBits        int     `json:"quantize_bits"`
 	BoundScannedRows uint64  `json:"bound_scanned_rows"`
 	BoundExactRows   uint64  `json:"bound_exact_rows"`
 	BoundPruneRate   float64 `json:"bound_prune_rate"`
-	// ShadowBits aliases quantize_bits under the shadow-block naming;
-	// ShadowBytes is the resident size of the packed shadow (base plus
-	// delta). BoundWidths breaks the scan counters down by the width that
-	// was active when each query ran — only widths with traffic appear.
-	ShadowBits  int                       `json:"shadow_bits"`
-	ShadowBytes int64                     `json:"shadow_bytes"`
-	BoundWidths map[string]boundWidthJSON `json:"bound_widths,omitempty"`
-}
-
-// boundWidthJSON is one quantization width's scan counters in /v1/stats.
-type boundWidthJSON struct {
-	ScannedRows uint64  `json:"scanned_rows"`
-	ExactRows   uint64  `json:"exact_rows"`
-	PruneRate   float64 `json:"prune_rate"`
+	ShadowBytes      int64   `json:"shadow_bytes"`
 }
 
 // resilienceJSON is the serving-resilience section of /v1/stats: the
@@ -788,32 +777,12 @@ type statsResponse struct {
 }
 
 // pruneRate is the fraction of bound-screened rows excluded without an
-// exact evaluation; 0 before any quantized scan has run.
+// exact evaluation; 0 before any screen has run.
 func pruneRate(scanned, exact uint64) float64 {
 	if scanned == 0 {
 		return 0
 	}
 	return 1 - float64(exact)/float64(scanned)
-}
-
-// boundWidths renders the per-width scan counters, keyed by the width's
-// decimal bit count; widths that never saw traffic are omitted.
-func boundWidths(st store.Stats) map[string]boundWidthJSON {
-	var out map[string]boundWidthJSON
-	for bits, bw := range st.BoundWidths {
-		if bw.ScannedRows == 0 && bw.ExactRows == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]boundWidthJSON)
-		}
-		out[strconv.Itoa(bits)] = boundWidthJSON{
-			ScannedRows: bw.ScannedRows,
-			ExactRows:   bw.ExactRows,
-			PruneRate:   pruneRate(bw.ScannedRows, bw.ExactRows),
-		}
-	}
-	return out
 }
 
 // resilience snapshots the middleware counters and gate occupancy.
@@ -898,9 +867,7 @@ func (s *Server[T]) handleStats(w http.ResponseWriter, r *http.Request) {
 			BoundScannedRows:    st.BoundScannedRows,
 			BoundExactRows:      st.BoundExactRows,
 			BoundPruneRate:      pruneRate(st.BoundScannedRows, st.BoundExactRows),
-			ShadowBits:          st.QuantBits,
 			ShadowBytes:         st.ShadowBytes,
-			BoundWidths:         boundWidths(st),
 		},
 		ShardDetail:   detail,
 		Filter:        filter,

@@ -383,11 +383,13 @@ type baseSectionBody struct {
 	Meta []meta.Map
 	// QuantBits, QuantBounds and Shadow persist the base's scalar-
 	// quantized shadow block (see internal/vafile): the bit width per
-	// dimension, the flat boundary grid, and one code byte per base
+	// dimension (8; older writers also used 1 to 7, which reopen
+	// rebuilt at 8), the flat boundary grid, and one code byte per base
 	// value — so reopening never re-sorts the base to rebuild
 	// boundaries. Zero/absent (every pre-quantization section) means
-	// quantization off; a QuantBits with an empty grid is legal and
-	// makes the open rebuild the shadow from the flat block.
+	// quantization off; a QuantBits with an empty grid is legal (a
+	// dormant shadow below the gate is written that way) and makes the
+	// open rebuild the shadow from the flat block.
 	QuantBits   int
 	QuantBounds []float64
 	Shadow      []uint8

@@ -61,25 +61,37 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 }
 
-// TestQuantizedEquivalence is the same randomized harness with the
-// sharded side running a shadow-block scan against an exact
-// (unquantized) reference, at every packed width: every
-// add/remove/upsert/compact/save/reopen interleaving must keep results
-// bit-identical, which is the executable form of the bound-scan
-// exactness argument in DESIGN.md §13–14. Reopens additionally prove
-// the quantization setting survives the bundle round trip (the shadow
-// is persisted, never silently dropped). Each width gets its own seed
-// offset so the schedules differ across the matrix without multiplying
-// its size.
+// TestQuantizedEquivalence is the same randomized harness with
+// quantization on for the sharded side against an exact (unquantized)
+// reference: every add/remove/upsert/compact/save/reopen interleaving
+// must keep results bit-identical, and reopens additionally prove the
+// quantization setting survives the bundle round trip. The fixture's
+// 48-row stores sit far below the gate (DESIGN §16), so their shadows
+// stay dormant — the harness asserts ShadowBytes == 0 throughout — and
+// this is the dormant state's equivalence check; TestGatedStoreMatchesExact
+// runs the seeded screen through a store. Each seed drives its own
+// schedule across the shard counts. The widths older versions also
+// built (1, 2 and 4 bits) keep a seed each: SetQuantization must refuse
+// them before any shard changes, and the store must then run the whole
+// schedule exact and unquantized, reopens included.
 func TestQuantizedEquivalence(t *testing.T) {
 	model, db := fixture(t, 48)
 	base := eqBaseSeed(t)
-	for wi, bits := range []int{1, 2, 4, 8} {
+	for wi, bits := range []int{1, 2, 4} {
 		for _, shards := range []int{1, 2, 7} {
 			bits, shards, seed := bits, shards, base+int64(wi)
 			t.Run(fmt.Sprintf("bits=%d/shards=%d/seed=%d", bits, shards, seed), func(t *testing.T) {
 				t.Parallel()
 				runEquivalence(t, model, db, shards, seed, bits)
+			})
+		}
+	}
+	for si := int64(0); si < 4; si++ {
+		for _, shards := range []int{1, 2, 7} {
+			shards, seed := shards, base+si
+			t.Run(fmt.Sprintf("bits=8/shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				t.Parallel()
+				runEquivalence(t, model, db, shards, seed, 8)
 			})
 		}
 	}
@@ -92,9 +104,10 @@ func TestQuantizedEquivalence(t *testing.T) {
 var eqPolicy = CompactionPolicy{MinDelta: 8, DeltaFrac: 0.1, MinDead: 8, DeadFrac: 0.2}
 
 // runEquivalence drives the reference and sharded stores through the
-// same randomized schedule. quantBits > 0 turns the shadow-block scan on
-// for the sharded side only — the reference stays exact, so every
-// search comparison doubles as a quantized-vs-exact bit-identity check.
+// same randomized schedule. quantBits = 8 turns quantization on for the
+// sharded side only — the reference stays exact, so every search
+// comparison doubles as a quantized-vs-exact bit-identity check. Any
+// other nonzero width must be refused, leaving both sides exact.
 func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, shards int, seed int64, quantBits int) {
 	ref, err := New(model, db, l1, Gob[[]float64]())
 	if err != nil {
@@ -110,11 +123,29 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 	// its shadow), so it bumps each shard's generation once; genOffset
 	// keeps the stats comparison exact.
 	genOffset := uint64(0)
-	if quantBits > 0 {
+	switch quantBits {
+	case 0:
+	case 8:
 		if err := shd.SetQuantization(quantBits); err != nil {
 			t.Fatalf("quantizing sharded store: %v", err)
 		}
 		genOffset = uint64(shards)
+		if sb := shd.Stats().ShadowBytes; sb != 0 {
+			t.Fatalf("a %d-row store below the gate carries %d shadow bytes", len(db), sb)
+		}
+	default:
+		// A refused width is no mutation: every shard keeps its
+		// generation and stays unquantized, and reopens must find the
+		// setting off.
+		if err := shd.SetQuantization(quantBits); err == nil {
+			t.Fatalf("SetQuantization(%d) accepted", quantBits)
+		}
+		for i, st := range shd.ShardStats() {
+			if st.QuantBits != 0 || st.Generation != 0 {
+				t.Fatalf("refused width %d changed shard %d: QuantBits %d, generation %d", quantBits, i, st.QuantBits, st.Generation)
+			}
+		}
+		quantBits = 0
 	}
 
 	rng := rand.New(rand.NewSource(seed))
@@ -246,8 +277,9 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 				if got := len(shd.shards); got != shards {
 					t.Fatalf("step %d: reopened with %d shards, want %d", step, got, shards)
 				}
-				if qb := shd.Stats().QuantBits; qb != quantBits {
-					t.Fatalf("step %d: reopened store reports QuantBits %d, want %d (shadow not persisted?)", step, qb, quantBits)
+				if st := shd.Stats(); st.QuantBits != quantBits || st.ShadowBytes != 0 {
+					t.Fatalf("step %d: reopened store reports QuantBits %d with %d shadow bytes, want %d with none (setting not persisted, or a shadow below the gate?)",
+						step, st.QuantBits, st.ShadowBytes, quantBits)
 				}
 				// Generation restarts at zero on open for both sides, which
 				// also absorbs the one-time SetQuantization bump.

@@ -219,7 +219,7 @@ func TestRenamedBundleSaveRewritesManifest(t *testing.T) {
 	}
 	// Two different mutations that each must survive the copy's save: a
 	// quantization change (base rewrite) and a fresh row (delta).
-	if err := c.SetQuantization(4); err != nil {
+	if err := c.SetQuantization(8); err != nil {
 		t.Fatal(err)
 	}
 	id, err := c.Add([]float64{2.5, -0.5, 1.5})
@@ -234,8 +234,8 @@ func TestRenamedBundleSaveRewritesManifest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopening the copied bundle: %v", err)
 	}
-	if got := r.Stats().QuantBits; got != 4 {
-		t.Fatalf("reopened copy has quantize bits %d, want 4 (manifest not rewritten under the new name?)", got)
+	if got := r.Stats().QuantBits; got != 8 {
+		t.Fatalf("reopened copy has quantize bits %d, want 8 (manifest not rewritten under the new name?)", got)
 	}
 	if _, ok := r.Get(id); !ok {
 		t.Fatalf("object %d added to the copy is gone after save + reopen", id)

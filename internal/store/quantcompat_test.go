@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"qse/internal/fsio"
 )
 
 // The committed fixtures under testdata/quantfixture were written by the
@@ -13,11 +16,11 @@ import (
 // one-off generator since deleted: fixture(t, 40) → New →
 // SetQuantization(bits) → Save → Add{1.5,-1.5,0.25} →
 // Add{99,-99,42} (outside the boundary range: an unsafe delta row) →
-// Remove(3) → Save. bits8/ carries an 8-bit shadow, whose packed and
-// unpacked layouts coincide byte for byte; bits4/ carries the legacy
-// unpacked one-byte-per-dimension 4-bit shadow that the open path must
-// repack. Regenerating them with the current writer would defeat the
-// test — do not.
+// Remove(3) → Save. bits8/ carries an 8-bit shadow; bits4/ carries the
+// legacy unpacked one-byte-per-dimension 4-bit shadow. Today both open
+// as quantization on at 8 bits, with the shadow dormant: their 40 rows
+// sit below the gate (DESIGN §16). Regenerating them with the current
+// writer would defeat the test — do not.
 
 // copyFixture copies one committed fixture directory into a temp dir so
 // the test can Save over it without touching the repository.
@@ -79,12 +82,13 @@ func (s *Store[T]) exactTwin(t *testing.T) *Store[T] {
 }
 
 // TestQuantBundleCompat pins the on-disk compatibility story: PR-9 era
-// bundles — 8-bit shadows and legacy unpacked 4-bit shadows — open
-// unchanged, answer bit-identically to the exact scan, and migrate to
-// the packed layout on the next save. SetQuantization to a different
-// width must force a base rewrite.
+// bundles — 8-bit shadows and legacy unpacked 4-bit shadows — open with
+// quantization on at 8 bits, their shadows dormant below the gate (a
+// shadow is derived from the base vectors, so dropping one loses
+// nothing), answer bit-identically to the exact scan, and keep that
+// through a save. Turning quantization off must force a base rewrite.
 func TestQuantBundleCompat(t *testing.T) {
-	for name, bits := range map[string]int{"bits4": 4, "bits8": 8} {
+	for _, name := range []string{"bits4", "bits8"} {
 		t.Run(name, func(t *testing.T) {
 			path := copyFixture(t, name)
 			st, err := Open(path, l1, Gob[[]float64]())
@@ -92,46 +96,36 @@ func TestQuantBundleCompat(t *testing.T) {
 				t.Fatalf("opening legacy %s bundle: %v", name, err)
 			}
 			stats := st.Stats()
-			if stats.QuantBits != bits {
-				t.Fatalf("reopened width %d, fixture carries %d", stats.QuantBits, bits)
-			}
-			// 40 base rows + 2 replayed delta rows, one packed stride each
-			// over the embedded dims — regardless of how the fixture stored
-			// the shadow.
-			stride := (stats.Dims*bits + 7) / 8
-			if want := int64(42 * stride); stats.ShadowBytes != want {
-				t.Fatalf("shadow occupies %d bytes after open, want %d", stats.ShadowBytes, want)
+			if stats.QuantBits != 8 || stats.ShadowBytes != 0 {
+				t.Fatalf("reopened at %d bits with %d shadow bytes, want 8 and a dormant shadow", stats.QuantBits, stats.ShadowBytes)
 			}
 			if stats.Size != 41 { // Remove(3) tombstoned one of the 42
 				t.Fatalf("fixture live size %d, want 41", stats.Size)
 			}
 			assertExactMatch(t, st, name)
 
-			// Saving the migrated store must round-trip: the rewritten
-			// bundle reopens at the same width and keeps exactness.
+			// Saving the reopened store must round-trip the setting.
 			if err := st.Save(path); err != nil {
 				t.Fatal(err)
 			}
 			re, err := Open(path, l1, Gob[[]float64]())
 			if err != nil {
-				t.Fatalf("reopening migrated bundle: %v", err)
+				t.Fatalf("reopening the resaved bundle: %v", err)
 			}
-			if got := re.Stats(); got.QuantBits != bits || got.ShadowBytes != stats.ShadowBytes {
-				t.Fatalf("migrated bundle reopened as width %d / %d shadow bytes, want %d / %d",
-					got.QuantBits, got.ShadowBytes, bits, stats.ShadowBytes)
+			if got := re.Stats(); got.QuantBits != 8 || got.ShadowBytes != 0 {
+				t.Fatalf("resaved bundle reopened at %d bits with %d shadow bytes, want 8 and 0", got.QuantBits, got.ShadowBytes)
 			}
 			assertExactMatch(t, re, name+"/resaved")
 
-			// A width change is a real mutation: the next save must rewrite
-			// the base section with the new shadow, and the reopened store
-			// must carry the new width.
-			newBits := 12 - bits // 4 <-> 8
+			// Turning quantization off is a real mutation: the next save
+			// must rewrite the base section, and the reopened store must
+			// carry the setting.
 			base := path + ".shard-000-of-001.base"
 			before, err := os.ReadFile(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := re.SetQuantization(newBits); err != nil {
+			if err := re.SetQuantization(0); err != nil {
 				t.Fatal(err)
 			}
 			if err := re.Save(path); err != nil {
@@ -142,16 +136,49 @@ func TestQuantBundleCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			if bytes.Equal(before, after) {
-				t.Fatalf("base section unchanged after SetQuantization(%d)+Save", newBits)
+				t.Fatal("base section unchanged after SetQuantization(0)+Save")
 			}
 			sw, err := Open(path, l1, Gob[[]float64]())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := sw.Stats().QuantBits; got != newBits {
-				t.Fatalf("width after switch save %d, want %d", got, newBits)
+			if got := sw.Stats().QuantBits; got != 0 {
+				t.Fatalf("width after switch save %d, want 0", got)
 			}
 			assertExactMatch(t, sw, name+"/switched")
 		})
+	}
+}
+
+// TestQuantBundleNarrowWidth opens a base section recorded at 3 bits —
+// a width older writers used — which must answer like its exact twin,
+// and a section recording a width past 8, which must fail as
+// ErrCorrupt.
+func TestQuantBundleNarrowWidth(t *testing.T) {
+	path := copyFixture(t, "bits4")
+	basePath := path + ".shard-000-of-001.base"
+	rewrite := func(bits int) {
+		t.Helper()
+		body, err := readBaseSection(fsio.OS(), basePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.QuantBits = bits
+		if _, err := writeBaseSection(fsio.OS(), basePath, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite(3)
+	st, err := Open(path, l1, Gob[[]float64]())
+	if err != nil {
+		t.Fatalf("opening a 3-bit section: %v", err)
+	}
+	if got := st.Stats(); got.QuantBits != 8 || got.ShadowBytes != 0 || got.Size != 41 {
+		t.Fatalf("3-bit section opened at %d bits, %d shadow bytes, %d rows; want 8, 0, 41", got.QuantBits, got.ShadowBytes, got.Size)
+	}
+	assertExactMatch(t, st, "bits3")
+	rewrite(9)
+	if _, err := Open(path, l1, Gob[[]float64]()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a 9-bit section opened with %v, want ErrCorrupt", err)
 	}
 }

@@ -159,10 +159,6 @@ type Sharded[T any] struct {
 	// shards, so the front accounts them; the shards' own pairs stay 0).
 	boundRows  atomic.Uint64
 	boundExact atomic.Uint64
-	// boundRowsW/boundExactW break the pair above down by the
-	// quantization width the query ran at (index = bits per dimension).
-	boundRowsW  [9]atomic.Uint64
-	boundExactW [9]atomic.Uint64
 
 	// lcMu guards the background lifecycle started by Start.
 	lcMu sync.Mutex
@@ -589,21 +585,11 @@ func (s *Sharded[T]) search(snaps []*snapshot[T], q T, k, p int, parallel bool, 
 	for i, sh := range s.shards {
 		sh.noteScan(snaps[i])
 	}
-	bits := 0
-	if len(snaps) > 0 {
-		bits = snaps[0].seg.QuantBits()
-	}
 	if st.Timing.BoundScannedRows > 0 {
 		s.boundRows.Add(uint64(st.Timing.BoundScannedRows))
-		if bits >= 1 && bits <= 8 {
-			s.boundRowsW[bits].Add(uint64(st.Timing.BoundScannedRows))
-		}
 	}
 	if st.Timing.BoundExactRows > 0 {
 		s.boundExact.Add(uint64(st.Timing.BoundExactRows))
-		if bits >= 1 && bits <= 8 {
-			s.boundExactW[bits].Add(uint64(st.Timing.BoundExactRows))
-		}
 	}
 	return res, st, nil
 }
@@ -773,11 +759,12 @@ func (s *Sharded[T]) SetCompactionPolicy(p CompactionPolicy) {
 	}
 }
 
-// SetQuantization sets every shard's shadow-block quantization width
+// SetQuantization turns every shard's shadow block on (8) or off (0)
 // (see Store.SetQuantization). Shards quantize independently — each
-// builds boundaries over its own base — and a failing shard stops the
-// sweep, leaving earlier shards quantized; results stay exact either
-// way, so a partial application only means uneven scan speed.
+// applies the gate to its own base and builds boundaries over it — and a
+// failing shard stops the sweep, leaving earlier shards quantized;
+// results stay exact either way, so a partial application only means
+// uneven scan speed.
 func (s *Sharded[T]) SetQuantization(bits int) error {
 	for i, sh := range s.shards {
 		if err := sh.SetQuantization(bits); err != nil {
@@ -801,12 +788,6 @@ func (s *Sharded[T]) Stats() Stats {
 	}
 	agg.BoundScannedRows = s.boundRows.Load()
 	agg.BoundExactRows = s.boundExact.Load()
-	for bits := range agg.BoundWidths {
-		agg.BoundWidths[bits] = BoundWidth{
-			ScannedRows: s.boundRowsW[bits].Load(),
-			ExactRows:   s.boundExactW[bits].Load(),
-		}
-	}
 	var rows, waste uint64
 	for i, sh := range s.shards {
 		st := sh.Stats()
@@ -825,10 +806,6 @@ func (s *Sharded[T]) Stats() Stats {
 		agg.BoundScannedRows += st.BoundScannedRows
 		agg.BoundExactRows += st.BoundExactRows
 		agg.ShadowBytes += st.ShadowBytes
-		for bits := range agg.BoundWidths {
-			agg.BoundWidths[bits].ScannedRows += st.BoundWidths[bits].ScannedRows
-			agg.BoundWidths[bits].ExactRows += st.BoundWidths[bits].ExactRows
-		}
 		r, w := sh.scanCounters()
 		rows += r
 		waste += w

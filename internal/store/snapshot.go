@@ -492,7 +492,8 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 	}
 
 	// Restore the quantized shadow saved with the base; sections from
-	// before quantization carry zero values and open with it off.
+	// before quantization carry zero values and open with it off, and
+	// sections written at a narrower width rebuild it at 8 bits.
 	if b.QuantBits > 0 {
 		seg, err = seg.QuantizeFromParts(b.QuantBits, b.QuantBounds, b.Shadow)
 		if err != nil {

@@ -82,33 +82,21 @@ type Stats struct {
 	LastSnapshotError   string
 	LastSnapshotOKUnix  int64
 	DegradedPersistence bool
-	// QuantBits is the configured shadow-block quantization width in
-	// bits per dimension (0 = quantization off, see SetQuantization).
-	// BoundScannedRows counts rows whose quantized bounds the filter
-	// scan examined; BoundExactRows the subset the bounds could not
-	// exclude, which the scan then evaluated against the exact float64
-	// block — their ratio is the measured prune rate. Both accumulate
-	// over the store's lifetime. In an aggregate Stats the counters are
-	// summed and QuantBits is the shards' common setting.
+	// QuantBits is the shadow-block quantization setting: 8 when
+	// quantization is on, 0 when off (see SetQuantization).
+	// BoundScannedRows counts rows the seeded screen examined;
+	// BoundExactRows the subset the bounds could not exclude, which the
+	// scan then evaluated against the exact float64 block — their ratio
+	// is the measured prune rate. Both accumulate over the store's
+	// lifetime. In an aggregate Stats the counters are summed and
+	// QuantBits is the shards' common setting.
 	QuantBits        int
 	BoundScannedRows uint64
 	BoundExactRows   uint64
-	// ShadowBytes is the resident size of the packed shadow block (base
-	// plus delta), 0 when quantization is off or dormant. BoundWidths
-	// breaks the two counters above down by the quantization width that
-	// was active when each query ran, indexed by bits per dimension —
-	// only the packed widths 1, 2, 4, and 8 are ever populated, so a
-	// width change mid-lifetime stays attributable.
+	// ShadowBytes is the resident size of the shadow block (base plus
+	// delta), 0 when quantization is off or dormant — a base below the
+	// gate (DESIGN §16) carries no shadow.
 	ShadowBytes int64
-	BoundWidths [9]BoundWidth
-}
-
-// BoundWidth is one quantization width's slice of the shadow-scan
-// counters (see Stats.BoundWidths): rows the bound scan examined at
-// that width and the subset it had to evaluate exactly.
-type BoundWidth struct {
-	ScannedRows uint64
-	ExactRows   uint64
 }
 
 // CompactionPolicy decides when the mutation path folds the delta segment
@@ -376,11 +364,6 @@ type Store[T any] struct {
 	// shards, so per-shard attribution does not exist).
 	boundRows  atomic.Uint64
 	boundExact atomic.Uint64
-	// boundRowsW/boundExactW are the same counters broken down by the
-	// quantization width active when the query ran (index = bits per
-	// dimension; only the packed widths 1, 2, 4, 8 are ever touched).
-	boundRowsW  [9]atomic.Uint64
-	boundExactW [9]atomic.Uint64
 
 	// saveMu serializes saves (mutations and searches are never blocked:
 	// they use mu and no lock respectively) and guards the incremental
@@ -688,7 +671,7 @@ func (s *Store[T]) SearchFiltered(q T, k, p int, pred *meta.Predicate) ([]Result
 		return nil, retrieval.Stats{}, err
 	}
 	s.noteScan(snap)
-	s.noteBound(st.Timing, snap.seg.QuantBits())
+	s.noteBound(st.Timing)
 	return res, st, nil
 }
 
@@ -721,7 +704,7 @@ func (s *Store[T]) SearchBatchFiltered(queries []T, k, p int, pred *meta.Predica
 			return nil, nil, fmt.Errorf("query %d: %w", i, err)
 		}
 		s.noteScan(snap)
-		s.noteBound(stats[i].Timing, snap.seg.QuantBits())
+		s.noteBound(stats[i].Timing)
 	}
 	return results, stats, nil
 }
@@ -752,21 +735,14 @@ func (s *Store[T]) scanCounters() (rows, waste uint64) {
 }
 
 // noteBound accounts one query's shadow-scan counters toward the
-// store's lifetime prune-rate statistics, attributed to the
-// quantization width the query ran at. Zero counters (quantization
-// off) add nothing.
-func (s *Store[T]) noteBound(t retrieval.Timing, bits int) {
+// store's lifetime prune-rate statistics. Zero counters (no screen ran)
+// add nothing.
+func (s *Store[T]) noteBound(t retrieval.Timing) {
 	if t.BoundScannedRows > 0 {
 		s.boundRows.Add(uint64(t.BoundScannedRows))
-		if bits >= 1 && bits <= 8 {
-			s.boundRowsW[bits].Add(uint64(t.BoundScannedRows))
-		}
 	}
 	if t.BoundExactRows > 0 {
 		s.boundExact.Add(uint64(t.BoundExactRows))
-		if bits >= 1 && bits <= 8 {
-			s.boundExactW[bits].Add(uint64(t.BoundExactRows))
-		}
 	}
 }
 
@@ -1195,19 +1171,20 @@ func (s *Store[T]) Remove(id uint64) error {
 	return nil
 }
 
-// SetQuantization sets the shadow-block quantization width to bits per
-// dimension (1, 2, 4, or 8 — the widths that tile bytes exactly, see
-// the packed layout in DESIGN.md §14) or disables it (0). Quantization
-// is a pure scan
-// accelerator — results stay bit-identical to the exact scan — so the
-// generation is unchanged; the base tag is refreshed so the next save
-// rewrites the base section with (or without) the shadow block.
-// Turning it on builds boundaries and encodes the current segments —
-// O(n·dims) once; every later mutation maintains the shadow
-// incrementally, and compaction re-quantizes the fresh base under the
-// same width. On an empty store the width is recorded and the shadow
-// materializes at the first compaction that yields a non-empty base.
+// SetQuantization turns the shadow block on (bits = 8) or off (bits =
+// 0); any other width is rejected. Quantization is a pure scan
+// accelerator — results stay bit-identical to the exact scan. A change
+// bumps the generation and refreshes the base tag, so the next save
+// rewrites the base section with (or without) the shadow block. A base
+// segment that clears the gate (at least 16,384 rows and 16 dimensions,
+// DESIGN §16) gets its shadow built now — O(n·dims) once; every later
+// mutation maintains it incrementally, and compaction re-quantizes the
+// fresh base. Any other base stays dormant, scanned exactly, until a
+// compaction folds one that clears the gate.
 func (s *Store[T]) SetQuantization(bits int) error {
+	if bits != 0 && bits != 8 {
+		return fmt.Errorf("store: quantize bits = %d, want 0 (off) or 8", bits)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old := s.cur.Load()
@@ -1219,7 +1196,7 @@ func (s *Store[T]) SetQuantization(bits int) error {
 		seg = old.seg.Dequantize()
 	} else {
 		var err error
-		seg, err = old.seg.Quantize(bits)
+		seg, err = old.seg.Quantize()
 		if err != nil {
 			return err
 		}
@@ -1294,12 +1271,13 @@ func (s *Store[T]) runCompaction(sn *snapshot[T]) *snapshot[T] {
 func compactSnapshot[T any](sn *snapshot[T]) *snapshot[T] {
 	ix, ids, blk := sn.compacted()
 	out := newBaseSnapshot(ix, ids, sn.gen, newBaseTag(), blk)
-	if bits := sn.seg.QuantBits(); bits > 0 {
-		// Carry the quantization width across the fold: fresh boundaries
-		// over the fresh base, so the shadow stays tight as the data
-		// drifts. A base that cannot be quantized (possible only with
-		// non-finite vectors) falls back to the exact scan.
-		if seg, err := out.seg.Quantize(bits); err == nil {
+	if sn.seg.QuantBits() > 0 {
+		// Carry quantization across the fold: fresh boundaries over the
+		// fresh base, so the shadow stays tight as the data drifts, and
+		// the gate is applied to the new base's size. A base that cannot
+		// be quantized (possible only with non-finite vectors) falls back
+		// to the exact scan.
+		if seg, err := out.seg.Quantize(); err == nil {
 			out.seg = seg
 		}
 	}
@@ -1343,12 +1321,6 @@ func (s *Store[T]) Stats() Stats {
 		BoundScannedRows:    s.boundRows.Load(),
 		BoundExactRows:      s.boundExact.Load(),
 		ShadowBytes:         int64(snap.seg.ShadowBytes()),
-	}
-	for bits := range st.BoundWidths {
-		st.BoundWidths[bits] = BoundWidth{
-			ScannedRows: s.boundRowsW[bits].Load(),
-			ExactRows:   s.boundExactW[bits].Load(),
-		}
 	}
 	s.health.fill(&st)
 	return st

@@ -7,17 +7,17 @@ import (
 
 // FuzzBounds fuzzes the bracket property the two-phase scan rests on:
 // for any block, query, and weight vector decoded from raw bytes,
-// RowLower <= true weighted L1 <= RowUpper for every in-range row.
+// RowLower and RowLowerBounded <= true weighted L1 <= RowUpper for every
+// in-range row.
 // Bytes map to values via (b-128)/16 so the fuzzer explores negative
 // values, duplicates, and constant dimensions without a structured
 // generator.
 func FuzzBounds(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(3))
-	f.Add([]byte{128, 128, 128, 128, 128, 128}, uint8(1), uint8(1))
-	f.Add([]byte{0, 255, 0, 255, 7, 7, 7, 7, 200, 13}, uint8(3), uint8(8))
-	f.Fuzz(func(t *testing.T, raw []byte, dRaw, bitsRaw uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2))
+	f.Add([]byte{128, 128, 128, 128, 128, 128}, uint8(1))
+	f.Add([]byte{0, 255, 0, 255, 7, 7, 7, 7, 200, 13}, uint8(3))
+	f.Fuzz(func(t *testing.T, raw []byte, dRaw uint8) {
 		dims := 1 + int(dRaw%4)
-		bits := MinBits + int(bitsRaw)%(MaxBits-MinBits+1)
 		// The first two rows' worth of bytes become query + weights; the
 		// rest is the block.
 		if len(raw) < 3*dims {
@@ -40,11 +40,11 @@ func FuzzBounds(f *testing.F) {
 			block[i] = val(body[i])
 		}
 
-		b, err := BuildBoundaries(block, rows, dims, bits)
+		b, err := BuildBoundaries(block, rows, dims)
 		if err != nil {
 			t.Fatalf("finite block rejected: %v", err)
 		}
-		rt, err := FromFlat(b.Flat(), dims, bits)
+		rt, err := FromFlat(b.Flat(), dims)
 		if err != nil {
 			t.Fatalf("own grid rejected by FromFlat: %v", err)
 		}
@@ -70,93 +70,14 @@ func FuzzBounds(f *testing.F) {
 			dist := trueWeightedL1(w, q, row)
 			lb, ub := tbl.RowLower(codes), tbl.RowUpper(codes)
 			if lb > dist || dist > ub {
-				t.Fatalf("row %d: bounds [%g, %g] do not bracket %g (dims=%d bits=%d)", r, lb, ub, dist, dims, bits)
+				t.Fatalf("row %d: bounds [%g, %g] do not bracket %g (dims=%d)", r, lb, ub, dist, dims)
 			}
 			if lb < 0 || ub < lb {
 				t.Fatalf("row %d: malformed bounds [%g, %g]", r, lb, ub)
 			}
-			// At the byte-tiling widths the packed encoding must agree
-			// with the unpacked one field for field.
-			if PackedWidth(bits) {
-				stride := PackedStride(dims, bits)
-				packed := make([]uint8, stride)
-				if !b.EncodePacked(row, packed) {
-					t.Fatalf("row %d: EncodePacked reported out of range, Encode did not", r)
-				}
-				viaPack := make([]uint8, stride)
-				PackRow(codes, bits, viaPack)
-				for i := range packed {
-					if packed[i] != viaPack[i] {
-						t.Fatalf("row %d byte %d: EncodePacked %08b != PackRow(Encode) %08b", r, i, packed[i], viaPack[i])
-					}
-				}
-				unpacked := make([]uint8, dims)
-				UnpackRow(packed, dims, bits, unpacked)
-				for d := range codes {
-					if unpacked[d] != codes[d] {
-						t.Fatalf("row %d dim %d: unpacked code %d != %d", r, d, unpacked[d], codes[d])
-					}
-				}
-			}
-		}
-	})
-}
-
-// FuzzPackedRoundTrip fuzzes the packed code layout in isolation: for
-// any code row at any packed width, pack-then-unpack is the identity on
-// masked codes, packing is canonical (pad bits zero, stable under a
-// second round trip), and raw packed bytes with clean pad bits survive
-// unpack-then-pack byte-identically — the property the bundle reader's
-// pad validation rests on.
-func FuzzPackedRoundTrip(f *testing.F) {
-	f.Add([]byte{0x12, 0x34, 0xff, 0x00}, uint8(5), uint8(2))
-	f.Add([]byte{1, 2, 3}, uint8(2), uint8(0))
-	f.Add([]byte{0xaa, 0x55}, uint8(1), uint8(3))
-	f.Fuzz(func(t *testing.T, raw []byte, dRaw, widthRaw uint8) {
-		widths := [4]int{1, 2, 4, 8}
-		bits := widths[widthRaw%4]
-		dims := 1 + int(dRaw%17)
-		if len(raw) < dims {
-			t.Skip()
-		}
-		mask := uint8(1<<bits - 1)
-		codes := make([]uint8, dims)
-		for d := range codes {
-			codes[d] = raw[d] & mask
-		}
-		stride := PackedStride(dims, bits)
-		packed := make([]uint8, stride)
-		PackRow(codes, bits, packed)
-		if pad := stride*8 - dims*bits; pad > 0 {
-			if packed[stride-1]&(uint8(0xff)<<(8-pad)) != 0 {
-				t.Fatalf("dims=%d bits=%d: nonzero pad bits in %08b", dims, bits, packed[stride-1])
-			}
-		}
-		back := make([]uint8, dims)
-		UnpackRow(packed, dims, bits, back)
-		for d := range codes {
-			if back[d] != codes[d] {
-				t.Fatalf("dims=%d bits=%d dim=%d: %d != %d after round trip", dims, bits, d, back[d], codes[d])
-			}
-		}
-		again := make([]uint8, stride)
-		PackRow(back, bits, again)
-		for i := range packed {
-			if again[i] != packed[i] {
-				t.Fatalf("dims=%d bits=%d byte=%d: packing not canonical: %08b != %08b", dims, bits, i, again[i], packed[i])
-			}
-		}
-		// Unmasked codes must pack identically to their masked form — a
-		// corrupt caller cannot spill into a neighboring field.
-		dirty := make([]uint8, dims)
-		for d := range dirty {
-			dirty[d] = raw[d]
-		}
-		viaDirty := make([]uint8, stride)
-		PackRow(dirty, bits, viaDirty)
-		for i := range packed {
-			if viaDirty[i] != packed[i] {
-				t.Fatalf("dims=%d bits=%d byte=%d: unmasked codes leaked: %08b != %08b", dims, bits, i, viaDirty[i], packed[i])
+			// The screen's reassociated kernel must bound the row too.
+			if lbb, within := tbl.RowLowerBounded(codes, math.Inf(1)); !within || lbb > dist {
+				t.Fatalf("row %d: RowLowerBounded (%g, %v) vs true %g", r, lbb, within, dist)
 			}
 		}
 	})

@@ -1,7 +1,7 @@
 // Package vafile implements the bound machinery of a VA-file (Weber,
 // Schek & Blott, VLDB 1998 — the paper's reference [35]) over the
 // repository's row-major flat vector blocks: per-dimension scalar
-// quantization into equi-populated cells, a one-byte-per-dimension
+// quantization into 256 equi-populated cells, a one-byte-per-dimension
 // shadow code for every row, and per-query lookup tables that turn a
 // row's codes into provable lower/upper bounds on its weighted L1
 // distance to the query.
@@ -38,74 +38,13 @@ import (
 	"qse/internal/par"
 )
 
-// Bit-width limits: one byte per dimension caps cells at 2^8.
+// Bits is the code width: one byte per dimension, so a row's codes are
+// its shadow row and the scan reads eight of them per load. cells is the
+// number of cells per dimension.
 const (
-	MinBits = 1
-	MaxBits = 8
+	Bits  = 8
+	cells = 1 << Bits
 )
-
-// PackedWidth reports whether bits is a packed storage width: one whose
-// fields tile bytes exactly (bits divides 8), so a code never straddles
-// a byte boundary and the scan kernels can extract it with one shift and
-// mask. The boundary/table math works for any MinBits..MaxBits width;
-// packed shadow storage is restricted to these.
-func PackedWidth(bits int) bool {
-	return bits == 1 || bits == 2 || bits == 4 || bits == 8
-}
-
-// PackedStride returns the bytes per row of a packed shadow block:
-// ceil(dims*bits/8). At 4 bits two dimensions share a byte (low nibble =
-// lower dimension); trailing pad bits in a row's last byte are always
-// zero.
-func PackedStride(dims, bits int) int {
-	return (dims*bits + 7) / 8
-}
-
-// PackRow packs dims one-byte codes into dst (PackedStride bytes,
-// little-endian within each byte: the code for dimension d lands at bit
-// offset (d*bits)%8 of byte (d*bits)/8). Codes are masked to the field
-// width, so out-of-range inputs cannot corrupt neighboring fields. bits
-// must be a PackedWidth.
-func PackRow(codes []uint8, bits int, dst []uint8) {
-	if bits == 8 {
-		copy(dst, codes)
-		return
-	}
-	mask := uint8(1<<bits - 1)
-	var cur uint8
-	sh, di := 0, 0
-	for _, c := range codes {
-		cur |= (c & mask) << sh
-		sh += bits
-		if sh == 8 {
-			dst[di] = cur
-			di++
-			cur, sh = 0, 0
-		}
-	}
-	if sh > 0 {
-		dst[di] = cur
-	}
-}
-
-// UnpackRow is PackRow's inverse: it expands dims packed fields into one
-// code byte per dimension. bits must be a PackedWidth.
-func UnpackRow(packed []uint8, dims, bits int, dst []uint8) {
-	if bits == 8 {
-		copy(dst[:dims], packed)
-		return
-	}
-	mask := uint8(1<<bits - 1)
-	sh, i := 0, 0
-	for d := 0; d < dims; d++ {
-		dst[d] = (packed[i] >> sh) & mask
-		sh += bits
-		if sh == 8 {
-			sh = 0
-			i++
-		}
-	}
-}
 
 // Boundaries is one segment's per-dimension quantization grid: for each
 // dimension, cells+1 non-decreasing boundary values whose consecutive
@@ -113,7 +52,7 @@ func UnpackRow(packed []uint8, dims, bits int, dst []uint8) {
 // segment's own values) keeps cells tight where the data is dense, which
 // is what makes the bounds selective. Immutable after construction.
 type Boundaries struct {
-	dims, bits, cells int
+	dims int
 	// flat stores the grid row-major by dimension: dimension d's
 	// boundaries are flat[d*(cells+1) : (d+1)*(cells+1)].
 	flat []float64
@@ -123,10 +62,7 @@ type Boundaries struct {
 // row-major block of rows x dims values (the segment the shadow block
 // will cover). Every value must be finite — embedded vectors always are,
 // and a non-finite value would poison the bound math silently.
-func BuildBoundaries(block []float64, rows, dims, bits int) (*Boundaries, error) {
-	if bits < MinBits || bits > MaxBits {
-		return nil, fmt.Errorf("vafile: bits = %d, want %d..%d", bits, MinBits, MaxBits)
-	}
+func BuildBoundaries(block []float64, rows, dims int) (*Boundaries, error) {
 	if rows <= 0 || dims <= 0 {
 		return nil, fmt.Errorf("vafile: %d rows x %d dims, want both > 0", rows, dims)
 	}
@@ -138,8 +74,7 @@ func BuildBoundaries(block []float64, rows, dims, bits int) (*Boundaries, error)
 			return nil, fmt.Errorf("vafile: block contains a non-finite value")
 		}
 	}
-	cells := 1 << bits
-	b := &Boundaries{dims: dims, bits: bits, cells: cells, flat: make([]float64, dims*(cells+1))}
+	b := &Boundaries{dims: dims, flat: make([]float64, dims*(cells+1))}
 	// Each dimension is independent, so the column sorts fan out; the
 	// result is identical to a serial build.
 	par.For(dims, 4, func(lo, hi int) {
@@ -170,14 +105,10 @@ func BuildBoundaries(block []float64, rows, dims, bits int) (*Boundaries, error)
 // of Flat). The grid is validated — length, finiteness, per-dimension
 // monotonicity — so a damaged bundle section cannot smuggle an invalid
 // grid into the scan.
-func FromFlat(flat []float64, dims, bits int) (*Boundaries, error) {
-	if bits < MinBits || bits > MaxBits {
-		return nil, fmt.Errorf("vafile: bits = %d, want %d..%d", bits, MinBits, MaxBits)
-	}
+func FromFlat(flat []float64, dims int) (*Boundaries, error) {
 	if dims <= 0 {
 		return nil, fmt.Errorf("vafile: dims = %d, want > 0", dims)
 	}
-	cells := 1 << bits
 	if len(flat) != dims*(cells+1) {
 		return nil, fmt.Errorf("vafile: boundary grid has %d values, want %d dims x %d", len(flat), dims, cells+1)
 	}
@@ -192,17 +123,11 @@ func FromFlat(flat []float64, dims, bits int) (*Boundaries, error) {
 			}
 		}
 	}
-	return &Boundaries{dims: dims, bits: bits, cells: cells, flat: flat}, nil
+	return &Boundaries{dims: dims, flat: flat}, nil
 }
 
 // Dims returns the grid's dimensionality.
 func (b *Boundaries) Dims() int { return b.dims }
-
-// Bits returns the quantization width in bits per dimension.
-func (b *Boundaries) Bits() int { return b.bits }
-
-// Cells returns the number of cells per dimension (2^Bits).
-func (b *Boundaries) Cells() int { return b.cells }
 
 // Flat returns the grid's backing storage (dims x (cells+1), row-major
 // by dimension) — the persist shape FromFlat restores. Callers must not
@@ -214,15 +139,15 @@ func (b *Boundaries) Flat() []float64 { return b.flat }
 // folds into the last cell), so every in-range value lands in a cell
 // that contains it — the property the bound argument rests on.
 func (b *Boundaries) cellOf(d int, v float64) int {
-	bd := b.flat[d*(b.cells+1) : (d+1)*(b.cells+1)]
+	bd := b.flat[d*(cells+1) : (d+1)*(cells+1)]
 	c := sort.SearchFloat64s(bd, v)
 	if c == len(bd) || bd[c] != v {
 		c--
 	}
 	if c < 0 {
 		c = 0
-	} else if c >= b.cells {
-		c = b.cells - 1
+	} else if c >= cells {
+		c = cells - 1
 	}
 	return c
 }
@@ -236,8 +161,8 @@ func (b *Boundaries) Encode(row []float64, dst []uint8) bool {
 	inRange := true
 	for d := 0; d < b.dims; d++ {
 		v := row[d]
-		bd := b.flat[d*(b.cells+1) : (d+1)*(b.cells+1)]
-		if !(v >= bd[0] && v <= bd[b.cells]) { // NaN fails both comparisons
+		bd := b.flat[d*(cells+1) : (d+1)*(cells+1)]
+		if !(v >= bd[0] && v <= bd[cells]) { // NaN fails both comparisons
 			inRange = false
 		}
 		dst[d] = uint8(b.cellOf(d, v))
@@ -259,73 +184,20 @@ func (b *Boundaries) EncodeBlock(block []float64, rows int) []uint8 {
 	return codes
 }
 
-// EncodePacked is Encode writing directly into a packed row (PackedStride
-// bytes) without materializing the one-byte-per-dimension form. The
-// grid's Bits must be a PackedWidth. The in-range report matches Encode's
-// exactly.
-func (b *Boundaries) EncodePacked(row []float64, dst []uint8) bool {
-	if b.bits == 8 {
-		return b.Encode(row, dst)
-	}
-	inRange := true
-	var cur uint8
-	sh, di := 0, 0
-	for d := 0; d < b.dims; d++ {
-		v := row[d]
-		bd := b.flat[d*(b.cells+1) : (d+1)*(b.cells+1)]
-		if !(v >= bd[0] && v <= bd[b.cells]) { // NaN fails both comparisons
-			inRange = false
-		}
-		cur |= uint8(b.cellOf(d, v)) << sh
-		sh += b.bits
-		if sh == 8 {
-			dst[di] = cur
-			di++
-			cur, sh = 0, 0
-		}
-	}
-	if sh > 0 {
-		dst[di] = cur
-	}
-	return inRange
-}
-
-// EncodePackedBlock encodes a row-major block of rows x Dims values into
-// a fresh packed shadow block (rows x PackedStride bytes). Like
-// EncodeBlock, a block the boundaries were built from is in range by
-// construction, so no report is needed.
-func (b *Boundaries) EncodePackedBlock(block []float64, rows int) []uint8 {
-	stride := PackedStride(b.dims, b.bits)
-	packed := make([]uint8, rows*stride)
-	par.For(rows, 512, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			b.EncodePacked(block[r*b.dims:(r+1)*b.dims], packed[r*stride:(r+1)*stride])
-		}
-	})
-	return packed
-}
-
 // Tables are one query's per-cell bound lookup tables: for dimension d
-// and cell c, entry d*Cells+c bounds the weighted per-dimension distance
+// and cell c, entry d*cells+c bounds the weighted per-dimension distance
 // w_d*|q_d - v| below (lb) or above (ub) for any v in the cell. Summing
 // entries over a row's codes bounds the row's full weighted L1.
 type Tables struct {
-	dims, cells int
-	lb, ub      []float64
-	// lb16/ub16 mirror lb/ub as one fixed-size [16]float64 array per
-	// dimension when the grid has at most 16 cells (bits <= 4). The
-	// sub-byte scan kernels index them with a masked nibble/crumb/bit,
-	// which the compiler can prove < 16 — the bounds check disappears
-	// from the innermost loop. Entries past Cells are zero and never
-	// read (a packed field cannot encode a code >= Cells).
-	lb16, ub16 [][16]float64
+	dims   int
+	lb, ub []float64
 	// mrel is reorderSlack(dims); inv is 1/(1-mrel), hoisting the
 	// per-row division out of the screening loop (the one extra rounding
 	// is far inside mrel's 4x safety factor).
 	mrel, inv float64
 }
 
-// QueryTables builds the query's bound tables (2 x Dims x Cells floats,
+// QueryTables builds the query's bound tables (2 x Dims x cells floats,
 // built once per query). It reports false — and the caller must fall
 // back to the exact scan — when the query or its weights cannot support
 // valid bounds: wrong width, a non-finite value, or a negative weight.
@@ -337,10 +209,9 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 		return Tables{}, false
 	}
 	t := Tables{
-		dims:  b.dims,
-		cells: b.cells,
-		lb:    make([]float64, b.dims*b.cells),
-		ub:    make([]float64, b.dims*b.cells),
+		dims: b.dims,
+		lb:   make([]float64, b.dims*cells),
+		ub:   make([]float64, b.dims*cells),
 	}
 	for d := 0; d < b.dims; d++ {
 		q := qvec[d]
@@ -351,9 +222,9 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 		if math.IsNaN(q) || math.IsInf(q, 0) || math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			return Tables{}, false
 		}
-		bd := b.flat[d*(b.cells+1) : (d+1)*(b.cells+1)]
-		lbRow := t.lb[d*b.cells : (d+1)*b.cells]
-		ubRow := t.ub[d*b.cells : (d+1)*b.cells]
+		bd := b.flat[d*(cells+1) : (d+1)*(cells+1)]
+		lbRow := t.lb[d*cells : (d+1)*cells]
+		ubRow := t.ub[d*cells : (d+1)*cells]
 		// The distance to a cell is monotone in the cell's offset from the
 		// query's own cell cq, so the table splits into three branch-free
 		// runs. Below cq the whole cell sits at or below q (q >= bd[c+1]),
@@ -369,7 +240,7 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 			lbRow[c] = w * (q - bd[c+1])
 			ubRow[c] = w * (q - bd[c])
 		}
-		for c := cq + 1; c < b.cells; c++ {
+		for c := cq + 1; c < cells; c++ {
 			lbRow[c] = w * (bd[c] - q)
 			ubRow[c] = w * (bd[c+1] - q)
 		}
@@ -379,14 +250,6 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 		}
 		lbRow[cq] = 0
 		ubRow[cq] = w * ub
-	}
-	if b.cells <= 16 {
-		t.lb16 = make([][16]float64, b.dims)
-		t.ub16 = make([][16]float64, b.dims)
-		for d := 0; d < b.dims; d++ {
-			copy(t.lb16[d][:b.cells], t.lb[d*b.cells:(d+1)*b.cells])
-			copy(t.ub16[d][:b.cells], t.ub[d*b.cells:(d+1)*b.cells])
-		}
 	}
 	t.mrel = reorderSlack(b.dims)
 	t.inv = 1 / (1 - t.mrel)
@@ -406,16 +269,10 @@ func reorderSlack(n int) float64 {
 // Dims returns the tables' dimensionality (0 for the zero value).
 func (t *Tables) Dims() int { return t.dims }
 
-// Tab16 exposes the fixed-stride per-dimension tables (nil when the grid
-// has more than 16 cells). The packed scan kernels in internal/retrieval
-// consume them; callers must not modify them.
-func (t *Tables) Tab16() (lb, ub [][16]float64) { return t.lb16, t.ub16 }
-
-// Slack exposes the reordering allowance the row methods apply: any
-// kernel that reassociates the per-dimension sum must discount a lower
-// bound to s - s*mrel (equivalently compare s against bound*inv) and pad
-// an upper bound to s + s*mrel, exactly as RowLowerBounded and RowUpper
-// do.
+// Slack exposes the reordering allowance the row methods apply: a lower
+// bound is discounted to s - s*mrel (equivalently, s is compared against
+// bound*inv) and an upper bound padded to s + s*mrel. So a head above
+// bound*inv means RowLowerBounded aborts that row at its first check.
 func (t *Tables) Slack() (mrel, inv float64) { return t.mrel, t.inv }
 
 // RowLower sums the lower-bound table over a row's codes: a provable
@@ -426,7 +283,7 @@ func (t *Tables) RowLower(codes []uint8) float64 {
 	lb, off := 0.0, 0
 	for _, c := range codes {
 		lb += t.lb[off+int(c)]
-		off += t.cells
+		off += cells
 	}
 	return lb
 }
@@ -482,78 +339,59 @@ func (t *Tables) discount(s float64, aborted bool, bound float64) (lb float64, w
 // aborting once the partial sum exceeds stop (+Inf never aborts; the
 // terms are non-negative, so the partial only grows). The sum starts at
 // dimension d0 (a multiple of 16) with s0 in the first accumulator; a
-// whole-row sum passes 0, 0. The 256-cell grid — every 8-bit shadow —
-// takes the fast path: constant cell strides and byte-masked indices the
-// compiler can prove in range, eight dimensions per step off a single
-// 8-byte code load.
+// whole-row sum passes 0, 0. Constant cell strides and byte-masked
+// indices let the compiler prove every lookup in range, eight dimensions
+// per step off a single 8-byte code load.
 func (t *Tables) sumRow(tbl []float64, codes []uint8, d0 int, s0, stop float64) (float64, bool) {
 	var s1, s2, s3 float64
 	n := len(codes)
-	cells := t.cells
 	off, d := d0*cells, d0
-	if cells == 256 {
-		// The exit check (three serial adds and a branch) is a real
-		// fraction of a group's cost, and the typical excluded row only
-		// crosses the threshold in its last few groups — so the main loop
-		// covers sixteen dimensions per check, falling back to one check
-		// per group for a trailing odd group.
-		for ; d+16 <= n; d += 16 {
-			blk := tbl[off : off+2048]
-			w := binary.LittleEndian.Uint64(codes[d:])
-			s0 += blk[w&0xff]
-			s1 += blk[256+(w>>8)&0xff]
-			s2 += blk[512+(w>>16)&0xff]
-			s3 += blk[768+(w>>24)&0xff]
-			s0 += blk[1024+(w>>32)&0xff]
-			s1 += blk[1280+(w>>40)&0xff]
-			s2 += blk[1536+(w>>48)&0xff]
-			s3 += blk[1792+(w>>56)]
-			off += 2048
-			blk = tbl[off : off+2048]
-			w = binary.LittleEndian.Uint64(codes[d+8:])
-			s0 += blk[w&0xff]
-			s1 += blk[256+(w>>8)&0xff]
-			s2 += blk[512+(w>>16)&0xff]
-			s3 += blk[768+(w>>24)&0xff]
-			s0 += blk[1024+(w>>32)&0xff]
-			s1 += blk[1280+(w>>40)&0xff]
-			s2 += blk[1536+(w>>48)&0xff]
-			s3 += blk[1792+(w>>56)]
-			off += 2048
-			if s0+s1+s2+s3 > stop {
-				return 0, true
-			}
+	// The exit check (three serial adds and a branch) is a real fraction
+	// of a group's cost, and the typical excluded row only crosses the
+	// threshold in its last few groups — so the main loop covers sixteen
+	// dimensions per check, falling back to one check per group for a
+	// trailing odd group.
+	for ; d+16 <= n; d += 16 {
+		blk := tbl[off : off+2048]
+		w := binary.LittleEndian.Uint64(codes[d:])
+		s0 += blk[w&0xff]
+		s1 += blk[256+(w>>8)&0xff]
+		s2 += blk[512+(w>>16)&0xff]
+		s3 += blk[768+(w>>24)&0xff]
+		s0 += blk[1024+(w>>32)&0xff]
+		s1 += blk[1280+(w>>40)&0xff]
+		s2 += blk[1536+(w>>48)&0xff]
+		s3 += blk[1792+(w>>56)]
+		off += 2048
+		blk = tbl[off : off+2048]
+		w = binary.LittleEndian.Uint64(codes[d+8:])
+		s0 += blk[w&0xff]
+		s1 += blk[256+(w>>8)&0xff]
+		s2 += blk[512+(w>>16)&0xff]
+		s3 += blk[768+(w>>24)&0xff]
+		s0 += blk[1024+(w>>32)&0xff]
+		s1 += blk[1280+(w>>40)&0xff]
+		s2 += blk[1536+(w>>48)&0xff]
+		s3 += blk[1792+(w>>56)]
+		off += 2048
+		if s0+s1+s2+s3 > stop {
+			return 0, true
 		}
-		for ; d+8 <= n; d += 8 {
-			blk := tbl[off : off+2048]
-			w := binary.LittleEndian.Uint64(codes[d:])
-			s0 += blk[w&0xff]
-			s1 += blk[256+(w>>8)&0xff]
-			s2 += blk[512+(w>>16)&0xff]
-			s3 += blk[768+(w>>24)&0xff]
-			s0 += blk[1024+(w>>32)&0xff]
-			s1 += blk[1280+(w>>40)&0xff]
-			s2 += blk[1536+(w>>48)&0xff]
-			s3 += blk[1792+(w>>56)]
-			off += 2048
-			if s0+s1+s2+s3 > stop {
-				return 0, true
-			}
-		}
-	} else {
-		for ; d+8 <= n; d += 8 {
-			s0 += tbl[off+int(codes[d])]
-			s1 += tbl[off+cells+int(codes[d+1])]
-			s2 += tbl[off+2*cells+int(codes[d+2])]
-			s3 += tbl[off+3*cells+int(codes[d+3])]
-			s0 += tbl[off+4*cells+int(codes[d+4])]
-			s1 += tbl[off+5*cells+int(codes[d+5])]
-			s2 += tbl[off+6*cells+int(codes[d+6])]
-			s3 += tbl[off+7*cells+int(codes[d+7])]
-			off += 8 * cells
-			if s0+s1+s2+s3 > stop {
-				return 0, true
-			}
+	}
+	for ; d+8 <= n; d += 8 {
+		blk := tbl[off : off+2048]
+		w := binary.LittleEndian.Uint64(codes[d:])
+		s0 += blk[w&0xff]
+		s1 += blk[256+(w>>8)&0xff]
+		s2 += blk[512+(w>>16)&0xff]
+		s3 += blk[768+(w>>24)&0xff]
+		s0 += blk[1024+(w>>32)&0xff]
+		s1 += blk[1280+(w>>40)&0xff]
+		s2 += blk[1536+(w>>48)&0xff]
+		s3 += blk[1792+(w>>56)]
+		off += 2048
+		if s0+s1+s2+s3 > stop {
+			return 0, true
 		}
 	}
 	for ; d < n; d++ {
@@ -564,18 +402,17 @@ func (t *Tables) sumRow(tbl []float64, codes []uint8, d0 int, s0, stop float64) 
 	return s, s > stop
 }
 
-// HeadDims is the span of a row's head: the dimensions sumRow's 256-cell
-// fast path sums before its first exit check.
+// HeadDims is the span of a row's head: the dimensions sumRow sums
+// before its first exit check.
 const HeadDims = 16
 
-// Heads writes the head of each row of an 8-bit shadow block into dst
+// Heads writes the head of each row of a shadow block into dst
 // (one row per entry, stride bytes per row): the four-accumulator
 // lower-bound sum over the row's first HeadDims codes, bit for bit the
 // partial sum sumRow compares against bound·inv at its first exit check.
 // So head > bound·inv means RowLowerBounded aborts the row at that
-// check, and RowLowerBoundedFrom can resume the sum from it. The grid
-// must have 256 cells and the tables at least HeadDims dimensions; block
-// must hold len(dst) rows.
+// check, and RowLowerBoundedFrom can resume the sum from it. The tables
+// must have at least HeadDims dimensions; block must hold len(dst) rows.
 func (t *Tables) Heads(block []uint8, stride int, dst []float64) {
 	tbl := t.lb[:2*2048]
 	lo, hi := tbl[:2048:2048], tbl[2048:4096:4096]

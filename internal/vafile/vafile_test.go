@@ -32,16 +32,16 @@ func randBlock(rng *rand.Rand, rows, dims int) []float64 {
 // asserts lower <= true weighted L1 <= upper for every row under the
 // given query and weights. It is the core invariant the two-phase scan
 // rests on.
-func checkBounds(t *testing.T, block []float64, rows, dims, bits int, q, w []float64) {
+func checkBounds(t *testing.T, block []float64, rows, dims int, q, w []float64) {
 	t.Helper()
-	b, err := BuildBoundaries(block, rows, dims, bits)
+	b, err := BuildBoundaries(block, rows, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	codes := b.EncodeBlock(block, rows)
 	tbl, ok := b.QueryTables(q, w)
 	if !ok {
-		t.Fatalf("QueryTables rejected a finite query (dims=%d bits=%d)", dims, bits)
+		t.Fatalf("QueryTables rejected a finite query (dims=%d)", dims)
 	}
 	for r := 0; r < rows; r++ {
 		row := block[r*dims : (r+1)*dims]
@@ -49,14 +49,14 @@ func checkBounds(t *testing.T, block []float64, rows, dims, bits int, q, w []flo
 		dist := trueWeightedL1(w, q, row)
 		lb, ub := tbl.RowLower(rc), tbl.RowUpper(rc)
 		if lb > dist || dist > ub {
-			t.Fatalf("row %d (dims=%d bits=%d): bounds [%g, %g] do not bracket %g", r, dims, bits, lb, ub, dist)
+			t.Fatalf("row %d (dims=%d): bounds [%g, %g] do not bracket %g", r, dims, lb, ub, dist)
 		}
 	}
 }
 
 func TestBoundsBracketDistanceRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for bits := MinBits; bits <= MaxBits; bits++ {
+	for i := 0; i < 8; i++ {
 		rows := 5 + rng.Intn(200)
 		dims := 1 + rng.Intn(12)
 		block := randBlock(rng, rows, dims)
@@ -66,8 +66,8 @@ func TestBoundsBracketDistanceRandomized(t *testing.T) {
 			w[d] = rng.Float64() * 3
 		}
 		w[rng.Intn(dims)] = 0 // sparse weights are the common case
-		checkBounds(t, block, rows, dims, bits, q, w)
-		checkBounds(t, block, rows, dims, bits, q, nil)
+		checkBounds(t, block, rows, dims, q, w)
+		checkBounds(t, block, rows, dims, q, nil)
 	}
 }
 
@@ -84,9 +84,7 @@ func TestBoundsDegenerateInputs(t *testing.T) {
 			block[r*3+1] = rng.NormFloat64()
 			block[r*3+2] = -1
 		}
-		for _, bits := range []int{1, 3, 8} {
-			checkBounds(t, block, 30, 3, bits, q, w)
-		}
+		checkBounds(t, block, 30, 3, q, w)
 	})
 	t.Run("duplicateRows", func(t *testing.T) {
 		row := []float64{1, 2, 3}
@@ -94,36 +92,33 @@ func TestBoundsDegenerateInputs(t *testing.T) {
 		for r := 0; r < 20; r++ {
 			block = append(block, row...)
 		}
-		for _, bits := range []int{1, 4, 8} {
-			checkBounds(t, block, 20, 3, bits, q, w)
-		}
+		checkBounds(t, block, 20, 3, q, w)
 	})
 	t.Run("zeroWeights", func(t *testing.T) {
 		block := randBlock(rng, 50, 3)
-		checkBounds(t, block, 50, 3, 4, q, []float64{0, 0, 0})
+		checkBounds(t, block, 50, 3, q, []float64{0, 0, 0})
 	})
 	t.Run("singleRow", func(t *testing.T) {
-		checkBounds(t, []float64{1, 2, 3}, 1, 3, 4, q, w)
+		checkBounds(t, []float64{1, 2, 3}, 1, 3, q, w)
 	})
 	t.Run("queryOutsideDataRange", func(t *testing.T) {
 		block := randBlock(rng, 60, 3)
-		checkBounds(t, block, 60, 3, 5, []float64{100, -100, 50}, w)
+		checkBounds(t, block, 60, 3, []float64{100, -100, 50}, w)
 	})
 }
 
 func TestBoundsProperty(t *testing.T) {
-	// quick.Check over seeds: random shape, random bit width, random
-	// query/weights — the bracket must hold for every row.
+	// quick.Check over seeds: random shape, random query/weights — the
+	// bracket must hold for every row.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows := 1 + rng.Intn(120)
 		dims := 1 + rng.Intn(8)
-		bits := MinBits + rng.Intn(MaxBits-MinBits+1)
 		block := randBlock(rng, rows, dims)
 		if rng.Intn(4) == 0 { // inject duplicates
 			copy(block[:dims], block[(rows-1)*dims:])
 		}
-		b, err := BuildBoundaries(block, rows, dims, bits)
+		b, err := BuildBoundaries(block, rows, dims)
 		if err != nil {
 			return false
 		}
@@ -157,19 +152,17 @@ func TestBoundsProperty(t *testing.T) {
 func TestBuildBoundariesValidation(t *testing.T) {
 	good := []float64{1, 2, 3, 4}
 	for _, c := range []struct {
-		name             string
-		block            []float64
-		rows, dims, bits int
+		name       string
+		block      []float64
+		rows, dims int
 	}{
-		{"bitsLow", good, 2, 2, 0},
-		{"bitsHigh", good, 2, 2, 9},
-		{"zeroRows", nil, 0, 2, 4},
-		{"zeroDims", nil, 2, 0, 4},
-		{"lengthMismatch", good, 3, 2, 4},
-		{"nan", []float64{1, math.NaN(), 3, 4}, 2, 2, 4},
-		{"inf", []float64{1, math.Inf(1), 3, 4}, 2, 2, 4},
+		{"zeroRows", nil, 0, 2},
+		{"zeroDims", nil, 2, 0},
+		{"lengthMismatch", good, 3, 2},
+		{"nan", []float64{1, math.NaN(), 3, 4}, 2, 2},
+		{"inf", []float64{1, math.Inf(1), 3, 4}, 2, 2},
 	} {
-		if _, err := BuildBoundaries(c.block, c.rows, c.dims, c.bits); err == nil {
+		if _, err := BuildBoundaries(c.block, c.rows, c.dims); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
@@ -178,16 +171,16 @@ func TestBuildBoundariesValidation(t *testing.T) {
 func TestFromFlatRoundTripAndValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	block := randBlock(rng, 40, 3)
-	b, err := BuildBoundaries(block, 40, 3, 4)
+	b, err := BuildBoundaries(block, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := FromFlat(b.Flat(), b.Dims(), b.Bits())
+	got, err := FromFlat(b.Flat(), b.Dims())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Dims() != 3 || got.Bits() != 4 || got.Cells() != 16 {
-		t.Fatalf("round trip: dims=%d bits=%d cells=%d", got.Dims(), got.Bits(), got.Cells())
+	if got.Dims() != 3 || len(got.Flat()) != 3*(cells+1) {
+		t.Fatalf("round trip: dims=%d grid=%d", got.Dims(), len(got.Flat()))
 	}
 	// Round-tripped boundaries must encode identically.
 	rowCodes := make([]uint8, 3)
@@ -203,27 +196,27 @@ func TestFromFlatRoundTripAndValidation(t *testing.T) {
 		}
 	}
 
-	if _, err := FromFlat(b.Flat()[:5], 3, 4); err == nil {
+	if _, err := FromFlat(b.Flat()[:5], 3); err == nil {
 		t.Error("short grid: no error")
 	}
-	if _, err := FromFlat(b.Flat(), 3, 0); err == nil {
-		t.Error("bits=0: no error")
+	if _, err := FromFlat(b.Flat(), 0); err == nil {
+		t.Error("dims=0: no error")
 	}
 	bad := append([]float64(nil), b.Flat()...)
 	bad[1] = math.NaN()
-	if _, err := FromFlat(bad, 3, 4); err == nil {
+	if _, err := FromFlat(bad, 3); err == nil {
 		t.Error("NaN grid: no error")
 	}
 	bad2 := append([]float64(nil), b.Flat()...)
 	bad2[2], bad2[3] = bad2[3]+1, bad2[2] // break monotonicity
-	if _, err := FromFlat(bad2, 3, 4); err == nil {
+	if _, err := FromFlat(bad2, 3); err == nil {
 		t.Error("decreasing grid: no error")
 	}
 }
 
 func TestEncodeReportsOutOfRange(t *testing.T) {
 	block := []float64{0, 0, 1, 1, 2, 2, 3, 3}
-	b, err := BuildBoundaries(block, 4, 2, 2)
+	b, err := BuildBoundaries(block, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +237,7 @@ func TestEncodeReportsOutOfRange(t *testing.T) {
 
 func TestQueryTablesRejectsInvalid(t *testing.T) {
 	block := []float64{0, 1, 2, 3}
-	b, err := BuildBoundaries(block, 2, 2, 3)
+	b, err := BuildBoundaries(block, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +263,7 @@ func TestQueryTablesRejectsInvalid(t *testing.T) {
 
 func TestCellOfMonotone(t *testing.T) {
 	block := []float64{0, 1, 2, 3, 4, 5, 6, 7}
-	b, err := BuildBoundaries(block, 8, 1, 2) // 4 cells
+	b, err := BuildBoundaries(block, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +275,7 @@ func TestCellOfMonotone(t *testing.T) {
 		}
 		prev = c
 	}
-	if b.cellOf(0, 0) != 0 || b.cellOf(0, 7) != 3 {
+	if b.cellOf(0, 0) != 0 || b.cellOf(0, 7) != cells-1 {
 		t.Errorf("extremes: %d, %d", b.cellOf(0, 0), b.cellOf(0, 7))
 	}
 }
@@ -298,7 +291,7 @@ func TestHeadsAndResume(t *testing.T) {
 	for _, dims := range []int{16, 17, 24, 64} {
 		const rows = 300
 		block := randBlock(rng, rows, dims)
-		b, err := BuildBoundaries(block, rows, dims, 8)
+		b, err := BuildBoundaries(block, rows, dims)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -292,18 +292,20 @@ wait "$pid"
 pid=""
 expect "store ready: 120 objects" "$workdir/qse-serve" -bundle "$sbundle" -build-only
 
-# ---- quantized shadow: 4-bit scan answers byte-identically and persists ----
+# ---- quantized shadow: 8 bits on, answers byte-identical, setting persists ----
 
 qaddr=127.0.0.1:18096
 qbundle="$workdir/qse-quant.bundle"
 
-echo "== a width that does not tile bytes is rejected up front"
-if "$workdir/qse-serve" -bundle "$bundle" -quantize-bits 3 -build-only \
-    2> "$workdir/qbits.err"; then
-  echo "FAIL: -quantize-bits 3 was accepted" >&2
-  exit 1
-fi
-grep -q 'supported widths' "$workdir/qbits.err"
+echo "== widths other than 0 and 8 are rejected up front"
+for bits in 3 4; do
+  if "$workdir/qse-serve" -bundle "$bundle" -quantize-bits "$bits" -build-only \
+      2> "$workdir/qbits.err"; then
+    echo "FAIL: -quantize-bits $bits was accepted" >&2
+    exit 1
+  fi
+  grep -q 'supported widths' "$workdir/qbits.err"
+done
 
 echo "== copying the unsharded bundle for the quantized phase"
 for f in "$bundle" "$bundle".shard-*; do
@@ -326,57 +328,64 @@ kill -TERM "$pid"
 wait "$pid"
 pid=""
 
-echo "== serving with -quantize-bits 4: half-byte cells, same answers"
-"$workdir/qse-serve" -bundle "$qbundle" -addr "$qaddr" -quantize-bits 4 &
+echo "== serving with -quantize-bits 8: 120 rows sit below the size gate, same answers"
+"$workdir/qse-serve" -bundle "$qbundle" -addr "$qaddr" -quantize-bits 8 &
 pid=$!
 for i in $(seq 1 100); do
   curl -fsS "http://$qaddr/healthz" >/dev/null 2>&1 && break
   sleep 0.1
 done
-expect '"quantize_bits":4' curl -fsS "http://$qaddr/v1/stats"
-expect '"shadow_bits":4' curl -fsS "http://$qaddr/v1/stats"
+expect '"quantize_bits":8' curl -fsS "http://$qaddr/v1/stats"
+expect '"shadow_bytes":0' curl -fsS "http://$qaddr/v1/stats"
 curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody1" > "$workdir/quant.q1"
 curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody2" > "$workdir/quant.q2"
 for n in 1 2; do
   if ! cmp -s "$workdir/quant.exact$n" "$workdir/quant.q$n"; then
-    echo "FAIL: 4-bit search response $n differs from the exact scan:" >&2
+    echo "FAIL: 8-bit search response $n differs from the exact scan:" >&2
     diff "$workdir/quant.exact$n" "$workdir/quant.q$n" >&2 || true
     exit 1
   fi
 done
-echo "   4-bit responses byte-identical to the exact scan"
+echo "   8-bit responses byte-identical to the exact scan"
 
-echo "== per-width scan counters surface in /v1/stats and /metrics"
-expect '"bound_widths"' curl -fsS "http://$qaddr/v1/stats"
-expect '"scanned_rows"' curl -fsS "http://$qaddr/v1/stats"
-expect 'qse_store_shadow_bits 4' curl -fsS "http://$qaddr/metrics"
-expect 'qse_store_shadow_bytes' curl -fsS "http://$qaddr/metrics"
-expect 'qse_store_bound_scanned_rows_by_width_total{bits="4"}' \
-  curl -fsS "http://$qaddr/metrics"
+echo "== shadow gauges surface in /v1/stats and /metrics, per-width series are gone"
+expect '"bound_scanned_rows":0' curl -fsS "http://$qaddr/v1/stats"
+expect 'qse_store_quantize_bits 8' curl -fsS "http://$qaddr/metrics"
+expect 'qse_store_shadow_bytes 0' curl -fsS "http://$qaddr/metrics"
+for gone in shadow_bits bound_widths; do
+  if curl -fsS "http://$qaddr/v1/stats" | grep -q "\"$gone\""; then
+    echo "FAIL: /v1/stats still reports $gone" >&2
+    exit 1
+  fi
+done
+if curl -fsS "http://$qaddr/metrics" | grep -q -e 'qse_store_shadow_bits' -e '_by_width'; then
+  echo "FAIL: /metrics still exports the shadow_bits alias or a per-width series" >&2
+  exit 1
+fi
 
-echo "== graceful shutdown snapshots the packed shadow"
+echo "== graceful shutdown snapshots the setting"
 kill -TERM "$pid"
 wait "$pid"
 pid=""
 
-echo "== reopening without the flag keeps the 4-bit width and the answers"
+echo "== reopening without the flag keeps 8 bits and the answers"
 "$workdir/qse-serve" -bundle "$qbundle" -addr "$qaddr" &
 pid=$!
 for i in $(seq 1 100); do
   curl -fsS "http://$qaddr/healthz" >/dev/null 2>&1 && break
   sleep 0.1
 done
-expect '"shadow_bits":4' curl -fsS "http://$qaddr/v1/stats"
+expect '"quantize_bits":8' curl -fsS "http://$qaddr/v1/stats"
 curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody1" > "$workdir/quant.r1"
 curl -fsS -X POST "http://$qaddr/v1/search" -d "$qbody2" > "$workdir/quant.r2"
 for n in 1 2; do
   if ! cmp -s "$workdir/quant.exact$n" "$workdir/quant.r$n"; then
-    echo "FAIL: reopened 4-bit response $n differs from the exact scan:" >&2
+    echo "FAIL: reopened 8-bit response $n differs from the exact scan:" >&2
     diff "$workdir/quant.exact$n" "$workdir/quant.r$n" >&2 || true
     exit 1
   fi
 done
-echo "   width persisted across snapshot + reopen, answers unchanged"
+echo "   setting persisted across snapshot + reopen, answers unchanged"
 kill -TERM "$pid"
 wait "$pid"
 pid=""

@@ -63,33 +63,19 @@ type StoreStats struct {
 	// on delta rows and tombstones since the last compaction — the
 	// signal the background compactor (see Store.Start) schedules on.
 	DeltaScanShare float64
-	// QuantBits is the scalar-quantization bit width of the shadow block
-	// (0 = quantization off; see SetQuantization). BoundScannedRows and
+	// QuantBits is the shadow-block quantization setting: 8 when on, 0
+	// when off (see SetQuantization). BoundScannedRows and
 	// BoundExactRows count, across all filtered scans since the store
-	// was created or opened, the rows screened by the quantized bound
-	// scan and the subset that survived to an exact float64 evaluation;
-	// 1 - exact/scanned is the prune rate.
+	// was created or opened, the rows screened by the seeded shadow
+	// screen and the subset that survived to an exact float64
+	// evaluation; 1 - exact/scanned is the prune rate.
 	QuantBits        int
 	BoundScannedRows uint64
 	BoundExactRows   uint64
-	// ShadowBytes is the quantized shadow block's resident size in bytes
-	// across all segments (summed over shards; 0 when quantization is
-	// off). With sub-byte widths the shadow packs multiple cells per
-	// byte, so this is the number to watch when choosing a width.
+	// ShadowBytes is the shadow block's resident size in bytes across
+	// all segments (summed over shards; 0 when quantization is off or no
+	// base segment clears the size gate).
 	ShadowBytes int64
-	// BoundWidths breaks the bound-scan counters down by bit width,
-	// indexed by QuantBits (only 1, 2, 4, and 8 are ever populated) — a
-	// store requantized between widths keeps each width's traffic
-	// attributed to the width that served it.
-	BoundWidths [9]BoundWidth
-}
-
-// BoundWidth is one bit width's slice of the bound-scan counters: the
-// rows screened through shadows of that width and the subset that
-// needed an exact float64 evaluation (see StoreStats.BoundWidths).
-type BoundWidth struct {
-	ScannedRows uint64
-	ExactRows   uint64
 }
 
 // StoreLifecycle configures the background services a store owns
@@ -408,16 +394,19 @@ func (s *Store[T]) Upsert(id uint64, x T) error { return s.inner.Upsert(id, x) }
 // their IDs.
 func (s *Store[T]) Remove(id uint64) error { return s.inner.Remove(id) }
 
-// SetQuantization builds (bits in 1..8) or drops (bits = 0) the store's
-// scalar-quantized shadow block: one byte per dimension per row,
-// quantized against per-dimension equi-populated boundaries. With a
-// shadow in place, filtered scans screen every row with cheap
-// weighted-L1 lower/upper bounds first and touch the exact float64
-// vectors only for rows the bounds cannot exclude — results are
-// bit-identical to the unquantized scan by construction (DESIGN.md
-// §13). The shadow persists through Save/OpenStore and is rebuilt
-// automatically on compaction. For a sharded store the setting applies
-// to every shard.
+// SetQuantization turns the store's shadow block on (bits = 8) or off
+// (bits = 0); any other width is rejected. A base segment with at least
+// 16,384 rows and 16 embedded dimensions gets an 8-bit scalar-quantized
+// shadow — one byte per dimension per row, against per-dimension
+// equi-populated boundaries — and a query whose p is at most 1/128 of
+// those rows screens every row through it with cheap weighted-L1
+// bounds first, touching the exact float64 vectors only for rows the
+// bounds cannot exclude. Every other scan is exact: below that size the
+// shadow costs more than it saves (DESIGN.md §16). Results are
+// bit-identical to the unquantized scan either way (DESIGN.md §13). The
+// setting persists through Save/OpenStore, and compaction re-applies it
+// to the fresh base. For a sharded store it applies to every shard, and
+// each shard's base is sized on its own.
 func (s *Store[T]) SetQuantization(bits int) error { return s.inner.SetQuantization(bits) }
 
 // Compact folds the delta segment and tombstones into a fresh base
@@ -493,9 +482,6 @@ func toStoreStats(st store.Stats) StoreStats {
 		BoundScannedRows:    st.BoundScannedRows,
 		BoundExactRows:      st.BoundExactRows,
 		ShadowBytes:         st.ShadowBytes,
-	}
-	for bits, w := range st.BoundWidths {
-		out.BoundWidths[bits] = BoundWidth{ScannedRows: w.ScannedRows, ExactRows: w.ExactRows}
 	}
 	return out
 }
