@@ -17,6 +17,7 @@
 package qse
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"sort"
@@ -150,19 +151,24 @@ func BenchmarkSearch(b *testing.B) {
 }
 
 // BenchmarkSearchFiltered measures predicate-filtered search on the same
-// 20k x 64 corpus at three selectivities (~1%, ~10%, ~90% of rows match),
-// under both planner choices. Compare to BenchmarkSearch for the cost of
-// evaluating the predicate below the top-p cut; the inline-vs-bitmap split
-// shows why the planner flips to postings at low selectivity.
+// 20k x 64 corpus at three range selectivities (~1%, ~10%, ~90% of rows
+// match) and one equality on a 16-value string field (~6%). Compare to
+// BenchmarkSearch for the cost of evaluating the predicate below the
+// top-p cut.
 func BenchmarkSearchFiltered(b *testing.B) {
 	ix, q, _ := benchRetrievalIndex(b, 20000, 64)
 	rows := make([]meta.Map, ix.Size())
 	for i := range rows {
-		rows[i] = meta.Map{"bucket": meta.IntValue(int64(i % 100))}
+		rows[i] = meta.Map{
+			"bucket": meta.IntValue(int64(i % 100)),
+			"tenant": meta.StringValue(fmt.Sprintf("t%02d", i%16)),
+		}
 	}
 	seg := retrieval.NewSegmentedWithMeta(ix, meta.NewBlock(rows))
 	reg := meta.NewRegistry()
-	reg.SeedRows(rows)
+	if err := reg.SeedRows(rows); err != nil {
+		b.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		raw  string
@@ -170,24 +176,19 @@ func BenchmarkSearchFiltered(b *testing.B) {
 		{"sel1", `{"field":"bucket","lt":1}`},
 		{"sel10", `{"field":"bucket","lt":10}`},
 		{"sel90", `{"field":"bucket","lt":90}`},
+		{"eq16", `{"field":"tenant","eq":"t03"}`},
 	} {
 		pred, err := meta.CompileFilter([]byte(c.raw), reg.Kinds())
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, plan := range []struct {
-			name string
-			p    meta.Plan
-		}{{"inline", meta.PlanInline}, {"bitmap", meta.PlanBitmap}} {
-			b.Run(c.name+"/"+plan.name, func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := seg.SearchFiltered(q, 10, 200, pred, plan.p); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := seg.SearchFiltered(q, 10, 200, pred); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

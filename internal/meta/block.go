@@ -3,15 +3,10 @@
 // compacted (or a bundle reopens) and immutable afterwards — the same
 // lifecycle as the base vector block it sits beside. Delta rows stay
 // row-oriented Maps; only the compacted base pays for columns, which is
-// where the rows (and the wins of columnar evaluation and the per-field
-// value index) are.
+// where the rows (and the win of word-at-a-time evaluation) are.
 package meta
 
-import (
-	"math/bits"
-	"strconv"
-	"sync"
-)
+import "slices"
 
 // Column is one field's values across a block's rows: a presence bitset
 // and a dense array of the field's kind. Absent rows hold the zero
@@ -21,15 +16,13 @@ type column struct {
 	present []uint64
 	ints    []int64
 	flts    []float64
-	strs    []string
+	codes   []uint32 // KindString: each row's index into dict
+	dict    []string // KindString: the distinct values, in first-seen order
 	bools   []uint64 // value bitset for KindBool
 
-	// idx maps an eq-comparable value key to the ascending rows holding
-	// it — the bitmap plan's posting lists. Built lazily under once so a
-	// store that never sees a selective equality filter never pays for
-	// it; the block is immutable, so the build is safe to race-gate.
-	once sync.Once
-	idx  map[string][]int32
+	// codeOf inverts dict while NewBlock builds the column; it is nil in
+	// a finished block.
+	codeOf map[string]uint32
 }
 
 // Block holds the columns of one base segment. A nil *Block is the
@@ -42,7 +35,10 @@ type Block struct {
 // NewBlock builds a columnar block from per-row records (row i's
 // metadata is rows[i]; nil entries are rows without metadata). It
 // returns nil when no row carries any metadata, so the metadata-less
-// store keeps its exact pre-metadata representation.
+// store keeps its exact pre-metadata representation. A column takes the
+// kind of its field's first value, so every row must agree with it —
+// the registry guarantees that for writes, and opening a bundle rejects
+// rows that do not (Registry.SeedRows).
 func NewBlock(rows []Map) *Block {
 	var cols map[string]*column
 	for i, m := range rows {
@@ -61,6 +57,9 @@ func NewBlock(rows []Map) *Block {
 	if cols == nil {
 		return nil
 	}
+	for _, c := range cols {
+		c.codeOf = nil
+	}
 	return &Block{rows: len(rows), cols: cols}
 }
 
@@ -72,7 +71,8 @@ func newColumn(kind Kind, rows int) *column {
 	case KindFloat:
 		c.flts = make([]float64, rows)
 	case KindString:
-		c.strs = make([]string, rows)
+		c.codes = make([]uint32, rows)
+		c.codeOf = make(map[string]uint32)
 	case KindBool:
 		c.bools = make([]uint64, (rows+63)/64)
 	}
@@ -87,7 +87,13 @@ func (c *column) set(row int, v Value) {
 	case KindFloat:
 		c.flts[row] = v.Flt
 	case KindString:
-		c.strs[row] = v.Str
+		code, ok := c.codeOf[v.Str]
+		if !ok {
+			code = uint32(len(c.dict))
+			c.codeOf[v.Str] = code
+			c.dict = append(c.dict, v.Str)
+		}
+		c.codes[row] = code
 	case KindBool:
 		if v.Bool {
 			c.bools[row>>6] |= 1 << (uint(row) & 63)
@@ -106,7 +112,7 @@ func (c *column) value(row int) Value {
 	case KindFloat:
 		return FloatValue(c.flts[row])
 	case KindString:
-		return StringValue(c.strs[row])
+		return StringValue(c.dict[c.codes[row]])
 	case KindBool:
 		return BoolValue(c.bools[row>>6]>>(uint(row)&63)&1 != 0)
 	}
@@ -151,159 +157,145 @@ func (b *Block) Row(row int) Map {
 	return m
 }
 
-// valueKey encodes an eq-comparable value for the posting index. Floats
-// are not indexed (equality filters on floats are a smell the inline
-// plan handles fine); columns are single-kind, so keys cannot collide
-// across kinds.
-func valueKey(v Value) (string, bool) {
-	switch v.Kind {
-	case KindInt:
-		return strconv.FormatInt(v.Int, 10), true
-	case KindString:
-		return v.Str, true
-	case KindBool:
-		if v.Bool {
-			return "t", true
+// EvalBlock sets dst, a bitset of (rows+63)/64 words, to the rows of a
+// base block that match p. blk may be nil (a base with no metadata);
+// rows is the base row count. dst starts as every row, and each leaf
+// then ANDs in its own match words, skipping the words an earlier leaf
+// already emptied. Row i of dst equals p.Match(blk.Row(i)).
+func (p *Predicate) EvalBlock(blk *Block, rows int, dst []uint64) {
+	setAll(dst, rows)
+	for i := range p.leaves {
+		var c *column
+		if blk != nil {
+			c = blk.cols[p.leaves[i].field]
 		}
-		return "f", true
+		p.leaves[i].andColumn(c, dst)
 	}
-	return "", false
 }
 
-// postings returns the ascending rows holding value v in this column,
-// building the value index on first use.
-func (c *column) postings(v Value) ([]int32, bool) {
-	if c.kind == KindFloat {
-		return nil, false
-	}
-	key, ok := valueKey(v)
-	if !ok {
-		return nil, false
-	}
-	c.once.Do(func() {
-		idx := make(map[string][]int32)
-		for w, word := range c.present {
-			for word != 0 {
-				row := w<<6 + bits.TrailingZeros64(word)
-				word &= word - 1
-				if k, ok := valueKey(c.value(row)); ok {
-					idx[k] = append(idx[k], int32(row))
-				}
+// andColumn ANDs the leaf's match words over column c into dst. A nil c
+// is a field absent from every row of the block. Every leaf but exists
+// matches only present rows, so each typed kernel works on
+// dst & present.
+func (l *leaf) andColumn(c *column, dst []uint64) {
+	switch {
+	case c == nil || (l.op != opExists && c.kind != l.kind):
+		// Within a store a column has its field's registered kind, the
+		// leaf's. A predicate compiled against another store's registry
+		// can meet a column of another kind; it reads as absent rather
+		// than indexing a nil array.
+		if !l.match(Value{}, false) {
+			clear(dst)
+		}
+	case l.op == opExists:
+		for w := range dst {
+			if l.want {
+				dst[w] &= c.present[w]
+			} else {
+				dst[w] &^= c.present[w]
 			}
 		}
-		c.idx = idx
-	})
-	return c.idx[key], true
-}
-
-// Plan is the base-segment evaluation strategy the planner picks per
-// query per segment: sweep every row evaluating the conjunction
-// (inline), or probe the value index of a selective equality leaf and
-// verify only its postings (bitmap). Both produce the same match set;
-// the choice is purely a cost call.
-type Plan uint8
-
-const (
-	PlanInline Plan = iota
-	PlanBitmap
-)
-
-func (p Plan) String() string {
-	if p == PlanBitmap {
-		return "bitmap"
-	}
-	return "inline"
-}
-
-// EvalBlock computes the rows of a base block matching p into dst, a
-// zeroed bitset of (rows+63)/64 words. blk may be nil (a base with no
-// metadata); rows is the base row count, which bounds the sweep when
-// blk is nil. The plan actually used is returned — PlanBitmap falls
-// back to inline when no leaf has a usable posting list.
-func (p *Predicate) EvalBlock(blk *Block, rows int, dst []uint64, plan Plan) Plan {
-	if rows == 0 {
-		return PlanInline
-	}
-	if blk == nil {
-		// Every row is metadata-less: the conjunction holds for all rows
-		// or none.
-		if p.Match(nil) {
-			setAll(dst, rows)
+	case l.kind == KindInt:
+		var set []int64
+		for _, v := range l.set {
+			set = append(set, v.Int)
 		}
-		return PlanInline
-	}
-	cols := make([]*column, len(p.leaves))
-	for i := range p.leaves {
-		cols[i] = blk.cols[p.leaves[i].field] // may be nil: field absent from this base
-	}
-	if plan == PlanBitmap {
-		if p.evalBitmap(blk, cols, dst) {
-			return PlanBitmap
+		andCompare(dst, c.present, c.ints, l.op, l.val.Int, set)
+	case l.kind == KindFloat:
+		var set []float64
+		for _, v := range l.set {
+			set = append(set, v.Flt)
 		}
-	}
-	p.evalInline(rows, cols, dst)
-	return PlanInline
-}
-
-// evalInline sweeps rows 0..rows, evaluating the full conjunction per
-// row over the columns.
-func (p *Predicate) evalInline(rows int, cols []*column, dst []uint64) {
-rowLoop:
-	for row := 0; row < rows; row++ {
-		for i := range p.leaves {
-			if !leafMatchCol(&p.leaves[i], cols[i], row) {
-				continue rowLoop
+		andCompare(dst, c.present, c.flts, l.op, l.val.Flt, set)
+	case l.kind == KindString:
+		// One leaf.match per distinct value, then one lookup per row.
+		table := make([]uint64, len(c.dict))
+		for code, s := range c.dict {
+			if l.match(StringValue(s), true) {
+				table[code] = 1
 			}
 		}
-		dst[row>>6] |= 1 << (uint(row) & 63)
+		andLookup(dst, c.present, c.codes, table)
+	case l.kind == KindBool:
+		var hitTrue, hitFalse uint64
+		if l.match(BoolValue(true), true) {
+			hitTrue = ^uint64(0)
+		}
+		if l.match(BoolValue(false), true) {
+			hitFalse = ^uint64(0)
+		}
+		for w := range dst {
+			dst[w] &= c.present[w] & (c.bools[w]&hitTrue | ^c.bools[w]&hitFalse)
+		}
 	}
 }
 
-// evalBitmap probes the value index of the first eq leaf that has one,
-// seeds dst from its postings, and verifies the remaining leaves only on
-// those rows. Reports false when no leaf is indexable.
-func (p *Predicate) evalBitmap(blk *Block, cols []*column, dst []uint64) bool {
-	seed := -1
-	var rows []int32
-	for i := range p.leaves {
-		l := &p.leaves[i]
-		if l.op != opEq || cols[i] == nil {
+// andCompare ANDs into dst the present rows whose value x satisfies the
+// leaf's comparison with v, or for in is a member of set. Every other
+// operator is one of three comparisons or its negation, as leaf.match
+// writes it (ne is !(x == v), le is !(v < x), ge is !(x < v)), so a NaN
+// cell matches exactly as it does there.
+func andCompare[T int64 | float64](dst, present []uint64, vals []T, o op, v T, set []T) {
+	var neg uint64
+	if o == opNe || o == opLe || o == opGe {
+		neg = ^uint64(0)
+	}
+	for w := range dst {
+		m := dst[w] & present[w]
+		if m == 0 {
+			dst[w] = 0
 			continue
 		}
-		if pr, ok := cols[i].postings(l.val); ok {
-			seed, rows = i, pr
-			break
-		}
-	}
-	if seed < 0 {
-		return false
-	}
-candLoop:
-	for _, r := range rows {
-		row := int(r)
-		for i := range p.leaves {
-			if i == seed {
-				continue
+		// Row 64w+j is bit j: walk the word's rows backwards, shifting
+		// each result in at the bottom.
+		xs := vals[w<<6 : min(w<<6+64, len(vals))]
+		var hits uint64
+		switch o {
+		case opLt, opGe:
+			for j := len(xs) - 1; j >= 0; j-- {
+				hits = hits<<1 | b2u(xs[j] < v)
 			}
-			if !leafMatchCol(&p.leaves[i], cols[i], row) {
-				continue candLoop
+		case opGt, opLe:
+			for j := len(xs) - 1; j >= 0; j-- {
+				hits = hits<<1 | b2u(v < xs[j])
+			}
+		case opEq, opNe:
+			for j := len(xs) - 1; j >= 0; j-- {
+				hits = hits<<1 | b2u(xs[j] == v)
+			}
+		case opIn:
+			for j := len(xs) - 1; j >= 0; j-- {
+				hits = hits<<1 | b2u(slices.Contains(set, xs[j]))
 			}
 		}
-		dst[row>>6] |= 1 << (uint(row) & 63)
+		dst[w] = m & (hits ^ neg)
 	}
-	return true
 }
 
-// leafMatchCol evaluates one leaf at one row of its column (nil column
-// means the field is absent from every row of this base).
-func leafMatchCol(l *leaf, c *column, row int) bool {
-	if c == nil {
-		return l.match(Value{}, false)
+// andLookup ANDs into dst the present rows whose dictionary code maps to
+// 1 in table.
+func andLookup(dst, present []uint64, codes []uint32, table []uint64) {
+	for w := range dst {
+		m := dst[w] & present[w]
+		if m == 0 {
+			dst[w] = 0
+			continue
+		}
+		cs := codes[w<<6 : min(w<<6+64, len(codes))]
+		var hits uint64
+		for j := len(cs) - 1; j >= 0; j-- {
+			hits = hits<<1 | table[cs[j]]
+		}
+		dst[w] = m & hits
 	}
-	if !c.has(row) {
-		return l.match(Value{}, false)
+}
+
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
 	}
-	return l.match(c.value(row), true)
+	return u
 }
 
 // setAll sets bits [0, n) of the bitset.

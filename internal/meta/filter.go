@@ -236,21 +236,6 @@ func (p *Predicate) Fields() []string {
 	return p.fields
 }
 
-// EqFields returns the fields compared with eq, in leaf order — the
-// planner's bitmap candidates.
-func (p *Predicate) EqFields() []string {
-	if p == nil {
-		return nil
-	}
-	var out []string
-	for _, l := range p.leaves {
-		if l.op == opEq {
-			out = append(out, l.field)
-		}
-	}
-	return out
-}
-
 // Match evaluates the conjunction against one row. A nil predicate
 // matches everything; a nil map is a row with no metadata.
 func (p *Predicate) Match(m Map) bool {

@@ -1,7 +1,9 @@
 package meta
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -90,7 +92,14 @@ func TestRegistryFixedAtFirstWrite(t *testing.T) {
 func TestRegistrySeed(t *testing.T) {
 	r := NewRegistry()
 	r.Seed(map[string]Kind{"a": KindInt})
-	r.SeedRows([]Map{nil, {"b": StringValue("x")}, {"a": StringValue("conflict-loses")}})
+	err := r.SeedRows([]Map{nil, {"b": StringValue("x")}, {"a": StringValue("conflict-loses")}})
+	var te *TypeError
+	if !errors.As(err, &te) || te.Field != "a" || te.Want != KindInt || te.Got != KindString {
+		t.Fatalf("SeedRows on a conflicting row = %v, want a *TypeError for a", err)
+	}
+	if err := r.SeedRows([]Map{{"c": {}}}); err == nil {
+		t.Fatal("SeedRows accepted a value of invalid kind")
+	}
 	if k, _ := r.Kind("a"); k != KindInt {
 		t.Fatalf("seeded kind overwritten: a = %v", k)
 	}
@@ -222,19 +231,22 @@ func blockRows(n int) []Map {
 }
 
 // evalBits runs EvalBlock and returns the matched rows.
-func evalBits(t *testing.T, p *Predicate, blk *Block, rows int, plan Plan) ([]int, Plan) {
+func evalBits(t *testing.T, p *Predicate, blk *Block, rows int) []int {
 	t.Helper()
 	dst := make([]uint64, (rows+63)/64)
-	used := p.EvalBlock(blk, rows, dst, plan)
+	p.EvalBlock(blk, rows, dst)
 	var out []int
 	for i := 0; i < rows; i++ {
 		if dst[i>>6]>>(uint(i)&63)&1 != 0 {
 			out = append(out, i)
 		}
 	}
-	return out, used
+	return out
 }
 
+// TestEvalBlockPlansAgree checks the column kernels against the
+// row-at-a-time evaluator on fixed filters: selective equalities, an
+// equality conjunction, a presence test and a membership set.
 func TestEvalBlockPlansAgree(t *testing.T) {
 	const n = 333
 	rows := blockRows(n)
@@ -254,48 +266,32 @@ func TestEvalBlockPlansAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inline, usedI := evalBits(t, p, blk, n, PlanInline)
-		bm, usedB := evalBits(t, p, blk, n, PlanBitmap)
-		if usedI != PlanInline {
-			t.Fatalf("inline eval reported plan %v", usedI)
-		}
-		if fmt.Sprint(inline) != fmt.Sprint(bm) {
-			t.Errorf("filter %s: inline %v != bitmap(%v) %v", raw, inline, usedB, bm)
-		}
-		// Cross-check every row against the row-at-a-time evaluator.
-		want := 0
+		var want []int
 		for i, m := range rows {
 			if p.Match(m) {
-				want++
-				_ = i
+				want = append(want, i)
 			}
 		}
-		if len(inline) != want {
-			t.Errorf("filter %s: %d matches, want %d", raw, len(inline), want)
+		if got := evalBits(t, p, blk, n); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("filter %s: EvalBlock %v, Match %v", raw, got, want)
 		}
-	}
-	// exists:false has no indexable eq leaf: bitmap must fall back.
-	p, _ := CompileFilter([]byte(`{"field":"ts","exists":false}`), kinds())
-	if _, used := evalBits(t, p, blk, n, PlanBitmap); used != PlanInline {
-		t.Fatal("bitmap plan without an eq leaf should fall back to inline")
-	}
-	// eq on an indexed column reports the bitmap plan.
-	p, _ = CompileFilter([]byte(`{"field":"tenant","eq":"c"}`), kinds())
-	if _, used := evalBits(t, p, blk, n, PlanBitmap); used != PlanBitmap {
-		t.Fatal("eq on a string column should use the bitmap plan when asked")
 	}
 }
 
 func TestEvalBlockNilBlock(t *testing.T) {
 	p, _ := CompileFilter([]byte(`{"field":"ts","exists":false}`), kinds())
-	matched, _ := evalBits(t, p, nil, 130, PlanInline)
-	if len(matched) != 130 {
+	if matched := evalBits(t, p, nil, 130); len(matched) != 130 {
 		t.Fatalf("exists:false over a metadata-less base matched %d of 130", len(matched))
 	}
 	p, _ = CompileFilter([]byte(`{"field":"ts","eq":1}`), kinds())
-	matched, _ = evalBits(t, p, nil, 130, PlanBitmap)
-	if len(matched) != 0 {
+	if matched := evalBits(t, p, nil, 130); len(matched) != 0 {
 		t.Fatalf("eq over a metadata-less base matched %d rows, want 0", len(matched))
+	}
+	// A predicate compiled against another store's kinds reads a column
+	// of another kind as absent instead of indexing a nil array.
+	p, _ = CompileFilter([]byte(`{"field":"ts","lt":1e9}`), map[string]Kind{"ts": KindFloat})
+	if matched := evalBits(t, p, NewBlock(blockRows(130)), 130); len(matched) != 0 {
+		t.Fatalf("a float leaf over an int column matched %d rows, want 0", len(matched))
 	}
 }
 
@@ -320,21 +316,201 @@ func TestEvalBlockRandomizedAgainstMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, plan := range []Plan{PlanInline, PlanBitmap} {
-			got, _ := evalBits(t, p, blk, n, plan)
-			j := 0
-			for i, m := range rows {
-				if p.Match(m) {
-					if j >= len(got) || got[j] != i {
-						t.Fatalf("trial %d plan %v: row %d missing from %v", trial, plan, i, got)
-					}
-					j++
+		got := evalBits(t, p, blk, n)
+		j := 0
+		for i, m := range rows {
+			if p.Match(m) {
+				if j >= len(got) || got[j] != i {
+					t.Fatalf("trial %d: row %d missing from %v", trial, i, got)
 				}
-			}
-			if j != len(got) {
-				t.Fatalf("trial %d plan %v: %d extra matches", trial, plan, len(got)-j)
+				j++
 			}
 		}
+		if j != len(got) {
+			t.Fatalf("trial %d: %d extra matches", trial, len(got)-j)
+		}
+	}
+}
+
+// choices yields the random decisions of genCase: next(n) is in [0, n).
+// The differential test draws them from a seeded rng, FuzzEvalBlock
+// from the fuzzer's bytes.
+type choices func(n int) int
+
+// The value pools hold the cells that stress the kernels: NaN, both
+// zeros and both infinities, the int64 extremes, and the empty string.
+var (
+	genInts   = []int64{0, 1, -1, 7, math.MinInt64, math.MaxInt64}
+	genFloats = []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 0.5, -2.25}
+	genStrs   = []string{"", "a", "b", "ab", "B", "é"}
+	genFields = []struct {
+		name string
+		kind Kind
+	}{{"i", KindInt}, {"f", KindFloat}, {"s", KindString}, {"b", KindBool}, {"gone", KindInt}}
+)
+
+func genValue(kind Kind, next choices) Value {
+	switch kind {
+	case KindInt:
+		return IntValue(genInts[next(len(genInts))])
+	case KindFloat:
+		return FloatValue(genFloats[next(len(genFloats))])
+	case KindString:
+		return StringValue(genStrs[next(len(genStrs))])
+	}
+	return BoolValue(next(2) == 1)
+}
+
+// genCase draws the rows of a block — nil rows, columns present in
+// none, some or all rows, and sometimes a whole 64-row word without
+// metadata, so a first leaf empties that word — and a conjunction of
+// one to four leaves over them: every operator on every kind (ordered
+// operators on bool, which do not compile, become eq), in sets of up to
+// 256 values, and a field absent from every row ("gone").
+func genCase(next choices) ([]Map, *Predicate) {
+	rows := make([]Map, 1+next(300))
+	var presence [4]int // in quarters of the non-nil rows; 0 is a column absent from the block
+	for f := range presence {
+		presence[f] = next(5)
+	}
+	blank := -1
+	if next(2) == 0 {
+		blank = next(len(rows)/64 + 1)
+	}
+	for i := range rows {
+		if i>>6 == blank || next(10) == 0 {
+			continue
+		}
+		m := Map{}
+		for f, fd := range genFields[:len(presence)] {
+			if next(4) < presence[f] {
+				m[fd.name] = genValue(fd.kind, next)
+			}
+		}
+		rows[i] = m
+	}
+	p := &Predicate{}
+	for n := 1 + next(4); n > 0; n-- {
+		fd := genFields[next(len(genFields))]
+		l := leaf{field: fd.name, kind: fd.kind, op: op(next(int(opExists) + 1))}
+		if fd.kind == KindBool && l.op >= opLt && l.op <= opGe {
+			l.op = opEq
+		}
+		switch l.op {
+		case opExists:
+			l.want = next(2) == 1
+		case opIn:
+			for k := next(257); k > 0; k-- {
+				l.set = append(l.set, genValue(fd.kind, next))
+			}
+		default:
+			l.val = genValue(fd.kind, next)
+		}
+		p.leaves = append(p.leaves, l)
+		p.noteField(fd.name)
+	}
+	return rows, p
+}
+
+// checkEvalBlock compares EvalBlock word for word with Predicate.Match
+// on each row the block materializes, including the bits past the last
+// row, which must stay clear.
+func checkEvalBlock(t *testing.T, rows []Map, p *Predicate) {
+	t.Helper()
+	blk := NewBlock(rows)
+	got := make([]uint64, (len(rows)+63)/64)
+	for w := range got {
+		got[w] = 0xdead_beef_dead_beef // EvalBlock must overwrite every word
+	}
+	p.EvalBlock(blk, len(rows), got)
+	want := make([]uint64, len(got))
+	for i := range rows {
+		if p.Match(blk.Row(i)) {
+			want[i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	for w := range want {
+		if got[w] != want[w] {
+			t.Fatalf("%d rows, leaves %+v: word %d is\n  %064b, Match says\n  %064b", len(rows), p.leaves, w, got[w], want[w])
+		}
+	}
+}
+
+// TestEvalBlockDifferential is the kernels' reference check: random
+// blocks and conjunctions from genCase, every match word compared with
+// the row-at-a-time evaluator, and every operator × kind drawn.
+func TestEvalBlockDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	drawn := map[[2]int]bool{}
+	for trial := 0; trial < 3000; trial++ {
+		rows, p := genCase(rng.Intn)
+		checkEvalBlock(t, rows, p)
+		for _, l := range p.leaves {
+			drawn[[2]int{int(l.kind), int(l.op)}] = true
+		}
+	}
+	for _, fd := range genFields[:4] {
+		for o := opEq; o <= opExists; o++ {
+			if fd.kind == KindBool && o >= opLt && o <= opGe {
+				continue
+			}
+			if !drawn[[2]int{int(fd.kind), int(o)}] {
+				t.Errorf("no %s leaf with operator %d was drawn", fd.kind, o)
+			}
+		}
+	}
+}
+
+// FuzzEvalBlock lets the mutator steer genCase: every two input bytes
+// are one choice, and choices past the input's end are zero.
+func FuzzEvalBlock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, p := genCase(func(n int) int {
+			v := 0
+			if len(data) >= 2 {
+				v = int(data[0]) | int(data[1])<<8
+				data = data[2:]
+			}
+			return v % n
+		})
+		checkEvalBlock(t, rows, p)
+	})
+}
+
+// BenchmarkFilterEval times EvalBlock over a 5,000-row block shaped like
+// one shard base of the served benchmark's mixed-write workload (16
+// tenants, a uniform score, ts spread over 20,000 ids) against that
+// workload's five filter predicates, in ns per row.
+func BenchmarkFilterEval(b *testing.B) {
+	const n = 5000
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]Map, n)
+	for i := range rows {
+		rows[i] = Map{
+			"tenant": StringValue(fmt.Sprintf("t%02d", rng.Intn(16))),
+			"ts":     IntValue(int64(4 * i)),
+			"score":  FloatValue(0.001 + 0.998*rng.Float64()),
+		}
+	}
+	blk := NewBlock(rows)
+	dst := make([]uint64, (n+63)/64)
+	for _, c := range []struct{ name, raw string }{
+		{"tenant-eq", `{"field":"tenant","eq":"t03"}`},
+		{"tenant-eq-score-lt", `{"and":[{"field":"tenant","eq":"t07"},{"field":"score","lt":0.16}]}`},
+		{"score-lt", `{"field":"score","lt":0.1}`},
+		{"score-ge", `{"field":"score","ge":0.5}`},
+		{"ts-ge", `{"field":"ts","ge":18000}`},
+	} {
+		p, err := CompileFilter([]byte(c.raw), map[string]Kind{"tenant": KindString, "ts": KindInt, "score": KindFloat})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				p.EvalBlock(blk, n, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
 	}
 }
 
@@ -357,43 +533,26 @@ func TestBlockRowRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTrackerPlanner checks the tracker: the per-field matched/scanned
+// sums behind the selectivity gauges, and the plan counters that stay
+// zero until the benchmark stops reading them.
 func TestTrackerPlanner(t *testing.T) {
 	tr := NewTracker()
-	p, err := CompileFilter([]byte(`{"field":"tenant","eq":"acme"}`), kinds())
+	p, err := CompileFilter([]byte(`{"and":[{"field":"tenant","eq":"acme"},{"field":"ts","ge":5}]}`), kinds())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cold start: inline, regardless of size.
-	if got := tr.Choose(p, 10000); got != PlanInline {
-		t.Fatalf("cold-start plan = %v, want inline", got)
-	}
-	// Observed selective: bitmap on big bases, inline on small ones.
 	tr.Observe(p.Fields(), 10, 10000)
-	if got := tr.Choose(p, 10000); got != PlanBitmap {
-		t.Fatalf("selective plan = %v, want bitmap", got)
-	}
-	if got := tr.Choose(p, minBitmapRows-1); got != PlanInline {
-		t.Fatalf("small-base plan = %v, want inline", got)
-	}
-	// Unselective traffic flips it back.
-	tr.Observe(p.Fields(), 9000, 10000)
-	if got := tr.Choose(p, 10000); got != PlanInline {
-		t.Fatalf("unselective plan = %v, want inline", got)
-	}
-	// No eq leaf: always inline.
-	pr, _ := CompileFilter([]byte(`{"field":"ts","ge":5}`), kinds())
-	tr.Observe(pr.Fields(), 1, 10000)
-	if got := tr.Choose(pr, 10000); got != PlanInline {
-		t.Fatalf("range-only plan = %v, want inline", got)
-	}
-	tr.CountPlan(PlanBitmap)
-	tr.CountPlan(PlanInline)
-	tr.CountPlan(PlanInline)
+	tr.Observe(p.Fields(), 30, 10000)
+	tr.Observe([]string{"ts"}, 5, 0) // nothing scanned: not an observation
 	snap := tr.Snapshot()
-	if snap.PlanInline != 2 || snap.PlanBitmap != 1 {
-		t.Fatalf("plan counters = %d/%d, want 2/1", snap.PlanInline, snap.PlanBitmap)
+	for _, f := range []string{"tenant", "ts"} {
+		fs := snap.Fields[f]
+		if fs.Matched != 40 || fs.Scanned != 20000 || fs.Selectivity() != 0.002 {
+			t.Fatalf("field %q observations = %+v, want 40 of 20000", f, fs)
+		}
 	}
-	if fs, ok := snap.Fields["tenant"]; !ok || fs.Scanned == 0 {
-		t.Fatalf("snapshot lacks tenant observations: %+v", snap.Fields)
+	if snap.PlanInline != 0 || snap.PlanBitmap != 0 {
+		t.Fatalf("plan counters = %d/%d, want 0/0", snap.PlanInline, snap.PlanBitmap)
 	}
 }

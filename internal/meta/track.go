@@ -1,11 +1,9 @@
-// Tracker: the planner's memory. It observes the selectivity of every
-// filtered query per referenced field (matched live rows over scanned
-// live rows, as atomic sums) and counts the plans the planner picked.
-// One Tracker serves a whole store — the sharded store shares one across
-// its shards, so estimates reflect global traffic and the stats/metrics
-// surface aggregates for free. Plan choice never affects which rows a
-// query returns, so this feedback loop is outside the bit-identity
-// guarantee by construction.
+// Tracker observes the selectivity of every filtered query per
+// referenced field (matched live rows over scanned live rows, as atomic
+// sums) for the stats and metrics surface. One Tracker serves a whole
+// store — the sharded store shares one across its shards, so the
+// observations reflect global traffic. It never affects which rows a
+// query returns.
 package meta
 
 import (
@@ -13,28 +11,16 @@ import (
 	"sync/atomic"
 )
 
-// BitmapSelectivity is the planner threshold: an equality leaf whose
-// field's observed selectivity is at or below it sends the base segment
-// to the bitmap plan.
-const BitmapSelectivity = 0.05
-
-// minBitmapRows is the base size below which probing an index cannot
-// beat just sweeping the rows.
-const minBitmapRows = 256
-
 type fieldCounts struct {
 	matched atomic.Uint64
 	scanned atomic.Uint64
 }
 
-// Tracker accumulates per-field selectivity observations and plan
-// counts. The zero value is not usable; construct with NewTracker.
+// Tracker accumulates per-field selectivity observations. The zero
+// value is not usable; construct with NewTracker.
 type Tracker struct {
 	mu     sync.Mutex
 	fields map[string]*fieldCounts
-
-	planInline atomic.Uint64
-	planBitmap atomic.Uint64
 }
 
 // NewTracker returns an empty tracker.
@@ -67,51 +53,6 @@ func (t *Tracker) Observe(fields []string, matched, scanned int) {
 	}
 }
 
-// Estimate returns the observed selectivity of a field (matched/scanned
-// over all observations) and whether anything has been observed yet.
-func (t *Tracker) Estimate(field string) (float64, bool) {
-	t.mu.Lock()
-	c, ok := t.fields[field]
-	t.mu.Unlock()
-	if !ok {
-		return 1, false
-	}
-	scanned := c.scanned.Load()
-	if scanned == 0 {
-		return 1, false
-	}
-	return float64(c.matched.Load()) / float64(scanned), true
-}
-
-// Choose picks the evaluation plan for one base segment: bitmap when
-// any equality leaf's field has observed selectivity at or below
-// BitmapSelectivity and the segment is big enough for an index probe to
-// win; inline otherwise (including the unobserved cold start — the
-// first queries sweep, and their observations steer the rest).
-func (t *Tracker) Choose(p *Predicate, baseRows int) Plan {
-	if t == nil || p == nil || baseRows < minBitmapRows {
-		return PlanInline
-	}
-	for _, f := range p.EqFields() {
-		if est, ok := t.Estimate(f); ok && est <= BitmapSelectivity {
-			return PlanBitmap
-		}
-	}
-	return PlanInline
-}
-
-// CountPlan records one planner decision.
-func (t *Tracker) CountPlan(p Plan) {
-	if t == nil {
-		return
-	}
-	if p == PlanBitmap {
-		t.planBitmap.Add(1)
-	} else {
-		t.planInline.Add(1)
-	}
-}
-
 // FieldStat is one field's accumulated observations.
 type FieldStat struct {
 	Matched uint64
@@ -128,17 +69,17 @@ func (f FieldStat) Selectivity() float64 {
 
 // TrackerStats is a point-in-time snapshot for /v1/stats and /metrics.
 type TrackerStats struct {
-	Fields     map[string]FieldStat
+	Fields map[string]FieldStat
+	// PlanInline and PlanBitmap are always zero: there is one evaluation
+	// path and no planner. The served-path benchmark still reads them;
+	// the next change to the benchmark retires them.
 	PlanInline uint64
 	PlanBitmap uint64
 }
 
 // Snapshot captures the tracker's current state.
 func (t *Tracker) Snapshot() TrackerStats {
-	out := TrackerStats{
-		PlanInline: t.planInline.Load(),
-		PlanBitmap: t.planBitmap.Load(),
-	}
+	var out TrackerStats
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.fields) > 0 {

@@ -284,8 +284,9 @@ func (r *Registry) Register(md Map) error {
 }
 
 // Seed registers previously persisted kinds wholesale, used when a
-// bundle reopens. Conflicts resolve in favor of the already-seeded kind
-// (the manifest is written before any row, so it wins by construction).
+// bundle reopens. A field already registered keeps its kind; the open
+// paths seed a fresh registry, or compare afterwards where files may
+// disagree (OpenSharded).
 func (r *Registry) Seed(kinds map[string]Kind) {
 	if len(kinds) == 0 {
 		return
@@ -310,22 +311,18 @@ func (r *Registry) Seed(kinds map[string]Kind) {
 	}
 }
 
-// SeedRows re-registers the kinds found in stored rows — the recovery
+// SeedRows registers the kinds found in stored rows — the recovery
 // path for fields that first appeared in a delta frame written after the
-// manifest's kind table was last rewritten.
-func (r *Registry) SeedRows(rows []Map) {
-	var kinds map[string]Kind
+// manifest's kind table was last rewritten — checking each row exactly
+// as Register checks a write. It returns the first row's error: a value
+// of an invalid kind, or of another kind than its field's.
+func (r *Registry) SeedRows(rows []Map) error {
 	for _, m := range rows {
-		for f, v := range m {
-			if kinds == nil {
-				kinds = make(map[string]Kind)
-			}
-			if _, ok := kinds[f]; !ok {
-				kinds[f] = v.Kind
-			}
+		if err := r.Register(m); err != nil {
+			return err
 		}
 	}
-	r.Seed(kinds)
+	return nil
 }
 
 // SortedFields returns the registered field names in sorted order —

@@ -88,7 +88,7 @@ func TestSearchFilteredNilIsSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotStats, err := head.SearchFiltered(q, 5, 40, nil, meta.PlanInline)
+	got, gotStats, err := head.SearchFiltered(q, 5, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +103,9 @@ func TestSearchFilteredNilIsSearch(t *testing.T) {
 	}
 }
 
-// TestSearchFilteredMatchesReference checks, over churned segments and
-// both plans, that a filtered search returns exactly the matching live
-// rows re-ranked by exact distance — top-p drawn from matching rows
-// only.
+// TestSearchFilteredMatchesReference checks, over churned segments,
+// that a filtered search returns exactly the matching live rows
+// re-ranked by exact distance — top-p drawn from matching rows only.
 func TestSearchFilteredMatchesReference(t *testing.T) {
 	for name, em := range map[string]Embedder[[]float64]{
 		"unweighted": identityEmbedder{},
@@ -140,18 +139,16 @@ func TestSearchFilteredMatchesReference(t *testing.T) {
 				if k == 0 {
 					k = 1
 				}
-				for _, plan := range []meta.Plan{meta.PlanInline, meta.PlanBitmap} {
-					got, st, err := head.SearchFiltered(q, k, head.Total()+10, pred, plan)
-					if err != nil {
-						t.Fatalf("filter %s plan %v: %v", raw, plan, err)
-					}
-					if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
-						t.Fatalf("filter %s plan %v:\n  want %v\n  got  %v", raw, plan, want, got)
-					}
-					if st.RefineDistances != len(match) {
-						t.Fatalf("filter %s plan %v: refined %d, want %d matching rows",
-							raw, plan, st.RefineDistances, len(match))
-					}
+				got, st, err := head.SearchFiltered(q, k, head.Total()+10, pred)
+				if err != nil {
+					t.Fatalf("filter %s: %v", raw, err)
+				}
+				if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
+					t.Fatalf("filter %s:\n  want %v\n  got  %v", raw, want, got)
+				}
+				if st.RefineDistances != len(match) {
+					t.Fatalf("filter %s: refined %d, want %d matching rows",
+						raw, st.RefineDistances, len(match))
 				}
 			}
 		})
@@ -184,14 +181,13 @@ func TestFilterLiveMatchParallelBoundaries(t *testing.T) {
 	q := []float64{0.5, 0.5}
 	qvec := identityEmbedder{}.Embed(q)
 	for _, p := range []int{1, 17, 400, n} {
-		ser, serCount, _ := seg.FilterLiveMatch(qvec, nil, p, false, nil, pred, meta.PlanInline)
-		par1, parCount, _ := seg.FilterLiveMatch(qvec, nil, p, true, nil, pred, meta.PlanInline)
-		bm, bmCount, _ := seg.FilterLiveMatch(qvec, nil, p, true, nil, pred, meta.PlanBitmap)
-		if serCount != parCount || serCount != bmCount {
-			t.Fatalf("p=%d: match counts diverge: %d/%d/%d", p, serCount, parCount, bmCount)
+		ser, serCount := seg.FilterLiveMatch(qvec, nil, p, false, nil, pred)
+		par1, parCount := seg.FilterLiveMatch(qvec, nil, p, true, nil, pred)
+		if serCount != parCount {
+			t.Fatalf("p=%d: match counts diverge: %d/%d", p, serCount, parCount)
 		}
-		if !reflect.DeepEqual(ser, par1) || !reflect.DeepEqual(ser, bm) {
-			t.Fatalf("p=%d: serial/parallel/bitmap candidate lists diverge", p)
+		if !reflect.DeepEqual(ser, par1) {
+			t.Fatalf("p=%d: serial/parallel candidate lists diverge", p)
 		}
 		want := matchingLive(seg, pred)
 		if serCount != len(want) {
@@ -243,11 +239,11 @@ func TestMetadataSurvivesCompactAndGather(t *testing.T) {
 	}
 	pred := mustFilter(t, `{"and":[{"field":"tag","eq":"a"},{"field":"bucket","le":6}]}`)
 	q := []float64{0.2, 0.9}
-	want, _, err := head.SearchFiltered(q, 7, head.Total(), pred, meta.PlanInline)
+	want, _, err := head.SearchFiltered(q, 7, head.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := comp.SearchFiltered(q, 7, comp.Total(), pred, meta.PlanInline)
+	got, _, err := comp.SearchFiltered(q, 7, comp.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,11 +295,11 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 	}
 	pred := mustFilter(t, `{"field":"bucket","in":[0,4,8]}`)
 	q := []float64{0.8, 0.1}
-	want, _, err := head.SearchFiltered(q, 9, head.Total(), pred, meta.PlanInline)
+	want, _, err := head.SearchFiltered(q, 9, head.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := re.SearchFiltered(q, 9, re.Total(), pred, meta.PlanInline)
+	got, _, err := re.SearchFiltered(q, 9, re.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,18 +61,16 @@ func TestQuantizedFilterCrossProduct(t *testing.T) {
 						}
 						for _, pred := range preds {
 							for _, p := range []int{1, 20, exact.Total() + 10} {
-								for _, plan := range []meta.Plan{meta.PlanInline, meta.PlanBitmap} {
-									want, _, _ := exact.FilterLiveMatch(qvec, weights, p, false, nil, pred, plan)
-									var mb, md bitmap
-									if pred != nil {
-										mb, md, _ = quant.matchBits(pred, plan)
-									}
-									run := assertSeededMatches(t, quant, qvec, weights, p, false, mb, md, pred != nil)
-									if run.pr != nil && !reflect.DeepEqual(run.res, want) {
-										t.Fatalf("%s p=%d plan=%v: seeded screen diverges from the exact head\n  exact  %v\n  screen %v", pair, p, plan, want, run.res)
-									}
-									engaged += run.tm.BoundScannedRows
+								want, _ := exact.FilterLiveMatch(qvec, weights, p, false, nil, pred)
+								var mb, md bitmap
+								if pred != nil {
+									mb, md = quant.matchBits(pred)
 								}
+								run := assertSeededMatches(t, quant, qvec, weights, p, false, mb, md, pred != nil)
+								if run.pr != nil && !reflect.DeepEqual(run.res, want) {
+									t.Fatalf("%s p=%d: seeded screen diverges from the exact head\n  exact  %v\n  screen %v", pair, p, want, run.res)
+								}
+								engaged += run.tm.BoundScannedRows
 							}
 						}
 					}
@@ -143,7 +141,7 @@ func TestQuantizedFilterEdges(t *testing.T) {
 	}
 	none := mustFilter(t, `{"field":"bucket","eq":99}`)
 	var clk FilterClock
-	res, n, _ := tagged.FilterLiveMatch(q, nil, 5, false, &clk, none, meta.PlanInline)
+	res, n := tagged.FilterLiveMatch(q, nil, 5, false, &clk, none)
 	if n != 0 || len(res) != 0 {
 		t.Fatalf("all-excluded predicate matched %d rows: %v", n, res)
 	}

@@ -317,7 +317,7 @@ func TestSeededScreenMatchesUnseeded(t *testing.T) {
 				for pname, pred := range preds {
 					var mb, md bitmap
 					if pred != nil {
-						mb, md, _ = head.matchBits(pred, meta.PlanInline)
+						mb, md = head.matchBits(pred)
 					}
 					var cands, scanned, ran int
 					for _, q := range queries {
@@ -371,7 +371,7 @@ func TestSeededScreenSkipsDeadAndNonMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, md, _ := head.matchBits(far, meta.PlanInline)
+	mb, md := head.matchBits(far)
 	dead := head
 	for _, nb := range order {
 		if dead, err = dead.Remove(nb.Index); err != nil {
@@ -501,7 +501,7 @@ func TestGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, md, _ := quant.matchBits(pred, meta.PlanInline)
+	mb, md := quant.matchBits(pred)
 	seedable, matched := mb.popcount(), mb.popcount()+md.popcount()
 	liveBase := n - quant.baseDead.popcount()
 	q := clusteredDB(1, 5)[0]
@@ -511,8 +511,8 @@ func TestGate(t *testing.T) {
 			var want, got []space.Neighbor
 			var gate bool
 			if filtered {
-				want, _, _ = exactHead.FilterLiveMatch(q, nil, p, true, nil, pred, meta.PlanInline)
-				got, _, _ = quant.FilterLiveMatch(q, nil, p, true, &clk, pred, meta.PlanInline)
+				want, _ = exactHead.FilterLiveMatch(q, nil, p, true, nil, pred)
+				got, _ = quant.FilterLiveMatch(q, nil, p, true, &clk, pred)
 				gate = seedGate(n, min(p, matched), seedable)
 			} else {
 				want = exactHead.FilterLive(q, nil, p, true, nil)

@@ -466,20 +466,18 @@ func (s *Segmented[T]) Search(q T, k, p int) ([]space.Neighbor, Stats, error) {
 }
 
 func (s *Segmented[T]) search(q T, k, p int, parallel bool) ([]space.Neighbor, Stats, error) {
-	return s.searchPred(q, k, p, nil, meta.PlanInline, parallel)
+	return s.searchPred(q, k, p, nil, parallel)
 }
 
 // SearchFiltered is Search restricted to the rows matching pred: the
 // predicate is evaluated below the top-p truncation, so p candidates
 // are drawn from the matching live rows alone — a selective filter
-// never starves the result. plan picks the base-segment evaluation
-// strategy (the store's planner chooses; meta.PlanInline is always
-// correct). A nil pred is exactly Search.
-func (s *Segmented[T]) SearchFiltered(q T, k, p int, pred *meta.Predicate, plan meta.Plan) ([]space.Neighbor, Stats, error) {
-	return s.searchPred(q, k, p, pred, plan, true)
+// never starves the result. A nil pred is exactly Search.
+func (s *Segmented[T]) SearchFiltered(q T, k, p int, pred *meta.Predicate) ([]space.Neighbor, Stats, error) {
+	return s.searchPred(q, k, p, pred, true)
 }
 
-func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, plan meta.Plan, parallel bool) ([]space.Neighbor, Stats, error) {
+func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, parallel bool) ([]space.Neighbor, Stats, error) {
 	if err := CheckKP(k, p); err != nil {
 		return nil, Stats{}, err
 	}
@@ -500,7 +498,7 @@ func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, plan meta
 	if pred == nil {
 		candidates = s.filterTopP(qvec, weights, p, parallel, &clk)
 	} else {
-		candidates, _, _ = s.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred, plan)
+		candidates, _ = s.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred)
 	}
 	clk.AddTo(&t)
 
@@ -567,26 +565,23 @@ func (s *Segmented[T]) FilterLive(qvec, weights []float64, p int, parallel bool,
 // timed pre-pass evaluates the predicate into per-segment match bitsets
 // (ANDed with liveness), p is clamped to the matching-live population,
 // and the partitioned scan walks only matching rows — the predicate is
-// below the top-p truncation. It returns the candidates, the
+// below the top-p truncation. It returns the candidates and the
 // matching-live row count (the sharded store sums it across shards to
-// clamp the global truncation identically to an unsharded store), and
-// the plan actually used for the base segment (PlanBitmap falls back to
-// inline when no leaf is indexable). A nil pred is exactly FilterLive
-// with count Live(). Plan choice never changes the match set, so
-// results are bit-identical across plans and shard counts.
-func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate, plan meta.Plan) ([]space.Neighbor, int, meta.Plan) {
+// clamp the global truncation identically to an unsharded store). A nil
+// pred is exactly FilterLive with count Live().
+func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate) ([]space.Neighbor, int) {
 	if pred == nil {
-		return s.filterTopP(qvec, weights, p, parallel, clk), s.Live(), meta.PlanInline
+		return s.filterTopP(qvec, weights, p, parallel, clk), s.Live()
 	}
 	t0 := time.Now()
-	matchBase, matchDelta, used := s.matchBits(pred, plan)
+	matchBase, matchDelta := s.matchBits(pred)
 	matched := matchBase.popcount() + matchDelta.popcount()
 	clk.AddEval(time.Since(t0).Nanoseconds())
 	if p > matched {
 		p = matched
 	}
 	if p <= 0 {
-		return nil, matched, used
+		return nil, matched
 	}
 	total := s.Total()
 	var pr *boundPrune
@@ -609,22 +604,22 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 		heaps = all[:shards]
 	}
 	if clk == nil {
-		return mergeTopP(heaps, p), matched, used
+		return mergeTopP(heaps, p), matched
 	}
 	t0 = time.Now()
 	out := mergeTopP(heaps, p)
 	clk.AddMerge(time.Since(t0).Nanoseconds())
-	return out, matched, used
+	return out, matched
 }
 
 // matchBits evaluates pred into per-segment match bitsets ANDed with
-// liveness, and reports the plan actually used for the base segment.
-func (s *Segmented[T]) matchBits(pred *meta.Predicate, plan meta.Plan) (matchBase, matchDelta bitmap, used meta.Plan) {
+// liveness: the base through the column kernels of meta.EvalBlock, the
+// delta row by row through Predicate.Match.
+func (s *Segmented[T]) matchBits(pred *meta.Predicate) (matchBase, matchDelta bitmap) {
 	bn, dn := s.base.Size(), len(s.deltaDB)
-	used = meta.PlanInline
 	if bn > 0 {
 		matchBase = make(bitmap, (bn+63)/64)
-		used = pred.EvalBlock(s.baseMeta, bn, matchBase, plan)
+		pred.EvalBlock(s.baseMeta, bn, matchBase)
 		for w := range s.baseDead {
 			matchBase[w] &^= s.baseDead[w]
 		}
@@ -644,7 +639,7 @@ func (s *Segmented[T]) matchBits(pred *meta.Predicate, plan meta.Plan) (matchBas
 			}
 		}
 	}
-	return matchBase, matchDelta, used
+	return matchBase, matchDelta
 }
 
 // filterTopP ranks the live rows of both segments under the filter

@@ -229,30 +229,29 @@ func TestFilterObservability(t *testing.T) {
 		}
 	}
 
-	// /v1/stats carries the filter section: the field's observations and
-	// the plan counts (this store is far below the bitmap threshold, so
-	// every choice is inline).
+	// /v1/stats carries the filter section: the field's observations, and
+	// no plan counts — there is one evaluation path and no planner.
 	rec := do(h, "GET", "/v1/stats", "")
+	if strings.Contains(rec.Body.String(), "plan_") {
+		t.Fatalf("/v1/stats still reports plan counts: %s", rec.Body.String())
+	}
 	var stats statsResponse
 	decodeInto(t, rec, &stats)
 	fs, ok := stats.Filter.Fields["team"]
 	if !ok || fs.Scanned == 0 || fs.Selectivity <= 0 {
 		t.Fatalf("stats filter section missing the observed field: %+v", stats.Filter)
 	}
-	if stats.Filter.PlanInline == 0 {
-		t.Fatalf("no plan choices counted: %+v", stats.Filter)
-	}
 
 	// /metrics renders the per-field gauge on the first scrape after the
 	// field is observed (the gauge is registered lazily by the scrape
-	// hook) and the plan-choice series.
+	// hook) and the filter_eval stage, and no plan-choice series.
 	rec = do(h, "GET", "/metrics", "")
 	body := rec.Body.String()
 	if !strings.Contains(body, `qse_filter_field_selectivity{field="team"}`) {
 		t.Fatalf("/metrics missing the per-field selectivity gauge:\n%s", body)
 	}
-	if !strings.Contains(body, `qse_filter_plan_choices_total{plan="inline"}`) {
-		t.Fatalf("/metrics missing the plan-choice series:\n%s", body)
+	if strings.Contains(body, "qse_filter_plan_choices_total") {
+		t.Fatalf("/metrics still renders the plan-choice series:\n%s", body)
 	}
 	if !strings.Contains(body, `qse_search_stage_duration_seconds_count{stage="filter_eval"}`) {
 		t.Fatalf("/metrics missing the filter_eval stage histogram:\n%s", body)

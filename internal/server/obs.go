@@ -142,16 +142,12 @@ func (s *Server[T]) initObs() {
 		}
 	})
 
-	// Filter planner block: plan-choice counts and one selectivity gauge
-	// per metadata field. Fields appear as traffic references them, so
-	// their gauges are registered lazily inside the scrape hook (the
-	// registry snapshots its family list after hooks run, so a gauge born
-	// on this scrape still renders on it). The mutex serializes
-	// concurrent scrapes over the lazily-grown map.
-	r.GaugeFunc("qse_filter_plan_choices_total", "Filtered base-segment scans by chosen plan.",
-		func() float64 { return float64(s.st.FilterStats().PlanInline) }, obs.Label{Name: "plan", Value: "inline"})
-	r.GaugeFunc("qse_filter_plan_choices_total", "Filtered base-segment scans by chosen plan.",
-		func() float64 { return float64(s.st.FilterStats().PlanBitmap) }, obs.Label{Name: "plan", Value: "bitmap"})
+	// Filter block: one selectivity gauge per metadata field. Fields
+	// appear as traffic references them, so their gauges are registered
+	// lazily inside the scrape hook (the registry snapshots its family
+	// list after hooks run, so a gauge born on this scrape still renders
+	// on it). The mutex serializes concurrent scrapes over the
+	// lazily-grown map.
 	s.selGauges = make(map[string]*obs.Gauge)
 	r.OnScrape(func() {
 		fs := s.st.FilterStats()

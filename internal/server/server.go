@@ -757,12 +757,10 @@ type fieldStatJSON struct {
 	Selectivity float64 `json:"selectivity"`
 }
 
-// filterStatsJSON is the filter-planner section of /v1/stats: per-field
-// selectivity observations and the plans chosen per filtered base scan.
+// filterStatsJSON is the filter section of /v1/stats: per-field
+// selectivity observations.
 type filterStatsJSON struct {
-	Fields     map[string]fieldStatJSON `json:"fields,omitempty"`
-	PlanInline uint64                   `json:"plan_inline"`
-	PlanBitmap uint64                   `json:"plan_bitmap"`
+	Fields map[string]fieldStatJSON `json:"fields,omitempty"`
 }
 
 type statsResponse struct {
@@ -824,7 +822,7 @@ func (s *Server[T]) handleStats(w http.ResponseWriter, r *http.Request) {
 		eps[endpointNames[ep]] = row
 	}
 	fs := s.st.FilterStats()
-	filter := filterStatsJSON{PlanInline: fs.PlanInline, PlanBitmap: fs.PlanBitmap}
+	var filter filterStatsJSON
 	if len(fs.Fields) > 0 {
 		filter.Fields = make(map[string]fieldStatJSON, len(fs.Fields))
 		for f, fst := range fs.Fields {

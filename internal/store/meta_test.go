@@ -16,6 +16,7 @@ import (
 	"sort"
 	"testing"
 
+	"qse/internal/fsio"
 	"qse/internal/meta"
 	"qse/internal/retrieval"
 )
@@ -368,4 +369,187 @@ func TestMetadataPersistenceV1(t *testing.T) {
 	if !errors.As(err, &te) {
 		t.Fatalf("kind conflict after v1 reopen: got %v, want *meta.TypeError", err)
 	}
+}
+
+// TestMetadataKindConflictCorrupt pins the open-time kind check. Every
+// row a store saves passed the registry, so a saved value whose kind
+// differs from its field's, or is invalid, is damage: the open fails as
+// ErrCorrupt instead of reading the value back as its column's kind. It
+// covers a v3 base section, a v3 delta frame, two v3 shards that
+// disagree on a field the manifest does not list, and the legacy v1
+// bundle and v2 shard files.
+func TestMetadataKindConflictCorrupt(t *testing.T) {
+	codec := Gob[[]float64]()
+	// saveV3 writes a layout whose "bucket" rows sit both in the base
+	// sections (compacted) and in delta frames, and checks that the
+	// untouched layout opens.
+	saveV3 := func(t *testing.T, shards int) (path string, bases, deltas []string) {
+		path = filepath.Join(t.TempDir(), "kinds.qse")
+		s := newSharded(t, 40, shards)
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 12; i++ {
+				if _, err := s.AddMeta([]float64{float64(i), 1, -1}, meta.Map{"bucket": meta.IntValue(int64(i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if round == 0 {
+				s.Compact()
+			}
+		}
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSharded(path, l1, codec); err != nil {
+			t.Fatalf("opening the intact layout: %v", err)
+		}
+		bases, deltas = shardSectionFiles(path, shards)
+		for i := range bases {
+			bases[i] = filepath.Join(filepath.Dir(path), bases[i])
+			deltas[i] = filepath.Join(filepath.Dir(path), deltas[i])
+		}
+		return path, bases, deltas
+	}
+	// retype sets "bucket" to v in the first record of rows, or in all
+	// of them.
+	retype := func(rows []meta.Map, v meta.Value, all bool) {
+		for _, m := range rows {
+			if m != nil {
+				m["bucket"] = v
+				if !all {
+					return
+				}
+			}
+		}
+	}
+	retypeBase := func(t *testing.T, file string, v meta.Value, all bool) uint64 {
+		t.Helper()
+		body, err := readBaseSection(fsio.OS(), file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retype(body.Meta, v, all)
+		if _, err := writeBaseSection(fsio.OS(), file, body); err != nil {
+			t.Fatal(err)
+		}
+		return body.Tag
+	}
+	retypeDelta := func(t *testing.T, file string, tag uint64, v meta.Value, all bool) {
+		t.Helper()
+		frames, _, ok, err := readDeltaLog(fsio.OS(), file, tag)
+		if err != nil || !ok || len(frames) == 0 {
+			t.Fatalf("reading %s: %d frames, ok %v, err %v", file, len(frames), ok, err)
+		}
+		for _, f := range frames {
+			retype(f.Meta, v, all)
+		}
+		if _, err := writeDeltaLog(fsio.OS(), file, tag, frames...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantCorrupt := func(t *testing.T, path string) {
+		t.Helper()
+		if _, err := OpenSharded(path, l1, codec); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("open = %v, want ErrCorrupt", err)
+		}
+	}
+
+	for _, bad := range []struct {
+		name string
+		v    meta.Value
+	}{{"float", meta.FloatValue(2.5)}, {"invalid", meta.Value{}}} {
+		t.Run("v3-base-"+bad.name, func(t *testing.T) {
+			path, bases, _ := saveV3(t, 1)
+			retypeBase(t, bases[0], bad.v, false)
+			wantCorrupt(t, path)
+		})
+		t.Run("v3-delta-"+bad.name, func(t *testing.T) {
+			path, bases, deltas := saveV3(t, 1)
+			body, err := readBaseSection(fsio.OS(), bases[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			retypeDelta(t, deltas[0], body.Tag, bad.v, false)
+			wantCorrupt(t, path)
+		})
+	}
+
+	t.Run("v3-across-shards", func(t *testing.T) {
+		// The manifest forgets the field's kind, and shard 1 holds floats
+		// throughout: each shard agrees with itself, not with shard 0.
+		path, bases, deltas := saveV3(t, 2)
+		tag := retypeBase(t, bases[1], meta.FloatValue(2.5), true)
+		retypeDelta(t, deltas[1], tag, meta.FloatValue(2.5), true)
+		_, payload, err := readEnvelope(fsio.OS(), path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man, err := decodeManifestV3(path, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.MetaKinds = nil
+		if _, err := writeManifestV3(fsio.OS(), path, man); err != nil {
+			t.Fatal(err)
+		}
+		wantCorrupt(t, path)
+	})
+
+	// retypeV1 rewrites a v1 bundle's rows, and with kinds its kind table.
+	retypeV1 := func(t *testing.T, file string, all bool) {
+		t.Helper()
+		_, payload, err := readEnvelope(fsio.OS(), file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := decodeBundle(file, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retype(body.Meta, meta.FloatValue(2.5), all)
+		if all {
+			body.MetaKinds = map[string]meta.Kind{"bucket": meta.KindFloat}
+		}
+		if err := writeBundle(fsio.OS(), file, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addBuckets := func(t *testing.T, s interface {
+		AddMeta([]float64, meta.Map) (uint64, error)
+	}) {
+		for i := 0; i < 12; i++ {
+			if _, err := s.AddMeta([]float64{float64(i), 1, -1}, meta.Map{"bucket": meta.IntValue(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("v1", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "kinds-v1.bundle")
+		s := newStore(t, 40)
+		addBuckets(t, s)
+		if err := s.saveV1(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, l1, codec); err != nil {
+			t.Fatalf("opening the intact bundle: %v", err)
+		}
+		retypeV1(t, path, false)
+		if _, err := Open(path, l1, codec); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("open = %v, want ErrCorrupt", err)
+		}
+	})
+	t.Run("v2-across-shards", func(t *testing.T) {
+		// Shard 1's bundle types the field float throughout, kind table
+		// included: each file agrees with itself, not with shard 0's.
+		path := filepath.Join(t.TempDir(), "kinds-v2.qse")
+		s := newSharded(t, 40, 2)
+		addBuckets(t, s)
+		if err := s.saveV2(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenSharded(path, l1, codec); err != nil {
+			t.Fatalf("opening the intact layout: %v", err)
+		}
+		retypeV1(t, filepath.Join(filepath.Dir(path), shardFiles(path, 2)[1]), true)
+		wantCorrupt(t, path)
+	})
 }

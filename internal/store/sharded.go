@@ -25,10 +25,11 @@
 //     same order, same size, so the refine phase pays the same number of
 //     exact distances and ranks identically.
 //
-// Persistence is a version-2 manifest naming S version-1 shard bundles
-// (see bundle.go); a plain version-1 bundle opens as S = 1, and an S = 1
-// Sharded saves back to plain version 1, so single-shard deployments
-// round-trip through the original format unchanged.
+// Persistence is the version-3 layout (see snapshot.go): one manifest
+// plus a base section and a delta log per shard, written by every save
+// whatever S is. The legacy layouts still open — a version-2 manifest
+// naming S version-1 shard bundles, and a plain version-1 bundle as
+// S = 1 — and the next save writes them forward as version 3.
 package store
 
 import (
@@ -174,9 +175,9 @@ type Sharded[T any] struct {
 	health snapHealth
 
 	// reg and track are the layout-wide metadata type registry and filter
-	// planner, shared by pointer with every shard (see newShardedFront):
-	// a field's type is fixed across the whole layout, and selectivity
-	// estimates aggregate all shards' traffic.
+	// selectivity tracker, shared by pointer with every shard (see
+	// newShardedFront): a field's type is fixed across the whole layout,
+	// and selectivity observations aggregate all shards' traffic.
 	reg   *meta.Registry
 	track *meta.Tracker
 }
@@ -246,11 +247,10 @@ func NewSharded[T any](model *core.Model[T], db []T, dist space.Distance[T], cod
 
 // newShardedFront assembles the Sharded façade over already-built
 // shards: the ticket gates are bound to each shard's mutex, the global
-// allocator seeded, and one metadata registry/tracker pair shared into
-// every shard — shard 0's registry (already seeded from disk on the
-// open paths) absorbs the other shards' kinds and becomes the layout's.
-// Every constructor funnels through here so a Sharded can never exist
-// with uninitialized gates or a split registry.
+// allocator seeded, and shard 0's metadata registry/tracker pair shared
+// into every shard. The open paths type the whole layout in shard 0's
+// registry first. Every constructor funnels through here so a Sharded
+// can never exist with uninitialized gates or a split registry.
 func newShardedFront[T any](model *core.Model[T], dist space.Distance[T], codec Codec[T], shards []*Store[T], next uint64) *Sharded[T] {
 	s := &Sharded[T]{
 		model: model, dist: dist, codec: codec,
@@ -262,7 +262,6 @@ func newShardedFront[T any](model *core.Model[T], dist space.Distance[T], codec 
 		s.gates[i].cond = sync.NewCond(&shards[i].mu)
 	}
 	for _, sh := range shards[1:] {
-		s.reg.Seed(sh.reg.Kinds())
 		sh.reg, sh.track = s.reg, s.track
 	}
 	s.nextID.Store(next)
@@ -371,6 +370,14 @@ func OpenSharded[T any](path string, dist space.Distance[T], codec Codec[T]) (*S
 		// never cause an ID to be issued twice.
 		if n := sh.nextID.Load(); n > next {
 			next = n
+		}
+		// Shard 0's registry types the layout: it absorbs every shard's
+		// kinds, and a field two shard files type differently is damage.
+		shards[0].reg.Seed(sh.reg.Kinds())
+		for f, k := range sh.reg.Kinds() {
+			if want, _ := shards[0].reg.Kind(f); want != k {
+				return nil, fmt.Errorf("%w: %s: shard %d: %v", ErrCorrupt, path, i, &meta.TypeError{Field: f, Want: want, Got: k})
+			}
 		}
 	}
 	return newShardedFront(shards[0].model, dist, codec, shards, next), nil
@@ -569,7 +576,7 @@ func (s *Sharded[T]) CompileFilter(raw []byte) (*meta.Predicate, error) {
 	return meta.CompileFilter(raw, s.reg.Kinds())
 }
 
-// FilterStats snapshots the shared filter planner's state.
+// FilterStats snapshots the shared per-field filter selectivity.
 func (s *Sharded[T]) FilterStats() meta.TrackerStats {
 	return s.track.Snapshot()
 }

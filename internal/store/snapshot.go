@@ -335,12 +335,18 @@ func openLayoutV3[T any](path string, payload []byte, dist space.Distance[T], co
 		return nil, nil, 0, false, fmt.Errorf("%w: %s: model embeds to %d dims, manifest declares %d", ErrCorrupt, path, model.Dims(), man.Dims)
 	}
 
+	// One registry types the whole layout: the manifest's kind table
+	// first, then every shard's replayed rows, each checked against it,
+	// so every persisted field is typed before the first write or filter
+	// arrives and a row of another kind than its field's is corruption.
+	reg := meta.NewRegistry()
+	reg.Seed(man.MetaKinds)
 	dir := filepath.Dir(path)
 	shards := make([]*Store[T], man.Shards)
 	errs := make([]error, man.Shards)
 	par.For(man.Shards, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			shards[i], errs[i] = openShardV3(dir, man.BaseFiles[i], man.DeltaFiles[i], model, dist, codec)
+			shards[i], errs[i] = openShardV3(dir, man.BaseFiles[i], man.DeltaFiles[i], model, dist, codec, reg)
 		}
 	})
 	for i, err := range errs {
@@ -348,12 +354,6 @@ func openLayoutV3[T any](path string, payload []byte, dist space.Distance[T], co
 			return nil, nil, 0, false, fmt.Errorf("store: opening shard %d of %s: %w", i, path, err)
 		}
 	}
-
-	// The manifest's kind table merges into shard 0's registry: shard 0's
-	// is the one newShardedFront promotes to the whole layout (and the
-	// one a single-shard open serves from), so every persisted field is
-	// typed before the first write or filter arrives.
-	shards[0].reg.Seed(man.MetaKinds)
 
 	// The allocator resumes past every durable view of it — the manifest
 	// (possibly stale: delta-only saves do not rewrite it) and every
@@ -402,8 +402,9 @@ func canonicalSections(path string, man *manifestV3Body) bool {
 // its header, or tagged for a different base (see readDeltaLog) — in
 // every case a consistent, possibly slightly older state. The recovered
 // log offset seeds the incremental-save bookkeeping, so background
-// snapshots resume appending where the durable log ends.
-func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], dist space.Distance[T], codec Codec[T]) (*Store[T], error) {
+// snapshots resume appending where the durable log ends. reg is the
+// layout's registry, shared by every shard.
+func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], dist space.Distance[T], codec Codec[T], reg *meta.Registry) (*Store[T], error) {
 	basePath := filepath.Join(dir, baseFile)
 	deltaPath := filepath.Join(dir, deltaFile)
 	b, err := readBaseSection(fsio.OS(), basePath)
@@ -486,6 +487,19 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 		}
 	}
 
+	// Register the kinds of the replayed rows — the recovery path for
+	// fields that first appeared after the manifest's kind table was last
+	// rewritten (delta-only saves leave the manifest alone until the
+	// registry grows) — checking every row as a write is checked. Every
+	// row this build persists passed that check, so a row that fails it
+	// is damage, and would otherwise read back as its column's kind.
+	if err := reg.SeedRows(b.Meta); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, basePath, err)
+	}
+	if err := reg.SeedRows(deltaMeta); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, deltaPath, err)
+	}
+
 	seg, err := retrieval.NewSegmentedFromParts(baseIx, deltaObjs, deltaFlat, baseDead, deltaDead, b.Meta, deltaMeta)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, deltaPath, err)
@@ -541,15 +555,7 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 		firstLive++
 	}
 
-	st := &Store[T]{model: model, dist: dist, codec: codec, policy: DefaultCompactionPolicy(), reg: meta.NewRegistry(), track: meta.NewTracker()}
-	// Re-register the kinds present in the replayed rows — the recovery
-	// path for fields that first appeared after the manifest's kind table
-	// was last rewritten (delta-only saves leave the manifest alone until
-	// the registry grows). The caller merges the manifest's own table in
-	// before this store serves anything; rows can never disagree with it
-	// because every persisted row passed the registry at write time.
-	st.reg.SeedRows(b.Meta)
-	st.reg.SeedRows(deltaMeta)
+	st := &Store[T]{model: model, dist: dist, codec: codec, policy: DefaultCompactionPolicy(), reg: reg, track: meta.NewTracker()}
 	st.nextID.Store(nextID)
 	st.cur.Store(&snapshot[T]{
 		seg:     seg,

@@ -391,10 +391,10 @@ type Store[T any] struct {
 	health snapHealth
 
 	// reg is the per-field metadata type registry and track the
-	// selectivity tracker behind the filter planner. A plain store owns
-	// both; a Sharded front replaces every shard's pair with one shared
-	// instance (see newShardedFront), so type checks and selectivity
-	// estimates reflect the whole layout.
+	// per-field filter selectivity tracker. A plain store owns both; a
+	// Sharded front replaces every shard's pair with one shared instance
+	// (see newShardedFront), so type checks and selectivity observations
+	// reflect the whole layout.
 	reg   *meta.Registry
 	track *meta.Tracker
 }
@@ -559,7 +559,9 @@ func Open[T any](path string, dist space.Distance[T], codec Codec[T]) (*Store[T]
 	}
 	s := &Store[T]{model: model, dist: dist, codec: codec, policy: DefaultCompactionPolicy(), reg: meta.NewRegistry(), track: meta.NewTracker()}
 	s.reg.Seed(body.MetaKinds)
-	s.reg.SeedRows(body.Meta)
+	if err := s.reg.SeedRows(body.Meta); err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+	}
 	s.nextID.Store(body.NextID)
 	s.cur.Store(newBaseSnapshot(ix, body.IDs, 0, newBaseTag(), meta.NewBlock(body.Meta)))
 	return s, nil
@@ -587,7 +589,7 @@ func newBaseSnapshot[T any](ix *retrieval.Index[T], ids []uint64, gen, baseVer u
 // runs against one immutable snapshot, never blocks searches or
 // mutations, and never observes a torn state — a Save racing an Add
 // simply captures either the before or the after. Concurrent Saves
-// serialize among themselves. saveV1 in bundle.go preserves the legacy
+// serialize among themselves. saveV1 below preserves the legacy
 // single-file writer for the compatibility fixtures.
 func (s *Store[T]) Save(path string) error {
 	_, err := s.snapshotTo(path)
@@ -715,8 +717,7 @@ func (s *Store[T]) CompileFilter(raw []byte) (*meta.Predicate, error) {
 	return meta.CompileFilter(raw, s.reg.Kinds())
 }
 
-// FilterStats snapshots the filter planner's state: per-field observed
-// selectivity and the inline/bitmap plan counters.
+// FilterStats snapshots the per-field observed filter selectivity.
 func (s *Store[T]) FilterStats() meta.TrackerStats {
 	return s.track.Snapshot()
 }
@@ -760,20 +761,20 @@ type cand[T any] struct {
 // filterLiveMatch runs the filter phase of one shard against this
 // immutable snapshot: the p best live rows matching pred (nil matches
 // everything), in ascending (filter distance, stable ID) order, plus
-// the count of matching live rows and the evaluation plan actually
-// used. Positions order rows exactly like IDs do (see DESIGN.md §8)
-// except between an Upsert and the next compaction, so mapping the
-// segmented scan's (distance, position) ranking to (distance, ID)
-// preserves it bit for bit whenever filter distances are distinct —
-// exact float64 ties across distinct rows are the only case where the
-// two orders could disagree, and only for upserted rows.
-func (sn *snapshot[T]) filterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *retrieval.FilterClock, pred *meta.Predicate, plan meta.Plan) ([]cand[T], int, meta.Plan) {
-	ns, matched, used := sn.seg.FilterLiveMatch(qvec, weights, p, parallel, clk, pred, plan)
+// the count of matching live rows. Positions order rows exactly like
+// IDs do (see DESIGN.md §8) except between an Upsert and the next
+// compaction, so mapping the segmented scan's (distance, position)
+// ranking to (distance, ID) preserves it bit for bit whenever filter
+// distances are distinct — exact float64 ties across distinct rows are
+// the only case where the two orders could disagree, and only for
+// upserted rows.
+func (sn *snapshot[T]) filterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *retrieval.FilterClock, pred *meta.Predicate) ([]cand[T], int) {
+	ns, matched := sn.seg.FilterLiveMatch(qvec, weights, p, parallel, clk, pred)
 	out := make([]cand[T], len(ns))
 	for i, n := range ns {
 		out[i] = cand[T]{id: sn.idAt(n.Index), fdist: n.Distance, obj: sn.seg.Object(n.Index)}
 	}
-	return out, matched, used
+	return out, matched
 }
 
 // searchSnapshots is the one store-layer search engine: it scatters the
@@ -785,12 +786,11 @@ func (sn *snapshot[T]) filterLiveMatch(qvec, weights []float64, p int, parallel 
 // and error contract cannot drift apart.
 //
 // pred, when non-nil, restricts the filter phase to matching rows: each
-// snapshot evaluates the predicate below its own top-p (under the plan
-// the tracker picks for its base segment), and the global p clamps to
-// the total matching-live count — the filtered analogue of clamping to
-// the live count, which keeps the sharded gather bit-identical to the
-// unsharded scan over the same contents. track (nil-safe) observes the
-// query's selectivity per referenced field and counts plan choices.
+// snapshot evaluates the predicate below its own top-p, and the global
+// p clamps to the total matching-live count — the filtered analogue of
+// clamping to the live count, which keeps the sharded gather
+// bit-identical to the unsharded scan over the same contents. track
+// (nil-safe) observes the query's selectivity per referenced field.
 func searchSnapshots[T any](model *core.Model[T], dist space.Distance[T], dims int, snaps []*snapshot[T], q T, k, p int, parallel bool, pred *meta.Predicate, track *meta.Tracker) ([]Result, retrieval.Stats, error) {
 	// Validation errors are the retrieval package's own, byte for byte:
 	// the client-visible error contract must not depend on the layout.
@@ -817,15 +817,7 @@ func searchSnapshots[T any](model *core.Model[T], dist space.Distance[T], dims i
 	matches := make([]int, len(snaps))
 	scatter := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			var plan meta.Plan
-			if pred != nil {
-				plan = track.Choose(pred, snaps[i].seg.BaseSize())
-			}
-			var used meta.Plan
-			lists[i], matches[i], used = snaps[i].filterLiveMatch(qvec, weights, p, parallel, &clk, pred, plan)
-			if pred != nil {
-				track.CountPlan(used)
-			}
+			lists[i], matches[i] = snaps[i].filterLiveMatch(qvec, weights, p, parallel, &clk, pred)
 		}
 	}
 	if parallel && len(snaps) > 1 {

@@ -28,6 +28,20 @@ expect() {
   fi
 }
 
+# absent PATTERN CMD...: run CMD, which must succeed, and require its
+# output to lack PATTERN.
+absent() {
+  local pattern=$1
+  shift
+  local out
+  out=$("$@" 2>&1)
+  if grep -q "$pattern" <<<"$out"; then
+    echo "FAIL: output of '$*' still has '$pattern':" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+}
+
 echo "== building qse-serve"
 go build -o "$workdir/qse-serve" ./cmd/qse-serve
 
@@ -258,11 +272,12 @@ if [ "$code" != "400" ] || ! grep -q 'tennant' "$workdir/badfilter"; then
   exit 1
 fi
 
-echo "== the filter planner surfaces in /v1/stats and /metrics"
-expect '"plan_inline"' curl -fsS "http://$maddr/v1/stats"
+echo "== filter selectivity surfaces in /v1/stats and /metrics, plan counts do not"
 expect '"tenant"' curl -fsS "http://$maddr/v1/stats"
 expect 'qse_filter_field_selectivity{field="tenant"}' curl -fsS "http://$maddr/metrics"
-expect 'qse_filter_plan_choices_total{plan="inline"}' curl -fsS "http://$maddr/metrics"
+expect 'qse_search_stage_duration_seconds_count{stage="filter_eval"}' curl -fsS "http://$maddr/metrics"
+absent '"plan_inline"' curl -fsS "http://$maddr/v1/stats"
+absent 'qse_filter_plan_choices_total' curl -fsS "http://$maddr/metrics"
 
 echo "== graceful shutdown snapshots the metadata"
 kill -TERM "$pid"
