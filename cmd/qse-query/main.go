@@ -6,11 +6,9 @@
 //     from -db/-dataseed (which must match training) and re-embedded.
 //   - -bundle: a durable layout from qse-serve (or Store.Save). Nothing
 //     is regenerated or re-embedded; -db/-dataseed are ignored and the
-//     dataset flag only picks the query generator and distance. Every
-//     layout era opens transparently — a legacy v1 single-file bundle, a
-//     v2 manifest, or the current v3 base/delta layout, sharded or not;
-//     answers are identical across layouts of the same data, so no flag
-//     is needed here.
+//     dataset flag only picks the query generator and distance. The
+//     bundle opens with the shard count it was saved with; answers are
+//     identical for every shard count, so no flag is needed here.
 //
 // Usage:
 //

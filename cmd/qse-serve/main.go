@@ -2,11 +2,13 @@
 //
 // On first run it builds a durable bundle — training a model on a
 // synthetic dataset (or loading one saved by qse-train), embedding the
-// database, and writing everything to one self-contained file. On later
-// runs it opens that bundle directly: no dataset regeneration, no
-// retraining, no re-embedding. While serving, /v1/search traffic runs
-// lock-free and concurrent with /v1/objects mutations, and the store can
-// be snapshotted back to disk periodically in the background.
+// database, and writing everything to a self-contained bundle: a manifest
+// holding the model once, plus a base section and an append-only delta
+// log per shard. On later runs it opens that bundle directly: no dataset
+// regeneration, no retraining, no re-embedding. While serving,
+// /v1/search traffic runs lock-free and concurrent with /v1/objects
+// mutations, and the store can be snapshotted back to disk periodically
+// in the background.
 //
 // Usage:
 //
@@ -18,14 +20,13 @@
 //
 // With -shards N (first build only; a reopened bundle keeps its layout)
 // the store is hash-partitioned into N independent shards: mutations to
-// different shards never contend, compaction pauses shrink by N, and the
-// bundle becomes a manifest (holding the model once) plus a base section
-// and an append-only delta log per shard. Background snapshots are
-// incremental — only dirty shards' delta logs are appended to — and the
-// background compactor folds a shard when the measured delta-scan share
-// of its query traffic crosses -compact-share. Search results are
-// bit-identical for every N. Bundles from earlier releases (v1 single
-// file, v2 manifest) reopen transparently and save forward as v3.
+// different shards never contend, and compaction pauses shrink by N.
+// Background snapshots are incremental — only dirty shards' delta logs
+// are appended to — and the background compactor folds a shard when the
+// measured delta-scan share of its query traffic crosses -compact-share.
+// Search results are bit-identical for every N. Bundles in the formats
+// of earlier releases (the v1 single file, the v2 manifest of per-shard
+// files) are refused with a version error.
 //
 // Endpoints (JSON): POST /v1/search, POST /v1/search/batch,
 // POST /v1/objects, PUT /v1/objects/{id}, DELETE /v1/objects/{id},
@@ -279,13 +280,13 @@ type buildConfig struct {
 	seed                             int64
 }
 
-// openOrBuild opens an existing bundle — single-file or sharded manifest,
-// the file says which — or builds one from the synthetic dataset and
-// persists it with the configured shard count.
-func openOrBuild(path string, dist space.Distance[dtw.Series], codec store.Codec[dtw.Series], cfg buildConfig) (store.Backend[dtw.Series], error) {
+// openOrBuild opens an existing bundle (with the shard count it was saved
+// with) or builds one from the synthetic dataset and persists it with the
+// configured shard count.
+func openOrBuild(path string, dist space.Distance[dtw.Series], codec store.Codec[dtw.Series], cfg buildConfig) (*store.Store[dtw.Series], error) {
 	if _, err := os.Stat(path); err == nil {
 		log.Printf("opening bundle %s", path)
-		return store.OpenAuto(path, dist, codec)
+		return store.Open(path, dist, codec)
 	}
 	log.Printf("bundle %s not found; building from dataset (db=%d, seed=%d, shards=%d)", path, cfg.dbSize, cfg.dataseed, cfg.shards)
 	db, _, err := datasets.Series(cfg.dbSize, cfg.dataseed)
@@ -321,12 +322,7 @@ func openOrBuild(path string, dist space.Distance[dtw.Series], codec store.Codec
 			report.Variant, time.Since(t0).Round(time.Millisecond), model.Dims(), model.EmbedCost(), report.FinalTrainingError())
 	}
 
-	var st store.Backend[dtw.Series]
-	if cfg.shards > 1 {
-		st, err = store.NewSharded(model, db, dist, codec, cfg.shards)
-	} else {
-		st, err = store.New(model, db, dist, codec)
-	}
+	st, err := store.NewSharded(model, db, dist, codec, cfg.shards)
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,9 @@ func main() {
 	// WithShards hash-partitions the store into independently locked and
 	// compacted shards — the right setting for write-heavy serving.
 	// Answers are bit-identical for any shard count (including 1, the
-	// default); the bundle below becomes a manifest plus one file per
-	// shard, and qse-serve's -shards flag is this same option as a CLI.
+	// default); the bundle below is a manifest plus a base section and a
+	// delta log per shard, and qse-serve's -shards flag is this same
+	// option as a CLI.
 	st, err := qse.NewStore(model, db, dist, qse.GobCodec[[]float64](), qse.WithShards(4))
 	if err != nil {
 		log.Fatal(err)
@@ -79,8 +80,8 @@ func main() {
 	if err := st.Save(bundle); err != nil {
 		log.Fatal(err)
 	}
-	// With shards the bundle path holds a small manifest; the vectors
-	// live in the per-shard files next to it.
+	// The bundle path holds a small manifest; the vectors live in the
+	// per-shard files next to it.
 	layout, _ := filepath.Glob(bundle + "*")
 	var bytes64 int64
 	for _, f := range layout {
@@ -93,10 +94,10 @@ func main() {
 
 	// ---- Serving process: reopen the bundle and put it on the network.
 	// Opening costs zero exact distance computations — the embedded
-	// vectors travel inside the bundle. OpenAuto reads whatever layout
-	// the file holds (a plain v1 bundle or a sharded manifest) behind
-	// the same Backend interface the server consumes.
-	served, err := store.OpenAuto(bundle, dist, store.Gob[[]float64]())
+	// vectors travel inside the bundle. Open restores the layout with
+	// the shard count it was saved with, as the store the server
+	// consumes.
+	served, err := store.Open(bundle, dist, store.Gob[[]float64]())
 	if err != nil {
 		log.Fatal(err)
 	}

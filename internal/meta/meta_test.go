@@ -81,10 +81,10 @@ func TestRegistryFixedAtFirstWrite(t *testing.T) {
 	if !strings.Contains(err.Error(), `"ts"`) || !strings.Contains(err.Error(), "int") {
 		t.Fatalf("conflict error %q should name the field and its kind", err)
 	}
-	if _, ok := r.Kind("fresh"); ok {
+	if _, ok := r.Kinds()["fresh"]; ok {
 		t.Fatal("a rejected write must not register its other fields")
 	}
-	if k, _ := r.Kind("ts"); k != KindInt {
+	if k := r.Kinds()["ts"]; k != KindInt {
 		t.Fatalf("ts kind = %v after rejected write, want int", k)
 	}
 }
@@ -100,10 +100,10 @@ func TestRegistrySeed(t *testing.T) {
 	if err := r.SeedRows([]Map{{"c": {}}}); err == nil {
 		t.Fatal("SeedRows accepted a value of invalid kind")
 	}
-	if k, _ := r.Kind("a"); k != KindInt {
+	if k := r.Kinds()["a"]; k != KindInt {
 		t.Fatalf("seeded kind overwritten: a = %v", k)
 	}
-	if k, _ := r.Kind("b"); k != KindString {
+	if k := r.Kinds()["b"]; k != KindString {
 		t.Fatalf("row-seeded kind b = %v, want string", k)
 	}
 }

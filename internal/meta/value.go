@@ -234,12 +234,6 @@ func NewRegistry() *Registry {
 // and shared; callers must not modify it.
 func (r *Registry) Kinds() map[string]Kind { return *r.kinds.Load() }
 
-// Kind returns the registered kind of one field.
-func (r *Registry) Kind(field string) (Kind, bool) {
-	k, ok := r.Kinds()[field]
-	return k, ok
-}
-
 // Version counts registry growth events. Persistence uses it to decide
 // when the manifest's serialized kind table is stale.
 func (r *Registry) Version() uint64 { return r.ver.Load() }
@@ -285,8 +279,8 @@ func (r *Registry) Register(md Map) error {
 
 // Seed registers previously persisted kinds wholesale, used when a
 // bundle reopens. A field already registered keeps its kind; the open
-// paths seed a fresh registry, or compare afterwards where files may
-// disagree (OpenSharded).
+// path seeds a fresh registry from the manifest, then checks every
+// replayed row against it (SeedRows).
 func (r *Registry) Seed(kinds map[string]Kind) {
 	if len(kinds) == 0 {
 		return

@@ -30,7 +30,7 @@ import (
 
 func fuzzHandler(f *testing.F) http.Handler {
 	f.Helper()
-	st, err := store.OpenSharded(filepath.Join("testdata", "fuzz-store.bundle"), l1, store.Gob[[]float64]())
+	st, err := store.Open(filepath.Join("testdata", "fuzz-store.bundle"), l1, store.Gob[[]float64]())
 	if err != nil {
 		f.Fatalf("opening fixture bundle: %v", err)
 	}
@@ -81,7 +81,7 @@ func FuzzSearchBody(f *testing.F) {
 // type rules. Seed corpus: testdata/fuzz/FuzzPredicate plus the inline
 // seeds below.
 func FuzzPredicate(f *testing.F) {
-	st, err := store.OpenSharded(filepath.Join("testdata", "fuzz-store.bundle"), l1, store.Gob[[]float64]())
+	st, err := store.Open(filepath.Join("testdata", "fuzz-store.bundle"), l1, store.Gob[[]float64]())
 	if err != nil {
 		f.Fatalf("opening fixture bundle: %v", err)
 	}

@@ -407,7 +407,7 @@ func TestStatsAndHealth(t *testing.T) {
 }
 
 // testShardedStore mirrors testStore over a hash-sharded backend.
-func testShardedStore(t testing.TB, shards int) *store.Sharded[[]float64] {
+func testShardedStore(t testing.TB, shards int) *store.Store[[]float64] {
 	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	db := make([][]float64, 70)

@@ -11,16 +11,17 @@
 //     rewrite only after a compaction. Section writes are atomic (temp
 //     file + rename), every file is integrity-checked (magic, version,
 //     length, CRC-32C), and delta-log recovery reopens at the last
-//     durable base+delta prefix. Earlier formats — the v1 single-file
-//     bundle and the v2 manifest of v1 shard files — remain readable
-//     and save forward as v3.
+//     durable base+delta prefix. This version-3 layout is the only
+//     format Open reads; the v1 and v2 formats of earlier builds fail
+//     with ErrVersion.
 //
-//   - Store, a concurrency shell around retrieval.Segmented (store.go):
-//     reads are lock-free against an immutable copy-on-write snapshot
-//     while mutations serialize behind a mutex, and every object
+//   - Store (sharded.go), S ≥ 1 hash shards behind one front, each a
+//     concurrency shell around retrieval.Segmented (store.go): reads
+//     are lock-free against immutable copy-on-write snapshots while
+//     mutations serialize behind a per-shard mutex, and every object
 //     carries a stable uint64 ID that survives removals and upserts.
 //
-//   - A background lifecycle (snapshot.go): Start/Close give any store
+//   - A background lifecycle (snapshot.go): Start/Close give the store
 //     its own incremental snapshot loop and a compactor scheduled on
 //     the measured delta-scan share of real query traffic.
 //
@@ -85,20 +86,15 @@ func (gobCodec[T]) Decode(data []byte) (T, error) {
 //	[16:16+n] gob-encoded body
 //	[16+n:20+n] CRC-32C over bytes [0, 16+n)
 //
-// Four envelope versions share it. Version 1 is a self-contained
-// single-store bundle (bundleBody). Version 2 is the legacy sharded
-// manifest (manifestBody): a small file naming S version-1 shard bundles
-// sitting next to it. Version 3 is the current manifest (manifestV3Body):
-// it carries the trained model and its candidate objects exactly once —
-// shards no longer store S copies on disk or restore S instances in
-// memory — and names one base-section file (version 4 envelope,
-// baseSectionBody) plus one delta-log file (its own framed format, see
-// the delta log section below) per shard. Versions 1 and 2 remain fully
-// readable; every save writes version 3.
+// Two envelope versions share it. Version 3 is the manifest
+// (manifestV3Body): it carries the trained model and its candidate
+// objects exactly once and names one base-section file (version 4
+// envelope, baseSectionBody) plus one delta-log file (its own framed
+// format, see the delta log section below) per shard. Versions 1 and 2
+// were the single-file bundle and the manifest of per-shard bundles that
+// earlier builds wrote; this build refuses them with ErrVersion.
 const (
 	bundleMagic        = "QSEBDL"
-	bundleVersion      = 1
-	manifestVersion    = 2
 	manifestV3Version  = 3
 	baseSectionVersion = 4
 	headerLen          = 16
@@ -119,32 +115,6 @@ var (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// bundleBody is the gob payload of a bundle. The model snapshot's
-// CandidateIdx indexes Candidates (identity order, via SelfSnapshot), so
-// restoring never consults an external database.
-type bundleBody struct {
-	Model      core.Snapshot
-	Candidates [][]byte
-	Dims       int
-	Flat       []float64
-	Objects    [][]byte
-	IDs        []uint64
-	NextID     uint64
-	// Meta holds per-object metadata records aligned with Objects (nil
-	// when no object carries metadata); MetaKinds is the field-type
-	// registry at save time. Both decode as zero from pre-metadata
-	// bundles — gob tolerates absent fields — so old files open with no
-	// metadata and no registered fields, exactly their original state.
-	Meta      []meta.Map
-	MetaKinds map[string]meta.Kind
-}
-
-// writeBundle atomically writes a version-1 bundle body to path.
-func writeBundle(fsys fsio.FS, path string, body *bundleBody) error {
-	_, err := writeEnvelope(fsys, path, bundleVersion, body)
-	return err
-}
 
 // writeEnvelope atomically writes a sealed envelope (magic, version,
 // length, gob body, CRC) to path: the bytes land in a temporary file in
@@ -196,86 +166,11 @@ func readEnvelope(fsys fsio.FS, path string) (uint16, []byte, error) {
 	return binary.LittleEndian.Uint16(data[6:8]), data[headerLen : len(data)-crcLen], nil
 }
 
-// decodeBundle decodes and validates a version-1 single-store bundle
-// body from an already envelope-verified payload (the caller checked
-// the version, so the file is read and CRC-checked exactly once).
-func decodeBundle(path string, payload []byte) (*bundleBody, error) {
-	var body bundleBody
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&body); err != nil {
-		return nil, fmt.Errorf("%w: %s: decoding body: %v", ErrCorrupt, path, err)
-	}
-	if len(body.IDs) != len(body.Objects) {
-		return nil, fmt.Errorf("%w: %s: %d ids for %d objects", ErrCorrupt, path, len(body.IDs), len(body.Objects))
-	}
-	if body.Dims <= 0 {
-		return nil, fmt.Errorf("%w: %s: dims %d", ErrCorrupt, path, body.Dims)
-	}
-	if len(body.Flat) != len(body.Objects)*body.Dims {
-		return nil, fmt.Errorf("%w: %s: flat block has %d values for %d objects x %d dims",
-			ErrCorrupt, path, len(body.Flat), len(body.Objects), body.Dims)
-	}
-	return &body, nil
-}
-
-// shardHashName names the ID→shard routing function a sharded layout was
-// written under. The manifest records it and OpenSharded refuses anything
-// else, so a future change of hash surfaces as explicit version skew
-// instead of silently routing objects to the wrong shards.
+// shardHashName names the ID→shard routing function a layout was written
+// under. The manifest records it and Open refuses anything else, so a
+// future change of hash surfaces as explicit version skew instead of
+// silently routing objects to the wrong shards.
 const shardHashName = "splitmix64"
-
-// manifestBody is the gob payload of a version-2 sharded manifest. Files
-// are relative to the manifest's directory, one version-1 shard bundle
-// per shard in shard order. NextID is the global allocator at save time;
-// because per-shard snapshots are written before the manifest and each
-// shard bundle also carries its own allocator state, OpenSharded restores
-// the allocator as the maximum over all of them — a manifest left stale
-// by a crash mid-snapshot can therefore never cause an ID to be issued
-// twice.
-type manifestBody struct {
-	Shards int
-	Hash   string
-	NextID uint64
-	Files  []string
-}
-
-// writeManifest atomically writes a legacy v2 sharded manifest.
-func writeManifest(fsys fsio.FS, path string, body *manifestBody) error {
-	_, err := writeEnvelope(fsys, path, manifestVersion, body)
-	return err
-}
-
-// readManifest reads and verifies a version-2 manifest: envelope
-// integrity, version, hash scheme, and the shard-count/file-list
-// consistency — every structural property the shard-opening loop indexes
-// on is checked here, before any shard file is touched.
-func readManifest(fsys fsio.FS, path string) (*manifestBody, error) {
-	version, payload, err := readEnvelope(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	if version != manifestVersion {
-		return nil, fmt.Errorf("%w: %s has version %d, want manifest version %d", ErrVersion, path, version, manifestVersion)
-	}
-	var body manifestBody
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&body); err != nil {
-		return nil, fmt.Errorf("%w: %s: decoding manifest: %v", ErrCorrupt, path, err)
-	}
-	if body.Shards < 1 {
-		return nil, fmt.Errorf("%w: %s: manifest declares %d shards", ErrCorrupt, path, body.Shards)
-	}
-	if len(body.Files) != body.Shards {
-		return nil, fmt.Errorf("%w: %s: manifest lists %d files for %d shards", ErrCorrupt, path, len(body.Files), body.Shards)
-	}
-	if body.Hash != shardHashName {
-		return nil, fmt.Errorf("%w: %s routes shards with %q, this build uses %q", ErrVersion, path, body.Hash, shardHashName)
-	}
-	for i, f := range body.Files {
-		if f == "" || f != filepath.Base(f) {
-			return nil, fmt.Errorf("%w: %s: shard file %d has non-local name %q", ErrCorrupt, path, i, f)
-		}
-	}
-	return &body, nil
-}
 
 // ---------------------------------------------------------------------------
 // Bundle format v3: incremental base/delta layout.
@@ -300,10 +195,10 @@ func readManifest(fsys fsio.FS, path string) (*manifestBody, error) {
 // the store reopens at the last durable base+delta prefix.
 // ---------------------------------------------------------------------------
 
-// manifestV3Body is the gob payload of a version-3 manifest. Unlike v2,
-// the trained model and its candidate objects live here exactly once:
-// shards reference them implicitly and share one restored instance in
-// memory. Dims is the embedding width every section must agree with.
+// manifestV3Body is the gob payload of a version-3 manifest. The trained
+// model and its candidate objects live here exactly once: shards
+// reference them implicitly and share one restored instance in memory.
+// Dims is the embedding width every section must agree with.
 // NextID is the allocator at manifest-write time; it may be stale (the
 // manifest is not rewritten by delta-only saves), so open resumes the
 // allocator at the maximum over the manifest, every base section, and
@@ -319,7 +214,7 @@ type manifestV3Body struct {
 	DeltaFiles []string
 	// MetaKinds is the metadata field-type registry at manifest-write
 	// time. Like NextID it may lag the sections (the manifest is only
-	// rewritten when the registry grew, see saveLayoutV3), so open seeds
+	// rewritten when the registry grew, see Store.snapshotTo), so open seeds
 	// from it first and then re-registers the kinds found in the replayed
 	// rows. Absent in pre-metadata manifests; gob decodes it as nil.
 	MetaKinds map[string]meta.Kind

@@ -1,22 +1,28 @@
 package store
 
-// The cross-layer equivalence harness: a randomized operation-sequence
-// generator drives a sharded store and an unsharded reference store with
-// the same operations and asserts, after every step, that the two are
-// observationally identical — bit-identical search results and stats,
-// the same live-ID set, the same First object, the same generation and
-// allocator state — and that both satisfy the segment-accounting
-// invariants. It is the executable form of the determinism argument in
-// DESIGN.md §8: if position order equals ID order and the scatter-gather
-// merge reproduces the global (distance, ID) total order, then no
-// interleaving of add/remove/update/search/compact/save/reopen can make
-// a sharded store answer differently from an unsharded one.
+// The equivalence harness: a randomized operation-sequence generator
+// drives a store and the reference model (refmodel_test.go) with the
+// same operations and asserts, after every step, that the store answers
+// exactly as the paper's filter-and-refine does over the model's map —
+// the same search results and stats, the same live-ID set, the same
+// First object, the same metadata records, the same generation and
+// allocator state, and the same filter-compile errors — and that the
+// segment accounting balances. It is the executable form of the
+// determinism argument in DESIGN.md §8: if position order equals ID
+// order and the scatter-gather merge reproduces the global (distance,
+// ID) total order, then no interleaving of add/remove/update/upsert/
+// search/compact/save/reopen can make a store of any shard count answer
+// differently from the definition.
 //
-// The harness runs for S ∈ {1, 2, 7} (1 exercises the single-shard
-// wrapping, 2 the smallest real scatter, 7 leaves some shards empty at
-// this store size — covering empty-shard search, save, and reopen) and
-// for several seeds. CI runs it with distinct QSE_EQ_SEED values and the
-// whole package under -race.
+// The harness runs for S ∈ {1, 2, 7} (1 is the one-shard store, 2 the
+// smallest real scatter, 7 leaves some shards empty at this store size —
+// covering empty-shard search, save, and reopen), with quantization on
+// and off, for several seeds. Some adds copy a live object, and some
+// searches ask for such an object with k = p = 1, so the tie-breaks of
+// the filter scan, the merge and the refine decide results. Upserts
+// always draw fresh objects: a tie an upsert reorders is the one
+// documented departure from (distance, ID) order (DESIGN.md §8). CI runs
+// it with distinct QSE_EQ_SEED values and the whole package under -race.
 
 import (
 	"errors"
@@ -27,10 +33,12 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"qse/internal/core"
 	"qse/internal/meta"
+	"qse/internal/retrieval"
 )
 
 // eqBaseSeed lets CI run the harness with distinct randomized schedules
@@ -62,18 +70,18 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestQuantizedEquivalence is the same randomized harness with
-// quantization on for the sharded side against an exact (unquantized)
-// reference: every add/remove/upsert/compact/save/reopen interleaving
-// must keep results bit-identical, and reopens additionally prove the
-// quantization setting survives the bundle round trip. The fixture's
-// 48-row stores sit far below the gate (DESIGN §16), so their shadows
-// stay dormant — the harness asserts ShadowBytes == 0 throughout — and
-// this is the dormant state's equivalence check; TestGatedStoreMatchesExact
-// runs the seeded screen through a store. Each seed drives its own
-// schedule across the shard counts. The widths older versions also
-// built (1, 2 and 4 bits) keep a seed each: SetQuantization must refuse
-// them before any shard changes, and the store must then run the whole
-// schedule exact and unquantized, reopens included.
+// quantization on: every add/remove/upsert/compact/save/reopen
+// interleaving must keep results equal to the model's (which never
+// quantizes), and reopens additionally prove the quantization setting
+// survives the bundle round trip. The fixture's 48-row stores sit far
+// below the gate (DESIGN §16), so their shadows stay dormant — the
+// harness asserts ShadowBytes == 0 throughout — and this is the dormant
+// state's check; TestGatedStoreMatchesExact runs the seeded screen
+// through a store. Each seed drives its own schedule across the shard
+// counts. The widths older versions also built (1, 2 and 4 bits) keep a
+// seed each: SetQuantization must refuse them before any shard changes,
+// and the store must then run the whole schedule unquantized, reopens
+// included.
 func TestQuantizedEquivalence(t *testing.T) {
 	model, db := fixture(t, 48)
 	base := eqBaseSeed(t)
@@ -98,79 +106,82 @@ func TestQuantizedEquivalence(t *testing.T) {
 }
 
 // eqPolicy compacts early enough that test-sized runs actually cross the
-// thresholds — on different schedules for the reference store and each
-// shard (their base sizes differ), which is exactly the point: physical
-// layout must never leak into answers.
+// thresholds, on a schedule that differs per shard (their base sizes
+// differ) — which is the point: physical layout must never leak into
+// answers.
 var eqPolicy = CompactionPolicy{MinDelta: 8, DeltaFrac: 0.1, MinDead: 8, DeadFrac: 0.2}
 
-// runEquivalence drives the reference and sharded stores through the
-// same randomized schedule. quantBits = 8 turns quantization on for the
-// sharded side only — the reference stays exact, so every search
-// comparison doubles as a quantized-vs-exact bit-identity check. Any
-// other nonzero width must be refused, leaving both sides exact.
+// eqFilters are the predicates the harness compiles after every step,
+// over the fields randMeta writes plus "ghost", which only refused
+// writes ever carry: it must stay unknown.
+var eqFilters = []string{
+	`{"field":"bucket","eq":%d}`,
+	`{"field":"bucket","le":%d}`,
+	`{"field":"tag","in":["a","c"]}`,
+	`{"and":[{"field":"bucket","ge":%d},{"field":"tag","ne":"b"}]}`,
+	`{"field":"score","lt":0.%d}`,
+	`{"field":"hot","eq":true}`,
+	`{"field":"bucket","exists":false}`,
+	`{"field":"ghost","eq":%d}`,
+}
+
+// runEquivalence drives a store with the given shard count and the
+// reference model through the same randomized schedule. quantBits = 8
+// turns quantization on; any other nonzero width must be refused,
+// leaving the store exact.
 func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, shards int, seed int64, quantBits int) {
-	ref, err := New(model, db, l1, Gob[[]float64]())
+	st, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
 	if err != nil {
-		t.Fatalf("reference store: %v", err)
+		t.Fatalf("building the store: %v", err)
 	}
-	shd, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
-	if err != nil {
-		t.Fatalf("sharded store: %v", err)
-	}
-	ref.SetCompactionPolicy(eqPolicy)
-	shd.SetCompactionPolicy(eqPolicy)
+	ref := newRefModel(model, db)
+	st.SetCompactionPolicy(eqPolicy)
 	// Enabling quantization is a mutation (the persisted base must gain
 	// its shadow), so it bumps each shard's generation once; genOffset
-	// keeps the stats comparison exact.
+	// keeps the generation comparison exact until the next reopen.
 	genOffset := uint64(0)
-	switch quantBits {
-	case 0:
-	case 8:
-		if err := shd.SetQuantization(quantBits); err != nil {
-			t.Fatalf("quantizing sharded store: %v", err)
+	switch err := st.SetQuantization(quantBits); {
+	case quantBits == 0:
+	case quantBits == 8:
+		if err != nil {
+			t.Fatalf("quantizing: %v", err)
 		}
 		genOffset = uint64(shards)
-		if sb := shd.Stats().ShadowBytes; sb != 0 {
-			t.Fatalf("a %d-row store below the gate carries %d shadow bytes", len(db), sb)
-		}
+	case err == nil:
+		t.Fatalf("SetQuantization(%d) accepted", quantBits)
 	default:
 		// A refused width is no mutation: every shard keeps its
 		// generation and stays unquantized, and reopens must find the
 		// setting off.
-		if err := shd.SetQuantization(quantBits); err == nil {
-			t.Fatalf("SetQuantization(%d) accepted", quantBits)
-		}
-		for i, st := range shd.ShardStats() {
-			if st.QuantBits != 0 || st.Generation != 0 {
-				t.Fatalf("refused width %d changed shard %d: QuantBits %d, generation %d", quantBits, i, st.QuantBits, st.Generation)
+		for i, sh := range st.shards {
+			if ss := sh.Stats(); ss.QuantBits != 0 || ss.Generation != 0 {
+				t.Fatalf("refused width %d changed shard %d: QuantBits %d, generation %d", quantBits, i, ss.QuantBits, ss.Generation)
 			}
 		}
 		quantBits = 0
 	}
+	if s := st.Stats(); s.QuantBits != quantBits || s.ShadowBytes != 0 || s.Generation != genOffset {
+		t.Fatalf("after SetQuantization: QuantBits %d, %d shadow bytes, generation %d; want %d, 0, %d",
+			s.QuantBits, s.ShadowBytes, s.Generation, quantBits, genOffset)
+	}
 
 	rng := rand.New(rand.NewSource(seed))
-	dir := t.TempDir()
-	// Fixed per-store layout paths: repeated saves land on the same v3
-	// layout, so the harness exercises the incremental machinery (clean
-	// skips, delta-frame appends, post-compaction base rewrites) rather
-	// than only fresh full writes.
-	refPath := filepath.Join(dir, "ref.bundle")
-	shdPath := filepath.Join(dir, "shd.bundle")
-	live := []uint64{}
-	for i := range db {
-		live = append(live, uint64(i))
-	}
+	// One layout path: repeated saves land on the same v3 layout, so the
+	// harness exercises the incremental machinery (clean skips,
+	// delta-frame appends, post-compaction base rewrites) rather than
+	// only fresh full writes.
+	path := filepath.Join(t.TempDir(), "eq.bundle")
 	randObj := func() []float64 {
 		return []float64{rng.Float64() * 7, -rng.Float64() * 7, rng.NormFloat64()}
 	}
 	// randMeta draws a typed metadata record from a small fixed field
 	// vocabulary (or nil): the same fields recur across rows, so the
-	// randomized predicates below actually select non-trivial subsets.
+	// randomized predicates actually select non-trivial subsets.
 	randMeta := func() meta.Map {
+		m := meta.Map{}
 		if rng.Float64() < 0.35 {
 			return nil
 		}
-		m := meta.Map{}
 		if rng.Float64() < 0.8 {
 			m["bucket"] = meta.IntValue(int64(rng.Intn(10)))
 		}
@@ -188,281 +199,242 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 		}
 		return m
 	}
+	// ghostMeta is a record every write must refuse once "bucket" is
+	// registered: its "bucket" has the wrong kind, and its "ghost" must
+	// not be registered by the refusal.
+	ghostMeta := func() meta.Map {
+		return meta.Map{"bucket": meta.StringValue("x"), "ghost": meta.IntValue(1)}
+	}
+	unknownID := func() uint64 { return 1<<40 + uint64(rng.Intn(1000)) }
+	wantUnknown := func(step int, op string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrUnknownID) {
+			t.Fatalf("step %d: %s of an unknown id: %v, want ErrUnknownID", step, op, err)
+		}
+	}
 
 	for step := 0; step < 130; step++ {
+		live := ref.liveIDs()
 		switch r := rng.Float64(); {
-		case r < 0.27: // add, usually with metadata
+		case r < 0.27: // add, usually with metadata; some copy a live object
 			x := randObj()
+			if len(live) > 0 && rng.Intn(4) == 0 {
+				x = slices.Clone(ref.rows[live[rng.Intn(len(live))]].obj)
+			}
 			md := randMeta()
-			rid, rerr := ref.AddMeta(x, md.Clone())
-			sid, serr := shd.AddMeta(x, md.Clone())
-			if rerr != nil || serr != nil {
-				t.Fatalf("step %d: add errs ref=%v shd=%v", step, rerr, serr)
+			if _, typed := ref.kinds["bucket"]; typed && rng.Intn(8) == 0 {
+				md = ghostMeta()
 			}
-			if rid != sid {
-				t.Fatalf("step %d: add ids diverge: ref %d, sharded %d", step, rid, sid)
+			want, ok := ref.add(x, md.Clone())
+			got, err := st.AddMeta(x, md.Clone())
+			var te *meta.TypeError
+			if ok && (err != nil || got != want) || !ok && !errors.As(err, &te) {
+				t.Fatalf("step %d: add(%v) = (%d, %v), model (%d, accepted %v)", step, md, got, err, want, ok)
 			}
-			live = append(live, rid)
 		case r < 0.40 && len(live) > 0: // remove a live id
-			k := rng.Intn(len(live))
-			id := live[k]
-			rerr := ref.Remove(id)
-			serr := shd.Remove(id)
-			if rerr != nil || serr != nil {
-				t.Fatalf("step %d: remove(%d) errs ref=%v shd=%v", step, id, rerr, serr)
+			id := live[rng.Intn(len(live))]
+			ref.remove(id)
+			if err := st.Remove(id); err != nil {
+				t.Fatalf("step %d: remove(%d): %v", step, id, err)
 			}
-			live = slices.Delete(live, k, k+1)
-		case r < 0.45: // remove an unknown id: both must refuse identically
-			id := uint64(1)<<40 + uint64(rng.Intn(1000))
-			rerr := ref.Remove(id)
-			serr := shd.Remove(id)
-			if !errors.Is(rerr, ErrUnknownID) || !errors.Is(serr, ErrUnknownID) {
-				t.Fatalf("step %d: unknown remove errs ref=%v shd=%v", step, rerr, serr)
-			}
-		case r < 0.54 && len(live) > 0: // upsert: replace in place, same id;
+		case r < 0.45: // remove an unknown id
+			wantUnknown(step, "remove", st.Remove(unknownID()))
+		case r < 0.54 && len(live) > 0: // upsert: a fresh object, same id;
 			// the new record (often nil) atomically replaces the old one
 			id := live[rng.Intn(len(live))]
-			x := randObj()
-			md := randMeta()
-			rerr := ref.UpsertMeta(id, x, md.Clone())
-			serr := shd.UpsertMeta(id, x, md.Clone())
-			if rerr != nil || serr != nil {
-				t.Fatalf("step %d: upsert(%d) errs ref=%v shd=%v", step, id, rerr, serr)
+			x, md := randObj(), randMeta()
+			ref.upsert(id, x, md.Clone())
+			if err := st.UpsertMeta(id, x, md.Clone()); err != nil {
+				t.Fatalf("step %d: upsert(%d): %v", step, id, err)
 			}
-		case r < 0.57: // upsert an unknown id: both must refuse identically
-			id := uint64(1)<<40 + uint64(rng.Intn(1000))
-			rerr := ref.Upsert(id, randObj())
-			serr := shd.Upsert(id, randObj())
-			if !errors.Is(rerr, ErrUnknownID) || !errors.Is(serr, ErrUnknownID) {
-				t.Fatalf("step %d: unknown upsert errs ref=%v shd=%v", step, rerr, serr)
-			}
+		case r < 0.57: // upsert an unknown id, with a record it must not register
+			wantUnknown(step, "upsert", st.UpsertMeta(unknownID(), randObj(), ghostMeta()))
 		case r < 0.62 && len(live) > 0: // update: replace an object, new id
-			k := rng.Intn(len(live))
-			id := live[k]
+			id := live[rng.Intn(len(live))]
 			x := randObj()
-			if err := ref.Remove(id); err != nil {
-				t.Fatalf("step %d: update remove ref: %v", step, err)
+			ref.remove(id)
+			want, _ := ref.add(x, nil)
+			if err := st.Remove(id); err != nil {
+				t.Fatalf("step %d: update remove(%d): %v", step, id, err)
 			}
-			if err := shd.Remove(id); err != nil {
-				t.Fatalf("step %d: update remove shd: %v", step, err)
+			if got, err := st.Add(x); err != nil || got != want {
+				t.Fatalf("step %d: update add = (%d, %v), want %d", step, got, err, want)
 			}
-			rid, rerr := ref.Add(x)
-			sid, serr := shd.Add(x)
-			if rerr != nil || serr != nil || rid != sid {
-				t.Fatalf("step %d: update add ref=(%d,%v) shd=(%d,%v)", step, rid, rerr, sid, serr)
-			}
-			live[k] = rid
-		case r < 0.70: // explicit compaction (possibly of only one side)
-			if rng.Intn(2) == 0 {
-				ref.Compact()
-			}
-			shd.Compact()
+		case r < 0.70:
+			st.Compact()
 		case r < 0.76: // incremental save of whatever is dirty; half the
-			// time, also reopen both stores from the layouts and continue
-			// on the reopened pair (the save-without-reopen arm leaves
-			// dirty frames for a later step's reopen to recover)
-			if err := ref.Save(refPath); err != nil {
-				t.Fatalf("step %d: ref save: %v", step, err)
-			}
-			if err := shd.Save(shdPath); err != nil {
-				t.Fatalf("step %d: sharded save: %v", step, err)
+			// time also reopen and continue on the reopened store (the
+			// save-without-reopen arm leaves dirty frames for a later
+			// step's reopen to recover)
+			if err := st.Save(path); err != nil {
+				t.Fatalf("step %d: save: %v", step, err)
 			}
 			if rng.Intn(2) == 0 {
-				if ref, err = Open(refPath, l1, Gob[[]float64]()); err != nil {
-					t.Fatalf("step %d: ref reopen: %v", step, err)
+				if st, err = Open(path, l1, Gob[[]float64]()); err != nil {
+					t.Fatalf("step %d: reopen: %v", step, err)
 				}
-				if shd, err = OpenSharded(shdPath, l1, Gob[[]float64]()); err != nil {
-					t.Fatalf("step %d: sharded reopen: %v", step, err)
+				if len(st.shards) != shards {
+					t.Fatalf("step %d: reopened with %d shards, want %d", step, len(st.shards), shards)
 				}
-				if got := len(shd.shards); got != shards {
-					t.Fatalf("step %d: reopened with %d shards, want %d", step, got, shards)
+				if s := st.Stats(); s.QuantBits != quantBits || s.ShadowBytes != 0 {
+					t.Fatalf("step %d: reopened store reports QuantBits %d with %d shadow bytes, want %d with none",
+						step, s.QuantBits, s.ShadowBytes, quantBits)
 				}
-				if st := shd.Stats(); st.QuantBits != quantBits || st.ShadowBytes != 0 {
-					t.Fatalf("step %d: reopened store reports QuantBits %d with %d shadow bytes, want %d with none (setting not persisted, or a shadow below the gate?)",
-						step, st.QuantBits, st.ShadowBytes, quantBits)
-				}
-				// Generation restarts at zero on open for both sides, which
-				// also absorbs the one-time SetQuantization bump.
-				genOffset = 0
-				ref.SetCompactionPolicy(eqPolicy)
-				shd.SetCompactionPolicy(eqPolicy)
+				// Generations restart at zero on open, which also absorbs
+				// the one-time SetQuantization bump.
+				ref.gen, genOffset = 0, 0
+				st.SetCompactionPolicy(eqPolicy)
 			}
-		default: // invalid searches: both must refuse with identical text
+		default: // invalid searches: the store refuses with retrieval's text
 			for _, kp := range [][2]int{{0, 10}, {5, 2}} {
-				q := randObj()
-				_, _, rerr := ref.Search(q, kp[0], kp[1])
-				_, _, serr := shd.Search(q, kp[0], kp[1])
-				if rerr == nil || serr == nil || rerr.Error() != serr.Error() {
-					t.Fatalf("step %d: k=%d p=%d error contract diverges: ref %v, sharded %v",
-						step, kp[0], kp[1], rerr, serr)
+				_, _, err := st.Search(randObj(), kp[0], kp[1])
+				if want := retrieval.CheckKP(kp[0], kp[1]); err == nil || err.Error() != want.Error() {
+					t.Fatalf("step %d: k=%d p=%d: error %v, want %v", step, kp[0], kp[1], err, want)
 				}
 			}
 		}
-		assertEquivalent(t, ref, shd, rng, step, genOffset)
+		assertMatchesModel(t, st, ref, rng, step, genOffset)
 	}
 
-	// Drain to empty through both stores, checking the tail end of the
-	// ID space (and the empty-store contract) stays equivalent too.
-	for _, id := range live {
-		if err := ref.Remove(id); err != nil {
-			t.Fatalf("drain ref remove(%d): %v", id, err)
-		}
-		if err := shd.Remove(id); err != nil {
-			t.Fatalf("drain shd remove(%d): %v", id, err)
+	// Drain to empty, checking the tail end of the ID space (and the
+	// empty-store contract) too.
+	for _, id := range ref.liveIDs() {
+		ref.remove(id)
+		if err := st.Remove(id); err != nil {
+			t.Fatalf("drain remove(%d): %v", id, err)
 		}
 	}
-	assertEquivalent(t, ref, shd, rng, -1, genOffset)
-	if n := shd.Size(); n != 0 {
-		t.Fatalf("drained sharded store holds %d objects", n)
-	}
-	if _, ok := shd.First(); ok {
-		t.Fatal("drained sharded store still reports a First object")
-	}
+	assertMatchesModel(t, st, ref, rng, -1, genOffset)
 }
 
-// assertEquivalent is the per-step oracle: searches (single and batch),
-// live-ID sets, First, and stats invariants must all agree between the
-// reference store and the sharded store.
-func assertEquivalent(t *testing.T, ref *Store[[]float64], shd *Sharded[[]float64], rng *rand.Rand, step int, genOffset uint64) {
+// assertMatchesModel is the per-step oracle: stats, live IDs, First,
+// metadata, searches (single and batched, plain and filtered) and
+// filter-compile errors must all equal the reference model's, and the
+// aggregate stats must be the sum of the per-shard rows.
+func assertMatchesModel(t *testing.T, st *Store[[]float64], ref *refModel, rng *rand.Rand, step int, genOffset uint64) {
 	t.Helper()
-
-	rst, sst := ref.Stats(), shd.Stats()
-	if rst.Size != sst.Size || rst.Dims != sst.Dims || rst.Generation+genOffset != sst.Generation || rst.NextID != sst.NextID {
-		t.Fatalf("step %d: stats diverge (genOffset %d):\n ref %+v\n shd %+v", step, genOffset, rst, sst)
+	live := ref.liveIDs()
+	s := st.Stats()
+	if s.Size != len(live) || s.Dims != ref.model.Dims() || s.Generation != ref.gen+genOffset || s.NextID != ref.next {
+		t.Fatalf("step %d: stats %+v; model has %d live, dims %d, generation %d+%d, next id %d",
+			step, s, len(live), ref.model.Dims(), ref.gen, genOffset, ref.next)
 	}
-	for name, st := range map[string]Stats{"ref": rst, "sharded": sst} {
-		if st.BaseSize+st.DeltaSize-st.Tombstones != st.Size {
-			t.Fatalf("step %d: %s segment accounting: base %d + delta %d - tombstones %d != size %d",
-				step, name, st.BaseSize, st.DeltaSize, st.Tombstones, st.Size)
+	if s.BaseSize+s.DeltaSize-s.Tombstones != s.Size {
+		t.Fatalf("step %d: segment accounting: base %d + delta %d - tombstones %d != size %d",
+			step, s.BaseSize, s.DeltaSize, s.Tombstones, s.Size)
+	}
+	// The aggregate must be exactly the sum of the per-shard rows, which
+	// a one-shard store omits.
+	detail := st.ShardStats()
+	if (detail == nil) != (len(st.shards) == 1) {
+		t.Fatalf("step %d: %d shards report %d ShardStats rows", step, len(st.shards), len(detail))
+	}
+	if detail != nil {
+		var sum Stats
+		for _, sh := range detail {
+			sum.Size += sh.Size
+			sum.Generation += sh.Generation
+			sum.BaseSize += sh.BaseSize
+			sum.DeltaSize += sh.DeltaSize
+			sum.Tombstones += sh.Tombstones
+			sum.Compactions += sh.Compactions
+		}
+		if sum.Size != s.Size || sum.Generation != s.Generation || sum.BaseSize != s.BaseSize ||
+			sum.DeltaSize != s.DeltaSize || sum.Tombstones != s.Tombstones || sum.Compactions != s.Compactions {
+			t.Fatalf("step %d: shard detail does not sum to aggregate:\n sum %+v\n agg %+v", step, sum, s)
 		}
 	}
-	// The aggregate must be exactly the sum of the per-shard rows.
-	var sum Stats
-	detail := shd.ShardStats()
-	for _, sh := range detail {
-		sum.Size += sh.Size
-		sum.Generation += sh.Generation
-		sum.BaseSize += sh.BaseSize
-		sum.DeltaSize += sh.DeltaSize
-		sum.Tombstones += sh.Tombstones
-		sum.Compactions += sh.Compactions
+
+	// Live-ID sets are compared sorted: an upsert legitimately moves an
+	// ID to the end of its shard's delta.
+	var got []uint64
+	for _, sh := range st.shards {
+		got = append(got, sh.cur.Load().liveIDs()...)
 	}
-	if sum.Size != sst.Size || sum.Generation != sst.Generation || sum.BaseSize != sst.BaseSize ||
-		sum.DeltaSize != sst.DeltaSize || sum.Tombstones != sst.Tombstones || sum.Compactions != sst.Compactions {
-		t.Fatalf("step %d: shard detail does not sum to aggregate:\n sum %+v\n agg %+v", step, sum, sst)
+	slices.Sort(got)
+	if !slices.Equal(got, live) {
+		t.Fatalf("step %d: live ids\n store %v\n model %v", step, got, live)
+	}
+	wf, wok := ref.first()
+	if gf, gok := st.First(); gok != wok || !reflect.DeepEqual(gf, wf) {
+		t.Fatalf("step %d: First = (%v, %v), model (%v, %v)", step, gf, gok, wf, wok)
+	}
+	for i := 0; i < 3 && len(live) > 0; i++ {
+		id := live[rng.Intn(len(live))]
+		if md, ok := st.Metadata(id); !ok || !reflect.DeepEqual(md, ref.rows[id].md) {
+			t.Fatalf("step %d: Metadata(%d) = (%v, %v), model %v", step, id, md, ok, ref.rows[id].md)
+		}
 	}
 
-	// Identical live-ID sets. (Position order is compared after sorting:
-	// an upsert legitimately moves an ID to the end of its store's delta,
-	// and the two layouts' deltas differ by construction.)
-	refIDs := ref.cur.Load().liveIDs()
-	slices.Sort(refIDs)
-	var shdIDs []uint64
-	for _, sh := range shd.shards {
-		shdIDs = append(shdIDs, sh.cur.Load().liveIDs()...)
-	}
-	slices.Sort(shdIDs)
-	if !slices.Equal(refIDs, shdIDs) {
-		t.Fatalf("step %d: live ids diverge:\n ref %v\n shd %v", step, refIDs, shdIDs)
-	}
-
-	// Same First object (the lowest live ID everywhere).
-	rf, rok := ref.First()
-	sf, sok := shd.First()
-	if rok != sok || !reflect.DeepEqual(rf, sf) {
-		t.Fatalf("step %d: First diverges: ref (%v,%v) shd (%v,%v)", step, rf, rok, sf, sok)
-	}
-
-	// Bit-identical searches: a few regular queries, plus one with p
-	// covering the whole store (degenerates to an exact scan).
 	q := func() []float64 {
 		return []float64{rng.Float64() * 7, -rng.Float64() * 7, rng.NormFloat64()}
 	}
+	check := func(what string, query []float64, k, p int, pred *meta.Predicate) {
+		t.Helper()
+		want, wst, _ := ref.search(query, k, p, pred)
+		got, gst, err := st.SearchFiltered(query, k, p, pred)
+		if err != nil || !reflect.DeepEqual(got, want) || gst.WithoutTiming() != wst {
+			t.Fatalf("step %d: %s search(k=%d, p=%d) = %v %+v (err %v)\n model %v %+v",
+				step, what, k, p, got, gst.WithoutTiming(), err, want, wst)
+		}
+	}
+	// A few regular queries, one with p covering the whole store
+	// (degenerating to an exact scan), and a query for a twinned object
+	// at k = p = 1, which only the tie-breaks decide.
 	for i := 0; i < 3; i++ {
 		k := 1 + rng.Intn(5)
 		p := k + rng.Intn(25)
 		if i == 2 {
-			p = k + ref.Size() // full scan
+			p = k + len(live)
 		}
-		query := q()
-		want, wst, werr := ref.Search(query, k, p)
-		got, gst, gerr := shd.Search(query, k, p)
-		if werr != nil || gerr != nil {
-			t.Fatalf("step %d: search errs ref=%v shd=%v", step, werr, gerr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: search(k=%d,p=%d) diverges:\n ref %v\n shd %v", step, k, p, want, got)
-		}
-		if gst.WithoutTiming() != wst.WithoutTiming() {
-			t.Fatalf("step %d: search stats diverge: ref %+v shd %+v", step, wst, gst)
-		}
+		check("plain", q(), k, p, nil)
+	}
+	if x, ok := ref.twin(); ok {
+		check("twin", x, 1, 1, nil)
 	}
 	batch := [][]float64{q(), q(), q()}
-	want, wst, werr := ref.SearchBatch(batch, 2, 9)
-	got, gst, gerr := shd.SearchBatch(batch, 2, 9)
-	if werr != nil || gerr != nil {
-		t.Fatalf("step %d: batch errs ref=%v shd=%v", step, werr, gerr)
-	}
-	for i := range gst {
-		gst[i], wst[i] = gst[i].WithoutTiming(), wst[i].WithoutTiming()
-	}
-	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gst, wst) {
-		t.Fatalf("step %d: batch diverges:\n ref %v %v\n shd %v %v", step, want, wst, got, gst)
-	}
-
-	// Per-ID metadata must agree (a few random live IDs per step).
-	for i := 0; i < 3 && len(refIDs) > 0; i++ {
-		id := refIDs[rng.Intn(len(refIDs))]
-		rm, rok := ref.Metadata(id)
-		sm, sok := shd.Metadata(id)
-		if rok != sok || !reflect.DeepEqual(rm, sm) {
-			t.Fatalf("step %d: metadata(%d) diverges: ref (%v,%v) shd (%v,%v)", step, id, rm, rok, sm, sok)
+	checkBatch := func(what string, pred *meta.Predicate) {
+		t.Helper()
+		var (
+			got [][]Result
+			gst []retrieval.Stats
+			err error
+		)
+		if pred == nil {
+			got, gst, err = st.SearchBatch(batch, 2, 9)
+		} else {
+			got, gst, err = st.SearchBatchFiltered(batch, 2, 9, pred)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %s batch: %v", step, what, err)
+		}
+		for j, query := range batch {
+			want, wst, _ := ref.search(query, 2, 9, pred)
+			if !reflect.DeepEqual(got[j], want) || gst[j].WithoutTiming() != wst {
+				t.Fatalf("step %d: %s batch query %d = %v %+v\n model %v %+v", step, what, j, got[j], gst[j].WithoutTiming(), want, wst)
+			}
 		}
 	}
+	checkBatch("plain", nil)
 
-	// Bit-identical filtered searches under randomized predicates. Both
-	// registries saw the same writes, so compilation must agree too —
-	// including the error for a field nothing has registered yet.
-	filters := []string{
-		fmt.Sprintf(`{"field":"bucket","eq":%d}`, rng.Intn(10)),
-		fmt.Sprintf(`{"field":"bucket","le":%d}`, rng.Intn(10)),
-		`{"field":"tag","in":["a","c"]}`,
-		fmt.Sprintf(`{"and":[{"field":"bucket","ge":%d},{"field":"tag","ne":"b"}]}`, rng.Intn(5)),
-		fmt.Sprintf(`{"field":"score","lt":%g}`, rng.Float64()),
-		`{"field":"hot","eq":true}`,
-		`{"field":"bucket","exists":false}`,
-	}
+	// Filters compile against both kind tables alike — including the
+	// error for a field nothing has registered — and filtered searches,
+	// single and batched, equal the model's.
 	for i := 0; i < 2; i++ {
-		raw := filters[rng.Intn(len(filters))]
-		rpred, rerr := ref.CompileFilter([]byte(raw))
-		spred, serr := shd.CompileFilter([]byte(raw))
-		if (rerr == nil) != (serr == nil) || (rerr != nil && rerr.Error() != serr.Error()) {
-			t.Fatalf("step %d: compile(%s) diverges: ref %v shd %v", step, raw, rerr, serr)
+		raw := eqFilters[rng.Intn(len(eqFilters))]
+		if strings.Contains(raw, "%") {
+			raw = fmt.Sprintf(raw, rng.Intn(10))
 		}
-		if rerr != nil {
+		pred, err := st.CompileFilter([]byte(raw))
+		_, werr := meta.CompileFilter([]byte(raw), ref.kinds)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("step %d: compile(%s) = %v, model %v", step, raw, err, werr)
+		}
+		if err != nil {
 			continue
 		}
 		k := 1 + rng.Intn(4)
-		p := k + rng.Intn(20)
-		query := q()
-		want, wst, werr := ref.SearchFiltered(query, k, p, rpred)
-		got, gst, gerr := shd.SearchFiltered(query, k, p, spred)
-		if werr != nil || gerr != nil {
-			t.Fatalf("step %d: filtered search errs ref=%v shd=%v", step, werr, gerr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: filtered search(%s,k=%d,p=%d) diverges:\n ref %v\n shd %v", step, raw, k, p, want, got)
-		}
-		if gst.WithoutTiming() != wst.WithoutTiming() {
-			t.Fatalf("step %d: filtered stats diverge: ref %+v shd %+v", step, wst, gst)
-		}
-		fwant, _, werr2 := ref.SearchBatchFiltered(batch, 2, 9, rpred)
-		fgot, _, gerr2 := shd.SearchBatchFiltered(batch, 2, 9, spred)
-		if werr2 != nil || gerr2 != nil {
-			t.Fatalf("step %d: filtered batch errs ref=%v shd=%v", step, werr2, gerr2)
-		}
-		if !reflect.DeepEqual(fgot, fwant) {
-			t.Fatalf("step %d: filtered batch diverges:\n ref %v\n shd %v", step, fwant, fgot)
-		}
+		check("filtered "+raw, q(), k, k+rng.Intn(20), pred)
+		checkBatch("filtered "+raw, pred)
 	}
 }

@@ -23,22 +23,13 @@ var matrixLazy = CompactionPolicy{
 
 // faultRig is one store under test with its filesystem seam exposed.
 type faultRig struct {
-	b  Backend[[]float64]
+	b  *Store[[]float64]
 	ff *fsio.FaultFS
 }
 
 func newFaultRig(t *testing.T, model *core.Model[[]float64], db [][]float64, shards int) faultRig {
 	t.Helper()
 	ff := fsio.NewFault(fsio.OS())
-	if shards == 1 {
-		s, err := New(model, db, l1, Gob[[]float64]())
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		s.SetCompactionPolicy(matrixLazy)
-		s.setFS(ff)
-		return faultRig{b: s, ff: ff}
-	}
 	s, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -164,7 +155,7 @@ func TestFaultMatrixSavePath(t *testing.T) {
 						}
 
 						// The lineage must reopen at a durable prefix.
-						re, oerr := OpenAuto[[]float64](path, l1, Gob[[]float64]())
+						re, oerr := Open[[]float64](path, l1, Gob[[]float64]())
 						if sc == "first" {
 							// The manifest is the last thing a first save
 							// writes, so a failure anywhere leaves no bundle.
@@ -204,7 +195,7 @@ func TestFaultMatrixSavePath(t *testing.T) {
 						if err := rig.b.Save(path); err != nil {
 							t.Fatalf("%s: save after heal: %v", tag, err)
 						}
-						re2, oerr := OpenAuto[[]float64](path, l1, Gob[[]float64]())
+						re2, oerr := Open[[]float64](path, l1, Gob[[]float64]())
 						if oerr != nil {
 							t.Fatalf("%s: reopen after heal: %v", tag, oerr)
 						}
@@ -297,7 +288,7 @@ func TestLifecycleRetryAndDegrade(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	re, err := OpenAuto[[]float64](filepath.Join(dir, "h.bundle"), l1, Gob[[]float64]())
+	re, err := Open[[]float64](filepath.Join(dir, "h.bundle"), l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -357,14 +348,14 @@ func TestLogBoundCompactionTrigger(t *testing.T) {
 		if err := s.Save(path); err != nil {
 			t.Fatalf("save %d: %v", i, err)
 		}
-		if got := s.saved.frames; got > bounded.MaxLogFrames {
+		if got := s.shards[0].saved.frames; got > bounded.MaxLogFrames {
 			t.Fatalf("save %d: %d durable frames, bound is %d", i, got, bounded.MaxLogFrames)
 		}
 	}
 	if c := s.Stats().Compactions; c == 0 {
 		t.Fatal("40 saves under MaxLogFrames=4 triggered no compaction")
 	}
-	re, err := OpenAuto[[]float64](path, l1, Gob[[]float64]())
+	re, err := Open[[]float64](path, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -395,7 +386,7 @@ func TestLogBoundCompactionTrigger(t *testing.T) {
 			t.Fatalf("control save %d: %v", i, err)
 		}
 	}
-	if got := s2.saved.frames; got != 11 {
+	if got := s2.shards[0].saved.frames; got != 11 {
 		t.Fatalf("unbounded log has %d frames after 11 saves, want 11", got)
 	}
 	if c := s2.Stats().Compactions; c != 0 {
@@ -487,7 +478,7 @@ func TestFaultStressConvergence(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after heal: %v", err)
 	}
-	re, err := OpenAuto[[]float64](path, l1, Gob[[]float64]())
+	re, err := Open[[]float64](path, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}

@@ -68,8 +68,8 @@ func gatedModel(t testing.TB, db [][]float64) *core.Model[[]float64] {
 }
 
 // TestGatedStoreMatchesExact runs the seeded screen through the store:
-// a Store with a base past the gate, and a 2-shard Sharded whose every
-// shard's base is past it, each driven in lockstep with an exact twin
+// a one-shard Store with a base past the gate, and a 2-shard Store whose
+// every shard's base is past it, each driven in lockstep with an exact twin
 // (quantization off) through adds, upserts, removes, out-of-range delta
 // rows (whose codes give no bounds), filtered and unfiltered searches,
 // save/reopen, a forced compaction, and a reopen from a base section
@@ -87,15 +87,9 @@ func TestGatedStoreMatchesExact(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			db := gatedDB(c.rows, 1)
 			model := gatedModel(t, db)
-			build := func() Backend[[]float64] {
+			build := func() *Store[[]float64] {
 				t.Helper()
-				var b Backend[[]float64]
-				var err error
-				if c.shards == 1 {
-					b, err = New(model, db, l1, Gob[[]float64]())
-				} else {
-					b, err = NewSharded(model, db, l1, Gob[[]float64](), c.shards)
-				}
+				b, err := NewSharded(model, db, l1, Gob[[]float64](), c.shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,9 +105,9 @@ func TestGatedStoreMatchesExact(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			queries := gatedDB(4, 3)
 			var ids []uint64
-			both := func(step string, f func(b Backend[[]float64]) error) {
+			both := func(step string, f func(b *Store[[]float64]) error) {
 				t.Helper()
-				for _, b := range []Backend[[]float64]{quant, exact} {
+				for _, b := range []*Store[[]float64]{quant, exact} {
 					if err := f(b); err != nil {
 						t.Fatalf("%s: %v", step, err)
 					}
@@ -128,7 +122,7 @@ func TestGatedStoreMatchesExact(t *testing.T) {
 					}
 					md := meta.Map{"bucket": meta.IntValue(int64(rng.Intn(10)))}
 					var id uint64
-					both(step, func(b Backend[[]float64]) (err error) {
+					both(step, func(b *Store[[]float64]) (err error) {
 						got, err := b.AddMeta(x, md)
 						if id != 0 && got != id {
 							return fmt.Errorf("twins assigned IDs %d and %d", id, got)
@@ -146,18 +140,18 @@ func TestGatedStoreMatchesExact(t *testing.T) {
 					j := rng.Intn(len(ids))
 					x := gatedDB(1, rng.Int63())[0]
 					md := meta.Map{"bucket": meta.IntValue(int64(rng.Intn(10)))}
-					both(step, func(b Backend[[]float64]) error { return b.UpsertMeta(ids[j], x, md) })
+					both(step, func(b *Store[[]float64]) error { return b.UpsertMeta(ids[j], x, md) })
 				}
 				for i := 0; i < 80; i++ {
 					j := rng.Intn(len(ids))
 					id := ids[j]
 					ids = append(ids[:j], ids[j+1:]...)
-					both(step, func(b Backend[[]float64]) error { return b.Remove(id) })
+					both(step, func(b *Store[[]float64]) error { return b.Remove(id) })
 				}
 				for i := 0; i < 40; i++ {
 					id := uint64(rng.Intn(c.rows))
 					if _, ok := exact.Get(id); ok {
-						both(step, func(b Backend[[]float64]) error { return b.Remove(id) })
+						both(step, func(b *Store[[]float64]) error { return b.Remove(id) })
 					}
 				}
 			}
@@ -205,27 +199,27 @@ func TestGatedStoreMatchesExact(t *testing.T) {
 					t.Fatal(err)
 				}
 				var err error
-				if quant, err = OpenAuto(qPath, l1, Gob[[]float64]()); err != nil {
+				if quant, err = Open(qPath, l1, Gob[[]float64]()); err != nil {
 					t.Fatalf("%s: reopening: %v", step, err)
 				}
-				if exact, err = OpenAuto(ePath, l1, Gob[[]float64]()); err != nil {
+				if exact, err = Open(ePath, l1, Gob[[]float64]()); err != nil {
 					t.Fatalf("%s: reopening the twin: %v", step, err)
 				}
-				for _, b := range []Backend[[]float64]{quant, exact} {
+				for _, b := range []*Store[[]float64]{quant, exact} {
 					b.SetCompactionPolicy(CompactionPolicy{MinDelta: 1 << 30, MinDead: 1 << 30})
 				}
 			}
 
 			// Metadata reaches the base through a compaction.
 			addRows("seed metadata", 1500)
-			both("compact", func(b Backend[[]float64]) error { b.Compact(); return nil })
+			both("compact", func(b *Store[[]float64]) error { b.Compact(); return nil })
 			check("metadata base")
 			churn("churn")
 			check("churned")
 			reopen("reopen")
 			check("reopened")
 			churn("churn again")
-			both("forced compaction", func(b Backend[[]float64]) error {
+			both("forced compaction", func(b *Store[[]float64]) error {
 				if !b.Compact() {
 					return fmt.Errorf("nothing to compact")
 				}
@@ -254,7 +248,7 @@ func TestGatedStoreMatchesExact(t *testing.T) {
 				}
 			}
 			var err error
-			if quant, err = OpenAuto(qPath, l1, Gob[[]float64]()); err != nil {
+			if quant, err = Open(qPath, l1, Gob[[]float64]()); err != nil {
 				t.Fatalf("reopening 3-bit sections: %v", err)
 			}
 			check("3-bit sections")
@@ -263,8 +257,8 @@ func TestGatedStoreMatchesExact(t *testing.T) {
 }
 
 // shardStats returns each shard's statistics: the store's own for a
-// single Store.
-func shardStats(b Backend[[]float64]) []Stats {
+// one-shard Store.
+func shardStats(b *Store[[]float64]) []Stats {
 	if sh := b.ShardStats(); sh != nil {
 		return sh
 	}

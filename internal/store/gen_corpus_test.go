@@ -3,21 +3,20 @@ package store
 // Corpus generator for the fuzz targets. The fuzz bodies must stay cheap
 // — training a model inside FuzzXxx setup makes every instrumented
 // worker restart pay seconds before its first exec — so the "expensive"
-// seeds (real bundles across every format era, a real serving fixture)
-// are built here once and committed under testdata. Regenerate after a
-// format change with:
+// seeds (real v3 sections, a real serving fixture) are built here once
+// and committed under testdata. Regenerate after a format change with:
 //
 //	QSE_GEN_CORPUS=1 go test ./internal/store -run TestGenerateFuzzCorpus
 //
-// Legacy v1/v2 artifacts are produced through the retained legacy
-// writers (saveV1/saveV2), so the committed read-compatibility seeds
-// keep existing even though production saves write v3. The generator
-// also commits a small intact v3 layout under testdata/v3fixture — the
-// fuzz body copies its manifest and base section next to fuzzed delta
-// bytes, driving the mutator straight into the delta-log recovery path —
-// and refreshes internal/server's fixture (v2 on purpose: the server
-// fuzz target doubles as a legacy-read regression) and seed corpus, so
-// both packages' fuzz inputs come from one place and cannot drift apart.
+// The generator writes v3 seeds only. The committed v1 bundle and v2
+// manifest seeds (valid-v1-bundle, valid-manifest, valid-shard-bundle,
+// truncated-v1, bitflipped-v1) came from earlier builds' writers, which
+// are gone; they stay in the corpus as inputs Open must refuse. The
+// generator also commits a small intact v3 layout under testdata/v3fixture
+// — the fuzz body copies its manifest and base section next to fuzzed
+// delta bytes, driving the mutator straight into the delta-log recovery
+// path — and refreshes internal/server's fixture bundle, so both
+// packages' fuzz inputs come from one place and cannot drift apart.
 
 import (
 	"fmt"
@@ -47,39 +46,13 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	model, db := fixture(t, 40)
 	dir := t.TempDir()
 
-	st, err := New(model, db, l1, Gob[[]float64]())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Path := filepath.Join(dir, "v1.bundle")
-	if err := st.saveV1(v1Path); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := os.ReadFile(v1Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	// A 3-shard v3 layout with real delta frames: save, mutate (add +
+	// remove + upsert), save again — the delta logs then hold two frames
+	// and the tombstone bitmaps are non-trivial.
 	shd, err := NewSharded(model, db, l1, Gob[[]float64](), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	manPath := filepath.Join(dir, "man.bundle")
-	if err := shd.saveV2(manPath); err != nil {
-		t.Fatal(err)
-	}
-	man, err := os.ReadFile(manPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard0, err := os.ReadFile(filepath.Join(dir, shardFiles(manPath, 3)[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A v3 layout with real delta frames: save, mutate (add + remove +
-	// upsert), save again — the delta log then holds two frames and the
-	// tombstone bitmaps are non-trivial.
 	v3Path := filepath.Join(dir, "v3.bundle")
 	if err := shd.Save(v3Path); err != nil {
 		t.Fatal(err)
@@ -111,13 +84,6 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	}
 
 	corpus := filepath.Join("testdata", "fuzz", "FuzzBundleOpen")
-	writeCorpusEntry(t, corpus, "valid-v1-bundle", v1)
-	writeCorpusEntry(t, corpus, "valid-manifest", man)
-	writeCorpusEntry(t, corpus, "valid-shard-bundle", shard0)
-	writeCorpusEntry(t, corpus, "truncated-v1", v1[:len(v1)/2])
-	flipped := append([]byte(nil), v1...)
-	flipped[headerLen+40] ^= 0xff
-	writeCorpusEntry(t, corpus, "bitflipped-v1", flipped)
 	writeCorpusEntry(t, corpus, "valid-v3-manifest", v3Man)
 	writeCorpusEntry(t, corpus, "valid-v3-base", v3Base0)
 	writeCorpusEntry(t, corpus, "valid-v3-delta", v3Delta0)
@@ -125,8 +91,8 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 
 	// The intact single-shard v3 fixture the fuzz body rebuilds layouts
 	// from: manifest + base + delta committed as raw files (not corpus
-	// entries). Built from a fresh store so the fixture is single-shard —
-	// the fuzzed file stands in for the one delta log.
+	// entries). Single-shard, so the fuzzed file stands in for the one
+	// delta log.
 	single, err := New(model, db, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatal(err)
@@ -160,21 +126,20 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 	}
 
-	// The serving layer's fixture: a *sharded* layout over the same
-	// 3-dim vector space internal/server's decodeVec validates against,
-	// opened by FuzzSearchBody instead of training a model per fuzz
-	// worker — sharded so that adversarial HTTP bodies genuinely drive
-	// the scatter-gather path, and written as v2 on purpose so the
-	// server fuzz target doubles as a legacy-format read regression.
+	// The serving layer's fixture: the 3-shard layout above, over the
+	// same 3-dim vector space internal/server's decodeVec validates
+	// against, opened by FuzzSearchBody instead of training a model per
+	// fuzz worker — sharded so that adversarial HTTP bodies genuinely
+	// drive the scatter-gather path.
 	serverData := filepath.Join("..", "server", "testdata")
 	if err := os.MkdirAll(serverData, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	serverBundle := filepath.Join(serverData, "fuzz-store.bundle")
-	if err := shd.saveV2(serverBundle); err != nil {
+	if err := shd.Save(serverBundle); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenSharded(serverBundle, l1, Gob[[]float64]())
+	r, err := Open(serverBundle, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatalf("reopening the generated server fixture: %v", err)
 	}

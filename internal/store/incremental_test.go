@@ -2,9 +2,9 @@ package store
 
 // Tests for bundle format v3: incremental dirty-shard saves, delta-log
 // crash recovery, upsert semantics, and the store-owned background
-// lifecycle. The cross-layer equivalence harness (equivalence_test.go)
-// additionally drives upserts and incremental save/reopen steps against
-// the unsharded reference.
+// lifecycle. The equivalence harness (equivalence_test.go) additionally
+// drives upserts and incremental save/reopen steps against the reference
+// model.
 
 import (
 	"errors"
@@ -150,7 +150,7 @@ func TestIncrementalSaveRewritesOnlyDirtyDelta(t *testing.T) {
 	}
 
 	// The final layout reopens bit-identically.
-	r, err := OpenSharded(path, l1, Gob[[]float64]())
+	r, err := Open(path, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -408,7 +408,7 @@ func TestDeltaLogCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestUpsertStore pins upsert semantics on both layouts: the ID is
+// TestUpsertStore pins upsert semantics on one and three shards: the ID is
 // preserved, exactly one generation is spent, the replacement is
 // searchable and Get-able, unknown IDs and wrong-width objects are
 // rejected without mutating, and the state survives compaction and a
@@ -492,7 +492,7 @@ func TestUpsertStore(t *testing.T) {
 		if err := st.Save(path); err != nil {
 			t.Fatalf("%s: save: %v", name, err)
 		}
-		r, err := OpenAuto(path, l1, Gob[[]float64]())
+		r, err := Open(path, l1, Gob[[]float64]())
 		if err != nil {
 			t.Fatalf("%s: reopen: %v", name, err)
 		}
@@ -539,7 +539,7 @@ func TestLifecycle(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if r, err := OpenSharded(path, l1, Gob[[]float64]()); err == nil && r.Size() == 49 {
+		if r, err := Open(path, l1, Gob[[]float64]()); err == nil && r.Size() == 49 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -575,7 +575,7 @@ func TestLifecycle(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	r, err := OpenSharded(path, l1, Gob[[]float64]())
+	r, err := Open(path, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func TestSampleOnDrainedStore(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenSharded(path, l1, Gob[[]float64]())
+	r, err := Open(path, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,12 @@ package store
 
 // Store-level metadata and filtered-search tests: the upsert-replaces
 // regression (an upsert must atomically replace the whole metadata
-// record, never merge stale fields), the metadata lifecycle (clone
-// independence, type pinning, removal), a brute-force reference check
-// for filtered search, and persistence round-trips through both the v3
-// layout (including an incremental save that grows the field registry
-// after the manifest was first written) and the legacy v1 bundle.
+// record, never merge stale fields), the refused-upsert regression (an
+// upsert of an unknown ID must register none of its fields), the
+// metadata lifecycle (clone independence, type pinning, removal), a
+// brute-force reference check for filtered search, and persistence
+// round-trips through the v3 layout (including an incremental save that
+// grows the field registry after the manifest was first written).
 
 import (
 	"errors"
@@ -18,26 +19,11 @@ import (
 
 	"qse/internal/fsio"
 	"qse/internal/meta"
-	"qse/internal/retrieval"
 )
 
-// metaBackend is the slice of Backend the metadata tests exercise,
-// satisfied by both *Store and *Sharded so every test runs on both
-// layouts.
-type metaBackend interface {
-	AddMeta(x []float64, md meta.Map) (uint64, error)
-	UpsertMeta(id uint64, x []float64, md meta.Map) error
-	Upsert(id uint64, x []float64) error
-	Remove(id uint64) error
-	Metadata(id uint64) (meta.Map, bool)
-	CompileFilter(raw []byte) (*meta.Predicate, error)
-	SearchFiltered(q []float64, k, p int, pred *meta.Predicate) ([]Result, retrieval.Stats, error)
-	Size() int
-}
-
-// eachLayout runs fn once against an unsharded store and once against a
-// 3-shard sharded store, both seeded with the same fixture.
-func eachLayout(t *testing.T, n int, fn func(t *testing.T, s metaBackend)) {
+// eachLayout runs fn once against a one-shard store and once against a
+// 3-shard store, both seeded with the same fixture.
+func eachLayout(t *testing.T, n int, fn func(t *testing.T, s *Store[[]float64])) {
 	t.Run("store", func(t *testing.T) { fn(t, newStore(t, n)) })
 	t.Run("sharded", func(t *testing.T) { fn(t, newSharded(t, n, 3)) })
 }
@@ -47,7 +33,7 @@ func eachLayout(t *testing.T, n int, fn func(t *testing.T, s metaBackend)) {
 // previous record may survive, and a nil record clears metadata
 // entirely — on both layouts.
 func TestUpsertReplacesMetadata(t *testing.T) {
-	eachLayout(t, 40, func(t *testing.T, s metaBackend) {
+	eachLayout(t, 40, func(t *testing.T, s *Store[[]float64]) {
 		id, err := s.AddMeta([]float64{1, 2, 3}, meta.Map{
 			"tenant": meta.StringValue("acme"),
 			"ts":     meta.IntValue(100),
@@ -90,11 +76,49 @@ func TestUpsertReplacesMetadata(t *testing.T) {
 	})
 }
 
+// TestRefusedUpsertRegistersNothing pins the satellite regression: an
+// upsert of an unknown ID is refused (the HTTP layer answers 404) and
+// must register none of its record's fields. A field pinned by such a
+// refusal would make a filter on it compile, would refuse a later write
+// giving the field another kind, and would survive a save and reopen.
+func TestRefusedUpsertRegistersNothing(t *testing.T) {
+	eachLayout(t, 40, func(t *testing.T, s *Store[[]float64]) {
+		ghost := `{"field":"ghost","eq":1}`
+		if err := s.UpsertMeta(1<<40, []float64{1, 2, 3}, meta.Map{"ghost": meta.IntValue(1)}); !errors.Is(err, ErrUnknownID) {
+			t.Fatalf("UpsertMeta of an unknown id: %v, want ErrUnknownID", err)
+		}
+		check := func(stage string, s *Store[[]float64]) {
+			t.Helper()
+			if _, err := s.CompileFilter([]byte(ghost)); err == nil {
+				t.Fatalf("%s: a filter on the refused upsert's field compiles", stage)
+			}
+		}
+		check("after the refusal", s)
+		path := filepath.Join(t.TempDir(), "ghost.bundle")
+		if err := s.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(path, l1, Gob[[]float64]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("after save and reopen", r)
+		for stage, st := range map[string]*Store[[]float64]{"live": s, "reopened": r} {
+			if _, err := st.AddMeta([]float64{0, 1, 2}, meta.Map{"ghost": meta.StringValue("a string")}); err != nil {
+				t.Fatalf("%s: AddMeta giving the field its first kind: %v", stage, err)
+			}
+			if _, err := st.CompileFilter([]byte(`{"field":"ghost","eq":"a string"}`)); err != nil {
+				t.Fatalf("%s: the field did not take its first real write's kind: %v", stage, err)
+			}
+		}
+	})
+}
+
 // TestMetadataLifecycle covers the accessor contract: returned records
 // are independent clones, field kinds are pinned at first write, and a
 // removed object's metadata is gone.
 func TestMetadataLifecycle(t *testing.T) {
-	eachLayout(t, 40, func(t *testing.T, s metaBackend) {
+	eachLayout(t, 40, func(t *testing.T, s *Store[[]float64]) {
 		id, err := s.AddMeta([]float64{2, -1, 0}, meta.Map{"bucket": meta.IntValue(7)})
 		if err != nil {
 			t.Fatalf("AddMeta: %v", err)
@@ -131,7 +155,7 @@ func TestMetadataLifecycle(t *testing.T) {
 // be the exact k nearest neighbors among matching objects only, and a
 // filter matching nothing yields empty results without error.
 func TestSearchFilteredReference(t *testing.T) {
-	eachLayout(t, 40, func(t *testing.T, s metaBackend) {
+	eachLayout(t, 40, func(t *testing.T, s *Store[[]float64]) {
 		rng := rand.New(rand.NewSource(11))
 		type rec struct {
 			id uint64
@@ -198,16 +222,14 @@ func TestSearchFilteredReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("nil-predicate search: %v", err)
 		}
-		plain, _, err := s.(interface {
-			Search(q []float64, k, p int) ([]Result, retrieval.Stats, error)
-		}).Search(q, 5, 20)
+		plain, _, err := s.Search(q, 5, 20)
 		if err != nil || !reflect.DeepEqual(unf, plain) {
 			t.Fatalf("nil predicate diverges from Search:\n filt  %v\n plain %v (err %v)", unf, plain, err)
 		}
 	})
 }
 
-func mustCompile(t *testing.T, s metaBackend, raw string) *meta.Predicate {
+func mustCompile(t *testing.T, s *Store[[]float64], raw string) *meta.Predicate {
 	t.Helper()
 	pred, err := s.CompileFilter([]byte(raw))
 	if err != nil {
@@ -291,8 +313,8 @@ func TestMetadataPersistenceV3(t *testing.T) {
 	}
 }
 
-// TestMetadataPersistenceShardedV3 is the sharded counterpart: metadata
-// written through the front survives a layout save and OpenSharded.
+// TestMetadataPersistenceShardedV3 is the 3-shard counterpart: metadata
+// written through the front survives a layout save and Open.
 func TestMetadataPersistenceShardedV3(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "meta-sharded.qse")
@@ -313,9 +335,9 @@ func TestMetadataPersistenceShardedV3(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	r, err := OpenSharded[[]float64](path, l1, Gob[[]float64]())
+	r, err := Open[[]float64](path, l1, Gob[[]float64]())
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	for _, id := range ids {
 		want, _ := s.Metadata(id)
@@ -336,48 +358,12 @@ func TestMetadataPersistenceShardedV3(t *testing.T) {
 	}
 }
 
-// TestMetadataPersistenceV1 keeps the legacy single-file bundle able to
-// carry metadata: saveV1 compacts everything into the base section, and
-// Open rebuilds the columnar block and the field registry from it.
-func TestMetadataPersistenceV1(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "meta-v1.bundle")
-
-	s := newStore(t, 40)
-	id, err := s.AddMeta([]float64{4, -4, 1}, meta.Map{
-		"tenant": meta.StringValue("acme"),
-		"ts":     meta.IntValue(1700000000),
-	})
-	if err != nil {
-		t.Fatalf("AddMeta: %v", err)
-	}
-	if err := s.saveV1(path); err != nil {
-		t.Fatalf("saveV1: %v", err)
-	}
-	r, err := Open[[]float64](path, l1, Gob[[]float64]())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	want, _ := s.Metadata(id)
-	got, gok := r.Metadata(id)
-	if !gok || !reflect.DeepEqual(got, want) {
-		t.Fatalf("Metadata after v1 reopen = (%v,%v), want (%v,true)", got, gok, want)
-	}
-	// The registry round-trips: the pinned kind still rejects conflicts.
-	_, err = r.AddMeta([]float64{0, 1, 0}, meta.Map{"ts": meta.StringValue("oops")})
-	var te *meta.TypeError
-	if !errors.As(err, &te) {
-		t.Fatalf("kind conflict after v1 reopen: got %v, want *meta.TypeError", err)
-	}
-}
-
 // TestMetadataKindConflictCorrupt pins the open-time kind check. Every
 // row a store saves passed the registry, so a saved value whose kind
 // differs from its field's, or is invalid, is damage: the open fails as
 // ErrCorrupt instead of reading the value back as its column's kind. It
-// covers a v3 base section, a v3 delta frame, two v3 shards that
-// disagree on a field the manifest does not list, and the legacy v1
-// bundle and v2 shard files.
+// covers a base section, a delta frame, and two shards that disagree on
+// a field the manifest does not list.
 func TestMetadataKindConflictCorrupt(t *testing.T) {
 	codec := Gob[[]float64]()
 	// saveV3 writes a layout whose "bucket" rows sit both in the base
@@ -399,7 +385,7 @@ func TestMetadataKindConflictCorrupt(t *testing.T) {
 		if err := s.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenSharded(path, l1, codec); err != nil {
+		if _, err := Open(path, l1, codec); err != nil {
 			t.Fatalf("opening the intact layout: %v", err)
 		}
 		bases, deltas = shardSectionFiles(path, shards)
@@ -448,7 +434,7 @@ func TestMetadataKindConflictCorrupt(t *testing.T) {
 	}
 	wantCorrupt := func(t *testing.T, path string) {
 		t.Helper()
-		if _, err := OpenSharded(path, l1, codec); !errors.Is(err, ErrCorrupt) {
+		if _, err := Open(path, l1, codec); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("open = %v, want ErrCorrupt", err)
 		}
 	}
@@ -491,65 +477,6 @@ func TestMetadataKindConflictCorrupt(t *testing.T) {
 		if _, err := writeManifestV3(fsio.OS(), path, man); err != nil {
 			t.Fatal(err)
 		}
-		wantCorrupt(t, path)
-	})
-
-	// retypeV1 rewrites a v1 bundle's rows, and with kinds its kind table.
-	retypeV1 := func(t *testing.T, file string, all bool) {
-		t.Helper()
-		_, payload, err := readEnvelope(fsio.OS(), file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := decodeBundle(file, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		retype(body.Meta, meta.FloatValue(2.5), all)
-		if all {
-			body.MetaKinds = map[string]meta.Kind{"bucket": meta.KindFloat}
-		}
-		if err := writeBundle(fsio.OS(), file, body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	addBuckets := func(t *testing.T, s interface {
-		AddMeta([]float64, meta.Map) (uint64, error)
-	}) {
-		for i := 0; i < 12; i++ {
-			if _, err := s.AddMeta([]float64{float64(i), 1, -1}, meta.Map{"bucket": meta.IntValue(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	t.Run("v1", func(t *testing.T) {
-		path := filepath.Join(t.TempDir(), "kinds-v1.bundle")
-		s := newStore(t, 40)
-		addBuckets(t, s)
-		if err := s.saveV1(path); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(path, l1, codec); err != nil {
-			t.Fatalf("opening the intact bundle: %v", err)
-		}
-		retypeV1(t, path, false)
-		if _, err := Open(path, l1, codec); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("open = %v, want ErrCorrupt", err)
-		}
-	})
-	t.Run("v2-across-shards", func(t *testing.T) {
-		// Shard 1's bundle types the field float throughout, kind table
-		// included: each file agrees with itself, not with shard 0's.
-		path := filepath.Join(t.TempDir(), "kinds-v2.qse")
-		s := newSharded(t, 40, 2)
-		addBuckets(t, s)
-		if err := s.saveV2(path); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := OpenSharded(path, l1, codec); err != nil {
-			t.Fatalf("opening the intact layout: %v", err)
-		}
-		retypeV1(t, filepath.Join(filepath.Dir(path), shardFiles(path, 2)[1]), true)
 		wantCorrupt(t, path)
 	})
 }

@@ -11,11 +11,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"qse/internal/core"
 	"qse/internal/fsio"
 )
 
-func newSharded(t testing.TB, n, shards int) *Sharded[[]float64] {
+func newSharded(t testing.TB, n, shards int) *Store[[]float64] {
 	t.Helper()
 	model, db := fixture(t, n)
 	s, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
@@ -74,10 +73,8 @@ func TestNewShardedValidation(t *testing.T) {
 
 // TestShardedSaveOpenRoundTrip checks the v3 layout: Save writes a
 // manifest (model once) plus base and delta section files per shard,
-// OpenSharded restores a store with bit-identical answers and one
-// shared model instance across all shards, OpenAuto picks the right
-// type, and the single-store reader refuses the multi-shard manifest
-// with version skew.
+// and Open restores a store with the saved shard count and
+// bit-identical answers.
 func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	s := newSharded(t, 60, 4)
 	// Mutate so the saved state is not just the build output.
@@ -99,23 +96,12 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := Open(path, l1, Gob[[]float64]()); !errors.Is(err, ErrVersion) {
-		t.Fatalf("single-store Open on a 4-shard manifest: err %v, want ErrVersion", err)
-	}
-
-	r, err := OpenSharded(path, l1, Gob[[]float64]())
+	r, err := Open(path, l1, Gob[[]float64]())
 	if err != nil {
-		t.Fatalf("OpenSharded: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	if len(r.shards) != 4 {
 		t.Fatalf("reopened %d shards, want 4", len(r.shards))
-	}
-	// The manifest stores the model once; every shard must share the one
-	// restored instance (v2 kept S copies alive).
-	for i, sh := range r.shards {
-		if sh.model != r.shards[0].model {
-			t.Fatalf("shard %d restored its own model instance; v3 must share one", i)
-		}
 	}
 	if r.Size() != s.Size() || r.Stats().NextID != s.Stats().NextID {
 		t.Fatalf("reopened store %+v, want %+v", r.Stats(), s.Stats())
@@ -133,229 +119,116 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 			t.Fatalf("query %d: reopened results differ:\n got %v %+v\nwant %v %+v", qi, got, gst, want, wst)
 		}
 	}
-
-	auto, err := OpenAuto(path, l1, Gob[[]float64]())
-	if err != nil {
-		t.Fatalf("OpenAuto: %v", err)
-	}
-	if _, ok := auto.(*Sharded[[]float64]); !ok {
-		t.Fatalf("OpenAuto on a manifest returned %T, want *Sharded", auto)
-	}
 }
 
-// TestSingleShardAndV1Compat pins the format compatibility contract:
-// an S=1 layout (from either a plain Store or a one-shard Sharded)
-// opens through Open, OpenSharded, and OpenAuto alike, and a legacy v1
-// bundle — written by the retained v1 writer, exactly what pre-v3
-// deployments have on disk — still opens everywhere with unchanged
-// answers and saves forward as v3.
+// TestSingleShardAndV1Compat pins the one-shard contract: New and
+// NewSharded(…, 1) build the same store, whose layout reopens with the
+// same answers. (TestLegacyVersionsRefused covers the v1 bundle's
+// refusal.)
 func TestSingleShardAndV1Compat(t *testing.T) {
 	model, db := fixture(t, 40)
 	plain, err := New(model, db, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-
 	one, err := NewSharded(model, db, l1, Gob[[]float64](), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onePath := filepath.Join(dir, "one.bundle")
-	if err := one.Save(onePath); err != nil {
+	path := filepath.Join(t.TempDir(), "one.bundle")
+	if err := one.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// The S=1 layout opens as a plain single store.
-	if _, err := Open(onePath, l1, Gob[[]float64]()); err != nil {
+	r, err := Open(path, l1, Gob[[]float64]())
+	if err != nil {
 		t.Fatalf("Open on S=1 save: %v", err)
 	}
-
-	v1Path := filepath.Join(dir, "v1.bundle")
-	if err := plain.saveV1(v1Path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(v1Path, l1, Gob[[]float64]()); err != nil {
-		t.Fatalf("Open on v1 bundle: %v", err)
-	}
-	r, err := OpenSharded(v1Path, l1, Gob[[]float64]())
-	if err != nil {
-		t.Fatalf("OpenSharded on v1 bundle: %v", err)
-	}
-	if len(r.shards) != 1 {
-		t.Fatalf("v1 bundle opened as %d shards, want 1", len(r.shards))
-	}
-	if auto, err := OpenAuto(v1Path, l1, Gob[[]float64]()); err != nil {
-		t.Fatal(err)
-	} else if _, ok := auto.(*Store[[]float64]); !ok {
-		t.Fatalf("OpenAuto on v1 returned %T, want *Store", auto)
+	if len(r.shards) != 1 || r.Stats().Shards != 1 {
+		t.Fatalf("S=1 layout reopened with %d shards", len(r.shards))
 	}
 	for qi, q := range queries(15, 3) {
-		want, _, err := plain.Search(q, 4, 16)
+		want, wst, err := plain.Search(q, 4, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := r.Search(q, 4, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: v1-as-sharded differs:\n got %v\nwant %v", qi, got, want)
-		}
-	}
-
-	// Forward migration: the store opened from v1 saves as v3, which
-	// reopens with the same answers.
-	fwdPath := filepath.Join(dir, "fwd.bundle")
-	if err := r.Save(fwdPath); err != nil {
-		t.Fatalf("saving v1-opened store forward: %v", err)
-	}
-	if version, _, err := readEnvelope(fsio.OS(), fwdPath); err != nil || version != manifestV3Version {
-		t.Fatalf("forward save wrote version %d (err %v), want %d", version, err, manifestV3Version)
-	}
-	fwd, err := OpenAuto(fwdPath, l1, Gob[[]float64]())
-	if err != nil {
-		t.Fatalf("reopening forward save: %v", err)
-	}
-	for qi, q := range queries(10, 5) {
-		want, _, _ := plain.Search(q, 4, 16)
-		got, _, err := fwd.Search(q, 4, 16)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: migrated answers differ (err %v):\n got %v\nwant %v", qi, err, got, want)
+		for name, st := range map[string]*Store[[]float64]{"NewSharded(1)": one, "reopened": r} {
+			got, gst, err := st.Search(q, 4, 16)
+			if err != nil || !reflect.DeepEqual(got, want) || gst.WithoutTiming() != wst.WithoutTiming() {
+				t.Fatalf("query %d: %s answers %v (err %v), New answers %v", qi, name, got, err, want)
+			}
 		}
 	}
 }
 
-// TestManifestErrorPaths covers damage to the legacy v2 sharded layout
-// (which must stay readable): corrupt manifests, missing shard files,
-// and shard files swapped on disk (which the ID-routing check must
-// catch — objects would otherwise be unreachable by Get/Remove while
-// still appearing in searches). The v3 counterparts live in
-// TestV3LayoutErrorPaths.
-func TestManifestErrorPaths(t *testing.T) {
+// TestV3LayoutErrorPaths covers damage to a 3-shard v3 layout whose
+// files are each intact: two shards' base and delta files swapped on
+// disk (the ID-routing check must catch it — objects would otherwise be
+// unreachable by Get/Remove while still appearing in searches), and a
+// missing base section (the open must fail, never serve a subset of the
+// data).
+func TestV3LayoutErrorPaths(t *testing.T) {
 	s := newSharded(t, 60, 3)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ix.bundle")
-	if err := s.saveV2(path); err != nil {
+	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := append([]byte(nil), data...)
-	flipped[headerLen+3] ^= 0xff
-	bad := filepath.Join(dir, "bad.bundle")
-	if err := os.WriteFile(bad, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSharded(bad, l1, Gob[[]float64]()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bit-flipped manifest: err %v, want ErrCorrupt", err)
-	}
-
-	files := shardFiles(path, 3)
-	// Swap two shard files: every bundle is individually intact, but IDs
-	// no longer route to the files they live in.
-	a, b := filepath.Join(dir, files[0]), filepath.Join(dir, files[1])
-	tmp := filepath.Join(dir, "swap.tmp")
-	for _, mv := range [][2]string{{a, tmp}, {b, a}, {tmp, b}} {
-		if err := os.Rename(mv[0], mv[1]); err != nil {
+	// A delta frame per shard, so the swap moves live delta rows too.
+	for i := 0; i < 6; i++ {
+		if _, err := s.Add([]float64{float64(i), -1, 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := OpenSharded(path, l1, Gob[[]float64]()); !errors.Is(err, ErrCorrupt) {
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	bases, deltas := shardSectionFiles(path, 3)
+	swap := func(a, b string) {
+		t.Helper()
+		a, b = filepath.Join(dir, a), filepath.Join(dir, b)
+		tmp := filepath.Join(dir, "swap.tmp")
+		for _, mv := range [][2]string{{a, tmp}, {b, a}, {tmp, b}} {
+			if err := os.Rename(mv[0], mv[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	swapShards := func() {
+		swap(bases[0], bases[1])
+		swap(deltas[0], deltas[1])
+	}
+	swapShards()
+	if _, err := Open(path, l1, Gob[[]float64]()); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("swapped shard files: err %v, want ErrCorrupt", err)
 	}
-	// Swap back, then delete one: opening must fail, not serve a subset.
-	for _, mv := range [][2]string{{a, tmp}, {b, a}, {tmp, b}} {
-		if err := os.Rename(mv[0], mv[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := OpenSharded(path, l1, Gob[[]float64]()); err != nil {
+	swapShards()
+	r, err := Open(path, l1, Gob[[]float64]())
+	if err != nil {
 		t.Fatalf("restored layout must open: %v", err)
 	}
-	if err := os.Remove(filepath.Join(dir, files[2])); err != nil {
+	if r.Size() != 66 {
+		t.Fatalf("restored layout holds %d objects, want 66", r.Size())
+	}
+	if err := os.Remove(filepath.Join(dir, bases[2])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenSharded(path, l1, Gob[[]float64]()); err == nil {
-		t.Fatal("layout with a missing shard file opened")
+	if r, err := Open(path, l1, Gob[[]float64]()); err == nil {
+		t.Fatalf("layout with a missing base section opened with %d objects", r.Size())
 	}
 }
 
-// TestShardedForeignModelShardFile pins the cross-deployment guard: a
-// shard file restored from a *different* layout with the same shard
-// count and the same object IDs is individually intact and routes every
-// ID correctly, but was written under a different model — serving it
-// would silently mix embeddings. Open must refuse with ErrCorrupt (via
-// the model fingerprint, or the dims check when the models happen to
-// differ in width).
-func TestShardedForeignModelShardFile(t *testing.T) {
-	model1, db := fixture(t, 60)
-	opts := core.DefaultOptions()
-	opts.Rounds = 8
-	opts.NumCandidates = 20
-	opts.NumTraining = 40
-	opts.NumTriples = 400
-	opts.K1 = 3
-	opts.Seed = 99 // different training run → different model over the same db
-	model2, _, err := core.Train(db, l1, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	save := func(name string, m *core.Model[[]float64]) string {
-		t.Helper()
-		s, err := NewSharded(m, db, l1, Gob[[]float64](), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := s.saveV2(path); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	pathA := save("a.bundle", model1)
-	pathB := save("b.bundle", model2)
-
-	// Transplant B's shard 1 into A's layout under A's file name.
-	fileA := filepath.Join(dir, shardFiles(pathA, 3)[1])
-	fileB := filepath.Join(dir, shardFiles(pathB, 3)[1])
-	data, err := os.ReadFile(fileB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(fileA, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSharded(pathA, l1, Gob[[]float64]()); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("foreign-model shard file: err %v, want ErrCorrupt", err)
-	}
-}
-
-// TestShardedStaleManifestAllocator pins the crash-consistency guard on
-// both manifest eras: a manifest whose NextID is stale (v2: a crash
-// between shard snapshots and the manifest write; v3: the normal state,
-// since delta-only saves never rewrite the manifest) must not cause the
-// allocator to re-issue an ID a shard already holds.
+// TestShardedStaleManifestAllocator pins the crash-consistency guard: a
+// manifest whose NextID is stale (the normal state, since delta-only
+// saves never rewrite the manifest) must not cause the allocator to
+// re-issue an ID a shard already holds.
 func TestShardedStaleManifestAllocator(t *testing.T) {
 	s := newSharded(t, 40, 3)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ix.bundle")
-	if err := s.saveV2(path); err != nil {
+	path := filepath.Join(t.TempDir(), "v3.bundle")
+	// The manifest is written once; later incremental saves advance only
+	// the sections.
+	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	// v3 path: the manifest is written once; later incremental saves
-	// advance only the sections.
-	v3Path := filepath.Join(dir, "v3.bundle")
-	if err := s.Save(v3Path); err != nil {
-		t.Fatal(err)
-	}
-	// Re-save only the shard files after more adds — the manifest at
-	// path still declares the old NextID — by saving to a second path
-	// and copying the shard files over the first layout's.
 	var lastID uint64
 	for i := 0; i < 10; i++ {
 		id, err := s.Add([]float64{float64(i), 1, 2})
@@ -364,40 +237,31 @@ func TestShardedStaleManifestAllocator(t *testing.T) {
 		}
 		lastID = id
 	}
-	path2 := filepath.Join(dir, "ix2.bundle")
-	if err := s.saveV2(path2); err != nil {
+	// The adds reach the layout through an incremental save: the manifest
+	// keeps its original (now stale) NextID.
+	if err := s.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	newFiles := shardFiles(path2, 3)
-	for i, f := range shardFiles(path, 3) {
-		data, err := os.ReadFile(filepath.Join(dir, newFiles[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The v3 layout gets the same adds through its own incremental save:
-	// the manifest at v3Path keeps its original (now stale) NextID.
-	if err := s.Save(v3Path); err != nil {
+	_, payload, err := readEnvelope(fsio.OS(), path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{path, v3Path} {
-		r, err := OpenSharded(p, l1, Gob[[]float64]())
-		if err != nil {
-			t.Fatalf("%s: stale-manifest layout must open: %v", p, err)
-		}
-		if next := r.Stats().NextID; next != lastID+1 {
-			t.Fatalf("%s: allocator resumed at %d, want %d (max over shard files)", p, next, lastID+1)
-		}
-		id, err := r.Add([]float64{9, 9, 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id != lastID+1 {
-			t.Fatalf("%s: post-reopen Add issued %d, want %d", p, id, lastID+1)
-		}
+	if man, err := decodeManifestV3(path, payload); err != nil || man.NextID != 40 {
+		t.Fatalf("manifest NextID after a delta-only save: %v (err %v), want the stale 40", man, err)
+	}
+	r, err := Open(path, l1, Gob[[]float64]())
+	if err != nil {
+		t.Fatalf("stale-manifest layout must open: %v", err)
+	}
+	if next := r.Stats().NextID; next != lastID+1 {
+		t.Fatalf("allocator resumed at %d, want %d (max over shard sections)", next, lastID+1)
+	}
+	id, err := r.Add([]float64{9, 9, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != lastID+1 {
+		t.Fatalf("post-reopen Add issued %d, want %d", id, lastID+1)
 	}
 }
 
@@ -580,7 +444,7 @@ func TestShardedConcurrentMutation(t *testing.T) {
 	if err := s.Save(path); err != nil {
 		t.Fatalf("final save: %v", err)
 	}
-	r, err := OpenSharded(path, l1, Gob[[]float64]())
+	r, err := Open(path, l1, Gob[[]float64]())
 	if err != nil {
 		t.Fatalf("reopening stress layout: %v", err)
 	}
@@ -672,14 +536,14 @@ func TestShardedStatsShape(t *testing.T) {
 	if size != st.Size || st.Size != 50 {
 		t.Fatalf("shard sizes sum to %d, aggregate %d, want 50", size, st.Size)
 	}
-	// Plain stores report no shard detail (the server uses this to omit
-	// the JSON field).
-	plain := newStore(t, 40)
-	if plain.ShardStats() != nil {
-		t.Fatal("plain Store must report nil ShardStats")
+	// A one-shard store reports no shard detail (the server uses this to
+	// omit the JSON field).
+	one := newStore(t, 40)
+	if one.ShardStats() != nil {
+		t.Fatal("a one-shard Store must report nil ShardStats")
 	}
-	if plain.Stats().Shards != 1 {
-		t.Fatalf("plain Store Shards = %d, want 1", plain.Stats().Shards)
+	if one.Stats().Shards != 1 {
+		t.Fatalf("one-shard Store Shards = %d, want 1", one.Stats().Shards)
 	}
 	_ = fmt.Sprintf("%v", st)
 }

@@ -1,14 +1,13 @@
 // Incremental persistence and the store-owned background lifecycle.
 //
 // This file is the engine behind bundle format v3 (bundle.go has the
-// on-disk encoding): per-shard dirty tracking decides what a Save must
-// touch — nothing for a clean shard, one appended delta frame for a
-// dirty shard whose base is unchanged, a full base+delta section rewrite
-// only after a compaction replaced the base — and the Lifecycle type
-// gives every store (plain or sharded) its own background snapshot loop
-// and a compactor scheduled on the measured delta-scan share of real
-// query traffic instead of wall clock. cmd/qse-serve used to own both
-// loops; now any embedder of the store gets them from Start/Close.
+// on-disk encoding): Open restores a layout, per-shard dirty tracking
+// decides what a Save must touch — nothing for a clean shard, one
+// appended delta frame for a dirty shard whose base is unchanged, a full
+// base+delta section rewrite only after a compaction replaced the base —
+// and the Lifecycle type gives every store its own background snapshot
+// loop and a compactor scheduled on the measured delta-scan share of
+// real query traffic instead of wall clock.
 
 package store
 
@@ -48,7 +47,7 @@ func newBaseTag() uint64 {
 	}
 }
 
-// savedShardState is one store's incremental-save bookkeeping: which
+// savedShardState is one shard's incremental-save bookkeeping: which
 // section files describe it on disk, through which generation, under
 // which base tag, and where the delta log's last durable frame ends.
 // The zero value means "never saved" and forces a full section write.
@@ -75,89 +74,80 @@ type layoutMark struct {
 }
 
 // snapshotTo is Save plus a "did anything get written" report for the
-// background snapshot loop, recording the duration/bytes metrics.
+// background snapshot loop, recording the duration/bytes metrics. Dirty
+// shard sections are written first, in parallel, then the manifest —
+// only when this path has not been written before (or the metadata
+// registry grew since), so the manifest on disk only ever names
+// fully-written section files and delta-only snapshots touch nothing
+// else.
 func (s *Store[T]) snapshotTo(path string) (bool, error) {
 	t0 := nowNanos()
-	written, wrote, err := saveLayoutV3(s.fs(), path, s.model, s.codec, []*Store[T]{s}, &s.nextID, &s.mark)
-	if err != nil {
-		return false, err
-	}
-	if wrote {
-		s.lastSnapNanos.Store(nowNanos() - t0)
-		s.lastSnapBytes.Store(written)
-	}
-	return wrote, nil
-}
-
-// saveLayoutV3 writes (or incrementally refreshes) the v3 layout at
-// path over the given shard stores: dirty shard sections first, in
-// parallel, then the manifest — only when this path has not been
-// written before, so the manifest on disk only ever names fully-written
-// section files and delta-only snapshots touch nothing else. Returns
-// the bytes written and whether anything was written at all.
-func saveLayoutV3[T any](fsys fsio.FS, path string, model *core.Model[T], codec Codec[T], shards []*Store[T], nextID *atomic.Uint64, mark *layoutMark) (int64, bool, error) {
-	baseFiles, deltaFiles := shardSectionFiles(path, len(shards))
+	baseFiles, deltaFiles := shardSectionFiles(path, len(s.shards))
 	dir := filepath.Dir(path)
 	// Read the registry version before the shard snapshots: it only
 	// grows, so any field visible in the sections written below is
 	// either in the kind table serialized under this version or bumps
 	// the version and forces a manifest rewrite on the next save.
-	reg := shards[0].reg
-	regVer := reg.Version()
-	written := make([]int64, len(shards))
-	errs := make([]error, len(shards))
-	par.For(len(shards), 1, func(lo, hi int) {
+	regVer := s.reg.Version()
+	written := make([]int64, len(s.shards))
+	errs := make([]error, len(s.shards))
+	par.For(len(s.shards), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			written[i], errs[i] = shards[i].saveShard(filepath.Join(dir, baseFiles[i]), filepath.Join(dir, deltaFiles[i]))
+			written[i], errs[i] = s.shards[i].saveShard(s.fs(), s.codec, &s.nextID, filepath.Join(dir, baseFiles[i]), filepath.Join(dir, deltaFiles[i]))
 		}
 	})
 	var total int64
 	for i, err := range errs {
 		if err != nil {
-			return 0, false, fmt.Errorf("store: shard %d snapshot: %w", i, err)
+			return false, fmt.Errorf("store: shard %d snapshot: %w", i, err)
 		}
 		total += written[i]
 	}
 
-	mark.mu.Lock()
-	defer mark.mu.Unlock()
-	if mark.path != path || mark.regVer != regVer {
-		candObjs := model.Candidates()
+	s.mark.mu.Lock()
+	defer s.mark.mu.Unlock()
+	if s.mark.path != path || s.mark.regVer != regVer {
+		candObjs := s.model.Candidates()
 		candidates := make([][]byte, len(candObjs))
 		for i, c := range candObjs {
-			raw, err := codec.Encode(c)
+			raw, err := s.codec.Encode(c)
 			if err != nil {
-				return 0, false, fmt.Errorf("store: encoding candidate %d: %w", i, err)
+				return false, fmt.Errorf("store: encoding candidate %d: %w", i, err)
 			}
 			candidates[i] = raw
 		}
 		// Read the allocator after the shard snapshots: it only grows, so
 		// the manifest value is >= every ID visible in the files it names.
-		n, err := writeManifestV3(fsys, path, &manifestV3Body{
-			Shards:     len(shards),
+		n, err := writeManifestV3(s.fs(), path, &manifestV3Body{
+			Shards:     len(s.shards),
 			Hash:       shardHashName,
-			NextID:     nextID.Load(),
-			Dims:       model.Dims(),
-			Model:      *model.SelfSnapshot(),
+			NextID:     s.nextID.Load(),
+			Dims:       s.dims,
+			Model:      *s.model.SelfSnapshot(),
 			Candidates: candidates,
 			BaseFiles:  baseFiles,
 			DeltaFiles: deltaFiles,
-			MetaKinds:  reg.Kinds(),
+			MetaKinds:  s.reg.Kinds(),
 		})
 		if err != nil {
-			return 0, false, err
+			return false, err
 		}
 		total += n
-		mark.path = path
-		mark.regVer = regVer
+		s.mark.path = path
+		s.mark.regVer = regVer
 	}
-	return total, total > 0, nil
+	if total > 0 {
+		s.lastSnapNanos.Store(nowNanos() - t0)
+		s.lastSnapBytes.Store(total)
+	}
+	return total > 0, nil
 }
 
-// saveShard writes this store's state as base+delta sections at the
-// given paths, incrementally. It runs against one immutable snapshot;
-// searches and mutations are never blocked (saves serialize among
-// themselves on saveMu). Three cases, cheapest first:
+// saveShard writes this shard's state as base+delta sections at the
+// given paths, incrementally, encoding objects with codec and recording
+// the allocator alloc as the sections' NextID. It runs against one
+// immutable snapshot; searches and mutations are never blocked (saves
+// serialize among themselves on saveMu). Three cases, cheapest first:
 //
 //   - clean (generation unchanged since the last save to these paths):
 //     nothing is touched. Compaction alone does not dirty a shard — it
@@ -171,14 +161,14 @@ func saveLayoutV3[T any](fsys fsio.FS, path string, model *core.Model[T], codec 
 //     fresh delta log carrying the new base's tag — so a crash between
 //     the two leaves an old-tag log next to a new base, which open
 //     ignores in favor of the (strictly newer) base alone.
-func (s *Store[T]) saveShard(basePath, deltaPath string) (int64, error) {
+func (s *shard[T]) saveShard(fsys fsio.FS, codec Codec[T], alloc *atomic.Uint64, basePath, deltaPath string) (int64, error) {
 	s.saveMu.Lock()
 	defer s.saveMu.Unlock()
-	// Load the snapshot first: nextID only grows, and Add advances it
-	// before publishing the snapshot that uses the new ID, so the pair
-	// (snapshot, nextID-read-after) can never under-count.
+	// Load the snapshot first: the allocator only grows, and Add advances
+	// it before publishing the snapshot that uses the new ID, so the pair
+	// (snapshot, allocator-read-after) can never under-count.
 	snap := s.cur.Load()
-	nextID := s.nextID.Load()
+	nextID := alloc.Load()
 	samePaths := s.saved.basePath == basePath && s.saved.deltaPath == deltaPath
 	if samePaths && snap.gen == s.saved.gen {
 		return 0, nil
@@ -194,7 +184,7 @@ func (s *Store[T]) saveShard(basePath, deltaPath string) (int64, error) {
 		if limF, limB := s.policyView().logBounds(); s.saved.frames >= limF || s.saved.deltaOff >= limB {
 			s.Compact()
 			snap = s.cur.Load()
-			nextID = s.nextID.Load()
+			nextID = alloc.Load()
 		}
 	}
 
@@ -204,14 +194,14 @@ func (s *Store[T]) saveShard(basePath, deltaPath string) (int64, error) {
 		objs := base.Objects()
 		encoded := make([][]byte, len(objs))
 		for i, x := range objs {
-			raw, err := s.codec.Encode(x)
+			raw, err := codec.Encode(x)
 			if err != nil {
 				return 0, fmt.Errorf("store: encoding object %d: %w", i, err)
 			}
 			encoded[i] = raw
 		}
 		flat, dims := base.Flat()
-		baseBytes, err := writeBaseSection(s.fs(), basePath, &baseSectionBody{
+		baseBytes, err := writeBaseSection(fsys, basePath, &baseSectionBody{
 			Tag:         snap.baseVer,
 			Dims:        dims,
 			NextID:      nextID,
@@ -226,11 +216,11 @@ func (s *Store[T]) saveShard(basePath, deltaPath string) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		frame, err := s.frameFor(snap, 0, nextID)
+		frame, err := frameFor(codec, snap, 0, nextID)
 		if err != nil {
 			return 0, err
 		}
-		end, err := writeDeltaLog(s.fs(), deltaPath, snap.baseVer, frame)
+		end, err := writeDeltaLog(fsys, deltaPath, snap.baseVer, frame)
 		if err != nil {
 			return 0, err
 		}
@@ -245,18 +235,18 @@ func (s *Store[T]) saveShard(basePath, deltaPath string) (int64, error) {
 
 	// Incremental: append the rows and tombstones accrued since the last
 	// durable frame.
-	frame, err := s.frameFor(snap, s.saved.deltaRows, nextID)
+	frame, err := frameFor(codec, snap, s.saved.deltaRows, nextID)
 	if err != nil {
 		return 0, err
 	}
-	end, err := appendDeltaFrame(s.fs(), deltaPath, s.saved.deltaOff, frame)
+	end, err := appendDeltaFrame(fsys, deltaPath, s.saved.deltaOff, frame)
 	if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, fs.ErrNotExist) {
 		// The log vanished or shrank behind our back; rebuild it whole.
-		full, ferr := s.frameFor(snap, 0, nextID)
+		full, ferr := frameFor(codec, snap, 0, nextID)
 		if ferr != nil {
 			return 0, ferr
 		}
-		end, err = writeDeltaLog(s.fs(), deltaPath, snap.baseVer, full)
+		end, err = writeDeltaLog(fsys, deltaPath, snap.baseVer, full)
 		if err != nil {
 			return 0, err
 		}
@@ -276,13 +266,13 @@ func (s *Store[T]) saveShard(basePath, deltaPath string) (int64, error) {
 // fromRow on, plus the full tombstone bitmaps at snap time. All inputs
 // are immutable snapshot state (the delta backing's visible prefix, the
 // bitmap words), so no lock is needed beyond saveMu's serialization.
-func (s *Store[T]) frameFor(snap *snapshot[T], fromRow int, nextID uint64) (*deltaFrame, error) {
+func frameFor[T any](codec Codec[T], snap *snapshot[T], fromRow int, nextID uint64) (*deltaFrame, error) {
 	deltaObjs, deltaFlat := snap.seg.DeltaSegment()
 	dims := snap.seg.Dims()
 	objs := deltaObjs[fromRow:]
 	encoded := make([][]byte, len(objs))
 	for i, x := range objs {
-		raw, err := s.codec.Encode(x)
+		raw, err := codec.Encode(x)
 		if err != nil {
 			return nil, fmt.Errorf("store: encoding delta object %d: %w", fromRow+i, err)
 		}
@@ -308,31 +298,45 @@ func (s *Store[T]) frameFor(snap *snapshot[T], fromRow int, nextID uint64) (*del
 	}, nil
 }
 
-// openLayoutV3 restores every shard of a v3 layout, sharing one model
-// instance across all of them (the manifest stores the model exactly
-// once — S restored copies was the v2 cost this layout removes). The
-// routing check catches swapped or transplanted section files: every
-// live ID must hash to the shard file it was found in.
-func openLayoutV3[T any](path string, payload []byte, dist space.Distance[T], codec Codec[T]) (*core.Model[T], []*Store[T], uint64, bool, error) {
+// Open restores a store from the v3 layout at path (manifest + base
+// section + delta log per shard), restoring the model once and sharing
+// it across every shard, whose sections open in parallel. No exact
+// distances are computed: the embedded vectors travel in the files, so
+// opening costs only decode time, and search answers are bit-identical
+// to the store that saved the layout. dist and codec must match the ones
+// the layout was saved under (neither is serializable). Each shard
+// reopens with its saved base and delta segments intact — no compaction
+// happened on the way out — and subsequent Saves to the same path
+// continue incrementally. A file of any other format version, including
+// the v1 single-file bundles and v2 manifests earlier builds wrote,
+// fails with ErrVersion.
+func Open[T any](path string, dist space.Distance[T], codec Codec[T]) (*Store[T], error) {
 	if codec == nil {
-		return nil, nil, 0, false, fmt.Errorf("store: nil codec")
+		return nil, fmt.Errorf("store: nil codec")
+	}
+	version, payload, err := readEnvelope(fsio.OS(), path)
+	if err != nil {
+		return nil, err
+	}
+	if version != manifestV3Version {
+		return nil, fmt.Errorf("%w: %s has version %d, this build reads %d", ErrVersion, path, version, manifestV3Version)
 	}
 	man, err := decodeManifestV3(path, payload)
 	if err != nil {
-		return nil, nil, 0, false, err
+		return nil, err
 	}
 	candidates := make([]T, len(man.Candidates))
 	for i, raw := range man.Candidates {
 		if candidates[i], err = codec.Decode(raw); err != nil {
-			return nil, nil, 0, false, fmt.Errorf("%w: %s: candidate %d: %v", ErrCorrupt, path, i, err)
+			return nil, fmt.Errorf("%w: %s: candidate %d: %v", ErrCorrupt, path, i, err)
 		}
 	}
 	model, err := core.Restore(&man.Model, candidates, dist)
 	if err != nil {
-		return nil, nil, 0, false, fmt.Errorf("store: %s: restoring model: %w", path, err)
+		return nil, fmt.Errorf("store: %s: restoring model: %w", path, err)
 	}
 	if model.Dims() != man.Dims {
-		return nil, nil, 0, false, fmt.Errorf("%w: %s: model embeds to %d dims, manifest declares %d", ErrCorrupt, path, model.Dims(), man.Dims)
+		return nil, fmt.Errorf("%w: %s: model embeds to %d dims, manifest declares %d", ErrCorrupt, path, model.Dims(), man.Dims)
 	}
 
 	// One registry types the whole layout: the manifest's kind table
@@ -342,20 +346,23 @@ func openLayoutV3[T any](path string, payload []byte, dist space.Distance[T], co
 	reg := meta.NewRegistry()
 	reg.Seed(man.MetaKinds)
 	dir := filepath.Dir(path)
-	shards := make([]*Store[T], man.Shards)
+	shards := make([]*shard[T], man.Shards)
+	nexts := make([]uint64, man.Shards)
 	errs := make([]error, man.Shards)
 	par.For(man.Shards, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			shards[i], errs[i] = openShardV3(dir, man.BaseFiles[i], man.DeltaFiles[i], model, dist, codec, reg)
+			shards[i], nexts[i], errs[i] = openShardV3(dir, man.BaseFiles[i], man.DeltaFiles[i], model, dist, codec, reg)
 		}
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, nil, 0, false, fmt.Errorf("store: opening shard %d of %s: %w", i, path, err)
+			return nil, fmt.Errorf("store: opening shard %d of %s: %w", i, path, err)
 		}
 	}
 
-	// The allocator resumes past every durable view of it — the manifest
+	// The routing check catches swapped or transplanted section files:
+	// every live ID must hash to the shard file it was found in. The
+	// allocator resumes past every durable view of it — the manifest
 	// (possibly stale: delta-only saves do not rewrite it) and every
 	// shard's base section and delta frames — so no live ID can ever be
 	// issued twice.
@@ -363,14 +370,25 @@ func openLayoutV3[T any](path string, payload []byte, dist space.Distance[T], co
 	for i, sh := range shards {
 		for _, id := range sh.cur.Load().liveIDs() {
 			if got := shardOf(id, man.Shards); got != i {
-				return nil, nil, 0, false, fmt.Errorf("%w: %s: object id %d found in shard %d but routes to shard %d", ErrCorrupt, path, id, i, got)
+				return nil, fmt.Errorf("%w: %s: object id %d found in shard %d but routes to shard %d", ErrCorrupt, path, id, i, got)
 			}
 		}
-		if n := sh.nextID.Load(); n > next {
-			next = n
-		}
+		next = max(next, nexts[i])
 	}
-	return model, shards, next, canonicalSections(path, man), nil
+	s := newFront(model, dist, codec, shards, next, reg)
+	// The manifest just read is the one a save to this path would write
+	// (its NextID staleness is handled by the resume rule above), so seed
+	// the mark: the first post-reopen save stays delta-only instead of
+	// rewriting the model payload. The registry version covers everything
+	// the sections just replayed, so only a genuinely new field forces a
+	// manifest rewrite. A renamed or copied manifest (section names not
+	// derived from this path) must leave the mark unseeded so the first
+	// save rewrites the layout under its own name — see canonicalSections.
+	if canonicalSections(path, man) {
+		s.mark.path = path
+		s.mark.regVer = reg.Version()
+	}
+	return s, nil
 }
 
 // canonicalSections reports whether a manifest's section names are
@@ -403,34 +421,36 @@ func canonicalSections(path string, man *manifestV3Body) bool {
 // every case a consistent, possibly slightly older state. The recovered
 // log offset seeds the incremental-save bookkeeping, so background
 // snapshots resume appending where the durable log ends. reg is the
-// layout's registry, shared by every shard.
-func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], dist space.Distance[T], codec Codec[T], reg *meta.Registry) (*Store[T], error) {
+// layout's registry, shared by every shard. It also returns the shard's
+// view of the allocator: the maximum over the base section's, the
+// frames', and one past every ID the shard holds.
+func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], dist space.Distance[T], codec Codec[T], reg *meta.Registry) (*shard[T], uint64, error) {
 	basePath := filepath.Join(dir, baseFile)
 	deltaPath := filepath.Join(dir, deltaFile)
 	b, err := readBaseSection(fsio.OS(), basePath)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if b.Dims != model.Dims() {
-		return nil, fmt.Errorf("%w: %s: base embeds to %d dims, model to %d", ErrCorrupt, basePath, b.Dims, model.Dims())
+		return nil, 0, fmt.Errorf("%w: %s: base embeds to %d dims, model to %d", ErrCorrupt, basePath, b.Dims, model.Dims())
 	}
 	db := make([]T, len(b.Objects))
 	for i, raw := range b.Objects {
 		if db[i], err = codec.Decode(raw); err != nil {
-			return nil, fmt.Errorf("%w: %s: object %d: %v", ErrCorrupt, basePath, i, err)
+			return nil, 0, fmt.Errorf("%w: %s: object %d: %v", ErrCorrupt, basePath, i, err)
 		}
 	}
 	baseIx, err := retrieval.FromParts(db, b.Flat, b.Dims, dist, model)
 	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", basePath, err)
+		return nil, 0, fmt.Errorf("store: %s: %w", basePath, err)
 	}
 
 	frames, logEnd, logOK, err := readDeltaLog(fsio.OS(), deltaPath, b.Tag)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if len(b.Meta) != 0 && len(b.Meta) != len(b.Objects) {
-		return nil, fmt.Errorf("%w: %s: %d metadata records for %d objects", ErrCorrupt, basePath, len(b.Meta), len(b.Objects))
+		return nil, 0, fmt.Errorf("%w: %s: %d metadata records for %d objects", ErrCorrupt, basePath, len(b.Meta), len(b.Objects))
 	}
 	var (
 		deltaObjs []T
@@ -443,17 +463,17 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 	nextID := b.NextID
 	for fi, f := range frames {
 		if len(f.IDs) != len(f.Objects) || len(f.Flat) != len(f.Objects)*b.Dims {
-			return nil, fmt.Errorf("%w: %s: frame %d has %d ids, %d values for %d objects x %d dims",
+			return nil, 0, fmt.Errorf("%w: %s: frame %d has %d ids, %d values for %d objects x %d dims",
 				ErrCorrupt, deltaPath, fi, len(f.IDs), len(f.Flat), len(f.Objects), b.Dims)
 		}
 		if len(f.Meta) != 0 && len(f.Meta) != len(f.Objects) {
-			return nil, fmt.Errorf("%w: %s: frame %d has %d metadata records for %d objects",
+			return nil, 0, fmt.Errorf("%w: %s: frame %d has %d metadata records for %d objects",
 				ErrCorrupt, deltaPath, fi, len(f.Meta), len(f.Objects))
 		}
 		for i, raw := range f.Objects {
 			x, err := codec.Decode(raw)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %s: frame %d object %d: %v", ErrCorrupt, deltaPath, fi, i, err)
+				return nil, 0, fmt.Errorf("%w: %s: frame %d object %d: %v", ErrCorrupt, deltaPath, fi, i, err)
 			}
 			deltaObjs = append(deltaObjs, x)
 		}
@@ -494,15 +514,15 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 	// row this build persists passed that check, so a row that fails it
 	// is damage, and would otherwise read back as its column's kind.
 	if err := reg.SeedRows(b.Meta); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, basePath, err)
+		return nil, 0, fmt.Errorf("%w: %s: %v", ErrCorrupt, basePath, err)
 	}
 	if err := reg.SeedRows(deltaMeta); err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, deltaPath, err)
+		return nil, 0, fmt.Errorf("%w: %s: %v", ErrCorrupt, deltaPath, err)
 	}
 
 	seg, err := retrieval.NewSegmentedFromParts(baseIx, deltaObjs, deltaFlat, baseDead, deltaDead, b.Meta, deltaMeta)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, deltaPath, err)
+		return nil, 0, fmt.Errorf("%w: %s: %v", ErrCorrupt, deltaPath, err)
 	}
 
 	// Restore the quantized shadow saved with the base; sections from
@@ -511,7 +531,7 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 	if b.QuantBits > 0 {
 		seg, err = seg.QuantizeFromParts(b.QuantBits, b.QuantBounds, b.Shadow)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, basePath, err)
+			return nil, 0, fmt.Errorf("%w: %s: %v", ErrCorrupt, basePath, err)
 		}
 	}
 
@@ -535,7 +555,7 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 		}
 		if seg.Alive(pos) {
 			if live[id] {
-				return nil, fmt.Errorf("%w: %s: object id %d is live twice", ErrCorrupt, deltaPath, id)
+				return nil, 0, fmt.Errorf("%w: %s: object id %d is live twice", ErrCorrupt, deltaPath, id)
 			}
 			live[id] = true
 		}
@@ -555,8 +575,7 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 		firstLive++
 	}
 
-	st := &Store[T]{model: model, dist: dist, codec: codec, policy: DefaultCompactionPolicy(), reg: reg, track: meta.NewTracker()}
-	st.nextID.Store(nextID)
+	st := &shard[T]{policy: DefaultCompactionPolicy()}
 	st.cur.Store(&snapshot[T]{
 		seg:     seg,
 		baseIDs: b.IDs, basePos: basePos,
@@ -575,7 +594,7 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 	}
 	// An unusable log leaves saved zero: the next save rewrites both
 	// sections rather than appending to a file it cannot trust.
-	return st, nil
+	return st, nextID, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -697,27 +716,24 @@ type Lifecycle struct {
 
 // lifecycle is one running pair of background loops.
 type lifecycle struct {
-	cfg    Lifecycle
-	health *snapHealth
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	cfg  Lifecycle
+	stop chan struct{}
+	wg   sync.WaitGroup
 }
 
 // snapshotWithRetry runs one snapshot cycle: an attempt plus up to
-// SnapshotRetries backoff retries, reporting every outcome into health.
-// When interruptible, a close of l.stop cuts the backoff short (the
-// final Close-time snapshot is not interruptible — stop is already
-// closed by then).
-func (l *lifecycle) snapshotWithRetry(snapshot func(string) (bool, error), interruptible bool) (bool, error) {
-	var wrote bool
-	var err error
+// SnapshotRetries backoff retries, reporting every outcome into the
+// store's health. When interruptible, a close of l.stop cuts the backoff
+// short (the final Close-time snapshot is not interruptible — stop is
+// already closed by then).
+func (s *Store[T]) snapshotWithRetry(l *lifecycle, interruptible bool) (bool, error) {
 	for attempt := 0; ; attempt++ {
-		wrote, err = snapshot(l.cfg.SnapshotPath)
+		wrote, err := s.snapshotTo(l.cfg.SnapshotPath)
 		if err == nil {
-			l.health.ok()
+			s.health.ok()
 			return wrote, nil
 		}
-		l.health.fail(err, l.cfg.DegradeAfter)
+		s.health.fail(err, l.cfg.DegradeAfter)
 		if attempt >= l.cfg.SnapshotRetries {
 			return false, err
 		}
@@ -745,9 +761,34 @@ func (l *lifecycle) logf(format string, args ...any) {
 // the previous evaluation, for windowed share measurement.
 type scanMark struct{ rows, waste uint64 }
 
-// startLifecycle launches the loops over closure-shaped owners, so one
-// implementation serves Store and Sharded.
-func startLifecycle(cfg Lifecycle, snapshot func(path string) (bool, error), compactDegraded func(threshold float64, marks []scanMark) int, shardCount int, health *snapHealth) *lifecycle {
+// compactIfDegraded evaluates one shard's scan window against the
+// threshold and compacts when the measured share crosses it. The mark
+// carries the previous evaluation's counter values; counters reset to
+// zero on compaction, which the window arithmetic detects and absorbs.
+func (s *shard[T]) compactIfDegraded(threshold float64, mark *scanMark) bool {
+	rows, waste := s.scanCounters()
+	if rows < mark.rows || waste < mark.waste {
+		mark.rows, mark.waste = 0, 0
+	}
+	dr, dw := rows-mark.rows, waste-mark.waste
+	mark.rows, mark.waste = rows, waste
+	if dr == 0 || float64(dw)/float64(dr) < threshold {
+		return false
+	}
+	return s.Compact()
+}
+
+// Start launches the store's background lifecycle: one snapshot loop
+// over the whole layout (dirty shards only) and one compactor that
+// evaluates every shard's measured delta-scan share independently. It
+// may be called at most once per store until Close; a second Start is an
+// error.
+func (s *Store[T]) Start(cfg Lifecycle) error {
+	s.lcMu.Lock()
+	defer s.lcMu.Unlock()
+	if s.lc != nil {
+		return fmt.Errorf("store: already started")
+	}
 	if cfg.SnapshotInterval == 0 {
 		cfg.SnapshotInterval = DefaultSnapshotInterval
 	}
@@ -768,7 +809,7 @@ func startLifecycle(cfg Lifecycle, snapshot func(path string) (bool, error), com
 	if cfg.DegradeAfter == 0 {
 		cfg.DegradeAfter = DefaultDegradeAfter
 	}
-	l := &lifecycle{cfg: cfg, health: health, stop: make(chan struct{})}
+	l := &lifecycle{cfg: cfg, stop: make(chan struct{})}
 
 	if cfg.SnapshotPath != "" && cfg.SnapshotInterval > 0 {
 		l.wg.Add(1)
@@ -781,10 +822,10 @@ func startLifecycle(cfg Lifecycle, snapshot func(path string) (bool, error), com
 				case <-l.stop:
 					return
 				case <-ticker.C:
-					wrote, err := l.snapshotWithRetry(snapshot, true)
+					wrote, err := s.snapshotWithRetry(l, true)
 					if err != nil {
 						l.logf("background snapshot failed (%d consecutive failures, degraded=%v): %v",
-							l.health.consecutive.Load(), l.health.degraded.Load(), err)
+							s.health.consecutive.Load(), s.health.degraded.Load(), err)
 					} else if wrote {
 						l.logf("background snapshot written to %s", cfg.SnapshotPath)
 					}
@@ -797,7 +838,7 @@ func startLifecycle(cfg Lifecycle, snapshot func(path string) (bool, error), com
 		l.wg.Add(1)
 		go func() {
 			defer l.wg.Done()
-			marks := make([]scanMark, shardCount)
+			marks := make([]scanMark, len(s.shards))
 			ticker := time.NewTicker(cfg.CompactInterval)
 			defer ticker.Stop()
 			for {
@@ -805,47 +846,20 @@ func startLifecycle(cfg Lifecycle, snapshot func(path string) (bool, error), com
 				case <-l.stop:
 					return
 				case <-ticker.C:
-					if n := compactDegraded(cfg.CompactShare, marks); n > 0 {
+					n := 0
+					for i, sh := range s.shards {
+						if sh.compactIfDegraded(cfg.CompactShare, &marks[i]) {
+							n++
+						}
+					}
+					if n > 0 {
 						l.logf("background compaction folded %d shard(s) past delta-scan share %.2f", n, cfg.CompactShare)
 					}
 				}
 			}
 		}()
 	}
-	return l
-}
-
-// compactIfDegraded evaluates one store's scan window against the
-// threshold and compacts when the measured share crosses it. The mark
-// carries the previous evaluation's counter values; counters reset to
-// zero on compaction, which the window arithmetic detects and absorbs.
-func (s *Store[T]) compactIfDegraded(threshold float64, mark *scanMark) bool {
-	rows, waste := s.scanCounters()
-	if rows < mark.rows || waste < mark.waste {
-		mark.rows, mark.waste = 0, 0
-	}
-	dr, dw := rows-mark.rows, waste-mark.waste
-	mark.rows, mark.waste = rows, waste
-	if dr == 0 || float64(dw)/float64(dr) < threshold {
-		return false
-	}
-	return s.Compact()
-}
-
-// Start launches the store's background lifecycle. It may be called at
-// most once per store until Close; a second Start is an error.
-func (s *Store[T]) Start(cfg Lifecycle) error {
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	if s.lc != nil {
-		return fmt.Errorf("store: already started")
-	}
-	s.lc = startLifecycle(cfg, s.snapshotTo, func(threshold float64, marks []scanMark) int {
-		if s.compactIfDegraded(threshold, &marks[0]) {
-			return 1
-		}
-		return 0
-	}, 1, &s.health)
+	s.lc = l
 	return nil
 }
 
@@ -862,52 +876,10 @@ func (s *Store[T]) Close() error {
 	}
 	close(lc.stop)
 	lc.wg.Wait()
-	return finalSnapshot(lc, s.snapshotTo)
-}
-
-// Start launches the sharded store's background lifecycle: one snapshot
-// loop over the whole layout (dirty shards only) and one compactor that
-// evaluates every shard's measured delta-scan share independently.
-func (s *Sharded[T]) Start(cfg Lifecycle) error {
-	s.lcMu.Lock()
-	defer s.lcMu.Unlock()
-	if s.lc != nil {
-		return fmt.Errorf("store: already started")
-	}
-	s.lc = startLifecycle(cfg, s.snapshotTo, func(threshold float64, marks []scanMark) int {
-		n := 0
-		for i, sh := range s.shards {
-			if sh.compactIfDegraded(threshold, &marks[i]) {
-				n++
-			}
-		}
-		return n
-	}, len(s.shards), &s.health)
-	return nil
-}
-
-// Close stops the sharded store's background lifecycle and writes a
-// final snapshot when a snapshot path was configured. Idempotent.
-func (s *Sharded[T]) Close() error {
-	s.lcMu.Lock()
-	lc := s.lc
-	s.lc = nil
-	s.lcMu.Unlock()
-	if lc == nil {
-		return nil
-	}
-	close(lc.stop)
-	lc.wg.Wait()
-	return finalSnapshot(lc, s.snapshotTo)
-}
-
-// finalSnapshot writes the Close-time snapshot (when configured),
-// logging what happened.
-func finalSnapshot(lc *lifecycle, snapshot func(string) (bool, error)) error {
 	if lc.cfg.SnapshotPath == "" {
 		return nil
 	}
-	wrote, err := lc.snapshotWithRetry(snapshot, false)
+	wrote, err := s.snapshotWithRetry(lc, false)
 	switch {
 	case err != nil:
 		lc.logf("final snapshot: %v", err)

@@ -420,10 +420,11 @@ func TestConcurrentSearchAndMutate(t *testing.T) {
 func TestFirstLiveTracking(t *testing.T) {
 	s := newStore(t, 60)
 	s.SetCompactionPolicy(lazy)
+	sh := s.shards[0]
 
 	assertFirst := func(stage string) {
 		t.Helper()
-		snap := s.cur.Load()
+		snap := sh.cur.Load()
 		want := snap.seg.Total()
 		for pos := 0; pos < snap.seg.Total(); pos++ {
 			if snap.seg.Alive(pos) {
@@ -435,7 +436,7 @@ func TestFirstLiveTracking(t *testing.T) {
 			t.Fatalf("%s: firstLive = %d, brute-force scan says %d", stage, snap.firstLive, want)
 		}
 		ids := snap.liveIDs()
-		x, id, ok := s.firstLive()
+		x, id, ok := sh.firstLive()
 		if len(ids) == 0 {
 			if ok {
 				t.Fatalf("%s: store drained but First reports id %d", stage, id)

@@ -106,9 +106,9 @@ type storeConfig struct {
 // to different shards never contend and a compaction pause touches 1/n of
 // the data. Search results are bit-identical to an unsharded store
 // holding the same objects — sharding changes tail latency under mutation
-// load, never answers. Save writes a manifest plus one bundle per shard
-// (n = 1 keeps the original single-file format); OpenStore reads either
-// layout transparently.
+// load, never answers. Save writes one manifest plus a base section and a
+// delta log per shard, whatever n is; OpenStore reopens the layout with
+// the shard count it was saved with.
 func WithShards(n int) StoreOption {
 	return func(c *storeConfig) { c.shards = n }
 }
@@ -132,7 +132,7 @@ func WithShards(n int) StoreOption {
 //
 // It is the storage engine behind internal/server and cmd/qse-serve.
 type Store[T any] struct {
-	inner store.Backend[T]
+	inner *store.Store[T]
 }
 
 // NewStore embeds db (len(db) × EmbedCost exact distances, as NewIndex)
@@ -147,32 +147,26 @@ func NewStore[T any](model *Model[T], db []T, dist Distance[T], codec Codec[T], 
 	for _, o := range opts {
 		o(&cfg)
 	}
-	var inner store.Backend[T]
-	var err error
-	switch {
-	case cfg.shards == 1:
-		inner, err = store.New(model.inner, db, space.Distance[T](dist), codec)
-	default:
-		// NewSharded validates the count (rejecting < 1 and absurd
-		// values) so WithShards(0) is a loud error, not a silent
-		// fallback to an unsharded store.
-		inner, err = store.NewSharded(model.inner, db, space.Distance[T](dist), codec, cfg.shards)
-	}
+	// NewSharded validates the count (rejecting < 1 and absurd values),
+	// so WithShards(0) is a loud error, not a silent fallback.
+	inner, err := store.NewSharded(model.inner, db, space.Distance[T](dist), codec, cfg.shards)
 	if err != nil {
 		return nil, err
 	}
 	return &Store[T]{inner: inner}, nil
 }
 
-// OpenStore reopens a bundle written by Save — either layout: a
-// single-file bundle or a sharded manifest with its per-shard bundles
-// (the file itself says which; the shard count is not a caller choice
-// here). No exact distances are computed: the embedded vectors travel
-// inside the bundle. dist and codec must match the ones the bundle was
-// saved under (neither can be serialized). Magic, version, and checksum
-// of every file are verified before anything is decoded.
+// OpenStore reopens a bundle written by Save: the manifest at path plus
+// its per-shard base sections and delta logs, with the shard count the
+// bundle was saved with (not a caller choice here). No exact distances
+// are computed: the embedded vectors travel inside the bundle. dist and
+// codec must match the ones the bundle was saved under (neither can be
+// serialized). Magic, version, and checksum of every file are verified
+// before anything is decoded; a bundle in an older format than this
+// build reads (the single-file and per-shard-bundle formats of earlier
+// builds) fails with a version error.
 func OpenStore[T any](path string, dist Distance[T], codec Codec[T]) (*Store[T], error) {
-	inner, err := store.OpenAuto(path, space.Distance[T](dist), codec)
+	inner, err := store.Open(path, space.Distance[T](dist), codec)
 	if err != nil {
 		return nil, err
 	}
