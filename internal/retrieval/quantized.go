@@ -90,6 +90,13 @@ type quantState struct {
 	// baseShadow is the base segment's codes: BaseSize x Dims bytes,
 	// immutable like the base itself.
 	baseShadow []uint8
+	// baseHeads is the head block: the first vafile.HeadDims codes of
+	// every base row, stored contiguously (BaseSize x HeadDims bytes),
+	// so pass 1 of the seeded screen streams only the codes it reads.
+	// It is derived from baseShadow wherever a base shadow is built or
+	// restored, never persisted, and immutable and shared like it; at
+	// exactly HeadDims dimensions it is baseShadow itself.
+	baseHeads []uint8
 	// deltaShadow holds the delta rows' codes under the same
 	// shared-backing prefix discipline as deltaFlat. deltaUnsafe is
 	// aligned with delta rows: true marks a row with a value outside the
@@ -122,11 +129,32 @@ func (s *Segmented[T]) withShadow() (*Segmented[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	n := *s
-	qs := &quantState{bounds: b, baseShadow: b.EncodeBlock(s.base.flat, bn)}
+	return s.withQuant(b, b.EncodeBlock(s.base.flat, bn)), nil
+}
+
+// withQuant returns a copy of s carrying the shadow of grid b and base
+// codes shadow: the head block is derived from the codes, and the delta
+// rows are (re)encoded against b.
+func (s *Segmented[T]) withQuant(b *vafile.Boundaries, shadow []uint8) *Segmented[T] {
+	qs := &quantState{bounds: b, baseShadow: shadow, baseHeads: headBlock(shadow, s.base.Size(), s.base.dims)}
 	qs.encodeDelta(s.deltaFlat, len(s.deltaDB))
+	n := *s
 	n.quant = qs
-	return &n, nil
+	return &n
+}
+
+// headBlock returns the head block of a rows x dims shadow: the first
+// vafile.HeadDims codes of each row, contiguous — the shadow itself when
+// it is HeadDims wide.
+func headBlock(shadow []uint8, rows, dims int) []uint8 {
+	if dims == vafile.HeadDims {
+		return shadow
+	}
+	hb := make([]uint8, rows*vafile.HeadDims)
+	for r := range rows {
+		copy(hb[r*vafile.HeadDims:(r+1)*vafile.HeadDims], shadow[r*dims:])
+	}
+	return hb
 }
 
 // Dequantize returns a copy of s without a shadow block; scans revert to
@@ -168,11 +196,7 @@ func (s *Segmented[T]) QuantizeFromParts(bitWidth int, boundsFlat []float64, bas
 	if !shadowGate(bn, d) {
 		return s.Quantize()
 	}
-	n := *s
-	qs := &quantState{bounds: b, baseShadow: baseShadow}
-	qs.encodeDelta(s.deltaFlat, len(s.deltaDB))
-	n.quant = qs
-	return &n, nil
+	return s.withQuant(b, baseShadow), nil
 }
 
 // encodeDelta (re)encodes the current delta rows against qs.bounds into
@@ -228,14 +252,18 @@ func (s *Segmented[T]) BaseShadow() []uint8 {
 	return s.quant.baseShadow
 }
 
-// ShadowBytes returns the shadow block's total footprint in bytes across
-// base and delta (0 when quantization is off or dormant) — the memory
-// phase 1 streams per query, surfaced as a gauge.
+// ShadowBytes returns the shadow block's resident size in bytes (0 when
+// quantization is off or dormant): the base and delta codes, plus the
+// head block where it is a copy rather than the base codes themselves.
 func (s *Segmented[T]) ShadowBytes() int {
 	if s.quant == nil || s.quant.bounds == nil {
 		return 0
 	}
-	return len(s.quant.baseShadow) + len(s.quant.deltaShadow)
+	n := len(s.quant.baseShadow) + len(s.quant.deltaShadow)
+	if s.base.dims != vafile.HeadDims {
+		n += len(s.quant.baseHeads)
+	}
+	return n
 }
 
 // boundPrune is phase 1's verdict, consumed by the exact candidate
@@ -247,11 +275,13 @@ func (s *Segmented[T]) ShadowBytes() int {
 // already holds against tau, and phase 2 only needs the final
 // clbs[i] > tau filter for rows admitted early. Rows without valid
 // bounds (unsafe delta rows) are admitted with a zero lower bound,
-// which never prunes.
+// which never prunes. parts are the screen's per-worker states, which
+// phase 2 reuses as its own.
 type boundPrune struct {
 	cands []int32
 	clbs  []float64
 	tau   float64
+	parts []*screenState
 }
 
 // ubHeap is a max-heap over upper bounds, retaining the p smallest seen
@@ -306,6 +336,7 @@ func (h ubHeap) siftDown() {
 type shadowView struct {
 	bn, stride              int
 	baseShadow, deltaShadow []uint8
+	heads                   []uint8
 	deltaUnsafe             []bool
 	baseDead, deltaDead     bitmap
 	matchBase, matchDelta   bitmap
@@ -316,7 +347,7 @@ func (s *Segmented[T]) shadowView(matchBase, matchDelta bitmap, useMatch bool) *
 	qs := s.quant
 	return &shadowView{
 		bn: s.base.Size(), stride: s.base.dims,
-		baseShadow: qs.baseShadow, deltaShadow: qs.deltaShadow, deltaUnsafe: qs.deltaUnsafe,
+		baseShadow: qs.baseShadow, deltaShadow: qs.deltaShadow, heads: qs.baseHeads, deltaUnsafe: qs.deltaUnsafe,
 		baseDead: s.baseDead, deltaDead: s.deltaDead,
 		matchBase: matchBase, matchDelta: matchDelta, useMatch: useMatch,
 	}
@@ -370,10 +401,14 @@ func (b bitmap) countRange(lo, hi int) int {
 	return n
 }
 
-// screenState is one partition's phase-1 accumulator: the tau heap, the
-// admitted candidates with their lower bounds, and the scanned count.
-// seed caps every bound the screen compares against. Partitions merge
-// in partition order via mergeScreenParts.
+// screenState is one worker's state through a seeded screen. In pass 2
+// it is a partition's accumulator: the tau heap, the admitted candidates
+// with their lower bounds, and the scanned count, with seed capping
+// every bound the screen compares against; partitions merge in
+// partition order via mergeScreenParts. touched folds in every byte the
+// worker's touches load, in the seed, pass 2 and phase 2 alike: nothing
+// reads it, but storing it keeps the compiler from dropping the loads,
+// and each worker stores only into its own state.
 type screenState struct {
 	tbl     *vafile.Tables
 	p       int
@@ -382,6 +417,36 @@ type screenState struct {
 	cands   []int32
 	clbs    []float64
 	scanned int64
+	touched uint64
+}
+
+// cacheLine is the span of one cache line in bytes: a touch loads one
+// element of each line a row spans.
+const cacheLine = 64
+
+// touchCodes loads one byte of each cache line that b[lo:hi] spans — its
+// first byte, then one at every line boundary past it, lines counted from
+// the start of b, which a large allocation places on a page boundary —
+// and returns their sum. The loads do not depend on one another, so
+// touching a batch of scattered rows before summing any of them overlaps
+// the rows' cache misses instead of queuing one behind each row's sum.
+func touchCodes(b []uint8, lo, hi int) uint64 {
+	s := uint64(b[lo])
+	for i := (lo | (cacheLine - 1)) + 1; i < hi; i += cacheLine {
+		s += uint64(b[i])
+	}
+	return s
+}
+
+// touchFloats is touchCodes over a float64 block; lo and hi index
+// float64s, eight to a line.
+func touchFloats(b []float64, lo, hi int) uint64 {
+	const perLine = cacheLine / 8
+	s := math.Float64bits(b[lo])
+	for i := (lo | (perLine - 1)) + 1; i < hi; i += perLine {
+		s += math.Float64bits(b[i])
+	}
+	return s
 }
 
 // bound is the threshold a row's lower bound must not cross: the heap
@@ -440,24 +505,28 @@ func (v *shadowView) screenDelta(st *screenState, lo, hi int) {
 }
 
 // The seeded screen (DESIGN §16) is phase 1 in two passes over the base
-// rows. Pass 1 (seedFromHeads) writes every base row's head — the
-// lower-bound sum sumRow checks first, over the row's first
-// vafile.HeadDims codes — and derives a seed: the p-th smallest upper
-// bound among the seedKeepPerP·p live rows with the smallest heads. Pass
-// 2 (screenSeeded) drops, block by block and without a branch, every row
-// whose head already exceeds seed·inv, and screens the survivors against
-// min(heap top, seed), resuming each survivor's lower bound from its
-// head; screenDelta then screens the delta rows against the same bound.
-// The seed is the p-th smallest upper bound of p distinct live rows, so
-// seed >= tau: every exclusion still uses a threshold >= tau, and the p
-// rows that define tau (head <= lb <= ub <= tau) are never dropped.
+// rows. Pass 1 (seedFromHeads) streams the head block, writing every base
+// row's head — the lower-bound sum sumRow checks first, over the row's
+// first vafile.HeadDims codes — and derives a seed: the p-th smallest
+// upper bound among the seedKeepPerP·p live rows with the smallest heads.
+// Pass 2 (screenSeeded) drops, block by block and without a branch,
+// every row whose head already exceeds seed·inv, and screens the
+// survivors against min(heap top, seed), resuming each survivor's lower
+// bound from its head; screenDelta then screens the delta rows against
+// the same bound. The seed is the p-th smallest upper bound of p distinct
+// live rows, so seed >= tau: every exclusion still uses a threshold >=
+// tau, and the p rows that define tau (head <= lb <= ub <= tau) are never
+// dropped. The seed's rows, pass 2's survivors and phase 2's candidates
+// are scattered, so each of those steps touches its batch of rows
+// (touchCodes, touchFloats) before it sums any of them.
 const (
 	// seedKeepPerP·p best-head rows feed the seed.
 	seedKeepPerP = 4
 	// headChunk is how many heads pass 1 writes before it selects from
 	// them, so the selection reads heads that are still in L1.
 	headChunk = 2048
-	// seedBlock is pass 2's compaction block (a power of two).
+	// seedBlock is pass 2's compaction block (a power of two), and the
+	// batch of candidates phase 2 touches at a time.
 	seedBlock = 256
 )
 
@@ -519,11 +588,12 @@ func (hp *headHeap) offer(e headEntry, keep int) {
 // into heads[lo:hi] and returns the keep live rows of the range with the
 // smallest (head, position).
 func (v *shadowView) headRange(t *vafile.Tables, heads []float64, lo, hi, keep int) headHeap {
+	const hd = vafile.HeadDims
 	best := make(headHeap, 0, keep)
 	for clo := lo; clo < hi; clo += headChunk {
 		chi := min(clo+headChunk, hi)
 		chunk := heads[clo:chi]
-		t.Heads(v.baseShadow[clo*v.stride:chi*v.stride], v.stride, chunk)
+		t.Heads(v.heads[clo*hd:chi*hd], hd, chunk)
 		for i, h := range chunk {
 			// Positions ascend, so an equal head never displaces the top.
 			if len(best) == keep && !(h < best[0].h) {
@@ -537,25 +607,19 @@ func (v *shadowView) headRange(t *vafile.Tables, heads []float64, lo, hi, keep i
 	return best
 }
 
-// seedFromHeads is pass 1 of the seeded screen: it fills heads (one per
-// base row) and returns the seed, the p-th smallest upper bound among the
-// seedKeepPerP·p live base rows with the smallest heads — +Inf when
-// fewer than p live base rows exist.
-func (v *shadowView) seedFromHeads(t *vafile.Tables, heads []float64, p int, parallel bool) float64 {
+// seedFromHeads is pass 1 of the seeded screen, split over as many
+// workers as parts: it fills heads (one per base row) and returns the
+// seed, the p-th smallest upper bound among the seedKeepPerP·p live base
+// rows with the smallest heads — +Inf when fewer than p live base rows
+// exist.
+func (v *shadowView) seedFromHeads(t *vafile.Tables, heads []float64, p int, parts []*screenState) float64 {
 	keep := seedKeepPerP * p
-	var parts []headHeap
-	if !parallel || v.bn < minParallelScan {
-		parts = []headHeap{v.headRange(t, heads, 0, v.bn, keep)}
-	} else {
-		w := par.Workers()
-		all := make([]headHeap, w)
-		shards := par.Shards(w, v.bn, minParallelScan, func(sh, lo, hi int) {
-			all[sh] = v.headRange(t, heads, lo, hi, keep)
-		})
-		parts = all[:shards]
-	}
-	best := parts[0]
-	for _, pt := range parts[1:] {
+	found := make([]headHeap, len(parts))
+	shards := par.Shards(len(parts), v.bn, minParallelScan, func(sh, lo, hi int) {
+		found[sh] = v.headRange(t, heads, lo, hi, keep)
+	})
+	best := found[0]
+	for _, pt := range found[1:shards] {
 		for _, e := range pt {
 			best.offer(e, keep)
 		}
@@ -563,25 +627,40 @@ func (v *shadowView) seedFromHeads(t *vafile.Tables, heads []float64, p int, par
 	if len(best) < p {
 		return math.Inf(1)
 	}
-	ubs := make(ubHeap, 0, p)
-	for _, e := range best {
-		pos := int(e.pos)
-		ubs.offer(t.RowUpper(v.baseShadow[pos*v.stride:pos*v.stride+v.stride]), p)
+	// The seed's rows are scattered across the shadow: each worker
+	// touches its share of them, then sums their upper bounds.
+	ubs := make([]float64, len(best))
+	par.Shards(len(parts), len(best), minParallelCands, func(sh, lo, hi int) {
+		var touched uint64
+		for _, e := range best[lo:hi] {
+			off := int(e.pos) * v.stride
+			touched += touchCodes(v.baseShadow, off, off+v.stride)
+		}
+		for i, e := range best[lo:hi] {
+			off := int(e.pos) * v.stride
+			ubs[lo+i] = t.RowUpper(v.baseShadow[off : off+v.stride])
+		}
+		parts[sh].touched += touched
+	})
+	top := make(ubHeap, 0, p)
+	for _, ub := range ubs {
+		top.offer(ub, p)
 	}
-	return ubs[0]
+	return top[0]
 }
 
 // screenSeeded is pass 2 of the seeded screen over base rows [lo, hi):
 // per block it compacts the positions whose head is within stop =
 // st.seed·inv (a row whose head exceeds it would abort at sumRow's first
-// check against any bound <= seed), then screens the live survivors like
-// screenDelta, their lower bounds resumed from the head. Every live row
-// counts as scanned, dropped or not, so BoundScannedRows is the number of
-// live (matching) rows.
+// check against any bound <= seed), keeps the live ones and touches
+// their codes, then screens them like screenDelta, their lower bounds
+// resumed from the head. Every live row counts as scanned, dropped or
+// not, so BoundScannedRows is the number of live (matching) rows.
 func (v *shadowView) screenSeeded(st *screenState, lo, hi int, heads []float64, stop float64) {
 	st.scanned += int64(v.liveBase(lo, hi))
 	stride := v.stride
 	var idx [seedBlock]int32
+	var touched uint64
 	for blo := lo; blo < hi; blo += seedBlock {
 		n := 0
 		for i, h := range heads[blo:min(blo+seedBlock, hi)] {
@@ -592,10 +671,15 @@ func (v *shadowView) screenSeeded(st *screenState, lo, hi int, heads []float64, 
 			}
 			n += keep
 		}
+		live := 0
 		for _, pos := range idx[:n] {
-			if !v.baseLive(int(pos)) {
-				continue
+			if v.baseLive(int(pos)) {
+				idx[live] = pos
+				live++
+				touched += touchCodes(v.baseShadow, int(pos)*stride, int(pos)*stride+stride)
 			}
+		}
+		for _, pos := range idx[:live] {
 			row := v.baseShadow[int(pos)*stride : int(pos)*stride+stride]
 			lb, within := st.tbl.RowLowerBoundedFrom(row, heads[pos], st.bound())
 			if !within {
@@ -606,6 +690,7 @@ func (v *shadowView) screenSeeded(st *screenState, lo, hi int, heads []float64, 
 			st.ubs.offer(st.tbl.RowUpper(row), st.p)
 		}
 	}
+	st.touched += touched
 }
 
 // mergeScreenParts folds per-partition screen states (ascending position
@@ -614,7 +699,8 @@ func (v *shadowView) screenSeeded(st *screenState, lo, hi int, heads []float64, 
 // which equals the global p-th smallest, so tau (and the whole scan) is
 // identical for any partitioning; concatenating candidate lists in
 // partition order keeps global positions ascending — phase 2 evaluates
-// rows in exactly the order the exact scan would.
+// rows in exactly the order the exact scan would. The verdict keeps the
+// parts for phase 2.
 func mergeScreenParts(parts []*screenState, p int, clk *FilterClock) *boundPrune {
 	var scanned int64
 	nc := 0
@@ -629,6 +715,7 @@ func mergeScreenParts(parts []*screenState, p int, clk *FilterClock) *boundPrune
 		cands: make([]int32, 0, nc),
 		clbs:  make([]float64, 0, nc),
 		tau:   math.Inf(1),
+		parts: parts,
 	}
 	for _, pt := range parts {
 		pr.cands = append(pr.cands, pt.cands...)
@@ -644,9 +731,13 @@ func mergeScreenParts(parts []*screenState, p int, clk *FilterClock) *boundPrune
 // screen is phase 1 for one query, the seeded screen over the view
 // seedView admitted: pass 1 derives the seed from the base rows' heads,
 // then the partitions screen their base rows (screenSeeded) and delta
-// rows (screenDelta) against it. It returns nil — the exact scan, no
-// pruning — when the query or its weights cannot support valid bounds,
-// or when pass 1 finds no finite seed.
+// rows (screenDelta) against it. A parallel screen of at least
+// minParallelScan rows splits each step, phase 2 included, over
+// par.Workers() workers once the step is long enough: the passes from
+// minParallelScan rows, the seed and phase 2 from minParallelCands. Any
+// other screen runs on one. It returns nil — the exact scan, no pruning
+// — when the query or its weights cannot support valid bounds, or when
+// pass 1 finds no finite seed.
 func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk *FilterClock, v *shadowView) *boundPrune {
 	tbl, ok := s.quant.bounds.QueryTables(qvec, weights)
 	if !ok {
@@ -663,48 +754,40 @@ func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk
 	}
 	defer headBufs.Put(buf)
 	heads := (*buf)[:v.bn]
-	seed := v.seedFromHeads(&tbl, heads, p, parallel)
+	w := 1
+	if parallel && total >= minParallelScan {
+		w = par.Workers()
+	}
+	parts := make([]*screenState, w)
+	for i := range parts {
+		parts[i] = &screenState{tbl: &tbl, p: p}
+	}
+	seed := v.seedFromHeads(&tbl, heads, p, parts)
 	if !(seed < math.Inf(1)) {
 		return nil
 	}
 	_, inv := tbl.Slack()
 	stop := seed * inv
-	run := func(lo, hi int) *screenState {
-		st := &screenState{tbl: &tbl, p: p, seed: seed}
+	shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
+		st := parts[sh]
+		st.seed = seed
 		if lo < v.bn {
 			mid := min(hi, v.bn)
 			v.screenSeeded(st, lo, mid, heads, stop)
 			lo = mid
 		}
 		v.screenDelta(st, lo, hi)
-		return st
-	}
-	var parts []*screenState
-	if !parallel || total < minParallelScan {
-		parts = []*screenState{run(0, total)}
-	} else {
-		w := par.Workers()
-		all := make([]*screenState, w)
-		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			all[sh] = run(lo, hi)
-		})
-		parts = all[:shards]
-	}
-	return mergeScreenParts(parts, p, clk)
+	})
+	return mergeScreenParts(parts[:shards], p, clk)
 }
 
-// scanCandidateChunks runs phase 2 over the full candidate list,
-// chunked across workers when it is long enough to parallelize, and
-// returns the per-chunk heaps for mergeTopP.
-func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, parallel bool, pr *boundPrune, clk *FilterClock) []neighborMaxHeap {
-	n := len(pr.cands)
-	if !parallel || n < minParallelScan {
-		return []neighborMaxHeap{s.scanCandidates(qvec, weights, p, pr, 0, n, clk)}
-	}
-	w := par.Workers()
-	all := make([]neighborMaxHeap, w)
-	shards := par.Shards(w, n, minParallelScan, func(sh, lo, hi int) {
-		all[sh] = s.scanCandidates(qvec, weights, p, pr, lo, hi, clk)
+// scanCandidateChunks runs phase 2 over the full candidate list, chunked
+// across the screen's workers when it holds at least minParallelCands
+// candidates, and returns the per-chunk heaps for mergeTopP.
+func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, pr *boundPrune, clk *FilterClock) []neighborMaxHeap {
+	all := make([]neighborMaxHeap, len(pr.parts))
+	shards := par.Shards(len(pr.parts), len(pr.cands), minParallelCands, func(sh, lo, hi int) {
+		all[sh] = s.scanCandidates(qvec, weights, p, pr, lo, hi, clk, pr.parts[sh])
 	})
 	return all[:shards]
 }
@@ -716,25 +799,25 @@ func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, paral
 // position, so one binary search splits the chunk at the base/delta
 // boundary for the per-segment stage timers. Chunking the candidate
 // list is as partition-safe as chunking the position space: mergeTopP
-// is order- and partition-agnostic.
-func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundPrune, lo, hi int, clk *FilterClock) neighborMaxHeap {
+// is order- and partition-agnostic. st is the worker's state.
+func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundPrune, lo, hi int, clk *FilterClock, st *screenState) neighborMaxHeap {
 	h := make(neighborMaxHeap, 0, p+1)
 	bn, d := s.base.Size(), s.base.dims
 	split := lo + sort.Search(hi-lo, func(i int) bool { return int(pr.cands[lo+i]) >= bn })
 	evald := 0
 	if clk == nil {
-		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald)
-		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald)
+		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald, st)
+		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald, st)
 		return h
 	}
 	if lo < split {
 		t0 := time.Now()
-		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald)
+		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald, st)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if split < hi {
 		t0 := time.Now()
-		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald)
+		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald, st)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	clk.AddBoundExact(int64(evald))
@@ -743,9 +826,10 @@ func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundP
 
 // scanCandRows evaluates candidates [lo, hi) — all in the one segment
 // whose flat block starts at global position posOff — against the exact
-// kernels, skipping entries whose lower bound exceeds tau. evald counts
-// rows actually evaluated.
-func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, weights []float64, p int, pr *boundPrune, lo, hi int, evald *int) neighborMaxHeap {
+// kernels, skipping entries whose lower bound exceeds tau. It works in
+// batches of seedBlock candidates, touching the rows of a batch before
+// evaluating any. evald counts rows actually evaluated.
+func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, weights []float64, p int, pr *boundPrune, lo, hi int, evald *int, st *screenState) neighborMaxHeap {
 	push := func(pos int, dd float64) {
 		n := space.Neighbor{Index: pos, Distance: dd}
 		if len(h) < p {
@@ -755,19 +839,30 @@ func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, wei
 			heap.Fix(&h, 0)
 		}
 	}
-	for i := lo; i < hi; i++ {
-		if pr.clbs[i] > pr.tau {
-			continue
+	var touched uint64
+	for blo := lo; blo < hi; blo += seedBlock {
+		bhi := min(blo+seedBlock, hi)
+		for i := blo; i < bhi; i++ {
+			if pr.clbs[i] <= pr.tau {
+				r := int(pr.cands[i]) - posOff
+				touched += touchFloats(flat, r*dims, r*dims+dims)
+			}
 		}
-		pos := int(pr.cands[i])
-		r := pos - posOff
-		v := flat[r*dims : r*dims+dims]
-		*evald++
-		if weights == nil {
-			push(pos, metrics.L1(qvec, v))
-		} else {
-			push(pos, metrics.WeightedL1Unchecked(weights, qvec, v))
+		for i := blo; i < bhi; i++ {
+			if pr.clbs[i] > pr.tau {
+				continue
+			}
+			pos := int(pr.cands[i])
+			r := pos - posOff
+			v := flat[r*dims : r*dims+dims]
+			*evald++
+			if weights == nil {
+				push(pos, metrics.L1(qvec, v))
+			} else {
+				push(pos, metrics.WeightedL1Unchecked(weights, qvec, v))
+			}
 		}
 	}
+	st.touched += touched
 	return h
 }

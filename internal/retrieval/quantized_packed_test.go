@@ -254,8 +254,8 @@ func TestQuantizePackedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid.Encode(x, want)
-	if got := q.quant.deltaShadow[:seedDims]; q.ShadowBytes() != (n+1)*seedDims || !reflect.DeepEqual(want, got) {
-		t.Fatalf("delta row: %d shadow bytes, codes %v, want %d and %v", q.ShadowBytes(), got, (n+1)*seedDims, want)
+	if got, bytes := q.quant.deltaShadow[:seedDims], (n+1)*seedDims+n*vafile.HeadDims; q.ShadowBytes() != bytes || !reflect.DeepEqual(want, got) {
+		t.Fatalf("delta row: %d shadow bytes, codes %v, want %d and %v", q.ShadowBytes(), got, bytes, want)
 	}
 
 	dormant, err := seg.Quantize()
@@ -274,8 +274,100 @@ func TestQuantizePackedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(built.BaseShadow(), mustShadow(t, big).BaseShadow()) || built.ShadowBytes() != shadowMinRows*seedDims {
-		t.Fatalf("at the gate Quantize built %d shadow bytes, want the full %d", built.ShadowBytes(), shadowMinRows*seedDims)
+	if bytes := shadowMinRows * (seedDims + vafile.HeadDims); !reflect.DeepEqual(built.BaseShadow(), mustShadow(t, big).BaseShadow()) || built.ShadowBytes() != bytes {
+		t.Fatalf("at the gate Quantize built %d shadow bytes, want the full %d", built.ShadowBytes(), bytes)
+	}
+}
+
+// TestHeadBlock pins the head block pass 1 streams. A shadow built by
+// withShadow and one restored by QuantizeFromParts from the first one's
+// grid and codes are checked as built, after delta adds, and after a
+// compaction re-quantizes: the block holds BaseSize·HeadDims bytes, its
+// heads equal the heads of the row-major shadow bit for bit under
+// several query tables, and at exactly HeadDims dimensions it is the
+// shadow itself. A dormant or dequantized state holds no block.
+func TestHeadBlock(t *testing.T) {
+	const hd = vafile.HeadDims
+	for _, dims := range []int{hd, seedDims} {
+		t.Run(fmt.Sprintf("dims=%d", dims), func(t *testing.T) {
+			db := clusteredDB(shadowMinRows, 31)
+			for i := range db {
+				db[i] = db[i][:dims]
+			}
+			base, err := BuildIndex(db, l2, identityEmbedder{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			built := mustShadow(t, NewSegmented(base))
+			restored, err := NewSegmented(base).QuantizeFromParts(vafile.Bits, built.QuantBounds(), built.BaseShadow())
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := clusteredDB(3, 32)
+			check := func(name string, s *Segmented[[]float64]) {
+				t.Helper()
+				qs, bn := s.quant, s.BaseSize()
+				if len(qs.baseHeads) != bn*hd {
+					t.Fatalf("%s: head block holds %d bytes for %d rows, want %d", name, len(qs.baseHeads), bn, bn*hd)
+				}
+				if alias := &qs.baseHeads[0] == &qs.baseShadow[0]; alias != (dims == hd) {
+					t.Fatalf("%s: head block aliases the shadow = %v at %d dims", name, alias, dims)
+				}
+				want, got := make([]float64, bn), make([]float64, bn)
+				for qi, q := range queries {
+					for _, weights := range [][]float64{nil, seedWeights()[:dims]} {
+						tbl, ok := qs.bounds.QueryTables(q[:dims], weights)
+						if !ok {
+							t.Fatalf("%s: query %d has no tables", name, qi)
+						}
+						tbl.Heads(qs.baseShadow, dims, want)
+						tbl.Heads(qs.baseHeads, hd, got)
+						for r := range want {
+							if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
+								t.Fatalf("%s: query %d row %d: head %v from the block, %v from the shadow", name, qi, r, got[r], want[r])
+							}
+						}
+					}
+				}
+			}
+			for name, s := range map[string]*Segmented[[]float64]{"built": built, "restored": restored} {
+				check(name, s)
+				grown := s
+				for i, x := range clusteredDB(40, 33) {
+					if i%5 == 0 {
+						x[i%dims] = 100 // outside the base's range
+					}
+					if grown, _, err = grown.Add(x[:dims]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for pos := 0; pos < 200; pos += 20 {
+					if grown, err = grown.Remove(pos); err != nil {
+						t.Fatal(err)
+					}
+				}
+				check(name+" after adds", grown)
+				if &grown.quant.baseHeads[0] != &s.quant.baseHeads[0] {
+					t.Fatalf("%s: delta adds copied the head block", name)
+				}
+				compacted, err := NewSegmented(grown.Compact()).Quantize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(name+" compacted", compacted)
+			}
+			if built.Dequantize().quant != nil {
+				t.Fatal("a dequantized state keeps its shadow")
+			}
+			short, err := BuildIndex(db[:shadowMinRows-1], l2, identityEmbedder{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dormant, err := NewSegmented(short).Quantize()
+			if err != nil || dormant.quant == nil || dormant.quant.baseHeads != nil {
+				t.Fatalf("below the gate: err %v, want a dormant state without a head block", err)
+			}
+		})
 	}
 }
 

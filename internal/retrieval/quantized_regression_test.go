@@ -2,9 +2,11 @@ package retrieval
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"qse/internal/meta"
+	"qse/internal/vafile"
 )
 
 // TestQuantizedFilterCrossProduct pins the exactness claim across the
@@ -42,7 +44,8 @@ func TestQuantizedFilterCrossProduct(t *testing.T) {
 				// codes one Add at a time.
 				early := churnHead(t, seedBase(t, n, em), n)
 				earlyQ := churnHead(t, mustShadow(t, seedBase(t, n, em)), n)
-				if earlyQ.QuantBits() != 8 || earlyQ.DeltaLen() != early.DeltaLen() || earlyQ.ShadowBytes() != earlyQ.Total()*seedDims {
+				// Every row's codes, plus the base's head block.
+				if earlyQ.QuantBits() != 8 || earlyQ.DeltaLen() != early.DeltaLen() || earlyQ.ShadowBytes() != earlyQ.Total()*seedDims+earlyQ.BaseSize()*vafile.HeadDims {
 					t.Fatalf("incremental head lost state: bits %d, delta %d vs %d, %d shadow bytes",
 						earlyQ.QuantBits(), earlyQ.DeltaLen(), early.DeltaLen(), earlyQ.ShadowBytes())
 				}
@@ -154,20 +157,32 @@ func TestQuantizedFilterEdges(t *testing.T) {
 
 // TestQuantizedParallelSerialIdentity checks the partitioned screen:
 // above the parallelism threshold, with tombstones in both segments and
-// unsafe delta rows, parallel and serial screens return exactly the same
-// neighbors, tau and exact-row count as each other, and the neighbors of
-// the exact scan.
+// unsafe delta rows, parallel (on two workers at least) and serial
+// screens return exactly the same neighbors, tau and exact-row count as
+// each other, and the neighbors of the exact scan. Some case must split
+// the seed's upper bounds and phase 2's candidates across the workers
+// too, or those parallel paths would go untested.
 func TestQuantizedParallelSerialIdentity(t *testing.T) {
 	const n = minParallelScan*2 + 133
 	exact := churnHead(t, seedBase(t, n, identityEmbedder{}), n)
 	quant := mustShadow(t, exact)
+	split := false
 	for qi, q := range append(clusteredDB(3, 5), clusteredDB(3, 23)...) {
 		for _, p := range []int{1, 50, 800} {
 			want := exact.FilterLive(q, nil, p, true, nil)
 			ser := runScreen(quant, q, nil, p, false, nil, nil, false)
-			par1 := runScreen(quant, q, nil, p, true, nil, nil, false)
+			var par1 screenRun
+			withGOMAXPROCS(max(2, runtime.GOMAXPROCS(0)), func() {
+				par1 = runScreen(quant, q, nil, p, true, nil, nil, false)
+			})
 			if ser.pr == nil || par1.pr == nil {
 				t.Fatalf("query %d p=%d: the screen did not run", qi, p)
+			}
+			if len(par1.pr.parts) < 2 {
+				t.Fatalf("query %d p=%d: the parallel screen ran on %d worker", qi, p, len(par1.pr.parts))
+			}
+			if seedKeepPerP*p >= minParallelCands && len(par1.pr.cands) >= minParallelCands {
+				split = true
 			}
 			if !reflect.DeepEqual(ser.res, par1.res) || ser.pr.tau != par1.pr.tau || ser.tm.BoundExactRows != par1.tm.BoundExactRows {
 				t.Fatalf("query %d p=%d: serial/parallel screens diverge:\n  %v\n  %v", qi, p, ser.res, par1.res)
@@ -176,5 +191,8 @@ func TestQuantizedParallelSerialIdentity(t *testing.T) {
 				t.Fatalf("query %d p=%d: screen diverges from exact:\n  %v\n  %v", qi, p, want, par1.res)
 			}
 		}
+	}
+	if !split {
+		t.Fatalf("no case reached minParallelCands = %d seed rows and candidates: the split seed and phase 2 went unchecked", minParallelCands)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"qse/internal/metrics"
 	"qse/internal/space"
 	"qse/internal/stats"
+	"qse/internal/vafile"
 )
 
 // seedDims is the width of the seeded-screen test vectors: the seeded
@@ -95,7 +96,7 @@ func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel
 	pr := s.screen(qvec, weights, p, parallel, &clk, s.shadowView(matchBase, matchDelta, useMatch))
 	out := screenRun{pr: pr, p: p}
 	if pr != nil {
-		out.res = mergeTopP(s.scanCandidateChunks(qvec, weights, p, parallel, pr, &clk), p)
+		out.res = mergeTopP(s.scanCandidateChunks(qvec, weights, p, pr, &clk), p)
 	}
 	clk.AddTo(&out.tm)
 	return out
@@ -402,7 +403,7 @@ func TestSeededScreenAtGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quant.ShadowBytes() != shadowMinRows*seedDims {
+	if quant.ShadowBytes() != shadowMinRows*(seedDims+vafile.HeadDims) {
 		t.Fatalf("a base at the gate carries %d shadow bytes", quant.ShadowBytes())
 	}
 	for _, p := range []int{10, shadowMinRows / seedBaseRowsPerP, shadowMinRows/seedBaseRowsPerP + 1} {
@@ -647,7 +648,9 @@ var benchSink []space.Neighbor
 // runs it. The rows are a 32-wide mixture around 64 centres and every
 // query carries random weights, like the served benchmark's vectors.
 // seeded/exact < 1 means the screen is faster; the gate opens at
-// 16,384 rows and 128·p.
+// 16,384 rows and 128·p. exactFrac is the seeded side's share of
+// screened rows evaluated exactly: on this clustered data pass 1 and
+// pass 2 drop most rows, which iid Gaussian rows never let them do.
 func BenchmarkSeededScreen(b *testing.B) {
 	const dims, centres = 32, 64
 	rng := stats.NewRand(21)
@@ -688,6 +691,7 @@ func BenchmarkSeededScreen(b *testing.B) {
 		for _, p := range []int{100, 200} {
 			b.Run(fmt.Sprintf("n=%d/p=%d", n, p), func(b *testing.B) {
 				var took [2]time.Duration
+				var clk FilterClock
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q, w := queries[i%len(queries)], weights[i%len(queries)]
@@ -695,8 +699,8 @@ func BenchmarkSeededScreen(b *testing.B) {
 						seeded := (i+k)%2 == 1
 						t0 := time.Now()
 						if seeded {
-							pr := s.screen(q, w, p, true, nil, v)
-							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, true, pr, nil), p)
+							pr := s.screen(q, w, p, true, &clk, v)
+							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, pr, &clk), p)
 							took[1] += time.Since(t0)
 						} else {
 							benchSink = exact.filterTopP(q, w, p, true, nil)
@@ -707,6 +711,9 @@ func BenchmarkSeededScreen(b *testing.B) {
 				b.ReportMetric(float64(took[0].Nanoseconds())/float64(b.N), "exact-ns/op")
 				b.ReportMetric(float64(took[1].Nanoseconds())/float64(b.N), "seeded-ns/op")
 				b.ReportMetric(float64(took[1])/float64(took[0]), "seeded/exact")
+				var tm Timing
+				clk.AddTo(&tm)
+				b.ReportMetric(float64(tm.BoundExactRows)/float64(tm.BoundScannedRows), "exactFrac")
 			})
 		}
 	}

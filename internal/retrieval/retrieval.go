@@ -30,12 +30,16 @@ import (
 
 // Parallelism thresholds: below these sizes the serial path runs directly
 // on the caller's goroutine. The filter scan does cheap vector arithmetic
-// per row, so it needs thousands of rows to amortize a fork-join; the
-// embed/refine steps call the (typically expensive) exact distance oracle,
-// so even small batches benefit.
+// per row, so it needs thousands of rows to amortize a fork-join. The
+// seeded screen's scattered rows — the seed's upper bounds and phase 2's
+// candidates — each cost a cache miss instead of a streamed read, so a
+// few hundred of them already earn one. The embed/refine steps call the
+// (typically expensive) exact distance oracle, so even small batches
+// benefit.
 const (
-	minParallelScan = 4096
-	minParallelDist = 32
+	minParallelScan  = 4096
+	minParallelCands = 256
+	minParallelDist  = 32
 )
 
 // shrinkFactor governs Remove's capacity watermark: when fewer than

@@ -592,7 +592,7 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 	}
 	var heaps []neighborMaxHeap
 	if pr != nil {
-		heaps = s.scanCandidateChunks(qvec, weights, p, parallel, pr, clk)
+		heaps = s.scanCandidateChunks(qvec, weights, p, pr, clk)
 	} else if !parallel || total < minParallelScan {
 		heaps = []neighborMaxHeap{s.scanRangeMatch(qvec, weights, 0, total, p, matchBase, matchDelta, clk)}
 	} else {
@@ -665,7 +665,7 @@ func (s *Segmented[T]) filterTopP(qvec, weights []float64, p int, parallel bool,
 	}
 	var heaps []neighborMaxHeap
 	if pr != nil {
-		heaps = s.scanCandidateChunks(qvec, weights, p, parallel, pr, clk)
+		heaps = s.scanCandidateChunks(qvec, weights, p, pr, clk)
 	} else if !parallel || total < minParallelScan {
 		heaps = []neighborMaxHeap{s.scanRange(qvec, weights, 0, total, p, clk)}
 	} else {

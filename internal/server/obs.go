@@ -105,7 +105,7 @@ func (s *Server[T]) initObs() {
 		snapLastOKUnix:  r.Gauge("qse_store_last_snapshot_ok_unix", "Unix time of the last successful snapshot."),
 		degradedPersist: r.Gauge("qse_store_degraded_persistence", "1 while snapshots keep failing past the tolerance, else 0."),
 		quantBits:       r.Gauge("qse_store_quantize_bits", "Scalar-quantization bit width of the shadow block (8 = on, 0 = off)."),
-		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the shadow block, base plus delta (0 when quantization is off or no base clears the size gate)."),
+		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the shadow block: base and delta codes plus the base's head block (0 when quantization is off or no base clears the size gate)."),
 		boundScanned:    r.Gauge("qse_store_bound_scanned_rows_total", "Rows screened by the seeded shadow screen since startup."),
 		boundExact:      r.Gauge("qse_store_bound_exact_rows_total", "Screened rows that needed an exact float64 evaluation."),
 		boundPruneRate:  r.Gauge("qse_store_bound_prune_rate", "Fraction of screened rows excluded without exact evaluation."),

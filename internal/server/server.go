@@ -717,8 +717,8 @@ type storeStatsJSON struct {
 	// 0 = off), cumulative rows screened by the seeded screen, the subset
 	// that needed an exact evaluation, and the resulting prune rate
 	// (1 - exact/scanned; 0 before any screen runs). ShadowBytes is the
-	// resident size of the shadow (base plus delta; 0 while no base
-	// clears the size gate).
+	// resident size of the shadow (base and delta codes plus the base's
+	// head block; 0 while no base clears the size gate).
 	QuantBits        int     `json:"quantize_bits"`
 	BoundScannedRows uint64  `json:"bound_scanned_rows"`
 	BoundExactRows   uint64  `json:"bound_exact_rows"`

@@ -1,19 +1,28 @@
 #!/usr/bin/env bash
-# Bench-smoke for the quantized shadow block: runs the one FilterTopP
-# case past the seeded screen's size gate (DESIGN §16) —
-# n200k-quantized8, 200,000 x 64 rows at p = 200 — and asserts the
-# structural invariant that must hold on any machine:
+# Bench-smoke for the quantized shadow block: runs two cases past the
+# seeded screen's size gate (DESIGN §16), one iteration each, and
+# asserts the structural invariant that must hold on any machine:
 #
 #   - the 8-bit screen prunes hard: exactFrac, the share of screened
 #     rows evaluated exactly, lies in (0, 0.10] on the seeded bench data.
 #
-# A missing exactFrac also fails: it means the screen never ran, so the
-# gate sent the case to the exact scan. The timing ratio
-# (vs-exact-ratio) is printed for the record but NOT asserted: it
-# depends on core count and cache size, and CI runners vary.
+# The cases:
 #
-# Run from the repository root; CI runs it on every push. The case
-# builds a ~200 MB index.
+#   - BenchmarkFilterTopP/n200k-quantized8: 200,000 x 64 iid Gaussian
+#     rows at p = 200. No row's head exceeds the seed on such rows, so
+#     the whole pruning falls to the screen's full-row bounds.
+#   - BenchmarkSeededScreen/n=200000/p=200: 200,000 x 32 rows around 64
+#     centres with random query weights, where pass 1 and pass 2 of the
+#     seeded screen drop most rows at their heads.
+#
+# A missing exactFrac also fails: it means the screen never ran, so the
+# gate sent the case to the exact scan. The timing ratios
+# (vs-exact-ratio, seeded/exact) are printed for the record but NOT
+# asserted: they depend on core count and cache size, and CI runners
+# vary.
+#
+# Run from the repository root; CI runs it on every push. Each case
+# builds an index of about 100-200 MB.
 set -euo pipefail
 
 out=$(mktemp)
@@ -21,6 +30,8 @@ trap 'rm -f "$out"' EXIT
 
 echo "== running the gated quantized filter bench (1 iteration, seeded data)"
 go test -run '^$' -bench 'BenchmarkFilterTopP/^n200k-quantized8$' -benchtime 1x . | tee "$out"
+echo "== running the seeded screen bench on clustered rows (1 iteration)"
+go test -run '^$' -bench 'BenchmarkSeededScreen/^n=200000/p=200$' -benchtime 1x ./internal/retrieval | tee -a "$out"
 
 # metric NAME BENCHLINE-PATTERN: pull one ReportMetric value from a bench line.
 metric() {
@@ -34,10 +45,17 @@ fail() {
   exit 1
 }
 
-ef=$(metric exactFrac 'n200k-quantized8')
-[ -n "$ef" ] || fail "missing exactFrac in bench output: the seeded screen did not run"
-echo "== exactFrac (8-bit, 200k rows): $ef"
-awk -v e="$ef" 'BEGIN { exit !(e > 0 && e <= 0.10) }' ||
-  fail "8-bit exactFrac $ef outside (0, 0.10]"
+# check CASE PATTERN: assert the case's exactFrac lies in (0, 0.10].
+check() {
+  local ef
+  ef=$(metric exactFrac "$2")
+  [ -n "$ef" ] || fail "missing exactFrac for $1 in bench output: the seeded screen did not run"
+  echo "== exactFrac ($1): $ef"
+  awk -v e="$ef" 'BEGIN { exit !(e > 0 && e <= 0.10) }' ||
+    fail "$1 exactFrac $ef outside (0, 0.10]"
+}
+
+check "8-bit, 200k Gaussian rows" 'n200k-quantized8'
+check "seeded screen, 200k clustered rows" 'SeededScreen/n=200000/p=200'
 
 echo "check_quant_bench: OK"

@@ -72,9 +72,10 @@ type StoreStats struct {
 	QuantBits        int
 	BoundScannedRows uint64
 	BoundExactRows   uint64
-	// ShadowBytes is the shadow block's resident size in bytes across
-	// all segments (summed over shards; 0 when quantization is off or no
-	// base segment clears the size gate).
+	// ShadowBytes is the shadow block's resident size in bytes: the
+	// codes of every row plus each base's head block, where that is a
+	// copy rather than the codes themselves (summed over shards; 0 when
+	// quantization is off or no base segment clears the size gate).
 	ShadowBytes int64
 }
 
