@@ -203,10 +203,6 @@ func (b *Booster) TrainingError() float64 {
 	return bad / float64(len(b.strong))
 }
 
-// StrongOutputs returns the accumulated strong-classifier outputs H(x_i).
-// The returned slice is the booster's own; callers must not modify it.
-func (b *Booster) StrongOutputs() []float64 { return b.strong }
-
 // WeightedError returns the current-weight misclassification rate of the
 // given outputs: the weak-learner selection criterion the paper uses to
 // pick the best interval V per 1D embedding ("for each range we measure

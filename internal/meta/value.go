@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -317,16 +316,4 @@ func (r *Registry) SeedRows(rows []Map) error {
 		}
 	}
 	return nil
-}
-
-// SortedFields returns the registered field names in sorted order —
-// stats rendering wants a deterministic listing.
-func (r *Registry) SortedFields() []string {
-	kinds := r.Kinds()
-	out := make([]string, 0, len(kinds))
-	for f := range kinds {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
 }

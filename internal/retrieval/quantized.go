@@ -1,13 +1,14 @@
 // Quantized shadow block: an optional 8-bit companion of a Segmented's
-// float64 vectors (one code byte per dimension, row-major; built from the
-// base segment at quantization/compaction time, appended incrementally
-// for the delta) plus the two-phase bound scan that consumes it. Phase 1
-// is the seeded screen: it walks the shadow accumulating weighted-L1
-// lower bounds per candidate row from per-query cell tables
-// (internal/vafile) while maintaining the p-th smallest upper bound tau;
-// phase 2 evaluates the exact float64 block only for rows whose lower
-// bound is <= tau. The result is bit-identical to the exact scan by
-// construction:
+// float64 vectors (one code byte per dimension; the base's codes held in
+// cluster order, built at quantization/compaction time, the delta's
+// appended incrementally in row order) plus the two-phase bound scan
+// that consumes it. Phase 1 is the seeded screen, a best-first walk over
+// the base's blocks: it accumulates weighted-L1 lower bounds per
+// candidate row from per-query cell tables (internal/vafile) while
+// maintaining the p-th smallest upper bound tau, and skips every block
+// whose box bound exceeds it; phase 2 evaluates the exact float64 block
+// only for rows whose lower bound is <= tau. The result is bit-identical
+// to the exact scan by construction:
 //
 //   - every row with upper bound <= tau has true distance <= tau, and at
 //     least p such candidate rows exist whenever tau is finite, so a row
@@ -18,9 +19,9 @@
 //     merge as the unquantized scan, producing identical distances in an
 //     identical order;
 //   - whenever bounds cannot be trusted — a delta row encoded outside the
-//     base's boundary range, a query or weight vector the tables reject,
-//     no finite seed — the affected rows (or the whole scan) fall back to
-//     exact evaluation.
+//     base's boundary range, a query or weight vector the tables reject —
+//     the affected rows (or the whole scan) fall back to exact
+//     evaluation.
 //
 // Tombstoned and predicate-excluded rows are excluded from phase 1
 // entirely: a dead row's upper bound must never tighten tau, or it could
@@ -40,8 +41,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"qse/internal/metrics"
@@ -51,14 +52,17 @@ import (
 )
 
 // The gate (DESIGN §16). Below it the seeded screen costs more than the
-// exact scan it replaces: each shard-query first builds 2 × dims × 256
-// bound-table cells, which only a long scan earns back.
+// exact scan it replaces: each shard-query first builds 4 × dims × 256
+// bound-table cells and a bound per block, which only a long scan earns
+// back.
 const (
 	// shadowMinRows and shadowMinDims gate the build: a base segment gets
-	// a shadow only with at least this many rows and dimensions (heads
-	// span vafile.HeadDims dimensions).
+	// a shadow only with at least this many rows and dimensions. 16
+	// dimensions is the span sumRow sums between exit checks; no workload
+	// has a narrower base, so the value was never measured against
+	// another.
 	shadowMinRows = 16384
-	shadowMinDims = vafile.HeadDims
+	shadowMinDims = 16
 	// seedBaseRowsPerP gates the query: the base must hold at least
 	// seedBaseRowsPerP·p rows.
 	seedBaseRowsPerP = 128
@@ -71,8 +75,8 @@ func shadowGate(rows, dims int) bool {
 
 // seedGate reports whether a query at p over a shadowed base of bn rows,
 // seedable of them live (and matching the filter), takes the seeded
-// screen: the base is long enough for p, and it holds the p rows the
-// seed is taken from.
+// screen: the base is long enough for p, and it holds p rows, without
+// which the walk's bound stays +Inf through the base and skips nothing.
 func seedGate(bn, p, seedable int) bool {
 	return bn >= seedBaseRowsPerP*p && seedable >= p
 }
@@ -87,16 +91,17 @@ func seedGate(bn, p, seedable int) bool {
 // that clears it.
 type quantState struct {
 	bounds *vafile.Boundaries
-	// baseShadow is the base segment's codes: BaseSize x Dims bytes,
-	// immutable like the base itself.
+	// baseShadow is the base segment's codes in cluster order
+	// (clusterOrder): BaseSize x Dims bytes, the row at cluster position
+	// i being base row order[i]. Block b is cluster positions
+	// [starts[b], starts[b+1]), and boxes[b·2·Dims:] its box (vafile.Box).
+	// All four are derived from the row-order codes wherever a base
+	// shadow is built or restored, never persisted, and immutable and
+	// shared across versions like the base itself.
 	baseShadow []uint8
-	// baseHeads is the head block: the first vafile.HeadDims codes of
-	// every base row, stored contiguously (BaseSize x HeadDims bytes),
-	// so pass 1 of the seeded screen streams only the codes it reads.
-	// It is derived from baseShadow wherever a base shadow is built or
-	// restored, never persisted, and immutable and shared like it; at
-	// exactly HeadDims dimensions it is baseShadow itself.
-	baseHeads []uint8
+	order      []int32
+	starts     []int32
+	boxes      []uint8
 	// deltaShadow holds the delta rows' codes under the same
 	// shared-backing prefix discipline as deltaFlat. deltaUnsafe is
 	// aligned with delta rows: true marks a row with a value outside the
@@ -132,29 +137,27 @@ func (s *Segmented[T]) withShadow() (*Segmented[T], error) {
 	return s.withQuant(b, b.EncodeBlock(s.base.flat, bn)), nil
 }
 
-// withQuant returns a copy of s carrying the shadow of grid b and base
-// codes shadow: the head block is derived from the codes, and the delta
-// rows are (re)encoded against b.
+// withQuant returns a copy of s carrying the shadow of grid b and the
+// row-order base codes shadow: the codes are permuted into cluster
+// order, each block gets its box, and the delta rows are (re)encoded
+// against b.
 func (s *Segmented[T]) withQuant(b *vafile.Boundaries, shadow []uint8) *Segmented[T] {
-	qs := &quantState{bounds: b, baseShadow: shadow, baseHeads: headBlock(shadow, s.base.Size(), s.base.dims)}
+	bn, d := s.base.Size(), s.base.dims
+	order, starts := clusterOrder(shadow, bn, d)
+	qs := &quantState{bounds: b, baseShadow: make([]uint8, bn*d), order: order, starts: starts,
+		boxes: make([]uint8, (len(starts)-1)*2*d)}
+	for blk := 0; blk+1 < len(starts); blk++ {
+		lo, hi := int(starts[blk]), int(starts[blk+1])
+		for i := lo; i < hi; i++ {
+			r := int(order[i])
+			copy(qs.baseShadow[i*d:(i+1)*d], shadow[r*d:(r+1)*d])
+		}
+		vafile.Box(qs.baseShadow[lo*d:hi*d], d, qs.boxes[blk*2*d:(blk+1)*2*d])
+	}
 	qs.encodeDelta(s.deltaFlat, len(s.deltaDB))
 	n := *s
 	n.quant = qs
 	return &n
-}
-
-// headBlock returns the head block of a rows x dims shadow: the first
-// vafile.HeadDims codes of each row, contiguous — the shadow itself when
-// it is HeadDims wide.
-func headBlock(shadow []uint8, rows, dims int) []uint8 {
-	if dims == vafile.HeadDims {
-		return shadow
-	}
-	hb := make([]uint8, rows*vafile.HeadDims)
-	for r := range rows {
-		copy(hb[r*vafile.HeadDims:(r+1)*vafile.HeadDims], shadow[r*dims:])
-	}
-	return hb
 }
 
 // Dequantize returns a copy of s without a shadow block; scans revert to
@@ -167,9 +170,10 @@ func (s *Segmented[T]) Dequantize() *Segmented[T] {
 
 // QuantizeFromParts restores persisted quantization state — the width
 // the section recorded, the boundary grid and the base segment's shadow
-// codes — re-encoding the delta rows locally (the delta log does not
-// carry codes; re-encoding a handful of delta rows is cheap and cannot
-// diverge from what Add would have appended). An 8-bit section's grid
+// codes in row order, which it permutes into cluster order — re-encoding
+// the delta rows locally (the delta log does not carry codes;
+// re-encoding a handful of delta rows is cheap and cannot diverge from
+// what Add would have appended). An 8-bit section's grid
 // and codes are validated, then kept if the base clears the gate. The
 // shadow bytes are trusted to match the base vectors, like the vectors
 // are trusted to match the objects. A section without a grid, and one
@@ -242,50 +246,55 @@ func (s *Segmented[T]) QuantBounds() []float64 {
 	return s.quant.bounds.Flat()
 }
 
-// BaseShadow returns the base segment's shadow codes (nil when
-// quantization is off or dormant) — the persist shape QuantizeFromParts
-// restores. Callers must not modify it.
+// BaseShadow returns a fresh copy of the base segment's shadow codes in
+// row order (nil when quantization is off or dormant) — the persist
+// shape QuantizeFromParts restores.
 func (s *Segmented[T]) BaseShadow() []uint8 {
-	if s.quant == nil || s.quant.bounds == nil {
+	qs := s.quant
+	if qs == nil || qs.bounds == nil {
 		return nil
 	}
-	return s.quant.baseShadow
+	d := s.base.dims
+	out := make([]uint8, len(qs.baseShadow))
+	for i, r := range qs.order {
+		copy(out[int(r)*d:(int(r)+1)*d], qs.baseShadow[i*d:(i+1)*d])
+	}
+	return out
 }
 
 // ShadowBytes returns the shadow block's resident size in bytes (0 when
-// quantization is off or dormant): the base and delta codes, plus the
-// head block where it is a copy rather than the base codes themselves.
+// quantization is off or dormant): the base and delta codes, the cluster
+// order's map back to base positions (4 bytes a row), and the blocks'
+// boxes with their first positions (2·Dims + 4 bytes a block).
 func (s *Segmented[T]) ShadowBytes() int {
-	if s.quant == nil || s.quant.bounds == nil {
+	qs := s.quant
+	if qs == nil || qs.bounds == nil {
 		return 0
 	}
-	n := len(s.quant.baseShadow) + len(s.quant.deltaShadow)
-	if s.base.dims != vafile.HeadDims {
-		n += len(s.quant.baseHeads)
-	}
-	return n
+	return len(qs.baseShadow) + len(qs.deltaShadow) + 4*len(qs.order) + len(qs.boxes) + 4*len(qs.starts)
 }
 
 // boundPrune is phase 1's verdict, consumed by the exact candidate
-// scan: the candidate rows (ascending global position) with their lower
-// bounds, and the pruning threshold tau (the p-th smallest candidate
-// upper bound; +Inf when fewer than p candidates had valid bounds). A
-// row missing from cands was excluded against the running bound —
-// min(heap top, seed), which never drops below tau — so the exclusion
-// already holds against tau, and phase 2 only needs the final
-// clbs[i] > tau filter for rows admitted early. Rows without valid
-// bounds (unsafe delta rows) are admitted with a zero lower bound,
-// which never prunes. parts are the screen's per-worker states, which
-// phase 2 reuses as its own.
+// scan: the candidate rows with their lower bounds — the base rows the
+// walk admitted, in the order it admitted them, then from split on the
+// delta rows in ascending position — and the pruning threshold tau (the
+// p-th smallest candidate upper bound; +Inf when fewer than p candidates
+// had valid bounds). A row missing from cands was excluded against a
+// bound that never drops below tau, so the exclusion already holds
+// against tau, and phase 2 only needs the final clbs[i] > tau filter for
+// rows admitted early. Rows without valid bounds (unsafe delta rows) are
+// admitted with a zero lower bound, which never prunes. parts are the
+// walk's per-worker states, which phase 2 reuses as its own.
 type boundPrune struct {
 	cands []int32
 	clbs  []float64
+	split int
 	tau   float64
 	parts []*screenState
 }
 
 // ubHeap is a max-heap over upper bounds, retaining the p smallest seen
-// within one scan partition.
+// by one worker.
 type ubHeap []float64
 
 func (h ubHeap) siftUp(i int) {
@@ -330,24 +339,20 @@ func (h ubHeap) siftDown() {
 	}
 }
 
-// shadowView is the non-generic slice of a Segmented the screening loop
-// needs: the shadow blocks, liveness/match bitmaps, and the base/delta
-// split.
+// shadowView is the non-generic slice of a Segmented the screen needs:
+// the shadow, liveness/match bitmaps, and the base/delta split.
 type shadowView struct {
-	bn, stride              int
-	baseShadow, deltaShadow []uint8
-	heads                   []uint8
-	deltaUnsafe             []bool
-	baseDead, deltaDead     bitmap
-	matchBase, matchDelta   bitmap
-	useMatch                bool
+	*quantState
+	bn, stride            int
+	baseDead, deltaDead   bitmap
+	matchBase, matchDelta bitmap
+	useMatch              bool
 }
 
 func (s *Segmented[T]) shadowView(matchBase, matchDelta bitmap, useMatch bool) *shadowView {
-	qs := s.quant
 	return &shadowView{
-		bn: s.base.Size(), stride: s.base.dims,
-		baseShadow: qs.baseShadow, deltaShadow: qs.deltaShadow, heads: qs.baseHeads, deltaUnsafe: qs.deltaUnsafe,
+		quantState: s.quant,
+		bn:         s.base.Size(), stride: s.base.dims,
 		baseDead: s.baseDead, deltaDead: s.deltaDead,
 		matchBase: matchBase, matchDelta: matchDelta, useMatch: useMatch,
 	}
@@ -401,45 +406,86 @@ func (b bitmap) countRange(lo, hi int) int {
 	return n
 }
 
-// screenState is one worker's state through a seeded screen. In pass 2
-// it is a partition's accumulator: the tau heap, the admitted candidates
-// with their lower bounds, and the scanned count, with seed capping
-// every bound the screen compares against; partitions merge in
-// partition order via mergeScreenParts. touched folds in every byte the
-// worker's touches load, in the seed, pass 2 and phase 2 alike: nothing
+// screenState is one worker's state through a seeded screen: its tau
+// heap, the candidates it admitted with their lower bounds, and its
+// scanned and visited rows. shared holds the float64 bits of the
+// smallest heap top any worker has published — non-negative floats order
+// like their bits — so every worker's bound is also capped by the
+// others'. touched folds in every byte phase 2's touches load: nothing
 // reads it, but storing it keeps the compiler from dropping the loads,
 // and each worker stores only into its own state.
 type screenState struct {
 	tbl     *vafile.Tables
 	p       int
-	seed    float64
+	shared  *atomic.Uint64
 	ubs     ubHeap
 	cands   []int32
 	clbs    []float64
 	scanned int64
+	visited int64
 	touched uint64
+}
+
+// bound is the threshold a row's lower bound must not cross: the heap
+// top once p upper bounds are in, capped by the published one. Each is
+// the p-th smallest upper bound of some live rows, so neither drops
+// below tau, the p-th smallest of all of them.
+func (st *screenState) bound() float64 {
+	b := math.Float64frombits(st.shared.Load())
+	if len(st.ubs) == st.p && st.ubs[0] < b {
+		return st.ubs[0]
+	}
+	return b
+}
+
+// publish lowers the shared bound to the worker's heap top once the
+// heap holds p upper bounds.
+func (st *screenState) publish() {
+	if len(st.ubs) < st.p {
+		return
+	}
+	top := math.Float64bits(st.ubs[0])
+	for {
+		cur := st.shared.Load()
+		if top >= cur || st.shared.CompareAndSwap(cur, top) {
+			return
+		}
+	}
+}
+
+// admit screens one row's codes against bound: a row within it becomes
+// a candidate at position pos and offers its upper bound to the heap. It
+// returns the bound, tightened to the heap top when that is lower. A
+// lower bound crossing the bound — whether the full sum or a partial sum
+// RowLowerBounded aborts on — already crosses tau, which is never above
+// it, so the row is dropped here instead of re-filtered in phase 2; ub
+// >= lb, so a dropped row cannot improve the heap either.
+func (st *screenState) admit(row []uint8, pos int, bound float64) float64 {
+	st.visited++
+	lb, within := st.tbl.RowLowerBounded(row, bound)
+	if !within {
+		return bound
+	}
+	st.cands = append(st.cands, int32(pos))
+	st.clbs = append(st.clbs, lb)
+	st.ubs.offer(st.tbl.RowUpper(row), st.p)
+	if len(st.ubs) == st.p && st.ubs[0] < bound {
+		return st.ubs[0]
+	}
+	return bound
 }
 
 // cacheLine is the span of one cache line in bytes: a touch loads one
 // element of each line a row spans.
 const cacheLine = 64
 
-// touchCodes loads one byte of each cache line that b[lo:hi] spans — its
-// first byte, then one at every line boundary past it, lines counted from
-// the start of b, which a large allocation places on a page boundary —
-// and returns their sum. The loads do not depend on one another, so
-// touching a batch of scattered rows before summing any of them overlaps
-// the rows' cache misses instead of queuing one behind each row's sum.
-func touchCodes(b []uint8, lo, hi int) uint64 {
-	s := uint64(b[lo])
-	for i := (lo | (cacheLine - 1)) + 1; i < hi; i += cacheLine {
-		s += uint64(b[i])
-	}
-	return s
-}
-
-// touchFloats is touchCodes over a float64 block; lo and hi index
-// float64s, eight to a line.
+// touchFloats loads one float64 of each cache line that b[lo:hi] spans —
+// its first element, then one at every line boundary past it, lines
+// counted from the start of b, which a large allocation places on a page
+// boundary — and returns the sum of their bits. The loads do not depend
+// on one another, so touching a batch of scattered rows before summing
+// any of them overlaps the rows' cache misses instead of queuing one
+// behind each row's sum.
 func touchFloats(b []float64, lo, hi int) uint64 {
 	const perLine = cacheLine / 8
 	s := math.Float64bits(b[lo])
@@ -449,19 +495,8 @@ func touchFloats(b []float64, lo, hi int) uint64 {
 	return s
 }
 
-// bound is the threshold a row's lower bound must not cross: the heap
-// top once p upper bounds are in, capped by the seed.
-func (st *screenState) bound() float64 {
-	if len(st.ubs) == st.p && st.ubs[0] < st.seed {
-		return st.ubs[0]
-	}
-	return st.seed
-}
-
-// screenDelta screens the delta rows at global positions [lo, hi) (all
-// >= bn) in ascending position order into st. Because the state machine
-// is sequential in position, splitting a range into consecutive
-// sub-ranges leaves the result byte-identical to one unbroken pass.
+// screenDelta screens the live delta rows at global positions [lo, hi)
+// (all >= bn) in ascending position order into st.
 func (v *shadowView) screenDelta(st *screenState, lo, hi int) {
 	stride := v.stride
 	for pos := lo; pos < hi; pos++ {
@@ -482,262 +517,82 @@ func (v *shadowView) screenDelta(st *screenState, lo, hi int) {
 			st.clbs = append(st.clbs, 0)
 			continue
 		}
-		row := v.deltaShadow[j*stride : j*stride+stride]
-		// The bound only shrinks toward the final tau, so a lower bound
-		// crossing it — whether the full sum or a partial sum
-		// RowLowerBounded aborts on — already crosses tau, and the row
-		// can be dropped here instead of re-filtered in phase 2. The
-		// exclusion set stays identical for any partitioning: a row
-		// surviving to phase 2 under one partitioning has full bound
-		// <= tau <= every intermediate bound of any other, so it is
-		// admitted everywhere, and droppable rows are droppable
-		// everywhere by the same dominance. ub >= lb, so a dropped row
-		// cannot improve the heap either, skipping the second table
-		// pass.
-		lb, within := st.tbl.RowLowerBounded(row, st.bound())
-		if !within {
+		st.admit(v.deltaShadow[j*stride:j*stride+stride], pos, st.bound())
+	}
+}
+
+// The seeded screen (DESIGN §16) is phase 1 as a best-first walk over
+// the base's blocks. Every block gets its box bound (vafile BoxLower),
+// and the blocks are visited in ascending bound: each visited block's
+// live (matching) rows are screened against the running bound, and the
+// walk stops at the first block whose box bound exceeds BoxStop of it,
+// since every later block's does too. Such a block holds no row that
+// RowLowerBounded admits against the bound, and the bound never drops
+// below tau, so no skipped row can define tau or reach phase 2. Workers
+// claim blocks from the one ascending list and share their heap tops
+// (screenState.shared); the delta rows are screened after the walk,
+// against its final bound. So tau, the rows with lb <= tau and the
+// answers are the same for any worker count and schedule; only the
+// number of rows visited can differ.
+
+// blockOrder returns the base's blocks in ascending box bound: sums[b]
+// is block b's BoxLower, and each key holds a block's index in its low
+// bits (mask) and its bound's bits above them, so a key's floor —
+// key&^mask read as a float64 — never exceeds the block's bound, and
+// the floors ascend with the keys. w workers share the box bounds.
+func (v *shadowView) blockOrder(t *vafile.Tables, w int) (keys []uint64, sums []float64, mask uint64) {
+	nb := len(v.starts) - 1
+	box := 2 * v.stride
+	sums = make([]float64, nb)
+	par.Shards(w, nb, minParallelCands, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			sums[b] = t.BoxLower(v.boxes[b*box : (b+1)*box])
+		}
+	})
+	mask = 1<<bits.Len(uint(nb)) - 1
+	keys = make([]uint64, nb)
+	for b, s := range sums {
+		keys[b] = math.Float64bits(s)&^mask | uint64(b)
+	}
+	slices.Sort(keys)
+	return keys, sums, mask
+}
+
+// walk is one worker's share of the walk: it claims blocks in key order
+// through next until the keys run out or a key's floor exceeds BoxStop
+// of its bound, which then ends every worker's walk.
+func (v *shadowView) walk(st *screenState, keys []uint64, sums []float64, mask uint64, next *atomic.Int64) {
+	d := v.stride
+	for {
+		k := next.Add(1) - 1
+		if k >= int64(len(keys)) {
+			return
+		}
+		bound := st.bound()
+		stop := st.tbl.BoxStop(bound)
+		if math.Float64frombits(keys[k]&^mask) > stop {
+			next.Store(int64(len(keys)))
+			return
+		}
+		b := int(keys[k] & mask)
+		if sums[b] > stop {
 			continue
 		}
-		st.cands = append(st.cands, int32(pos))
-		st.clbs = append(st.clbs, lb)
-		st.ubs.offer(st.tbl.RowUpper(row), st.p)
-	}
-}
-
-// The seeded screen (DESIGN §16) is phase 1 in two passes over the base
-// rows. Pass 1 (seedFromHeads) streams the head block, writing every base
-// row's head — the lower-bound sum sumRow checks first, over the row's
-// first vafile.HeadDims codes — and derives a seed: the p-th smallest
-// upper bound among the seedKeepPerP·p live rows with the smallest heads.
-// Pass 2 (screenSeeded) drops, block by block and without a branch,
-// every row whose head already exceeds seed·inv, and screens the
-// survivors against min(heap top, seed), resuming each survivor's lower
-// bound from its head; screenDelta then screens the delta rows against
-// the same bound. The seed is the p-th smallest upper bound of p distinct
-// live rows, so seed >= tau: every exclusion still uses a threshold >=
-// tau, and the p rows that define tau (head <= lb <= ub <= tau) are never
-// dropped. The seed's rows, pass 2's survivors and phase 2's candidates
-// are scattered, so each of those steps touches its batch of rows
-// (touchCodes, touchFloats) before it sums any of them.
-const (
-	// seedKeepPerP·p best-head rows feed the seed.
-	seedKeepPerP = 4
-	// headChunk is how many heads pass 1 writes before it selects from
-	// them, so the selection reads heads that are still in L1.
-	headChunk = 2048
-	// seedBlock is pass 2's compaction block (a power of two), and the
-	// batch of candidates phase 2 touches at a time.
-	seedBlock = 256
-)
-
-// headBufs recycles pass 1's head buffers: one float64 per base row for
-// each in-flight seeded scan.
-var headBufs sync.Pool
-
-// headEntry is one pass-1 candidate for the seed: a base row and its
-// head, ordered by (head, position).
-type headEntry struct {
-	h   float64
-	pos int32
-}
-
-func (a headEntry) less(b headEntry) bool {
-	return a.h < b.h || (a.h == b.h && a.pos < b.pos)
-}
-
-// headHeap is a max-heap retaining the keep smallest headEntries offered.
-type headHeap []headEntry
-
-func (hp *headHeap) offer(e headEntry, keep int) {
-	h := *hp
-	if len(h) < keep {
-		h = append(h, e)
-		for i := len(h) - 1; i > 0; {
-			parent := (i - 1) / 2
-			if !h[parent].less(h[i]) {
-				break
-			}
-			h[i], h[parent] = h[parent], h[i]
-			i = parent
-		}
-		*hp = h
-		return
-	}
-	if !e.less(h[0]) {
-		return
-	}
-	h[0] = e
-	for i := 0; ; {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		big := l
-		if r := l + 1; r < len(h) && h[l].less(h[r]) {
-			big = r
-		}
-		if !h[i].less(h[big]) {
-			return
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-}
-
-// headRange is pass 1 over base rows [lo, hi): it writes their heads
-// into heads[lo:hi] and returns the keep live rows of the range with the
-// smallest (head, position).
-func (v *shadowView) headRange(t *vafile.Tables, heads []float64, lo, hi, keep int) headHeap {
-	const hd = vafile.HeadDims
-	best := make(headHeap, 0, keep)
-	for clo := lo; clo < hi; clo += headChunk {
-		chi := min(clo+headChunk, hi)
-		chunk := heads[clo:chi]
-		t.Heads(v.heads[clo*hd:chi*hd], hd, chunk)
-		for i, h := range chunk {
-			// Positions ascend, so an equal head never displaces the top.
-			if len(best) == keep && !(h < best[0].h) {
-				continue
-			}
-			if pos := clo + i; v.baseLive(pos) {
-				best.offer(headEntry{h, int32(pos)}, keep)
+		for i := int(v.starts[b]); i < int(v.starts[b+1]); i++ {
+			if pos := int(v.order[i]); v.baseLive(pos) {
+				bound = st.admit(v.baseShadow[i*d:i*d+d], pos, bound)
 			}
 		}
+		st.publish()
 	}
-	return best
-}
-
-// seedFromHeads is pass 1 of the seeded screen, split over as many
-// workers as parts: it fills heads (one per base row) and returns the
-// seed, the p-th smallest upper bound among the seedKeepPerP·p live base
-// rows with the smallest heads — +Inf when fewer than p live base rows
-// exist.
-func (v *shadowView) seedFromHeads(t *vafile.Tables, heads []float64, p int, parts []*screenState) float64 {
-	keep := seedKeepPerP * p
-	found := make([]headHeap, len(parts))
-	shards := par.Shards(len(parts), v.bn, minParallelScan, func(sh, lo, hi int) {
-		found[sh] = v.headRange(t, heads, lo, hi, keep)
-	})
-	best := found[0]
-	for _, pt := range found[1:shards] {
-		for _, e := range pt {
-			best.offer(e, keep)
-		}
-	}
-	if len(best) < p {
-		return math.Inf(1)
-	}
-	// The seed's rows are scattered across the shadow: each worker
-	// touches its share of them, then sums their upper bounds.
-	ubs := make([]float64, len(best))
-	par.Shards(len(parts), len(best), minParallelCands, func(sh, lo, hi int) {
-		var touched uint64
-		for _, e := range best[lo:hi] {
-			off := int(e.pos) * v.stride
-			touched += touchCodes(v.baseShadow, off, off+v.stride)
-		}
-		for i, e := range best[lo:hi] {
-			off := int(e.pos) * v.stride
-			ubs[lo+i] = t.RowUpper(v.baseShadow[off : off+v.stride])
-		}
-		parts[sh].touched += touched
-	})
-	top := make(ubHeap, 0, p)
-	for _, ub := range ubs {
-		top.offer(ub, p)
-	}
-	return top[0]
-}
-
-// screenSeeded is pass 2 of the seeded screen over base rows [lo, hi):
-// per block it compacts the positions whose head is within stop =
-// st.seed·inv (a row whose head exceeds it would abort at sumRow's first
-// check against any bound <= seed), keeps the live ones and touches
-// their codes, then screens them like screenDelta, their lower bounds
-// resumed from the head. Every live row counts as scanned, dropped or
-// not, so BoundScannedRows is the number of live (matching) rows.
-func (v *shadowView) screenSeeded(st *screenState, lo, hi int, heads []float64, stop float64) {
-	st.scanned += int64(v.liveBase(lo, hi))
-	stride := v.stride
-	var idx [seedBlock]int32
-	var touched uint64
-	for blo := lo; blo < hi; blo += seedBlock {
-		n := 0
-		for i, h := range heads[blo:min(blo+seedBlock, hi)] {
-			idx[n&(seedBlock-1)] = int32(blo + i)
-			keep := 1
-			if h > stop {
-				keep = 0
-			}
-			n += keep
-		}
-		live := 0
-		for _, pos := range idx[:n] {
-			if v.baseLive(int(pos)) {
-				idx[live] = pos
-				live++
-				touched += touchCodes(v.baseShadow, int(pos)*stride, int(pos)*stride+stride)
-			}
-		}
-		for _, pos := range idx[:live] {
-			row := v.baseShadow[int(pos)*stride : int(pos)*stride+stride]
-			lb, within := st.tbl.RowLowerBoundedFrom(row, heads[pos], st.bound())
-			if !within {
-				continue
-			}
-			st.cands = append(st.cands, pos)
-			st.clbs = append(st.clbs, lb)
-			st.ubs.offer(st.tbl.RowUpper(row), st.p)
-		}
-	}
-	st.touched += touched
-}
-
-// mergeScreenParts folds per-partition screen states (ascending position
-// ranges, partition order) into phase 1's verdict. The partition merge
-// takes the p-th smallest of the per-partition p-smallest upper bounds,
-// which equals the global p-th smallest, so tau (and the whole scan) is
-// identical for any partitioning; concatenating candidate lists in
-// partition order keeps global positions ascending — phase 2 evaluates
-// rows in exactly the order the exact scan would. The verdict keeps the
-// parts for phase 2.
-func mergeScreenParts(parts []*screenState, p int, clk *FilterClock) *boundPrune {
-	var scanned int64
-	nc := 0
-	merged := make([]float64, 0, len(parts)*p)
-	for _, pt := range parts {
-		scanned += pt.scanned
-		nc += len(pt.cands)
-		merged = append(merged, pt.ubs...)
-	}
-	clk.AddBoundRows(scanned)
-	pr := &boundPrune{
-		cands: make([]int32, 0, nc),
-		clbs:  make([]float64, 0, nc),
-		tau:   math.Inf(1),
-		parts: parts,
-	}
-	for _, pt := range parts {
-		pr.cands = append(pr.cands, pt.cands...)
-		pr.clbs = append(pr.clbs, pt.clbs...)
-	}
-	if len(merged) >= p {
-		sort.Float64s(merged)
-		pr.tau = merged[p-1]
-	}
-	return pr
 }
 
 // screen is phase 1 for one query, the seeded screen over the view
-// seedView admitted: pass 1 derives the seed from the base rows' heads,
-// then the partitions screen their base rows (screenSeeded) and delta
-// rows (screenDelta) against it. A parallel screen of at least
-// minParallelScan rows splits each step, phase 2 included, over
-// par.Workers() workers once the step is long enough: the passes from
-// minParallelScan rows, the seed and phase 2 from minParallelCands. Any
-// other screen runs on one. It returns nil — the exact scan, no pruning
-// — when the query or its weights cannot support valid bounds, or when
-// pass 1 finds no finite seed.
+// seedView admitted: the walk over the base's blocks, then the delta
+// rows against its final bound. A parallel screen of at least
+// minParallelScan rows runs the walk, and phase 2, on par.Workers()
+// workers; any other runs on one. It returns nil — the exact scan, no
+// pruning — when the query or its weights cannot support valid bounds.
 func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk *FilterClock, v *shadowView) *boundPrune {
 	tbl, ok := s.quant.bounds.QueryTables(qvec, weights)
 	if !ok {
@@ -747,38 +602,52 @@ func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk
 	if total > math.MaxInt32 {
 		return nil
 	}
-	buf, _ := headBufs.Get().(*[]float64)
-	if buf == nil || cap(*buf) < v.bn {
-		b := make([]float64, v.bn)
-		buf = &b
-	}
-	defer headBufs.Put(buf)
-	heads := (*buf)[:v.bn]
 	w := 1
 	if parallel && total >= minParallelScan {
 		w = par.Workers()
 	}
+	var shared atomic.Uint64
+	shared.Store(math.Float64bits(math.Inf(1)))
 	parts := make([]*screenState, w)
 	for i := range parts {
-		parts[i] = &screenState{tbl: &tbl, p: p}
+		parts[i] = &screenState{tbl: &tbl, p: p, shared: &shared}
 	}
-	seed := v.seedFromHeads(&tbl, heads, p, parts)
-	if !(seed < math.Inf(1)) {
-		return nil
-	}
-	_, inv := tbl.Slack()
-	stop := seed * inv
-	shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-		st := parts[sh]
-		st.seed = seed
-		if lo < v.bn {
-			mid := min(hi, v.bn)
-			v.screenSeeded(st, lo, mid, heads, stop)
-			lo = mid
-		}
-		v.screenDelta(st, lo, hi)
+	keys, sums, mask := v.blockOrder(&tbl, w)
+	var next atomic.Int64
+	par.Shards(w, w, 2, func(sh, _, _ int) {
+		v.walk(parts[sh], keys, sums, mask, &next)
 	})
-	return mergeScreenParts(parts[:shards], p, clk)
+
+	delta := &screenState{tbl: &tbl, p: p, shared: &shared}
+	nc := 0
+	for _, pt := range parts {
+		for _, ub := range pt.ubs {
+			delta.ubs.offer(ub, p)
+		}
+		nc += len(pt.cands)
+	}
+	v.screenDelta(delta, v.bn, total)
+	pr := &boundPrune{
+		cands: make([]int32, 0, nc+len(delta.cands)),
+		clbs:  make([]float64, 0, nc+len(delta.clbs)),
+		split: nc,
+		tau:   math.Inf(1),
+		parts: parts,
+	}
+	visited := delta.visited
+	for _, pt := range parts {
+		pr.cands = append(pr.cands, pt.cands...)
+		pr.clbs = append(pr.clbs, pt.clbs...)
+		visited += pt.visited
+	}
+	pr.cands = append(pr.cands, delta.cands...)
+	pr.clbs = append(pr.clbs, delta.clbs...)
+	if len(delta.ubs) == p {
+		pr.tau = delta.ubs[0]
+	}
+	clk.AddBoundRows(int64(v.liveBase(0, v.bn)) + delta.scanned)
+	clk.AddBoundVisited(visited)
+	return pr
 }
 
 // scanCandidateChunks runs phase 2 over the full candidate list, chunked
@@ -795,15 +664,14 @@ func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, pr *b
 // scanCandidates is phase 2 over one chunk [lo, hi) of the candidate
 // list: each candidate still within the final tau is evaluated exactly
 // against its segment's float64 block, through the same kernels and heap
-// discipline as the unpruned scan. Candidates are ascending by global
-// position, so one binary search splits the chunk at the base/delta
-// boundary for the per-segment stage timers. Chunking the candidate
-// list is as partition-safe as chunking the position space: mergeTopP
-// is order- and partition-agnostic. st is the worker's state.
+// discipline as the unpruned scan. pr.split divides the chunk at the
+// base/delta boundary for the per-segment stage timers. Chunking the
+// candidate list is as partition-safe as chunking the position space:
+// mergeTopP is order- and partition-agnostic. st is the worker's state.
 func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundPrune, lo, hi int, clk *FilterClock, st *screenState) neighborMaxHeap {
 	h := make(neighborMaxHeap, 0, p+1)
 	bn, d := s.base.Size(), s.base.dims
-	split := lo + sort.Search(hi-lo, func(i int) bool { return int(pr.cands[lo+i]) >= bn })
+	split := min(max(pr.split, lo), hi)
 	evald := 0
 	if clk == nil {
 		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald, st)
@@ -824,10 +692,14 @@ func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundP
 	return h
 }
 
+// candBatch is how many candidates phase 2 touches before it evaluates
+// any of them.
+const candBatch = 256
+
 // scanCandRows evaluates candidates [lo, hi) — all in the one segment
 // whose flat block starts at global position posOff — against the exact
 // kernels, skipping entries whose lower bound exceeds tau. It works in
-// batches of seedBlock candidates, touching the rows of a batch before
+// batches of candBatch candidates, touching the rows of a batch before
 // evaluating any. evald counts rows actually evaluated.
 func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, weights []float64, p int, pr *boundPrune, lo, hi int, evald *int, st *screenState) neighborMaxHeap {
 	push := func(pos int, dd float64) {
@@ -840,8 +712,8 @@ func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, wei
 		}
 	}
 	var touched uint64
-	for blo := lo; blo < hi; blo += seedBlock {
-		bhi := min(blo+seedBlock, hi)
+	for blo := lo; blo < hi; blo += candBatch {
+		bhi := min(blo+candBatch, hi)
 		for i := blo; i < bhi; i++ {
 			if pr.clbs[i] <= pr.tau {
 				r := int(pr.cands[i]) - posOff

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -12,11 +13,10 @@ import (
 
 // TestPackedKernelBounds property-tests the row kernels the screen runs
 // over shadow rows, at awkward dimensionalities (a width that is not a
-// multiple of 8 leaves a tail loop; one below vafile.HeadDims has no
-// head): the lower and upper bounds must bracket the true weighted L1
-// distance, the bounded variant must agree with the unbounded one
-// whenever it completes, and a lower bound resumed from the row's head
-// must bracket it too.
+// multiple of 8 leaves a tail loop; one below 16 never reaches the
+// sixteen-code exit check): the lower and upper bounds must bracket the
+// true weighted L1 distance, and the bounded variant must agree with the
+// unbounded one whenever it completes.
 func TestPackedKernelBounds(t *testing.T) {
 	rng := stats.NewRand(99)
 	for _, dims := range []int{1, 3, 7, 16, 33, 64} {
@@ -30,7 +30,6 @@ func TestPackedKernelBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		codes := b.EncodeBlock(block, rows)
-		heads := make([]float64, rows)
 		for qi := 0; qi < 8; qi++ {
 			qvec := make([]float64, dims)
 			weights := make([]float64, dims)
@@ -44,9 +43,6 @@ func TestPackedKernelBounds(t *testing.T) {
 			tbl, ok := b.QueryTables(qvec, weights)
 			if !ok {
 				t.Fatalf("dims=%d: tables rejected a finite query", dims)
-			}
-			if dims >= vafile.HeadDims {
-				tbl.Heads(codes, dims, heads)
 			}
 			for r := 0; r < rows; r++ {
 				row := codes[r*dims : (r+1)*dims]
@@ -76,11 +72,6 @@ func TestPackedKernelBounds(t *testing.T) {
 				if lbb > 0 {
 					if _, within := tbl.RowLowerBounded(row, lbb/2); within {
 						t.Fatalf("dims=%d row=%d: RowLowerBounded claimed within at bound %g < lb %g", dims, r, lbb/2, lbb)
-					}
-				}
-				if dims >= vafile.HeadDims {
-					if res, within := tbl.RowLowerBoundedFrom(row, heads[r], math.Inf(1)); !within || res > truth {
-						t.Fatalf("dims=%d row=%d: resumed lower bound (%g, %v) vs true %g", dims, r, res, within, truth)
 					}
 				}
 			}
@@ -254,7 +245,7 @@ func TestQuantizePackedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid.Encode(x, want)
-	if got, bytes := q.quant.deltaShadow[:seedDims], (n+1)*seedDims+n*vafile.HeadDims; q.ShadowBytes() != bytes || !reflect.DeepEqual(want, got) {
+	if got, bytes := q.quant.deltaShadow[:seedDims], wantShadowBytes(t, q); q.ShadowBytes() != bytes || !reflect.DeepEqual(want, got) {
 		t.Fatalf("delta row: %d shadow bytes, codes %v, want %d and %v", q.ShadowBytes(), got, bytes, want)
 	}
 
@@ -274,21 +265,39 @@ func TestQuantizePackedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes := shadowMinRows * (seedDims + vafile.HeadDims); !reflect.DeepEqual(built.BaseShadow(), mustShadow(t, big).BaseShadow()) || built.ShadowBytes() != bytes {
+	if bytes := wantShadowBytes(t, built); !reflect.DeepEqual(built.BaseShadow(), mustShadow(t, big).BaseShadow()) || built.ShadowBytes() != bytes {
 		t.Fatalf("at the gate Quantize built %d shadow bytes, want the full %d", built.ShadowBytes(), bytes)
 	}
 }
 
-// TestHeadBlock pins the head block pass 1 streams. A shadow built by
-// withShadow and one restored by QuantizeFromParts from the first one's
-// grid and codes are checked as built, after delta adds, and after a
-// compaction re-quantizes: the block holds BaseSize·HeadDims bytes, its
-// heads equal the heads of the row-major shadow bit for bit under
-// several query tables, and at exactly HeadDims dimensions it is the
-// shadow itself. A dormant or dequantized state holds no block.
-func TestHeadBlock(t *testing.T) {
-	const hd = vafile.HeadDims
-	for _, dims := range []int{hd, seedDims} {
+// wantShadowBytes is the resident size ShadowBytes must report for a
+// shadowed s: every row's codes, 4 bytes a base row for the cluster
+// order's map back to positions, and 2·d + 4 bytes a block for its box
+// and first position, plus the last block's end. It also checks the
+// block count: each leaf of the two k-means levels (at most kmeansK²)
+// ends in at most one partial block.
+func wantShadowBytes(t testing.TB, s *Segmented[[]float64]) int {
+	t.Helper()
+	bn, d, blocks := s.BaseSize(), s.Dims(), len(s.quant.starts)-1
+	if full := (bn + blockRows - 1) / blockRows; blocks < full || blocks > full+kmeansK*kmeansK {
+		t.Fatalf("%d base rows in %d blocks", bn, blocks)
+	}
+	return s.Total()*d + 4*bn + blocks*(2*d+4) + 4
+}
+
+// TestClusterOrder pins the derived layout the walk reads. A shadow
+// built by withShadow and one restored by QuantizeFromParts from the
+// first one's grid and BaseShadow are checked as built, after delta adds
+// and removes, and after a compaction re-quantizes: the order is a
+// permutation of the base rows, the blocks cover it in runs of at most
+// blockRows, each box holds every code of its block's rows and each of
+// its edges is some row's code, the held codes are the row-order codes
+// permuted, BaseShadow returns the row-order codes byte for byte, and
+// ShadowBytes counts it all. A second build and the restore give the
+// same order, and delta adds share it. A dormant or dequantized state
+// holds none.
+func TestClusterOrder(t *testing.T) {
+	for _, dims := range []int{shadowMinDims, seedDims} {
 		t.Run(fmt.Sprintf("dims=%d", dims), func(t *testing.T) {
 			db := clusteredDB(shadowMinRows, 31)
 			for i := range db {
@@ -303,31 +312,54 @@ func TestHeadBlock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			queries := clusteredDB(3, 32)
+			for name, s := range map[string]*Segmented[[]float64]{"second build": mustShadow(t, NewSegmented(base)), "restored": restored} {
+				if !reflect.DeepEqual(s.quant.order, built.quant.order) || !reflect.DeepEqual(s.quant.starts, built.quant.starts) {
+					t.Fatalf("%s: the cluster order differs from the first build's", name)
+				}
+			}
 			check := func(name string, s *Segmented[[]float64]) {
 				t.Helper()
 				qs, bn := s.quant, s.BaseSize()
-				if len(qs.baseHeads) != bn*hd {
-					t.Fatalf("%s: head block holds %d bytes for %d rows, want %d", name, len(qs.baseHeads), bn, bn*hd)
+				rowCodes := qs.bounds.EncodeBlock(s.base.flat, bn)
+				if !bytes.Equal(s.BaseShadow(), rowCodes) {
+					t.Fatalf("%s: BaseShadow differs from the row-order codes", name)
 				}
-				if alias := &qs.baseHeads[0] == &qs.baseShadow[0]; alias != (dims == hd) {
-					t.Fatalf("%s: head block aliases the shadow = %v at %d dims", name, alias, dims)
+				seen := make([]bool, bn)
+				for i, r := range qs.order {
+					if r < 0 || int(r) >= bn || seen[r] {
+						t.Fatalf("%s: cluster position %d maps to row %d twice or out of range", name, i, r)
+					}
+					seen[r] = true
+					if !bytes.Equal(qs.baseShadow[i*dims:(i+1)*dims], rowCodes[int(r)*dims:(int(r)+1)*dims]) {
+						t.Fatalf("%s: cluster position %d does not hold row %d's codes", name, i, r)
+					}
 				}
-				want, got := make([]float64, bn), make([]float64, bn)
-				for qi, q := range queries {
-					for _, weights := range [][]float64{nil, seedWeights()[:dims]} {
-						tbl, ok := qs.bounds.QueryTables(q[:dims], weights)
-						if !ok {
-							t.Fatalf("%s: query %d has no tables", name, qi)
-						}
-						tbl.Heads(qs.baseShadow, dims, want)
-						tbl.Heads(qs.baseHeads, hd, got)
-						for r := range want {
-							if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-								t.Fatalf("%s: query %d row %d: head %v from the block, %v from the shadow", name, qi, r, got[r], want[r])
+				if len(qs.order) != bn || qs.starts[0] != 0 || int(qs.starts[len(qs.starts)-1]) != bn {
+					t.Fatalf("%s: %d order entries, blocks span [%d, %d), want %d rows", name, len(qs.order), qs.starts[0], qs.starts[len(qs.starts)-1], bn)
+				}
+				for b := 0; b+1 < len(qs.starts); b++ {
+					lo, hi := int(qs.starts[b]), int(qs.starts[b+1])
+					if hi <= lo || hi-lo > blockRows {
+						t.Fatalf("%s: block %d holds %d rows", name, b, hi-lo)
+					}
+					box := qs.boxes[b*2*dims : (b+1)*2*dims]
+					for j := 0; j < dims; j++ {
+						atLo, atHi := false, false
+						for i := lo; i < hi; i++ {
+							c := qs.baseShadow[i*dims+j]
+							if c < box[j] || c > box[dims+j] {
+								t.Fatalf("%s: block %d dim %d: code %d outside its box [%d, %d]", name, b, j, c, box[j], box[dims+j])
 							}
+							atLo = atLo || c == box[j]
+							atHi = atHi || c == box[dims+j]
+						}
+						if !atLo || !atHi {
+							t.Fatalf("%s: block %d dim %d: box [%d, %d] is not attained by its rows", name, b, j, box[j], box[dims+j])
 						}
 					}
+				}
+				if want := wantShadowBytes(t, s); s.ShadowBytes() != want {
+					t.Fatalf("%s: %d shadow bytes, want %d", name, s.ShadowBytes(), want)
 				}
 			}
 			for name, s := range map[string]*Segmented[[]float64]{"built": built, "restored": restored} {
@@ -347,8 +379,8 @@ func TestHeadBlock(t *testing.T) {
 					}
 				}
 				check(name+" after adds", grown)
-				if &grown.quant.baseHeads[0] != &s.quant.baseHeads[0] {
-					t.Fatalf("%s: delta adds copied the head block", name)
+				if &grown.quant.order[0] != &s.quant.order[0] || &grown.quant.baseShadow[0] != &s.quant.baseShadow[0] {
+					t.Fatalf("%s: delta adds copied the base shadow", name)
 				}
 				compacted, err := NewSegmented(grown.Compact()).Quantize()
 				if err != nil {
@@ -364,8 +396,8 @@ func TestHeadBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			dormant, err := NewSegmented(short).Quantize()
-			if err != nil || dormant.quant == nil || dormant.quant.baseHeads != nil {
-				t.Fatalf("below the gate: err %v, want a dormant state without a head block", err)
+			if err != nil || dormant.quant == nil || dormant.quant.order != nil || dormant.BaseShadow() != nil {
+				t.Fatalf("below the gate: err %v, want a dormant state without an order", err)
 			}
 		})
 	}

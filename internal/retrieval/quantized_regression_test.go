@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"qse/internal/meta"
-	"qse/internal/vafile"
 )
 
 // TestQuantizedFilterCrossProduct pins the exactness claim across the
@@ -44,8 +43,8 @@ func TestQuantizedFilterCrossProduct(t *testing.T) {
 				// codes one Add at a time.
 				early := churnHead(t, seedBase(t, n, em), n)
 				earlyQ := churnHead(t, mustShadow(t, seedBase(t, n, em)), n)
-				// Every row's codes, plus the base's head block.
-				if earlyQ.QuantBits() != 8 || earlyQ.DeltaLen() != early.DeltaLen() || earlyQ.ShadowBytes() != earlyQ.Total()*seedDims+earlyQ.BaseSize()*vafile.HeadDims {
+				// Every row's codes, plus the base's order and boxes.
+				if earlyQ.QuantBits() != 8 || earlyQ.DeltaLen() != early.DeltaLen() || earlyQ.ShadowBytes() != wantShadowBytes(t, earlyQ) {
 					t.Fatalf("incremental head lost state: bits %d, delta %d vs %d, %d shadow bytes",
 						earlyQ.QuantBits(), earlyQ.DeltaLen(), early.DeltaLen(), earlyQ.ShadowBytes())
 				}
@@ -158,10 +157,10 @@ func TestQuantizedFilterEdges(t *testing.T) {
 // TestQuantizedParallelSerialIdentity checks the partitioned screen:
 // above the parallelism threshold, with tombstones in both segments and
 // unsafe delta rows, parallel (on two workers at least) and serial
-// screens return exactly the same neighbors, tau and exact-row count as
-// each other, and the neighbors of the exact scan. Some case must split
-// the seed's upper bounds and phase 2's candidates across the workers
-// too, or those parallel paths would go untested.
+// screens return exactly the same neighbors, tau, and scanned and
+// exact-row counts as each other, and the neighbors of the exact scan.
+// Some case must split the block bounds and phase 2's candidates across
+// the workers too, or those parallel paths would go untested.
 func TestQuantizedParallelSerialIdentity(t *testing.T) {
 	const n = minParallelScan*2 + 133
 	exact := churnHead(t, seedBase(t, n, identityEmbedder{}), n)
@@ -181,10 +180,11 @@ func TestQuantizedParallelSerialIdentity(t *testing.T) {
 			if len(par1.pr.parts) < 2 {
 				t.Fatalf("query %d p=%d: the parallel screen ran on %d worker", qi, p, len(par1.pr.parts))
 			}
-			if seedKeepPerP*p >= minParallelCands && len(par1.pr.cands) >= minParallelCands {
+			if len(quant.quant.starts)-1 >= minParallelCands && len(par1.pr.cands) >= minParallelCands {
 				split = true
 			}
-			if !reflect.DeepEqual(ser.res, par1.res) || ser.pr.tau != par1.pr.tau || ser.tm.BoundExactRows != par1.tm.BoundExactRows {
+			if !reflect.DeepEqual(ser.res, par1.res) || ser.pr.tau != par1.pr.tau || ser.tm.BoundExactRows != par1.tm.BoundExactRows ||
+				ser.tm.BoundScannedRows != par1.tm.BoundScannedRows {
 				t.Fatalf("query %d p=%d: serial/parallel screens diverge:\n  %v\n  %v", qi, p, ser.res, par1.res)
 			}
 			if !reflect.DeepEqual(want, par1.res) {
@@ -193,6 +193,6 @@ func TestQuantizedParallelSerialIdentity(t *testing.T) {
 		}
 	}
 	if !split {
-		t.Fatalf("no case reached minParallelCands = %d seed rows and candidates: the split seed and phase 2 went unchecked", minParallelCands)
+		t.Fatalf("no case reached minParallelCands = %d blocks and candidates: the split block bounds and phase 2 went unchecked", minParallelCands)
 	}
 }

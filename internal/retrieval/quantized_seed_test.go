@@ -12,16 +12,15 @@ import (
 	"qse/internal/metrics"
 	"qse/internal/space"
 	"qse/internal/stats"
-	"qse/internal/vafile"
 )
 
-// seedDims is the width of the seeded-screen test vectors: the seeded
-// screen needs at least vafile.HeadDims dimensions.
+// seedDims is the width of the seeded-screen test vectors, past the
+// build gate's shadowMinDims.
 const seedDims = 24
 
 // clusteredDB draws n seedDims-wide rows around eight centres, so a query
-// near one centre has a tight top p and most rows' heads exceed it — the
-// shape in which the seeded screen's first pass drops rows.
+// near one centre has a tight top p and most blocks' boxes exceed it —
+// the shape in which the seeded screen's walk skips blocks.
 func clusteredDB(n int, seed int64) [][]float64 {
 	rng := stats.NewRand(seed)
 	centres := make([][]float64, 8)
@@ -135,14 +134,14 @@ func referenceTau(s *Segmented[[]float64], qvec, weights []float64, p int, keep 
 	if !ok {
 		return math.NaN()
 	}
-	d, bn := s.Dims(), s.BaseSize()
+	d, bn, base := s.Dims(), s.BaseSize(), s.BaseShadow()
 	var ubs []float64
 	for pos := 0; pos < s.Total(); pos++ {
 		if !keep(pos) {
 			continue
 		}
 		if pos < bn {
-			ubs = append(ubs, tbl.RowUpper(s.quant.baseShadow[pos*d:(pos+1)*d]))
+			ubs = append(ubs, tbl.RowUpper(base[pos*d:(pos+1)*d]))
 		} else if j := pos - bn; !s.quant.deltaUnsafe[j] {
 			ubs = append(ubs, tbl.RowUpper(s.quant.deltaShadow[j*d:(j+1)*d]))
 		}
@@ -155,15 +154,13 @@ func referenceTau(s *Segmented[[]float64], qvec, weights []float64, p int, keep 
 }
 
 // referenceExact counts the rows phase 2 must evaluate at tau: every
-// live (matching) unsafe delta row, and every other one whose lower
-// bound — resumed from its head for a base row, as the screen sums it —
-// is within tau. Rows the screen dropped early have lower bounds above
-// a threshold >= tau, so they are not counted either way.
+// live (matching) unsafe delta row, and every other one whose full-row
+// lower bound is within tau. Rows the screen dropped or skipped have
+// lower bounds above a threshold >= tau, so they are not counted either
+// way.
 func referenceExact(s *Segmented[[]float64], qvec, weights []float64, tau float64, keep func(pos int) bool) int64 {
 	tbl, _ := s.quant.bounds.QueryTables(qvec, weights)
-	d, bn := s.Dims(), s.BaseSize()
-	heads := make([]float64, bn)
-	tbl.Heads(s.quant.baseShadow, d, heads)
+	d, bn, base := s.Dims(), s.BaseSize(), s.BaseShadow()
 	var n int64
 	for pos := 0; pos < s.Total(); pos++ {
 		if !keep(pos) {
@@ -172,7 +169,7 @@ func referenceExact(s *Segmented[[]float64], qvec, weights []float64, tau float6
 		var within bool
 		switch j := pos - bn; {
 		case pos < bn:
-			_, within = tbl.RowLowerBoundedFrom(s.quant.baseShadow[pos*d:(pos+1)*d], heads[pos], tau)
+			_, within = tbl.RowLowerBounded(base[pos*d:(pos+1)*d], tau)
 		case s.quant.deltaUnsafe[j]:
 			within = true
 		default:
@@ -186,11 +183,11 @@ func referenceExact(s *Segmented[[]float64], qvec, weights []float64, tau float6
 }
 
 // assertSeededMatches runs the seeded screen directly on one input. The
-// screen must run exactly when p live (matching) base rows exist to seed
-// from; when it runs it must return the reference top p, the reference
-// tau (the one the paper's bound argument defines, whatever order the
-// rows are screened in), scan every live matching row, and evaluate
-// exactly the rows whose lower bounds are within tau.
+// screen must run whenever p > 0, and then return the reference top p,
+// the reference tau (the one the paper's bound argument defines,
+// whatever order the rows are screened in), scan every live matching
+// row, visit no more rows than it scans, and evaluate exactly the rows
+// whose lower bounds are within tau.
 func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, matchBase, matchDelta bitmap, useMatch bool) screenRun {
 	t.Helper()
 	keep := s.Alive
@@ -203,18 +200,15 @@ func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []
 			return matchDelta.get(pos - bn)
 		}
 	}
-	live, seedable := 0, 0
+	live := 0
 	for pos := 0; pos < s.Total(); pos++ {
 		if keep(pos) {
 			live++
-			if pos < bn {
-				seedable++
-			}
 		}
 	}
 	run := runScreen(s, qvec, weights, p, parallel, matchBase, matchDelta, useMatch)
-	if ran, want := run.pr != nil, run.p > 0 && seedable >= run.p; ran != want {
-		t.Fatalf("p=%d: screen ran = %v with %d seedable rows, want %v", run.p, ran, seedable, want)
+	if ran := run.pr != nil; ran != (run.p > 0) {
+		t.Fatalf("p=%d: screen ran = %v", run.p, ran)
 	}
 	if run.pr == nil {
 		return run
@@ -231,7 +225,23 @@ func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []
 	if want := referenceExact(s, qvec, weights, run.pr.tau, keep); run.tm.BoundExactRows != want || want < int64(run.p) {
 		t.Fatalf("p=%d: evaluated %d rows exactly, reference %d", run.p, run.tm.BoundExactRows, want)
 	}
+	// Every evaluated row but an unsafe delta row had its codes summed.
+	if v := run.tm.BoundVisitedRows; v > run.tm.BoundScannedRows || v < run.tm.BoundExactRows-int64(unsafeLive(s, keep)) {
+		t.Fatalf("p=%d: visited %d rows of %d scanned, %d evaluated", run.p, v, run.tm.BoundScannedRows, run.tm.BoundExactRows)
+	}
 	return run
+}
+
+// unsafeLive counts the live (matching) unsafe delta rows, which phase 2
+// evaluates without their codes ever being summed.
+func unsafeLive(s *Segmented[[]float64], keep func(pos int) bool) int {
+	n := 0
+	for j, u := range s.quant.deltaUnsafe {
+		if u && keep(s.BaseSize()+j) {
+			n++
+		}
+	}
+	return n
 }
 
 // churnHead adds n/10+40 clustered delta rows (every seventh with a
@@ -299,11 +309,10 @@ func seedHead(t *testing.T, n int) *Segmented[[]float64] {
 // below the gate, serial and partitioned: on a churned head, for the
 // unweighted and the weighted distance, unfiltered and filtered, with p
 // from 1 to more than the live rows and under a filter matching fewer
-// than p rows, the screen runs exactly when p rows can seed it, and then
-// returns the reference top p with the tau and row counts of the
-// unseeded screen it replaced (assertSeededMatches). Unfiltered, its
-// candidate lists must also be shorter than the rows it scanned, or the
-// seed never pruned anything.
+// than p rows, the screen returns the reference top p with the tau and
+// row counts a screen of every row in position order would give
+// (assertSeededMatches). Unfiltered, its candidate lists must also be
+// shorter than the rows it scanned, or the walk never pruned anything.
 func TestSeededScreenMatchesUnseeded(t *testing.T) {
 	preds := map[string]*meta.Predicate{
 		"unfiltered": nil,
@@ -349,9 +358,9 @@ func TestSeededScreenMatchesUnseeded(t *testing.T) {
 }
 
 // TestSeededScreenSkipsDeadAndNonMatching removes (or filters out) the
-// rows nearest the query, so every one of them would make a tighter seed
-// than any live matching row: letting a single one into the seed drops
-// rows that define tau, and this test fails.
+// rows nearest the query, so every one of them would tighten the walk's
+// bound below any live matching row's: letting a single one into the
+// heap drops rows that define tau, and this test fails.
 func TestSeededScreenSkipsDeadAndNonMatching(t *testing.T) {
 	db := clusteredDB(3000, 11)
 	base, err := BuildIndex(db, l2, identityEmbedder{})
@@ -403,8 +412,8 @@ func TestSeededScreenAtGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quant.ShadowBytes() != shadowMinRows*(seedDims+vafile.HeadDims) {
-		t.Fatalf("a base at the gate carries %d shadow bytes", quant.ShadowBytes())
+	if want := wantShadowBytes(t, quant); quant.ShadowBytes() != want {
+		t.Fatalf("a base at the gate carries %d shadow bytes, want %d", quant.ShadowBytes(), want)
 	}
 	for _, p := range []int{10, shadowMinRows / seedBaseRowsPerP, shadowMinRows/seedBaseRowsPerP + 1} {
 		for qi, q := range clusteredDB(3, 13) {
@@ -542,7 +551,7 @@ func TestGate(t *testing.T) {
 // (assertSeededMatches). Bytes map to values via (b-128)/16, so
 // duplicates, ties and constant dimensions are common.
 func FuzzSeededScreen(f *testing.F) {
-	f.Add([]byte("seeded screen: heads, seed, tau, tombstones, deltas and filters all in one"), uint8(0), uint8(5), uint8(3), false)
+	f.Add([]byte("seeded screen: boxes, walk, tau, tombstones, deltas and filters all in one"), uint8(0), uint8(5), uint8(3), false)
 	f.Add([]byte{200, 13, 7, 7, 7, 255, 0, 128, 64, 32, 16, 8, 4, 2, 1, 99, 98, 97, 96, 95}, uint8(8), uint8(1), uint8(40), true)
 	f.Fuzz(func(t *testing.T, raw []byte, dimsRaw, pRaw, churn uint8, filtered bool) {
 		dims := 16 + int(dimsRaw%9)
@@ -611,7 +620,7 @@ func FuzzSeededScreen(f *testing.F) {
 
 // TestSeededScreenIsDeterministic runs the partitioned seeded screen
 // under several worker counts: phase 1's verdict must not depend on how
-// the rows were partitioned.
+// many workers walked the blocks, or in what order they claimed them.
 func TestSeededScreenIsDeterministic(t *testing.T) {
 	head := seedHead(t, minParallelScan*3+77)
 	q := clusteredDB(1, 5)[0]
@@ -649,8 +658,9 @@ var benchSink []space.Neighbor
 // query carries random weights, like the served benchmark's vectors.
 // seeded/exact < 1 means the screen is faster; the gate opens at
 // 16,384 rows and 128·p. exactFrac is the seeded side's share of
-// screened rows evaluated exactly: on this clustered data pass 1 and
-// pass 2 drop most rows, which iid Gaussian rows never let them do.
+// screened rows evaluated exactly, and visitedFrac its share whose codes
+// the walk summed: on this clustered data the walk skips most blocks,
+// which iid Gaussian rows never let it do.
 func BenchmarkSeededScreen(b *testing.B) {
 	const dims, centres = 32, 64
 	rng := stats.NewRand(21)
@@ -714,6 +724,7 @@ func BenchmarkSeededScreen(b *testing.B) {
 				var tm Timing
 				clk.AddTo(&tm)
 				b.ReportMetric(float64(tm.BoundExactRows)/float64(tm.BoundScannedRows), "exactFrac")
+				b.ReportMetric(float64(tm.BoundVisitedRows)/float64(tm.BoundScannedRows), "visitedFrac")
 			})
 		}
 	}

@@ -30,12 +30,12 @@ import (
 
 // Parallelism thresholds: below these sizes the serial path runs directly
 // on the caller's goroutine. The filter scan does cheap vector arithmetic
-// per row, so it needs thousands of rows to amortize a fork-join. The
-// seeded screen's scattered rows — the seed's upper bounds and phase 2's
-// candidates — each cost a cache miss instead of a streamed read, so a
-// few hundred of them already earn one. The embed/refine steps call the
-// (typically expensive) exact distance oracle, so even small batches
-// benefit.
+// per row, so it needs thousands of rows to amortize a fork-join. Phase
+// 2's scattered candidate rows each cost a cache miss instead of a
+// streamed read, and each of the seeded screen's block bounds sums 2·d
+// table entries, so a few hundred of either already earn one. The
+// embed/refine steps call the (typically expensive) exact distance
+// oracle, so even small batches benefit.
 const (
 	minParallelScan  = 4096
 	minParallelCands = 256
@@ -245,8 +245,8 @@ type Timing struct {
 	// Always zero for unfiltered queries.
 	FilterEvalNanos int64
 	// BoundScanNanos covers the seeded shadow screen: building the
-	// query's cell tables, deriving the seed, accumulating per-row lower
-	// bounds, and maintaining the p-th smallest upper bound. Always zero
+	// query's cell tables, the block bounds and their order, accumulating
+	// per-row lower bounds, and maintaining the p-th smallest upper bound. Always zero
 	// when no screen ran (quantization off, or the size gate sent the
 	// query to the exact scan).
 	BoundScanNanos int64
@@ -255,12 +255,16 @@ type Timing struct {
 	MergeNanos int64
 	// RefineNanos covers the exact-distance re-ranking and final sort.
 	RefineNanos int64
-	// BoundScannedRows / BoundExactRows are the bound scan's row
-	// counters, not durations: rows whose bounds were examined, and rows
-	// that still had to be evaluated against the exact float64 block
-	// (BoundScannedRows - BoundExactRows rows were pruned). Both stay
-	// zero when no screen ran — the exact scan does not count.
+	// BoundScannedRows / BoundVisitedRows / BoundExactRows are the bound
+	// scan's row counters, not durations: the live (matching) rows the
+	// screen covered, the subset whose codes it summed (the rest sat in
+	// blocks the walk skipped), and the rows that still had to be
+	// evaluated against the exact float64 block (BoundScannedRows -
+	// BoundExactRows rows were pruned). All stay zero when no screen ran
+	// — the exact scan does not count. A parallel walk's visited count
+	// can differ by a few rows between runs; the other two cannot.
 	BoundScannedRows int64
+	BoundVisitedRows int64
 	BoundExactRows   int64
 }
 
@@ -281,6 +285,7 @@ func (t *Timing) Add(o Timing) {
 	t.MergeNanos += o.MergeNanos
 	t.RefineNanos += o.RefineNanos
 	t.BoundScannedRows += o.BoundScannedRows
+	t.BoundVisitedRows += o.BoundVisitedRows
 	t.BoundExactRows += o.BoundExactRows
 }
 
@@ -290,8 +295,8 @@ func (t *Timing) Add(o Timing) {
 // value is ready to use; a nil *FilterClock disables timing (the eval
 // harness's FilterTopP path stays untouched).
 type FilterClock struct {
-	base, delta, eval, merge     atomic.Int64
-	bound, boundRows, boundExact atomic.Int64
+	base, delta, eval, merge                   atomic.Int64
+	bound, boundRows, boundVisited, boundExact atomic.Int64
 }
 
 // AddBase/AddDelta/AddMerge accumulate nanoseconds into a stage; all
@@ -336,6 +341,13 @@ func (c *FilterClock) AddBoundRows(n int64) {
 	}
 }
 
+// AddBoundVisited counts rows whose codes the shadow scan summed.
+func (c *FilterClock) AddBoundVisited(n int64) {
+	if c != nil {
+		c.boundVisited.Add(n)
+	}
+}
+
 // AddBoundExact counts rows the bound scan could not exclude, which the
 // exact scan then evaluated against the float64 block.
 func (c *FilterClock) AddBoundExact(n int64) {
@@ -355,6 +367,7 @@ func (c *FilterClock) AddTo(t *Timing) {
 	t.BoundScanNanos += c.bound.Load()
 	t.MergeNanos += c.merge.Load()
 	t.BoundScannedRows += c.boundRows.Load()
+	t.BoundVisitedRows += c.boundVisited.Load()
 	t.BoundExactRows += c.boundExact.Load()
 }
 

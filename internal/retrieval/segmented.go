@@ -549,12 +549,9 @@ func (s *Segmented[T]) SearchBatch(queries []T, k, p int) ([][]space.Neighbor, [
 
 // FilterLive runs only the filter phase, with a precomputed query
 // embedding: the p best live rows under the filter distance, in ascending
-// (distance, position) order. It is the scatter half of the sharded
-// store's scatter-gather search — the store embeds the query once, fans
-// the same qvec/weights out to every shard's FilterLive, and merges the
-// per-shard candidate lists before a single refine pass, so the exact
-// distance cost stays identical to an unsharded search. weights may be
-// nil for the unweighted L1. clk, when non-nil, accumulates the scan's
+// (distance, position) order — FilterLiveMatch with a nil predicate,
+// which is what the store's scatter calls. weights may be nil for the
+// unweighted L1. clk, when non-nil, accumulates the scan's
 // per-segment and merge durations (the store feeds it into the query's
 // stage breakdown); a nil clk skips all timekeeping.
 func (s *Segmented[T]) FilterLive(qvec, weights []float64, p int, parallel bool, clk *FilterClock) []space.Neighbor {

@@ -105,8 +105,9 @@ func (s *Server[T]) initObs() {
 		snapLastOKUnix:  r.Gauge("qse_store_last_snapshot_ok_unix", "Unix time of the last successful snapshot."),
 		degradedPersist: r.Gauge("qse_store_degraded_persistence", "1 while snapshots keep failing past the tolerance, else 0."),
 		quantBits:       r.Gauge("qse_store_quantize_bits", "Scalar-quantization bit width of the shadow block (8 = on, 0 = off)."),
-		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the shadow block: base and delta codes plus the base's head block (0 when quantization is off or no base clears the size gate)."),
+		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the shadow block: base and delta codes plus the base's cluster-order map and block boxes (0 when quantization is off or no base clears the size gate)."),
 		boundScanned:    r.Gauge("qse_store_bound_scanned_rows_total", "Rows screened by the seeded shadow screen since startup."),
+		boundVisited:    r.Gauge("qse_store_bound_visited_rows_total", "Screened rows whose codes the walk summed, outside the blocks it skipped. A parallel walk's count may differ by a few rows between runs of the same queries; the scanned and exact counts do not."),
 		boundExact:      r.Gauge("qse_store_bound_exact_rows_total", "Screened rows that needed an exact float64 evaluation."),
 		boundPruneRate:  r.Gauge("qse_store_bound_prune_rate", "Fraction of screened rows excluded without exact evaluation."),
 	}
@@ -134,6 +135,7 @@ func (s *Server[T]) initObs() {
 		g.quantBits.Set(float64(st.QuantBits))
 		g.shadowBytes.Set(float64(st.ShadowBytes))
 		g.boundScanned.Set(float64(st.BoundScannedRows))
+		g.boundVisited.Set(float64(st.BoundVisitedRows))
 		g.boundExact.Set(float64(st.BoundExactRows))
 		if st.BoundScannedRows > 0 {
 			g.boundPruneRate.Set(1 - float64(st.BoundExactRows)/float64(st.BoundScannedRows))
@@ -180,7 +182,7 @@ type storeGauges struct {
 	deltaScanShare, snapFailures, snapLastOKUnix        *obs.Gauge
 	degradedPersist                                     *obs.Gauge
 	quantBits, boundScanned, boundExact, boundPruneRate *obs.Gauge
-	shadowBytes                                         *obs.Gauge
+	boundVisited, shadowBytes                           *obs.Gauge
 }
 
 // observeSearch feeds one query's cost into the stage histograms and
@@ -221,6 +223,7 @@ type timingJSON struct {
 	// unchanged for exact-only deployments.
 	BoundScanUs   float64 `json:"bound_scan_us,omitempty"`
 	BoundScanned  int64   `json:"bound_scanned_rows,omitempty"`
+	BoundVisited  int64   `json:"bound_visited_rows,omitempty"`
 	BoundExact    int64   `json:"bound_exact_rows,omitempty"`
 	FilterBaseUs  float64 `json:"filter_base_us"`
 	FilterDeltaUs float64 `json:"filter_delta_us"`
@@ -235,6 +238,7 @@ func toTimingJSON(t retrieval.Timing) *timingJSON {
 		FilterEvalUs:  float64(t.FilterEvalNanos) / 1e3,
 		BoundScanUs:   float64(t.BoundScanNanos) / 1e3,
 		BoundScanned:  t.BoundScannedRows,
+		BoundVisited:  t.BoundVisitedRows,
 		BoundExact:    t.BoundExactRows,
 		FilterBaseUs:  float64(t.FilterBaseNanos) / 1e3,
 		FilterDeltaUs: float64(t.FilterDeltaNanos) / 1e3,

@@ -333,7 +333,9 @@ func TestShadowMetrics(t *testing.T) {
 			s.QuantBits, s.ShadowBytes, s.BoundScannedRows)
 	}
 
-	// Past the gate: 16 bytes a row, and every search screens every row.
+	// Past the gate: 16 code bytes and 4 order-map bytes a row, 2·16 + 4
+	// bytes for each of the cluster order's 257 blocks plus the last
+	// block's end, and every search screens every row.
 	big := gatedStore(t)
 	if err := big.SetQuantization(8); err != nil {
 		t.Fatalf("SetQuantization: %v", err)
@@ -341,7 +343,7 @@ func TestShadowMetrics(t *testing.T) {
 	h = New(big, decodeVec, Options{}).Handler()
 	search(h)
 	body, s, _ = scrape(h)
-	shadow := 16384 * 16
+	shadow := 16384*(16+4) + 257*(2*16+4) + 4
 	for _, want := range []string{
 		"qse_store_quantize_bits 8",
 		fmt.Sprintf("qse_store_shadow_bytes %d", shadow),
@@ -357,5 +359,14 @@ func TestShadowMetrics(t *testing.T) {
 	}
 	if s.BoundExactRows == 0 || s.BoundExactRows >= s.BoundScannedRows || s.BoundPruneRate <= 0 || s.BoundPruneRate >= 1 {
 		t.Fatalf("screen counters %d exact of %d scanned, prune rate %v", s.BoundExactRows, s.BoundScannedRows, s.BoundPruneRate)
+	}
+	// A debug search carries its own visited count in its timing.
+	if rec := do(h, "POST", "/v1/search", `{"query":[3,-3,0],"k":5,"p":20,"debug":true}`); rec.Code != http.StatusOK ||
+		!strings.Contains(rec.Body.String(), `"bound_visited_rows":`) {
+		t.Fatalf("debug search: %d %s", rec.Code, rec.Body)
+	}
+	if s.BoundVisitedRows < s.BoundExactRows || s.BoundVisitedRows > s.BoundScannedRows ||
+		!strings.Contains(body, fmt.Sprintf("qse_store_bound_visited_rows_total %d\n", s.BoundVisitedRows)) {
+		t.Fatalf("%d rows visited of %d scanned and %d exact; scrape:\n%s", s.BoundVisitedRows, s.BoundScannedRows, s.BoundExactRows, grepLines(body, "visited"))
 	}
 }

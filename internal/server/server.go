@@ -715,12 +715,14 @@ type storeStatsJSON struct {
 	DegradedPersistence bool   `json:"degraded_persistence"`
 	// Quantized-scan health: the shadow block's bit width (8 = on,
 	// 0 = off), cumulative rows screened by the seeded screen, the subset
-	// that needed an exact evaluation, and the resulting prune rate
-	// (1 - exact/scanned; 0 before any screen runs). ShadowBytes is the
-	// resident size of the shadow (base and delta codes plus the base's
-	// head block; 0 while no base clears the size gate).
+	// whose codes its walk summed, the subset that needed an exact
+	// evaluation, and the resulting prune rate (1 - exact/scanned; 0
+	// before any screen runs). ShadowBytes is the resident size of the
+	// shadow (base and delta codes plus the base's cluster-order map and
+	// block boxes; 0 while no base clears the size gate).
 	QuantBits        int     `json:"quantize_bits"`
 	BoundScannedRows uint64  `json:"bound_scanned_rows"`
+	BoundVisitedRows uint64  `json:"bound_visited_rows"`
 	BoundExactRows   uint64  `json:"bound_exact_rows"`
 	BoundPruneRate   float64 `json:"bound_prune_rate"`
 	ShadowBytes      int64   `json:"shadow_bytes"`
@@ -863,6 +865,7 @@ func (s *Server[T]) handleStats(w http.ResponseWriter, r *http.Request) {
 			DegradedPersistence: st.DegradedPersistence,
 			QuantBits:           st.QuantBits,
 			BoundScannedRows:    st.BoundScannedRows,
+			BoundVisitedRows:    st.BoundVisitedRows,
 			BoundExactRows:      st.BoundExactRows,
 			BoundPruneRate:      pruneRate(st.BoundScannedRows, st.BoundExactRows),
 			ShadowBytes:         st.ShadowBytes,

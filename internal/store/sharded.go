@@ -149,11 +149,13 @@ type Store[T any] struct {
 	lastSnapNanos atomic.Int64
 	lastSnapBytes atomic.Int64
 
-	// boundRows/boundExact accumulate the shadow-scan counters behind
-	// Stats.BoundScannedRows/BoundExactRows (the scatter shares one clock
-	// across all shards, so the front accounts them).
-	boundRows  atomic.Uint64
-	boundExact atomic.Uint64
+	// boundRows/boundVisited/boundExact accumulate the shadow-scan
+	// counters behind Stats.BoundScannedRows/BoundVisitedRows/
+	// BoundExactRows (the scatter shares one clock across all shards, so
+	// the front accounts them).
+	boundRows    atomic.Uint64
+	boundVisited atomic.Uint64
+	boundExact   atomic.Uint64
 
 	// lcMu guards the background lifecycle started by Start.
 	lcMu sync.Mutex
@@ -483,6 +485,9 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 	if t.BoundScannedRows > 0 {
 		s.boundRows.Add(uint64(t.BoundScannedRows))
 	}
+	if t.BoundVisitedRows > 0 {
+		s.boundVisited.Add(uint64(t.BoundVisitedRows))
+	}
 	if t.BoundExactRows > 0 {
 		s.boundExact.Add(uint64(t.BoundExactRows))
 	}
@@ -692,6 +697,7 @@ func (s *Store[T]) Stats() Stats {
 		LastSnapshotNanos: s.lastSnapNanos.Load(),
 		LastSnapshotBytes: s.lastSnapBytes.Load(),
 		BoundScannedRows:  s.boundRows.Load(),
+		BoundVisitedRows:  s.boundVisited.Load(),
 		BoundExactRows:    s.boundExact.Load(),
 	}
 	var rows, waste uint64

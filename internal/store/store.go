@@ -80,18 +80,22 @@ type Stats struct {
 	DegradedPersistence bool
 	// QuantBits is the shadow-block quantization setting: 8 when
 	// quantization is on, 0 when off (see SetQuantization).
-	// BoundScannedRows counts rows the seeded screen examined;
-	// BoundExactRows the subset the bounds could not exclude, which the
-	// scan then evaluated against the exact float64 block — their ratio
-	// is the measured prune rate. Both accumulate over the store's
-	// lifetime; a ShardStats row, like every layout-wide field there,
-	// leaves them zero. QuantBits is the shards' common setting.
+	// BoundScannedRows counts rows the seeded screen covered;
+	// BoundVisitedRows the subset whose codes its walk summed (the rest
+	// sat in skipped blocks); BoundExactRows the subset the bounds could
+	// not exclude, which the scan then evaluated against the exact
+	// float64 block — exact/scanned is the measured prune rate. All
+	// accumulate over the store's lifetime; a ShardStats row, like every
+	// layout-wide field there, leaves them zero. QuantBits is the
+	// shards' common setting.
 	QuantBits        int
 	BoundScannedRows uint64
+	BoundVisitedRows uint64
 	BoundExactRows   uint64
-	// ShadowBytes is the resident size of the shadow block (base plus
-	// delta), 0 when quantization is off or dormant — a base below the
-	// gate (DESIGN §16) carries no shadow.
+	// ShadowBytes is the resident size of the shadow block: base and
+	// delta codes, the base's cluster-order map and its blocks' boxes; 0
+	// when quantization is off or dormant — a base below the gate
+	// (DESIGN §16) carries no shadow.
 	ShadowBytes int64
 }
 

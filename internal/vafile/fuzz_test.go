@@ -82,3 +82,97 @@ func FuzzBounds(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBoxBound fuzzes the skip rule of the seeded screen's walk: for any
+// grid, query (inside the grid or far outside it), weights (zero and -0
+// included), member rows and bound decoded from raw bytes, a box whose
+// BoxLower exceeds BoxStop(bound) holds no member row that
+// RowLowerBounded admits against bound. BoxLower must also match the
+// sequential sum of each dimension's smallest lower-bound entry over the
+// box's code range, within the reordering slack, so a box bound that
+// lost its pruning power fails too. Bytes map to values as in
+// FuzzBounds.
+func FuzzBoxBound(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(1), uint8(0), uint8(3), uint8(2), false, false)
+	f.Fuzz(func(t *testing.T, raw []byte, dRaw, memLo, memN, boundSel uint8, far, negZero bool) {
+		dims := 1 + int(dRaw)%64
+		if len(raw) < 3*dims {
+			t.Skip()
+		}
+		val := func(b byte) float64 { return (float64(b) - 128) / 16 }
+		q := make([]float64, dims)
+		w := make([]float64, dims)
+		for d := 0; d < dims; d++ {
+			q[d] = val(raw[d])
+			if far {
+				q[d] += 100 // outside every grid the bytes can build
+			}
+			w[d] = math.Abs(val(raw[dims+d]))
+			if w[d] == 0 && negZero {
+				w[d] = math.Copysign(0, -1)
+			}
+		}
+		body := raw[2*dims:]
+		rows := len(body) / dims
+		if rows > 256 {
+			rows = 256
+		}
+		block := make([]float64, rows*dims)
+		for i := range block {
+			block[i] = val(body[i])
+		}
+		b, err := BuildBoundaries(block, rows, dims)
+		if err != nil {
+			t.Fatalf("finite block rejected: %v", err)
+		}
+		tbl, ok := b.QueryTables(q, w)
+		if !ok {
+			t.Fatalf("finite query/weights rejected")
+		}
+		codes := b.EncodeBlock(block, rows)
+		lo := int(memLo) % rows
+		n := 1 + int(memN)%(rows-lo)
+		members := codes[lo*dims : (lo+n)*dims]
+		box := make([]uint8, 2*dims)
+		Box(members, dims, box)
+		s := tbl.BoxLower(box)
+
+		// The sequential reference: each dimension's smallest entry over
+		// [lo, hi], the range every member's code lies in.
+		ref := 0.0
+		for d := 0; d < dims; d++ {
+			m := math.Inf(1)
+			for c := int(box[d]); c <= int(box[dims+d]); c++ {
+				m = math.Min(m, tbl.lb[d*cells+c])
+			}
+			ref += m
+		}
+		mrel, _ := tbl.Slack()
+		if math.Abs(s-ref) > 2*mrel*ref {
+			t.Fatalf("dims=%d: BoxLower %v, sequential minimum %v", dims, s, ref)
+		}
+
+		// Bounds in half-slack steps below the box sum, across the skip
+		// threshold two slacks down (a one-row box sums the same terms as
+		// its row, so a rule with less slack drops a row within the
+		// bound), and one far below it.
+		k := int(boundSel) % 8
+		bound := s * (1 - float64(k)*mrel/2)
+		if k == 7 {
+			bound = s / 2
+		}
+		if boundSel >= 128 {
+			bound = math.Nextafter(bound, 0)
+		}
+		if !(s > tbl.BoxStop(bound)) {
+			return
+		}
+		for r := 0; r < n; r++ {
+			row := members[r*dims : (r+1)*dims]
+			if lb, within := tbl.RowLowerBounded(row, bound); within {
+				t.Fatalf("dims=%d: box sum %v > BoxStop(%v) = %v, yet member %d is within (lb %v)",
+					dims, s, bound, tbl.BoxStop(bound), r, lb)
+			}
+		}
+	})
+}

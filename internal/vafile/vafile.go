@@ -187,17 +187,21 @@ func (b *Boundaries) EncodeBlock(block []float64, rows int) []uint8 {
 // Tables are one query's per-cell bound lookup tables: for dimension d
 // and cell c, entry d*cells+c bounds the weighted per-dimension distance
 // w_d*|q_d - v| below (lb) or above (ub) for any v in the cell. Summing
-// entries over a row's codes bounds the row's full weighted L1.
+// entries over a row's codes bounds the row's full weighted L1. box
+// splits lb at the query's cell for BoxLower: entry d*cells+c is lb's
+// entry above the query's cell and 0 at or below it, and entry
+// (dims+d)*cells+c is lb's entry below the query's cell and 0 at or
+// above it.
 type Tables struct {
-	dims   int
-	lb, ub []float64
+	dims        int
+	lb, ub, box []float64
 	// mrel is reorderSlack(dims); inv is 1/(1-mrel), hoisting the
 	// per-row division out of the screening loop (the one extra rounding
 	// is far inside mrel's 4x safety factor).
 	mrel, inv float64
 }
 
-// QueryTables builds the query's bound tables (2 x Dims x cells floats,
+// QueryTables builds the query's bound tables (4 x Dims x cells floats,
 // built once per query). It reports false — and the caller must fall
 // back to the exact scan — when the query or its weights cannot support
 // valid bounds: wrong width, a non-finite value, or a negative weight.
@@ -212,6 +216,7 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 		dims: b.dims,
 		lb:   make([]float64, b.dims*cells),
 		ub:   make([]float64, b.dims*cells),
+		box:  make([]float64, 2*b.dims*cells),
 	}
 	for d := 0; d < b.dims; d++ {
 		q := qvec[d]
@@ -225,6 +230,8 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 		bd := b.flat[d*(cells+1) : (d+1)*(cells+1)]
 		lbRow := t.lb[d*cells : (d+1)*cells]
 		ubRow := t.ub[d*cells : (d+1)*cells]
+		above := t.box[d*cells : (d+1)*cells]
+		below := t.box[(b.dims+d)*cells : (b.dims+d+1)*cells]
 		// The distance to a cell is monotone in the cell's offset from the
 		// query's own cell cq, so the table splits into three branch-free
 		// runs. Below cq the whole cell sits at or below q (q >= bd[c+1]),
@@ -239,10 +246,12 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 		for c := 0; c < cq; c++ {
 			lbRow[c] = w * (q - bd[c+1])
 			ubRow[c] = w * (q - bd[c])
+			below[c] = lbRow[c]
 		}
 		for c := cq + 1; c < cells; c++ {
 			lbRow[c] = w * (bd[c] - q)
 			ubRow[c] = w * (bd[c+1] - q)
+			above[c] = lbRow[c]
 		}
 		ub := q - bd[cq]
 		if hi := bd[cq+1] - q; hi > ub {
@@ -271,8 +280,7 @@ func (t *Tables) Dims() int { return t.dims }
 
 // Slack exposes the reordering allowance the row methods apply: a lower
 // bound is discounted to s - s*mrel (equivalently, s is compared against
-// bound*inv) and an upper bound padded to s + s*mrel. So a head above
-// bound*inv means RowLowerBounded aborts that row at its first check.
+// bound*inv) and an upper bound padded to s + s*mrel.
 func (t *Tables) Slack() (mrel, inv float64) { return t.mrel, t.inv }
 
 // RowLower sums the lower-bound table over a row's codes: a provable
@@ -307,24 +315,7 @@ func (t *Tables) RowLower(codes []uint8) float64 {
 func (t *Tables) RowLowerBounded(codes []uint8, bound float64) (lb float64, within bool) {
 	// s - s*mrel > bound <=> s > bound/(1-mrel): hoist the slack out of
 	// the per-block exit check (inv caches the reciprocal).
-	s, aborted := t.sumRow(t.lb, codes, 0, 0, bound*t.inv)
-	return t.discount(s, aborted, bound)
-}
-
-// RowLowerBoundedFrom is RowLowerBounded for a row whose head (see
-// Heads) is already known: the sum resumes from head after the first
-// HeadDims codes instead of summing them again. Folding the head's four
-// accumulators into one reassociates the sum, which the same reordering
-// allowance covers, so the result is a valid lower bound that may differ
-// from RowLowerBounded's in its last bits. The tables must have at least
-// HeadDims dimensions.
-func (t *Tables) RowLowerBoundedFrom(codes []uint8, head, bound float64) (lb float64, within bool) {
-	s, aborted := t.sumRow(t.lb, codes, HeadDims, head, bound*t.inv)
-	return t.discount(s, aborted, bound)
-}
-
-// discount turns a lower-bound table sum into RowLowerBounded's result.
-func (t *Tables) discount(s float64, aborted bool, bound float64) (lb float64, within bool) {
+	s, aborted := t.sumRow(t.lb, codes, bound*t.inv)
 	if aborted {
 		return math.Inf(1), false
 	}
@@ -337,15 +328,13 @@ func (t *Tables) discount(s float64, aborted bool, bound float64) (lb float64, w
 
 // sumRow sums one table entry per dimension over four accumulators,
 // aborting once the partial sum exceeds stop (+Inf never aborts; the
-// terms are non-negative, so the partial only grows). The sum starts at
-// dimension d0 (a multiple of 16) with s0 in the first accumulator; a
-// whole-row sum passes 0, 0. Constant cell strides and byte-masked
-// indices let the compiler prove every lookup in range, eight dimensions
-// per step off a single 8-byte code load.
-func (t *Tables) sumRow(tbl []float64, codes []uint8, d0 int, s0, stop float64) (float64, bool) {
-	var s1, s2, s3 float64
+// terms are non-negative, so the partial only grows). Constant cell
+// strides and byte-masked indices let the compiler prove every lookup in
+// range, eight dimensions per step off a single 8-byte code load.
+func (t *Tables) sumRow(tbl []float64, codes []uint8, stop float64) (float64, bool) {
+	var s0, s1, s2, s3 float64
 	n := len(codes)
-	off, d := d0*cells, d0
+	off, d := 0, 0
 	// The exit check (three serial adds and a branch) is a real fraction
 	// of a group's cost, and the typical excluded row only crosses the
 	// threshold in its last few groups — so the main loop covers sixteen
@@ -402,52 +391,46 @@ func (t *Tables) sumRow(tbl []float64, codes []uint8, d0 int, s0, stop float64) 
 	return s, s > stop
 }
 
-// HeadDims is the span of a row's head: the dimensions sumRow sums
-// before its first exit check.
-const HeadDims = 16
-
-// Heads writes the head of each row of a shadow block into dst
-// (one row per entry, stride bytes per row): the four-accumulator
-// lower-bound sum over the row's first HeadDims codes, bit for bit the
-// partial sum sumRow compares against bound·inv at its first exit check.
-// So head > bound·inv means RowLowerBounded aborts the row at that
-// check, and RowLowerBoundedFrom can resume the sum from it. The tables
-// must have at least HeadDims dimensions; block must hold len(dst) rows.
-func (t *Tables) Heads(block []uint8, stride int, dst []float64) {
-	tbl := t.lb[:2*2048]
-	lo, hi := tbl[:2048:2048], tbl[2048:4096:4096]
-	for r := range dst {
-		row := block[r*stride : r*stride+HeadDims : r*stride+HeadDims]
-		// Zero-initialized like sumRow's accumulators, so a -0 entry
-		// (a -0 weight) sums to the same bits.
-		var s0, s1, s2, s3 float64
-		w := binary.LittleEndian.Uint64(row[:8])
-		s0 += lo[w&0xff]
-		s1 += lo[256+(w>>8)&0xff]
-		s2 += lo[512+(w>>16)&0xff]
-		s3 += lo[768+(w>>24)&0xff]
-		s0 += lo[1024+(w>>32)&0xff]
-		s1 += lo[1280+(w>>40)&0xff]
-		s2 += lo[1536+(w>>48)&0xff]
-		s3 += lo[1792+(w>>56)&0xff]
-		w = binary.LittleEndian.Uint64(row[8:])
-		s0 += hi[w&0xff]
-		s1 += hi[256+(w>>8)&0xff]
-		s2 += hi[512+(w>>16)&0xff]
-		s3 += hi[768+(w>>24)&0xff]
-		s0 += hi[1024+(w>>32)&0xff]
-		s1 += hi[1280+(w>>40)&0xff]
-		s2 += hi[1536+(w>>48)&0xff]
-		s3 += hi[1792+(w>>56)&0xff]
-		dst[r] = s0 + s1 + s2 + s3
-	}
-}
-
 // RowUpper is RowLower's upper-bound counterpart. Like RowLowerBounded
 // it sums over four accumulators for speed and restores validity by
 // padding the result with the reordering slack — a marginally looser
 // upper bound is still an upper bound.
 func (t *Tables) RowUpper(codes []uint8) float64 {
-	s, _ := t.sumRow(t.ub, codes, 0, 0, math.Inf(1))
+	s, _ := t.sumRow(t.ub, codes, math.Inf(1))
 	return s + s*t.mrel
 }
+
+// Box writes the box of a block of rows into dst (2 x Dims codes): the
+// smallest code of each dimension over the rows, then the largest.
+// codes holds the rows contiguously, Dims codes each, at least one row.
+func Box(codes []uint8, dims int, dst []uint8) {
+	lo, hi := dst[:dims], dst[dims:2*dims]
+	copy(lo, codes[:dims])
+	copy(hi, codes[:dims])
+	for r := dims; r < len(codes); r += dims {
+		for d, c := range codes[r : r+dims] {
+			lo[d] = min(lo[d], c)
+			hi[d] = max(hi[d], c)
+		}
+	}
+}
+
+// BoxLower sums the smallest lower-bound entry each dimension takes over
+// a box's code range (a box from Box). A dimension's lower-bound table is
+// zero at the query's cell and non-decreasing away from it, so its
+// minimum over [lo, hi] is the entry at lo above the query's cell, the
+// entry at hi below it, and zero when the range holds the query's cell:
+// the split table's entry at lo plus its entry at hi, one of which is
+// zero. Summed by sumRow over the box's 2 x Dims codes, no term exceeds
+// the matching term of any row inside the box.
+func (t *Tables) BoxLower(box []uint8) float64 {
+	s, _ := t.sumRow(t.box, box, math.Inf(1))
+	return s
+}
+
+// BoxStop is the threshold a box's BoxLower must exceed for the box to
+// hold no row that RowLowerBounded admits against bound. A row aborts
+// once its sum exceeds bound*inv; the box's terms are each at most the
+// row's, but they are summed in a different order, so the box takes the
+// reordering slack once more: bound*inv*inv.
+func (t *Tables) BoxStop(bound float64) float64 { return bound * t.inv * t.inv }

@@ -279,70 +279,3 @@ func TestCellOfMonotone(t *testing.T) {
 		t.Errorf("extremes: %d, %d", b.cellOf(0, 0), b.cellOf(0, 7))
 	}
 }
-
-// TestHeadsAndResume pins the two primitives of the seeded screen: a
-// head is bit for bit the partial sum RowLowerBounded checks first (so a
-// head above bound·inv means that row aborts there), and a lower bound
-// resumed from the head still brackets the true distance, agrees with
-// RowLowerBounded's verdict away from rounding ties, and lies within the
-// reordering slack of its value.
-func TestHeadsAndResume(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, dims := range []int{16, 17, 24, 64} {
-		const rows = 300
-		block := randBlock(rng, rows, dims)
-		b, err := BuildBoundaries(block, rows, dims)
-		if err != nil {
-			t.Fatal(err)
-		}
-		codes := b.EncodeBlock(block, rows)
-		heads := make([]float64, rows)
-		for qi := 0; qi < 6; qi++ {
-			q := make([]float64, dims)
-			w := make([]float64, dims)
-			for d := range q {
-				q[d] = rng.NormFloat64() * 3
-				w[d] = rng.Float64() * 2
-			}
-			if qi%3 == 0 {
-				w = nil
-			}
-			tbl, ok := b.QueryTables(q, w)
-			if !ok {
-				t.Fatal("finite query rejected")
-			}
-			tbl.Heads(codes, dims, heads)
-			mrel, inv := tbl.Slack()
-			for r := 0; r < rows; r++ {
-				row := codes[r*dims : (r+1)*dims]
-				partial, _ := tbl.sumRow(tbl.lb, row[:HeadDims], 0, 0, math.Inf(1))
-				if math.Float64bits(heads[r]) != math.Float64bits(partial) {
-					t.Fatalf("dims=%d row %d: head %v, first-check partial %v", dims, r, heads[r], partial)
-				}
-				// A bound just under head/inv makes the first check abort.
-				if bound := heads[r] / inv * (1 - 1e-9); heads[r] > bound*inv {
-					if _, within := tbl.RowLowerBounded(row, bound); within {
-						t.Fatalf("dims=%d row %d: head %v > bound·inv, yet the row stayed within %v", dims, r, heads[r], bound)
-					}
-				}
-				truth := trueWeightedL1(w, q, block[r*dims:(r+1)*dims])
-				full, _ := tbl.RowLowerBounded(row, math.Inf(1))
-				resumed, within := tbl.RowLowerBoundedFrom(row, heads[r], math.Inf(1))
-				if !within || resumed > truth {
-					t.Fatalf("dims=%d row %d: resumed lower bound (%v, %v) vs true %v", dims, r, resumed, within, truth)
-				}
-				if math.Abs(resumed-full) > 2*mrel*full {
-					t.Fatalf("dims=%d row %d: resumed %v and full %v differ beyond the slack", dims, r, resumed, full)
-				}
-				for _, f := range []float64{0.5, 0.999, 1.001, 2} {
-					bound := full * f
-					_, a := tbl.RowLowerBounded(row, bound)
-					_, c := tbl.RowLowerBoundedFrom(row, heads[r], bound)
-					if a != c {
-						t.Fatalf("dims=%d row %d bound %v: verdicts differ (full %v, resumed %v)", dims, r, bound, a, c)
-					}
-				}
-			}
-		}
-	}
-}

@@ -1,24 +1,27 @@
 #!/usr/bin/env bash
 # Bench-smoke for the quantized shadow block: runs two cases past the
 # seeded screen's size gate (DESIGN §16), one iteration each, and
-# asserts the structural invariant that must hold on any machine:
+# asserts the structural invariants that must hold on any machine:
 #
 #   - the 8-bit screen prunes hard: exactFrac, the share of screened
-#     rows evaluated exactly, lies in (0, 0.10] on the seeded bench data.
+#     rows evaluated exactly, lies in (0, 0.10] on the seeded bench data;
+#   - on clustered rows the walk skips blocks: visitedFrac, the share of
+#     screened rows whose codes it summed, lies in (0, 0.10].
 #
 # The cases:
 #
 #   - BenchmarkFilterTopP/n200k-quantized8: 200,000 x 64 iid Gaussian
-#     rows at p = 200. No row's head exceeds the seed on such rows, so
-#     the whole pruning falls to the screen's full-row bounds.
+#     rows at p = 200. No block's box exceeds the bound on such rows, so
+#     the walk visits every row (correctly: visitedFrac is not bounded
+#     here) and the pruning falls to the rows' full bounds.
 #   - BenchmarkSeededScreen/n=200000/p=200: 200,000 x 32 rows around 64
-#     centres with random query weights, where pass 1 and pass 2 of the
-#     seeded screen drop most rows at their heads.
+#     centres with random query weights, where the walk skips most
+#     blocks.
 #
-# A missing exactFrac also fails: it means the screen never ran, so the
-# gate sent the case to the exact scan. The timing ratios
-# (vs-exact-ratio, seeded/exact) are printed for the record but NOT
-# asserted: they depend on core count and cache size, and CI runners
+# A missing exactFrac or visitedFrac also fails: it means the screen
+# never ran, so the gate sent the case to the exact scan. The timing
+# ratios (vs-exact-ratio, seeded/exact) are printed for the record but
+# NOT asserted: they depend on core count and cache size, and CI runners
 # vary.
 #
 # Run from the repository root; CI runs it on every push. Each case
@@ -55,7 +58,18 @@ check() {
     fail "$1 exactFrac $ef outside (0, 0.10]"
 }
 
+# visited CASE PATTERN: assert the case's visitedFrac lies in (0, 0.10].
+visited() {
+  local vf
+  vf=$(metric visitedFrac "$2")
+  [ -n "$vf" ] || fail "missing visitedFrac for $1 in bench output: the seeded screen did not run"
+  echo "== visitedFrac ($1): $vf"
+  awk -v v="$vf" 'BEGIN { exit !(v > 0 && v <= 0.10) }' ||
+    fail "$1 visitedFrac $vf outside (0, 0.10]"
+}
+
 check "8-bit, 200k Gaussian rows" 'n200k-quantized8'
 check "seeded screen, 200k clustered rows" 'SeededScreen/n=200000/p=200'
+visited "seeded screen, 200k clustered rows" 'SeededScreen/n=200000/p=200'
 
 echo "check_quant_bench: OK"

@@ -64,18 +64,20 @@ type StoreStats struct {
 	// signal the background compactor (see Store.Start) schedules on.
 	DeltaScanShare float64
 	// QuantBits is the shadow-block quantization setting: 8 when on, 0
-	// when off (see SetQuantization). BoundScannedRows and
-	// BoundExactRows count, across all filtered scans since the store
-	// was created or opened, the rows screened by the seeded shadow
-	// screen and the subset that survived to an exact float64
-	// evaluation; 1 - exact/scanned is the prune rate.
+	// when off (see SetQuantization). BoundScannedRows,
+	// BoundVisitedRows and BoundExactRows count, across all filtered
+	// scans since the store was created or opened, the rows screened by
+	// the seeded shadow screen, the subset whose codes its walk summed,
+	// and the subset that survived to an exact float64 evaluation;
+	// 1 - exact/scanned is the prune rate.
 	QuantBits        int
 	BoundScannedRows uint64
+	BoundVisitedRows uint64
 	BoundExactRows   uint64
 	// ShadowBytes is the shadow block's resident size in bytes: the
-	// codes of every row plus each base's head block, where that is a
-	// copy rather than the codes themselves (summed over shards; 0 when
-	// quantization is off or no base segment clears the size gate).
+	// codes of every row plus each base's cluster-order map and block
+	// boxes (summed over shards; 0 when quantization is off or no base
+	// segment clears the size gate).
 	ShadowBytes int64
 }
 
@@ -475,6 +477,7 @@ func toStoreStats(st store.Stats) StoreStats {
 		DeltaScanShare:      st.DeltaScanShare,
 		QuantBits:           st.QuantBits,
 		BoundScannedRows:    st.BoundScannedRows,
+		BoundVisitedRows:    st.BoundVisitedRows,
 		BoundExactRows:      st.BoundExactRows,
 		ShadowBytes:         st.ShadowBytes,
 	}

@@ -223,3 +223,67 @@ func TestIndexRemove(t *testing.T) {
 		t.Fatalf("post-remove self-search: %+v", res)
 	}
 }
+
+// TestPublicStoreMetadata drives the metadata half of the public Store
+// API. README's snippet (AddWithMetadata, CompileFilter, SearchFiltered)
+// finds the object it added, and Metadata returns its ts as int64. An
+// UpsertWithMetadata replaces the record wholesale, a nil record clears
+// it, and a string ts is refused once ts is pinned to int.
+func TestPublicStoreMetadata(t *testing.T) {
+	db := testDB(3, 120)
+	model, err := Train(db, l2, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(model, db, l2, GobCodec[[]float64]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := testDB(5, 1)[0]
+	id, err := st.AddWithMetadata(obj, map[string]any{"tenant": "acme", "ts": 1700000000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := st.CompileFilter([]byte(
+		`{"and":[{"field":"tenant","eq":"acme"},{"field":"ts","ge":1600000000}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, _, err := st.SearchFiltered(obj, 10, 200, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 1 || results[0].ID != id || results[0].Distance != 0 {
+		t.Fatalf("README filter found %v, want only object %d at distance 0", results, id)
+	}
+	if md, ok := st.Metadata(id); !ok || !reflect.DeepEqual(md, map[string]any{"tenant": "acme", "ts": int64(1700000000)}) {
+		t.Fatalf("Metadata(%d) = %#v, %v", id, md, ok)
+	}
+
+	if err := st.UpsertWithMetadata(id, obj, map[string]any{"ts": 1800000000}); err != nil {
+		t.Fatal(err)
+	}
+	if md, ok := st.Metadata(id); !ok || !reflect.DeepEqual(md, map[string]any{"ts": int64(1800000000)}) {
+		t.Fatalf("after the upsert Metadata(%d) = %#v, %v, want the new record alone", id, md, ok)
+	}
+	if results, _, err = st.SearchFiltered(obj, 10, 200, f); err != nil || len(results) != 0 {
+		t.Fatalf("the upserted record lost its tenant, yet the filter found %v (err %v)", results, err)
+	}
+
+	if err := st.UpsertWithMetadata(id, obj, nil); err != nil {
+		t.Fatal(err)
+	}
+	if md, ok := st.Metadata(id); !ok || md != nil {
+		t.Fatalf("after a nil upsert Metadata(%d) = %#v, %v, want no record", id, md, ok)
+	}
+
+	if _, err := st.AddWithMetadata(obj, map[string]any{"ts": "noon"}); err == nil {
+		t.Fatal(`{"ts": "noon"} accepted after an int ts`)
+	}
+	if err := st.UpsertWithMetadata(id, obj, map[string]any{"ts": "noon"}); err == nil {
+		t.Fatal(`an upsert of {"ts": "noon"} accepted after an int ts`)
+	}
+	if md, _ := st.Metadata(id); md != nil {
+		t.Fatalf("a refused upsert changed the record to %#v", md)
+	}
+}
