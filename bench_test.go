@@ -79,18 +79,21 @@ func benchRetrievalIndex(b *testing.B, n, d int) (*retrieval.Index[[]float64], [
 	return ix, q, w
 }
 
+// BenchmarkFilterTopP times the filter phase alone, FilterLiveMatch
+// without a predicate, at p = 200.
 func BenchmarkFilterTopP(b *testing.B) {
 	ix, q, w := benchRetrievalIndex(b, 20000, 64)
+	seg := retrieval.NewSegmentedWithMeta(ix, nil)
 	b.Run("unweighted", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix.FilterTopP(q, nil, 200)
+			seg.FilterLiveMatch(q, nil, 200, true, nil, nil)
 		}
 	})
 	b.Run("weighted", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ix.FilterTopP(q, w, 200)
+			seg.FilterLiveMatch(q, w, 200, true, nil, nil)
 		}
 	})
 	// At n = 200,000 the 8-bit shadow clears the size gate (DESIGN §16)
@@ -101,31 +104,32 @@ func BenchmarkFilterTopP(b *testing.B) {
 	// timed. Its index is built only when the case is selected.
 	b.Run("n200k-quantized8", func(b *testing.B) {
 		ix, q, w := benchRetrievalIndex(b, 200000, 64)
-		seg, err := retrieval.NewSegmented(ix).Quantize()
+		exact := retrieval.NewSegmentedWithMeta(ix, nil)
+		seg, err := exact.Quantize()
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchQuantizedScan(b, ix, seg, q, w)
+		benchQuantizedScan(b, exact, seg, q, w)
 	})
 }
 
 // benchQuantizedScan times seg's quantized filter scan at p = 200
-// against ix's exact scan. Each iteration times the plain exact scan
+// against exact's unquantized scan. Each iteration times the plain exact scan
 // interleaved with the quantized one: the host's clock-speed drift then
 // hits both sides of the comparison equally, and vs-exact-ratio
 // (quantized wall-clock over exact wall-clock, < 1 means the shadow scan
 // is faster) is meaningful even when absolute ns/op between separate
 // sub-benchmarks is not. ns/op covers the pair.
-func benchQuantizedScan(b *testing.B, ix *retrieval.Index[[]float64], seg *retrieval.Segmented[[]float64], q, weights []float64) {
+func benchQuantizedScan(b *testing.B, exact, seg *retrieval.Segmented[[]float64], q, weights []float64) {
 	var clk retrieval.FilterClock
 	var exactNs, quantNs int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		ix.FilterTopP(q, weights, 200)
+		exact.FilterLiveMatch(q, weights, 200, true, nil, nil)
 		exactNs += time.Since(t0).Nanoseconds()
 		t0 = time.Now()
-		seg.FilterLive(q, weights, 200, true, &clk)
+		seg.FilterLiveMatch(q, weights, 200, true, &clk, nil)
 		quantNs += time.Since(t0).Nanoseconds()
 	}
 	b.ReportMetric(float64(quantNs)/float64(b.N), "quant-ns/op")
@@ -184,7 +188,7 @@ func BenchmarkSearchFiltered(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := seg.SearchFiltered(q, 10, 200, pred); err != nil {
+				if _, _, err := seg.Search(q, 10, 200, pred); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -216,7 +220,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			}
 		}
 	})
-	seg, err := retrieval.NewSegmented(ix).Quantize()
+	seg, err := retrieval.NewSegmentedWithMeta(ix, nil).Quantize()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package metrics implements the vector and discrete distance measures used
-// throughout the repository: Lp norms over real vectors (including the
-// weighted L1 that underlies query-sensitive distances), KL divergence, and
-// edit distance over strings.
+// throughout the repository: L1, L2 and L∞ over real vectors (including
+// the weighted L1 that underlies query-sensitive distances), KL divergence,
+// the chi-square histogram distance, and edit distance over strings.
 //
 // The paper's output distance D_out (Eq. 11) is an asymmetric weighted L1:
 // the weights are a function of the first argument (the query). That measure
@@ -34,34 +34,6 @@ func L2(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// SquaredL2 returns the squared Euclidean distance, avoiding the sqrt for
-// callers that only compare distances.
-func SquaredL2(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var sum float64
-	for i := range a {
-		d := a[i] - b[i]
-		sum += d * d
-	}
-	return sum
-}
-
-// Lp returns the Minkowski distance of order p >= 1.
-func Lp(a, b []float64, p float64) float64 {
-	mustSameLen(len(a), len(b))
-	if p < 1 {
-		panic(fmt.Sprintf("metrics: Lp order %v < 1", p))
-	}
-	if math.IsInf(p, 1) {
-		return Chebyshev(a, b)
-	}
-	var sum float64
-	for i := range a {
-		sum += math.Pow(math.Abs(a[i]-b[i]), p)
-	}
-	return math.Pow(sum, 1/p)
 }
 
 // Chebyshev returns the L∞ distance between a and b.
@@ -133,10 +105,6 @@ func KL(p, q []float64) float64 {
 	return d
 }
 
-// SymmetricKL returns KL(p||q) + KL(q||p), a symmetrized but still
-// non-metric divergence.
-func SymmetricKL(p, q []float64) float64 { return KL(p, q) + KL(q, p) }
-
 // ChiSquare returns the chi-square histogram distance
 // 0.5 * sum_i (a[i]-b[i])^2 / (a[i]+b[i]), with zero-denominator bins
 // skipped. It is the histogram cost used by Shape Context matching.
@@ -207,24 +175,6 @@ func Dot(a, b []float64) float64 {
 		sum += a[i] * b[i]
 	}
 	return sum
-}
-
-// Cosine returns 1 - cos(a, b), a dissimilarity in [0, 2]. A zero vector
-// yields distance 1 against anything (no direction information).
-func Cosine(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	na, nb := math.Sqrt(Dot(a, a)), math.Sqrt(Dot(b, b))
-	if na == 0 || nb == 0 {
-		return 1
-	}
-	c := Dot(a, b) / (na * nb)
-	// Clamp against floating-point drift outside [-1, 1].
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return 1 - c
 }
 
 func sumPositive(v []float64) float64 {

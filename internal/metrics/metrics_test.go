@@ -22,31 +22,6 @@ func TestL2Basic(t *testing.T) {
 	if got := L2([]float64{0, 0}, []float64{3, 4}); got != 5 {
 		t.Errorf("L2 = %v, want 5", got)
 	}
-	if got := SquaredL2([]float64{0, 0}, []float64{3, 4}); got != 25 {
-		t.Errorf("SquaredL2 = %v, want 25", got)
-	}
-}
-
-func TestLpSpecialCases(t *testing.T) {
-	a, b := []float64{1, -2, 3}, []float64{-1, 2, 0}
-	if !approx(Lp(a, b, 1), L1(a, b), 1e-12) {
-		t.Error("Lp(1) != L1")
-	}
-	if !approx(Lp(a, b, 2), L2(a, b), 1e-12) {
-		t.Error("Lp(2) != L2")
-	}
-	if !approx(Lp(a, b, math.Inf(1)), Chebyshev(a, b), 1e-12) {
-		t.Error("Lp(inf) != Chebyshev")
-	}
-}
-
-func TestLpOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Lp with p<1 should panic")
-		}
-	}()
-	Lp([]float64{1}, []float64{2}, 0.5)
 }
 
 func TestDimensionMismatchPanics(t *testing.T) {
@@ -175,9 +150,6 @@ func TestKLNonNegativeProperty(t *testing.T) {
 		if d := KL(p, q); d < 0 {
 			t.Fatalf("KL negative: %v", d)
 		}
-		if d := SymmetricKL(p, q); !approx(d, KL(p, q)+KL(q, p), 1e-12) {
-			t.Fatal("SymmetricKL mismatch")
-		}
 	}
 }
 
@@ -253,23 +225,6 @@ func TestEditDistanceMetricProperties(t *testing.T) {
 		if EditDistance(a, b) < abs(len(a)-len(b)) {
 			t.Fatal("below length-difference lower bound")
 		}
-	}
-}
-
-func TestCosine(t *testing.T) {
-	a := []float64{1, 0}
-	b := []float64{0, 1}
-	if got := Cosine(a, b); !approx(got, 1, 1e-12) {
-		t.Errorf("Cosine orthogonal = %v, want 1", got)
-	}
-	if got := Cosine(a, a); !approx(got, 0, 1e-12) {
-		t.Errorf("Cosine(a,a) = %v, want 0", got)
-	}
-	if got := Cosine(a, []float64{-1, 0}); !approx(got, 2, 1e-12) {
-		t.Errorf("Cosine opposite = %v, want 2", got)
-	}
-	if got := Cosine(a, []float64{0, 0}); got != 1 {
-		t.Errorf("Cosine vs zero = %v, want 1", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -76,24 +77,27 @@ func matchingLive(s *Segmented[[]float64], pred *meta.Predicate) []int {
 }
 
 // TestSearchFilteredNilIsSearch pins the neutrality contract: a nil
-// predicate takes exactly the unfiltered path.
+// predicate, whose rows are the snapshot's own tombstones, answers
+// exactly like a predicate every row matches, whose rows are a fresh
+// skip bitmap — and spends no time evaluating anything.
 func TestSearchFilteredNilIsSearch(t *testing.T) {
 	base, err := BuildIndex(testDB(300), l2, identityEmbedder{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := metaScript(t, NewSegmented(base), 5, 120)
+	head := metaScript(t, NewSegmentedWithMeta(base, nil), 5, 120)
 	q := []float64{0.4, 0.6}
-	want, wantStats, err := head.Search(q, 5, 40)
+	// A predicate without comparisons matches every row.
+	want, wantStats, err := head.Search(q, 5, 40, new(meta.Predicate))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotStats, err := head.SearchFiltered(q, 5, 40, nil)
+	got, gotStats, err := head.Search(q, 5, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("nil-filter results diverge:\n  search   %v\n  filtered %v", want, got)
+		t.Fatalf("nil-filter results diverge:\n  match-all %v\n  nil       %v", want, got)
 	}
 	if wantStats.WithoutTiming() != gotStats.WithoutTiming() {
 		t.Fatalf("nil-filter stats diverge: %+v vs %+v", wantStats.WithoutTiming(), gotStats.WithoutTiming())
@@ -116,7 +120,7 @@ func TestSearchFilteredMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			head := metaScript(t, NewSegmented(base), 17, 170)
+			head := metaScript(t, NewSegmentedWithMeta(base, nil), 17, 170)
 			filters := []string{
 				`{"field":"bucket","eq":3}`,
 				`{"and":[{"field":"tag","eq":"b"},{"field":"bucket","ge":5}]}`,
@@ -139,7 +143,7 @@ func TestSearchFilteredMatchesReference(t *testing.T) {
 				if k == 0 {
 					k = 1
 				}
-				got, st, err := head.SearchFiltered(q, k, head.Total()+10, pred)
+				got, st, err := head.Search(q, k, head.Total()+10, pred)
 				if err != nil {
 					t.Fatalf("filter %s: %v", raw, err)
 				}
@@ -214,7 +218,7 @@ func TestMetadataSurvivesCompactAndGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := metaScript(t, NewSegmented(base), 23, 140)
+	head := metaScript(t, NewSegmentedWithMeta(base, nil), 23, 140)
 	ix, blk := head.CompactSegmented()
 	comp := NewSegmentedWithMeta(ix, blk)
 	if comp.Total() != head.Live() {
@@ -239,11 +243,11 @@ func TestMetadataSurvivesCompactAndGather(t *testing.T) {
 	}
 	pred := mustFilter(t, `{"and":[{"field":"tag","eq":"a"},{"field":"bucket","le":6}]}`)
 	q := []float64{0.2, 0.9}
-	want, _, err := head.SearchFiltered(q, 7, head.Total(), pred)
+	want, _, err := head.Search(q, 7, head.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := comp.SearchFiltered(q, 7, comp.Total(), pred)
+	got, _, err := comp.Search(q, 7, comp.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +289,7 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := metaScript(t, NewSegmented(base), 31, 80)
+	head := metaScript(t, NewSegmentedWithMeta(base, nil), 31, 80)
 	deltaDB, deltaFlat := head.DeltaSegment()
 	baseDead, deltaDead := head.Tombstoned()
 	re, err := NewSegmentedFromParts(head.Base(), deltaDB, deltaFlat, baseDead, deltaDead,
@@ -295,11 +299,11 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 	}
 	pred := mustFilter(t, `{"field":"bucket","in":[0,4,8]}`)
 	q := []float64{0.8, 0.1}
-	want, _, err := head.SearchFiltered(q, 9, head.Total(), pred)
+	want, _, err := head.Search(q, 9, head.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := re.SearchFiltered(q, 9, re.Total(), pred)
+	got, _, err := re.Search(q, 9, re.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,5 +327,107 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 	}
 	if re2.DeltaMeta() != nil {
 		t.Fatal("all-nil delta metadata not normalized to nil")
+	}
+}
+
+// TestScanLoopsMatchReference checks FilterLiveMatch against the
+// brute-force reference on both of the exact scan's row loops: filters
+// selecting about 1%, a quarter, half and all of the rows take the
+// set-bit loop over fresh skip bitmaps, unfiltered scans the sequential
+// loop over the shared tombstones. Both run on segments with a ninth of
+// their rows tombstoned and on segments with more than three quarters
+// tombstoned, whose tombstone bitmaps end words before their last live
+// rows. Both segments have delta rows and end mid-word, and every case
+// runs serial and partitioned, weighted and not, at a small p and at one
+// past every selected row.
+func TestScanLoopsMatchReference(t *testing.T) {
+	const bn, dn = minParallelScan*2 + 133, 301
+	db := clusteredDB(bn+dn, 17)
+	rows := make([]meta.Map, bn+dn)
+	for i := range rows {
+		rows[i] = meta.Map{"v": meta.IntValue(int64(i * 7919 % 1000))}
+	}
+	ix, err := BuildIndex(db[:bn], l2, identityEmbedder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deltaFlat []float64
+	for _, x := range db[bn:] {
+		deltaFlat = append(deltaFlat, x...)
+	}
+	dead := func(n int, f func(i int) bool) bitmap {
+		var b bitmap
+		for i := 0; i < n; i++ {
+			if f(i) {
+				b = b.withSet(i)
+			}
+		}
+		return b
+	}
+	head := func(baseDead, deltaDead bitmap) *Segmented[[]float64] {
+		s, err := NewSegmentedFromParts(ix, db[bn:], deltaFlat, baseDead, deltaDead, rows[:bn], rows[bn:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	every9th := func(i int) bool { return i%9 == 4 }
+	churned := head(dead(bn, every9th), dead(dn, every9th))
+	mostlyDead := head(dead(bn, func(i int) bool { return i < bn*4/5 }), dead(dn, func(i int) bool { return i < dn*4/5 }))
+	if bd, dd := mostlyDead.Tombstoned(); len(bd) >= (bn+63)/64 || len(dd) >= (dn+63)/64 {
+		t.Fatalf("tombstone bitmaps of %d and %d words reach the segments' last words", len(bd), len(dd))
+	}
+
+	below := func(x int) *meta.Predicate {
+		p, err := meta.CompileFilter([]byte(fmt.Sprintf(`{"field":"v","lt":%d}`, x)), map[string]meta.Kind{"v": meta.KindInt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		name string
+		s    *Segmented[[]float64]
+		pred *meta.Predicate
+	}{
+		{"sel1", churned, below(10)},
+		{"sel25", churned, below(250)},
+		{"sel50", churned, below(500)},
+		{"sel100", churned, below(1000)},
+		{"unfiltered", churned, nil},
+		{"sel50-mostly-dead", mostlyDead, below(500)},
+		{"unfiltered-mostly-dead", mostlyDead, nil},
+	}
+	for _, c := range cases {
+		keep := c.s.Alive
+		if c.pred != nil {
+			keep = matching(c.s, c.pred)
+		}
+		sel := 0
+		for pos := 0; pos < c.s.Total(); pos++ {
+			if keep(pos) {
+				sel++
+			}
+		}
+		for _, parallel := range []bool{false, true} {
+			for _, weights := range [][]float64{nil, seedWeights()} {
+				for _, p := range []int{10, c.s.Total() + 1} {
+					for qi, q := range [][]float64{db[3], db[bn+5]} {
+						var got []space.Neighbor
+						var n int
+						withGOMAXPROCS(max(2, runtime.GOMAXPROCS(0)), func() {
+							got, n = c.s.FilterLiveMatch(q, weights, p, parallel, nil, c.pred)
+						})
+						if n != sel {
+							t.Fatalf("%s: counted %d selected rows, want %d", c.name, n, sel)
+						}
+						if want := referenceTopP(c.s, q, weights, p, keep); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s parallel=%v weighted=%v p=%d query %d: diverges from the reference\n  got  %v\n  want %v",
+								c.name, parallel, weights != nil, p, qi, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -23,9 +23,10 @@
 //     the affected rows (or the whole scan) fall back to exact
 //     evaluation.
 //
-// Tombstoned and predicate-excluded rows are excluded from phase 1
-// entirely: a dead row's upper bound must never tighten tau, or it could
-// evict a live row from the survivor set.
+// The rows a query skips — tombstoned, or not matching its predicate —
+// are excluded from phase 1 entirely: a skipped row's upper bound must
+// never tighten tau, or it could evict a selected row from the survivor
+// set.
 //
 // The shadow pays off only on long scans, so one gate (DESIGN §16)
 // decides both where a shadow is built (shadowGate) and which queries
@@ -340,70 +341,22 @@ func (h ubHeap) siftDown() {
 }
 
 // shadowView is the non-generic slice of a Segmented the screen needs:
-// the shadow, liveness/match bitmaps, and the base/delta split.
+// the shadow, the base/delta split, and the query's rows (the tombstones
+// of an unfiltered query, a filtered one's own skips).
 type shadowView struct {
 	*quantState
-	bn, stride            int
-	baseDead, deltaDead   bitmap
-	matchBase, matchDelta bitmap
-	useMatch              bool
-}
-
-func (s *Segmented[T]) shadowView(matchBase, matchDelta bitmap, useMatch bool) *shadowView {
-	return &shadowView{
-		quantState: s.quant,
-		bn:         s.base.Size(), stride: s.base.dims,
-		baseDead: s.baseDead, deltaDead: s.deltaDead,
-		matchBase: matchBase, matchDelta: matchDelta, useMatch: useMatch,
-	}
+	bn, stride int
+	rowSet
 }
 
 // seedView applies the query half of the gate: it returns the view the
 // seeded screen runs on, or nil — the exact scan — when the segment has
 // no shadow or seedGate rejects the query.
-func (s *Segmented[T]) seedView(p int, matchBase, matchDelta bitmap, useMatch bool) *shadowView {
-	if s.quant == nil || s.quant.bounds == nil {
+func (s *Segmented[T]) seedView(p int, rs rowSet) *shadowView {
+	if s.quant == nil || s.quant.bounds == nil || !seedGate(s.base.Size(), p, rs.baseSel) {
 		return nil
 	}
-	v := s.shadowView(matchBase, matchDelta, useMatch)
-	if !seedGate(v.bn, p, v.liveBase(0, v.bn)) {
-		return nil
-	}
-	return v
-}
-
-// baseLive reports whether base row pos takes part in the scan: live,
-// and matching when the scan runs under a filter.
-func (v *shadowView) baseLive(pos int) bool {
-	if v.useMatch {
-		return v.matchBase.get(pos)
-	}
-	return !v.baseDead.get(pos)
-}
-
-// liveBase counts the base rows of [lo, hi) for which baseLive holds.
-func (v *shadowView) liveBase(lo, hi int) int {
-	if v.useMatch {
-		return v.matchBase.countRange(lo, hi)
-	}
-	return hi - lo - v.baseDead.countRange(lo, hi)
-}
-
-// countRange returns the number of set bits at positions [lo, hi).
-func (b bitmap) countRange(lo, hi int) int {
-	n := 0
-	for w := lo >> 6; w < len(b) && w<<6 < hi; w++ {
-		word := b[w]
-		base := w << 6
-		if base < lo {
-			word &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if rem := hi - base; rem < 64 {
-			word &= ^uint64(0) >> uint(64-rem)
-		}
-		n += bits.OnesCount64(word)
-	}
-	return n
+	return &shadowView{quantState: s.quant, bn: s.base.Size(), stride: s.base.dims, rowSet: rs}
 }
 
 // screenState is one worker's state through a seeded screen: its tau
@@ -495,17 +448,13 @@ func touchFloats(b []float64, lo, hi int) uint64 {
 	return s
 }
 
-// screenDelta screens the live delta rows at global positions [lo, hi)
+// screenDelta screens the selected delta rows at global positions [lo, hi)
 // (all >= bn) in ascending position order into st.
 func (v *shadowView) screenDelta(st *screenState, lo, hi int) {
 	stride := v.stride
 	for pos := lo; pos < hi; pos++ {
 		j := pos - v.bn
-		if v.useMatch {
-			if !v.matchDelta.get(j) {
-				continue
-			}
-		} else if v.deltaDead.get(j) {
+		if v.deltaSkip.get(j) {
 			continue
 		}
 		st.scanned++
@@ -579,7 +528,7 @@ func (v *shadowView) walk(st *screenState, keys []uint64, sums []float64, mask u
 			continue
 		}
 		for i := int(v.starts[b]); i < int(v.starts[b+1]); i++ {
-			if pos := int(v.order[i]); v.baseLive(pos) {
+			if pos := int(v.order[i]); !v.baseSkip.get(pos) {
 				bound = st.admit(v.baseShadow[i*d:i*d+d], pos, bound)
 			}
 		}
@@ -645,7 +594,7 @@ func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk
 	if len(delta.ubs) == p {
 		pr.tau = delta.ubs[0]
 	}
-	clk.AddBoundRows(int64(v.liveBase(0, v.bn)) + delta.scanned)
+	clk.AddBoundRows(int64(v.baseSel) + delta.scanned)
 	clk.AddBoundVisited(visited)
 	return pr
 }
@@ -673,11 +622,6 @@ func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundP
 	bn, d := s.base.Size(), s.base.dims
 	split := min(max(pr.split, lo), hi)
 	evald := 0
-	if clk == nil {
-		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald, st)
-		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald, st)
-		return h
-	}
 	if lo < split {
 		t0 := time.Now()
 		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald, st)

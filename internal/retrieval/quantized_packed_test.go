@@ -140,7 +140,7 @@ func checkBatchIdentity(t *testing.T, head, quant *Segmented[[]float64], n int, 
 			t.Fatal(err)
 		}
 		for i, q := range queries {
-			res, st, err := quant.Search(q, k, p)
+			res, st, err := quant.Search(q, k, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,13 +181,13 @@ func TestSearchBatchQuantizedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quant, err := NewSegmented(base).Quantize()
+	quant, err := NewSegmentedWithMeta(base, nil).Quantize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	queries := [][]float64{{0.5, 0.5}, {1, 2, 3}, {0.1}}
 	_, _, batchErr := quant.SearchBatch(queries, 3, 10)
-	_, _, serialErr := NewSegmented(base).SearchBatch(queries, 3, 10)
+	_, _, serialErr := NewSegmentedWithMeta(base, nil).SearchBatch(queries, 3, 10)
 	if batchErr == nil || serialErr == nil || batchErr.Error() != serialErr.Error() {
 		t.Fatalf("batched error %q, per-query error %q", batchErr, serialErr)
 	}
@@ -307,12 +307,12 @@ func TestClusterOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			built := mustShadow(t, NewSegmented(base))
-			restored, err := NewSegmented(base).QuantizeFromParts(vafile.Bits, built.QuantBounds(), built.BaseShadow())
+			built := mustShadow(t, NewSegmentedWithMeta(base, nil))
+			restored, err := NewSegmentedWithMeta(base, nil).QuantizeFromParts(vafile.Bits, built.QuantBounds(), built.BaseShadow())
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, s := range map[string]*Segmented[[]float64]{"second build": mustShadow(t, NewSegmented(base)), "restored": restored} {
+			for name, s := range map[string]*Segmented[[]float64]{"second build": mustShadow(t, NewSegmentedWithMeta(base, nil)), "restored": restored} {
 				if !reflect.DeepEqual(s.quant.order, built.quant.order) || !reflect.DeepEqual(s.quant.starts, built.quant.starts) {
 					t.Fatalf("%s: the cluster order differs from the first build's", name)
 				}
@@ -382,7 +382,7 @@ func TestClusterOrder(t *testing.T) {
 				if &grown.quant.order[0] != &s.quant.order[0] || &grown.quant.baseShadow[0] != &s.quant.baseShadow[0] {
 					t.Fatalf("%s: delta adds copied the base shadow", name)
 				}
-				compacted, err := NewSegmented(grown.Compact()).Quantize()
+				compacted, err := NewSegmentedWithMeta(grown.Compact(), nil).Quantize()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -395,7 +395,7 @@ func TestClusterOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dormant, err := NewSegmented(short).Quantize()
+			dormant, err := NewSegmentedWithMeta(short, nil).Quantize()
 			if err != nil || dormant.quant == nil || dormant.quant.order != nil || dormant.BaseShadow() != nil {
 				t.Fatalf("below the gate: err %v, want a dormant state without an order", err)
 			}
@@ -452,7 +452,8 @@ func TestQuantizeFromPartsLegacyUnpacked(t *testing.T) {
 	}
 	q := clusteredDB(1, 5)[0]
 	var clk FilterClock
-	if want, got := big.FilterLive(q, nil, 7, false, nil), kept.FilterLive(q, nil, 7, false, &clk); !reflect.DeepEqual(want, got) {
+	want, _ := big.FilterLiveMatch(q, nil, 7, false, nil, nil)
+	if got, _ := kept.FilterLiveMatch(q, nil, 7, false, &clk, nil); !reflect.DeepEqual(want, got) {
 		t.Fatalf("reopened 8-bit head diverges: %v vs %v", got, want)
 	}
 	var tm Timing

@@ -64,11 +64,11 @@ func TestQuantizedFilterCrossProduct(t *testing.T) {
 						for _, pred := range preds {
 							for _, p := range []int{1, 20, exact.Total() + 10} {
 								want, _ := exact.FilterLiveMatch(qvec, weights, p, false, nil, pred)
-								var mb, md bitmap
+								var keep func(int) bool
 								if pred != nil {
-									mb, md = quant.matchBits(pred)
+									keep = matching(quant, pred)
 								}
-								run := assertSeededMatches(t, quant, qvec, weights, p, false, mb, md, pred != nil)
+								run := assertSeededMatches(t, quant, qvec, weights, p, false, keep)
 								if run.pr != nil && !reflect.DeepEqual(run.res, want) {
 									t.Fatalf("%s p=%d: seeded screen diverges from the exact head\n  exact  %v\n  screen %v", pair, p, want, run.res)
 								}
@@ -101,10 +101,10 @@ func TestQuantizedFilterEdges(t *testing.T) {
 			t.Fatalf("Remove(%d): %v", pos, err)
 		}
 	}
-	if res := drained.FilterLive(q, nil, 5, false, nil); len(res) != 0 {
+	if res, _ := drained.FilterLiveMatch(q, nil, 5, false, nil, nil); len(res) != 0 {
 		t.Fatalf("drained quantized head returned %v", res)
 	}
-	if run := runScreen(drained, q, nil, 5, false, nil, nil, false); run.pr != nil || len(run.res) != 0 {
+	if run := runScreen(drained, q, nil, 5, false, drained.selectRows(nil, nil)); run.pr != nil || len(run.res) != 0 {
 		t.Fatalf("drained head screened: %+v", run)
 	}
 
@@ -114,21 +114,21 @@ func TestQuantizedFilterEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dormant, err := NewSegmented(empty).Quantize()
+	dormant, err := NewSegmentedWithMeta(empty, nil).Quantize()
 	if err != nil {
 		t.Fatalf("quantizing empty segment: %v", err)
 	}
 	if dormant.QuantBits() != 8 || dormant.ShadowBytes() != 0 {
 		t.Fatalf("dormant state reports %d bits, %d shadow bytes", dormant.QuantBits(), dormant.ShadowBytes())
 	}
-	if res := dormant.FilterLive(q, nil, 3, false, nil); len(res) != 0 {
+	if res, _ := dormant.FilterLiveMatch(q, nil, 3, false, nil, nil); len(res) != 0 {
 		t.Fatalf("dormant empty head returned %v", res)
 	}
 	dormant, _, err = dormant.Add(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := dormant.FilterLive(q, nil, 1, false, nil); len(res) != 1 || res[0].Distance != 0 || dormant.ShadowBytes() != 0 {
+	if res, _ := dormant.FilterLiveMatch(q, nil, 1, false, nil, nil); len(res) != 1 || res[0].Distance != 0 || dormant.ShadowBytes() != 0 {
 		t.Fatalf("dormant head after Add returned %v with %d shadow bytes", res, dormant.ShadowBytes())
 	}
 
@@ -168,11 +168,12 @@ func TestQuantizedParallelSerialIdentity(t *testing.T) {
 	split := false
 	for qi, q := range append(clusteredDB(3, 5), clusteredDB(3, 23)...) {
 		for _, p := range []int{1, 50, 800} {
-			want := exact.FilterLive(q, nil, p, true, nil)
-			ser := runScreen(quant, q, nil, p, false, nil, nil, false)
+			want, _ := exact.FilterLiveMatch(q, nil, p, true, nil, nil)
+			rs := quant.selectRows(nil, nil)
+			ser := runScreen(quant, q, nil, p, false, rs)
 			var par1 screenRun
 			withGOMAXPROCS(max(2, runtime.GOMAXPROCS(0)), func() {
-				par1 = runScreen(quant, q, nil, p, true, nil, nil, false)
+				par1 = runScreen(quant, q, nil, p, true, rs)
 			})
 			if ser.pr == nil || par1.pr == nil {
 				t.Fatalf("query %d p=%d: the screen did not run", qi, p)

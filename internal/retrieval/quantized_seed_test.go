@@ -82,23 +82,49 @@ type screenRun struct {
 	p   int
 }
 
-func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, matchBase, matchDelta bitmap, useMatch bool) screenRun {
-	limit := s.Live()
-	if useMatch {
-		limit = matchBase.popcount() + matchDelta.popcount()
-	}
-	p = min(p, limit)
+func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, rs rowSet) screenRun {
+	p = min(p, rs.baseSel+rs.deltaSel)
 	if p <= 0 {
 		return screenRun{}
 	}
 	var clk FilterClock
-	pr := s.screen(qvec, weights, p, parallel, &clk, s.shadowView(matchBase, matchDelta, useMatch))
+	pr := s.screen(qvec, weights, p, parallel, &clk, viewOf(s, rs))
 	out := screenRun{pr: pr, p: p}
 	if pr != nil {
 		out.res = mergeTopP(s.scanCandidateChunks(qvec, weights, p, pr, &clk), p)
 	}
 	clk.AddTo(&out.tm)
 	return out
+}
+
+// viewOf is the shadow view of s under rs, whatever the gate says.
+func viewOf(s *Segmented[[]float64], rs rowSet) *shadowView {
+	return &shadowView{quantState: s.quant, bn: s.BaseSize(), stride: s.Dims(), rowSet: rs}
+}
+
+// keepRows is the row set of a filtered scan that selects exactly the
+// rows keep holds.
+func keepRows(s *Segmented[[]float64], keep func(pos int) bool) rowSet {
+	bn, dn := s.BaseSize(), s.DeltaLen()
+	rs := rowSet{baseSkip: make(bitmap, (bn+63)/64), deltaSkip: make(bitmap, (dn+63)/64)}
+	for pos := 0; pos < bn+dn; pos++ {
+		switch {
+		case keep(pos) && pos < bn:
+			rs.baseSel++
+		case keep(pos):
+			rs.deltaSel++
+		case pos < bn:
+			rs.baseSkip[pos>>6] |= 1 << (uint(pos) & 63)
+		default:
+			rs.deltaSkip[(pos-bn)>>6] |= 1 << (uint(pos-bn) & 63)
+		}
+	}
+	return rs
+}
+
+// matching is keep for pred: the live rows of s matching it.
+func matching(s *Segmented[[]float64], pred *meta.Predicate) func(pos int) bool {
+	return func(pos int) bool { return s.Alive(pos) && pred.Match(s.Metadata(pos)) }
 }
 
 // referenceTopP is the paper's filter step by brute force: every live
@@ -182,23 +208,21 @@ func referenceExact(s *Segmented[[]float64], qvec, weights []float64, tau float6
 	return n
 }
 
-// assertSeededMatches runs the seeded screen directly on one input. The
+// assertSeededMatches runs the seeded screen directly on one input: on
+// the rows keep holds as a filtered scan's row set, or, for a nil keep,
+// on the live rows as an unfiltered scan's (the tombstones). The
 // screen must run whenever p > 0, and then return the reference top p,
 // the reference tau (the one the paper's bound argument defines,
 // whatever order the rows are screened in), scan every live matching
 // row, visit no more rows than it scans, and evaluate exactly the rows
 // whose lower bounds are within tau.
-func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, matchBase, matchDelta bitmap, useMatch bool) screenRun {
+func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []float64, p int, parallel bool, keep func(pos int) bool) screenRun {
 	t.Helper()
-	keep := s.Alive
-	bn := s.BaseSize()
-	if useMatch {
-		keep = func(pos int) bool {
-			if pos < bn {
-				return matchBase.get(pos)
-			}
-			return matchDelta.get(pos - bn)
-		}
+	rs := s.selectRows(nil, nil)
+	if keep == nil {
+		keep = s.Alive
+	} else {
+		rs = keepRows(s, keep)
 	}
 	live := 0
 	for pos := 0; pos < s.Total(); pos++ {
@@ -206,7 +230,7 @@ func assertSeededMatches(t *testing.T, s *Segmented[[]float64], qvec, weights []
 			live++
 		}
 	}
-	run := runScreen(s, qvec, weights, p, parallel, matchBase, matchDelta, useMatch)
+	run := runScreen(s, qvec, weights, p, parallel, rs)
 	if ran := run.pr != nil; ran != (run.p > 0) {
 		t.Fatalf("p=%d: screen ran = %v", run.p, ran)
 	}
@@ -325,14 +349,14 @@ func TestSeededScreenMatchesUnseeded(t *testing.T) {
 			queries := clusteredDB(6, 5) // the base's first six rows
 			for wname, weights := range map[string][]float64{"unweighted": nil, "weighted": seedWeights()} {
 				for pname, pred := range preds {
-					var mb, md bitmap
+					var keep func(int) bool
 					if pred != nil {
-						mb, md = head.matchBits(pred)
+						keep = matching(head, pred)
 					}
 					var cands, scanned, ran int
 					for _, q := range queries {
 						for _, p := range []int{1, 20, 150, head.Live() + 10} {
-							run := assertSeededMatches(t, head, q, weights, p, n > minParallelScan, mb, md, pred != nil)
+							run := assertSeededMatches(t, head, q, weights, p, n > minParallelScan, keep)
 							if run.pr != nil {
 								ran++
 								cands += len(run.pr.cands)
@@ -368,7 +392,7 @@ func TestSeededScreenSkipsDeadAndNonMatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := db[17]
-	order := referenceTopP(NewSegmented(base), q, nil, 60, func(int) bool { return true })
+	order := referenceTopP(NewSegmentedWithMeta(base, nil), q, nil, 60, func(int) bool { return true })
 	rows := make([]meta.Map, len(db))
 	for i := range rows {
 		rows[i] = meta.Map{"near": meta.BoolValue(false)}
@@ -381,7 +405,6 @@ func TestSeededScreenSkipsDeadAndNonMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, md := head.matchBits(far)
 	dead := head
 	for _, nb := range order {
 		if dead, err = dead.Remove(nb.Index); err != nil {
@@ -390,8 +413,8 @@ func TestSeededScreenSkipsDeadAndNonMatching(t *testing.T) {
 	}
 	for _, weights := range [][]float64{nil, seedWeights()} {
 		for _, p := range []int{1, 5, 40} {
-			assertSeededMatches(t, dead, q, weights, p, false, nil, nil, false)
-			assertSeededMatches(t, head, q, weights, p, false, mb, md, true)
+			assertSeededMatches(t, dead, q, weights, p, false, nil)
+			assertSeededMatches(t, head, q, weights, p, false, matching(head, far))
 		}
 	}
 }
@@ -407,7 +430,7 @@ func TestSeededScreenAtGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := NewSegmented(base)
+	exact := NewSegmentedWithMeta(base, nil)
 	quant, err := exact.Quantize()
 	if err != nil {
 		t.Fatal(err)
@@ -418,9 +441,9 @@ func TestSeededScreenAtGate(t *testing.T) {
 	for _, p := range []int{10, shadowMinRows / seedBaseRowsPerP, shadowMinRows/seedBaseRowsPerP + 1} {
 		for qi, q := range clusteredDB(3, 13) {
 			for _, weights := range [][]float64{nil, seedWeights()} {
-				want := exact.FilterLive(q, weights, p, true, nil)
+				want, _ := exact.FilterLiveMatch(q, weights, p, true, nil, nil)
 				var clk FilterClock
-				if got := quant.FilterLive(q, weights, p, true, &clk); !reflect.DeepEqual(got, want) {
+				if got, _ := quant.FilterLiveMatch(q, weights, p, true, &clk, nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("p=%d query %d: quantized scan diverges from exact", p, qi)
 				}
 				var tm Timing
@@ -435,8 +458,8 @@ func TestSeededScreenAtGate(t *testing.T) {
 
 // TestGate pins the one gate both halves of the policy share: the build
 // decision on (rows, dims), the query decision on (rows, p, seedable
-// rows), and that FilterLive and FilterLiveMatch reach the screen
-// exactly when both hold.
+// rows), and that FilterLiveMatch, unfiltered and filtered, reaches the
+// screen exactly when both hold.
 func TestGate(t *testing.T) {
 	for _, c := range []struct {
 		rows, dims int
@@ -504,31 +527,31 @@ func TestGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dormant, err := NewSegmented(short).Quantize(); err != nil || dormant.ShadowBytes() != 0 || dormant.QuantBits() != 8 {
+	if dormant, err := NewSegmentedWithMeta(short, nil).Quantize(); err != nil || dormant.ShadowBytes() != 0 || dormant.QuantBits() != 8 {
 		t.Fatalf("one row below the build gate: err %v, want a dormant 8-bit state", err)
 	}
 	pred, err := meta.CompileFilter([]byte(`{"field":"rare","eq":true}`), map[string]meta.Kind{"rare": meta.KindBool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb, md := quant.matchBits(pred)
-	seedable, matched := mb.popcount(), mb.popcount()+md.popcount()
+	seedable, matched := 0, 0
+	for _, pos := range matchingLive(quant, pred) {
+		if pos < n {
+			seedable++
+		}
+		matched++
+	}
 	liveBase := n - quant.baseDead.popcount()
 	q := clusteredDB(1, 5)[0]
 	for _, p := range []int{1, seedable, seedable + 1, matched, n / seedBaseRowsPerP, n/seedBaseRowsPerP + 1} {
 		for _, filtered := range []bool{false, true} {
 			var clk FilterClock
-			var want, got []space.Neighbor
-			var gate bool
-			if filtered {
-				want, _ = exactHead.FilterLiveMatch(q, nil, p, true, nil, pred)
-				got, _ = quant.FilterLiveMatch(q, nil, p, true, &clk, pred)
-				gate = seedGate(n, min(p, matched), seedable)
-			} else {
-				want = exactHead.FilterLive(q, nil, p, true, nil)
-				got = quant.FilterLive(q, nil, p, true, &clk)
-				gate = seedGate(n, p, liveBase)
+			f, gate := pred, seedGate(n, min(p, matched), seedable)
+			if !filtered {
+				f, gate = nil, seedGate(n, p, liveBase)
 			}
+			want, _ := exactHead.FilterLiveMatch(q, nil, p, true, nil, f)
+			got, _ := quant.FilterLiveMatch(q, nil, p, true, &clk, f)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("p=%d filtered=%v: quantized diverges from exact", p, filtered)
 			}
@@ -573,7 +596,7 @@ func FuzzSeededScreen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		head := mustShadow(t, NewSegmented(base))
+		head := mustShadow(t, NewSegmentedWithMeta(base, nil))
 		for r, x := range db[nBase:] {
 			if r%3 == 0 {
 				x[r%dims] = 64 // outside the base's range
@@ -598,23 +621,12 @@ func FuzzSeededScreen(f *testing.F) {
 		if raw[0]%2 == 0 {
 			weights = nil
 		}
-		var mb, md bitmap
+		var keep func(int) bool
 		if filtered {
-			bn, dn := head.BaseSize(), head.DeltaLen()
-			mb, md = make(bitmap, (bn+63)/64), make(bitmap, (dn+63)/64)
-			for pos := 0; pos < head.Total(); pos++ {
-				if !head.Alive(pos) || raw[(pos*13)%len(raw)]%3 == 0 {
-					continue
-				}
-				if pos < bn {
-					mb[pos>>6] |= 1 << (uint(pos) & 63)
-				} else {
-					md[(pos-bn)>>6] |= 1 << (uint(pos-bn) & 63)
-				}
-			}
+			keep = func(pos int) bool { return head.Alive(pos) && raw[(pos*13)%len(raw)]%3 != 0 }
 		}
 		p := 1 + int(pRaw)%(head.Total()+5)
-		assertSeededMatches(t, head, qvec, weights, p, false, mb, md, filtered)
+		assertSeededMatches(t, head, qvec, weights, p, false, keep)
 	})
 }
 
@@ -628,7 +640,7 @@ func TestSeededScreenIsDeterministic(t *testing.T) {
 	for i, procs := range []int{1, 2, 3, 8} {
 		var got screenRun
 		withGOMAXPROCS(procs, func() {
-			got = runScreen(head, q, seedWeights(), 64, true, nil, nil, false)
+			got = runScreen(head, q, seedWeights(), 64, true, head.selectRows(nil, nil))
 		})
 		if got.pr == nil {
 			t.Fatalf("GOMAXPROCS=%d: the screen did not run", procs)
@@ -651,7 +663,7 @@ var benchSink []space.Neighbor
 
 // BenchmarkSeededScreen measures the gate's crossover: phase 1 plus
 // phase 2 of the seeded screen (called directly, below the gate too)
-// against the exact scan (filterTopP on the unshadowed head) on the same
+// against the exact scan (FilterLiveMatch on the unshadowed head) on the same
 // queries, interleaved per iteration — alternating which side goes
 // first — so host drift hits both sides, partitioned as a single search
 // runs it. The rows are a 32-wide mixture around 64 centres and every
@@ -695,9 +707,9 @@ func BenchmarkSeededScreen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		exact := NewSegmented(base)
+		exact := NewSegmentedWithMeta(base, nil)
 		s := mustShadow(b, exact)
-		v := s.shadowView(nil, nil, false)
+		v := viewOf(s, s.selectRows(nil, nil))
 		for _, p := range []int{100, 200} {
 			b.Run(fmt.Sprintf("n=%d/p=%d", n, p), func(b *testing.B) {
 				var took [2]time.Duration
@@ -713,7 +725,7 @@ func BenchmarkSeededScreen(b *testing.B) {
 							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, pr, &clk), p)
 							took[1] += time.Since(t0)
 						} else {
-							benchSink = exact.filterTopP(q, w, p, true, nil)
+							benchSink, _ = exact.FilterLiveMatch(q, w, p, true, nil, nil)
 							took[0] += time.Since(t0)
 						}
 					}

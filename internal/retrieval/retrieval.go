@@ -157,28 +157,12 @@ func (ix *Index[T]) Objects() []T { return ix.db }
 
 // Flat returns the raw row-major embedded block and its row width — the
 // counterpart of FromParts, used to persist an index. The slice is the
-// index's own storage, not a copy; the same caveats as Vectors apply.
+// index's own storage, not a copy: callers must not modify it, and must
+// not retain it across Add/Remove calls, which may reallocate it.
 func (ix *Index[T]) Flat() ([]float64, int) { return ix.flat, ix.dims }
 
 // Dims returns the embedding dimensionality.
 func (ix *Index[T]) Dims() int { return ix.dims }
-
-// vec returns the embedded vector of database object i: a view into the
-// flat block, not a copy.
-func (ix *Index[T]) vec(i int) []float64 {
-	return ix.flat[i*ix.dims : (i+1)*ix.dims]
-}
-
-// Vectors returns the embedded database as per-row views into the index's
-// flat storage (callers must not modify them, and must not retain them
-// across Add/Remove calls, which may reallocate the backing block).
-func (ix *Index[T]) Vectors() [][]float64 {
-	out := make([][]float64, len(ix.db))
-	for i := range out {
-		out[i] = ix.vec(i)
-	}
-	return out
-}
 
 // CheckKP validates the k/p contract shared by every search entry point
 // — Index, Segmented, and the sharded store's scatter-gather — so the
@@ -241,7 +225,7 @@ type Timing struct {
 	FilterBaseNanos  int64
 	FilterDeltaNanos int64
 	// FilterEvalNanos covers evaluating the query's metadata predicate
-	// into per-segment match bitsets before the scan consumes them.
+	// into per-segment skip bitmaps before the scan consumes them.
 	// Always zero for unfiltered queries.
 	FilterEvalNanos int64
 	// BoundScanNanos covers the seeded shadow screen: building the
@@ -292,15 +276,14 @@ func (t *Timing) Add(o Timing) {
 // FilterClock accumulates filter-phase durations from concurrent scan
 // partitions: scan kernels add their base/delta segment time with
 // atomics, so a parallel filter needs no lock to be timed. The zero
-// value is ready to use; a nil *FilterClock disables timing (the eval
-// harness's FilterTopP path stays untouched).
+// value is ready to use; a nil *FilterClock drops every reading.
 type FilterClock struct {
 	base, delta, eval, merge                   atomic.Int64
 	bound, boundRows, boundVisited, boundExact atomic.Int64
 }
 
-// AddBase/AddDelta/AddMerge accumulate nanoseconds into a stage; all
-// are no-ops on a nil clock.
+// AddBase/AddDelta/AddMerge accumulate nanoseconds into a stage; like
+// every method below, they are no-ops on a nil clock.
 func (c *FilterClock) AddBase(ns int64) {
 	if c != nil {
 		c.base.Add(ns)
@@ -319,7 +302,7 @@ func (c *FilterClock) AddMerge(ns int64) {
 	}
 }
 
-// AddEval accumulates predicate-evaluation time (the match-bitset
+// AddEval accumulates predicate-evaluation time (the skip-bitmap
 // pre-pass of a filtered query).
 func (c *FilterClock) AddEval(ns int64) {
 	if c != nil {
@@ -387,7 +370,7 @@ func (c *FilterClock) AddTo(t *Timing) {
 // as a Segmented with an empty delta and no tombstones (see view), so the
 // two layouts cannot drift apart behaviorally.
 func (ix *Index[T]) Search(q T, k, p int) ([]space.Neighbor, Stats, error) {
-	return ix.view().search(q, k, p, true)
+	return ix.view().search(q, k, p, nil, true)
 }
 
 // view wraps the index as a delta-less, tombstone-less Segmented: global
@@ -417,14 +400,6 @@ func firstBatchError(results [][]space.Neighbor, stats []Stats, errs []error) ([
 		}
 	}
 	return results, stats, nil
-}
-
-// FilterTopP ranks the embedded database under the filter distance and
-// returns the p best candidates in ascending order. weights may be nil for
-// the unweighted L1. Exposed for the evaluation harness, which needs the
-// filter ordering without paying for a refine step.
-func (ix *Index[T]) FilterTopP(qvec, weights []float64, p int) []space.Neighbor {
-	return ix.view().filterTopP(qvec, weights, p, true, nil)
 }
 
 // less orders neighbors like space.SortNeighbors.

@@ -139,11 +139,18 @@ func TestSearchUsesQueryWeights(t *testing.T) {
 	}
 }
 
+// filterTopP is an index's filter phase alone: its p best rows under
+// the filter distance, in ascending (distance, position) order.
+func filterTopP(ix *Index[[]float64], qvec, weights []float64, p int) []space.Neighbor {
+	top, _ := ix.view().FilterLiveMatch(qvec, weights, p, true, nil, nil)
+	return top
+}
+
 func TestFilterTopPOrdering(t *testing.T) {
 	db := testDB(50)
 	ix, _ := BuildIndex(db, l2, identityEmbedder{})
 	q := []float64{0.1, 0.9}
-	top := ix.FilterTopP(q, nil, 10)
+	top := filterTopP(ix, q, nil, 10)
 	if len(top) != 10 {
 		t.Fatalf("len = %d", len(top))
 	}
@@ -156,7 +163,7 @@ func TestFilterTopPOrdering(t *testing.T) {
 		t.Error("FilterTopP not sorted")
 	}
 	// Must match a full sort's head.
-	all := ix.FilterTopP(q, nil, len(db))
+	all := filterTopP(ix, q, nil, len(db))
 	for i := range top {
 		if top[i] != all[i] {
 			t.Fatalf("heap selection differs from full sort at %d", i)
@@ -167,10 +174,10 @@ func TestFilterTopPOrdering(t *testing.T) {
 func TestFilterTopPEdge(t *testing.T) {
 	db := testDB(5)
 	ix, _ := BuildIndex(db, l2, identityEmbedder{})
-	if got := ix.FilterTopP([]float64{0, 0}, nil, 0); got != nil {
+	if got := filterTopP(ix, []float64{0, 0}, nil, 0); got != nil {
 		t.Error("p=0 should return nil")
 	}
-	if got := ix.FilterTopP([]float64{0, 0}, nil, 100); len(got) != 5 {
+	if got := filterTopP(ix, []float64{0, 0}, nil, 100); len(got) != 5 {
 		t.Errorf("p>n should clamp: %d", len(got))
 	}
 }
@@ -180,9 +187,9 @@ func TestFilterWeightedMatchesMetrics(t *testing.T) {
 	ix, _ := BuildIndex(db, l2, identityEmbedder{})
 	q := []float64{0.4, 0.6}
 	w := []float64{2, 0.5}
-	top := ix.FilterTopP(q, w, len(db))
+	top := filterTopP(ix, q, w, len(db))
 	for _, n := range top {
-		want := metrics.WeightedL1(w, q, ix.Vectors()[n.Index])
+		want := metrics.WeightedL1(w, q, db[n.Index])
 		if math.Abs(n.Distance-want) > 1e-12 {
 			t.Fatalf("weighted distance mismatch: %v vs %v", n.Distance, want)
 		}
@@ -277,8 +284,8 @@ func TestEndToEndWithTrainedModel(t *testing.T) {
 	}
 }
 
-// bigTestDB is large enough (> the parallel-scan threshold) that FilterTopP
-// takes the partitioned path when GOMAXPROCS allows.
+// bigTestDB is large enough (> the parallel-scan threshold) that the filter
+// phase takes the partitioned path when GOMAXPROCS allows.
 func bigTestDB(n int) [][]float64 {
 	rng := stats.NewRand(9)
 	db := make([][]float64, n)
@@ -314,8 +321,8 @@ func TestFilterTopPShardedMatchesSerial(t *testing.T) {
 	w := []float64{1.5, 0.5}
 	for _, p := range []int{1, 7, 200, 6000} {
 		var serial, sharded []space.Neighbor
-		withGOMAXPROCS(1, func() { serial = ix.FilterTopP(q, w, p) })
-		withGOMAXPROCS(8, func() { sharded = ix.FilterTopP(q, w, p) })
+		withGOMAXPROCS(1, func() { serial = filterTopP(ix, q, w, p) })
+		withGOMAXPROCS(8, func() { sharded = filterTopP(ix, q, w, p) })
 		if !reflect.DeepEqual(serial, sharded) {
 			t.Fatalf("p=%d: sharded scan differs from serial", p)
 		}
@@ -418,24 +425,22 @@ func TestAddRemoveDoesNotLeakStorage(t *testing.T) {
 	}
 }
 
-// TestVectorsViewsFlatStorage checks Vectors() rows alias the flat block
-// and reflect the embedded database.
+// TestVectorsViewsFlatStorage checks the embedded vectors Flat exposes:
+// one dims-wide row per object, in database order, each the object's
+// embedding.
 func TestVectorsViewsFlatStorage(t *testing.T) {
 	db := testDB(40)
 	ix, err := BuildIndex(db, l2, identityEmbedder{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecs := ix.Vectors()
-	if len(vecs) != 40 {
-		t.Fatalf("len = %d", len(vecs))
+	flat, dims := ix.Flat()
+	if dims != ix.Dims() || len(flat) != len(db)*dims {
+		t.Fatalf("flat block of %d values at %d dims, want %d rows of %d", len(flat), dims, len(db), ix.Dims())
 	}
-	for i, v := range vecs {
-		if len(v) != ix.Dims() {
-			t.Fatalf("row %d has %d dims, want %d", i, len(v), ix.Dims())
-		}
-		for j := range v {
-			if v[j] != db[i][j] {
+	for i, x := range db {
+		for j := range x {
+			if flat[i*dims+j] != x[j] {
 				t.Fatalf("row %d differs from embedding", i)
 			}
 		}

@@ -93,7 +93,7 @@ func (b bitmap) withSet(i int) bitmap {
 }
 
 // Segmented is one immutable version of a segmented index. The zero value
-// is not usable; build one with NewSegmented.
+// is not usable; build one with NewSegmentedWithMeta.
 type Segmented[T any] struct {
 	base *Index[T]
 	// deltaDB/deltaFlat are the delta segment. Their backing arrays are
@@ -121,15 +121,11 @@ type Segmented[T any] struct {
 	quant *quantState
 }
 
-// NewSegmented wraps a single-segment index as a Segmented with an empty
-// delta, no tombstones, and no metadata.
-func NewSegmented[T any](base *Index[T]) *Segmented[T] {
-	return &Segmented[T]{base: base}
-}
-
-// NewSegmentedWithMeta is NewSegmented with the base segment's columnar
-// metadata attached. blk must be nil or shaped for exactly base.Size()
-// rows (CompactSegmented and GatherSegmented produce matched pairs).
+// NewSegmentedWithMeta wraps a single-segment index as a Segmented with
+// an empty delta and no tombstones, the base segment's columnar metadata
+// attached. blk must be nil (no metadata) or shaped for exactly
+// base.Size() rows (CompactSegmented and GatherSegmented produce matched
+// pairs).
 func NewSegmentedWithMeta[T any](base *Index[T], blk *meta.Block) *Segmented[T] {
 	return &Segmented[T]{base: base, baseMeta: blk}
 }
@@ -457,27 +453,18 @@ func (s *Segmented[T]) CompactSegmented() (*Index[T], *meta.Block) {
 	return ix, meta.NewBlock(rows)
 }
 
-// Search runs filter-and-refine over both segments, skipping tombstoned
-// rows before the top-p truncation. Neighbor indices are global
-// positions; distances, ordering and the empty-index contract are exactly
-// those of Index.Search on the compacted equivalent.
-func (s *Segmented[T]) Search(q T, k, p int) ([]space.Neighbor, Stats, error) {
-	return s.search(q, k, p, true)
+// Search runs filter-and-refine over the rows of both segments that
+// are live and match pred (nil for every live row): the predicate is a
+// query's extra tombstones, applied below the top-p truncation, so p
+// candidates are drawn from the matching live rows alone and a selective
+// filter never starves the result. Neighbor indices are global
+// positions; distances, ordering and the empty-index contract are
+// exactly those of Index.Search on the compacted equivalent.
+func (s *Segmented[T]) Search(q T, k, p int, pred *meta.Predicate) ([]space.Neighbor, Stats, error) {
+	return s.search(q, k, p, pred, true)
 }
 
-func (s *Segmented[T]) search(q T, k, p int, parallel bool) ([]space.Neighbor, Stats, error) {
-	return s.searchPred(q, k, p, nil, parallel)
-}
-
-// SearchFiltered is Search restricted to the rows matching pred: the
-// predicate is evaluated below the top-p truncation, so p candidates
-// are drawn from the matching live rows alone — a selective filter
-// never starves the result. A nil pred is exactly Search.
-func (s *Segmented[T]) SearchFiltered(q T, k, p int, pred *meta.Predicate) ([]space.Neighbor, Stats, error) {
-	return s.searchPred(q, k, p, pred, true)
-}
-
-func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, parallel bool) ([]space.Neighbor, Stats, error) {
+func (s *Segmented[T]) search(q T, k, p int, pred *meta.Predicate, parallel bool) ([]space.Neighbor, Stats, error) {
 	if err := CheckKP(k, p); err != nil {
 		return nil, Stats{}, err
 	}
@@ -494,12 +481,7 @@ func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, parallel 
 	t.EmbedNanos = time.Since(t0).Nanoseconds()
 
 	var clk FilterClock
-	var candidates []space.Neighbor
-	if pred == nil {
-		candidates = s.filterTopP(qvec, weights, p, parallel, &clk)
-	} else {
-		candidates, _ = s.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred)
-	}
+	candidates, _ := s.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred)
 	clk.AddTo(&t)
 
 	t0 = time.Now()
@@ -528,7 +510,7 @@ func (s *Segmented[T]) searchPred(q T, k, p int, pred *meta.Predicate, parallel 
 	return refined[:k], stats, nil
 }
 
-// SearchBatch pipelines queries across the worker pool like
+// SearchBatch pipelines unfiltered queries across the worker pool like
 // Index.SearchBatch, with the same deterministic first-error semantics:
 // each query runs its own serial scan, so per-query results and stats
 // are bit-identical to running the queries one at a time.
@@ -541,121 +523,87 @@ func (s *Segmented[T]) SearchBatch(queries []T, k, p int) ([][]space.Neighbor, [
 	errs := make([]error, len(queries))
 	par.For(len(queries), 2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			results[i], stats[i], errs[i] = s.search(queries[i], k, p, false)
+			results[i], stats[i], errs[i] = s.search(queries[i], k, p, nil, false)
 		}
 	})
 	return firstBatchError(results, stats, errs)
 }
 
-// FilterLive runs only the filter phase, with a precomputed query
-// embedding: the p best live rows under the filter distance, in ascending
-// (distance, position) order — FilterLiveMatch with a nil predicate,
-// which is what the store's scatter calls. weights may be nil for the
-// unweighted L1. clk, when non-nil, accumulates the scan's
-// per-segment and merge durations (the store feeds it into the query's
-// stage breakdown); a nil clk skips all timekeeping.
-func (s *Segmented[T]) FilterLive(qvec, weights []float64, p int, parallel bool, clk *FilterClock) []space.Neighbor {
-	return s.filterTopP(qvec, weights, p, parallel, clk)
+// rowSet is one query's rows as per-query tombstones: per segment, the
+// rows the filter phase skips and the count of rows it selects. Bits
+// past a skip bitmap's end are selected, like a tombstone bitmap's.
+// filtered marks a predicate's skip bitmaps, which cover every row and
+// take the exact scan's set-bit loop (scanSelected).
+type rowSet struct {
+	baseSkip, deltaSkip bitmap
+	baseSel, deltaSel   int
+	filtered            bool
 }
 
-// FilterLiveMatch is FilterLive restricted to rows matching pred: a
-// timed pre-pass evaluates the predicate into per-segment match bitsets
-// (ANDed with liveness), p is clamped to the matching-live population,
-// and the partitioned scan walks only matching rows — the predicate is
-// below the top-p truncation. It returns the candidates and the
-// matching-live row count (the sharded store sums it across shards to
-// clamp the global truncation identically to an unsharded store). A nil
-// pred is exactly FilterLive with count Live().
-func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate) ([]space.Neighbor, int) {
+// selectRows is the first step of the filter phase, and the only one
+// that reads pred. For a nil pred the skips are the snapshot's own
+// tombstones, shared and never copied. Otherwise they are fresh bitmaps
+// of the rows tombstoned or not matching pred, its evaluation timed into
+// clk: the base through the column kernels of meta.EvalBlock, the delta
+// row by row through Predicate.Match.
+func (s *Segmented[T]) selectRows(pred *meta.Predicate, clk *FilterClock) rowSet {
+	bn, dn := s.base.Size(), len(s.deltaDB)
 	if pred == nil {
-		return s.filterTopP(qvec, weights, p, parallel, clk), s.Live()
+		deltaDead := s.deltaDead.popcount()
+		return rowSet{baseSkip: s.baseDead, deltaSkip: s.deltaDead,
+			baseSel: bn - (s.dead - deltaDead), deltaSel: dn - deltaDead}
 	}
 	t0 := time.Now()
-	matchBase, matchDelta := s.matchBits(pred)
-	matched := matchBase.popcount() + matchDelta.popcount()
+	rs := rowSet{baseSkip: make(bitmap, (bn+63)/64), deltaSkip: make(bitmap, (dn+63)/64), filtered: true}
+	pred.EvalBlock(s.baseMeta, bn, rs.baseSkip)
+	for w, match := range rs.baseSkip {
+		if w < len(s.baseDead) {
+			match &^= s.baseDead[w]
+		}
+		rs.baseSel += bits.OnesCount64(match)
+		rs.baseSkip[w] = ^match
+	}
+	for j := 0; j < dn; j++ {
+		var m meta.Map
+		if s.deltaMeta != nil {
+			m = s.deltaMeta[j]
+		}
+		if s.deltaDead.get(j) || !pred.Match(m) {
+			rs.deltaSkip[j>>6] |= 1 << (uint(j) & 63)
+		} else {
+			rs.deltaSel++
+		}
+	}
 	clk.AddEval(time.Since(t0).Nanoseconds())
-	if p > matched {
-		p = matched
+	return rs
+}
+
+// FilterLiveMatch runs only the filter phase, with a precomputed query
+// embedding: the p best live rows matching pred (nil for every live
+// row) under the filter distance, in ascending (distance, position)
+// order, and the count of those rows — the sharded store sums it across
+// shards to clamp the global truncation identically to an unsharded
+// store. p is clamped to that count first, so p candidates survive
+// whenever p such rows exist. weights may be nil for the unweighted L1.
+// clk accumulates the predicate evaluation, the per-segment scan and
+// merge durations and the screen's row counters (the store feeds it
+// into the query's stage breakdown); a nil clk drops them.
+//
+// The global position space is partitioned for a parallel scan; the
+// merged top-p is unique under the total order, so the result is
+// identical for any partition count.
+func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate) ([]space.Neighbor, int) {
+	rs := s.selectRows(pred, clk)
+	selected := rs.baseSel + rs.deltaSel
+	if p > selected {
+		p = selected
 	}
 	if p <= 0 {
-		return nil, matched
+		return nil, selected
 	}
 	total := s.Total()
 	var pr *boundPrune
-	if v := s.seedView(p, matchBase, matchDelta, true); v != nil {
-		t0 = time.Now()
-		pr = s.screen(qvec, weights, p, parallel, clk, v)
-		clk.AddBound(time.Since(t0).Nanoseconds())
-	}
-	var heaps []neighborMaxHeap
-	if pr != nil {
-		heaps = s.scanCandidateChunks(qvec, weights, p, pr, clk)
-	} else if !parallel || total < minParallelScan {
-		heaps = []neighborMaxHeap{s.scanRangeMatch(qvec, weights, 0, total, p, matchBase, matchDelta, clk)}
-	} else {
-		w := par.Workers()
-		all := make([]neighborMaxHeap, w)
-		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			all[sh] = s.scanRangeMatch(qvec, weights, lo, hi, p, matchBase, matchDelta, clk)
-		})
-		heaps = all[:shards]
-	}
-	if clk == nil {
-		return mergeTopP(heaps, p), matched
-	}
-	t0 = time.Now()
-	out := mergeTopP(heaps, p)
-	clk.AddMerge(time.Since(t0).Nanoseconds())
-	return out, matched
-}
-
-// matchBits evaluates pred into per-segment match bitsets ANDed with
-// liveness: the base through the column kernels of meta.EvalBlock, the
-// delta row by row through Predicate.Match.
-func (s *Segmented[T]) matchBits(pred *meta.Predicate) (matchBase, matchDelta bitmap) {
-	bn, dn := s.base.Size(), len(s.deltaDB)
-	if bn > 0 {
-		matchBase = make(bitmap, (bn+63)/64)
-		pred.EvalBlock(s.baseMeta, bn, matchBase)
-		for w := range s.baseDead {
-			matchBase[w] &^= s.baseDead[w]
-		}
-	}
-	if dn > 0 {
-		matchDelta = make(bitmap, (dn+63)/64)
-		for j := 0; j < dn; j++ {
-			if s.deltaDead.get(j) {
-				continue
-			}
-			var m meta.Map
-			if s.deltaMeta != nil {
-				m = s.deltaMeta[j]
-			}
-			if pred.Match(m) {
-				matchDelta[j>>6] |= 1 << (uint(j) & 63)
-			}
-		}
-	}
-	return matchBase, matchDelta
-}
-
-// filterTopP ranks the live rows of both segments under the filter
-// distance and returns the p best in ascending (distance, position)
-// order. Tombstoned rows are skipped before the truncation, so p live
-// candidates survive whenever p live rows exist. The global position
-// space is partitioned exactly like Index.filterTopP partitions its rows;
-// the merged top-p is unique under the total order, so the result is
-// identical for any shard count.
-func (s *Segmented[T]) filterTopP(qvec, weights []float64, p int, parallel bool, clk *FilterClock) []space.Neighbor {
-	total := s.Total()
-	if live := s.Live(); p > live {
-		p = live
-	}
-	if p <= 0 {
-		return nil
-	}
-	var pr *boundPrune
-	if v := s.seedView(p, nil, nil, false); v != nil {
+	if v := s.seedView(p, rs); v != nil {
 		t0 := time.Now()
 		pr = s.screen(qvec, weights, p, parallel, clk, v)
 		clk.AddBound(time.Since(t0).Nanoseconds())
@@ -664,22 +612,19 @@ func (s *Segmented[T]) filterTopP(qvec, weights []float64, p int, parallel bool,
 	if pr != nil {
 		heaps = s.scanCandidateChunks(qvec, weights, p, pr, clk)
 	} else if !parallel || total < minParallelScan {
-		heaps = []neighborMaxHeap{s.scanRange(qvec, weights, 0, total, p, clk)}
+		heaps = []neighborMaxHeap{s.scanRange(qvec, weights, 0, total, p, rs, clk)}
 	} else {
 		w := par.Workers()
 		all := make([]neighborMaxHeap, w)
 		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			all[sh] = s.scanRange(qvec, weights, lo, hi, p, clk)
+			all[sh] = s.scanRange(qvec, weights, lo, hi, p, rs, clk)
 		})
 		heaps = all[:shards]
-	}
-	if clk == nil {
-		return mergeTopP(heaps, p)
 	}
 	t0 := time.Now()
 	out := mergeTopP(heaps, p)
 	clk.AddMerge(time.Since(t0).Nanoseconds())
-	return out
+	return out, selected
 }
 
 // mergeTopP flattens per-shard candidate heaps, sorts by the
@@ -704,72 +649,40 @@ func mergeTopP(heaps []neighborMaxHeap, p int) []space.Neighbor {
 	return merged
 }
 
-// scanRange scans global positions [lo, hi), splitting the range at the
-// base/delta boundary, and returns at most the p best live rows as an
-// unsorted bounded max-heap (threaded through both segment scans by
-// value, like the pre-segmentation scanShard kernel). clk, when
-// non-nil, gets this partition's base/delta scan durations; the scan
-// itself is untouched by timing, so results cannot depend on it.
-func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, clk *FilterClock) neighborMaxHeap {
+// scanRange scans the selected rows of global positions [lo, hi),
+// splitting the range at the base/delta boundary, and returns at most
+// the p best as an unsorted bounded max-heap (threaded through both
+// segment scans by value). A predicate's skip bitmaps take scanSelected,
+// the shared tombstones scanSegment. clk gets this partition's
+// base/delta scan durations.
+func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, rs rowSet, clk *FilterClock) neighborMaxHeap {
+	scan := scanSegment
+	if rs.filtered {
+		scan = scanSelected
+	}
 	h := make(neighborMaxHeap, 0, p+1)
 	bn := s.base.Size()
-	if clk == nil {
-		if lo < bn {
-			h = scanSegment(h, s.base.flat, s.base.dims, s.baseDead, qvec, weights, lo, min(hi, bn), 0, p)
-		}
-		if hi > bn {
-			h = scanSegment(h, s.deltaFlat, s.base.dims, s.deltaDead, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
-		}
-		return h
-	}
 	if lo < bn {
 		t0 := time.Now()
-		h = scanSegment(h, s.base.flat, s.base.dims, s.baseDead, qvec, weights, lo, min(hi, bn), 0, p)
+		h = scan(h, s.base.flat, s.base.dims, rs.baseSkip, qvec, weights, lo, min(hi, bn), 0, p)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if hi > bn {
 		t0 := time.Now()
-		h = scanSegment(h, s.deltaFlat, s.base.dims, s.deltaDead, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
+		h = scan(h, s.deltaFlat, s.base.dims, rs.deltaSkip, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	return h
 }
 
-// scanRangeMatch is scanRange driven by match bitsets instead of
-// tombstones: positions [lo, hi) split at the base/delta boundary, each
-// side scanned by the word-skipping match kernel.
-func (s *Segmented[T]) scanRangeMatch(qvec, weights []float64, lo, hi, p int, matchBase, matchDelta bitmap, clk *FilterClock) neighborMaxHeap {
-	h := make(neighborMaxHeap, 0, p+1)
-	bn := s.base.Size()
-	if clk == nil {
-		if lo < bn {
-			h = scanSegmentMatch(h, s.base.flat, s.base.dims, matchBase, qvec, weights, lo, min(hi, bn), 0, p)
-		}
-		if hi > bn {
-			h = scanSegmentMatch(h, s.deltaFlat, s.base.dims, matchDelta, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
-		}
-		return h
-	}
-	if lo < bn {
-		t0 := time.Now()
-		h = scanSegmentMatch(h, s.base.flat, s.base.dims, matchBase, qvec, weights, lo, min(hi, bn), 0, p)
-		clk.AddBase(time.Since(t0).Nanoseconds())
-	}
-	if hi > bn {
-		t0 := time.Now()
-		h = scanSegmentMatch(h, s.deltaFlat, s.base.dims, matchDelta, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
-		clk.AddDelta(time.Since(t0).Nanoseconds())
-	}
-	return h
-}
-
-// scanSegmentMatch scans only the match-bitset rows of [lo, hi) in one
-// segment's flat block, word-skipping over non-matching runs (trailing-
-// zero iteration with edge masking at the range bounds) — for a
-// selective predicate the scan touches a fraction of the segment's
-// vectors. Match bits are already live-only; the heap discipline and
-// the (distance, position) order are exactly scanSegment's.
-func scanSegmentMatch(h neighborMaxHeap, flat []float64, dims int, match bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
+// scanSelected scans the rows of [lo, hi) in one segment's flat block
+// that skip does not mark, where skip is a predicate's skip bitmap and
+// covers every row. It walks the selected rows' set bits a word at a
+// time, skipping unselected runs (trailing-zero iteration with edge
+// masking at the range bounds), so a selective predicate touches only
+// the selected rows' vectors. The heap discipline and the (distance,
+// position) order are exactly scanSegment's.
+func scanSelected(h neighborMaxHeap, flat []float64, dims int, skip bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
 	push := func(i int, dd float64) {
 		n := space.Neighbor{Index: posOff + i, Distance: dd}
 		if len(h) < p {
@@ -779,8 +692,8 @@ func scanSegmentMatch(h neighborMaxHeap, flat []float64, dims int, match bitmap,
 			heap.Fix(&h, 0)
 		}
 	}
-	for w := lo >> 6; w < len(match) && w<<6 < hi; w++ {
-		word := match[w]
+	for w := lo >> 6; w<<6 < hi; w++ {
+		word := ^skip[w]
 		base := w << 6
 		if base < lo {
 			word &= ^uint64(0) << (uint(lo) & 63)
@@ -803,13 +716,16 @@ func scanSegmentMatch(h neighborMaxHeap, flat []float64, dims int, match bitmap,
 }
 
 // scanSegment scans rows [lo, hi) of one segment's flat block, skipping
-// tombstoned rows, accumulating survivors (offset to global positions by
-// posOff) into the bounded max-heap, which it returns: O((hi-lo) log p)
-// with no allocation beyond the heap itself. A segment with no tombstones
-// (always true for a plain Index searching through its Segmented view)
-// takes a dedicated loop with no per-row liveness test, so the hot scan
-// is instruction-identical to the pre-segmentation kernel.
-func scanSegment(h neighborMaxHeap, flat []float64, dims int, dead bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
+// the rows skip marks (tombstones), accumulating the rest (offset to
+// global positions by posOff) into the bounded max-heap, which it
+// returns: O((hi-lo) log p) with no allocation beyond the heap itself.
+// A segment with no tombstones takes a loop with no per-row test,
+// instruction-identical to the pre-segmentation kernel. It stays apart
+// from scanSelected: merged into one function behind a flag, its
+// tombstone-testing loop ran a median 1.09× as long (6 runs,
+// 1.01–1.13×; 10,000 × 32 rows, a thirteenth tombstoned, 2-vCPU KVM
+// Xeon, Go 1.24.0).
+func scanSegment(h neighborMaxHeap, flat []float64, dims int, skip bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
 	row := flat[lo*dims:]
 	push := func(i int, dd float64) {
 		n := space.Neighbor{Index: posOff + i, Distance: dd}
@@ -820,7 +736,7 @@ func scanSegment(h neighborMaxHeap, flat []float64, dims int, dead bitmap, qvec,
 			heap.Fix(&h, 0)
 		}
 	}
-	if len(dead) == 0 {
+	if len(skip) == 0 {
 		for i := lo; i < hi; i++ {
 			v := row[:dims]
 			row = row[dims:]
@@ -835,7 +751,7 @@ func scanSegment(h neighborMaxHeap, flat []float64, dims int, dead bitmap, qvec,
 	for i := lo; i < hi; i++ {
 		v := row[:dims]
 		row = row[dims:]
-		if dead.get(i) {
+		if skip.get(i) {
 			continue
 		}
 		if weights == nil {

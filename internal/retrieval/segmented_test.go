@@ -68,7 +68,7 @@ func TestSegmentedMatchesCompacted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			head, _ := applyScript(t, NewSegmented(base), 11, 160)
+			head, _ := applyScript(t, NewSegmentedWithMeta(base, nil), 11, 160)
 			if head.Tombstones() == 0 || head.DeltaLen() == 0 {
 				t.Fatalf("script produced no delta/tombstones: %d/%d", head.DeltaLen(), head.Tombstones())
 			}
@@ -79,7 +79,7 @@ func TestSegmentedMatchesCompacted(t *testing.T) {
 			rng := stats.NewRand(99)
 			for qi := 0; qi < 30; qi++ {
 				q := []float64{rng.Float64() * 2, rng.Float64() * 2}
-				got, gst, err := head.Search(q, 5, 25)
+				got, gst, err := head.Search(q, 5, 25, nil)
 				if err != nil {
 					t.Fatalf("query %d: segmented: %v", qi, err)
 				}
@@ -114,9 +114,9 @@ func TestSegmentedVersionIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, _ := applyScript(t, NewSegmented(base), 7, 40)
+	head, _ := applyScript(t, NewSegmentedWithMeta(base, nil), 7, 40)
 	q := []float64{0.4, 0.6}
-	before, bst, err := head.Search(q, 6, 30)
+	before, bst, err := head.Search(q, 6, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSegmentedVersionIsolation(t *testing.T) {
 	if head.Total() != total || head.Live() != live {
 		t.Fatalf("old version's shape changed: %d/%d, want %d/%d", head.Total(), head.Live(), total, live)
 	}
-	after, ast, err := head.Search(q, 6, 30)
+	after, ast, err := head.Search(q, 6, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSegmentedMutationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSegmented(base)
+	s := NewSegmentedWithMeta(base, nil)
 	if _, _, err := s.Add([]float64{1, 2, 3}); err == nil {
 		t.Error("Add with drifted embedding dims should error, not panic")
 	}
@@ -177,11 +177,11 @@ func TestSegmentedParallelSerialIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, _ := applyScript(t, NewSegmented(base), 5, 600)
+	head, _ := applyScript(t, NewSegmentedWithMeta(base, nil), 5, 600)
 	rng := stats.NewRand(21)
 	for qi := 0; qi < 10; qi++ {
 		q := []float64{rng.Float64(), rng.Float64()}
-		par, pst, err := head.Search(q, 8, 40) // parallel path
+		par, pst, err := head.Search(q, 8, 40, nil) // parallel path
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestSegmentedDrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head := NewSegmented(base)
+	head := NewSegmentedWithMeta(base, nil)
 	for pos := 0; pos < head.Total(); pos++ {
 		if head, err = head.Remove(pos); err != nil {
 			t.Fatalf("Remove(%d): %v", pos, err)
@@ -213,7 +213,7 @@ func TestSegmentedDrained(t *testing.T) {
 	if head.Live() != 0 {
 		t.Fatalf("live = %d after draining", head.Live())
 	}
-	res, st, err := head.Search([]float64{0.5, 0.5}, 3, 9)
+	res, st, err := head.Search([]float64{0.5, 0.5}, 3, 9, nil)
 	if err != nil {
 		t.Fatalf("search on drained index: %v", err)
 	}
@@ -224,11 +224,11 @@ func TestSegmentedDrained(t *testing.T) {
 	if compacted.Size() != 0 || compacted.Dims() != 2 {
 		t.Fatalf("drained compaction: size %d dims %d", compacted.Size(), compacted.Dims())
 	}
-	refilled, pos, err := NewSegmented(compacted).Add([]float64{0.3, 0.3})
+	refilled, pos, err := NewSegmentedWithMeta(compacted, nil).Add([]float64{0.3, 0.3})
 	if err != nil || pos != 0 {
 		t.Fatalf("Add after drain: pos %d, err %v", pos, err)
 	}
-	res, _, err = refilled.Search([]float64{0.3, 0.3}, 1, 1)
+	res, _, err = refilled.Search([]float64{0.3, 0.3}, 1, 1, nil)
 	if err != nil || len(res) != 1 || res[0].Distance != 0 {
 		t.Fatalf("search after refill: %v, %v", res, err)
 	}
@@ -255,7 +255,7 @@ func TestSearchBatchSurfacesErrors(t *testing.T) {
 		t.Fatalf("batch error %q does not identify the first failing query", err)
 	}
 	// The segmented path shares the contract.
-	if _, _, err := NewSegmented(ix).SearchBatch(queries, 2, 4); err == nil {
+	if _, _, err := NewSegmentedWithMeta(ix, nil).SearchBatch(queries, 2, 4); err == nil {
 		t.Fatal("Segmented.SearchBatch swallowed the per-query error")
 	}
 }

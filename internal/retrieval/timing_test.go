@@ -19,14 +19,14 @@ func TestTimingDoesNotChangeResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		head, _ := applyScript(t, NewSegmented(base), 11, n/8)
+		head, _ := applyScript(t, NewSegmentedWithMeta(base, nil), 11, n/8)
 		rng := stats.NewRand(5)
 		for qi := 0; qi < 8; qi++ {
 			qvec := []float64{rng.Float64(), rng.Float64()}
 			p := 1 + rng.Intn(40)
-			bare := head.FilterLive(qvec, nil, p, true, nil)
+			bare, _ := head.FilterLiveMatch(qvec, nil, p, true, nil, nil)
 			var clk FilterClock
-			timed := head.FilterLive(qvec, nil, p, true, &clk)
+			timed, _ := head.FilterLiveMatch(qvec, nil, p, true, &clk, nil)
 			if !reflect.DeepEqual(bare, timed) {
 				t.Fatalf("n=%d query %d: clocked filter diverges:\nbare  %v\ntimed %v", n, qi, bare, timed)
 			}
@@ -48,8 +48,8 @@ func TestSearchTimingPopulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	head, _ := applyScript(t, NewSegmented(base), 3, 100)
-	res, st, err := head.Search([]float64{0.3, 0.7}, 5, 50)
+	head, _ := applyScript(t, NewSegmentedWithMeta(base, nil), 3, 100)
+	res, st, err := head.Search([]float64{0.3, 0.7}, 5, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

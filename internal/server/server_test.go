@@ -241,9 +241,11 @@ func TestAddAndRemoveEndpoints(t *testing.T) {
 // ID and is immediately searchable, exactly one generation is spent,
 // and the validation/404 contract matches the other object endpoints.
 func TestUpsertEndpoint(t *testing.T) {
-	srv, h := newTestServer(t, Options{})
+	st := testStore(t)
+	srv := New(st, decodeVec, Options{})
+	h := srv.Handler()
 
-	genBefore := srv.st.Generation()
+	genBefore := st.Generation()
 	rec := do(h, "PUT", "/v1/objects/12", `{"object":[9.5,-9.5,0.25]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("upsert: %d %s", rec.Code, rec.Body)
@@ -253,7 +255,7 @@ func TestUpsertEndpoint(t *testing.T) {
 	if resp.ID != 12 {
 		t.Fatalf("upsert returned ID %d, want 12 (the ID must be preserved)", resp.ID)
 	}
-	if g := srv.st.Generation(); g != genBefore+1 {
+	if g := st.Generation(); g != genBefore+1 {
 		t.Fatalf("upsert spent %d generations, want exactly 1", g-genBefore)
 	}
 

@@ -1,6 +1,6 @@
 // Package stats provides small numeric helpers used across the repository:
-// percentiles, running summaries, deterministic RNG construction, and
-// sampling utilities. Everything is stdlib-only and allocation-conscious.
+// percentiles, means, deterministic RNG construction, and sampling
+// utilities. Everything is stdlib-only and allocation-conscious.
 package stats
 
 import (
@@ -31,18 +31,6 @@ func Percentile(values []float64, pct float64) float64 {
 	sorted := make([]float64, len(values))
 	copy(sorted, values)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, pct)
-}
-
-// PercentileSorted is like Percentile but assumes values is already sorted
-// ascending, avoiding the copy and sort.
-func PercentileSorted(sorted []float64, pct float64) float64 {
-	if len(sorted) == 0 {
-		panic("stats: PercentileSorted of empty slice")
-	}
-	if pct < 0 || pct > 100 {
-		panic(fmt.Sprintf("stats: percentile %v out of range [0,100]", pct))
-	}
 	return percentileSorted(sorted, pct)
 }
 
@@ -82,45 +70,6 @@ func PercentileInt(values []int, pct float64) int {
 	return sorted[need-1]
 }
 
-// Summary holds simple descriptive statistics of a sample.
-type Summary struct {
-	N            int
-	Min, Max     float64
-	Mean, Stddev float64
-}
-
-// Summarize computes a Summary of values. An empty input yields a zero
-// Summary with N == 0.
-func Summarize(values []float64) Summary {
-	var s Summary
-	s.N = len(values)
-	if s.N == 0 {
-		return s
-	}
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	var sum float64
-	for _, v := range values {
-		sum += v
-		if v < s.Min {
-			s.Min = v
-		}
-		if v > s.Max {
-			s.Max = v
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	var ss float64
-	for _, v := range values {
-		d := v - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of values, or 0 for an empty slice.
 func Mean(values []float64) float64 {
 	if len(values) == 0 {
@@ -135,16 +84,6 @@ func Mean(values []float64) float64 {
 
 // Median returns the 50th percentile of values.
 func Median(values []float64) float64 { return Percentile(values, 50) }
-
-// MedianAbs returns the median of absolute values; it is the robust scale
-// estimate used to normalize 1D embeddings before boosting.
-func MedianAbs(values []float64) float64 {
-	abs := make([]float64, len(values))
-	for i, v := range values {
-		abs[i] = math.Abs(v)
-	}
-	return Median(abs)
-}
 
 // SampleWithoutReplacement returns k distinct integers drawn uniformly from
 // [0, n). It panics if k > n or either argument is negative.
@@ -167,58 +106,4 @@ func SampleWithoutReplacement(rng *rand.Rand, n, k int) []int {
 // Shuffle permutes xs in place using rng.
 func Shuffle[T any](rng *rand.Rand, xs []T) {
 	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}
-
-// ArgMin returns the index of the smallest value in xs, or -1 if empty.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest value in xs, or -1 if empty.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Clamp restricts v to the closed interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-// n must be at least 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("stats: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
 }

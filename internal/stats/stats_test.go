@@ -127,31 +127,10 @@ func TestPercentileMatchesSortedVariant(t *testing.T) {
 		sorted := make([]float64, len(raw))
 		copy(sorted, raw)
 		sort.Float64s(sorted)
-		return almostEqual(Percentile(raw, pct), PercentileSorted(sorted, pct), 1e-9)
+		return almostEqual(Percentile(raw, pct), percentileSorted(sorted, pct), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 || s.Min != 2 || s.Max != 9 {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if !almostEqual(s.Mean, 5, 1e-12) {
-		t.Errorf("mean = %v, want 5", s.Mean)
-	}
-	// Sample stddev of this classic example is ~2.138.
-	if !almostEqual(s.Stddev, 2.13809, 1e-4) {
-		t.Errorf("stddev = %v", s.Stddev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Stddev != 0 {
-		t.Errorf("empty summary should be zero: %+v", s)
 	}
 }
 
@@ -164,9 +143,6 @@ func TestMeanMedian(t *testing.T) {
 	}
 	if !almostEqual(Median([]float64{5, 1, 3}), 3, 1e-12) {
 		t.Error("Median wrong")
-	}
-	if !almostEqual(MedianAbs([]float64{-5, 1, 3}), 3, 1e-12) {
-		t.Error("MedianAbs wrong")
 	}
 }
 
@@ -213,36 +189,6 @@ func TestSampleWithoutReplacementUniformish(t *testing.T) {
 			t.Errorf("element %d picked with frequency %.3f, want ~0.5", i, frac)
 		}
 	}
-}
-
-func TestArgMinMax(t *testing.T) {
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Error("empty should return -1")
-	}
-	xs := []float64{3, 1, 4, 1, 5}
-	if ArgMin(xs) != 1 {
-		t.Errorf("ArgMin = %d", ArgMin(xs))
-	}
-	if ArgMax(xs) != 4 {
-		t.Errorf("ArgMax = %d", ArgMax(xs))
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp wrong")
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	got := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Fatalf("Linspace = %v", got)
-		}
-	}
-	assertPanics(t, func() { Linspace(0, 1, 1) })
 }
 
 func TestShuffleIsPermutation(t *testing.T) {

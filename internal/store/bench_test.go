@@ -94,7 +94,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			q := []float64{3.5, -3.5, 0}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Search(q, 10, 200); err != nil {
+				if _, _, err := s.SearchFiltered(q, 10, 200, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

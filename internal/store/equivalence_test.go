@@ -287,7 +287,7 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 			}
 		default: // invalid searches: the store refuses with retrieval's text
 			for _, kp := range [][2]int{{0, 10}, {5, 2}} {
-				_, _, err := st.Search(randObj(), kp[0], kp[1])
+				_, _, err := st.SearchFiltered(randObj(), kp[0], kp[1], nil)
 				if want := retrieval.CheckKP(kp[0], kp[1]); err == nil || err.Error() != want.Error() {
 					t.Fatalf("step %d: k=%d p=%d: error %v, want %v", step, kp[0], kp[1], err, want)
 				}
@@ -395,16 +395,7 @@ func assertMatchesModel(t *testing.T, st *Store[[]float64], ref *refModel, rng *
 	batch := [][]float64{q(), q(), q()}
 	checkBatch := func(what string, pred *meta.Predicate) {
 		t.Helper()
-		var (
-			got [][]Result
-			gst []retrieval.Stats
-			err error
-		)
-		if pred == nil {
-			got, gst, err = st.SearchBatch(batch, 2, 9)
-		} else {
-			got, gst, err = st.SearchBatchFiltered(batch, 2, 9, pred)
-		}
+		got, gst, err := st.SearchBatchFiltered(batch, 2, 9, pred)
 		if err != nil {
 			t.Fatalf("step %d: %s batch: %v", step, what, err)
 		}

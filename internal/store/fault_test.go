@@ -178,7 +178,7 @@ func TestFaultMatrixSavePath(t *testing.T) {
 							if _, ok := re.Get(addID); ok != wantAdded {
 								t.Fatalf("%s: reopened Get(%d) = %v at size %d", tag, addID, ok, re.Size())
 							}
-							if _, _, err := re.Search(qs[0], 3, 16); err != nil {
+							if _, _, err := re.SearchFiltered(qs[0], 3, 16, nil); err != nil {
 								t.Fatalf("%s: reopened search: %v", tag, err)
 							}
 						}
@@ -269,7 +269,7 @@ func TestLifecycleRetryAndDegrade(t *testing.T) {
 	}
 
 	// Degraded means loudly unhealthy, not down: reads and writes work.
-	if _, _, err := s.Search(queries(1, 3)[0], 3, 16); err != nil {
+	if _, _, err := s.SearchFiltered(queries(1, 3)[0], 3, 16, nil); err != nil {
 		t.Fatalf("search while degraded: %v", err)
 	}
 	id, err := s.Add([]float64{1, 2, 3})
@@ -453,7 +453,7 @@ func TestFaultStressConvergence(t *testing.T) {
 						}
 					}
 				}
-				if _, _, err := s.Search(v, 3, 16); err != nil {
+				if _, _, err := s.SearchFiltered(v, 3, 16, nil); err != nil {
 					t.Errorf("worker %d search: %v", w, err)
 					return
 				}

@@ -155,7 +155,7 @@ func exercise(t *testing.T, ci int, b *Store[[]float64]) {
 	if st.Size < 0 || st.BaseSize+st.DeltaSize-st.Tombstones != st.Size {
 		t.Fatalf("case %d: inconsistent stats from opened fuzz bundle: %+v", ci, st)
 	}
-	if _, _, err := b.Search([]float64{1, -1, 0}, 3, 12); err != nil {
+	if _, _, err := b.SearchFiltered([]float64{1, -1, 0}, 3, 12, nil); err != nil {
 		t.Fatalf("case %d: search on opened fuzz bundle: %v", ci, err)
 	}
 	b.First()

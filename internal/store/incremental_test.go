@@ -155,8 +155,8 @@ func TestIncrementalSaveRewritesOnlyDirtyDelta(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	for qi, q := range queries(10, 3) {
-		want, _, _ := s.Search(q, 4, 16)
-		got, _, err := r.Search(q, 4, 16)
+		want, _, _ := s.SearchFiltered(q, 4, 16, nil)
+		got, _, err := r.SearchFiltered(q, 4, 16, nil)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: reopened %v != live %v (err %v)", qi, got, want, err)
 		}
@@ -241,8 +241,8 @@ func TestRenamedBundleSaveRewritesManifest(t *testing.T) {
 		t.Fatalf("object %d added to the copy is gone after save + reopen", id)
 	}
 	for qi, q := range queries(6, 3) {
-		want, _, _ := c.Search(q, 3, 12)
-		got, _, err := r.Search(q, 3, 12)
+		want, _, _ := c.SearchFiltered(q, 3, 12, nil)
+		got, _, err := r.SearchFiltered(q, 3, 12, nil)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: reopened copy %v != live copy %v (err %v)", qi, got, want, err)
 		}
@@ -427,7 +427,7 @@ func TestUpsertStore(t *testing.T) {
 	plain.SetCompactionPolicy(lazy)
 	shd.SetCompactionPolicy(lazy)
 
-	for name, st := range map[string]Backend[[]float64]{"plain": plain, "sharded": shd} {
+	for name, st := range map[string]*Store[[]float64]{"plain": plain, "sharded": shd} {
 		gen := st.Generation()
 		replacement := []float64{99, -99, 9}
 		if err := st.Upsert(0, replacement); err != nil {
@@ -448,7 +448,7 @@ func TestUpsertStore(t *testing.T) {
 			t.Fatalf("%s: First after upsert of lowest ID: %v %v", name, x, ok)
 		}
 		// The replacement is searchable at distance 0, under its old ID.
-		res, _, err := st.Search(replacement, 1, 8)
+		res, _, err := st.SearchFiltered(replacement, 1, 8, nil)
 		if err != nil || len(res) != 1 || res[0].ID != 0 || res[0].Distance != 0 {
 			t.Fatalf("%s: self-search after upsert: %v (err %v)", name, res, err)
 		}
@@ -470,11 +470,11 @@ func TestUpsertStore(t *testing.T) {
 
 		// Compaction folds the out-of-order delta back into ID order and
 		// answers must not change.
-		before, _, _ := st.Search([]float64{3, -3, 0}, 5, 24)
+		before, _, _ := st.SearchFiltered([]float64{3, -3, 0}, 5, 24, nil)
 		if !st.Compact() {
 			t.Fatalf("%s: nothing to compact after upsert", name)
 		}
-		after, _, err := st.Search([]float64{3, -3, 0}, 5, 24)
+		after, _, err := st.SearchFiltered([]float64{3, -3, 0}, 5, 24, nil)
 		if err != nil || !reflect.DeepEqual(after, before) {
 			t.Fatalf("%s: compaction changed answers:\n before %v\n after %v", name, before, after)
 		}
@@ -499,8 +499,8 @@ func TestUpsertStore(t *testing.T) {
 		if x, ok := r.Get(5); !ok || !reflect.DeepEqual(x, replacement2) {
 			t.Fatalf("%s: reopened Get(5): %v %v", name, x, ok)
 		}
-		want, _, _ := st.Search([]float64{3, -3, 0}, 5, 24)
-		got, _, err := r.Search([]float64{3, -3, 0}, 5, 24)
+		want, _, _ := st.SearchFiltered([]float64{3, -3, 0}, 5, 24, nil)
+		got, _, err := r.SearchFiltered([]float64{3, -3, 0}, 5, 24, nil)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: reopened answers differ (err %v):\n got %v\nwant %v", name, err, got, want)
 		}
@@ -553,7 +553,7 @@ func TestLifecycle(t *testing.T) {
 	// explicit Compact call.
 	deadline = time.Now().Add(5 * time.Second)
 	for s.Stats().DeltaSize != 0 {
-		if _, _, err := s.Search([]float64{3, -3, 0}, 3, 12); err != nil {
+		if _, _, err := s.SearchFiltered([]float64{3, -3, 0}, 3, 12, nil); err != nil {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {

@@ -216,16 +216,6 @@ func TestSearchFilteredReference(t *testing.T) {
 		if err != nil || len(none) != 0 {
 			t.Fatalf("zero-match filter: got (%v,%v), want empty and nil error", none, err)
 		}
-
-		// A nil predicate is exactly the unfiltered search.
-		unf, _, err := s.SearchFiltered(q, 5, 20, nil)
-		if err != nil {
-			t.Fatalf("nil-predicate search: %v", err)
-		}
-		plain, _, err := s.Search(q, 5, 20)
-		if err != nil || !reflect.DeepEqual(unf, plain) {
-			t.Fatalf("nil predicate diverges from Search:\n filt  %v\n plain %v (err %v)", unf, plain, err)
-		}
 	})
 }
 

@@ -49,11 +49,11 @@ func copyFixture(t *testing.T, name string) string {
 func assertExactMatch(t *testing.T, st *Store[[]float64], label string) {
 	t.Helper()
 	for qi, q := range queries(6, 99) {
-		got, _, err := st.Search(q, 5, 20)
+		got, _, err := st.SearchFiltered(q, 5, 20, nil)
 		if err != nil {
 			t.Fatalf("%s: query %d: %v", label, qi, err)
 		}
-		want, _, err := st.exactTwin(t).Search(q, 5, 20)
+		want, _, err := st.exactTwin(t).SearchFiltered(q, 5, 20, nil)
 		if err != nil {
 			t.Fatalf("%s: query %d exact: %v", label, qi, err)
 		}

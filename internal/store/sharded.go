@@ -45,36 +45,26 @@ import (
 	"qse/internal/space"
 )
 
-// Backend is the store surface the serving layer and CLIs program
-// against. *Store implements it; the interface is what lets a caller
-// wrap the store (tracing, injected failures) without forking it.
+// Backend is the store surface the serving layer programs against: the
+// calls the server makes, plus the persistence and tuning calls a
+// served-path benchmark makes. *Store implements it; the interface is what
+// lets a caller wrap the store (tracing, injected failures) without
+// forking it.
 type Backend[T any] interface {
-	Search(q T, k, p int) ([]Result, retrieval.Stats, error)
-	SearchBatch(queries []T, k, p int) ([][]Result, []retrieval.Stats, error)
 	SearchFiltered(q T, k, p int, pred *meta.Predicate) ([]Result, retrieval.Stats, error)
 	SearchBatchFiltered(queries []T, k, p int, pred *meta.Predicate) ([][]Result, []retrieval.Stats, error)
 	CompileFilter(raw []byte) (*meta.Predicate, error)
 	FilterStats() meta.TrackerStats
-	Add(x T) (uint64, error)
 	AddMeta(x T, md meta.Map) (uint64, error)
-	Upsert(id uint64, x T) error
 	UpsertMeta(id uint64, x T, md meta.Map) error
 	Remove(id uint64) error
 	Get(id uint64) (T, bool)
-	Metadata(id uint64) (meta.Map, bool)
-	First() (T, bool)
-	Sample() (T, bool)
 	Size() int
-	Dims() int
-	Generation() uint64
 	Stats() Stats
 	ShardStats() []Stats
 	Save(path string) error
 	Compact() bool
-	SetCompactionPolicy(CompactionPolicy)
 	SetQuantization(bits int) error
-	Start(Lifecycle) error
-	Close() error
 }
 
 var _ Backend[int] = (*Store[int])(nil)
@@ -296,37 +286,27 @@ func (s *Store[T]) load() []*snapshot[T] {
 	return snaps
 }
 
-// Search runs a filter-and-refine query: the filter phase scatters
-// across all shards in parallel, the per-shard candidates merge on the
-// (filter distance, ID) total order, and the surviving p are refined
-// exactly once — the same exact-distance budget, results and stats for
-// every shard count. Results carry stable IDs. A store smaller than k —
-// including one drained empty by removals — answers with what it has
-// (possibly zero results); that is not an error.
-func (s *Store[T]) Search(q T, k, p int) ([]Result, retrieval.Stats, error) {
-	return s.searchSnapshots(s.load(), q, k, p, true, nil)
-}
-
-// SearchFiltered is Search restricted to the rows matching pred, with
-// the predicate evaluated below top-p truncation: the p filter-phase
-// survivors are the p best matching live rows, so a selective filter
-// never starves the candidate set. A nil pred is exactly Search. The
-// predicate must have been compiled against this store's registry (see
-// CompileFilter).
+// SearchFiltered runs a filter-and-refine query over the rows matching
+// pred (nil for every live row): the filter phase scatters across all
+// shards in parallel, the per-shard candidates merge on the (filter
+// distance, ID) total order, and the surviving p are refined exactly
+// once — the same exact-distance budget, results and stats for every
+// shard count. The predicate is evaluated below top-p truncation, so the
+// p filter-phase survivors are the p best matching live rows and a
+// selective filter never starves the candidate set; it must have been
+// compiled against this store's registry (see CompileFilter). Results
+// carry stable IDs. A store smaller than k — including one drained empty
+// by removals — answers with what it has (possibly zero results); that
+// is not an error.
 func (s *Store[T]) SearchFiltered(q T, k, p int, pred *meta.Predicate) ([]Result, retrieval.Stats, error) {
 	return s.searchSnapshots(s.load(), q, k, p, true, pred)
 }
 
-// SearchBatch pipelines a query batch across the worker pool. The whole
-// batch runs against one snapshot set, so every query sees the same store
-// version even under concurrent mutation; the error of the
-// lowest-indexed failing query fails the batch deterministically.
-func (s *Store[T]) SearchBatch(queries []T, k, p int) ([][]Result, []retrieval.Stats, error) {
-	return s.SearchBatchFiltered(queries, k, p, nil)
-}
-
-// SearchBatchFiltered is SearchBatch with every query in the batch
-// restricted to the rows matching pred (nil for no restriction).
+// SearchBatchFiltered pipelines a query batch, every query restricted to
+// the rows matching pred (nil for no restriction), across the worker
+// pool. The whole batch runs against one snapshot set, so every query
+// sees the same store version even under concurrent mutation; the error
+// of the lowest-indexed failing query fails the batch deterministically.
 func (s *Store[T]) SearchBatchFiltered(queries []T, k, p int, pred *meta.Predicate) ([][]Result, []retrieval.Stats, error) {
 	if err := retrieval.CheckKP(k, p); err != nil {
 		return nil, nil, err
@@ -390,7 +370,8 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 
 	// Scatter: every snapshot filters with the same qvec/weights. One
 	// goroutine per shard; large shards fan out further inside
-	// FilterLive. One clock serves every shard — its fields are atomic.
+	// FilterLiveMatch. One clock serves every shard — its fields are
+	// atomic.
 	var clk retrieval.FilterClock
 	lists := make([][]cand[T], len(snaps))
 	matches := make([]int, len(snaps))

@@ -107,11 +107,11 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 		t.Fatalf("reopened store %+v, want %+v", r.Stats(), s.Stats())
 	}
 	for qi, q := range queries(20, 7) {
-		want, wst, err := s.Search(q, 5, 20)
+		want, wst, err := s.SearchFiltered(q, 5, 20, nil)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		got, gst, err := r.Search(q, 5, 20)
+		got, gst, err := r.SearchFiltered(q, 5, 20, nil)
 		if err != nil {
 			t.Fatalf("reopened query %d: %v", qi, err)
 		}
@@ -147,12 +147,12 @@ func TestSingleShardAndV1Compat(t *testing.T) {
 		t.Fatalf("S=1 layout reopened with %d shards", len(r.shards))
 	}
 	for qi, q := range queries(15, 3) {
-		want, wst, err := plain.Search(q, 4, 16)
+		want, wst, err := plain.SearchFiltered(q, 4, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, st := range map[string]*Store[[]float64]{"NewSharded(1)": one, "reopened": r} {
-			got, gst, err := st.Search(q, 4, 16)
+			got, gst, err := st.SearchFiltered(q, 4, 16, nil)
 			if err != nil || !reflect.DeepEqual(got, want) || gst.WithoutTiming() != wst.WithoutTiming() {
 				t.Fatalf("query %d: %s answers %v (err %v), New answers %v", qi, name, got, err, want)
 			}
@@ -297,7 +297,7 @@ func TestShardedConcurrentMutation(t *testing.T) {
 					return
 				default:
 				}
-				res, _, err := s.Search(qs[(i+r)%len(qs)], 3, 12)
+				res, _, err := s.SearchFiltered(qs[(i+r)%len(qs)], 3, 12, nil)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -309,7 +309,7 @@ func TestShardedConcurrentMutation(t *testing.T) {
 					}
 				}
 				if i%9 == 0 {
-					if _, _, err := s.SearchBatch(qs[:4], 2, 8); err != nil {
+					if _, _, err := s.SearchBatchFiltered(qs[:4], 2, 8, nil); err != nil {
 						t.Errorf("reader %d batch: %v", r, err)
 						return
 					}
@@ -449,8 +449,8 @@ func TestShardedConcurrentMutation(t *testing.T) {
 		t.Fatalf("reopening stress layout: %v", err)
 	}
 	for qi, q := range qs[:4] {
-		want, _, _ := s.Search(q, 5, 20)
-		got, _, err := r.Search(q, 5, 20)
+		want, _, _ := s.SearchFiltered(q, 5, 20, nil)
+		got, _, err := r.SearchFiltered(q, 5, 20, nil)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: reopened %v != live %v (err %v)", qi, got, want, err)
 		}
@@ -491,16 +491,16 @@ func TestShardedFirst(t *testing.T) {
 // not.
 func TestShardedSearchValidation(t *testing.T) {
 	s := newSharded(t, 40, 3)
-	if _, _, err := s.Search([]float64{1, 2, 3}, 0, 10); err == nil {
+	if _, _, err := s.SearchFiltered([]float64{1, 2, 3}, 0, 10, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := s.Search([]float64{1, 2, 3}, 5, 4); err == nil {
+	if _, _, err := s.SearchFiltered([]float64{1, 2, 3}, 5, 4, nil); err == nil {
 		t.Fatal("p<k accepted")
 	}
-	if _, _, err := s.SearchBatch(queries(2, 5), 0, 10); err == nil {
+	if _, _, err := s.SearchBatchFiltered(queries(2, 5), 0, 10, nil); err == nil {
 		t.Fatal("batch k=0 accepted")
 	}
-	res, _, err := s.Search([]float64{1, 2, 3}, 80, 200)
+	res, _, err := s.SearchFiltered([]float64{1, 2, 3}, 80, 200, nil)
 	if err != nil {
 		t.Fatalf("oversized k: %v", err)
 	}

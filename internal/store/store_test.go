@@ -92,11 +92,11 @@ func TestBundleRoundTrip(t *testing.T) {
 		t.Fatalf("reopened store is %dx%d, want %dx%d", r.Size(), r.Dims(), s.Size(), s.Dims())
 	}
 	for qi, q := range queries(25, 7) {
-		want, wst, err := s.Search(q, 5, 20)
+		want, wst, err := s.SearchFiltered(q, 5, 20, nil)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}
-		got, gst, err := r.Search(q, 5, 20)
+		got, gst, err := r.SearchFiltered(q, 5, 20, nil)
 		if err != nil {
 			t.Fatalf("reopened query %d: %v", qi, err)
 		}
@@ -109,12 +109,12 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 	// Batch answers must match single-query answers on the reopened store.
 	qs := queries(8, 9)
-	batch, _, err := r.SearchBatch(qs, 3, 12)
+	batch, _, err := r.SearchBatchFiltered(qs, 3, 12, nil)
 	if err != nil {
 		t.Fatalf("SearchBatch: %v", err)
 	}
 	for i, q := range qs {
-		single, _, _ := r.Search(q, 3, 12)
+		single, _, _ := r.SearchFiltered(q, 3, 12, nil)
 		if !reflect.DeepEqual(batch[i], single) {
 			t.Fatalf("batch query %d differs from single search", i)
 		}
@@ -169,8 +169,8 @@ func TestBundleSurvivesMutation(t *testing.T) {
 	if _, err := s.Add([]float64{1, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	want, _, _ := s.Search(q, 4, 16)
-	got, _, _ := r.Search(q, 4, 16)
+	want, _, _ := s.SearchFiltered(q, 4, 16, nil)
+	got, _, _ := r.SearchFiltered(q, 4, 16, nil)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-mutation search differs:\n got %v\nwant %v", got, want)
 	}
@@ -289,7 +289,7 @@ func TestStableIDsUnderRemoval(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("ID 49 resolves to a different object after an unrelated Remove")
 	}
-	res, _, err := s.Search(after, 1, 5)
+	res, _, err := s.SearchFiltered(after, 1, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestConcurrentSearchAndMutate(t *testing.T) {
 				default:
 				}
 				q := qs[(i+r)%len(qs)]
-				res, _, err := s.Search(q, 3, 12)
+				res, _, err := s.SearchFiltered(q, 3, 12, nil)
 				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
@@ -338,7 +338,7 @@ func TestConcurrentSearchAndMutate(t *testing.T) {
 					}
 				}
 				if i%7 == 0 {
-					if _, _, err := s.SearchBatch(qs[:4], 2, 8); err != nil {
+					if _, _, err := s.SearchBatchFiltered(qs[:4], 2, 8, nil); err != nil {
 						t.Errorf("reader %d batch: %v", r, err)
 						return
 					}
@@ -567,11 +567,11 @@ func TestCompactionEquivalence(t *testing.T) {
 	compare := func(stage string) {
 		t.Helper()
 		for qi, q := range queries(30, 23) {
-			want, wst, err := eager.Search(q, 5, 25)
+			want, wst, err := eager.SearchFiltered(q, 5, 25, nil)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", stage, qi, err)
 			}
-			got, gst, err := never.Search(q, 5, 25)
+			got, gst, err := never.SearchFiltered(q, 5, 25, nil)
 			if err != nil {
 				t.Fatalf("%s query %d: %v", stage, qi, err)
 			}
@@ -580,11 +580,11 @@ func TestCompactionEquivalence(t *testing.T) {
 			}
 		}
 		qs := queries(6, 29)
-		wb, _, err := eager.SearchBatch(qs, 4, 16)
+		wb, _, err := eager.SearchBatchFiltered(qs, 4, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gb, _, err := never.SearchBatch(qs, 4, 16)
+		gb, _, err := never.SearchBatchFiltered(qs, 4, 16, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,8 +620,8 @@ func TestCompactionEquivalence(t *testing.T) {
 			t.Fatalf("%s: Open: %v", name, err)
 		}
 		for qi, q := range queries(10, 31) {
-			want, _, _ := s.Search(q, 5, 25)
-			got, _, err := r.Search(q, 5, 25)
+			want, _, _ := s.SearchFiltered(q, 5, 25, nil)
+			got, _, err := r.SearchFiltered(q, 5, 25, nil)
 			if err != nil || !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s query %d: reopened %v != live %v (err %v)", name, qi, got, want, err)
 			}
@@ -666,14 +666,14 @@ func TestDrainedStore(t *testing.T) {
 	if _, ok := s.First(); ok {
 		t.Fatal("First on a drained store should report empty")
 	}
-	res, st, err := s.Search([]float64{1, -1, 0}, 5, 20)
+	res, st, err := s.SearchFiltered([]float64{1, -1, 0}, 5, 20, nil)
 	if err != nil {
 		t.Fatalf("search on drained store: %v", err)
 	}
 	if len(res) != 0 || st.RefineDistances != 0 {
 		t.Fatalf("drained search: %v (stats %+v), want empty", res, st)
 	}
-	if _, _, err := s.SearchBatch(queries(3, 5), 2, 8); err != nil {
+	if _, _, err := s.SearchBatchFiltered(queries(3, 5), 2, 8, nil); err != nil {
 		t.Fatalf("batch search on drained store: %v", err)
 	}
 
@@ -688,7 +688,7 @@ func TestDrainedStore(t *testing.T) {
 	if r.Size() != 0 || r.Dims() != s.Dims() {
 		t.Fatalf("reopened drained store: size %d dims %d", r.Size(), r.Dims())
 	}
-	if res, _, err := r.Search([]float64{1, -1, 0}, 5, 20); err != nil || len(res) != 0 {
+	if res, _, err := r.SearchFiltered([]float64{1, -1, 0}, 5, 20, nil); err != nil || len(res) != 0 {
 		t.Fatalf("reopened drained search: %v, %v", res, err)
 	}
 	id, err := r.Add([]float64{2, -2, 0})
@@ -698,7 +698,7 @@ func TestDrainedStore(t *testing.T) {
 	if id != 40 {
 		t.Fatalf("post-drain Add got ID %d, want 40 (allocator must survive draining)", id)
 	}
-	if res, _, err := r.Search([]float64{2, -2, 0}, 1, 4); err != nil || len(res) != 1 || res[0].ID != 40 {
+	if res, _, err := r.SearchFiltered([]float64{2, -2, 0}, 1, 4, nil); err != nil || len(res) != 1 || res[0].ID != 40 {
 		t.Fatalf("post-drain search: %v, %v", res, err)
 	}
 }

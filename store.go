@@ -117,7 +117,7 @@ func WithShards(n int) StoreOption {
 }
 
 // Store is an Index made durable and safe for concurrent mutation. It
-// adds three things to Index:
+// adds four things to Index:
 //
 //   - Persistence: Save writes a self-contained bundle — model, embedded
 //     vectors, and the objects themselves — that OpenStore reopens in a
@@ -191,30 +191,17 @@ func (s *Store[T]) Save(path string) error { return s.inner.Save(path) }
 // Index.Search for the k/p contract), identified by stable ID. A store
 // holding fewer than k objects — including one drained empty by
 // removals — answers with what it has (possibly zero results); that is
-// not an error.
+// not an error. It is SearchFiltered with a nil filter.
 func (s *Store[T]) Search(q T, k, p int) ([]StoreResult, SearchStats, error) {
-	res, st, err := s.inner.Search(q, k, p)
-	if err != nil {
-		return nil, SearchStats{}, err
-	}
-	return toStoreResults(res), SearchStats{EmbedDistances: st.EmbedDistances, RefineDistances: st.RefineDistances}, nil
+	return s.SearchFiltered(q, k, p, nil)
 }
 
 // SearchBatch pipelines a query batch across the worker pool; the whole
 // batch runs against one snapshot, so every query sees the same store
-// version even under concurrent mutation.
+// version even under concurrent mutation. It is SearchBatchFiltered with
+// a nil filter.
 func (s *Store[T]) SearchBatch(queries []T, k, p int) ([][]StoreResult, []SearchStats, error) {
-	res, sts, err := s.inner.SearchBatch(queries, k, p)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]StoreResult, len(res))
-	stats := make([]SearchStats, len(res))
-	for i := range res {
-		out[i] = toStoreResults(res[i])
-		stats[i] = SearchStats{EmbedDistances: sts[i].EmbedDistances, RefineDistances: sts[i].RefineDistances}
-	}
-	return out, stats, nil
+	return s.SearchBatchFiltered(queries, k, p, nil)
 }
 
 func toStoreResults(rs []store.Result) []StoreResult {
@@ -345,9 +332,9 @@ func (s *Store[T]) CompileFilter(raw []byte) (*Filter, error) {
 	return &Filter{pred: pred}, nil
 }
 
-// SearchFiltered is Search restricted to objects matching f. k applies
-// to the matching set: a store with a million objects and three matches
-// answers with (up to) those three. A nil f is exactly Search.
+// SearchFiltered is Search restricted to objects matching f (nil for
+// every object). k applies to the matching set: a store with a million
+// objects and three matches answers with (up to) those three.
 func (s *Store[T]) SearchFiltered(q T, k, p int, f *Filter) ([]StoreResult, SearchStats, error) {
 	res, st, err := s.inner.SearchFiltered(q, k, p, f.predicate())
 	if err != nil {
