@@ -87,13 +87,13 @@ func BenchmarkFilterTopP(b *testing.B) {
 	b.Run("unweighted", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			seg.FilterLiveMatch(q, nil, 200, true, nil, nil)
+			seg.FilterLiveMatch(q, nil, 200, true, nil, nil, nil, nil)
 		}
 	})
 	b.Run("weighted", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			seg.FilterLiveMatch(q, w, 200, true, nil, nil)
+			seg.FilterLiveMatch(q, w, 200, true, nil, nil, nil, nil)
 		}
 	})
 	// At n = 200,000 the 8-bit shadow clears the size gate (DESIGN §16)
@@ -126,10 +126,10 @@ func benchQuantizedScan(b *testing.B, exact, seg *retrieval.Segmented[[]float64]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		exact.FilterLiveMatch(q, weights, 200, true, nil, nil)
+		exact.FilterLiveMatch(q, weights, 200, true, nil, nil, nil, nil)
 		exactNs += time.Since(t0).Nanoseconds()
 		t0 = time.Now()
-		seg.FilterLiveMatch(q, weights, 200, true, &clk, nil)
+		seg.FilterLiveMatch(q, weights, 200, true, &clk, nil, nil, nil)
 		quantNs += time.Since(t0).Nanoseconds()
 	}
 	b.ReportMetric(float64(quantNs)/float64(b.N), "quant-ns/op")

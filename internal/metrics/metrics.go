@@ -1,7 +1,7 @@
 // Package metrics implements the vector and discrete distance measures used
 // throughout the repository: L1, L2 and L∞ over real vectors (including
-// the weighted L1 that underlies query-sensitive distances), KL divergence,
-// the chi-square histogram distance, and edit distance over strings.
+// the weighted L1 that underlies query-sensitive distances), the
+// chi-square histogram distance, and edit distance over strings.
 //
 // The paper's output distance D_out (Eq. 11) is an asymmetric weighted L1:
 // the weights are a function of the first argument (the query). That measure
@@ -75,36 +75,6 @@ func WeightedL1Unchecked(w, a, b []float64) float64 {
 	return sum
 }
 
-// KL returns the Kullback–Leibler divergence KL(p || q) for discrete
-// distributions p and q given as non-negative vectors. Both are normalized
-// to sum to 1 first. Terms where p[i] == 0 contribute zero; q[i] == 0 with
-// p[i] > 0 contributes +Inf, as in the usual definition. KL is one of the
-// paper's motivating non-metric distances (Sec. 1).
-func KL(p, q []float64) float64 {
-	mustSameLen(len(p), len(q))
-	ps, qs := sumPositive(p), sumPositive(q)
-	if ps == 0 || qs == 0 {
-		panic("metrics: KL of zero distribution")
-	}
-	var d float64
-	for i := range p {
-		pi := p[i] / ps
-		qi := q[i] / qs
-		if pi == 0 {
-			continue
-		}
-		if qi == 0 {
-			return math.Inf(1)
-		}
-		d += pi * math.Log(pi/qi)
-	}
-	// Guard against tiny negative results from floating-point noise.
-	if d < 0 && d > -1e-12 {
-		d = 0
-	}
-	return d
-}
-
 // ChiSquare returns the chi-square histogram distance
 // 0.5 * sum_i (a[i]-b[i])^2 / (a[i]+b[i]), with zero-denominator bins
 // skipped. It is the histogram cost used by Shape Context matching.
@@ -165,27 +135,6 @@ func min3(a, b, c int) int {
 		a = c
 	}
 	return a
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	mustSameLen(len(a), len(b))
-	var sum float64
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum
-}
-
-func sumPositive(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		if x < 0 {
-			panic("metrics: negative probability mass")
-		}
-		s += x
-	}
-	return s
 }
 
 func mustSameLen(a, b int) {

@@ -30,7 +30,6 @@ func TestDimensionMismatchPanics(t *testing.T) {
 		"L2":         func() { L2([]float64{1}, []float64{1, 2}) },
 		"WeightedL1": func() { WeightedL1([]float64{1}, []float64{1, 2}, []float64{1, 2}) },
 		"ChiSquare":  func() { ChiSquare([]float64{1}, []float64{1, 2}) },
-		"KL":         func() { KL([]float64{1}, []float64{1, 2}) },
 	} {
 		func() {
 			defer func() {
@@ -102,53 +101,6 @@ func TestLpMetricAxioms(t *testing.T) {
 			if d(a, c) > d(a, b)+d(b, c)+1e-9 {
 				t.Fatalf("%s: triangle inequality violated", name)
 			}
-		}
-	}
-}
-
-func TestKLBasics(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{0.9, 0.1}
-	if got := KL(p, p); !approx(got, 0, 1e-12) {
-		t.Errorf("KL(p,p) = %v", got)
-	}
-	if got := KL(p, q); got <= 0 {
-		t.Errorf("KL(p,q) = %v, want > 0", got)
-	}
-	// KL is asymmetric (non-metric): that is the point of using it as a
-	// motivating distance in the paper.
-	if approx(KL(p, q), KL(q, p), 1e-9) {
-		t.Error("KL should be asymmetric for these inputs")
-	}
-}
-
-func TestKLNormalizesInputs(t *testing.T) {
-	p := []float64{1, 1}
-	q := []float64{10, 10}
-	if got := KL(p, q); !approx(got, 0, 1e-12) {
-		t.Errorf("KL of proportional vectors = %v, want 0", got)
-	}
-}
-
-func TestKLInfiniteWhenSupportMismatch(t *testing.T) {
-	p := []float64{0.5, 0.5}
-	q := []float64{1, 0}
-	if got := KL(p, q); !math.IsInf(got, 1) {
-		t.Errorf("KL = %v, want +Inf", got)
-	}
-	// Zero mass in p where q has mass is fine.
-	if got := KL(q, p); math.IsInf(got, 1) {
-		t.Errorf("KL(q,p) = %v, want finite", got)
-	}
-}
-
-func TestKLNonNegativeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 300; trial++ {
-		p := randSimplex(rng, 8)
-		q := randSimplex(rng, 8)
-		if d := KL(p, q); d < 0 {
-			t.Fatalf("KL negative: %v", d)
 		}
 	}
 }
@@ -225,12 +177,6 @@ func TestEditDistanceMetricProperties(t *testing.T) {
 		if EditDistance(a, b) < abs(len(a)-len(b)) {
 			t.Fatal("below length-difference lower bound")
 		}
-	}
-}
-
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
 	}
 }
 

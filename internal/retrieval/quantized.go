@@ -13,8 +13,8 @@
 //   - every row with upper bound <= tau has true distance <= tau, and at
 //     least p such candidate rows exist whenever tau is finite, so a row
 //     excluded by lb > tau has true distance strictly above the distances
-//     of >= p surviving rows — it cannot be in the top p under the
-//     (distance, position) total order;
+//     of >= p surviving rows — it cannot be in the top p, whichever key
+//     breaks distance ties;
 //   - surviving rows flow through the same exact kernels, heaps, and
 //     merge as the unquantized scan, producing identical distances in an
 //     identical order;
@@ -38,7 +38,6 @@
 package retrieval
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/bits"
@@ -48,7 +47,6 @@ import (
 
 	"qse/internal/metrics"
 	"qse/internal/par"
-	"qse/internal/space"
 	"qse/internal/vafile"
 )
 
@@ -602,10 +600,10 @@ func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk
 // scanCandidateChunks runs phase 2 over the full candidate list, chunked
 // across the screen's workers when it holds at least minParallelCands
 // candidates, and returns the per-chunk heaps for mergeTopP.
-func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, pr *boundPrune, clk *FilterClock) []neighborMaxHeap {
-	all := make([]neighborMaxHeap, len(pr.parts))
+func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, pr *boundPrune, ids idTables, clk *FilterClock) []*topP {
+	all := make([]*topP, len(pr.parts))
 	shards := par.Shards(len(pr.parts), len(pr.cands), minParallelCands, func(sh, lo, hi int) {
-		all[sh] = s.scanCandidates(qvec, weights, p, pr, lo, hi, clk, pr.parts[sh])
+		all[sh] = s.scanCandidates(qvec, weights, p, pr, lo, hi, ids, clk, pr.parts[sh])
 	})
 	return all[:shards]
 }
@@ -617,19 +615,19 @@ func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, pr *b
 // base/delta boundary for the per-segment stage timers. Chunking the
 // candidate list is as partition-safe as chunking the position space:
 // mergeTopP is order- and partition-agnostic. st is the worker's state.
-func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundPrune, lo, hi int, clk *FilterClock, st *screenState) neighborMaxHeap {
-	h := make(neighborMaxHeap, 0, p+1)
+func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundPrune, lo, hi int, ids idTables, clk *FilterClock, st *screenState) *topP {
+	h := newTopP(p)
 	bn, d := s.base.Size(), s.base.dims
 	split := min(max(pr.split, lo), hi)
 	evald := 0
 	if lo < split {
 		t0 := time.Now()
-		h = scanCandRows(h, s.base.flat, d, 0, qvec, weights, p, pr, lo, split, &evald, st)
+		scanCandRows(h, s.base.flat, d, 0, ids.base, qvec, weights, pr, lo, split, &evald, st)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if split < hi {
 		t0 := time.Now()
-		h = scanCandRows(h, s.deltaFlat, d, bn, qvec, weights, p, pr, split, hi, &evald, st)
+		scanCandRows(h, s.deltaFlat, d, bn, ids.delta, qvec, weights, pr, split, hi, &evald, st)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	clk.AddBoundExact(int64(evald))
@@ -641,20 +639,12 @@ func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundP
 const candBatch = 256
 
 // scanCandRows evaluates candidates [lo, hi) — all in the one segment
-// whose flat block starts at global position posOff — against the exact
-// kernels, skipping entries whose lower bound exceeds tau. It works in
-// batches of candBatch candidates, touching the rows of a batch before
-// evaluating any. evald counts rows actually evaluated.
-func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, weights []float64, p int, pr *boundPrune, lo, hi int, evald *int, st *screenState) neighborMaxHeap {
-	push := func(pos int, dd float64) {
-		n := space.Neighbor{Index: pos, Distance: dd}
-		if len(h) < p {
-			heap.Push(&h, n)
-		} else if less(n, h[0]) {
-			h[0] = n
-			heap.Fix(&h, 0)
-		}
-	}
+// whose flat block and ID table ids start at global position posOff —
+// against the exact kernels, skipping entries whose lower bound exceeds
+// tau, and offers them to h. It works in batches of candBatch
+// candidates, touching the rows of a batch before evaluating any. evald
+// counts rows actually evaluated.
+func scanCandRows(h *topP, flat []float64, dims, posOff int, ids []uint64, qvec, weights []float64, pr *boundPrune, lo, hi int, evald *int, st *screenState) {
 	var touched uint64
 	for blo := lo; blo < hi; blo += candBatch {
 		bhi := min(blo+candBatch, hi)
@@ -673,12 +663,11 @@ func scanCandRows(h neighborMaxHeap, flat []float64, dims, posOff int, qvec, wei
 			v := flat[r*dims : r*dims+dims]
 			*evald++
 			if weights == nil {
-				push(pos, metrics.L1(qvec, v))
+				h.offer(metrics.L1(qvec, v), pos, ids, posOff)
 			} else {
-				push(pos, metrics.WeightedL1Unchecked(weights, qvec, v))
+				h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), pos, ids, posOff)
 			}
 		}
 	}
 	st.touched += touched
-	return h
 }

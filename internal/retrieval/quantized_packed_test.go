@@ -452,8 +452,8 @@ func TestQuantizeFromPartsLegacyUnpacked(t *testing.T) {
 	}
 	q := clusteredDB(1, 5)[0]
 	var clk FilterClock
-	want, _ := big.FilterLiveMatch(q, nil, 7, false, nil, nil)
-	if got, _ := kept.FilterLiveMatch(q, nil, 7, false, &clk, nil); !reflect.DeepEqual(want, got) {
+	want, _ := big.FilterLiveMatch(q, nil, 7, false, nil, nil, nil, nil)
+	if got, _ := kept.FilterLiveMatch(q, nil, 7, false, &clk, nil, nil, nil); !reflect.DeepEqual(want, got) {
 		t.Fatalf("reopened 8-bit head diverges: %v vs %v", got, want)
 	}
 	var tm Timing

@@ -63,7 +63,7 @@ func TestQuantizedFilterCrossProduct(t *testing.T) {
 						}
 						for _, pred := range preds {
 							for _, p := range []int{1, 20, exact.Total() + 10} {
-								want, _ := exact.FilterLiveMatch(qvec, weights, p, false, nil, pred)
+								want, _ := exact.FilterLiveMatch(qvec, weights, p, false, nil, pred, nil, nil)
 								var keep func(int) bool
 								if pred != nil {
 									keep = matching(quant, pred)
@@ -101,7 +101,7 @@ func TestQuantizedFilterEdges(t *testing.T) {
 			t.Fatalf("Remove(%d): %v", pos, err)
 		}
 	}
-	if res, _ := drained.FilterLiveMatch(q, nil, 5, false, nil, nil); len(res) != 0 {
+	if res, _ := drained.FilterLiveMatch(q, nil, 5, false, nil, nil, nil, nil); len(res) != 0 {
 		t.Fatalf("drained quantized head returned %v", res)
 	}
 	if run := runScreen(drained, q, nil, 5, false, drained.selectRows(nil, nil)); run.pr != nil || len(run.res) != 0 {
@@ -121,14 +121,14 @@ func TestQuantizedFilterEdges(t *testing.T) {
 	if dormant.QuantBits() != 8 || dormant.ShadowBytes() != 0 {
 		t.Fatalf("dormant state reports %d bits, %d shadow bytes", dormant.QuantBits(), dormant.ShadowBytes())
 	}
-	if res, _ := dormant.FilterLiveMatch(q, nil, 3, false, nil, nil); len(res) != 0 {
+	if res, _ := dormant.FilterLiveMatch(q, nil, 3, false, nil, nil, nil, nil); len(res) != 0 {
 		t.Fatalf("dormant empty head returned %v", res)
 	}
 	dormant, _, err = dormant.Add(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := dormant.FilterLiveMatch(q, nil, 1, false, nil, nil); len(res) != 1 || res[0].Distance != 0 || dormant.ShadowBytes() != 0 {
+	if res, _ := dormant.FilterLiveMatch(q, nil, 1, false, nil, nil, nil, nil); len(res) != 1 || res[0].Distance != 0 || dormant.ShadowBytes() != 0 {
 		t.Fatalf("dormant head after Add returned %v with %d shadow bytes", res, dormant.ShadowBytes())
 	}
 
@@ -143,7 +143,7 @@ func TestQuantizedFilterEdges(t *testing.T) {
 	}
 	none := mustFilter(t, `{"field":"bucket","eq":99}`)
 	var clk FilterClock
-	res, n := tagged.FilterLiveMatch(q, nil, 5, false, &clk, none)
+	res, n := tagged.FilterLiveMatch(q, nil, 5, false, &clk, none, nil, nil)
 	if n != 0 || len(res) != 0 {
 		t.Fatalf("all-excluded predicate matched %d rows: %v", n, res)
 	}
@@ -168,7 +168,7 @@ func TestQuantizedParallelSerialIdentity(t *testing.T) {
 	split := false
 	for qi, q := range append(clusteredDB(3, 5), clusteredDB(3, 23)...) {
 		for _, p := range []int{1, 50, 800} {
-			want, _ := exact.FilterLiveMatch(q, nil, p, true, nil, nil)
+			want, _ := exact.FilterLiveMatch(q, nil, p, true, nil, nil, nil, nil)
 			rs := quant.selectRows(nil, nil)
 			ser := runScreen(quant, q, nil, p, false, rs)
 			var par1 screenRun

@@ -91,7 +91,7 @@ func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel
 	pr := s.screen(qvec, weights, p, parallel, &clk, viewOf(s, rs))
 	out := screenRun{pr: pr, p: p}
 	if pr != nil {
-		out.res = mergeTopP(s.scanCandidateChunks(qvec, weights, p, pr, &clk), p)
+		out.res = mergeTopP(s.scanCandidateChunks(qvec, weights, p, pr, idTables{}, &clk), p)
 	}
 	clk.AddTo(&out.tm)
 	return out
@@ -142,7 +142,7 @@ func referenceTopP(s *Segmented[[]float64], qvec, weights []float64, p int, keep
 		}
 		all = append(all, space.Neighbor{Index: pos, Distance: d})
 	}
-	sort.Slice(all, func(i, j int) bool { return less(all[i], all[j]) })
+	space.SortNeighbors(all)
 	if len(all) > p {
 		all = all[:p]
 	}
@@ -441,9 +441,9 @@ func TestSeededScreenAtGate(t *testing.T) {
 	for _, p := range []int{10, shadowMinRows / seedBaseRowsPerP, shadowMinRows/seedBaseRowsPerP + 1} {
 		for qi, q := range clusteredDB(3, 13) {
 			for _, weights := range [][]float64{nil, seedWeights()} {
-				want, _ := exact.FilterLiveMatch(q, weights, p, true, nil, nil)
+				want, _ := exact.FilterLiveMatch(q, weights, p, true, nil, nil, nil, nil)
 				var clk FilterClock
-				if got, _ := quant.FilterLiveMatch(q, weights, p, true, &clk, nil); !reflect.DeepEqual(got, want) {
+				if got, _ := quant.FilterLiveMatch(q, weights, p, true, &clk, nil, nil, nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("p=%d query %d: quantized scan diverges from exact", p, qi)
 				}
 				var tm Timing
@@ -550,8 +550,8 @@ func TestGate(t *testing.T) {
 			if !filtered {
 				f, gate = nil, seedGate(n, p, liveBase)
 			}
-			want, _ := exactHead.FilterLiveMatch(q, nil, p, true, nil, f)
-			got, _ := quant.FilterLiveMatch(q, nil, p, true, &clk, f)
+			want, _ := exactHead.FilterLiveMatch(q, nil, p, true, nil, f, nil, nil)
+			got, _ := quant.FilterLiveMatch(q, nil, p, true, &clk, f, nil, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("p=%d filtered=%v: quantized diverges from exact", p, filtered)
 			}
@@ -722,10 +722,10 @@ func BenchmarkSeededScreen(b *testing.B) {
 						t0 := time.Now()
 						if seeded {
 							pr := s.screen(q, w, p, true, &clk, v)
-							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, pr, &clk), p)
+							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, pr, idTables{}, &clk), p)
 							took[1] += time.Since(t0)
 						} else {
-							benchSink, _ = exact.FilterLiveMatch(q, w, p, true, nil, nil)
+							benchSink, _ = exact.FilterLiveMatch(q, w, p, true, nil, nil, nil, nil)
 							took[0] += time.Since(t0)
 						}
 					}

@@ -402,27 +402,97 @@ func firstBatchError(results [][]space.Neighbor, stats []Stats, errs []error) ([
 	return results, stats, nil
 }
 
-// less orders neighbors like space.SortNeighbors.
-func less(a, b space.Neighbor) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	return a.Index < b.Index
+// idTables map a segmented index's global positions to the stable IDs
+// that break exact filter-distance ties: base[i] is base row i's ID,
+// delta[j] delta row j's. A nil table breaks its segment's ties on
+// position instead.
+type idTables struct {
+	base, delta []uint64
 }
 
-// neighborMaxHeap keeps the worst of the retained candidates on top.
-type neighborMaxHeap []space.Neighbor
+// ranked is one row in a scan's bounded heap: its filter distance, its
+// global position, and the key that breaks exact distance ties — its
+// stable ID, or its position when its segment has no ID table.
+type ranked struct {
+	dist float64
+	key  uint64
+	pos  int
+}
 
-func (h neighborMaxHeap) Len() int           { return len(h) }
-func (h neighborMaxHeap) Less(i, j int) bool { return less(h[j], h[i]) }
-func (h neighborMaxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *neighborMaxHeap) Push(x any)        { *h = append(*h, x.(space.Neighbor)) }
-func (h *neighborMaxHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// before is the scan's total order: (distance, key).
+func (a ranked) before(b ranked) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	return a.key < b.key
+}
+
+// topP keeps the p best rows offered so far (p > 0) as a bounded
+// max-heap, the worst on top. Its sift is written out: container/heap's
+// Push boxes every row it is given, one allocation per admitted row.
+type topP struct {
+	p    int
+	rows []ranked
+}
+
+func newTopP(p int) *topP { return &topP{p: p, rows: make([]ranked, 0, p)} }
+
+// offer ranks the row at global position pos, at filter distance d,
+// against the heap. ids is the row's segment's ID table, whose first
+// entry is global position off. A row farther than a full heap's top is
+// rejected on its distance alone: only a row that enters the heap or
+// ties its top reads its ID.
+func (h *topP) offer(d float64, pos int, ids []uint64, off int) {
+	if len(h.rows) == h.p && d > h.rows[0].dist {
+		return
+	}
+	h.admit(d, pos, ids, off)
+}
+
+// admit is offer's slow path, kept out of offer so that offer inlines
+// into the per-row loops.
+func (h *topP) admit(d float64, pos int, ids []uint64, off int) {
+	r := ranked{dist: d, key: uint64(pos), pos: pos}
+	if ids != nil {
+		r.key = ids[pos-off]
+	}
+	if len(h.rows) < h.p {
+		h.rows = append(h.rows, r)
+		h.siftUp(len(h.rows) - 1)
+	} else if r.before(h.rows[0]) {
+		h.rows[0] = r
+		h.siftDown()
+	}
+}
+
+func (h *topP) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.rows[parent].before(h.rows[i]) {
+			return
+		}
+		h.rows[i], h.rows[parent] = h.rows[parent], h.rows[i]
+		i = parent
+	}
+}
+
+func (h *topP) siftDown() {
+	i := 0
+	for {
+		l := 2*i + 1
+		if l >= len(h.rows) {
+			return
+		}
+		worst := l
+		if r := l + 1; r < len(h.rows) && h.rows[l].before(h.rows[r]) {
+			worst = r
+		}
+		if !h.rows[i].before(h.rows[worst]) {
+			return
+		}
+		h.rows[i], h.rows[worst] = h.rows[worst], h.rows[i]
+		i = worst
+	}
 }
 
 // BruteForce returns the exact k nearest neighbors by scanning the whole

@@ -142,7 +142,7 @@ func TestSearchUsesQueryWeights(t *testing.T) {
 // filterTopP is an index's filter phase alone: its p best rows under
 // the filter distance, in ascending (distance, position) order.
 func filterTopP(ix *Index[[]float64], qvec, weights []float64, p int) []space.Neighbor {
-	top, _ := ix.view().FilterLiveMatch(qvec, weights, p, true, nil, nil)
+	top, _ := ix.view().FilterLiveMatch(qvec, weights, p, true, nil, nil, nil, nil)
 	return top
 }
 

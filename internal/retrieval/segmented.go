@@ -20,12 +20,14 @@
 // fresh single-segment Index when the caller's thresholds say so.
 //
 // Positions are global: base rows keep their base positions, delta row j
-// sits at BaseSize()+j. Search results are bit-identical to a freshly
-// compacted index (see DESIGN.md §7): tombstoned rows are filtered before
-// the top-p truncation, distances are computed by the same kernels on the
-// same vectors, and compaction preserves the relative order of live rows,
-// so the (distance, position) total order ranks live rows identically in
-// both layouts.
+// sits at BaseSize()+j. The filter phase ranks rows on (distance, key),
+// where the key is the row's stable ID from the caller's ID tables, or
+// its position when the caller has none. Search results are bit-identical
+// to a freshly compacted index (see DESIGN.md §7): tombstoned rows are
+// filtered before the top-p truncation, distances are computed by the
+// same kernels on the same vectors, and compaction preserves both the
+// relative order of live rows and their IDs, so either order ranks live
+// rows identically in both layouts.
 //
 // (This file extends package retrieval; the package comment lives in
 // retrieval.go.)
@@ -33,9 +35,9 @@
 package retrieval
 
 import (
-	"container/heap"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"qse/internal/meta"
@@ -124,8 +126,7 @@ type Segmented[T any] struct {
 // NewSegmentedWithMeta wraps a single-segment index as a Segmented with
 // an empty delta and no tombstones, the base segment's columnar metadata
 // attached. blk must be nil (no metadata) or shaped for exactly
-// base.Size() rows (CompactSegmented and GatherSegmented produce matched
-// pairs).
+// base.Size() rows (CompactSegmented produces matched pairs).
 func NewSegmentedWithMeta[T any](base *Index[T], blk *meta.Block) *Segmented[T] {
 	return &Segmented[T]{base: base, baseMeta: blk}
 }
@@ -232,46 +233,6 @@ func (s *Segmented[T]) Metadata(pos int) meta.Map {
 		return s.deltaMeta[pos-bn]
 	}
 	return s.baseMeta.Row(pos)
-}
-
-// Gather builds a fresh single-segment Index holding the rows at the
-// given global positions, in the given order, sharing no mutable storage
-// with the receiver. It is the reordering counterpart of Compact: the
-// store layer uses it to fold segments back into stable-ID order after
-// upserts have decoupled position order from ID order. Positions must be
-// in range; liveness is the caller's business (the store gathers exactly
-// its live set).
-func (s *Segmented[T]) Gather(positions []int) (*Index[T], error) {
-	d := s.base.dims
-	db := make([]T, 0, len(positions))
-	flat := make([]float64, 0, len(positions)*d)
-	total := s.Total()
-	for _, pos := range positions {
-		if pos < 0 || pos >= total {
-			return nil, fmt.Errorf("retrieval: gather position %d out of range [0,%d)", pos, total)
-		}
-		db = append(db, s.Object(pos))
-		flat = append(flat, s.Vector(pos)...)
-	}
-	return &Index[T]{db: db, flat: flat, dims: d, embedder: s.base.embedder, dist: s.base.dist}, nil
-}
-
-// GatherSegmented is Gather carrying metadata: the fresh base index
-// plus the columnar block of the gathered rows' metadata (nil when none
-// of them has any).
-func (s *Segmented[T]) GatherSegmented(positions []int) (*Index[T], *meta.Block, error) {
-	ix, err := s.Gather(positions)
-	if err != nil {
-		return nil, nil, err
-	}
-	if s.baseMeta == nil && s.deltaMeta == nil {
-		return ix, nil, nil
-	}
-	rows := make([]meta.Map, len(positions))
-	for i, pos := range positions {
-		rows[i] = s.Metadata(pos)
-	}
-	return ix, meta.NewBlock(rows), nil
 }
 
 // NewSegmentedFromParts reassembles a Segmented from serialized parts: a
@@ -481,7 +442,7 @@ func (s *Segmented[T]) search(q T, k, p int, pred *meta.Predicate, parallel bool
 	t.EmbedNanos = time.Since(t0).Nanoseconds()
 
 	var clk FilterClock
-	candidates, _ := s.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred)
+	candidates, _ := s.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred, nil, nil)
 	clk.AddTo(&t)
 
 	t0 = time.Now()
@@ -580,19 +541,22 @@ func (s *Segmented[T]) selectRows(pred *meta.Predicate, clk *FilterClock) rowSet
 
 // FilterLiveMatch runs only the filter phase, with a precomputed query
 // embedding: the p best live rows matching pred (nil for every live
-// row) under the filter distance, in ascending (distance, position)
-// order, and the count of those rows — the sharded store sums it across
-// shards to clamp the global truncation identically to an unsharded
-// store. p is clamped to that count first, so p candidates survive
+// row) under the filter distance, in ascending (distance, key) order,
+// and the count of those rows — the sharded store sums it across shards
+// to clamp the global truncation identically to an unsharded store. A
+// row's key is its stable ID: baseIDs[i] for base row i, deltaIDs[j] for
+// delta row j. Nil tables make the key the row's position; a caller
+// passes both tables or neither, since IDs and positions do not compare.
+// p is clamped to the selected count first, so p candidates survive
 // whenever p such rows exist. weights may be nil for the unweighted L1.
 // clk accumulates the predicate evaluation, the per-segment scan and
 // merge durations and the screen's row counters (the store feeds it
 // into the query's stage breakdown); a nil clk drops them.
 //
 // The global position space is partitioned for a parallel scan; the
-// merged top-p is unique under the total order, so the result is
-// identical for any partition count.
-func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate) ([]space.Neighbor, int) {
+// merged top-p is unique under the total order (live rows' keys are
+// distinct), so the result is identical for any partition count.
+func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate, baseIDs, deltaIDs []uint64) ([]space.Neighbor, int) {
 	rs := s.selectRows(pred, clk)
 	selected := rs.baseSel + rs.deltaSel
 	if p > selected {
@@ -602,22 +566,23 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 		return nil, selected
 	}
 	total := s.Total()
+	ids := idTables{baseIDs, deltaIDs}
 	var pr *boundPrune
 	if v := s.seedView(p, rs); v != nil {
 		t0 := time.Now()
 		pr = s.screen(qvec, weights, p, parallel, clk, v)
 		clk.AddBound(time.Since(t0).Nanoseconds())
 	}
-	var heaps []neighborMaxHeap
+	var heaps []*topP
 	if pr != nil {
-		heaps = s.scanCandidateChunks(qvec, weights, p, pr, clk)
+		heaps = s.scanCandidateChunks(qvec, weights, p, pr, ids, clk)
 	} else if !parallel || total < minParallelScan {
-		heaps = []neighborMaxHeap{s.scanRange(qvec, weights, 0, total, p, rs, clk)}
+		heaps = []*topP{s.scanRange(qvec, weights, 0, total, p, rs, ids, clk)}
 	} else {
 		w := par.Workers()
-		all := make([]neighborMaxHeap, w)
+		all := make([]*topP, w)
 		shards := par.Shards(w, total, minParallelScan, func(sh, lo, hi int) {
-			all[sh] = s.scanRange(qvec, weights, lo, hi, p, rs, clk)
+			all[sh] = s.scanRange(qvec, weights, lo, hi, p, rs, ids, clk)
 		})
 		heaps = all[:shards]
 	}
@@ -627,49 +592,62 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 	return out, selected
 }
 
-// mergeTopP flattens per-shard candidate heaps, sorts by the
-// (distance, position) total order, and truncates to the p best. The
-// total order has no duplicate keys (positions are unique), so the merged
-// top-p is a unique set in a unique order — the same for any partition of
-// the position space, which is what makes both the partitioned scan above
-// and the sharded store's cross-shard gather deterministic.
-func mergeTopP(heaps []neighborMaxHeap, p int) []space.Neighbor {
+// mergeTopP sorts each partition's candidate heap in place and merges
+// them on the (distance, key) total order, keeping the p best. No two
+// scanned rows share a key (positions are unique, and so are the IDs of
+// live rows), so the merged top-p is a unique set in a unique order —
+// the same for any partition of the position space, which is what makes
+// both the partitioned scan above and the sharded store's cross-shard
+// gather deterministic.
+func mergeTopP(heaps []*topP, p int) []space.Neighbor {
 	n := 0
 	for _, h := range heaps {
-		n += len(h)
+		slices.SortFunc(h.rows, func(a, b ranked) int {
+			switch {
+			case a.before(b):
+				return -1
+			case b.before(a):
+				return 1
+			}
+			return 0
+		})
+		n += len(h.rows)
 	}
-	merged := make([]space.Neighbor, 0, n)
-	for _, h := range heaps {
-		merged = append(merged, h...)
+	out := make([]space.Neighbor, 0, min(p, n))
+	for len(out) < cap(out) {
+		best := -1
+		for i, h := range heaps {
+			if len(h.rows) > 0 && (best < 0 || h.rows[0].before(heaps[best].rows[0])) {
+				best = i
+			}
+		}
+		r := heaps[best].rows[0]
+		heaps[best].rows = heaps[best].rows[1:]
+		out = append(out, space.Neighbor{Index: r.pos, Distance: r.dist})
 	}
-	space.SortNeighbors(merged)
-	if len(merged) > p {
-		merged = merged[:p]
-	}
-	return merged
+	return out
 }
 
 // scanRange scans the selected rows of global positions [lo, hi),
 // splitting the range at the base/delta boundary, and returns at most
-// the p best as an unsorted bounded max-heap (threaded through both
-// segment scans by value). A predicate's skip bitmaps take scanSelected,
-// the shared tombstones scanSegment. clk gets this partition's
-// base/delta scan durations.
-func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, rs rowSet, clk *FilterClock) neighborMaxHeap {
+// the p best in a bounded heap that both segment scans fill. A
+// predicate's skip bitmaps take scanSelected, the shared tombstones
+// scanSegment. clk gets this partition's base/delta scan durations.
+func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, rs rowSet, ids idTables, clk *FilterClock) *topP {
 	scan := scanSegment
 	if rs.filtered {
 		scan = scanSelected
 	}
-	h := make(neighborMaxHeap, 0, p+1)
+	h := newTopP(p)
 	bn := s.base.Size()
 	if lo < bn {
 		t0 := time.Now()
-		h = scan(h, s.base.flat, s.base.dims, rs.baseSkip, qvec, weights, lo, min(hi, bn), 0, p)
+		scan(h, s.base.flat, s.base.dims, rs.baseSkip, ids.base, qvec, weights, lo, min(hi, bn), 0)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if hi > bn {
 		t0 := time.Now()
-		h = scan(h, s.deltaFlat, s.base.dims, rs.deltaSkip, qvec, weights, max(lo, bn)-bn, hi-bn, bn, p)
+		scan(h, s.deltaFlat, s.base.dims, rs.deltaSkip, ids.delta, qvec, weights, max(lo, bn)-bn, hi-bn, bn)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	return h
@@ -677,21 +655,12 @@ func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, rs rowS
 
 // scanSelected scans the rows of [lo, hi) in one segment's flat block
 // that skip does not mark, where skip is a predicate's skip bitmap and
-// covers every row. It walks the selected rows' set bits a word at a
-// time, skipping unselected runs (trailing-zero iteration with edge
-// masking at the range bounds), so a selective predicate touches only
-// the selected rows' vectors. The heap discipline and the (distance,
-// position) order are exactly scanSegment's.
-func scanSelected(h neighborMaxHeap, flat []float64, dims int, skip bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
-	push := func(i int, dd float64) {
-		n := space.Neighbor{Index: posOff + i, Distance: dd}
-		if len(h) < p {
-			heap.Push(&h, n)
-		} else if less(n, h[0]) {
-			h[0] = n
-			heap.Fix(&h, 0)
-		}
-	}
+// covers every row, offering each (at global position posOff + row) to
+// h under the segment's ID table ids. It walks the selected rows' set
+// bits a word at a time, skipping unselected runs (trailing-zero
+// iteration with edge masking at the range bounds), so a selective
+// predicate touches only the selected rows' vectors.
+func scanSelected(h *topP, flat []float64, dims int, skip bitmap, ids []uint64, qvec, weights []float64, lo, hi, posOff int) {
 	for w := lo >> 6; w<<6 < hi; w++ {
 		word := ^skip[w]
 		base := w << 6
@@ -706,47 +675,36 @@ func scanSelected(h neighborMaxHeap, flat []float64, dims int, skip bitmap, qvec
 			word &= word - 1
 			v := flat[i*dims : i*dims+dims]
 			if weights == nil {
-				push(i, metrics.L1(qvec, v))
+				h.offer(metrics.L1(qvec, v), posOff+i, ids, posOff)
 			} else {
-				push(i, metrics.WeightedL1Unchecked(weights, qvec, v))
+				h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), posOff+i, ids, posOff)
 			}
 		}
 	}
-	return h
 }
 
 // scanSegment scans rows [lo, hi) of one segment's flat block, skipping
-// the rows skip marks (tombstones), accumulating the rest (offset to
-// global positions by posOff) into the bounded max-heap, which it
-// returns: O((hi-lo) log p) with no allocation beyond the heap itself.
-// A segment with no tombstones takes a loop with no per-row test,
-// instruction-identical to the pre-segmentation kernel. It stays apart
-// from scanSelected: merged into one function behind a flag, its
-// tombstone-testing loop ran a median 1.09× as long (6 runs,
-// 1.01–1.13×; 10,000 × 32 rows, a thirteenth tombstoned, 2-vCPU KVM
-// Xeon, Go 1.24.0).
-func scanSegment(h neighborMaxHeap, flat []float64, dims int, skip bitmap, qvec, weights []float64, lo, hi, posOff, p int) neighborMaxHeap {
+// the rows skip marks (tombstones), and offers the rest (at global
+// position posOff + row) to h under the segment's ID table ids:
+// O((hi-lo) log p) with no allocation. A segment with no tombstones
+// takes a loop with no per-row test, instruction-identical to the
+// pre-segmentation kernel. It stays apart from scanSelected: merged into
+// one function behind a flag, its tombstone-testing loop ran a median
+// 1.09× as long (6 runs, 1.01–1.13×; 10,000 × 32 rows, a thirteenth
+// tombstoned, 2-vCPU KVM Xeon, Go 1.24.0).
+func scanSegment(h *topP, flat []float64, dims int, skip bitmap, ids []uint64, qvec, weights []float64, lo, hi, posOff int) {
 	row := flat[lo*dims:]
-	push := func(i int, dd float64) {
-		n := space.Neighbor{Index: posOff + i, Distance: dd}
-		if len(h) < p {
-			heap.Push(&h, n)
-		} else if less(n, h[0]) {
-			h[0] = n
-			heap.Fix(&h, 0)
-		}
-	}
 	if len(skip) == 0 {
 		for i := lo; i < hi; i++ {
 			v := row[:dims]
 			row = row[dims:]
 			if weights == nil {
-				push(i, metrics.L1(qvec, v))
+				h.offer(metrics.L1(qvec, v), posOff+i, ids, posOff)
 			} else {
-				push(i, metrics.WeightedL1Unchecked(weights, qvec, v))
+				h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), posOff+i, ids, posOff)
 			}
 		}
-		return h
+		return
 	}
 	for i := lo; i < hi; i++ {
 		v := row[:dims]
@@ -755,10 +713,9 @@ func scanSegment(h neighborMaxHeap, flat []float64, dims int, skip bitmap, qvec,
 			continue
 		}
 		if weights == nil {
-			push(i, metrics.L1(qvec, v))
+			h.offer(metrics.L1(qvec, v), posOff+i, ids, posOff)
 		} else {
-			push(i, metrics.WeightedL1Unchecked(weights, qvec, v))
+			h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), posOff+i, ids, posOff)
 		}
 	}
-	return h
 }

@@ -24,9 +24,9 @@ func TestTimingDoesNotChangeResults(t *testing.T) {
 		for qi := 0; qi < 8; qi++ {
 			qvec := []float64{rng.Float64(), rng.Float64()}
 			p := 1 + rng.Intn(40)
-			bare, _ := head.FilterLiveMatch(qvec, nil, p, true, nil, nil)
+			bare, _ := head.FilterLiveMatch(qvec, nil, p, true, nil, nil, nil, nil)
 			var clk FilterClock
-			timed, _ := head.FilterLiveMatch(qvec, nil, p, true, &clk, nil)
+			timed, _ := head.FilterLiveMatch(qvec, nil, p, true, &clk, nil, nil, nil)
 			if !reflect.DeepEqual(bare, timed) {
 				t.Fatalf("n=%d query %d: clocked filter diverges:\nbare  %v\ntimed %v", n, qi, bare, timed)
 			}

@@ -261,8 +261,9 @@ func decodeManifestV3(path string, payload []byte) (*manifestV3Body, error) {
 
 // baseSectionBody is the gob payload of a shard's base section: the
 // compacted base segment exactly as it sits in memory (objects, flat
-// vector block, stable IDs — always in ascending-ID order, because the
-// store folds segments back into ID order). Tag is the base's identity;
+// vector block, and distinct stable IDs in row order — not sorted, since
+// compaction keeps position order and an upserted row sits where its
+// replacement was appended). Tag is the base's identity;
 // the delta log next to it must carry the same tag to apply. NextID is
 // the shard's allocator view at write time (an extra crash-consistency
 // anchor beyond the manifest and the frames).
@@ -319,10 +320,12 @@ func readBaseSection(fsys fsio.FS, path string) (*baseSectionBody, error) {
 		return nil, fmt.Errorf("%w: %s: flat block has %d values for %d objects x %d dims",
 			ErrCorrupt, path, len(body.Flat), len(body.Objects), body.Dims)
 	}
+	seen := make(map[uint64]bool, len(body.IDs))
 	for i, id := range body.IDs {
-		if i > 0 && body.IDs[i-1] >= id {
-			return nil, fmt.Errorf("%w: %s: base ids not strictly ascending at %d", ErrCorrupt, path, i)
+		if seen[id] {
+			return nil, fmt.Errorf("%w: %s: base id %d repeats at row %d", ErrCorrupt, path, id, i)
 		}
+		seen[id] = true
 	}
 	return &body, nil
 }

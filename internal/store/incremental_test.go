@@ -11,8 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
+
+	"qse/internal/fsio"
 )
 
 // fileState snapshots the bytes of every file in a layout directory.
@@ -468,8 +471,8 @@ func TestUpsertStore(t *testing.T) {
 			t.Fatalf("%s: NextID %d after upserts, want 48", name, n)
 		}
 
-		// Compaction folds the out-of-order delta back into ID order and
-		// answers must not change.
+		// Compaction folds the delta in position order, and answers must
+		// not change.
 		before, _, _ := st.SearchFiltered([]float64{3, -3, 0}, 5, 24, nil)
 		if !st.Compact() {
 			t.Fatalf("%s: nothing to compact after upsert", name)
@@ -503,6 +506,88 @@ func TestUpsertStore(t *testing.T) {
 		got, _, err := r.SearchFiltered([]float64{3, -3, 0}, 5, 24, nil)
 		if err != nil || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: reopened answers differ (err %v):\n got %v\nwant %v", name, err, got, want)
+		}
+	}
+}
+
+// TestBaseSectionIDs pins the base section's ID check: IDs need not
+// ascend — a store that upserts, compacts, saves and reopens holds its
+// upserted rows last, and answers as it did before the save — but a
+// repeated ID is ErrCorrupt, also when the delta log tombstones one of
+// its rows, which no check past the section's would catch.
+func TestBaseSectionIDs(t *testing.T) {
+	model, db := fixture(t, 48)
+	st, err := New(model, db, l1, Gob[[]float64]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Upsert(3, []float64{3, -3, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Upsert(0, slices.Clone(db[40])); err != nil {
+		t.Fatal(err)
+	}
+	st.Compact()
+	basePath := func(path string) string {
+		bases, _ := shardSectionFiles(path, 1)
+		return filepath.Join(filepath.Dir(path), bases[0])
+	}
+	path := filepath.Join(t.TempDir(), "s.bundle")
+	if err := st.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	body, err := readBaseSection(fsio.OS(), basePath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSorted(body.IDs) {
+		t.Fatalf("base ids %v ascend after an upsert and a compaction", body.IDs)
+	}
+	r, err := Open(path, l1, Gob[[]float64]())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := append(queries(6, 8), db[40], []float64{3, -3, 0})
+	for _, q := range probes {
+		for _, kp := range [][2]int{{1, 1}, {4, 16}} {
+			want, _, _ := st.SearchFiltered(q, kp[0], kp[1], nil)
+			got, _, err := r.SearchFiltered(q, kp[0], kp[1], nil)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("search(%v, k=%d, p=%d): reopened %v (err %v), before the save %v", q, kp[0], kp[1], got, err, want)
+			}
+		}
+	}
+	for _, id := range []uint64{0, 3, 40} {
+		want, _ := st.Get(id)
+		if got, ok := r.Get(id); !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopened Get(%d) = %v, before the save %v", id, got, want)
+		}
+	}
+
+	for _, tombstoned := range []bool{false, true} {
+		st, err := New(model, db, l1, Gob[[]float64]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tombstoned {
+			if err := st.Remove(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "dup.bundle")
+		if err := st.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		body, err := readBaseSection(fsio.OS(), basePath(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.IDs[1] = body.IDs[0]
+		if _, err := writeBaseSection(fsio.OS(), basePath(path), body); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, l1, Gob[[]float64]()); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("tombstoned=%v: a base with a repeated id opened: %v, want ErrCorrupt", tombstoned, err)
 		}
 	}
 }

@@ -14,16 +14,15 @@
 //   - The query is embedded once; the same qvec/weights go to every
 //     shard, so filter distances are computed by the same kernels on the
 //     same float64 inputs whatever S is.
-//   - Each shard returns its p best live rows under the filter distance.
-//     Any member of the global top-p lies in its own shard's top-p, so
-//     the union covers the global candidate set.
-//   - Within a shard, position order equals stable-ID order (bases keep
-//     ascending IDs through compaction, deltas append ascending IDs), so
-//     the per-shard (distance, position) rankings translate to the global
-//     (distance, ID) total order losslessly; merging on it and truncating
-//     to p gives the same candidate set for every S — same set, same
-//     order, same size, so the refine phase pays the same number of
-//     exact distances and ranks identically.
+//   - Each shard returns its p best live rows under the (filter
+//     distance, stable ID) total order: its scan breaks exact distance
+//     ties on the ID, read from the snapshot's ID tables. Any member of
+//     the global top-p lies in its own shard's top-p, so the union
+//     covers the global candidate set.
+//   - Merging the shards' rows on the same order and truncating to p
+//     gives the same candidate set for every S — same set, same order,
+//     same size, so the refine phase pays the same number of exact
+//     distances and ranks identically.
 //
 // Persistence is the version-3 layout (see snapshot.go): one manifest
 // plus a base section and a delta log per shard, whatever S is. It is
@@ -113,25 +112,10 @@ type Store[T any] struct {
 	dims   int
 	shards []*shard[T]
 
-	// allocMu orders ID allocation: Add draws the next ID and its shard
-	// ticket under it, then releases it before touching the shard — the
-	// critical section is a few instructions, and never waits on a shard
-	// mutex (a shard stalled in compaction must not convoy Adds bound for
-	// other shards through the allocator). Per-shard FIFO is restored by
-	// the ticket gate below.
-	allocMu sync.Mutex
-	// nextID is written under allocMu; atomic so Stats and Save stay
-	// lock-free.
+	// nextID is the ID the next Add draws, by an atomic add: no lock,
+	// and never a wait on a shard (a shard stalled in compaction must not
+	// convoy Adds bound for other shards).
 	nextID atomic.Uint64
-	// gates[i] sequences inserts into shard i in allocation order: Add
-	// takes a ticket (under allocMu, so ticket order == ID order) and
-	// waits, under the shard mutex, for its turn. Within every shard
-	// insertion order therefore equals ID order — the ascending-delta-IDs
-	// invariant the snapshot's binary-searched ID table and the
-	// position↔ID order isomorphism both stand on — while adds to
-	// different shards proceed fully independently. (Upsert bypasses the
-	// gate: it draws no new ID and serializes on the shard mutex alone.)
-	gates []shardGate
 
 	// mark tracks the manifest this store last wrote; lastSnapNanos and
 	// lastSnapBytes describe the most recent Save that wrote anything.
@@ -179,15 +163,6 @@ func (s *Store[T]) fs() fsio.FS {
 // setFS swaps the filesystem under the save path. Test hook; call
 // before any Save/Start, never concurrently with one.
 func (s *Store[T]) setFS(fsys fsio.FS) { s.fsys = fsys }
-
-// shardGate is a ticket turnstile for one shard. tickets is drawn under
-// the Store's allocMu; serving is guarded by the shard's own mutex, and
-// cond uses that mutex as its Locker.
-type shardGate struct {
-	tickets uint64
-	serving uint64
-	cond    *sync.Cond
-}
 
 // New builds a one-shard store over db: NewSharded with S = 1.
 func New[T any](model *core.Model[T], db []T, dist space.Distance[T], codec Codec[T]) (*Store[T], error) {
@@ -240,19 +215,13 @@ func NewSharded[T any](model *core.Model[T], db []T, dist space.Distance[T], cod
 	return newFront(model, dist, codec, ss, uint64(len(db)), meta.NewRegistry()), nil
 }
 
-// newFront assembles the Store over already-built shards: the ticket
-// gates are bound to each shard's mutex and the allocator seeded. Every
-// constructor funnels through here so a Store can never exist with
-// uninitialized gates.
+// newFront assembles the Store over already-built shards, seeding the
+// allocator at next.
 func newFront[T any](model *core.Model[T], dist space.Distance[T], codec Codec[T], shards []*shard[T], next uint64, reg *meta.Registry) *Store[T] {
 	s := &Store[T]{
 		model: model, dist: dist, codec: codec,
 		dims: model.Dims(), shards: shards,
-		gates: make([]shardGate, len(shards)),
-		reg:   reg, track: meta.NewTracker(),
-	}
-	for i := range s.gates {
-		s.gates[i].cond = sync.NewCond(&shards[i].mu)
+		reg: reg, track: meta.NewTracker(),
 	}
 	s.nextID.Store(next)
 	return s
@@ -480,11 +449,11 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 }
 
 // Add embeds x (outside every lock — concurrent Adds embed in parallel),
-// draws the next stable ID, and inserts into the owning shard in
-// allocation order (see shardGate). Only Adds landing on the same shard
-// serialize for the insert; a shard paused in compaction delays its own
-// Adds and nobody else's. Concurrent searches keep running against the
-// previous snapshot until the new one is published.
+// draws the next stable ID, and inserts into the owning shard under its
+// mutex. Only Adds landing on the same shard serialize for the insert,
+// in whatever order they reach its mutex; a shard paused in compaction
+// delays its own Adds and nobody else's. Concurrent searches keep running
+// against the previous snapshot until the new one is published.
 func (s *Store[T]) Add(x T) (uint64, error) {
 	return s.AddMeta(x, nil)
 }
@@ -504,24 +473,8 @@ func (s *Store[T]) AddMeta(x T, md meta.Map) (uint64, error) {
 		// nothing.
 		return 0, retrieval.ObjectDimsError(len(v), s.dims)
 	}
-	s.allocMu.Lock()
-	id := s.nextID.Load()
-	si := shardOf(id, len(s.shards))
-	ticket := s.gates[si].tickets
-	s.gates[si].tickets++
-	s.nextID.Store(id + 1)
-	s.allocMu.Unlock()
-
-	sh, g := s.shards[si], &s.gates[si]
-	sh.mu.Lock()
-	for g.serving != ticket {
-		g.cond.Wait()
-	}
-	err := sh.addAssignedLocked(x, v, id, md)
-	g.serving++
-	g.cond.Broadcast()
-	sh.mu.Unlock()
-	if err != nil {
+	id := s.nextID.Add(1) - 1
+	if err := s.shardFor(id).add(x, v, id, md); err != nil {
 		return 0, err
 	}
 	return id, nil
@@ -571,15 +524,18 @@ func (s *Store[T]) Metadata(id uint64) (meta.Map, bool) {
 }
 
 // First returns the live stored object with the lowest stable ID, for
-// callers that need a representative sample, in O(shards) while every
-// shard's position order equals its ID order (see shard.firstLive).
+// callers that need a representative sample, by one pass over every
+// shard's rows.
 func (s *Store[T]) First() (T, bool) {
 	var best T
 	var bestID uint64
 	found := false
 	for _, sh := range s.shards {
-		if x, id, ok := sh.firstLive(); ok && (!found || id < bestID) {
-			best, bestID, found = x, id, true
+		snap := sh.cur.Load()
+		for pos, total := 0, snap.seg.Total(); pos < total; pos++ {
+			if id := snap.idAt(pos); snap.seg.Alive(pos) && (!found || id < bestID) {
+				best, bestID, found = snap.seg.Object(pos), id, true
+			}
 		}
 	}
 	return best, found

@@ -458,7 +458,7 @@ func TestShardedConcurrentMutation(t *testing.T) {
 }
 
 // TestShardedFirst pins First across shards: always the lowest live ID,
-// tracked incrementally through front-heavy removals.
+// through front-heavy removals.
 func TestShardedFirst(t *testing.T) {
 	s := newSharded(t, 40, 4)
 	for id := uint64(0); id < 40; id++ {

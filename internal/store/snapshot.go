@@ -563,24 +563,13 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 	if maxID > nextID {
 		nextID = maxID
 	}
-	deltaSorted := true
-	for i := 1; i < len(deltaIDs); i++ {
-		if deltaIDs[i-1] >= deltaIDs[i] {
-			deltaSorted = false
-			break
-		}
-	}
-	firstLive := 0
-	for firstLive < seg.Total() && !seg.Alive(firstLive) {
-		firstLive++
-	}
 
 	st := &shard[T]{policy: DefaultCompactionPolicy()}
 	st.cur.Store(&snapshot[T]{
 		seg:     seg,
 		baseIDs: b.IDs, basePos: basePos,
-		deltaIDs: deltaIDs, deltaSorted: deltaSorted,
-		gen: 0, firstLive: firstLive, baseVer: b.Tag,
+		deltaIDs: deltaIDs,
+		baseVer:  b.Tag,
 	})
 	if logOK {
 		// The sections on disk describe exactly the state we restored

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -176,13 +175,9 @@ type snapshot[T any] struct {
 	// Both are immutable and rebuilt only by compaction.
 	baseIDs []uint64
 	basePos map[uint64]int
-	// deltaIDs maps delta offset -> stable ID. Add assigns ascending IDs;
-	// Upsert re-appends an existing ID, so the slice is sorted only while
-	// deltaSorted holds — lookups binary-search it when they can and fall
-	// back to a linear scan of the (small, compaction-bounded) delta when
-	// they cannot.
-	deltaIDs    []uint64
-	deltaSorted bool
+	// deltaIDs maps delta offset -> stable ID, in insertion order: an
+	// Upsert re-appends an existing ID after its tombstoned predecessor.
+	deltaIDs []uint64
 	// gen is the mutation count that produced this snapshot. It lives
 	// inside the snapshot — not in a separate atomic — so contents and
 	// generation are always observed together: equal generations really
@@ -198,13 +193,6 @@ type snapshot[T any] struct {
 	// tag resumes from the base section on disk, which is what lets
 	// background snapshots stay incremental across process restarts.
 	baseVer uint64
-	// firstLive is the lowest live global position, or seg.Total() when
-	// every row is tombstoned. It is maintained incrementally — Add never
-	// lowers it, Remove only advances it when the first live row itself
-	// dies — so First costs O(1) instead of rescanning an arbitrarily
-	// tombstoned prefix on every call; the advance scans are paid at most
-	// once per row across a snapshot chain (amortized O(1) per Remove).
-	firstLive int
 }
 
 // idAt returns the stable ID of the row at global position pos.
@@ -218,24 +206,14 @@ func (sn *snapshot[T]) idAt(pos int) uint64 {
 // lookup resolves a stable ID to a live global position. An ID may occur
 // more than once across the segments after an Upsert (the old row
 // tombstoned, the replacement appended to the delta under the same ID);
-// lookup returns the live occurrence if one exists.
+// lookup returns the live occurrence if one exists. The delta is scanned
+// newest-first, so a live replacement is found before its tombstoned
+// predecessors; the compaction policy bounds its length.
 func (sn *snapshot[T]) lookup(id uint64) (int, bool) {
 	if i, ok := sn.basePos[id]; ok && sn.seg.Alive(i) {
 		return i, true
 	}
 	bn := len(sn.baseIDs)
-	if sn.deltaSorted {
-		// A sorted delta holds each ID at most once (a second occurrence
-		// of the same ID would have broken the strict ascent).
-		if j, ok := slices.BinarySearch(sn.deltaIDs, id); ok {
-			pos := bn + j
-			return pos, sn.seg.Alive(pos)
-		}
-		return 0, false
-	}
-	// Upserts made the delta unsorted: scan newest-first so the live
-	// replacement shadows its tombstoned predecessors. The delta is
-	// bounded by the compaction policy, so this stays small.
 	for j := len(sn.deltaIDs) - 1; j >= 0; j-- {
 		if sn.deltaIDs[j] == id {
 			if pos := bn + j; sn.seg.Alive(pos) {
@@ -246,10 +224,7 @@ func (sn *snapshot[T]) lookup(id uint64) (int, bool) {
 	return 0, false
 }
 
-// liveIDs returns the stable IDs of the live rows in position order —
-// ascending while the position↔ID order isomorphism holds, but possibly
-// unsorted after Upserts (which keep an old ID at a new position) until
-// the next compaction restores the order.
+// liveIDs returns the stable IDs of the live rows in position order.
 func (sn *snapshot[T]) liveIDs() []uint64 {
 	out := make([]uint64, 0, sn.seg.Live())
 	for pos, total := 0, sn.seg.Total(); pos < total; pos++ {
@@ -258,66 +233,6 @@ func (sn *snapshot[T]) liveIDs() []uint64 {
 		}
 	}
 	return out
-}
-
-// idOrdered reports whether position order equals stable-ID order for
-// this snapshot's live rows: the base is always ID-sorted (compaction
-// restores the order, see compacted), so the whole snapshot is ordered
-// iff the delta is internally sorted and starts past the base's last ID.
-// Only Upsert can break this, and only until the next compaction.
-func (sn *snapshot[T]) idOrdered() bool {
-	return sn.deltaSorted &&
-		(len(sn.deltaIDs) == 0 || len(sn.baseIDs) == 0 || sn.deltaIDs[0] > sn.baseIDs[len(sn.baseIDs)-1])
-}
-
-// compacted returns the snapshot's contents as a single-segment index
-// plus its ID table and metadata block (nil when no row carries
-// metadata), reusing the base directly when there is nothing to fold.
-// The result is always in ascending-ID order: when Upserts have
-// decoupled position order from ID order, the live rows are gathered in
-// ID order — re-establishing the isomorphism every fresh base (and every
-// saved base section) is built on. It only reads immutable state, so any
-// holder of a snapshot may call it without the store lock (Save does).
-func (sn *snapshot[T]) compacted() (*retrieval.Index[T], []uint64, *meta.Block) {
-	if sn.seg.DeltaLen() == 0 && sn.seg.Tombstones() == 0 {
-		return sn.seg.Base(), sn.baseIDs, sn.seg.MetaBlock()
-	}
-	if sn.idOrdered() {
-		ix, blk := sn.seg.CompactSegmented()
-		return ix, sn.liveIDs(), blk
-	}
-	type rowRef struct {
-		id  uint64
-		pos int
-	}
-	refs := make([]rowRef, 0, sn.seg.Live())
-	for pos, total := 0, sn.seg.Total(); pos < total; pos++ {
-		if sn.seg.Alive(pos) {
-			refs = append(refs, rowRef{sn.idAt(pos), pos})
-		}
-	}
-	slices.SortFunc(refs, func(a, b rowRef) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
-	positions := make([]int, len(refs))
-	ids := make([]uint64, len(refs))
-	for i, r := range refs {
-		positions[i] = r.pos
-		ids[i] = r.id
-	}
-	ix, blk, err := sn.seg.GatherSegmented(positions)
-	if err != nil {
-		// Positions come from the snapshot's own live scan; out-of-range
-		// is impossible.
-		panic("store: internal: " + err.Error())
-	}
-	return ix, ids, blk
 }
 
 // shard is one hash partition of a Store under a copy-on-write
@@ -359,13 +274,10 @@ type shard[T any] struct {
 	saved  savedShardState
 }
 
-// newShard builds a shard over db with the given stable IDs, which must
-// be strictly ascending — the position↔ID order isomorphism every
-// layer's determinism argument leans on (see DESIGN.md §8) is
-// established here and preserved by every mutation. The index aliases
-// db. An empty db is accepted (a hash partition may simply have no
-// objects yet): the index is then assembled around the model's
-// dimensionality without embedding anything.
+// newShard builds a shard over db with the given distinct stable IDs,
+// row for row. The index aliases db. An empty db is accepted (a hash
+// partition may simply have no objects yet): the index is then assembled
+// around the model's dimensionality without embedding anything.
 func newShard[T any](model *core.Model[T], db []T, ids []uint64, dist space.Distance[T]) (*shard[T], error) {
 	var ix *retrieval.Index[T]
 	var err error
@@ -382,18 +294,16 @@ func newShard[T any](model *core.Model[T], db []T, ids []uint64, dist space.Dist
 	return sh, nil
 }
 
-// newBaseSnapshot wraps a single-segment index as a snapshot. Every row
-// of a fresh base is live, so firstLive is 0 — which also covers the
-// empty store, where 0 == Total(). ids must be ascending (every caller
-// constructs or compacts into ID order), so the fresh delta is sorted.
-// blk is the base rows' metadata column block (nil when none carries
-// metadata), row-aligned with ix.
+// newBaseSnapshot wraps a single-segment index as a snapshot with an
+// empty delta. ids are the rows' distinct stable IDs and blk their
+// metadata column block (nil when none carries metadata), both
+// row-aligned with ix.
 func newBaseSnapshot[T any](ix *retrieval.Index[T], ids []uint64, gen, baseVer uint64, blk *meta.Block) *snapshot[T] {
 	pos := make(map[uint64]int, len(ids))
 	for i, id := range ids {
 		pos[id] = i
 	}
-	return &snapshot[T]{seg: retrieval.NewSegmentedWithMeta(ix, blk), baseIDs: ids, basePos: pos, deltaSorted: true, gen: gen, baseVer: baseVer}
+	return &snapshot[T]{seg: retrieval.NewSegmentedWithMeta(ix, blk), baseIDs: ids, basePos: pos, gen: gen, baseVer: baseVer}
 }
 
 // noteScan accounts one filter scan over the given snapshot toward the
@@ -422,46 +332,16 @@ type cand[T any] struct {
 
 // filterLiveMatch runs the filter phase of one shard against this
 // immutable snapshot: the p best live rows matching pred (nil matches
-// everything), in ascending (filter distance, stable ID) order, plus
-// the count of matching live rows. Positions order rows exactly like
-// IDs do (see DESIGN.md §8) except between an Upsert and the next
-// compaction, so mapping the segmented scan's (distance, position)
-// ranking to (distance, ID) preserves it bit for bit whenever filter
-// distances are distinct — exact float64 ties across distinct rows are
-// the only case where the two orders could disagree, and only for
-// upserted rows.
+// everything), in ascending (filter distance, stable ID) order — the
+// scan ranks on the snapshot's ID tables — plus the count of matching
+// live rows.
 func (sn *snapshot[T]) filterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *retrieval.FilterClock, pred *meta.Predicate) ([]cand[T], int) {
-	ns, matched := sn.seg.FilterLiveMatch(qvec, weights, p, parallel, clk, pred)
+	ns, matched := sn.seg.FilterLiveMatch(qvec, weights, p, parallel, clk, pred, sn.baseIDs, sn.deltaIDs)
 	out := make([]cand[T], len(ns))
 	for i, n := range ns {
 		out[i] = cand[T]{id: sn.idAt(n.Index), fdist: n.Distance, obj: sn.seg.Object(n.Index)}
 	}
 	return out, matched
-}
-
-// firstLive returns the lowest-ID live object together with its ID.
-func (s *shard[T]) firstLive() (T, uint64, bool) {
-	snap := s.cur.Load()
-	if snap.idOrdered() {
-		if fl := snap.firstLive; fl < snap.seg.Total() {
-			return snap.seg.Object(fl), snap.idAt(fl), true
-		}
-		var zero T
-		return zero, 0, false
-	}
-	best, bestPos, found := uint64(0), 0, false
-	for pos, total := 0, snap.seg.Total(); pos < total; pos++ {
-		if snap.seg.Alive(pos) {
-			if id := snap.idAt(pos); !found || id < best {
-				best, bestPos, found = id, pos, true
-			}
-		}
-	}
-	if !found {
-		var zero T
-		return zero, 0, false
-	}
-	return snap.seg.Object(bestPos), best, true
 }
 
 // Get returns the object with the given stable ID.
@@ -487,15 +367,12 @@ func (s *shard[T]) Metadata(id uint64) (meta.Map, bool) {
 	return snap.seg.Metadata(pos).Clone(), true
 }
 
-// addAssignedLocked inserts x — already embedded as v, already validated
-// against the store's dimensionality and (for md) the type registry —
-// under a caller-chosen stable ID. The caller must hold s.mu and must
-// assign IDs in strictly ascending order per shard (the Store's
-// allocator and ticket gates guarantee both, see Store.AddMeta).
-// firstLive carries over unchanged: an append never precedes the lowest
-// live row, and on an empty shard old.firstLive == old Total, which is
-// exactly the new row's position.
-func (s *shard[T]) addAssignedLocked(x T, v []float64, id uint64, md meta.Map) error {
+// add inserts x — already embedded as v, already validated against the
+// store's dimensionality and (for md) the type registry — under a fresh
+// stable ID the Store's allocator drew.
+func (s *shard[T]) add(x T, v []float64, id uint64, md meta.Map) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	old := s.cur.Load()
 	seg, _, err := old.seg.AddWithVectorMeta(x, v, md)
 	if err != nil {
@@ -507,11 +384,9 @@ func (s *shard[T]) addAssignedLocked(x T, v []float64, id uint64, md meta.Map) e
 		// Appending to the shared backing is safe: every published
 		// snapshot's deltaIDs prefix ends before this slot, and mu
 		// serializes the writers.
-		deltaIDs:    append(old.deltaIDs, id),
-		deltaSorted: old.deltaSorted && (len(old.deltaIDs) == 0 || id > old.deltaIDs[len(old.deltaIDs)-1]),
-		gen:         old.gen + 1,
-		firstLive:   old.firstLive,
-		baseVer:     old.baseVer,
+		deltaIDs: append(old.deltaIDs, id),
+		gen:      old.gen + 1,
+		baseVer:  old.baseVer,
 	}))
 	return nil
 }
@@ -521,10 +396,7 @@ func (s *shard[T]) addAssignedLocked(x T, v []float64, id uint64, md meta.Map) e
 // appended to the delta under the same ID, with md as its whole metadata
 // record, in one published snapshot and one generation bump. A reader
 // observes either the old object or the new one, never neither nor both.
-// Because the replacement lands at the end of the delta, the
-// position↔ID order isomorphism is suspended until the next compaction
-// folds the rows back into ID order (see compacted). md's fields are
-// registered in reg only once the ID is known to be live, under the
+// md's fields are registered in reg only once the ID is known to be live, under the
 // mutex and before the tombstone, so a refused upsert — an unknown ID
 // (ErrUnknownID) or a kind conflict — changes neither the shard nor the
 // registry.
@@ -547,21 +419,12 @@ func (s *shard[T]) upsertEmbedded(id uint64, x T, v []float64, md meta.Map, reg 
 	if err != nil {
 		return err
 	}
-	// The replaced row may have been the first live one; the appended
-	// replacement is live at the very end, so the advance always stops.
-	fl := old.firstLive
-	if pos == fl {
-		for fl++; fl < seg.Total() && !seg.Alive(fl); fl++ {
-		}
-	}
 	s.cur.Store(s.maybeCompact(&snapshot[T]{
 		seg:     seg,
 		baseIDs: old.baseIDs, basePos: old.basePos,
-		deltaIDs:    append(old.deltaIDs, id),
-		deltaSorted: old.deltaSorted && (len(old.deltaIDs) == 0 || id > old.deltaIDs[len(old.deltaIDs)-1]),
-		gen:         old.gen + 1,
-		firstLive:   fl,
-		baseVer:     old.baseVer,
+		deltaIDs: append(old.deltaIDs, id),
+		gen:      old.gen + 1,
+		baseVer:  old.baseVer,
 	}))
 	return nil
 }
@@ -582,23 +445,12 @@ func (s *shard[T]) Remove(id uint64) error {
 	if err != nil {
 		return err
 	}
-	// A removed row can only move firstLive when it was the first live row
-	// itself (pos is alive, so pos >= old.firstLive always); the advance
-	// scans each position at most once across the whole snapshot chain, so
-	// Remove stays O(1) amortized and First O(1) worst-case.
-	fl := old.firstLive
-	if pos == fl {
-		for fl++; fl < seg.Total() && !seg.Alive(fl); fl++ {
-		}
-	}
 	s.cur.Store(s.maybeCompact(&snapshot[T]{
 		seg:     seg,
 		baseIDs: old.baseIDs, basePos: old.basePos,
-		deltaIDs:    old.deltaIDs,
-		deltaSorted: old.deltaSorted,
-		gen:         old.gen + 1,
-		firstLive:   fl,
-		baseVer:     old.baseVer,
+		deltaIDs: old.deltaIDs,
+		gen:      old.gen + 1,
+		baseVer:  old.baseVer,
 	}))
 	return nil
 }
@@ -697,12 +549,14 @@ func (s *shard[T]) runCompaction(sn *snapshot[T]) *snapshot[T] {
 }
 
 // compactSnapshot returns the compacted equivalent of sn: same live
-// contents, same generation, single segment, fresh (ID-ordered) tables,
-// and a fresh base tag so the incremental saver knows the on-disk base
-// section no longer matches.
+// contents, same generation, single segment, fresh tables, and a fresh
+// base tag so the incremental saver knows the on-disk base section no
+// longer matches. Live rows keep their position order, base first, so
+// the fresh ID table need not ascend: a row an Upsert replaced sits
+// where its replacement was appended.
 func compactSnapshot[T any](sn *snapshot[T]) *snapshot[T] {
-	ix, ids, blk := sn.compacted()
-	out := newBaseSnapshot(ix, ids, sn.gen, newBaseTag(), blk)
+	ix, blk := sn.seg.CompactSegmented()
+	out := newBaseSnapshot(ix, sn.liveIDs(), sn.gen, newBaseTag(), blk)
 	if sn.seg.QuantBits() > 0 {
 		// Carry quantization across the fold: fresh boundaries over the
 		// fresh base, so the shadow stays tight as the data drifts, and

@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -410,100 +409,6 @@ func TestConcurrentSearchAndMutate(t *testing.T) {
 	if r.Size() == 0 {
 		t.Fatal("stress bundle is empty")
 	}
-}
-
-// TestFirstLiveTracking is the regression test for O(1) First: the
-// snapshot's incrementally tracked firstLive must equal a brute-force
-// scan after every interleaving of removes (front-heavy on purpose —
-// exactly the pattern that made the scanning First O(n)), adds, and
-// compactions, and First must always return the lowest live ID's object.
-func TestFirstLiveTracking(t *testing.T) {
-	s := newStore(t, 60)
-	s.SetCompactionPolicy(lazy)
-	sh := s.shards[0]
-
-	assertFirst := func(stage string) {
-		t.Helper()
-		snap := sh.cur.Load()
-		want := snap.seg.Total()
-		for pos := 0; pos < snap.seg.Total(); pos++ {
-			if snap.seg.Alive(pos) {
-				want = pos
-				break
-			}
-		}
-		if snap.firstLive != want {
-			t.Fatalf("%s: firstLive = %d, brute-force scan says %d", stage, snap.firstLive, want)
-		}
-		ids := snap.liveIDs()
-		x, id, ok := sh.firstLive()
-		if len(ids) == 0 {
-			if ok {
-				t.Fatalf("%s: store drained but First reports id %d", stage, id)
-			}
-			return
-		}
-		if !ok || id != ids[0] {
-			t.Fatalf("%s: First id = %d (ok %v), want lowest live id %d", stage, id, ok, ids[0])
-		}
-		if want, wok := s.Get(id); !wok || !reflect.DeepEqual(x, want) {
-			t.Fatalf("%s: First object does not match Get(%d)", stage, id)
-		}
-	}
-	assertFirst("fresh")
-
-	// Tombstone the whole front of the base, one row at a time: each
-	// remove hits pos == firstLive and must advance it past the dead
-	// prefix without ever disagreeing with the scan.
-	for id := uint64(0); id < 25; id++ {
-		if err := s.Remove(id); err != nil {
-			t.Fatalf("Remove(%d): %v", id, err)
-		}
-		assertFirst(fmt.Sprintf("front-remove %d", id))
-	}
-	// Adds never move firstLive; interleave them with scattered removes.
-	rng := rand.New(rand.NewSource(9))
-	live := []uint64{}
-	for id := uint64(25); id < 60; id++ {
-		live = append(live, id)
-	}
-	for i := 0; i < 40; i++ {
-		if rng.Intn(2) == 0 || len(live) == 0 {
-			id, err := s.Add([]float64{rng.Float64(), rng.Float64(), rng.Float64()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, id)
-		} else {
-			k := rng.Intn(len(live))
-			if err := s.Remove(live[k]); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live[:k], live[k+1:]...)
-		}
-		assertFirst(fmt.Sprintf("churn %d", i))
-		if i%13 == 0 {
-			s.Compact()
-			assertFirst(fmt.Sprintf("compact %d", i))
-		}
-	}
-	// Drain to empty (First must report empty), then refill (First must
-	// come back as the new lowest ID).
-	for _, id := range live {
-		if err := s.Remove(id); err != nil {
-			t.Fatal(err)
-		}
-		assertFirst("drain")
-	}
-	if _, ok := s.First(); ok {
-		t.Fatal("First on a drained store should report empty")
-	}
-	if _, err := s.Add([]float64{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	assertFirst("refill")
-	s.Compact()
-	assertFirst("refill-compacted")
 }
 
 // aggressive compacts on every mutation — the segmented store then
