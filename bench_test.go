@@ -618,8 +618,8 @@ func BenchmarkVAFileFilterStep(b *testing.B) {
 		b.ResetTimer()
 		var evals int
 		for i := 0; i < b.N; i++ {
-			tb, ok := bd.QueryTables(q, w)
-			if !ok {
+			var tb vafile.Tables
+			if !bd.QueryTables(&tb, q, w) {
 				b.Fatal("query rejected")
 			}
 			// Phase 1: screen the shadow, keeping the p-th smallest upper

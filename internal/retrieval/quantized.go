@@ -2,13 +2,13 @@
 // float64 vectors (one code byte per dimension; the base's codes held in
 // cluster order, built at quantization/compaction time, the delta's
 // appended incrementally in row order) plus the two-phase bound scan
-// that consumes it. Phase 1 is the seeded screen, a best-first walk over
-// the base's blocks: it accumulates weighted-L1 lower bounds per
-// candidate row from per-query cell tables (internal/vafile) while
-// maintaining the p-th smallest upper bound tau, and skips every block
-// whose box bound exceeds it; phase 2 evaluates the exact float64 block
-// only for rows whose lower bound is <= tau. The result is bit-identical
-// to the exact scan by construction:
+// that consumes it. Phase 1 is the seeded screen, a best-first walk down
+// the tree over the base's blocks: it accumulates weighted-L1 lower
+// bounds per candidate row from per-query cell tables (internal/vafile)
+// while maintaining the p-th smallest upper bound tau, and skips every
+// node whose box bound exceeds it; phase 2 evaluates the exact float64
+// block only for rows whose lower bound is <= tau. The result is
+// bit-identical to the exact scan by construction:
 //
 //   - every row with upper bound <= tau has true distance <= tau, and at
 //     least p such candidate rows exist whenever tau is finite, so a row
@@ -41,8 +41,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"qse/internal/metrics"
@@ -51,9 +50,9 @@ import (
 )
 
 // The gate (DESIGN §16). Below it the seeded screen costs more than the
-// exact scan it replaces: each shard-query first builds 4 × dims × 256
-// bound-table cells and a bound per block, which only a long scan earns
-// back.
+// exact scan it replaces: each shard-query first writes 4 × dims × 256
+// bound-table cells and prices the cluster tree's roots, which only a
+// long scan earns back.
 const (
 	// shadowMinRows and shadowMinDims gate the build: a base segment gets
 	// a shadow only with at least this many rows and dimensions. 16
@@ -93,13 +92,17 @@ type quantState struct {
 	// baseShadow is the base segment's codes in cluster order
 	// (clusterOrder): BaseSize x Dims bytes, the row at cluster position
 	// i being base row order[i]. Block b is cluster positions
-	// [starts[b], starts[b+1]), and boxes[b·2·Dims:] its box (vafile.Box).
-	// All four are derived from the row-order codes wherever a base
-	// shadow is built or restored, never persisted, and immutable and
-	// shared across versions like the base itself.
+	// [starts[b], starts[b+1]). nodes is the cluster tree over the
+	// blocks, roots its top nodes (one per k-means leaf), and
+	// boxes[n·2·Dims:] node n's box (vafile.Box over its rows). All are
+	// derived from the row-order codes wherever a base shadow is built
+	// or restored, never persisted, and immutable and shared across
+	// versions like the base itself.
 	baseShadow []uint8
 	order      []int32
 	starts     []int32
+	nodes      []treeNode
+	roots      []int32
 	boxes      []uint8
 	// deltaShadow holds the delta rows' codes under the same
 	// shared-backing prefix discipline as deltaFlat. deltaUnsafe is
@@ -138,20 +141,30 @@ func (s *Segmented[T]) withShadow() (*Segmented[T], error) {
 
 // withQuant returns a copy of s carrying the shadow of grid b and the
 // row-order base codes shadow: the codes are permuted into cluster
-// order, each block gets its box, and the delta rows are (re)encoded
-// against b.
+// order, each node of the cluster tree gets its box, and the delta rows
+// are (re)encoded against b.
 func (s *Segmented[T]) withQuant(b *vafile.Boundaries, shadow []uint8) *Segmented[T] {
 	bn, d := s.base.Size(), s.base.dims
-	order, starts := clusterOrder(shadow, bn, d)
+	order, starts, nodes, roots := clusterOrder(shadow, bn, d)
 	qs := &quantState{bounds: b, baseShadow: make([]uint8, bn*d), order: order, starts: starts,
-		boxes: make([]uint8, (len(starts)-1)*2*d)}
-	for blk := 0; blk+1 < len(starts); blk++ {
-		lo, hi := int(starts[blk]), int(starts[blk+1])
-		for i := lo; i < hi; i++ {
-			r := int(order[i])
-			copy(qs.baseShadow[i*d:(i+1)*d], shadow[r*d:(r+1)*d])
+		nodes: nodes, roots: roots, boxes: make([]uint8, len(nodes)*2*d)}
+	for i, r := range order {
+		copy(qs.baseShadow[i*d:(i+1)*d], shadow[int(r)*d:(int(r)+1)*d])
+	}
+	// A node's children follow it, so boxing the nodes last to first
+	// boxes both children before their parent, whose box is then the
+	// min and max of theirs.
+	for n := len(nodes) - 1; n >= 0; n-- {
+		nd, box := nodes[n], qs.box(n)
+		if nd.hi-nd.lo == 1 {
+			vafile.Box(qs.baseShadow[int(starts[nd.lo])*d:int(starts[nd.hi])*d], d, box)
+			continue
 		}
-		vafile.Box(qs.baseShadow[lo*d:hi*d], d, qs.boxes[blk*2*d:(blk+1)*2*d])
+		l, r := qs.box(int(nd.kids[0])), qs.box(int(nd.kids[1]))
+		for j := 0; j < d; j++ {
+			box[j] = min(l[j], r[j])
+			box[d+j] = max(l[d+j], r[d+j])
+		}
 	}
 	qs.encodeDelta(s.deltaFlat, len(s.deltaDB))
 	n := *s
@@ -200,6 +213,13 @@ func (s *Segmented[T]) QuantizeFromParts(bitWidth int, boundsFlat []float64, bas
 		return s.Quantize()
 	}
 	return s.withQuant(b, baseShadow), nil
+}
+
+// box returns tree node n's box: 2·Dims codes, each dimension's smallest
+// code over the node's rows, then its largest.
+func (qs *quantState) box(n int) []uint8 {
+	w := 2 * qs.bounds.Dims()
+	return qs.boxes[n*w : (n+1)*w]
 }
 
 // encodeDelta (re)encodes the current delta rows against qs.bounds into
@@ -263,14 +283,17 @@ func (s *Segmented[T]) BaseShadow() []uint8 {
 
 // ShadowBytes returns the shadow block's resident size in bytes (0 when
 // quantization is off or dormant): the base and delta codes, the cluster
-// order's map back to base positions (4 bytes a row), and the blocks'
-// boxes with their first positions (2·Dims + 4 bytes a block).
+// order's map back to base positions (4 bytes a row), the blocks' first
+// positions (4 bytes a block), and the cluster tree: each node's box,
+// block range and children (2·Dims + 16 bytes a node), and the roots
+// (4 bytes each).
 func (s *Segmented[T]) ShadowBytes() int {
 	qs := s.quant
 	if qs == nil || qs.bounds == nil {
 		return 0
 	}
-	return len(qs.baseShadow) + len(qs.deltaShadow) + 4*len(qs.order) + len(qs.boxes) + 4*len(qs.starts)
+	return len(qs.baseShadow) + len(qs.deltaShadow) + 4*len(qs.order) + 4*len(qs.starts) +
+		len(qs.boxes) + 16*len(qs.nodes) + 4*len(qs.roots)
 }
 
 // boundPrune is phase 1's verdict, consumed by the exact candidate
@@ -282,18 +305,20 @@ func (s *Segmented[T]) ShadowBytes() int {
 // bound that never drops below tau, so the exclusion already holds
 // against tau, and phase 2 only needs the final clbs[i] > tau filter for
 // rows admitted early. Rows without valid bounds (unsafe delta rows) are
-// admitted with a zero lower bound, which never prunes. parts are the
-// walk's per-worker states, which phase 2 reuses as its own.
+// admitted with a zero lower bound, which never prunes. priced counts
+// the boxes the walk priced. parts are the walk's per-worker states,
+// which phase 2 reuses as its own.
 type boundPrune struct {
-	cands []int32
-	clbs  []float64
-	split int
-	tau   float64
-	parts []*screenState
+	cands  []int32
+	clbs   []float64
+	split  int
+	tau    float64
+	priced int
+	parts  []*screenState
 }
 
-// ubHeap is a max-heap over upper bounds, retaining the p smallest seen
-// by one worker.
+// ubHeap is a max-heap over upper bounds, retaining the p smallest
+// offered.
 type ubHeap []float64
 
 func (h ubHeap) siftUp(i int) {
@@ -338,6 +363,57 @@ func (h ubHeap) siftDown() {
 	}
 }
 
+// bound is the threshold a row's lower bound must not cross: the heap
+// top once p upper bounds are in, +Inf before. It is the p-th smallest
+// upper bound of some live rows, so it never drops below tau, the p-th
+// smallest of all of them.
+func (h ubHeap) bound(p int) float64 {
+	if len(h) == p {
+		return h[0]
+	}
+	return math.Inf(1)
+}
+
+// keyHeap is a min-heap over the walk's (bound, node) keys.
+type keyHeap []uint64
+
+func (h *keyHeap) push(k uint64) {
+	*h = append(*h, k)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if s[parent] <= s[i] {
+			return
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the least key; the heap must not be empty.
+func (h *keyHeap) pop() uint64 {
+	s := *h
+	k, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			return k
+		}
+		least := l
+		if r := l + 1; r < n && s[r] < s[l] {
+			least = r
+		}
+		if s[least] >= s[i] {
+			return k
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+}
+
 // shadowView is the non-generic slice of a Segmented the screen needs:
 // the shadow, the base/delta split, and the query's rows (the tombstones
 // of an unfiltered query, a filtered one's own skips).
@@ -357,73 +433,63 @@ func (s *Segmented[T]) seedView(p int, rs rowSet) *shadowView {
 	return &shadowView{quantState: s.quant, bn: s.base.Size(), stride: s.base.dims, rowSet: rs}
 }
 
-// screenState is one worker's state through a seeded screen: its tau
-// heap, the candidates it admitted with their lower bounds, and its
-// scanned and visited rows. shared holds the float64 bits of the
-// smallest heap top any worker has published — non-negative floats order
-// like their bits — so every worker's bound is also capped by the
-// others'. touched folds in every byte phase 2's touches load: nothing
-// reads it, but storing it keeps the compiler from dropping the loads,
-// and each worker stores only into its own state.
+// treeWalk is what one screen's workers share: the query's bound tables
+// (read only), and under mu the min-heap of (bound, node) keys still to
+// visit and the p smallest upper bounds of the rows admitted so far,
+// whose top is every worker's bound. A screen takes its treeWalk from
+// walkPool and puts it back when phase 1 ends, so the tables and the
+// heaps keep their backing arrays from one query to the next.
+type treeWalk struct {
+	tbl  vafile.Tables
+	mu   sync.Mutex
+	keys keyHeap
+	ubs  ubHeap
+	p    int
+	mask uint64
+}
+
+var walkPool = sync.Pool{New: func() any { return new(treeWalk) }}
+
+// key packs node n and its box bound s into a heap key: the node in the
+// low bits (mask), the bound's bits above them. Non-negative floats
+// order like their bits, so a key's floor — key&^mask read as a float64
+// — never exceeds s, and keys order like their floors.
+func (tw *treeWalk) key(s float64, n int32) uint64 {
+	return math.Float64bits(s)&^tw.mask | uint64(n)
+}
+
+// screenState is one worker's state through a seeded screen: the
+// candidates it admitted with their lower bounds, the upper bounds of
+// the block it last visited, not yet offered to the shared heap, and its
+// scanned and visited rows and priced boxes. touched folds in every byte
+// phase 2's touches load: nothing reads it, but storing it keeps the
+// compiler from dropping the loads, and each worker stores only into its
+// own state.
 type screenState struct {
-	tbl     *vafile.Tables
-	p       int
-	shared  *atomic.Uint64
-	ubs     ubHeap
 	cands   []int32
 	clbs    []float64
+	ubs     []float64
 	scanned int64
 	visited int64
+	priced  int
 	touched uint64
 }
 
-// bound is the threshold a row's lower bound must not cross: the heap
-// top once p upper bounds are in, capped by the published one. Each is
-// the p-th smallest upper bound of some live rows, so neither drops
-// below tau, the p-th smallest of all of them.
-func (st *screenState) bound() float64 {
-	b := math.Float64frombits(st.shared.Load())
-	if len(st.ubs) == st.p && st.ubs[0] < b {
-		return st.ubs[0]
-	}
-	return b
-}
-
-// publish lowers the shared bound to the worker's heap top once the
-// heap holds p upper bounds.
-func (st *screenState) publish() {
-	if len(st.ubs) < st.p {
-		return
-	}
-	top := math.Float64bits(st.ubs[0])
-	for {
-		cur := st.shared.Load()
-		if top >= cur || st.shared.CompareAndSwap(cur, top) {
-			return
-		}
-	}
-}
-
 // admit screens one row's codes against bound: a row within it becomes
-// a candidate at position pos and offers its upper bound to the heap. It
-// returns the bound, tightened to the heap top when that is lower. A
+// a candidate at position pos, and admit returns its upper bound. A
 // lower bound crossing the bound — whether the full sum or a partial sum
 // RowLowerBounded aborts on — already crosses tau, which is never above
 // it, so the row is dropped here instead of re-filtered in phase 2; ub
-// >= lb, so a dropped row cannot improve the heap either.
-func (st *screenState) admit(row []uint8, pos int, bound float64) float64 {
+// >= lb, so a dropped row cannot lower tau either.
+func (st *screenState) admit(tbl *vafile.Tables, row []uint8, pos int, bound float64) (ub float64, ok bool) {
 	st.visited++
-	lb, within := st.tbl.RowLowerBounded(row, bound)
+	lb, within := tbl.RowLowerBounded(row, bound)
 	if !within {
-		return bound
+		return 0, false
 	}
 	st.cands = append(st.cands, int32(pos))
 	st.clbs = append(st.clbs, lb)
-	st.ubs.offer(st.tbl.RowUpper(row), st.p)
-	if len(st.ubs) == st.p && st.ubs[0] < bound {
-		return st.ubs[0]
-	}
-	return bound
+	return tbl.RowUpper(row), true
 }
 
 // cacheLine is the span of one cache line in bytes: a touch loads one
@@ -447,9 +513,11 @@ func touchFloats(b []float64, lo, hi int) uint64 {
 }
 
 // screenDelta screens the selected delta rows at global positions [lo, hi)
-// (all >= bn) in ascending position order into st.
-func (v *shadowView) screenDelta(st *screenState, lo, hi int) {
+// (all >= bn) in ascending position order into st, offering each
+// admitted row's upper bound to ubs and tightening the bound to its top.
+func (v *shadowView) screenDelta(st *screenState, tbl *vafile.Tables, ubs *ubHeap, p, lo, hi int) {
 	stride := v.stride
+	bound := ubs.bound(p)
 	for pos := lo; pos < hi; pos++ {
 		j := pos - v.bn
 		if v.deltaSkip.get(j) {
@@ -464,134 +532,135 @@ func (v *shadowView) screenDelta(st *screenState, lo, hi int) {
 			st.clbs = append(st.clbs, 0)
 			continue
 		}
-		st.admit(v.deltaShadow[j*stride:j*stride+stride], pos, st.bound())
-	}
-}
-
-// The seeded screen (DESIGN §16) is phase 1 as a best-first walk over
-// the base's blocks. Every block gets its box bound (vafile BoxLower),
-// and the blocks are visited in ascending bound: each visited block's
-// live (matching) rows are screened against the running bound, and the
-// walk stops at the first block whose box bound exceeds BoxStop of it,
-// since every later block's does too. Such a block holds no row that
-// RowLowerBounded admits against the bound, and the bound never drops
-// below tau, so no skipped row can define tau or reach phase 2. Workers
-// claim blocks from the one ascending list and share their heap tops
-// (screenState.shared); the delta rows are screened after the walk,
-// against its final bound. So tau, the rows with lb <= tau and the
-// answers are the same for any worker count and schedule; only the
-// number of rows visited can differ.
-
-// blockOrder returns the base's blocks in ascending box bound: sums[b]
-// is block b's BoxLower, and each key holds a block's index in its low
-// bits (mask) and its bound's bits above them, so a key's floor —
-// key&^mask read as a float64 — never exceeds the block's bound, and
-// the floors ascend with the keys. w workers share the box bounds.
-func (v *shadowView) blockOrder(t *vafile.Tables, w int) (keys []uint64, sums []float64, mask uint64) {
-	nb := len(v.starts) - 1
-	box := 2 * v.stride
-	sums = make([]float64, nb)
-	par.Shards(w, nb, minParallelCands, func(_, lo, hi int) {
-		for b := lo; b < hi; b++ {
-			sums[b] = t.BoxLower(v.boxes[b*box : (b+1)*box])
+		if ub, ok := st.admit(tbl, v.deltaShadow[j*stride:j*stride+stride], pos, bound); ok {
+			ubs.offer(ub, p)
+			bound = ubs.bound(p)
 		}
-	})
-	mask = 1<<bits.Len(uint(nb)) - 1
-	keys = make([]uint64, nb)
-	for b, s := range sums {
-		keys[b] = math.Float64bits(s)&^mask | uint64(b)
 	}
-	slices.Sort(keys)
-	return keys, sums, mask
 }
 
-// walk is one worker's share of the walk: it claims blocks in key order
-// through next until the keys run out or a key's floor exceeds BoxStop
-// of its bound, which then ends every worker's walk.
-func (v *shadowView) walk(st *screenState, keys []uint64, sums []float64, mask uint64, next *atomic.Int64) {
+// The seeded screen (DESIGN §16) is phase 1 as a best-first walk down
+// the cluster tree (Hjaltason and Samet's incremental nearest-neighbour
+// search over the blocks' nested boxes). The roots' boxes are priced
+// first (vafile BoxLower); then each worker repeatedly pops the least
+// key of the shared heap: an internal node prices its two children's
+// boxes and pushes those within reach, and a block screens its live
+// (matching) rows against the bound. A node's box holds its children's,
+// and sumRow adds a box's terms in a fixed order, so a child's bound is
+// never below its parent's (a serial walk pops keys in non-decreasing
+// order), and a node whose bound exceeds BoxStop of the bound holds, in
+// its whole subtree, no row that RowLowerBounded admits against the
+// bound. The bound never drops below tau, so no skipped row can define
+// tau or reach phase 2. After each block a worker offers the block's
+// admitted upper bounds to the shared heap and reads the bound back; the
+// delta rows are screened after the walk, against its final bound. So
+// tau, the rows with lb <= tau and the answers are the same for any
+// worker count and schedule; only the rows visited and boxes priced can
+// differ.
+
+// walk is one worker's share of the walk. It stops when the heap is
+// empty or its least key's floor exceeds BoxStop of the bound (then
+// every key's does). It never ends another worker's walk: a worker still
+// pricing children may yet push keys within the bound, and then walks
+// them itself.
+func (v *shadowView) walk(st *screenState, tw *treeWalk) {
 	d := v.stride
+	tbl := &tw.tbl
+	var kids [2]uint64
+	nk := 0
 	for {
-		k := next.Add(1) - 1
-		if k >= int64(len(keys)) {
+		tw.mu.Lock()
+		for _, k := range kids[:nk] {
+			tw.keys.push(k)
+		}
+		for _, ub := range st.ubs {
+			tw.ubs.offer(ub, tw.p)
+		}
+		st.ubs = st.ubs[:0]
+		bound := tw.ubs.bound(tw.p)
+		stop := tbl.BoxStop(bound)
+		if len(tw.keys) == 0 || math.Float64frombits(tw.keys[0]&^tw.mask) > stop {
+			tw.mu.Unlock()
 			return
 		}
-		bound := st.bound()
-		stop := st.tbl.BoxStop(bound)
-		if math.Float64frombits(keys[k]&^mask) > stop {
-			next.Store(int64(len(keys)))
-			return
-		}
-		b := int(keys[k] & mask)
-		if sums[b] > stop {
+		nd := v.nodes[tw.keys.pop()&tw.mask]
+		tw.mu.Unlock()
+		nk = 0
+		if nd.hi-nd.lo > 1 {
+			for _, c := range nd.kids {
+				if s := tbl.BoxLower(v.box(int(c))); s <= stop {
+					kids[nk] = tw.key(s, c)
+					nk++
+				}
+			}
+			st.priced += len(nd.kids)
 			continue
 		}
-		for i := int(v.starts[b]); i < int(v.starts[b+1]); i++ {
+		for i := int(v.starts[nd.lo]); i < int(v.starts[nd.hi]); i++ {
 			if pos := int(v.order[i]); !v.baseSkip.get(pos) {
-				bound = st.admit(v.baseShadow[i*d:i*d+d], pos, bound)
+				if ub, ok := st.admit(tbl, v.baseShadow[i*d:i*d+d], pos, bound); ok {
+					st.ubs = append(st.ubs, ub)
+				}
 			}
 		}
-		st.publish()
 	}
 }
 
 // screen is phase 1 for one query, the seeded screen over the view
-// seedView admitted: the walk over the base's blocks, then the delta
-// rows against its final bound. A parallel screen of at least
-// minParallelScan rows runs the walk, and phase 2, on par.Workers()
-// workers; any other runs on one. It returns nil — the exact scan, no
-// pruning — when the query or its weights cannot support valid bounds.
+// seedView admitted: the walk down the cluster tree, then the delta rows
+// against its final bound. A parallel screen of at least minParallelScan
+// rows runs the walk, and phase 2, on par.Workers() workers; any other
+// runs on one. It returns nil — the exact scan, no pruning — when the
+// query or its weights cannot support valid bounds.
 func (s *Segmented[T]) screen(qvec, weights []float64, p int, parallel bool, clk *FilterClock, v *shadowView) *boundPrune {
-	tbl, ok := s.quant.bounds.QueryTables(qvec, weights)
-	if !ok {
-		return nil
-	}
 	total := s.Total()
 	if total > math.MaxInt32 {
+		return nil
+	}
+	tw := walkPool.Get().(*treeWalk)
+	defer walkPool.Put(tw)
+	if !s.quant.bounds.QueryTables(&tw.tbl, qvec, weights) {
 		return nil
 	}
 	w := 1
 	if parallel && total >= minParallelScan {
 		w = par.Workers()
 	}
-	var shared atomic.Uint64
-	shared.Store(math.Float64bits(math.Inf(1)))
+	tw.p, tw.mask = p, 1<<bits.Len(uint(len(v.nodes)))-1
+	tw.keys, tw.ubs = tw.keys[:0], tw.ubs[:0]
+	for _, r := range v.roots {
+		tw.keys.push(tw.key(tw.tbl.BoxLower(v.box(int(r))), r))
+	}
 	parts := make([]*screenState, w)
 	for i := range parts {
-		parts[i] = &screenState{tbl: &tbl, p: p, shared: &shared}
+		parts[i] = &screenState{}
 	}
-	keys, sums, mask := v.blockOrder(&tbl, w)
-	var next atomic.Int64
 	par.Shards(w, w, 2, func(sh, _, _ int) {
-		v.walk(parts[sh], keys, sums, mask, &next)
+		v.walk(parts[sh], tw)
 	})
 
-	delta := &screenState{tbl: &tbl, p: p, shared: &shared}
-	nc := 0
+	delta := &screenState{}
+	v.screenDelta(delta, &tw.tbl, &tw.ubs, p, v.bn, total)
+	nc, visited, priced := 0, delta.visited, len(v.roots)
 	for _, pt := range parts {
-		for _, ub := range pt.ubs {
-			delta.ubs.offer(ub, p)
-		}
 		nc += len(pt.cands)
+		visited += pt.visited
+		priced += pt.priced
 	}
-	v.screenDelta(delta, v.bn, total)
 	pr := &boundPrune{
-		cands: make([]int32, 0, nc+len(delta.cands)),
-		clbs:  make([]float64, 0, nc+len(delta.clbs)),
-		split: nc,
-		tau:   math.Inf(1),
-		parts: parts,
+		cands:  make([]int32, 0, nc+len(delta.cands)),
+		clbs:   make([]float64, 0, nc+len(delta.clbs)),
+		split:  nc,
+		tau:    tw.ubs.bound(p),
+		priced: priced,
+		parts:  parts,
 	}
-	visited := delta.visited
 	for _, pt := range parts {
 		pr.cands = append(pr.cands, pt.cands...)
 		pr.clbs = append(pr.clbs, pt.clbs...)
-		visited += pt.visited
 	}
 	pr.cands = append(pr.cands, delta.cands...)
 	pr.clbs = append(pr.clbs, delta.clbs...)
-	if len(delta.ubs) == p {
-		pr.tau = delta.ubs[0]
-	}
 	clk.AddBoundRows(int64(v.baseSel) + delta.scanned)
 	clk.AddBoundVisited(visited)
 	return pr

@@ -40,8 +40,8 @@ func TestPackedKernelBounds(t *testing.T) {
 			if qi%2 == 0 {
 				weights = nil
 			}
-			tbl, ok := b.QueryTables(qvec, weights)
-			if !ok {
+			var tbl vafile.Tables
+			if !b.QueryTables(&tbl, qvec, weights) {
 				t.Fatalf("dims=%d: tables rejected a finite query", dims)
 			}
 			for r := 0; r < rows; r++ {
@@ -272,17 +272,96 @@ func TestQuantizePackedLayout(t *testing.T) {
 
 // wantShadowBytes is the resident size ShadowBytes must report for a
 // shadowed s: every row's codes, 4 bytes a base row for the cluster
-// order's map back to positions, and 2·d + 4 bytes a block for its box
-// and first position, plus the last block's end. It also checks the
-// block count: each leaf of the two k-means levels (at most kmeansK²)
-// ends in at most one partial block.
+// order's map back to positions, 4 bytes a block for its first position
+// plus the last block's end, 2·d + 16 bytes a tree node for its box,
+// block range and children, and 4 bytes a root. It also checks the
+// counts: each leaf of the two k-means levels (at most kmeansK²) is a
+// root and ends in at most one partial block, and a root over B blocks
+// has 2B - 1 nodes.
 func wantShadowBytes(t testing.TB, s *Segmented[[]float64]) int {
 	t.Helper()
-	bn, d, blocks := s.BaseSize(), s.Dims(), len(s.quant.starts)-1
+	bn, d, blocks, roots := s.BaseSize(), s.Dims(), len(s.quant.starts)-1, len(s.quant.roots)
 	if full := (bn + blockRows - 1) / blockRows; blocks < full || blocks > full+kmeansK*kmeansK {
 		t.Fatalf("%d base rows in %d blocks", bn, blocks)
 	}
-	return s.Total()*d + 4*bn + blocks*(2*d+4) + 4
+	if roots < 1 || roots > kmeansK*kmeansK || len(s.quant.nodes) != 2*blocks-roots {
+		t.Fatalf("%d blocks under %d roots in %d nodes", blocks, roots, len(s.quant.nodes))
+	}
+	return s.Total()*d + 4*bn + 4*blocks + 4 + len(s.quant.nodes)*(2*d+16) + 4*roots
+}
+
+// checkTree holds qs's cluster tree to its contract: the roots tile the
+// blocks exactly once, in order, and reach every node exactly once;
+// every internal node's children follow it, and its block range is the
+// concatenation of theirs; every block node's box holds each code of
+// its rows and each of its edges is some row's code; and every internal
+// node's box is the min and max of its children's.
+func checkTree(t *testing.T, name string, qs *quantState, dims int) {
+	t.Helper()
+	blocks := len(qs.starts) - 1
+	reached := make([]int, len(qs.nodes))
+	var visit func(n int32)
+	visit = func(n int32) {
+		reached[n]++
+		nd := qs.nodes[n]
+		if nd.hi-nd.lo == 1 {
+			return
+		}
+		l, r := qs.nodes[nd.kids[0]], qs.nodes[nd.kids[1]]
+		if nd.kids[0] <= n || nd.kids[1] <= n || l.lo != nd.lo || l.hi != r.lo || r.hi != nd.hi || l.hi <= l.lo || r.hi <= r.lo {
+			t.Fatalf("%s: node %d [%d, %d) has children %d [%d, %d) and %d [%d, %d)",
+				name, n, nd.lo, nd.hi, nd.kids[0], l.lo, l.hi, nd.kids[1], r.lo, r.hi)
+		}
+		lb, rb, box := qs.box(int(nd.kids[0])), qs.box(int(nd.kids[1])), qs.box(int(n))
+		for j := 0; j < dims; j++ {
+			if box[j] != min(lb[j], rb[j]) || box[dims+j] != max(lb[dims+j], rb[dims+j]) {
+				t.Fatalf("%s: node %d dim %d: box [%d, %d] is not its children's [%d, %d] and [%d, %d]",
+					name, n, j, box[j], box[dims+j], lb[j], lb[dims+j], rb[j], rb[dims+j])
+			}
+		}
+		visit(nd.kids[0])
+		visit(nd.kids[1])
+	}
+	next := int32(0)
+	for _, r := range qs.roots {
+		if nd := qs.nodes[r]; nd.lo != next || nd.hi <= nd.lo {
+			t.Fatalf("%s: root %d covers blocks [%d, %d), want it to start at %d", name, r, nd.lo, nd.hi, next)
+		}
+		next = qs.nodes[r].hi
+		visit(r)
+	}
+	if int(next) != blocks {
+		t.Fatalf("%s: the roots cover %d of %d blocks", name, next, blocks)
+	}
+	for n, c := range reached {
+		if c != 1 {
+			t.Fatalf("%s: node %d reached %d times from the roots", name, n, c)
+		}
+	}
+	for n, nd := range qs.nodes {
+		if nd.hi-nd.lo != 1 {
+			continue
+		}
+		lo, hi := int(qs.starts[nd.lo]), int(qs.starts[nd.hi])
+		if hi <= lo || hi-lo > blockRows {
+			t.Fatalf("%s: block %d holds %d rows", name, nd.lo, hi-lo)
+		}
+		box := qs.box(n)
+		for j := 0; j < dims; j++ {
+			atLo, atHi := false, false
+			for i := lo; i < hi; i++ {
+				c := qs.baseShadow[i*dims+j]
+				if c < box[j] || c > box[dims+j] {
+					t.Fatalf("%s: block %d dim %d: code %d outside its box [%d, %d]", name, nd.lo, j, c, box[j], box[dims+j])
+				}
+				atLo = atLo || c == box[j]
+				atHi = atHi || c == box[dims+j]
+			}
+			if !atLo || !atHi {
+				t.Fatalf("%s: block %d dim %d: box [%d, %d] is not attained by its rows", name, nd.lo, j, box[j], box[dims+j])
+			}
+		}
+	}
 }
 
 // TestClusterOrder pins the derived layout the walk reads. A shadow
@@ -290,12 +369,11 @@ func wantShadowBytes(t testing.TB, s *Segmented[[]float64]) int {
 // first one's grid and BaseShadow are checked as built, after delta adds
 // and removes, and after a compaction re-quantizes: the order is a
 // permutation of the base rows, the blocks cover it in runs of at most
-// blockRows, each box holds every code of its block's rows and each of
-// its edges is some row's code, the held codes are the row-order codes
-// permuted, BaseShadow returns the row-order codes byte for byte, and
-// ShadowBytes counts it all. A second build and the restore give the
-// same order, and delta adds share it. A dormant or dequantized state
-// holds none.
+// blockRows, the cluster tree over them keeps its contract (checkTree),
+// the held codes are the row-order codes permuted, BaseShadow returns
+// the row-order codes byte for byte, and ShadowBytes counts it all. A
+// second build and the restore give the same order, tree and boxes, and
+// delta adds share them. A dormant or dequantized state holds none.
 func TestClusterOrder(t *testing.T) {
 	for _, dims := range []int{shadowMinDims, seedDims} {
 		t.Run(fmt.Sprintf("dims=%d", dims), func(t *testing.T) {
@@ -313,8 +391,10 @@ func TestClusterOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for name, s := range map[string]*Segmented[[]float64]{"second build": mustShadow(t, NewSegmentedWithMeta(base, nil)), "restored": restored} {
-				if !reflect.DeepEqual(s.quant.order, built.quant.order) || !reflect.DeepEqual(s.quant.starts, built.quant.starts) {
-					t.Fatalf("%s: the cluster order differs from the first build's", name)
+				if !reflect.DeepEqual(s.quant.order, built.quant.order) || !reflect.DeepEqual(s.quant.starts, built.quant.starts) ||
+					!reflect.DeepEqual(s.quant.nodes, built.quant.nodes) || !reflect.DeepEqual(s.quant.roots, built.quant.roots) ||
+					!bytes.Equal(s.quant.boxes, built.quant.boxes) {
+					t.Fatalf("%s: the cluster order or tree differs from the first build's", name)
 				}
 			}
 			check := func(name string, s *Segmented[[]float64]) {
@@ -337,27 +417,7 @@ func TestClusterOrder(t *testing.T) {
 				if len(qs.order) != bn || qs.starts[0] != 0 || int(qs.starts[len(qs.starts)-1]) != bn {
 					t.Fatalf("%s: %d order entries, blocks span [%d, %d), want %d rows", name, len(qs.order), qs.starts[0], qs.starts[len(qs.starts)-1], bn)
 				}
-				for b := 0; b+1 < len(qs.starts); b++ {
-					lo, hi := int(qs.starts[b]), int(qs.starts[b+1])
-					if hi <= lo || hi-lo > blockRows {
-						t.Fatalf("%s: block %d holds %d rows", name, b, hi-lo)
-					}
-					box := qs.boxes[b*2*dims : (b+1)*2*dims]
-					for j := 0; j < dims; j++ {
-						atLo, atHi := false, false
-						for i := lo; i < hi; i++ {
-							c := qs.baseShadow[i*dims+j]
-							if c < box[j] || c > box[dims+j] {
-								t.Fatalf("%s: block %d dim %d: code %d outside its box [%d, %d]", name, b, j, c, box[j], box[dims+j])
-							}
-							atLo = atLo || c == box[j]
-							atHi = atHi || c == box[dims+j]
-						}
-						if !atLo || !atHi {
-							t.Fatalf("%s: block %d dim %d: box [%d, %d] is not attained by its rows", name, b, j, box[j], box[dims+j])
-						}
-					}
-				}
+				checkTree(t, name, qs, dims)
 				if want := wantShadowBytes(t, s); s.ShadowBytes() != want {
 					t.Fatalf("%s: %d shadow bytes, want %d", name, s.ShadowBytes(), want)
 				}
@@ -379,7 +439,8 @@ func TestClusterOrder(t *testing.T) {
 					}
 				}
 				check(name+" after adds", grown)
-				if &grown.quant.order[0] != &s.quant.order[0] || &grown.quant.baseShadow[0] != &s.quant.baseShadow[0] {
+				if &grown.quant.order[0] != &s.quant.order[0] || &grown.quant.baseShadow[0] != &s.quant.baseShadow[0] ||
+					&grown.quant.nodes[0] != &s.quant.nodes[0] || &grown.quant.boxes[0] != &s.quant.boxes[0] {
 					t.Fatalf("%s: delta adds copied the base shadow", name)
 				}
 				compacted, err := NewSegmentedWithMeta(grown.Compact(), nil).Quantize()
@@ -396,7 +457,7 @@ func TestClusterOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			dormant, err := NewSegmentedWithMeta(short, nil).Quantize()
-			if err != nil || dormant.quant == nil || dormant.quant.order != nil || dormant.BaseShadow() != nil {
+			if err != nil || dormant.quant == nil || dormant.quant.order != nil || dormant.quant.nodes != nil || dormant.BaseShadow() != nil {
 				t.Fatalf("below the gate: err %v, want a dormant state without an order", err)
 			}
 		})

@@ -12,6 +12,7 @@ import (
 	"qse/internal/metrics"
 	"qse/internal/space"
 	"qse/internal/stats"
+	"qse/internal/vafile"
 )
 
 // seedDims is the width of the seeded-screen test vectors, past the
@@ -156,8 +157,8 @@ func referenceTopP(s *Segmented[[]float64], qvec, weights []float64, p int, keep
 // every live (matching) row with valid bounds — base rows and in-range
 // delta rows — or +Inf when fewer exist.
 func referenceTau(s *Segmented[[]float64], qvec, weights []float64, p int, keep func(pos int) bool) float64 {
-	tbl, ok := s.quant.bounds.QueryTables(qvec, weights)
-	if !ok {
+	var tbl vafile.Tables
+	if !s.quant.bounds.QueryTables(&tbl, qvec, weights) {
 		return math.NaN()
 	}
 	d, bn, base := s.Dims(), s.BaseSize(), s.BaseShadow()
@@ -185,7 +186,8 @@ func referenceTau(s *Segmented[[]float64], qvec, weights []float64, p int, keep 
 // lower bounds above a threshold >= tau, so they are not counted either
 // way.
 func referenceExact(s *Segmented[[]float64], qvec, weights []float64, tau float64, keep func(pos int) bool) int64 {
-	tbl, _ := s.quant.bounds.QueryTables(qvec, weights)
+	var tbl vafile.Tables
+	s.quant.bounds.QueryTables(&tbl, qvec, weights)
 	d, bn, base := s.Dims(), s.BaseSize(), s.BaseShadow()
 	var n int64
 	for pos := 0; pos < s.Total(); pos++ {
@@ -329,6 +331,38 @@ func seedHead(t *testing.T, n int) *Segmented[[]float64] {
 	return head
 }
 
+// oneTree returns a copy of s whose cluster tree is one balanced binary
+// tree over its blocks, each node's box the min and max of its
+// children's. The walk's contract holds on any such tree, and a base
+// below the gate cuts its leaves into single blocks, so this is how a
+// test below the gate makes every walk descend several levels.
+func oneTree(s *Segmented[[]float64]) *Segmented[[]float64] {
+	qs := *s.quant
+	d := s.Dims()
+	qs.nodes, qs.boxes = nil, nil
+	var build func(lo, hi int32) int32
+	build = func(lo, hi int32) int32 {
+		n := int32(len(qs.nodes))
+		qs.nodes = append(qs.nodes, treeNode{lo: lo, hi: hi})
+		qs.boxes = append(qs.boxes, make([]uint8, 2*d)...)
+		if hi-lo == 1 {
+			vafile.Box(qs.baseShadow[int(qs.starts[lo])*d:int(qs.starts[hi])*d], d, qs.box(int(n)))
+			return n
+		}
+		l, r := build(lo, (lo+hi)/2), build((lo+hi)/2, hi)
+		qs.nodes[n].kids = [2]int32{l, r}
+		box, lb, rb := qs.box(int(n)), qs.box(int(l)), qs.box(int(r))
+		for j := 0; j < d; j++ {
+			box[j], box[d+j] = min(lb[j], rb[j]), max(lb[d+j], rb[d+j])
+		}
+		return n
+	}
+	qs.roots = []int32{build(0, int32(len(qs.starts)-1))}
+	out := *s
+	out.quant = &qs
+	return &out
+}
+
 // TestSeededScreenMatchesUnseeded pins the seeded screen's contract
 // below the gate, serial and partitioned: on a churned head, for the
 // unweighted and the weighted distance, unfiltered and filtered, with p
@@ -337,6 +371,9 @@ func seedHead(t *testing.T, n int) *Segmented[[]float64] {
 // row counts a screen of every row in position order would give
 // (assertSeededMatches). Unfiltered, its candidate lists must also be
 // shorter than the rows it scanned, or the walk never pruned anything.
+// Each head is walked twice: down its own cluster tree, whose leaves
+// are single blocks at these sizes, and down oneTree's, where the walk
+// must descend through internal nodes and leave some unpriced.
 func TestSeededScreenMatchesUnseeded(t *testing.T) {
 	preds := map[string]*meta.Predicate{
 		"unfiltered": nil,
@@ -346,7 +383,9 @@ func TestSeededScreenMatchesUnseeded(t *testing.T) {
 	for name, n := range map[string]int{"serial": 600, "partitioned": minParallelScan*2 + 133} {
 		t.Run(name, func(t *testing.T) {
 			head := seedHead(t, n)
+			tree := oneTree(head)
 			queries := clusteredDB(6, 5) // the base's first six rows
+			var priced, treeRuns int
 			for wname, weights := range map[string][]float64{"unweighted": nil, "weighted": seedWeights()} {
 				for pname, pred := range preds {
 					var keep func(int) bool
@@ -362,6 +401,10 @@ func TestSeededScreenMatchesUnseeded(t *testing.T) {
 								cands += len(run.pr.cands)
 								scanned += int(run.tm.BoundScannedRows)
 							}
+							if run = assertSeededMatches(t, tree, q, weights, p, n > minParallelScan, keep); run.pr != nil {
+								priced += run.pr.priced
+								treeRuns++
+							}
 						}
 					}
 					if ran == 0 {
@@ -371,6 +414,11 @@ func TestSeededScreenMatchesUnseeded(t *testing.T) {
 						t.Fatalf("%s: the seeded screen kept %d candidates of %d scanned rows", wname, cands, scanned)
 					}
 				}
+			}
+			// oneTree has one root: a walk that stops at its children prices
+			// 3 boxes, one that prices everything all the nodes.
+			if nodes := len(tree.quant.nodes); priced <= 3*treeRuns || priced >= treeRuns*nodes {
+				t.Fatalf("the walks down one tree of %d nodes priced %d boxes in %d runs: it never descended, or never skipped", nodes, priced, treeRuns)
 			}
 			// p = Live()+10 exceeds every matching set; the serial head's
 			// sparse filter also matches fewer rows than p = 150.
@@ -631,30 +679,33 @@ func FuzzSeededScreen(f *testing.F) {
 }
 
 // TestSeededScreenIsDeterministic runs the partitioned seeded screen
-// under several worker counts: phase 1's verdict must not depend on how
-// many workers walked the blocks, or in what order they claimed them.
+// under several worker counts, down the head's own cluster tree and
+// down oneTree's: phase 1's verdict must not depend on how many workers
+// walked the tree, or in what order they took its nodes.
 func TestSeededScreenIsDeterministic(t *testing.T) {
 	head := seedHead(t, minParallelScan*3+77)
 	q := clusteredDB(1, 5)[0]
-	var want screenRun
-	for i, procs := range []int{1, 2, 3, 8} {
-		var got screenRun
-		withGOMAXPROCS(procs, func() {
-			got = runScreen(head, q, seedWeights(), 64, true, head.selectRows(nil, nil))
-		})
-		if got.pr == nil {
-			t.Fatalf("GOMAXPROCS=%d: the screen did not run", procs)
+	for name, s := range map[string]*Segmented[[]float64]{"own tree": head, "one tree": oneTree(head)} {
+		var want screenRun
+		for i, procs := range []int{1, 2, 3, 8} {
+			var got screenRun
+			withGOMAXPROCS(procs, func() {
+				got = runScreen(s, q, seedWeights(), 64, true, s.selectRows(nil, nil))
+			})
+			if got.pr == nil {
+				t.Fatalf("%s, GOMAXPROCS=%d: the screen did not run", name, procs)
+			}
+			if i == 0 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(got.res, want.res) || got.pr.tau != want.pr.tau || got.tm.BoundExactRows != want.tm.BoundExactRows {
+				t.Fatalf("%s, GOMAXPROCS=%d: seeded screen differs from GOMAXPROCS=1", name, procs)
+			}
 		}
-		if i == 0 {
-			want = got
-			continue
+		if want.tm.BoundScannedRows != int64(head.Live()) {
+			t.Fatalf("%s: scanned %d rows, want the %d live rows", name, want.tm.BoundScannedRows, head.Live())
 		}
-		if !reflect.DeepEqual(got.res, want.res) || got.pr.tau != want.pr.tau || got.tm.BoundExactRows != want.tm.BoundExactRows {
-			t.Fatalf("GOMAXPROCS=%d: seeded screen differs from GOMAXPROCS=1", procs)
-		}
-	}
-	if want.tm.BoundScannedRows != int64(head.Live()) {
-		t.Fatalf("scanned %d rows, want the %d live rows", want.tm.BoundScannedRows, head.Live())
 	}
 }
 
@@ -670,9 +721,10 @@ var benchSink []space.Neighbor
 // query carries random weights, like the served benchmark's vectors.
 // seeded/exact < 1 means the screen is faster; the gate opens at
 // 16,384 rows and 128·p. exactFrac is the seeded side's share of
-// screened rows evaluated exactly, and visitedFrac its share whose codes
-// the walk summed: on this clustered data the walk skips most blocks,
-// which iid Gaussian rows never let it do.
+// screened rows evaluated exactly, visitedFrac its share whose codes the
+// walk summed, and pricedFrac the boxes it priced per query over the
+// cluster tree's nodes: on this clustered data the walk skips most of
+// the tree, which iid Gaussian rows never let it do.
 func BenchmarkSeededScreen(b *testing.B) {
 	const dims, centres = 32, 64
 	rng := stats.NewRand(21)
@@ -714,6 +766,7 @@ func BenchmarkSeededScreen(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/p=%d", n, p), func(b *testing.B) {
 				var took [2]time.Duration
 				var clk FilterClock
+				priced := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q, w := queries[i%len(queries)], weights[i%len(queries)]
@@ -722,6 +775,7 @@ func BenchmarkSeededScreen(b *testing.B) {
 						t0 := time.Now()
 						if seeded {
 							pr := s.screen(q, w, p, true, &clk, v)
+							priced += pr.priced
 							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, pr, idTables{}, &clk), p)
 							took[1] += time.Since(t0)
 						} else {
@@ -737,6 +791,7 @@ func BenchmarkSeededScreen(b *testing.B) {
 				clk.AddTo(&tm)
 				b.ReportMetric(float64(tm.BoundExactRows)/float64(tm.BoundScannedRows), "exactFrac")
 				b.ReportMetric(float64(tm.BoundVisitedRows)/float64(tm.BoundScannedRows), "visitedFrac")
+				b.ReportMetric(float64(priced)/float64(b.N*len(s.quant.nodes)), "pricedFrac")
 			})
 		}
 	}

@@ -1,10 +1,12 @@
 // Cluster order of a base shadow (DESIGN §16): a permutation of the base
 // rows that puts rows with similar codes into contiguous blocks of at
 // most blockRows, so a block's box (vafile.Box) is tight enough for the
-// walk to skip it. The order is derived from the codes alone — fixed
-// strided samples, no random draws, and parallel steps that write
-// disjoint slots — so every build from the same codes gives the same
-// order, and nothing about it is persisted.
+// walk to skip it, and the tree of the k-d splits that cut the blocks,
+// whose nodes' boxes let the walk skip whole runs of blocks. The order
+// is derived from the codes alone — fixed strided samples, no random
+// draws, and parallel steps that write disjoint slots — so every build
+// from the same codes gives the same order and tree, and nothing about
+// them is persisted.
 //
 // (This file extends package retrieval; the package comment lives in
 // retrieval.go.)
@@ -31,23 +33,42 @@ const (
 	kdSample = 1024
 )
 
-// clusterOrder returns the cluster order of a rows x dims code block:
-// order[i] is the row at cluster position i, and block b covers cluster
-// positions [starts[b], starts[b+1]). Two levels of k-means in code
-// space (kmeansK centres each) give up to kmeansK² leaf clusters; a k-d
-// split cuts each leaf into blocks of at most blockRows, all full but
-// the leaf's last. Rows keep their relative order wherever a step has no
-// reason to move them.
-func clusterOrder(codes []uint8, rows, dims int) (order, starts []int32) {
+// treeNode is one node of the cluster tree: it covers blocks [lo, hi),
+// and a node of two or more blocks has two children, the first covering
+// the node's first blocks and the second the rest. A node of one block
+// is that block.
+type treeNode struct {
+	lo, hi int32
+	kids   [2]int32
+}
+
+// blockTree collects the blocks (their first cluster positions) and the
+// nodes that kdSplit emits.
+type blockTree struct {
+	starts []int32
+	nodes  []treeNode
+}
+
+// clusterOrder returns the cluster order of a rows x dims code block and
+// its tree: order[i] is the row at cluster position i, and block b
+// covers cluster positions [starts[b], starts[b+1]). Two levels of
+// k-means in code space (kmeansK centres each) give up to kmeansK² leaf
+// clusters; a k-d split cuts each leaf into blocks of at most blockRows,
+// all full but the leaf's last, and its nodes are the tree's: roots
+// holds each non-empty leaf's node, and every node's children follow it
+// in nodes. Rows keep their relative order wherever a step has no reason
+// to move them.
+func clusterOrder(codes []uint8, rows, dims int) (order, starts []int32, nodes []treeNode, roots []int32) {
 	order = make([]int32, rows)
 	for i := range order {
 		order[i] = int32(i)
 	}
 	top := splitByCentres(codes, dims, order, kmeansTopSample, true)
 	// Each top cluster owns a disjoint range of order, so the clusters
-	// refine in parallel; their block lists are concatenated in cluster
-	// order.
-	blocks := make([][]int32, len(top)-1)
+	// refine in parallel, each into its own tree numbered from zero; the
+	// trees are concatenated in cluster order.
+	trees := make([]blockTree, len(top)-1)
+	leaves := make([][]int32, len(top)-1)
 	par.For(len(top)-1, 2, func(lo, hi int) {
 		var scratch []int32
 		for c := lo; c < hi; c++ {
@@ -55,18 +76,35 @@ func clusterOrder(codes []uint8, rows, dims int) (order, starts []int32) {
 			sub := splitByCentres(codes, dims, seg, kmeansSubSample, false)
 			for l := 0; l+1 < len(sub); l++ {
 				leaf := seg[sub[l]:sub[l+1]]
+				if len(leaf) == 0 {
+					continue
+				}
 				if cap(scratch) < len(leaf) {
 					scratch = make([]int32, len(leaf))
 				}
-				blocks[c] = kdSplit(codes, dims, leaf, scratch[:len(leaf)], int32(top[c]+sub[l]), blocks[c])
+				leaves[c] = append(leaves[c], kdSplit(codes, dims, leaf, scratch[:len(leaf)], int32(top[c]+sub[l]), &trees[c]))
 			}
 		}
 	})
 	starts = make([]int32, 0, rows/blockRows+kmeansK*kmeansK+1)
-	for _, b := range blocks {
-		starts = append(starts, b...)
+	nodes = make([]treeNode, 0, 2*cap(starts))
+	for c, t := range trees {
+		b, n := int32(len(starts)), int32(len(nodes))
+		starts = append(starts, t.starts...)
+		for _, nd := range t.nodes {
+			nd.lo += b
+			nd.hi += b
+			if nd.hi-nd.lo > 1 {
+				nd.kids[0] += n
+				nd.kids[1] += n
+			}
+			nodes = append(nodes, nd)
+		}
+		for _, r := range leaves[c] {
+			roots = append(roots, r+n)
+		}
 	}
-	return order, append(starts, int32(rows))
+	return order, append(starts, int32(rows)), nodes, roots
 }
 
 // splitByCentres fits k-means centres to at most sample strided rows of
@@ -172,20 +210,23 @@ func nearestCentre(codes []uint8, dims, r int, centres []int32) int {
 	return best
 }
 
-// kdSplit cuts the rows of idx into blocks of at most blockRows and
-// appends the cluster position of each block's first row (idx[0] sits
-// at position first) to starts. A node holding more rows is split on the
-// dimension whose codes vary most over at most kdSample strided rows: the
+// kdSplit cuts the rows of idx (at least one) into blocks of at most
+// blockRows, appends the cluster position of each block's first row
+// (idx[0] sits at position first) to tree.starts and each node of the
+// split to tree.nodes, a node before its children, and returns the node
+// that covers idx. A node holding more rows is split on the dimension
+// whose codes vary most over at most kdSample strided rows: the
 // blockRows-aligned half of its rows nearest n/2 with the smallest codes
 // in that dimension goes first, found with a 256-bin histogram, and each
 // side keeps its rows' relative order. scratch holds len(idx) slots.
-func kdSplit(codes []uint8, dims int, idx, scratch []int32, first int32, starts []int32) []int32 {
+func kdSplit(codes []uint8, dims int, idx, scratch []int32, first int32, tree *blockTree) int32 {
 	n := len(idx)
-	if n == 0 {
-		return starts
-	}
+	node := int32(len(tree.nodes))
+	tree.nodes = append(tree.nodes, treeNode{lo: int32(len(tree.starts))})
 	if n <= blockRows {
-		return append(starts, first)
+		tree.starts = append(tree.starts, first)
+		tree.nodes[node].hi = tree.nodes[node].lo + 1
+		return node
 	}
 	dim := widestDim(codes, dims, idx)
 	var hist [256]int
@@ -215,8 +256,11 @@ func kdSplit(codes []uint8, dims int, idx, scratch []int32, first int32, starts 
 		}
 	}
 	copy(idx, scratch)
-	starts = kdSplit(codes, dims, idx[:m], scratch[:m], first, starts)
-	return kdSplit(codes, dims, idx[m:], scratch[m:], first+int32(m), starts)
+	left := kdSplit(codes, dims, idx[:m], scratch[:m], first, tree)
+	right := kdSplit(codes, dims, idx[m:], scratch[m:], first+int32(m), tree)
+	tree.nodes[node].hi = int32(len(tree.starts))
+	tree.nodes[node].kids = [2]int32{left, right}
+	return node
 }
 
 // widestDim returns the dimension whose codes have the largest variance

@@ -105,9 +105,9 @@ func (s *Server[T]) initObs() {
 		snapLastOKUnix:  r.Gauge("qse_store_last_snapshot_ok_unix", "Unix time of the last successful snapshot."),
 		degradedPersist: r.Gauge("qse_store_degraded_persistence", "1 while snapshots keep failing past the tolerance, else 0."),
 		quantBits:       r.Gauge("qse_store_quantize_bits", "Scalar-quantization bit width of the shadow block (8 = on, 0 = off)."),
-		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the shadow block: base and delta codes plus the base's cluster-order map and block boxes (0 when quantization is off or no base clears the size gate)."),
+		shadowBytes:     r.Gauge("qse_store_shadow_bytes", "Resident bytes of the shadow block: base and delta codes plus the base's cluster-order map, block starts and cluster tree (a box, block range and children per node) (0 when quantization is off or no base clears the size gate)."),
 		boundScanned:    r.Gauge("qse_store_bound_scanned_rows_total", "Rows screened by the seeded shadow screen since startup."),
-		boundVisited:    r.Gauge("qse_store_bound_visited_rows_total", "Screened rows whose codes the walk summed, outside the blocks it skipped. A parallel walk's count may differ by a few rows between runs of the same queries; the scanned and exact counts do not."),
+		boundVisited:    r.Gauge("qse_store_bound_visited_rows_total", "Screened rows whose codes the walk summed, outside the tree nodes it skipped. A parallel walk's workers share one bound, the p-th smallest upper bound of the rows any of them admitted, but the rows each sums before the others' admissions reach it depend on the schedule, so the count can differ between runs of the same queries; the scanned and exact counts do not."),
 		boundExact:      r.Gauge("qse_store_bound_exact_rows_total", "Screened rows that needed an exact float64 evaluation."),
 		boundPruneRate:  r.Gauge("qse_store_bound_prune_rate", "Fraction of screened rows excluded without exact evaluation."),
 	}

@@ -333,9 +333,11 @@ func TestShadowMetrics(t *testing.T) {
 			s.QuantBits, s.ShadowBytes, s.BoundScannedRows)
 	}
 
-	// Past the gate: 16 code bytes and 4 order-map bytes a row, 2·16 + 4
-	// bytes for each of the cluster order's 257 blocks plus the last
-	// block's end, and every search screens every row.
+	// Past the gate: 16 code bytes and 4 order-map bytes a row, 4 bytes
+	// for each of the cluster order's 257 blocks plus the last block's
+	// end, 2·16 + 16 bytes for each of its tree's 258 nodes (255 leaves
+	// of one block, one of two) and 4 for each of its 256 roots, and
+	// every search screens every row.
 	big := gatedStore(t)
 	if err := big.SetQuantization(8); err != nil {
 		t.Fatalf("SetQuantization: %v", err)
@@ -343,7 +345,7 @@ func TestShadowMetrics(t *testing.T) {
 	h = New(big, decodeVec, Options{}).Handler()
 	search(h)
 	body, s, _ = scrape(h)
-	shadow := 16384*(16+4) + 257*(2*16+4) + 4
+	shadow := 16384*(16+4) + 257*4 + 4 + 258*(2*16+16) + 256*4
 	for _, want := range []string{
 		"qse_store_quantize_bits 8",
 		fmt.Sprintf("qse_store_shadow_bytes %d", shadow),

@@ -48,8 +48,8 @@ func FuzzBounds(f *testing.F) {
 		if err != nil {
 			t.Fatalf("own grid rejected by FromFlat: %v", err)
 		}
-		tbl, ok := b.QueryTables(q, w)
-		if !ok {
+		var tbl Tables
+		if !b.QueryTables(&tbl, q, w) {
 			t.Fatalf("finite query/weights rejected")
 		}
 		codes := make([]uint8, dims)
@@ -90,7 +90,11 @@ func FuzzBounds(f *testing.F) {
 // RowLowerBounded admits against bound. BoxLower must also match the
 // sequential sum of each dimension's smallest lower-bound entry over the
 // box's code range, within the reordering slack, so a box bound that
-// lost its pruning power fails too. Bytes map to values as in
+// lost its pruning power fails too; it must never exceed the bound of a
+// box around a run of the members, which it holds as a node of the
+// walk's tree holds its children, nor be -0, whose bits would misorder
+// the walk's keys; and the tables must come out the same, bit for bit,
+// when written over another query's. Bytes map to values as in
 // FuzzBounds.
 func FuzzBoxBound(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(1), uint8(0), uint8(3), uint8(2), false, false)
@@ -125,9 +129,20 @@ func FuzzBoxBound(f *testing.F) {
 		if err != nil {
 			t.Fatalf("finite block rejected: %v", err)
 		}
-		tbl, ok := b.QueryTables(q, w)
-		if !ok {
+		var tbl Tables
+		if !b.QueryTables(&tbl, q, w) {
 			t.Fatalf("finite query/weights rejected")
+		}
+		// The same tables written over another query's: 100 - q lies
+		// above the grid when q is inside it, and inside it when q is
+		// far above.
+		other := make([]float64, dims)
+		for d := range other {
+			other[d] = 100 - q[d]
+		}
+		var reused Tables
+		if !b.QueryTables(&reused, other, nil) || !b.QueryTables(&reused, q, w) || !sameTables(&reused, &tbl) {
+			t.Fatalf("dims=%d: tables written over another query's differ from fresh ones", dims)
 		}
 		codes := b.EncodeBlock(block, rows)
 		lo := int(memLo) % rows
@@ -150,6 +165,19 @@ func FuzzBoxBound(f *testing.F) {
 		mrel, _ := tbl.Slack()
 		if math.Abs(s-ref) > 2*mrel*ref {
 			t.Fatalf("dims=%d: BoxLower %v, sequential minimum %v", dims, s, ref)
+		}
+		if math.Signbit(s) {
+			t.Fatalf("dims=%d: BoxLower %v has its sign bit set", dims, s)
+		}
+
+		// A child: the box of a run of the members, held in the box
+		// around them all.
+		cLo := int(raw[len(raw)-1]) % n
+		cN := 1 + int(raw[len(raw)-2])%(n-cLo)
+		child := make([]uint8, 2*dims)
+		Box(members[cLo*dims:(cLo+cN)*dims], dims, child)
+		if cs := tbl.BoxLower(child); s > cs {
+			t.Fatalf("dims=%d: the members' box bound %v exceeds the bound %v of rows [%d, %d) of them", dims, s, cs, cLo, cLo+cN)
 		}
 
 		// Bounds in half-slack steps below the box sum, across the skip

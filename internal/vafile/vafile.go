@@ -201,23 +201,25 @@ type Tables struct {
 	mrel, inv float64
 }
 
-// QueryTables builds the query's bound tables (4 x Dims x cells floats,
-// built once per query). It reports false — and the caller must fall
-// back to the exact scan — when the query or its weights cannot support
-// valid bounds: wrong width, a non-finite value, or a negative weight.
-// A nil weights slice is the unweighted L1. Zero weights are fine: the
-// dimension contributes nothing to either bound, exactly as it
-// contributes nothing to the exact kernel.
-func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
+// QueryTables writes the query's bound tables (4 x Dims x cells floats)
+// into t, reusing t's buffers when they are large enough, so a caller
+// that keeps one Tables across queries allocates them once. Every entry
+// is written, so nothing of t's previous query survives. It reports
+// false — and the caller must fall back to the exact scan, and must not
+// read t — when the query or its weights cannot support valid bounds:
+// wrong width, a non-finite value, or a negative weight. A nil weights
+// slice is the unweighted L1. Zero weights are fine: the dimension
+// contributes nothing to either bound, exactly as it contributes
+// nothing to the exact kernel.
+func (b *Boundaries) QueryTables(t *Tables, qvec, weights []float64) bool {
 	if len(qvec) != b.dims || (weights != nil && len(weights) != b.dims) {
-		return Tables{}, false
+		return false
 	}
-	t := Tables{
-		dims: b.dims,
-		lb:   make([]float64, b.dims*cells),
-		ub:   make([]float64, b.dims*cells),
-		box:  make([]float64, 2*b.dims*cells),
+	n := b.dims * cells
+	if cap(t.lb) < n {
+		t.lb, t.ub, t.box = make([]float64, n), make([]float64, n), make([]float64, 2*n)
 	}
+	t.dims, t.lb, t.ub, t.box = b.dims, t.lb[:n], t.ub[:n], t.box[:2*n]
 	for d := 0; d < b.dims; d++ {
 		q := qvec[d]
 		w := 1.0
@@ -225,7 +227,7 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 			w = weights[d]
 		}
 		if math.IsNaN(q) || math.IsInf(q, 0) || math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
-			return Tables{}, false
+			return false
 		}
 		bd := b.flat[d*(cells+1) : (d+1)*(cells+1)]
 		lbRow := t.lb[d*cells : (d+1)*cells]
@@ -247,11 +249,13 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 			lbRow[c] = w * (q - bd[c+1])
 			ubRow[c] = w * (q - bd[c])
 			below[c] = lbRow[c]
+			above[c] = 0
 		}
 		for c := cq + 1; c < cells; c++ {
 			lbRow[c] = w * (bd[c] - q)
 			ubRow[c] = w * (bd[c+1] - q)
 			above[c] = lbRow[c]
+			below[c] = 0
 		}
 		ub := q - bd[cq]
 		if hi := bd[cq+1] - q; hi > ub {
@@ -259,10 +263,11 @@ func (b *Boundaries) QueryTables(qvec, weights []float64) (Tables, bool) {
 		}
 		lbRow[cq] = 0
 		ubRow[cq] = w * ub
+		above[cq], below[cq] = 0, 0
 	}
 	t.mrel = reorderSlack(b.dims)
 	t.inv = 1 / (1 - t.mrel)
-	return t, true
+	return true
 }
 
 // reorderSlack is the relative error allowance applied when an n-term

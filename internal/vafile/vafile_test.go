@@ -39,8 +39,8 @@ func checkBounds(t *testing.T, block []float64, rows, dims int, q, w []float64) 
 		t.Fatal(err)
 	}
 	codes := b.EncodeBlock(block, rows)
-	tbl, ok := b.QueryTables(q, w)
-	if !ok {
+	var tbl Tables
+	if !b.QueryTables(&tbl, q, w) {
 		t.Fatalf("QueryTables rejected a finite query (dims=%d)", dims)
 	}
 	for r := 0; r < rows; r++ {
@@ -130,8 +130,8 @@ func TestBoundsProperty(t *testing.T) {
 				w[d] = rng.Float64() * 2
 			}
 		}
-		tbl, ok := b.QueryTables(q, w)
-		if !ok {
+		var tbl Tables
+		if !b.QueryTables(&tbl, q, w) {
 			return false
 		}
 		codes := b.EncodeBlock(block, rows)
@@ -252,11 +252,13 @@ func TestQueryTablesRejectsInvalid(t *testing.T) {
 		{"negativeWeight", []float64{1, 2}, []float64{-1, 1}},
 		{"nanWeight", []float64{1, 2}, []float64{math.NaN(), 1}},
 	} {
-		if _, ok := b.QueryTables(c.q, c.w); ok {
+		var tbl Tables
+		if b.QueryTables(&tbl, c.q, c.w) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if tbl, ok := b.QueryTables([]float64{1, 2}, nil); !ok || tbl.Dims() != 2 {
+	var tbl Tables
+	if ok := b.QueryTables(&tbl, []float64{1, 2}, nil); !ok || tbl.Dims() != 2 {
 		t.Errorf("valid query rejected (ok=%v dims=%d)", ok, tbl.Dims())
 	}
 }
@@ -277,5 +279,82 @@ func TestCellOfMonotone(t *testing.T) {
 	}
 	if b.cellOf(0, 0) != 0 || b.cellOf(0, 7) != cells-1 {
 		t.Errorf("extremes: %d, %d", b.cellOf(0, 0), b.cellOf(0, 7))
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameTables reports whether two tables hold the same entries, bit for
+// bit, and the same width and slack.
+func sameTables(a, b *Tables) bool {
+	return a.dims == b.dims && a.mrel == b.mrel && a.inv == b.inv &&
+		sameBits(a.lb, b.lb) && sameBits(a.ub, b.ub) && sameBits(a.box, b.box)
+}
+
+// TestQueryTablesReuse writes a run of queries into one reused Tables
+// and holds each to fresh tables bit for bit, so no entry a previous
+// query wrote survives: the query's cell moves from the bottom of the
+// grid to the top in every dimension (each split table's zero half
+// changes sides) and back, the width shrinks, grows within the reused
+// buffers and grows past them, and the weights include zero and -0.
+func TestQueryTablesReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	grids := map[int]*Boundaries{}
+	for _, dims := range []int{3, 16, 40} {
+		b, err := BuildBoundaries(randBlock(rng, 300, dims), 300, dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids[dims] = b
+	}
+	at := func(dims int, v float64) []float64 {
+		q := make([]float64, dims)
+		for d := range q {
+			q[d] = v
+		}
+		return q
+	}
+	zeros := func(dims int, z float64) []float64 {
+		w := make([]float64, dims)
+		for d := range w {
+			w[d] = rng.Float64() * 2
+			if d%3 == 0 {
+				w[d] = z
+			}
+		}
+		return w
+	}
+	negZero := math.Copysign(0, -1)
+	var reused Tables
+	for i, c := range []struct {
+		dims int
+		q, w []float64
+	}{
+		{16, at(16, -100), zeros(16, 0)},
+		{16, at(16, 100), zeros(16, negZero)},
+		{16, randBlock(rng, 1, 16), nil},
+		{3, at(3, -100), zeros(3, negZero)},
+		{16, at(16, -100), zeros(16, negZero)},
+		{40, at(40, 100), zeros(40, 0)},
+		{16, randBlock(rng, 1, 16), zeros(16, 0)},
+	} {
+		var fresh Tables
+		if !grids[c.dims].QueryTables(&fresh, c.q, c.w) || !grids[c.dims].QueryTables(&reused, c.q, c.w) {
+			t.Fatalf("query %d: a finite query was rejected", i)
+		}
+		if !sameTables(&reused, &fresh) {
+			t.Fatalf("query %d (dims=%d): tables written into a reused buffer differ from fresh ones", i, c.dims)
+		}
 	}
 }
