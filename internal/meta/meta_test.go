@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -414,15 +416,17 @@ func genCase(next choices) ([]Map, *Predicate) {
 
 // checkEvalBlock compares EvalBlock word for word with Predicate.Match
 // on each row the block materializes, including the bits past the last
-// row, which must stay clear.
+// row, which must stay clear. It then builds the same rows with Append,
+// one row at a time, three ways: from nil; after a nil block standing
+// for metadata-less rows that span a word; and onto a NewBlock of the
+// first half, as a reopened delta is written to. Each chain's block
+// must match Match and NewBlock, and each sampled version (every 29th,
+// those at a word's edge, and the last) must match Match at its own row
+// count when built and again after the chain has grown past it.
 func checkEvalBlock(t *testing.T, rows []Map, p *Predicate) {
 	t.Helper()
 	blk := NewBlock(rows)
-	got := make([]uint64, (len(rows)+63)/64)
-	for w := range got {
-		got[w] = 0xdead_beef_dead_beef // EvalBlock must overwrite every word
-	}
-	p.EvalBlock(blk, len(rows), got)
+	got := evalWords(p, blk, len(rows))
 	want := make([]uint64, len(got))
 	for i := range rows {
 		if p.Match(blk.Row(i)) {
@@ -434,6 +438,74 @@ func checkEvalBlock(t *testing.T, rows []Map, p *Predicate) {
 			t.Fatalf("%d rows, leaves %+v: word %d is\n  %064b, Match says\n  %064b", len(rows), p.leaves, w, got[w], want[w])
 		}
 	}
+	for _, c := range []struct {
+		name      string
+		pre, from int // metadata-less rows before rows[0]; rows[:from] come from NewBlock
+	}{
+		{"from nil", 0, 0},
+		{"after metadata-less rows", 64 + len(rows)%67, 0},
+		{"onto a NewBlock", 0, len(rows) / 2},
+	} {
+		all := append(make([]Map, c.pre), rows...)
+		match := make([]uint64, (len(all)+63)/64)
+		for i, m := range all {
+			if p.Match(m) {
+				match[i>>6] |= 1 << (uint(i) & 63)
+			}
+		}
+		type version struct {
+			blk  *Block
+			rows int
+			got  []uint64
+		}
+		var kept []version
+		blk := NewBlock(all[:c.pre+c.from])
+		for i := c.pre + c.from; i < len(all); i++ {
+			blk = blk.Append(i, all[i])
+			if n := i + 1; n%29 == 0 || n%64 <= 1 || n%64 == 63 || n == len(all) {
+				v := version{blk, n, evalWords(p, blk, n)}
+				if w, ok := prefixDiff(v.got, match, n); !ok {
+					t.Fatalf("Append %s: version of %d rows, leaves %+v: word %d is\n  %064b, Match says\n  %064b",
+						c.name, n, p.leaves, w, v.got[w], match[w])
+				}
+				kept = append(kept, v)
+			}
+		}
+		for _, v := range kept {
+			if again := evalWords(p, v.blk, v.rows); !slices.Equal(again, v.got) {
+				t.Fatalf("Append %s: the version of %d rows changed after later appends:\n  %x\n  %x", c.name, v.rows, v.got, again)
+			}
+		}
+		if fresh := evalWords(p, NewBlock(all), len(all)); !slices.Equal(fresh, evalWords(p, blk, len(all))) {
+			t.Fatalf("Append %s over %d rows disagrees with NewBlock", c.name, len(all))
+		}
+	}
+}
+
+// evalWords runs EvalBlock over n rows into words it first fills with
+// garbage: EvalBlock must overwrite every word.
+func evalWords(p *Predicate, blk *Block, n int) []uint64 {
+	dst := make([]uint64, (n+63)/64)
+	for w := range dst {
+		dst[w] = 0xdead_beef_dead_beef
+	}
+	p.EvalBlock(blk, n, dst)
+	return dst
+}
+
+// prefixDiff compares got, the words of n rows, with the first n bits of
+// want, returning the first word that differs.
+func prefixDiff(got, want []uint64, n int) (int, bool) {
+	for w := range got {
+		mask := ^uint64(0)
+		if rem := n - w<<6; rem < 64 {
+			mask >>= uint(64 - rem)
+		}
+		if got[w] != want[w]&mask {
+			return w, false
+		}
+	}
+	return 0, true
 }
 
 // TestEvalBlockDifferential is the kernels' reference check: random
@@ -477,12 +549,10 @@ func FuzzEvalBlock(f *testing.F) {
 	})
 }
 
-// BenchmarkFilterEval times EvalBlock over a 5,000-row block shaped like
-// one shard base of the served benchmark's mixed-write workload (16
-// tenants, a uniform score, ts spread over 20,000 ids) against that
-// workload's five filter predicates, in ns per row.
-func BenchmarkFilterEval(b *testing.B) {
-	const n = 5000
+// mixedRows draws n records shaped like the served benchmark's
+// mixed-write workload: 16 tenants, a uniform score, and ts = 4i, which
+// spreads a 5,000-row shard's ts over 20,000 ids.
+func mixedRows(n int) []Map {
 	rng := rand.New(rand.NewSource(1))
 	rows := make([]Map, n)
 	for i := range rows {
@@ -492,8 +562,22 @@ func BenchmarkFilterEval(b *testing.B) {
 			"score":  FloatValue(0.001 + 0.998*rng.Float64()),
 		}
 	}
-	blk := NewBlock(rows)
-	dst := make([]uint64, (n+63)/64)
+	return rows
+}
+
+// BenchmarkFilterEval times EvalBlock against the mixed-write workload's
+// five filter predicates, in ns per row, on two blocks of its rows: one
+// shard's 5,000-row base built by NewBlock, and one shard's 1,024-row
+// delta, at its compaction threshold, grown by Append.
+func BenchmarkFilterEval(b *testing.B) {
+	var delta *Block
+	for i, m := range mixedRows(1024) {
+		delta = delta.Append(i, m)
+	}
+	blocks := []struct {
+		name string
+		blk  *Block
+	}{{"base5000", NewBlock(mixedRows(5000))}, {"delta1024", delta}}
 	for _, c := range []struct{ name, raw string }{
 		{"tenant-eq", `{"field":"tenant","eq":"t03"}`},
 		{"tenant-eq-score-lt", `{"and":[{"field":"tenant","eq":"t07"},{"field":"score","lt":0.16}]}`},
@@ -505,31 +589,92 @@ func BenchmarkFilterEval(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.name, func(b *testing.B) {
-			for b.Loop() {
-				p.EvalBlock(blk, n, dst)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
-		})
+		for _, bl := range blocks {
+			n := bl.blk.Rows()
+			dst := make([]uint64, (n+63)/64)
+			b.Run(bl.name+"/"+c.name, func(b *testing.B) {
+				for b.Loop() {
+					p.EvalBlock(bl.blk, n, dst)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/row")
+			})
+		}
 	}
 }
 
+// BenchmarkFilterAppend grows a block of mixed-write rows from nil to
+// 1,024 rows, one shard delta up to its compaction threshold, by
+// Append, and reports the time, allocations and bytes per appended row.
+func BenchmarkFilterAppend(b *testing.B) {
+	const n = 1024
+	rows := mixedRows(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b.Loop() {
+		var blk *Block
+		for i, m := range rows {
+			blk = blk.Append(i, m)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	appended := float64(b.N) * n
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/appended, "ns/row")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/appended, "allocs/row")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/appended, "B/row")
+}
+
+// TestBlockRowRoundTrip reads every row back from a block built by
+// NewBlock and by Append chains — from nil and onto a NewBlock of a
+// prefix, with the last rows adding a field and new strings past a word
+// — and checks that a version taken mid-chain still reads its own rows.
 func TestBlockRowRoundTrip(t *testing.T) {
 	rows := blockRows(97)
-	blk := NewBlock(rows)
-	for i, want := range rows {
-		got := blk.Row(i)
-		if len(got) != len(want) {
-			t.Fatalf("row %d: %d fields, want %d", i, len(got), len(want))
+	for i := 80; i < len(rows); i++ {
+		if rows[i] != nil {
+			rows[i]["tenant"] = StringValue(fmt.Sprintf("late-%d", i))
+			rows[i]["note"] = StringValue("x")
 		}
-		for f, v := range want {
-			if gv, ok := got[f]; !ok || !gv.Equal(v) {
-				t.Fatalf("row %d field %q = %+v, want %+v", i, f, gv, v)
+	}
+	checkRows := func(name string, blk *Block, rows []Map) {
+		t.Helper()
+		if blk.Rows() != len(rows) {
+			t.Fatalf("%s: %d rows, want %d", name, blk.Rows(), len(rows))
+		}
+		for i, want := range rows {
+			got := blk.Row(i)
+			if len(got) != len(want) || (got == nil) != (len(want) == 0) {
+				t.Fatalf("%s: row %d = %v, want %v", name, i, got, want)
+			}
+			for f, v := range want {
+				if gv, ok := got[f]; !ok || !gv.Equal(v) {
+					t.Fatalf("%s: row %d field %q = %+v, want %+v", name, i, f, gv, v)
+				}
 			}
 		}
 	}
+	checkRows("NewBlock", NewBlock(rows), rows)
+	for _, from := range []int{0, 1, 70} {
+		blk := NewBlock(rows[:from])
+		var mid *Block
+		for i := from; i < len(rows); i++ {
+			blk = blk.Append(i, rows[i])
+			if i == 75 {
+				mid = blk
+			}
+		}
+		name := fmt.Sprintf("Append onto NewBlock(rows[:%d])", from)
+		checkRows(name, blk, rows)
+		checkRows(name+", the version of 76 rows", mid, rows[:76])
+	}
 	if NewBlock([]Map{nil, nil, {}}) != nil {
 		t.Fatal("a rowset with no metadata should build a nil block")
+	}
+	if (*Block)(nil).Append(5, Map{}) != nil {
+		t.Fatal("an empty record appended to a nil block should keep it nil")
+	}
+	blk := (*Block)(nil).Append(3, Map{"ts": IntValue(1)}).Append(4, Map{})
+	if blk.Rows() != 5 || blk.Row(2) != nil || blk.Row(4) != nil || !blk.Row(3)["ts"].Equal(IntValue(1)) {
+		t.Fatalf("rows %d: %v %v %v", blk.Rows(), blk.Row(2), blk.Row(3), blk.Row(4))
 	}
 }
 

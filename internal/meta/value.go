@@ -6,10 +6,11 @@
 // the top-p truncation of the filter scan (see DESIGN.md §12).
 //
 // The package is storage-shape aware but storage-agnostic: the columnar
-// Block (block.go) holds a base segment's metadata as per-field typed
-// arrays with presence bitsets, while delta rows stay ordinary Maps.
-// retrieval.Segmented owns one Block per base segment and a Map slice
-// per delta segment; this package only evaluates over them.
+// Block (block.go) holds a segment's metadata as per-field typed arrays
+// with presence bitsets, built in bulk for a base segment and grown one
+// row per write by a copy-on-write Append for a delta segment.
+// retrieval.Segmented owns one Block per segment; this package only
+// builds and evaluates them.
 package meta
 
 import (

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"qse/internal/meta"
@@ -159,6 +161,141 @@ func TestSearchFilteredMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAppendLeavesHeldVersion holds one version of a segment with
+// metadata in both segments and re-runs filtered searches on it from
+// three goroutines while the main goroutine appends 240 metadata rows
+// down the chain: a new string and a bool in every row, a new field
+// from the 100th, and the delta crossing three more 64-row words. The held
+// version's answers must never change; under the race detector this
+// also checks that no append writes a word the held version reads. The
+// grown head must then select exactly the rows Match selects.
+func TestAppendLeavesHeldVersion(t *testing.T) {
+	base, err := BuildIndex(testDB(100), l2, identityEmbedder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]meta.Map, base.Size())
+	for i := range rows {
+		rows[i] = testMeta(i)
+	}
+	rng := stats.NewRand(41)
+	add := func(s *Segmented[[]float64], md meta.Map) *Segmented[[]float64] {
+		x := []float64{rng.Float64() * 2, rng.Float64() * 2}
+		next, _, err := s.AddWithVectorMeta(x, x, md)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+	held := NewSegmentedWithMeta(base, meta.NewBlock(rows))
+	for i := 0; i < 70; i++ {
+		md := testMeta(i)
+		if md != nil {
+			md["hot"] = meta.BoolValue(i%3 == 0)
+		}
+		held = add(held, md)
+	}
+	kinds := testKinds()
+	kinds["late"] = meta.KindInt
+	kinds["hot"] = meta.KindBool
+	var preds []*meta.Predicate
+	for _, raw := range []string{
+		`{"field":"tag","eq":"b"}`,
+		`{"field":"tag","ne":"a"}`,
+		`{"and":[{"field":"bucket","ge":4},{"field":"tag","in":["a","c"]}]}`,
+		`{"field":"bucket","exists":false}`,
+		`{"field":"late","exists":false}`,
+		`{"field":"hot","eq":true}`,
+	} {
+		p, err := meta.CompileFilter([]byte(raw), kinds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, p)
+	}
+	queries := [][]float64{{0.3, 0.7}, {1.5, 0.2}, {0.9, 1.9}}
+	answers := func(s *Segmented[[]float64]) ([][]space.Neighbor, error) {
+		var out [][]space.Neighbor
+		for _, pred := range preds {
+			for _, q := range queries {
+				ns, _, err := s.Search(q, 5, 30, pred)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, ns)
+			}
+		}
+		return out, nil
+	}
+	want, err := answers(held)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	var started, done sync.WaitGroup
+	errs := make(chan error, 3)
+	for g := 0; g < 3; g++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			started.Done()
+			for round := 0; ; round++ {
+				got, err := answers(held)
+				if err == nil && !reflect.DeepEqual(got, want) {
+					err = fmt.Errorf("round %d: the held version's answers changed:\n  %v\n  %v", round, want, got)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if stop.Load() {
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	head := held
+	for i := 0; i < 240; i++ {
+		md := meta.Map{
+			"tag":    meta.StringValue(fmt.Sprintf("new-%d", i)),
+			"bucket": meta.IntValue(int64(i % 10)),
+			"hot":    meta.BoolValue(i%2 == 0),
+		}
+		if i >= 100 {
+			md["late"] = meta.IntValue(int64(i))
+		}
+		head = add(head, md)
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	done.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if head.DeltaLen() != 310 {
+		t.Fatalf("head has %d delta rows, want 310", head.DeltaLen())
+	}
+	for i, pred := range preds {
+		got, _, err := head.Search(queries[0], head.Total(), head.Total(), pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pos []int
+		for _, n := range got {
+			pos = append(pos, n.Index)
+		}
+		sort.Ints(pos)
+		if want := matchingLive(head, pred); fmt.Sprint(pos) != fmt.Sprint(want) {
+			t.Fatalf("predicate %d over the grown head selects %v, Match %v", i, pos, want)
+		}
+	}
+}
+
 // TestFilterLiveMatchParallelBoundaries exercises the word-skip kernel's
 // edge masking across parallel partition boundaries: a base big enough
 // to fan out, a selective predicate, parallel and serial scans must
@@ -277,7 +414,7 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 	deltaDB, deltaFlat := head.DeltaSegment()
 	baseDead, deltaDead := head.Tombstoned()
 	re, err := NewSegmentedFromParts(head.Base(), deltaDB, deltaFlat, baseDead, deltaDead,
-		head.BaseMetaRows(), head.DeltaMeta())
+		head.BaseMetaRows(), head.DeltaMetaRows(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +446,7 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re2.DeltaMeta() != nil {
+	if re2.DeltaMetaRows(0) != nil {
 		t.Fatal("all-nil delta metadata not normalized to nil")
 	}
 }

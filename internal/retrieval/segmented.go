@@ -15,9 +15,11 @@
 // older version keeps getting exactly its answers. Because the delta
 // arrays are append-only and a version only ever reads its own prefix,
 // Add costs O(EmbedCost + dims) amortized — no copy of the base, the
-// delta, or the id tables — and Remove costs one bitmap copy
-// (O(rows/64) words). Compact folds delta and tombstones back into a
-// fresh single-segment Index when the caller's thresholds say so.
+// delta, or the id tables; a row with metadata adds one copy of the
+// delta's metadata bitsets (O(fields · rows/64) words) — and Remove
+// costs one bitmap copy (O(rows/64) words). Compact folds delta and
+// tombstones back into a fresh single-segment Index when the caller's
+// thresholds say so.
 //
 // Positions are global: base rows keep their base positions, delta row j
 // sits at BaseSize()+j. The filter phase ranks rows on (distance, key),
@@ -110,14 +112,13 @@ type Segmented[T any] struct {
 	baseDead  bitmap
 	deltaDead bitmap
 	dead      int
-	// baseMeta is the base segment's columnar metadata (nil when no base
-	// row carries metadata — the exact pre-metadata representation).
-	// deltaMeta is the delta's row-oriented metadata, aligned with
-	// deltaDB under the same shared-backing prefix discipline; it is nil
-	// until the first metadata-carrying Add, after which it stays
-	// exactly len(deltaDB) long (nil entries for metadata-less rows).
+	// baseMeta and deltaMeta are the segments' columnar metadata, nil
+	// while no row of the segment carries any — the exact pre-metadata
+	// representation. deltaMeta grows by meta.Block.Append under the
+	// same shared-backing discipline as deltaDB; once non-nil it has
+	// exactly len(deltaDB) rows.
 	baseMeta  *meta.Block
-	deltaMeta []meta.Map
+	deltaMeta *meta.Block
 	// quant is the optional quantized shadow block (see quantized.go);
 	// nil means exact scans only.
 	quant *quantState
@@ -198,39 +199,25 @@ func (s *Segmented[T]) Tombstoned() ([]uint64, []uint64) {
 	return s.baseDead, s.deltaDead
 }
 
-// MetaBlock returns the base segment's columnar metadata (nil when no
-// base row carries metadata).
-func (s *Segmented[T]) MetaBlock() *meta.Block { return s.baseMeta }
-
-// DeltaMeta returns this version's view of the delta metadata, aligned
-// with DeltaSegment's objects: nil when no delta row carries metadata,
-// otherwise exactly DeltaLen() entries (nil entries for metadata-less
-// rows). Same shared-backing caveats as DeltaSegment.
-func (s *Segmented[T]) DeltaMeta() []meta.Map { return s.deltaMeta }
-
 // BaseMetaRows materializes the base segment's metadata as per-row
-// records (nil when the base has none) — the persist shape of MetaBlock.
+// records (nil when the base has none) — the persist shape of its
+// block.
 func (s *Segmented[T]) BaseMetaRows() []meta.Map {
-	if s.baseMeta == nil {
-		return nil
-	}
-	rows := make([]meta.Map, s.base.Size())
-	for i := range rows {
-		rows[i] = s.baseMeta.Row(i)
-	}
-	return rows
+	return s.baseMeta.Records(0, s.base.Size())
+}
+
+// DeltaMetaRows materializes the metadata of delta rows [from,
+// DeltaLen()) as per-row records (nil when no delta row has any) — the
+// window of one delta frame.
+func (s *Segmented[T]) DeltaMetaRows(from int) []meta.Map {
+	return s.deltaMeta.Records(from, len(s.deltaDB))
 }
 
 // Metadata returns the metadata record of the row at global position
-// pos (nil for a row without metadata). Base rows materialize a fresh
-// Map; delta rows return the stored record, which callers must not
-// modify.
+// pos, materialized as a fresh Map (nil for a row without metadata).
 func (s *Segmented[T]) Metadata(pos int) meta.Map {
 	if bn := s.base.Size(); pos >= bn {
-		if s.deltaMeta == nil {
-			return nil
-		}
-		return s.deltaMeta[pos-bn]
+		return s.deltaMeta.Row(pos - bn)
 	}
 	return s.baseMeta.Row(pos)
 }
@@ -240,7 +227,7 @@ func (s *Segmented[T]) Metadata(pos int) meta.Map {
 // tombstone bitmaps, and the per-row metadata of both segments (either
 // may be nil for "no metadata"), without re-embedding anything. It is
 // the deserialization counterpart of DeltaSegment/Tombstoned/
-// BaseMetaRows/DeltaMeta, used to reopen a base+delta bundle section as
+// BaseMetaRows/DeltaMetaRows, used to reopen a base+delta bundle section as
 // the exact in-memory segment layout that was saved. Lengths and bitmap
 // shapes are validated; the vectors are trusted to be the embedder's
 // output for the objects, like AddWithVector.
@@ -263,21 +250,6 @@ func NewSegmentedFromParts[T any](base *Index[T], deltaDB []T, deltaFlat []float
 	if deltaMeta != nil && len(deltaMeta) != len(deltaDB) {
 		return nil, fmt.Errorf("retrieval: delta metadata has %d rows for %d delta rows", len(deltaMeta), len(deltaDB))
 	}
-	dm := deltaMeta
-	if dm != nil {
-		// Normalize an all-nil row set back to the canonical nil, so a
-		// round trip through persistence cannot flip the representation.
-		any := false
-		for _, m := range dm {
-			if len(m) > 0 {
-				any = true
-				break
-			}
-		}
-		if !any {
-			dm = nil
-		}
-	}
 	return &Segmented[T]{
 		base:      base,
 		deltaDB:   deltaDB,
@@ -286,7 +258,7 @@ func NewSegmentedFromParts[T any](base *Index[T], deltaDB []T, deltaFlat []float
 		deltaDead: dd,
 		dead:      bd.popcount() + dd.popcount(),
 		baseMeta:  meta.NewBlock(baseMeta),
-		deltaMeta: dm,
+		deltaMeta: meta.NewBlock(deltaMeta),
 	}, nil
 }
 
@@ -313,14 +285,11 @@ func (s *Segmented[T]) AddWithVector(x T, v []float64) (*Segmented[T], int, erro
 // AddWithVectorMeta is AddWithVector carrying the new row's metadata
 // record (nil for a row without metadata). md must already be validated
 // against the store's field-type registry; this layer stores, it does
-// not type-check. The record is retained as-is — callers must not
-// modify it afterwards.
+// not type-check. The record's values are copied into the delta's
+// columns; md itself is not kept.
 func (s *Segmented[T]) AddWithVectorMeta(x T, v []float64, md meta.Map) (*Segmented[T], int, error) {
 	if len(v) != s.base.dims {
 		return nil, 0, ObjectDimsError(len(v), s.base.dims)
-	}
-	if len(md) == 0 {
-		md = nil
 	}
 	n := *s
 	n.deltaDB = append(s.deltaDB, x)
@@ -328,17 +297,7 @@ func (s *Segmented[T]) AddWithVectorMeta(x T, v []float64, md meta.Map) (*Segmen
 	if s.quant != nil {
 		n.quant = s.quant.appendRow(v, s.base.dims)
 	}
-	switch {
-	case md == nil && s.deltaMeta == nil:
-		// Still no delta metadata anywhere: keep the canonical nil.
-	case s.deltaMeta == nil:
-		// First metadata-carrying row: nil-pad the rows before it once,
-		// then the slice grows append-only like deltaDB.
-		dm := make([]meta.Map, len(s.deltaDB), len(s.deltaDB)+1)
-		n.deltaMeta = append(dm, md)
-	default:
-		n.deltaMeta = append(s.deltaMeta, md)
-	}
+	n.deltaMeta = s.deltaMeta.Append(len(s.deltaDB), md)
 	return &n, s.Total(), nil
 }
 
@@ -405,11 +364,7 @@ func (s *Segmented[T]) CompactSegmented() (*Index[T], *meta.Block) {
 		if s.deltaDead.get(j) {
 			continue
 		}
-		var m meta.Map
-		if s.deltaMeta != nil {
-			m = s.deltaMeta[j]
-		}
-		rows = append(rows, m)
+		rows = append(rows, s.deltaMeta.Row(j))
 	}
 	return ix, meta.NewBlock(rows)
 }
@@ -504,9 +459,8 @@ type rowSet struct {
 // selectRows is the first step of the filter phase, and the only one
 // that reads pred. For a nil pred the skips are the snapshot's own
 // tombstones, shared and never copied. Otherwise they are fresh bitmaps
-// of the rows tombstoned or not matching pred, its evaluation timed into
-// clk: the base through the column kernels of meta.EvalBlock, the delta
-// row by row through Predicate.Match.
+// of the rows tombstoned or not matching pred, both segments evaluated
+// by the column kernels of meta.EvalBlock and timed into clk.
 func (s *Segmented[T]) selectRows(pred *meta.Predicate, clk *FilterClock) rowSet {
 	bn, dn := s.base.Size(), len(s.deltaDB)
 	if pred == nil {
@@ -515,28 +469,27 @@ func (s *Segmented[T]) selectRows(pred *meta.Predicate, clk *FilterClock) rowSet
 			baseSel: bn - (s.dead - deltaDead), deltaSel: dn - deltaDead}
 	}
 	t0 := time.Now()
-	rs := rowSet{baseSkip: make(bitmap, (bn+63)/64), deltaSkip: make(bitmap, (dn+63)/64), filtered: true}
-	pred.EvalBlock(s.baseMeta, bn, rs.baseSkip)
-	for w, match := range rs.baseSkip {
-		if w < len(s.baseDead) {
-			match &^= s.baseDead[w]
-		}
-		rs.baseSel += bits.OnesCount64(match)
-		rs.baseSkip[w] = ^match
-	}
-	for j := 0; j < dn; j++ {
-		var m meta.Map
-		if s.deltaMeta != nil {
-			m = s.deltaMeta[j]
-		}
-		if s.deltaDead.get(j) || !pred.Match(m) {
-			rs.deltaSkip[j>>6] |= 1 << (uint(j) & 63)
-		} else {
-			rs.deltaSel++
-		}
-	}
+	rs := rowSet{filtered: true}
+	rs.baseSkip, rs.baseSel = unmatched(pred, s.baseMeta, bn, s.baseDead)
+	rs.deltaSkip, rs.deltaSel = unmatched(pred, s.deltaMeta, dn, s.deltaDead)
 	clk.AddEval(time.Since(t0).Nanoseconds())
 	return rs
+}
+
+// unmatched returns one segment's skip bitmap under pred — its rows of
+// blk that are dead or do not match — and the count of the rest.
+func unmatched(pred *meta.Predicate, blk *meta.Block, rows int, dead bitmap) (bitmap, int) {
+	skip := make(bitmap, (rows+63)/64)
+	pred.EvalBlock(blk, rows, skip)
+	sel := 0
+	for w, match := range skip {
+		if w < len(dead) {
+			match &^= dead[w]
+		}
+		sel += bits.OnesCount64(match)
+		skip[w] = ^match
+	}
+	return skip, sel
 }
 
 // FilterLiveMatch runs only the filter phase, with a precomputed query

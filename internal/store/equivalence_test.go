@@ -62,7 +62,7 @@ func TestShardedEquivalence(t *testing.T) {
 			shards, seed := shards, base+off
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				t.Parallel()
-				runEquivalence(t, model, db, shards, seed, 0)
+				runEquivalence(t, model, db, shards, seed, 0, eqShallow)
 			})
 		}
 	}
@@ -89,7 +89,7 @@ func TestQuantizedEquivalence(t *testing.T) {
 			bits, shards, seed := bits, shards, base+int64(wi)
 			t.Run(fmt.Sprintf("bits=%d/shards=%d/seed=%d", bits, shards, seed), func(t *testing.T) {
 				t.Parallel()
-				runEquivalence(t, model, db, shards, seed, bits)
+				runEquivalence(t, model, db, shards, seed, bits, eqShallow)
 			})
 		}
 	}
@@ -98,7 +98,30 @@ func TestQuantizedEquivalence(t *testing.T) {
 			shards, seed := shards, base+si
 			t.Run(fmt.Sprintf("bits=8/shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				t.Parallel()
-				runEquivalence(t, model, db, shards, seed, 8)
+				runEquivalence(t, model, db, shards, seed, 8, eqShallow)
+			})
+		}
+	}
+}
+
+// TestDeepDeltaEquivalence runs the harness on eqDeep, whose deltas
+// span words: each shard's delta metadata block passes 128 rows, two
+// 64-row words, under filtered single and batched searches, a Save/Open
+// replays it once it has, and compaction folds it at 192. eqShallow's
+// deltas compact at 8 rows and never fill one word.
+func TestDeepDeltaEquivalence(t *testing.T) {
+	model, db := fixture(t, 48)
+	base := eqBaseSeed(t)
+	for _, shards := range []int{1, 2} {
+		for off := int64(0); off < 2; off++ {
+			shards, seed := shards, base+off
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				t.Parallel()
+				for i, d := range runEquivalence(t, model, db, shards, seed, 0, eqDeep) {
+					if d <= eqDeep.replayPast {
+						t.Errorf("shard %d's delta peaked at %d rows, want more than %d", i, d, eqDeep.replayPast)
+					}
+				}
 			})
 		}
 	}
@@ -109,6 +132,26 @@ func TestQuantizedEquivalence(t *testing.T) {
 // differ) — which is the point: physical layout must never leak into
 // answers.
 var eqPolicy = CompactionPolicy{MinDelta: 8, DeltaFrac: 0.1, MinDead: 8, DeadFrac: 0.2}
+
+// eqSchedule shapes one harness run: its compaction policy, its step
+// count, the rows each add step writes, whether a step may compact on
+// demand, and the delta size (0 for none) past which one shard's delta
+// forces a Save/Open, once.
+type eqSchedule struct {
+	policy     CompactionPolicy
+	steps      int
+	burst      int
+	compact    bool
+	replayPast int
+}
+
+var (
+	eqShallow = eqSchedule{policy: eqPolicy, steps: 130, burst: 1, compact: true}
+	eqDeep    = eqSchedule{
+		policy: CompactionPolicy{MinDelta: 192, MinDead: 1 << 20, DeadFrac: 1},
+		steps:  200, burst: 8, replayPast: 128,
+	}
+)
 
 // eqFilters are the predicates the harness compiles after every step,
 // over the fields randMeta writes plus "ghost", which only refused
@@ -125,16 +168,17 @@ var eqFilters = []string{
 }
 
 // runEquivalence drives a store with the given shard count and the
-// reference model through the same randomized schedule. quantBits = 8
-// turns quantization on; any other nonzero width must be refused,
-// leaving the store exact.
-func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, shards int, seed int64, quantBits int) {
+// reference model through the same randomized schedule, shaped by
+// sched, and returns each shard's largest delta. quantBits = 8 turns
+// quantization on; any other nonzero width must be refused, leaving the
+// store exact.
+func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, shards int, seed int64, quantBits int, sched eqSchedule) []int {
 	st, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
 	if err != nil {
 		t.Fatalf("building the store: %v", err)
 	}
 	ref := newRefModel(model, db)
-	st.SetCompactionPolicy(eqPolicy)
+	st.SetCompactionPolicy(sched.policy)
 	// Enabling quantization is a mutation (the persisted base must gain
 	// its shadow), so it bumps each shard's generation once; genOffset
 	// keeps the generation comparison exact until the next reopen.
@@ -212,23 +256,46 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 		}
 	}
 
-	for step := 0; step < 130; step++ {
+	// reopen replaces st with the store Open reads back from path.
+	reopen := func(step int) {
+		t.Helper()
+		if st, err = Open(path, l1, Gob[[]float64]()); err != nil {
+			t.Fatalf("step %d: reopen: %v", step, err)
+		}
+		if len(st.shards) != shards {
+			t.Fatalf("step %d: reopened with %d shards, want %d", step, len(st.shards), shards)
+		}
+		if s := st.Stats(); s.QuantBits != quantBits || s.ShadowBytes != 0 {
+			t.Fatalf("step %d: reopened store reports QuantBits %d with %d shadow bytes, want %d with none",
+				step, s.QuantBits, s.ShadowBytes, quantBits)
+		}
+		// Generations restart at zero on open, which also absorbs
+		// the one-time SetQuantization bump.
+		ref.gen, genOffset = 0, 0
+		st.SetCompactionPolicy(sched.policy)
+	}
+	peak := make([]int, shards)
+	replayed := false
+
+	for step := 0; step < sched.steps; step++ {
 		live := ref.liveIDs()
 		switch r := rng.Float64(); {
 		case r < 0.27: // add, usually with metadata; some copy a live object
-			x := randObj()
-			if len(live) > 0 && rng.Intn(4) == 0 {
-				x = slices.Clone(ref.rows[live[rng.Intn(len(live))]].obj)
-			}
-			md := randMeta()
-			if _, typed := ref.kinds["bucket"]; typed && rng.Intn(8) == 0 {
-				md = ghostMeta()
-			}
-			want, ok := ref.add(x, md.Clone())
-			got, err := st.AddMeta(x, md.Clone())
-			var te *meta.TypeError
-			if ok && (err != nil || got != want) || !ok && !errors.As(err, &te) {
-				t.Fatalf("step %d: add(%v) = (%d, %v), model (%d, accepted %v)", step, md, got, err, want, ok)
+			for range sched.burst {
+				x := randObj()
+				if len(live) > 0 && rng.Intn(4) == 0 {
+					x = slices.Clone(ref.rows[live[rng.Intn(len(live))]].obj)
+				}
+				md := randMeta()
+				if _, typed := ref.kinds["bucket"]; typed && rng.Intn(8) == 0 {
+					md = ghostMeta()
+				}
+				want, ok := ref.add(x, md.Clone())
+				got, err := st.AddMeta(x, md.Clone())
+				var te *meta.TypeError
+				if ok && (err != nil || got != want) || !ok && !errors.As(err, &te) {
+					t.Fatalf("step %d: add(%v) = (%d, %v), model (%d, accepted %v)", step, md, got, err, want, ok)
+				}
 			}
 		case r < 0.40 && len(live) > 0: // remove a live id
 			id := live[rng.Intn(len(live))]
@@ -263,7 +330,7 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 			if got, err := st.Add(x); err != nil || got != want {
 				t.Fatalf("step %d: update add = (%d, %v), want %d", step, got, err, want)
 			}
-		case r < 0.70:
+		case r < 0.70 && sched.compact:
 			st.Compact()
 		case r < 0.76: // incremental save of whatever is dirty; half the
 			// time also reopen and continue on the reopened store (the
@@ -273,20 +340,7 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 				t.Fatalf("step %d: save: %v", step, err)
 			}
 			if rng.Intn(2) == 0 {
-				if st, err = Open(path, l1, Gob[[]float64]()); err != nil {
-					t.Fatalf("step %d: reopen: %v", step, err)
-				}
-				if len(st.shards) != shards {
-					t.Fatalf("step %d: reopened with %d shards, want %d", step, len(st.shards), shards)
-				}
-				if s := st.Stats(); s.QuantBits != quantBits || s.ShadowBytes != 0 {
-					t.Fatalf("step %d: reopened store reports QuantBits %d with %d shadow bytes, want %d with none",
-						step, s.QuantBits, s.ShadowBytes, quantBits)
-				}
-				// Generations restart at zero on open, which also absorbs
-				// the one-time SetQuantization bump.
-				ref.gen, genOffset = 0, 0
-				st.SetCompactionPolicy(eqPolicy)
+				reopen(step)
 			}
 		default: // invalid searches: the store refuses with retrieval's text
 			for _, kp := range [][2]int{{0, 10}, {5, 2}} {
@@ -295,6 +349,16 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 					t.Fatalf("step %d: k=%d p=%d: error %v, want %v", step, kp[0], kp[1], err, want)
 				}
 			}
+		}
+		for i, sh := range st.shards {
+			peak[i] = max(peak[i], sh.Stats().DeltaSize)
+		}
+		if sched.replayPast > 0 && !replayed && slices.Max(peak) > sched.replayPast {
+			if err := st.Save(path); err != nil {
+				t.Fatalf("step %d: save: %v", step, err)
+			}
+			reopen(step)
+			replayed = true
 		}
 		assertMatchesModel(t, st, ref, rng, step, genOffset)
 	}
@@ -308,6 +372,7 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 		}
 	}
 	assertMatchesModel(t, st, ref, rng, -1, genOffset)
+	return peak
 }
 
 // assertMatchesModel is the per-step oracle: stats, live IDs, First,

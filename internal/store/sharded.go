@@ -461,8 +461,8 @@ func (s *Store[T]) Add(x T) (uint64, error) {
 // AddMeta is Add carrying the new object's metadata record (nil for
 // none). The record is validated against the type registry before an ID
 // is drawn: a kind conflict returns a *meta.TypeError, burns no ID and
-// leaves the store unchanged. md is retained; callers must not modify it
-// afterwards.
+// leaves the store unchanged. Its values are copied into the shard's
+// metadata columns; md itself is not kept.
 func (s *Store[T]) AddMeta(x T, md meta.Map) (uint64, error) {
 	if err := s.reg.Register(md); err != nil {
 		return 0, err

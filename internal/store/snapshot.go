@@ -279,13 +279,6 @@ func frameFor[T any](codec Codec[T], snap *snapshot[T], fromRow int, nextID uint
 		encoded[i] = raw
 	}
 	baseDead, deltaDead := snap.seg.Tombstoned()
-	// The delta metadata slice is nil until some delta row carries a
-	// record and row-aligned with the delta from then on; the frame's
-	// view follows the same convention over its own row window.
-	var frameMeta []meta.Map
-	if dm := snap.seg.DeltaMeta(); dm != nil {
-		frameMeta = dm[fromRow:len(snap.deltaIDs):len(snap.deltaIDs)]
-	}
 	return &deltaFrame{
 		Objects:   encoded,
 		Flat:      deltaFlat[fromRow*dims:],
@@ -294,7 +287,7 @@ func frameFor[T any](codec Codec[T], snap *snapshot[T], fromRow int, nextID uint
 		DeltaDead: deltaDead,
 		Gen:       snap.gen,
 		NextID:    nextID,
-		Meta:      frameMeta,
+		Meta:      snap.seg.DeltaMetaRows(fromRow),
 	}, nil
 }
 
@@ -479,14 +472,10 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 		}
 		// Row-align the replayed metadata with the replayed delta: frames
 		// written before the first metadata-carrying row (or by an older
-		// build) contribute nil records, and the slice stays canonically
-		// nil until any frame carries one.
-		switch {
-		case len(f.Meta) > 0 && deltaMeta == nil:
-			deltaMeta = append(make([]meta.Map, len(deltaObjs)-len(f.Objects)), f.Meta...)
-		case len(f.Meta) > 0:
+		// build) contribute metadata-less rows.
+		if len(f.Meta) > 0 {
 			deltaMeta = append(deltaMeta, f.Meta...)
-		case deltaMeta != nil:
+		} else {
 			deltaMeta = append(deltaMeta, make([]meta.Map, len(f.Objects))...)
 		}
 		deltaFlat = append(deltaFlat, f.Flat...)
@@ -495,15 +484,6 @@ func openShardV3[T any](dir, baseFile, deltaFile string, model *core.Model[T], d
 		baseDead, deltaDead = f.BaseDead, f.DeltaDead
 		if f.NextID > nextID {
 			nextID = f.NextID
-		}
-	}
-
-	// gob cannot round-trip a nil map inside a slice (it decodes as a
-	// non-nil empty map); restore the canonical nil so Metadata() reads
-	// the same record before and after a reopen.
-	for i, m := range deltaMeta {
-		if len(m) == 0 {
-			deltaMeta[i] = nil
 		}
 	}
 

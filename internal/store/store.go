@@ -355,16 +355,16 @@ func (s *shard[T]) Get(id uint64) (T, bool) {
 	return snap.seg.Object(pos), true
 }
 
-// Metadata returns a copy of the metadata record of the object with the
-// given stable ID (nil when the object carries none); the bool reports
-// whether the ID is live.
+// Metadata returns the metadata record of the object with the given
+// stable ID, materialized fresh from the shard's columns (nil when the
+// object carries none); the bool reports whether the ID is live.
 func (s *shard[T]) Metadata(id uint64) (meta.Map, bool) {
 	snap := s.cur.Load()
 	pos, ok := snap.lookup(id)
 	if !ok {
 		return nil, false
 	}
-	return snap.seg.Metadata(pos).Clone(), true
+	return snap.seg.Metadata(pos), true
 }
 
 // add inserts x — already embedded as v, already validated against the
