@@ -117,18 +117,6 @@ func (v Value) Any() any {
 // record; readers must not mutate a Map obtained from a store.
 type Map map[string]Value
 
-// Clone returns an independent copy of m (nil stays nil).
-func (m Map) Clone() Map {
-	if m == nil {
-		return nil
-	}
-	out := make(Map, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // ParseMapJSON parses a JSON object of field→scalar into a Map. Number
 // literals without a fraction or exponent become ints, all others
 // floats, so {"ts": 1700000000} pins ts to int and {"score": 0.5} pins

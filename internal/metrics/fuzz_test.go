@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -30,6 +32,42 @@ func FuzzEditDistance(f *testing.F) {
 			t.Fatalf("above max-length bound")
 		}
 	})
+}
+
+// FuzzWeightedL1x4 holds each of the four-row kernel's outputs to
+// WeightedL1Unchecked on its row, bit for bit. raw is read as
+// little-endian float64 bits — so the mutator reaches NaNs, infinities,
+// signed zeros and subnormals — laid out as weights, query and four rows
+// of len(raw)/48 values each. The seeds are x4Cases.
+func FuzzWeightedL1x4(f *testing.F) {
+	for _, c := range x4Cases() {
+		f.Add(encodeX4(c))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		n := len(raw) / 48
+		if n > 256 {
+			t.Skip()
+		}
+		vec := func(i int) []float64 {
+			v := make([]float64, n)
+			for j := range v {
+				v[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[(i*n+j)*8:]))
+			}
+			return v
+		}
+		checkX4(t, x4Case{w: vec(0), q: vec(1), rows: [4][]float64{vec(2), vec(3), vec(4), vec(5)}})
+	})
+}
+
+// encodeX4 is FuzzWeightedL1x4's byte layout of c.
+func encodeX4(c x4Case) []byte {
+	var raw []byte
+	for _, v := range [][]float64{c.w, c.q, c.rows[0], c.rows[1], c.rows[2], c.rows[3]} {
+		for _, x := range v {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(x))
+		}
+	}
+	return raw
 }
 
 // editDistanceRef is the textbook full-matrix implementation.

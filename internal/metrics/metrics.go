@@ -75,6 +75,25 @@ func WeightedL1Unchecked(w, a, b []float64) float64 {
 	return sum
 }
 
+// WeightedL1x4 returns WeightedL1Unchecked(w, q, r) for the four rows a,
+// b, c and d at once. Each sum runs over the dimensions in the same order
+// from the same zero, so every result has WeightedL1Unchecked's bits; only
+// the four dependency chains interleave, which lets the adds of one row
+// overlap the latency of another's. Every slice must hold at least len(q)
+// values.
+func WeightedL1x4(w, q, a, b, c, d []float64) (s0, s1, s2, s3 float64) {
+	n := len(q)
+	w, a, b, c, d = w[:n], a[:n], b[:n], c[:n], d[:n]
+	for i, x := range q {
+		wi := w[i]
+		s0 += wi * math.Abs(x-a[i])
+		s1 += wi * math.Abs(x-b[i])
+		s2 += wi * math.Abs(x-c[i])
+		s3 += wi * math.Abs(x-d[i])
+	}
+	return s0, s1, s2, s3
+}
+
 // ChiSquare returns the chi-square histogram distance
 // 0.5 * sum_i (a[i]-b[i])^2 / (a[i]+b[i]), with zero-denominator bins
 // skipped. It is the histogram cost used by Shape Context matching.

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,5 +274,161 @@ func BenchmarkWeightedL1Unchecked(bb *testing.B) {
 	bb.ResetTimer()
 	for i := 0; i < bb.N; i++ {
 		WeightedL1Unchecked(w, a, b)
+	}
+}
+
+// BenchmarkWeightedL1PerRow sums 1,024 rows of a row-major block at 32
+// and 64 dimensions, one row at a time (single) and four abreast (x4),
+// and reports ns/row.
+func BenchmarkWeightedL1PerRow(bb *testing.B) {
+	for _, dims := range []int{32, 64} {
+		const rows = 1024
+		rng := rand.New(rand.NewSource(12))
+		w, q := make([]float64, dims), randVec(rng, dims)
+		for i := range w {
+			w[i] = rng.Float64()
+		}
+		flat := randVec(rng, rows*dims)
+		row := func(i int) []float64 { return flat[i*dims : (i+1)*dims] }
+		var sink float64
+		bb.Run(fmt.Sprintf("single/d=%d", dims), func(bb *testing.B) {
+			for n := 0; n < bb.N; n++ {
+				for i := 0; i < rows; i++ {
+					sink += WeightedL1Unchecked(w, q, row(i))
+				}
+			}
+			bb.ReportMetric(float64(bb.Elapsed().Nanoseconds())/float64(bb.N*rows), "ns/row")
+		})
+		bb.Run(fmt.Sprintf("x4/d=%d", dims), func(bb *testing.B) {
+			for n := 0; n < bb.N; n++ {
+				for i := 0; i < rows; i += 4 {
+					s0, s1, s2, s3 := WeightedL1x4(w, q, row(i), row(i+1), row(i+2), row(i+3))
+					sink += s0 + s1 + s2 + s3
+				}
+			}
+			bb.ReportMetric(float64(bb.Elapsed().Nanoseconds())/float64(bb.N*rows), "ns/row")
+		})
+		if math.IsNaN(sink) {
+			bb.Fatal("NaN sum")
+		}
+	}
+}
+
+// x4Case is one input of the four-row kernel: weights, query, and the
+// four rows it sums side by side.
+type x4Case struct {
+	name string
+	w, q []float64
+	rows [4][]float64
+}
+
+// x4Cases are the four-row kernel's edge cases: every length from 0 to
+// 5, the lengths around 32 and 64, zero weights, signed zeros,
+// subnormals, a row whose sum overflows to +Inf beside three finite
+// ones, and NaN weights.
+func x4Cases() []x4Case {
+	rng := rand.New(rand.NewSource(13))
+	random := func(n int) x4Case {
+		c := x4Case{name: fmt.Sprintf("len%d", n), w: make([]float64, n), q: randVec(rng, n)}
+		for i := range c.w {
+			c.w[i] = rng.Float64()
+		}
+		for r := range c.rows {
+			c.rows[r] = randVec(rng, n)
+		}
+		return c
+	}
+	var cases []x4Case
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 31, 32, 33, 64, 65} {
+		cases = append(cases, random(n))
+	}
+	zeroW := random(7)
+	zeroW.name = "zero-weights"
+	for i := range zeroW.w {
+		if i%2 == 0 {
+			zeroW.w[i] = 0
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	zeros := x4Case{name: "signed-zeros",
+		w: []float64{1, 0, negZero, 0.5, 2},
+		q: []float64{0, negZero, 0, negZero, 1},
+		rows: [4][]float64{
+			{negZero, 0, negZero, 0, 1},
+			{0, negZero, 0, negZero, negZero},
+			{negZero, negZero, negZero, negZero, 0},
+			{0, 0, 0, 0, 1},
+		}}
+	tiny := math.SmallestNonzeroFloat64
+	subnormal := x4Case{name: "subnormals",
+		w: []float64{1, 0.5, 3, tiny, 1e-300},
+		q: []float64{tiny, 3 * tiny, -tiny, 1, 0x1p-1070},
+		rows: [4][]float64{
+			{-tiny, tiny, tiny, 0, 0x1p-1060},
+			{2 * tiny, 0, -5 * tiny, 1, 0},
+			{0x1p-1030, -0x1p-1040, 0, tiny, -tiny},
+			{0, 0, 0, 0, 0},
+		}}
+	// Row 2's terms are finite, MaxFloat64 each, and its sum is +Inf.
+	half := math.MaxFloat64 / 2
+	overflow := x4Case{name: "one-row-overflows",
+		w: []float64{1, 1, 1, 1},
+		q: []float64{half, half, 1, -1},
+		rows: [4][]float64{
+			{half, half, 0, 0},
+			{0, half, 1, 1},
+			{-half, -half, 0, 0},
+			{half / 2, half, 3, -3},
+		}}
+	// NaN weights with distinct payloads over zero differences.
+	nan := x4Case{name: "nan-weights",
+		w:    []float64{math.Float64frombits(0xffff303030303030), math.Float64frombits(0xffff313030303030)},
+		q:    []float64{1, 2},
+		rows: [4][]float64{{1, 2}, {0, 2}, {1, 0}, {3, 3}},
+	}
+	return append(cases, zeroW, zeros, subnormal, overflow, nan)
+}
+
+// TestWeightedL1x4MatchesUnchecked holds the four-row kernel to the
+// single-row one bit for bit, each of its four outputs.
+func TestWeightedL1x4MatchesUnchecked(t *testing.T) {
+	cases := x4Cases()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			checkX4(t, c)
+		})
+	}
+	for _, c := range cases {
+		if c.name != "one-row-overflows" {
+			continue
+		}
+		var s [4]float64
+		s[0], s[1], s[2], s[3] = WeightedL1x4(c.w, c.q, c.rows[0], c.rows[1], c.rows[2], c.rows[3])
+		for r, v := range s {
+			if inf := math.IsInf(v, 1); inf != (r == 2) {
+				t.Fatalf("%s: row %d summed to %v", c.name, r, v)
+			}
+		}
+	}
+}
+
+// checkX4 fails t unless every output of WeightedL1x4 on c has the bits
+// of WeightedL1Unchecked on its row. A NaN need only meet a NaN: Go does
+// not specify which NaN an operation on two NaNs yields, and a build
+// instrumented for fuzzing orders the operands of the two kernels'
+// adds differently from a plain one.
+func checkX4(t *testing.T, c x4Case) {
+	t.Helper()
+	var got [4]float64
+	got[0], got[1], got[2], got[3] = WeightedL1x4(c.w, c.q, c.rows[0], c.rows[1], c.rows[2], c.rows[3])
+	for r, row := range c.rows {
+		want := WeightedL1Unchecked(c.w, c.q, row)
+		if math.IsNaN(got[r]) && math.IsNaN(want) {
+			continue
+		}
+		if math.Float64bits(got[r]) != math.Float64bits(want) {
+			t.Fatalf("row %d: WeightedL1x4 = %v (%#x), WeightedL1Unchecked = %v (%#x)",
+				r, got[r], math.Float64bits(got[r]), want, math.Float64bits(want))
+		}
 	}
 }

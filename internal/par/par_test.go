@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
@@ -89,4 +90,37 @@ func TestShardsManyWorkers(t *testing.T) {
 			t.Fatalf("index %d visited %d times", i, h)
 		}
 	}
+}
+
+// BenchmarkParScaling is the host fact behind the store's rule against
+// partitions nested under a full shard scatter: it times a fixed
+// latency-bound floating-point loop — 64 chunks, each one dependency
+// chain of multiply-adds, like a one-row weighted-L1 sum — on one
+// goroutine and split by ForWorkers over Workers() goroutines, each
+// iteration timing both, and reports the speedup (one's time over all
+// of theirs). A speedup near 1 means the extra goroutines added no
+// capacity; a host with every worker idle reads about Workers().
+func BenchmarkParScaling(b *testing.B) {
+	const chunks, steps = 64, 20000
+	out := make([]float64, chunks)
+	work := func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			x := float64(c)
+			for i := 0; i < steps; i++ {
+				x = x*0.999999 + 1e-9
+			}
+			out[c] = x
+		}
+	}
+	var one, all time.Duration
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		ForWorkers(1, chunks, 1, work)
+		one += time.Since(t0)
+		t0 = time.Now()
+		ForWorkers(Workers(), chunks, 1, work)
+		all += time.Since(t0)
+	}
+	b.ReportMetric(float64(one)/float64(all), "speedup")
+	b.ReportMetric(float64(Workers()), "workers")
 }

@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -452,21 +453,43 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 }
 
 // TestScanLoopsMatchReference checks FilterLiveMatch against the
-// brute-force reference on both of the exact scan's row loops: filters
-// selecting about 1%, a quarter, half and all of the rows take the
-// set-bit loop over fresh skip bitmaps, unfiltered scans the sequential
-// loop over the shared tombstones. Both run on segments with a ninth of
-// their rows tombstoned and on segments with more than three quarters
-// tombstoned, whose tombstone bitmaps end words before their last live
-// rows. Both segments have delta rows and end mid-word, and every case
-// runs serial and partitioned, weighted and not, at a small p and at one
-// past every selected row.
+// brute-force reference on every exact loop: filters selecting about 1%,
+// a quarter, half and all of the rows take the set-bit loop over fresh
+// skip bitmaps, unfiltered scans the tombstone loop over the shared
+// tombstones, or the four-abreast loop of a segment with none. Filters
+// on a row's lane (its offset in its segment's 64-row word) select
+// exactly 0, 1, 2, 3 and 5 rows of each word, so the four-row batches
+// end on every tail. The loops run on segments with a ninth of their
+// rows tombstoned, on segments with more than three quarters tombstoned,
+// whose tombstone bitmaps end words before their last live rows, and on
+// segments with no tombstones. Both segments have delta rows and end
+// mid-word, at 1, 2 and 3 rows past a multiple of four, and every case
+// runs serial and partitioned, weighted and unweighted (nil weights,
+// which must keep metrics.L1's distances), at a small p and at one past
+// every selected row — through the exact scan and through the seeded
+// screen's phase 2, whose candidate chunks end on their own tails. Every
+// answer must equal the reference's bit for bit.
 func TestScanLoopsMatchReference(t *testing.T) {
-	const bn, dn = minParallelScan*2 + 133, 301
+	for extra := 0; extra < 3; extra++ {
+		bn, dn := minParallelScan*2+133+extra, 301+extra
+		t.Run(fmt.Sprintf("len%%4=%d", bn%4), func(t *testing.T) {
+			if bn%4 != 1+extra || dn%4 != 1+extra {
+				t.Fatalf("segments of %d and %d rows", bn, dn)
+			}
+			checkScanLoops(t, bn, dn)
+		})
+	}
+}
+
+func checkScanLoops(t *testing.T, bn, dn int) {
 	db := clusteredDB(bn+dn, 17)
 	rows := make([]meta.Map, bn+dn)
 	for i := range rows {
-		rows[i] = meta.Map{"v": meta.IntValue(int64(i * 7919 % 1000))}
+		lane := i % 64
+		if i >= bn {
+			lane = (i - bn) % 64
+		}
+		rows[i] = meta.Map{"v": meta.IntValue(int64(i * 7919 % 1000)), "lane": meta.IntValue(int64(lane))}
 	}
 	ix, err := BuildIndex(db[:bn], l2, identityEmbedder{})
 	if err != nil {
@@ -498,57 +521,89 @@ func TestScanLoopsMatchReference(t *testing.T) {
 	if bd, dd := mostlyDead.Tombstoned(); len(bd) >= (bn+63)/64 || len(dd) >= (dn+63)/64 {
 		t.Fatalf("tombstone bitmaps of %d and %d words reach the segments' last words", len(bd), len(dd))
 	}
+	clean := head(nil, nil)
 
-	below := func(x int) *meta.Predicate {
-		p, err := meta.CompileFilter([]byte(fmt.Sprintf(`{"field":"v","lt":%d}`, x)), map[string]meta.Kind{"v": meta.KindInt})
+	below := func(field string, x int) *meta.Predicate {
+		p, err := meta.CompileFilter([]byte(fmt.Sprintf(`{"field":%q,"lt":%d}`, field, x)),
+			map[string]meta.Kind{"v": meta.KindInt, "lane": meta.KindInt})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	cases := []struct {
+	type scanCase struct {
 		name string
 		s    *Segmented[[]float64]
 		pred *meta.Predicate
-	}{
-		{"sel1", churned, below(10)},
-		{"sel25", churned, below(250)},
-		{"sel50", churned, below(500)},
-		{"sel100", churned, below(1000)},
-		{"unfiltered", churned, nil},
-		{"sel50-mostly-dead", mostlyDead, below(500)},
-		{"unfiltered-mostly-dead", mostlyDead, nil},
 	}
+	cases := []scanCase{
+		{"sel1", churned, below("v", 10)},
+		{"sel25", churned, below("v", 250)},
+		{"sel50", churned, below("v", 500)},
+		{"sel100", churned, below("v", 1000)},
+		{"unfiltered", churned, nil},
+		{"sel50-mostly-dead", mostlyDead, below("v", 500)},
+		{"unfiltered-mostly-dead", mostlyDead, nil},
+		{"unfiltered-clean", clean, nil},
+		{"sel50-clean", clean, below("v", 500)},
+	}
+	for _, k := range []int{0, 1, 2, 3, 5} {
+		cases = append(cases,
+			scanCase{fmt.Sprintf("lanes%d-clean", k), clean, below("lane", k)},
+			scanCase{fmt.Sprintf("lanes%d", k), churned, below("lane", k)})
+	}
+	shadows := map[*Segmented[[]float64]]*Segmented[[]float64]{}
 	for _, c := range cases {
-		keep := c.s.Alive
-		if c.pred != nil {
-			keep = matching(c.s, c.pred)
-		}
+		kept := make([]bool, c.s.Total())
 		sel := 0
-		for pos := 0; pos < c.s.Total(); pos++ {
-			if keep(pos) {
+		for pos := range kept {
+			kept[pos] = c.s.Alive(pos) && (c.pred == nil || c.pred.Match(c.s.Metadata(pos)))
+			if kept[pos] {
 				sel++
 			}
 		}
-		for _, parallel := range []bool{false, true} {
-			for _, weights := range [][]float64{nil, seedWeights()} {
-				for _, p := range []int{10, c.s.Total() + 1} {
-					for qi, q := range [][]float64{db[3], db[bn+5]} {
+		keep := func(pos int) bool { return kept[pos] }
+		if shadows[c.s] == nil {
+			shadows[c.s] = mustShadow(t, c.s)
+		}
+		quant := shadows[c.s]
+		for _, weights := range [][]float64{nil, seedWeights()} {
+			for _, p := range []int{10, c.s.Total() + 1} {
+				for qi, q := range [][]float64{db[3], db[bn+5]} {
+					want := referenceTopP(c.s, q, weights, p, keep)
+					for _, parallel := range []bool{false, true} {
+						what := fmt.Sprintf("%s parallel=%v weighted=%v p=%d query %d", c.name, parallel, weights != nil, p, qi)
 						var got []space.Neighbor
 						var n int
+						var run screenRun
 						withGOMAXPROCS(max(2, runtime.GOMAXPROCS(0)), func() {
 							got, n = c.s.FilterLiveMatch(q, weights, p, parallel, nil, c.pred, nil, nil)
+							run = runScreen(quant, q, weights, p, parallel, quant.selectRows(c.pred, nil))
 						})
 						if n != sel {
 							t.Fatalf("%s: counted %d selected rows, want %d", c.name, n, sel)
 						}
-						if want := referenceTopP(c.s, q, weights, p, keep); !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s parallel=%v weighted=%v p=%d query %d: diverges from the reference\n  got  %v\n  want %v",
-								c.name, parallel, weights != nil, p, qi, got, want)
+						assertSameBits(t, what+": exact scan", got, want)
+						if sel > 0 && (run.pr == nil || run.tm.BoundExactRows == 0) {
+							t.Fatalf("%s: the seeded screen evaluated no candidate", what)
 						}
+						assertSameBits(t, what+": seeded screen", run.res, want)
 					}
 				}
 			}
 		}
+	}
+}
+
+// assertSameBits fails t unless got and want hold the same positions
+// with distances of the same bits.
+func assertSameBits(t *testing.T, what string, got, want []space.Neighbor) {
+	t.Helper()
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = got[i].Index == want[i].Index && math.Float64bits(got[i].Distance) == math.Float64bits(want[i].Distance)
+	}
+	if !same {
+		t.Fatalf("%s: diverges from the reference\n  got  %v\n  want %v", what, got, want)
 	}
 }

@@ -44,7 +44,6 @@ import (
 	"sync"
 	"time"
 
-	"qse/internal/metrics"
 	"qse/internal/par"
 	"qse/internal/vafile"
 )
@@ -686,17 +685,17 @@ func (s *Segmented[T]) scanCandidateChunks(qvec, weights []float64, p int, pr *b
 // mergeTopP is order- and partition-agnostic. st is the worker's state.
 func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundPrune, lo, hi int, ids idTables, clk *FilterClock, st *screenState) *topP {
 	h := newTopP(p)
-	bn, d := s.base.Size(), s.base.dims
+	base, delta := s.exactScans(h, qvec, weights, ids)
 	split := min(max(pr.split, lo), hi)
 	evald := 0
 	if lo < split {
 		t0 := time.Now()
-		scanCandRows(h, s.base.flat, d, 0, ids.base, qvec, weights, pr, lo, split, &evald, st)
+		evald += scanCandRows(&base, pr, lo, split, st)
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if split < hi {
 		t0 := time.Now()
-		scanCandRows(h, s.deltaFlat, d, bn, ids.delta, qvec, weights, pr, split, hi, &evald, st)
+		evald += scanCandRows(&delta, pr, split, hi, st)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	clk.AddBoundExact(int64(evald))
@@ -707,36 +706,30 @@ func (s *Segmented[T]) scanCandidates(qvec, weights []float64, p int, pr *boundP
 // any of them.
 const candBatch = 256
 
-// scanCandRows evaluates candidates [lo, hi) — all in the one segment
-// whose flat block and ID table ids start at global position posOff —
-// against the exact kernels, skipping entries whose lower bound exceeds
-// tau, and offers them to h. It works in batches of candBatch
-// candidates, touching the rows of a batch before evaluating any. evald
-// counts rows actually evaluated.
-func scanCandRows(h *topP, flat []float64, dims, posOff int, ids []uint64, qvec, weights []float64, pr *boundPrune, lo, hi int, evald *int, st *screenState) {
+// scanCandRows evaluates candidates [lo, hi) — all in sc's segment —
+// exactly, skipping entries whose lower bound exceeds tau, and returns
+// how many it evaluated. It works in batches of candBatch candidates,
+// touching the rows of a batch before queuing any.
+func scanCandRows(sc *exactScan, pr *boundPrune, lo, hi int, st *screenState) int {
 	var touched uint64
+	flat, dims, off := sc.flat, sc.dims, sc.posOff
+	evald := 0
 	for blo := lo; blo < hi; blo += candBatch {
 		bhi := min(blo+candBatch, hi)
 		for i := blo; i < bhi; i++ {
 			if pr.clbs[i] <= pr.tau {
-				r := int(pr.cands[i]) - posOff
+				r := int(pr.cands[i]) - off
 				touched += touchFloats(flat, r*dims, r*dims+dims)
 			}
 		}
 		for i := blo; i < bhi; i++ {
-			if pr.clbs[i] > pr.tau {
-				continue
-			}
-			pos := int(pr.cands[i])
-			r := pos - posOff
-			v := flat[r*dims : r*dims+dims]
-			*evald++
-			if weights == nil {
-				h.offer(metrics.L1(qvec, v), pos, ids, posOff)
-			} else {
-				h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), pos, ids, posOff)
+			if pr.clbs[i] <= pr.tau {
+				sc.add(int(pr.cands[i]) - off)
+				evald++
 			}
 		}
 	}
+	sc.flush()
 	st.touched += touched
+	return evald
 }

@@ -73,7 +73,8 @@ func mustShadow(t testing.TB, s *Segmented[[]float64]) *Segmented[[]float64] {
 
 // screenRun is one phase 1 + phase 2 pass of the seeded screen over s,
 // called directly whatever the gate says, with p clamped to the
-// matching-live population like FilterLiveMatch: the merged candidates,
+// matching-live population and nil weights read as the index's ones
+// vector like FilterLiveMatch: the merged candidates,
 // phase 1's verdict (nil when the screen declined), the bound-scan
 // counters, and the clamped p.
 type screenRun struct {
@@ -87,6 +88,9 @@ func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel
 	p = min(p, rs.baseSel+rs.deltaSel)
 	if p <= 0 {
 		return screenRun{}
+	}
+	if weights == nil {
+		weights = s.base.ones
 	}
 	var clk FilterClock
 	pr := s.screen(qvec, weights, p, parallel, &clk, viewOf(s, rs))

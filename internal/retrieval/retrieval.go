@@ -72,6 +72,19 @@ type Index[T any] struct {
 	dims     int
 	embedder Embedder[T]
 	dist     space.Distance[T]
+	// ones is a dims-wide vector of 1.0, the weights of a query whose
+	// embedder has none: 1·|x| is |x| exactly, so its weighted-L1
+	// distances keep the unweighted L1's bits.
+	ones []float64
+}
+
+// newIndex assembles an index over db and its row-major embedded block.
+func newIndex[T any](db []T, flat []float64, dims int, em Embedder[T], dist space.Distance[T]) *Index[T] {
+	ones := make([]float64, dims)
+	for i := range ones {
+		ones[i] = 1
+	}
+	return &Index[T]{db: db, flat: flat, dims: dims, embedder: em, dist: dist, ones: ones}
 }
 
 // BuildIndex embeds every database object offline. The preprocessing cost
@@ -89,13 +102,7 @@ func BuildIndex[T any](db []T, dist space.Distance[T], em Embedder[T]) (*Index[T
 	// so the result is identical to a serial build.
 	first := em.Embed(db[0])
 	dims := len(first)
-	ix := &Index[T]{
-		db:       db,
-		flat:     make([]float64, len(db)*dims),
-		dims:     dims,
-		embedder: em,
-		dist:     dist,
-	}
+	ix := newIndex(db, make([]float64, len(db)*dims), dims, em, dist)
 	copy(ix.flat[:dims], first)
 	// bad records the lowest mismatching row as row<<32|dims (row is always
 	// >= 1 here, and row owns the high bits, so taking the minimum packed
@@ -142,7 +149,7 @@ func FromParts[T any](db []T, flat []float64, dims int, dist space.Distance[T], 
 		return nil, fmt.Errorf("retrieval: flat block has %d values, want %d objects x %d dims = %d",
 			len(flat), len(db), dims, len(db)*dims)
 	}
-	return &Index[T]{db: db, flat: flat, dims: dims, embedder: em, dist: dist}, nil
+	return newIndex(db, flat, dims, em, dist), nil
 }
 
 // Size returns the number of database objects.

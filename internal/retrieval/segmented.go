@@ -342,7 +342,7 @@ func (s *Segmented[T]) Compact() *Index[T] {
 	}
 	appendLive(s.base.db, s.base.flat, s.baseDead)
 	appendLive(s.deltaDB, s.deltaFlat, s.deltaDead)
-	return &Index[T]{db: db, flat: flat, dims: d, embedder: s.base.embedder, dist: s.base.dist}
+	return newIndex(db, flat, d, s.base.embedder, s.base.dist)
 }
 
 // CompactSegmented is Compact carrying metadata: the compacted index
@@ -501,14 +501,16 @@ func unmatched(pred *meta.Predicate, blk *meta.Block, rows int, dead bitmap) (bi
 // delta row j. Nil tables make the key the row's position; a caller
 // passes both tables or neither, since IDs and positions do not compare.
 // p is clamped to the selected count first, so p candidates survive
-// whenever p such rows exist. weights may be nil for the unweighted L1.
-// clk accumulates the predicate evaluation, the per-segment scan and
-// merge durations and the screen's row counters (the store feeds it
-// into the query's stage breakdown); a nil clk drops them.
+// whenever p such rows exist. weights may be nil for the unweighted L1,
+// which the scan sums as the weighted L1 under the index's ones vector:
+// 1·|x| is |x| exactly, so every distance keeps the L1's bits. clk
+// accumulates the predicate evaluation, the per-segment scan and merge
+// durations and the screen's row counters (the store feeds it into the
+// query's stage breakdown); a nil clk drops them.
 //
-// The global position space is partitioned for a parallel scan; the
-// merged top-p is unique under the total order (live rows' keys are
-// distinct), so the result is identical for any partition count.
+// A parallel scan partitions the global position space; the merged
+// top-p is unique under the total order (live rows' keys are distinct),
+// so the result is identical for any partition count.
 func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate, baseIDs, deltaIDs []uint64) ([]space.Neighbor, int) {
 	rs := s.selectRows(pred, clk)
 	selected := rs.baseSel + rs.deltaSel
@@ -517,6 +519,9 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 	}
 	if p <= 0 {
 		return nil, selected
+	}
+	if weights == nil {
+		weights = s.base.ones
 	}
 	total := s.Total()
 	ids := idTables{baseIDs, deltaIDs}
@@ -546,14 +551,13 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 }
 
 // mergeTopP sorts each partition's candidate heap in place and merges
-// them on the (distance, key) total order, keeping the p best. No two
-// scanned rows share a key (positions are unique, and so are the IDs of
-// live rows), so the merged top-p is a unique set in a unique order —
-// the same for any partition of the position space, which is what makes
-// both the partitioned scan above and the sharded store's cross-shard
-// gather deterministic.
+// them with MergeSorted on the (distance, key) total order, keeping the
+// p best. No two scanned rows share a key (positions are unique, and so
+// are the IDs of live rows), so the merged top-p is a unique set in a
+// unique order — the same for any partition of the position space, which
+// is what makes the partitioned scan above deterministic.
 func mergeTopP(heaps []*topP, p int) []space.Neighbor {
-	n := 0
+	lists := make([][]ranked, 0, 8) // on the stack up to 8 partitions
 	for _, h := range heaps {
 		slices.SortFunc(h.rows, func(a, b ranked) int {
 			switch {
@@ -564,56 +568,144 @@ func mergeTopP(heaps []*topP, p int) []space.Neighbor {
 			}
 			return 0
 		})
-		n += len(h.rows)
+		lists = append(lists, h.rows)
 	}
-	out := make([]space.Neighbor, 0, min(p, n))
+	top := MergeSorted(lists, p, ranked.before)
+	out := make([]space.Neighbor, len(top))
+	for i, r := range top {
+		out[i] = space.Neighbor{Index: r.pos, Distance: r.dist}
+	}
+	return out
+}
+
+// MergeSorted is a k-way merge: given lists each ascending under the
+// strict order before, it returns the first p elements of their union in
+// ascending order. When the order is total over the union (no two
+// elements tie), the result is the same for any split of the union into
+// lists. It consumes the lists: each list header is advanced past the
+// elements taken, and a single list comes back as a prefix of itself,
+// not a copy.
+func MergeSorted[E any](lists [][]E, p int, before func(a, b E) bool) []E {
+	if len(lists) == 1 {
+		return lists[0][:min(p, len(lists[0]))]
+	}
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]E, 0, min(p, n))
 	for len(out) < cap(out) {
 		best := -1
-		for i, h := range heaps {
-			if len(h.rows) > 0 && (best < 0 || h.rows[0].before(heaps[best].rows[0])) {
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || before(l[0], lists[best][0])) {
 				best = i
 			}
 		}
-		r := heaps[best].rows[0]
-		heaps[best].rows = heaps[best].rows[1:]
-		out = append(out, space.Neighbor{Index: r.pos, Distance: r.dist})
+		out = append(out, lists[best][0])
+		lists[best] = lists[best][1:]
 	}
 	return out
 }
 
 // scanRange scans the selected rows of global positions [lo, hi),
 // splitting the range at the base/delta boundary, and returns at most
-// the p best in a bounded heap that both segment scans fill. A
-// predicate's skip bitmaps take scanSelected, the shared tombstones
-// scanSegment. clk gets this partition's base/delta scan durations.
+// the p best in a bounded heap that both segment scans fill. clk gets
+// this partition's base/delta scan durations.
 func (s *Segmented[T]) scanRange(qvec, weights []float64, lo, hi, p int, rs rowSet, ids idTables, clk *FilterClock) *topP {
-	scan := scanSegment
-	if rs.filtered {
-		scan = scanSelected
-	}
 	h := newTopP(p)
+	base, delta := s.exactScans(h, qvec, weights, ids)
 	bn := s.base.Size()
 	if lo < bn {
 		t0 := time.Now()
-		scan(h, s.base.flat, s.base.dims, rs.baseSkip, ids.base, qvec, weights, lo, min(hi, bn), 0)
+		base.scan(rs.filtered, rs.baseSkip, lo, min(hi, bn))
 		clk.AddBase(time.Since(t0).Nanoseconds())
 	}
 	if hi > bn {
 		t0 := time.Now()
-		scan(h, s.deltaFlat, s.base.dims, rs.deltaSkip, ids.delta, qvec, weights, max(lo, bn)-bn, hi-bn, bn)
+		delta.scan(rs.filtered, rs.deltaSkip, max(lo, bn)-bn, hi-bn)
 		clk.AddDelta(time.Since(t0).Nanoseconds())
 	}
 	return h
 }
 
-// scanSelected scans the rows of [lo, hi) in one segment's flat block
-// that skip does not mark, where skip is a predicate's skip bitmap and
-// covers every row, offering each (at global position posOff + row) to
-// h under the segment's ID table ids. It walks the selected rows' set
-// bits a word at a time, skipping unselected runs (trailing-zero
-// iteration with edge masking at the range bounds), so a selective
-// predicate touches only the selected rows' vectors.
-func scanSelected(h *topP, flat []float64, dims int, skip bitmap, ids []uint64, qvec, weights []float64, lo, hi, posOff int) {
+// exactScan evaluates one segment's rows exactly for one query and
+// offers them to the bounded heap h: the segment's flat block, its ID
+// table ids and the global position posOff of its first row. Every exact
+// loop queues the rows it selects with add, and every fourth queued row
+// sums the four side by side (metrics.WeightedL1x4, each distance with
+// WeightedL1Unchecked's bits); flush sums the last zero to three rows
+// one at a time. The heap's p best under (distance, key) are one unique
+// set whatever order rows are offered in, so batching changes no answer.
+type exactScan struct {
+	h             *topP
+	flat          []float64
+	dims          int
+	ids           []uint64
+	posOff        int
+	qvec, weights []float64
+	queued        [4]int
+	n             int
+}
+
+// exactScans returns the exact scans of s's base and delta segments for
+// one query, both offering to h.
+func (s *Segmented[T]) exactScans(h *topP, qvec, weights []float64, ids idTables) (base, delta exactScan) {
+	base = exactScan{h: h, flat: s.base.flat, dims: s.base.dims, ids: ids.base, qvec: qvec, weights: weights}
+	delta = base
+	delta.flat, delta.ids, delta.posOff = s.deltaFlat, ids.delta, s.base.Size()
+	return base, delta
+}
+
+// scan evaluates the rows of [lo, hi) that skip does not mark: a
+// predicate's skip bitmap (filtered) takes scanSelected, the shared
+// tombstones scanSegment. Called directly, not through a function
+// value, sc stays on its caller's stack.
+func (sc *exactScan) scan(filtered bool, skip bitmap, lo, hi int) {
+	if filtered {
+		scanSelected(sc, skip, lo, hi)
+	} else {
+		scanSegment(sc, skip, lo, hi)
+	}
+}
+
+// add queues segment row r, summing the queue once it holds four rows.
+func (sc *exactScan) add(r int) {
+	sc.queued[sc.n&3] = r
+	sc.n++
+	if sc.n == 4 {
+		sc.n = 0
+		sc.sum4()
+	}
+}
+
+// sum4 sums the four queued rows side by side and offers them.
+func (sc *exactScan) sum4() {
+	f, d, off := sc.flat, sc.dims, sc.posOff
+	r0, r1, r2, r3 := sc.queued[0], sc.queued[1], sc.queued[2], sc.queued[3]
+	s0, s1, s2, s3 := metrics.WeightedL1x4(sc.weights, sc.qvec,
+		f[r0*d:r0*d+d], f[r1*d:r1*d+d], f[r2*d:r2*d+d], f[r3*d:r3*d+d])
+	sc.h.offer(s0, off+r0, sc.ids, off)
+	sc.h.offer(s1, off+r1, sc.ids, off)
+	sc.h.offer(s2, off+r2, sc.ids, off)
+	sc.h.offer(s3, off+r3, sc.ids, off)
+}
+
+// flush sums the rows still queued one at a time and empties the queue.
+func (sc *exactScan) flush() {
+	d, off := sc.dims, sc.posOff
+	for _, r := range sc.queued[:sc.n] {
+		sc.h.offer(metrics.WeightedL1Unchecked(sc.weights, sc.qvec, sc.flat[r*d:r*d+d]), off+r, sc.ids, off)
+	}
+	sc.n = 0
+}
+
+// scanSelected evaluates the rows of [lo, hi) of sc's segment that skip
+// does not mark, where skip is a predicate's skip bitmap and covers
+// every row. It walks the selected rows' set bits a word at a time,
+// skipping unselected runs (trailing-zero iteration with edge masking at
+// the range bounds), so a selective predicate touches only the selected
+// rows' vectors.
+func scanSelected(sc *exactScan, skip bitmap, lo, hi int) {
 	for w := lo >> 6; w<<6 < hi; w++ {
 		word := ^skip[w]
 		base := w << 6
@@ -624,51 +716,32 @@ func scanSelected(h *topP, flat []float64, dims int, skip bitmap, ids []uint64, 
 			word &= ^uint64(0) >> uint(64-rem)
 		}
 		for word != 0 {
-			i := base + bits.TrailingZeros64(word)
+			sc.add(base + bits.TrailingZeros64(word))
 			word &= word - 1
-			v := flat[i*dims : i*dims+dims]
-			if weights == nil {
-				h.offer(metrics.L1(qvec, v), posOff+i, ids, posOff)
-			} else {
-				h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), posOff+i, ids, posOff)
-			}
 		}
 	}
+	sc.flush()
 }
 
-// scanSegment scans rows [lo, hi) of one segment's flat block, skipping
-// the rows skip marks (tombstones), and offers the rest (at global
-// position posOff + row) to h under the segment's ID table ids:
-// O((hi-lo) log p) with no allocation. A segment with no tombstones
-// takes a loop with no per-row test, instruction-identical to the
-// pre-segmentation kernel. It stays apart from scanSelected: merged into
-// one function behind a flag, its tombstone-testing loop ran a median
-// 1.09× as long (6 runs, 1.01–1.13×; 10,000 × 32 rows, a thirteenth
-// tombstoned, 2-vCPU KVM Xeon, Go 1.24.0).
-func scanSegment(h *topP, flat []float64, dims int, skip bitmap, ids []uint64, qvec, weights []float64, lo, hi, posOff int) {
-	row := flat[lo*dims:]
+// scanSegment evaluates rows [lo, hi) of sc's segment, skipping the
+// rows skip marks (tombstones): O((hi-lo) log p) with no allocation. sc's
+// queue must be empty. A segment with no tombstones sums its rows in
+// fours straight from their positions, with no per-row test or queuing:
+// through the tombstone loop instead, its scan ran a median 1.09× as
+// long (6 runs, 0.97–1.21×; 5,000 × 32 rows at p = 100, 2-vCPU KVM Xeon,
+// Go 1.24.0).
+func scanSegment(sc *exactScan, skip bitmap, lo, hi int) {
+	i := lo
 	if len(skip) == 0 {
-		for i := lo; i < hi; i++ {
-			v := row[:dims]
-			row = row[dims:]
-			if weights == nil {
-				h.offer(metrics.L1(qvec, v), posOff+i, ids, posOff)
-			} else {
-				h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), posOff+i, ids, posOff)
-			}
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		v := row[:dims]
-		row = row[dims:]
-		if skip.get(i) {
-			continue
-		}
-		if weights == nil {
-			h.offer(metrics.L1(qvec, v), posOff+i, ids, posOff)
-		} else {
-			h.offer(metrics.WeightedL1Unchecked(weights, qvec, v), posOff+i, ids, posOff)
+		for ; i+4 <= hi; i += 4 {
+			sc.queued = [4]int{i, i + 1, i + 2, i + 3}
+			sc.sum4()
 		}
 	}
+	for ; i < hi; i++ {
+		if !skip.get(i) {
+			sc.add(i)
+		}
+	}
+	sc.flush()
 }

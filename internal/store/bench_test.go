@@ -82,19 +82,34 @@ func BenchmarkShardedStoreAdd(b *testing.B) {
 }
 
 // BenchmarkShardedSearch measures the scatter-gather read path against
-// the single-store baseline at the same p budget.
+// the single-store baseline at the same p budget: single searches (at 4
+// shards on a host of fewer than 4 workers, each shard scans serially
+// on its scatter goroutine; at 1 shard the scan partitions) and, per
+// shard count, a 32-query batch (each query scans every shard serially;
+// ns/op covers the batch).
 func BenchmarkShardedSearch(b *testing.B) {
 	model, db := benchFixture(b, 20000)
-	for _, shards := range []int{1, 8} {
+	rng := rand.New(rand.NewSource(10))
+	batch := make([][]float64, 32)
+	for i := range batch {
+		batch[i] = []float64{rng.Float64() * 7, -rng.Float64() * 7, rng.NormFloat64()}
+	}
+	for _, shards := range []int{1, 4, 8} {
+		s, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
-			if err != nil {
-				b.Fatal(err)
-			}
 			q := []float64{3.5, -3.5, 0}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := s.SearchFiltered(q, 10, 200, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("shards=%d-batch32", shards), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := s.SearchBatchFiltered(batch, 10, 200, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

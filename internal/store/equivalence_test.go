@@ -26,10 +26,12 @@ package store
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -123,6 +125,95 @@ func TestDeepDeltaEquivalence(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestScatterAtAnyWorkerCount runs one search schedule over a 4-shard
+// store at fewer workers than shards and at more. At 2 workers the
+// scatter alone covers every worker, so each shard's scan runs serially
+// on its scatter goroutine; at 8 each shard's scan also partitions,
+// every shard holding more than the 4,096 rows a partitioned scan
+// needs. Single searches and batches, plain and filtered, must equal the
+// reference model's answers and stats on both sides of the rule.
+func TestScatterAtAnyWorkerCount(t *testing.T) {
+	const shards, n = 4, 18000
+	model, _ := fixture(t, 48)
+	rng := rand.New(rand.NewSource(eqBaseSeed(t)))
+	obj := func() []float64 {
+		return []float64{rng.Float64() * 7, -rng.Float64() * 7, rng.NormFloat64()}
+	}
+	db := make([][]float64, n)
+	for i := range db {
+		db[i] = obj()
+	}
+	st, err := NewSharded(model, db, l1, Gob[[]float64](), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefModel(model, db)
+	// Rows with metadata and tombstones in the bases (the first round
+	// is compacted in) and in the deltas.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 300; i++ {
+			x, md := obj(), meta.Map{"bucket": meta.IntValue(int64(rng.Intn(10)))}
+			want, _ := ref.add(x, maps.Clone(md))
+			if got, err := st.AddMeta(x, md); err != nil || got != want {
+				t.Fatalf("add = (%d, %v), want %d", got, err, want)
+			}
+		}
+		live := ref.liveIDs()
+		for i := 0; i < 200; i++ {
+			if id := live[rng.Intn(len(live))]; ref.remove(id) {
+				if err := st.Remove(id); err != nil {
+					t.Fatalf("remove(%d): %v", id, err)
+				}
+			}
+		}
+		if round == 0 {
+			st.Compact()
+		}
+	}
+	for i, sh := range st.shards {
+		if s := sh.Stats(); s.BaseSize < 4096 || s.DeltaSize == 0 || s.Tombstones == 0 {
+			t.Fatalf("shard %d: %d base rows, %d delta rows, %d tombstones", i, s.BaseSize, s.DeltaSize, s.Tombstones)
+		}
+	}
+	preds := []*meta.Predicate{nil}
+	for _, raw := range []string{`{"field":"bucket","lt":5}`, `{"field":"bucket","exists":false}`} {
+		pred, err := st.CompileFilter([]byte(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds = append(preds, pred)
+	}
+	queries := make([][]float64, 6)
+	for i := range queries {
+		queries[i] = obj()
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{2, 8} {
+		runtime.GOMAXPROCS(workers)
+		for pi, pred := range preds {
+			for _, kp := range [][2]int{{1, 1}, {5, 40}, {10, 300}} {
+				k, p := kp[0], kp[1]
+				what := fmt.Sprintf("workers=%d pred %d k=%d p=%d", workers, pi, k, p)
+				batch, bst, err := st.SearchBatchFiltered(queries, k, p, pred)
+				if err != nil {
+					t.Fatalf("%s: batch: %v", what, err)
+				}
+				for qi, q := range queries {
+					want, wst, _ := ref.search(q, k, p, pred)
+					got, gst, err := st.SearchFiltered(q, k, p, pred)
+					if err != nil || !reflect.DeepEqual(got, want) || gst.WithoutTiming() != wst {
+						t.Fatalf("%s query %d: search = %v %+v (err %v)\n model %v %+v", what, qi, got, gst.WithoutTiming(), err, want, wst)
+					}
+					if !reflect.DeepEqual(batch[qi], want) || bst[qi].WithoutTiming() != wst {
+						t.Fatalf("%s query %d: batch = %v %+v\n model %v %+v", what, qi, batch[qi], bst[qi].WithoutTiming(), want, wst)
+					}
+				}
+			}
 		}
 	}
 }
@@ -290,8 +381,8 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 				if _, typed := ref.kinds["bucket"]; typed && rng.Intn(8) == 0 {
 					md = ghostMeta()
 				}
-				want, ok := ref.add(x, md.Clone())
-				got, err := st.AddMeta(x, md.Clone())
+				want, ok := ref.add(x, maps.Clone(md))
+				got, err := st.AddMeta(x, maps.Clone(md))
 				var te *meta.TypeError
 				if ok && (err != nil || got != want) || !ok && !errors.As(err, &te) {
 					t.Fatalf("step %d: add(%v) = (%d, %v), model (%d, accepted %v)", step, md, got, err, want, ok)
@@ -313,8 +404,8 @@ func runEquivalence(t *testing.T, model *core.Model[[]float64], db [][]float64, 
 			if rng.Intn(3) == 0 {
 				x = slices.Clone(ref.rows[live[rng.Intn(len(live))]].obj)
 			}
-			ref.upsert(id, x, md.Clone())
-			if err := st.UpsertMeta(id, x, md.Clone()); err != nil {
+			ref.upsert(id, x, maps.Clone(md))
+			if err := st.UpsertMeta(id, x, maps.Clone(md)); err != nil {
 				t.Fatalf("step %d: upsert(%d): %v", step, id, err)
 			}
 		case r < 0.57: // upsert an unknown id, with a record it must not register

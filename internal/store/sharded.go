@@ -337,16 +337,20 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 	}
 	t.EmbedNanos = time.Since(t0).Nanoseconds()
 
-	// Scatter: every snapshot filters with the same qvec/weights. One
-	// goroutine per shard; large shards fan out further inside
-	// FilterLiveMatch. One clock serves every shard — its fields are
-	// atomic.
+	// Scatter: every snapshot filters with the same qvec/weights, the
+	// shards spread over the workers. A shard's own scan partitions only
+	// while the scatter leaves workers idle (fewer shards than workers):
+	// a scatter over as many shards as workers already keeps every worker
+	// busy, and partitions inside it would add goroutines, heaps and
+	// sorts and no capacity (DESIGN §4). One clock serves every shard —
+	// its fields are atomic.
 	var clk retrieval.FilterClock
 	lists := make([][]cand[T], len(snaps))
 	matches := make([]int, len(snaps))
+	nested := parallel && len(snaps) < par.Workers()
 	scatter := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			lists[i], matches[i] = snaps[i].filterLiveMatch(qvec, weights, p, parallel, &clk, pred)
+			lists[i], matches[i] = snaps[i].filterLiveMatch(qvec, weights, p, nested, &clk, pred)
 		}
 	}
 	if parallel && len(snaps) > 1 {
@@ -356,42 +360,27 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 	}
 	clk.AddTo(&t)
 
-	// Gather: merge on the (filter distance, ID) total order — no
-	// duplicate keys, so the top-p is a unique set in a unique order for
-	// any shard count — and truncate to what one big shard would refine.
+	// Gather: each shard's list is ascending on the (filter distance, ID)
+	// total order, so a k-way merge takes the global top p — no duplicate
+	// keys, so it is a unique set in a unique order for any shard count.
+	// p is clamped to the matching-live count (== the live count when
+	// pred is nil): exactly the p a single shard holding the same
+	// contents would refine.
 	t0 = time.Now()
-	live, matched, n := 0, 0, 0
+	live, matched := 0, 0
 	for i, sn := range snaps {
 		live += sn.seg.Live()
 		matched += matches[i]
-		n += len(lists[i])
 	}
-	merged := make([]cand[T], 0, n)
-	for _, l := range lists {
-		merged = append(merged, l...)
-	}
-	slices.SortFunc(merged, func(a, b cand[T]) int {
-		switch {
-		case a.fdist < b.fdist:
-			return -1
-		case a.fdist > b.fdist:
-			return 1
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
-	// Clamp to the matching-live count (== the live count when pred is
-	// nil): exactly the p a single shard holding the same contents would
-	// refine.
 	if p > matched {
 		p = matched
 	}
-	if len(merged) > p {
-		merged = merged[:p]
-	}
+	merged := retrieval.MergeSorted(lists, p, func(a, b cand[T]) bool {
+		if a.fdist != b.fdist {
+			return a.fdist < b.fdist
+		}
+		return a.id < b.id
+	})
 	t.MergeNanos += time.Since(t0).Nanoseconds()
 	if pred != nil {
 		s.track.Observe(pred.Fields(), matched, live)

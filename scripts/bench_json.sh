@@ -8,7 +8,9 @@
 #
 # Environment:
 #   BENCH_PATTERN   benchmark regexp       (default: the CI smoke set + Search
-#                                           + the cDTW oracle)
+#                                           + the cDTW oracle + the weighted-L1
+#                                           kernels per row + the host's
+#                                           goroutine scaling)
 #   BENCH_TIME      -benchtime per bench   (default: 1x — smoke; use e.g. 20x locally)
 #   BENCH_COUNT     -count per bench       (default: 1)
 #
@@ -27,7 +29,7 @@ cd "$(dirname "$0")/.."
 
 outdir="${1:-.}"
 mkdir -p "$outdir"
-pattern="${BENCH_PATTERN:-Filter|StoreAdd|SaveDirty|CalibrateP|Search|ConstrainedDTW}"
+pattern="${BENCH_PATTERN:-Filter|StoreAdd|SaveDirty|CalibrateP|Search|ConstrainedDTW|WeightedL1PerRow|ParScaling}"
 benchtime="${BENCH_TIME:-1x}"
 count="${BENCH_COUNT:-1}"
 
