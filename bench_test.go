@@ -19,6 +19,7 @@ package qse
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -360,9 +361,9 @@ func BenchmarkShapeContextDistancePaperScale(b *testing.B) {
 	}
 }
 
-func benchSeriesPair(b *testing.B, length int) (dtw.Series, dtw.Series) {
+func benchSeriesPair(b *testing.B, length, dims int) (dtw.Series, dtw.Series) {
 	b.Helper()
-	gen := timeseries.NewGenerator(timeseries.Config{Length: length}, stats.NewRand(2))
+	gen := timeseries.NewGenerator(timeseries.Config{Length: length, Dims: dims}, stats.NewRand(2))
 	v1, err := gen.Variant(0)
 	if err != nil {
 		b.Fatal(err)
@@ -374,19 +375,40 @@ func benchSeriesPair(b *testing.B, length int) (dtw.Series, dtw.Series) {
 	return v1, v2
 }
 
+// BenchmarkConstrainedDTW times one cDTW call on two 128-sample series at
+// δ = 0.10 for samples of 1, 2 and 3 dimensions; the served series are
+// two-dimensional. Each reports ns per band cell, the unit the kernel's
+// work scales with.
 func BenchmarkConstrainedDTW(b *testing.B) {
-	v1, v2 := benchSeriesPair(b, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dtw.Constrained(v1, v2, 0.10)
+	for _, dims := range []int{1, 2, 3} {
+		b.Run(fmt.Sprintf("dims=%d", dims), func(b *testing.B) {
+			v1, v2 := benchSeriesPair(b, 128, dims)
+			cells := bandCells(len(v1), len(v2), 0.10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dtw.Constrained(v1, v2, 0.10)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		})
 	}
+}
+
+// bandCells counts the cells of the Sakoe–Chiba band Constrained fills
+// for series of n and m samples at warping fraction delta.
+func bandCells(n, m int, delta float64) int {
+	w := max(int(math.Ceil(delta*float64(min(n, m)))), n-m, m-n)
+	cells := 0
+	for i := 1; i <= n; i++ {
+		cells += min(m, i+w) - max(1, i-w) + 1
+	}
+	return cells
 }
 
 func BenchmarkConstrainedDTWPaperScale(b *testing.B) {
 	// ~500-sample sequences, as in [32]: the regime of the paper's "60
 	// distances per second".
-	v1, v2 := benchSeriesPair(b, 500)
+	v1, v2 := benchSeriesPair(b, 500, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

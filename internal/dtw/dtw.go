@@ -145,9 +145,6 @@ func dtwWindow(a, b Series, w int) float64 {
 			w = diff
 		}
 	}
-	if !regular(a, d) || !regular(b, d) {
-		return scalarDTW(a, b, w)
-	}
 	return bandDTW(a, b, w)
 }
 

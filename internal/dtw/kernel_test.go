@@ -120,14 +120,63 @@ func TestKernelNoFeasibleAlignmentIsInf(t *testing.T) {
 	}
 }
 
-func TestKernelRaggedMatchesScalar(t *testing.T) {
-	// A ragged series takes the scalar loop, which reads only the first
-	// len(a[i]) values of each b sample.
-	a := Series{{1, 2}, {3, 4}, {5, 6}}
-	b := Series{{1, 2}, {3, 4, 9}, {5, 6}}
-	for _, w := range []int{-1, 0, 1} {
-		if got, want := distance(a, b, w), scalarDTW(a, b, w); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("w=%d: %v != %v", w, got, want)
+// outcome runs f and returns its result's bits, or whether it panicked.
+func outcome(f func() float64) (bits uint64, panicked bool) {
+	defer func() {
+		if recover() != nil {
+			panicked = true
 		}
+	}()
+	return math.Float64bits(f()), false
+}
+
+func TestKernelRaggedMatchesScalar(t *testing.T) {
+	// A series the kernel does not take goes to the scalar loop, which
+	// reads only the first len(a[i]) values of each b sample, so a b
+	// sample shorter than that panics there. The kernel finds a ragged or
+	// non-finite b while it transposes b, after it has written part of
+	// its buffer: it must return, or panic, exactly as the scalar loop
+	// does.
+	nanLast := randSeries(rand.New(rand.NewSource(14)), 40, 2)
+	nanLast[len(nanLast)-1][1] = math.NaN()
+	cases := []struct {
+		name string
+		a, b Series
+	}{
+		{"b sample longer than d", Series{{1, 2}, {3, 4}, {5, 6}}, Series{{1, 2}, {3, 4, 9}, {5, 6}}},
+		{"b sample shorter than d", Series{{1, 2}, {3, 4}, {5, 6}}, Series{{1, 2}, {3}, {5, 6}}},
+		{"ragged a", Series{{1, 2}, {3}, {5, 6}, {7, 8}}, Series{{1, 2}, {3, 4}, {5, 6}}},
+		{"2-D b with NaN in its last sample", randSeries(rand.New(rand.NewSource(15)), 40, 2), nanLast},
+	}
+	for _, c := range cases {
+		for _, w := range []int{-1, 0, 1, 4} {
+			got, gotPanic := outcome(func() float64 { return distance(c.a, c.b, w) })
+			want, wantPanic := outcome(func() float64 { return scalarDTW(c.a, c.b, widened(len(c.a), len(c.b), w)) })
+			if got != want || gotPanic != wantPanic {
+				t.Fatalf("%s, w=%d: distance %#x (panicked %v), scalar %#x (panicked %v)",
+					c.name, w, got, gotPanic, want, wantPanic)
+			}
+		}
+	}
+}
+
+// widened is the window dtwWindow hands the loops: w, raised to |n-m|,
+// or < 0 for unconstrained.
+func widened(n, m, w int) int {
+	if w < 0 {
+		return w
+	}
+	return max(w, n-m, m-n)
+}
+
+// TestConstrainedAllocFree pins the kernel's stack buffer: a call on the
+// served shape, 128 × 2 series at δ = 0.10, allocates nothing. A heap
+// buffer there doubled the time-series workload's allocation per
+// operation (DESIGN §15).
+func TestConstrainedAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	a, b := randSeries(rng, 128, 2), randSeries(rng, 128, 2)
+	if allocs := testing.AllocsPerRun(100, func() { Constrained(a, b, 0.10) }); allocs != 0 {
+		t.Fatalf("Constrained allocates %v times a call, want 0", allocs)
 	}
 }
