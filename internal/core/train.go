@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -118,6 +120,15 @@ func Train[T any](db []T, dist space.Distance[T], opts Options) (*Model[T], *Rep
 		ct:      ct,
 		triples: triples,
 		booster: booster,
+		qCount:  make([]int, ct.Cols),
+	}
+	for _, tri := range triples {
+		tr.qCount[tri.Q]++
+	}
+	for o, c := range tr.qCount {
+		if c > 0 {
+			tr.queries = append(tr.queries, o)
+		}
 	}
 
 	var rules []Rule
@@ -157,6 +168,10 @@ type trainer[T any] struct {
 	ct      *space.Matrix // candidate x training distances
 	triples []Triple
 	booster *boost.Booster
+	// qCount[o] is how many triples have training object o as their
+	// query; queries lists the objects with a nonzero count.
+	qCount  []int
+	queries []int
 }
 
 // randomDef draws a random 1D embedding definition over the candidate set
@@ -271,11 +286,15 @@ func (tr *trainer[T]) bestWeakClassifier() (Rule, []float64, float64, bool) {
 	// set of scratch buffers across its contiguous chunk of candidates.
 	evals := make([]weakEval, len(cands))
 	par.ForWorkers(tr.opts.workerCount(), len(cands), 2, func(lo, hi int) {
-		qv := make([]float64, t)    // F(q) per triple
-		ft := make([]float64, t)    // F̃ outputs per triple
-		gated := make([]float64, t) // splitter-gated outputs
+		sc := scratch{
+			qv:     make([]float64, t), // F(q) per triple
+			ft:     make([]float64, t), // F̃ outputs per triple
+			gated:  make([]float64, t), // splitter-gated outputs
+			byRank: make([]int, len(tr.queries)),
+			cum:    make([]int, len(tr.queries)),
+		}
 		for c := lo; c < hi; c++ {
-			evals[c] = tr.evaluate(cands[c], qv, ft, gated, weights)
+			evals[c] = tr.evaluate(cands[c], sc, weights)
 		}
 	})
 
@@ -305,17 +324,28 @@ func (tr *trainer[T]) bestWeakClassifier() (Rule, []float64, float64, bool) {
 	return Rule{Def: wc.def, Lo: ev.lo, Hi: ev.hi, Alpha: ev.alpha}, outputs, ev.z, true
 }
 
+// scratch is one worker's buffers for evaluate: qv, ft and gated hold a
+// value per triple, byRank and cum one per query object.
+type scratch struct {
+	qv, ft, gated []float64
+	byRank, cum   []int
+}
+
 // evaluate scores one candidate on all triples using caller-owned scratch
-// buffers (qv, ft, gated, each of length len(tr.triples)). It only reads
-// shared trainer state, so concurrent calls with distinct buffers are safe.
-func (tr *trainer[T]) evaluate(wc weakCand, qv, ft, gated, weights []float64) weakEval {
+// buffers. It only reads shared trainer state, so concurrent calls with
+// distinct buffers are safe.
+func (tr *trainer[T]) evaluate(wc weakCand, sc scratch, weights []float64) weakEval {
+	qv, ft, gated := sc.qv, sc.ft, sc.gated
 	for i, tri := range tr.triples {
 		qv[i] = wc.proj[tri.Q]
 		ft[i] = embed.Classify(qv[i], wc.proj[tri.A], wc.proj[tri.B])
 	}
 	lo, hi := math.Inf(-1), math.Inf(1)
 	if tr.opts.Mode == QuerySensitive {
-		lo, hi = bestInterval(qv, ft, weights, wc.pairs)
+		rankQueries(sc.byRank, sc.cum, tr.queries, tr.qCount, wc.proj)
+		lo, hi = bestInterval(qv, ft, weights, wc.pairs, func(k int) float64 {
+			return wc.proj[sc.byRank[sort.SearchInts(sc.cum, k+1)]]
+		})
 	}
 	for i := range gated {
 		if qv[i] >= lo && qv[i] <= hi {
@@ -332,21 +362,35 @@ func (tr *trainer[T]) evaluate(wc weakCand, qv, ft, gated, weights []float64) we
 	return weakEval{ok: true, z: z, alpha: alpha, lo: lo, hi: hi}
 }
 
+// rankQueries writes the query objects into byRank in ascending order
+// of their projections, ordered as sort.Float64s orders values, and
+// cum[i] = the number of triples whose query is one of byRank[:i+1].
+// The k-th smallest of the t triples' query projections (0-based) is
+// then proj[byRank[i]] for the first i with cum[i] > k: the value a sort
+// of all t reads at k, from a sort of at most NumTraining.
+func rankQueries(byRank, cum, queries, qCount []int, proj []float64) {
+	copy(byRank, queries)
+	slices.SortFunc(byRank, func(a, b int) int { return cmp.Compare(proj[a], proj[b]) })
+	n := 0
+	for i, o := range byRank {
+		n += qCount[o]
+		cum[i] = n
+	}
+}
+
 // bestInterval picks, for one 1D embedding, the splitter interval V with
 // the lowest weighted training error among the pre-drawn random intervals
 // plus the full line. Random intervals span two random quantiles of the
 // queries' embedding values, per Sec. 5.3 ("set V to be a random interval
 // of R containing some of those values"); pairs holds the quantile indexes,
-// drawn by the trainer before the parallel fan-out.
-func bestInterval(qv, ft, weights []float64, pairs [][2]int) (lo, hi float64) {
-	sorted := append([]float64(nil), qv...)
-	sort.Float64s(sorted)
-
+// drawn by the trainer before the parallel fan-out, and sorted(k) is the
+// k-th smallest of qv (0-based).
+func bestInterval(qv, ft, weights []float64, pairs [][2]int, sorted func(k int) float64) (lo, hi float64) {
 	bestLo, bestHi := math.Inf(-1), math.Inf(1)
 	bestErr := intervalError(qv, ft, weights, bestLo, bestHi)
 
 	for _, pr := range pairs {
-		l, h := sorted[pr[0]], sorted[pr[1]]
+		l, h := sorted(pr[0]), sorted(pr[1])
 		if l > h {
 			l, h = h, l
 		}

@@ -134,13 +134,24 @@ func (s *Set[T]) Embed(d Def, x T) float64 {
 // step of filter-and-refine retrieval; the number of oracle calls equals
 // Cost(defs).
 func (s *Set[T]) EmbedAll(defs []Def, x T) []float64 {
-	cache := make(map[int]float64, len(defs))
+	type dist struct {
+		v    float64
+		seen bool
+	}
+	// The cache sits on the stack for up to 128 candidates (the served
+	// models have 60 or 100), so an embed allocates only its result.
+	// A larger set, such as core.DefaultOptions' 150, allocates it too.
+	var stack [128]dist
+	cache := stack[:min(len(s.Candidates), len(stack))]
+	if len(s.Candidates) > len(stack) {
+		cache = make([]dist, len(s.Candidates))
+	}
 	get := func(ci int) float64 {
-		if v, ok := cache[ci]; ok {
-			return v
+		if c := &cache[ci]; c.seen {
+			return c.v
 		}
 		v := s.Dist(x, s.Candidates[ci])
-		cache[ci] = v
+		cache[ci] = dist{v, true}
 		return v
 	}
 	out := make([]float64, len(defs))

@@ -151,6 +151,39 @@ func TestEmbedAllMatchesEmbed(t *testing.T) {
 			t.Errorf("def %d: EmbedAll %v != Embed %v", i, vec[i], single)
 		}
 	}
+	// On both sides of the cache's 128 stack-held candidates, with defs
+	// that share candidates and reach the last one, every value keeps
+	// Embed's bits and the oracle calls number Cost(defs).
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{100, 128, 129, 150, 200} {
+		cands := make([][]float64, n)
+		for i := range cands {
+			cands[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
+		}
+		defs := []Def{{Kind: KindReference, A: n - 1, Scale: 1}}
+		for len(defs) < 60 {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if rng.Intn(2) == 0 || a == b {
+				defs = append(defs, Def{Kind: KindReference, A: a, Scale: 1})
+				continue
+			}
+			pd := planeDist(cands[a], cands[b])
+			defs = append(defs, Def{Kind: KindPivot, A: a, B: b, PivotDist: pd, Scale: 0.5})
+		}
+		defs = append(defs, Def{Kind: KindPivot, A: 0, B: n - 1, PivotDist: planeDist(cands[0], cands[n-1]), Scale: 1})
+		c := space.NewCounter(planeDist)
+		s := &Set[[]float64]{Candidates: cands, Dist: c.Distance}
+		x := []float64{0.3, -1.2}
+		vec := s.EmbedAll(defs, x)
+		if got, want := c.Count(), int64(Cost(defs)); got != want {
+			t.Errorf("n=%d: EmbedAll used %d distance calls, Cost is %d", n, got, want)
+		}
+		for i, d := range defs {
+			if single := s.Embed(d, x); math.Float64bits(single) != math.Float64bits(vec[i]) {
+				t.Errorf("n=%d def %d: EmbedAll %v != Embed %v", n, i, vec[i], single)
+			}
+		}
+	}
 }
 
 func TestProjectMatchesEmbed(t *testing.T) {

@@ -345,12 +345,12 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 	// sorts and no capacity (DESIGN §4). One clock serves every shard —
 	// its fields are atomic.
 	var clk retrieval.FilterClock
-	lists := make([][]cand[T], len(snaps))
+	lists := make([][]cand, len(snaps))
 	matches := make([]int, len(snaps))
 	nested := parallel && len(snaps) < par.Workers()
 	scatter := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			lists[i], matches[i] = snaps[i].filterLiveMatch(qvec, weights, p, nested, &clk, pred)
+			lists[i], matches[i] = snaps[i].filterLiveMatch(qvec, weights, p, nested, &clk, pred, i)
 		}
 	}
 	if parallel && len(snaps) > 1 {
@@ -375,7 +375,7 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 	if p > matched {
 		p = matched
 	}
-	merged := retrieval.MergeSorted(lists, p, func(a, b cand[T]) bool {
+	merged := retrieval.MergeSorted(lists, p, func(a, b cand) bool {
 		if a.fdist != b.fdist {
 			return a.fdist < b.fdist
 		}
@@ -392,7 +392,8 @@ func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel
 	refined := make([]Result, len(merged))
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			refined[i] = Result{ID: merged[i].id, Distance: s.dist(q, merged[i].obj)}
+			c := merged[i]
+			refined[i] = Result{ID: c.id, Distance: s.dist(q, snaps[c.snap].seg.Object(c.pos))}
 		}
 	}
 	if parallel {

@@ -321,25 +321,27 @@ func (s *shard[T]) scanCounters() (rows, waste uint64) {
 
 // cand is one surviving filter-phase candidate of a scatter-gather
 // search: the stable ID (the cross-shard tie-break), the filter distance
-// (the cross-shard merge key), and the object itself, captured from the
-// same snapshot the filter scan ran on — so the gather phase never has to
-// touch the shard again and cannot observe a different store version.
-type cand[T any] struct {
+// (the cross-shard merge key), and where the row sits: its global
+// position in snapshot snap of the search's snapshots. The gather fetches
+// only the merged survivors' objects, from the same snapshots the filter
+// scans ran on, so it cannot observe a different store version.
+type cand struct {
 	id    uint64
 	fdist float64
-	obj   T
+	pos   int
+	snap  int
 }
 
 // filterLiveMatch runs the filter phase of one shard against this
-// immutable snapshot: the p best live rows matching pred (nil matches
-// everything), in ascending (filter distance, stable ID) order — the
-// scan ranks on the snapshot's ID tables — plus the count of matching
-// live rows.
-func (sn *snapshot[T]) filterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *retrieval.FilterClock, pred *meta.Predicate) ([]cand[T], int) {
+// immutable snapshot, the search's snapshot number snap: the p best live
+// rows matching pred (nil matches everything), in ascending (filter
+// distance, stable ID) order — the scan ranks on the snapshot's ID
+// tables — plus the count of matching live rows.
+func (sn *snapshot[T]) filterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *retrieval.FilterClock, pred *meta.Predicate, snap int) ([]cand, int) {
 	ns, matched := sn.seg.FilterLiveMatch(qvec, weights, p, parallel, clk, pred, sn.baseIDs, sn.deltaIDs)
-	out := make([]cand[T], len(ns))
+	out := make([]cand, len(ns))
 	for i, n := range ns {
-		out[i] = cand[T]{id: sn.idAt(n.Index), fdist: n.Distance, obj: sn.seg.Object(n.Index)}
+		out[i] = cand{id: sn.idAt(n.Index), fdist: n.Distance, pos: n.Index, snap: snap}
 	}
 	return out, matched
 }

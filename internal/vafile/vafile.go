@@ -61,7 +61,10 @@ type Boundaries struct {
 // BuildBoundaries computes equi-populated cell boundaries from a
 // row-major block of rows x dims values (the segment the shadow block
 // will cover). Every value must be finite — embedded vectors always are,
-// and a non-finite value would poison the bound math silently.
+// and a non-finite value would poison the bound math silently. Boundary
+// c is the column's value of rank c·(rows-1)/256 in ascending order with
+// -0 below +0, so a rank that falls in a run of zeros of both signs
+// reads the zero of its own side of that order.
 func BuildBoundaries(block []float64, rows, dims int) (*Boundaries, error) {
 	if rows <= 0 || dims <= 0 {
 		return nil, fmt.Errorf("vafile: %d rows x %d dims, want both > 0", rows, dims)
@@ -78,15 +81,15 @@ func BuildBoundaries(block []float64, rows, dims int) (*Boundaries, error) {
 	// Each dimension is independent, so the column sorts fan out; the
 	// result is identical to a serial build.
 	par.For(dims, 4, func(lo, hi int) {
-		column := make([]float64, rows)
+		keys, tmp := make([]uint64, rows), make([]uint64, rows)
 		for d := lo; d < hi; d++ {
 			for r := 0; r < rows; r++ {
-				column[r] = block[r*dims+d]
+				keys[r] = sortKey(block[r*dims+d])
 			}
-			sort.Float64s(column)
+			radixSort(keys, tmp)
 			bd := b.flat[d*(cells+1) : (d+1)*(cells+1)]
 			for c := 0; c <= cells; c++ {
-				bd[c] = column[c*(rows-1)/cells]
+				bd[c] = fromSortKey(keys[c*(rows-1)/cells])
 			}
 			// Quantiles of a sorted column are already non-decreasing;
 			// enforce it anyway so a future construction change cannot
@@ -99,6 +102,56 @@ func BuildBoundaries(block []float64, rows, dims int) (*Boundaries, error) {
 		}
 	})
 	return b, nil
+}
+
+// sortKey maps a float64 to a uint64 whose unsigned order is the
+// float's order, with -0 below +0: a non-negative float's bits with the
+// sign bit set, a negative float's bits inverted.
+func sortKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// fromSortKey inverts sortKey.
+func fromSortKey(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k ^ 1<<63)
+	}
+	return math.Float64frombits(^k)
+}
+
+// radixSort sorts keys ascending, a byte at a time from the lowest
+// (LSD), using tmp (the same length) as the other buffer. A byte every
+// key shares moves nothing, so its pass is skipped. The sorted keys end
+// in keys.
+func radixSort(keys, tmp []uint64) {
+	var counts [8][256]int
+	for _, k := range keys {
+		for p := range counts {
+			counts[p][byte(k>>(8*p))]++
+		}
+	}
+	src, dst := keys, tmp
+	for p := range counts {
+		c := &counts[p]
+		if c[byte(src[0]>>(8*p))] == len(src) {
+			continue
+		}
+		at := 0
+		for i, n := range c {
+			c[i] = at
+			at += n
+		}
+		for _, k := range src {
+			b := byte(k >> (8 * p))
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
 }
 
 // FromFlat reassembles Boundaries from a persisted grid (the counterpart

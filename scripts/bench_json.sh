@@ -10,7 +10,9 @@
 #   BENCH_PATTERN   benchmark regexp       (default: the CI smoke set + Search
 #                                           + the cDTW oracle + the weighted-L1
 #                                           kernels per row + the host's
-#                                           goroutine scaling)
+#                                           goroutine scaling + the set-up
+#                                           kernels: a training round, the α
+#                                           line search and the shadow's grid)
 #   BENCH_TIME      -benchtime per bench   (default: 1x — smoke; use e.g. 20x locally)
 #   BENCH_COUNT     -count per bench       (default: 1)
 #
@@ -29,7 +31,7 @@ cd "$(dirname "$0")/.."
 
 outdir="${1:-.}"
 mkdir -p "$outdir"
-pattern="${BENCH_PATTERN:-Filter|StoreAdd|SaveDirty|CalibrateP|Search|ConstrainedDTW|WeightedL1PerRow|ParScaling}"
+pattern="${BENCH_PATTERN:-Filter|StoreAdd|SaveDirty|CalibrateP|Search|ConstrainedDTW|WeightedL1PerRow|ParScaling|TrainingRound|OptimalAlpha|BuildBoundaries}"
 benchtime="${BENCH_TIME:-1x}"
 count="${BENCH_COUNT:-1}"
 
