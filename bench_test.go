@@ -23,7 +23,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"qse/internal/core"
 	"qse/internal/dtw"
@@ -45,9 +44,10 @@ import (
 
 // ---- Retrieval-engine hot paths --------------------------------------------
 //
-// The filter scan, the refine step and batched search at "embedding store"
-// scale: n=20,000 vectors, d=64, plus one 200,000-row filter scan. These
-// are the benchmarks whose trajectory is tracked in CHANGES.md across PRs.
+// The whole engine, plain, filtered and batched, at "embedding store"
+// scale: n=20,000 vectors, d=64. The filter phase alone is timed in
+// internal/retrieval (BenchmarkFilterTopP). These are the benchmarks
+// whose trajectory is tracked in CHANGES.md across PRs.
 
 // copyEmbedder embeds a vector as itself (no exact distances): the
 // benchmark then isolates the filter/refine machinery rather than the
@@ -57,7 +57,7 @@ type copyEmbedder struct{}
 func (copyEmbedder) Embed(x []float64) []float64 { return append([]float64(nil), x...) }
 func (copyEmbedder) EmbedCost() int              { return 0 }
 
-func benchRetrievalIndex(b *testing.B, n, d int) (*retrieval.Index[[]float64], []float64, []float64) {
+func benchRetrievalIndex(b *testing.B, n, d int) (*retrieval.Index[[]float64], []float64) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
 	db := make([][]float64, n)
@@ -72,81 +72,14 @@ func benchRetrievalIndex(b *testing.B, n, d int) (*retrieval.Index[[]float64], [
 		b.Fatal(err)
 	}
 	q := make([]float64, d)
-	w := make([]float64, d)
 	for j := range q {
 		q[j] = rng.NormFloat64()
-		w[j] = rng.Float64()
 	}
-	return ix, q, w
-}
-
-// BenchmarkFilterTopP times the filter phase alone, FilterLiveMatch
-// without a predicate, at p = 200.
-func BenchmarkFilterTopP(b *testing.B) {
-	ix, q, w := benchRetrievalIndex(b, 20000, 64)
-	seg := retrieval.NewSegmentedWithMeta(ix, nil)
-	b.Run("unweighted", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			seg.FilterLiveMatch(q, nil, 200, true, nil, nil, nil, nil)
-		}
-	})
-	b.Run("weighted", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			seg.FilterLiveMatch(q, w, 200, true, nil, nil, nil, nil)
-		}
-	})
-	// At n = 200,000 the 8-bit shadow clears the size gate (DESIGN §16)
-	// and p = 200 clears the query gate (128·p rows), so this case times
-	// the seeded screen against the exact scan; exactRows/query reports
-	// how many rows still needed an exact evaluation. At 20,000 rows the
-	// query gate sends p = 200 to the exact scan, so no smaller case is
-	// timed. Its index is built only when the case is selected.
-	b.Run("n200k-quantized8", func(b *testing.B) {
-		ix, q, w := benchRetrievalIndex(b, 200000, 64)
-		exact := retrieval.NewSegmentedWithMeta(ix, nil)
-		seg, err := exact.Quantize()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchQuantizedScan(b, exact, seg, q, w)
-	})
-}
-
-// benchQuantizedScan times seg's quantized filter scan at p = 200
-// against exact's unquantized scan. Each iteration times the plain exact scan
-// interleaved with the quantized one: the host's clock-speed drift then
-// hits both sides of the comparison equally, and vs-exact-ratio
-// (quantized wall-clock over exact wall-clock, < 1 means the shadow scan
-// is faster) is meaningful even when absolute ns/op between separate
-// sub-benchmarks is not. ns/op covers the pair.
-func benchQuantizedScan(b *testing.B, exact, seg *retrieval.Segmented[[]float64], q, weights []float64) {
-	var clk retrieval.FilterClock
-	var exactNs, quantNs int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		exact.FilterLiveMatch(q, weights, 200, true, nil, nil, nil, nil)
-		exactNs += time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-		seg.FilterLiveMatch(q, weights, 200, true, &clk, nil, nil, nil)
-		quantNs += time.Since(t0).Nanoseconds()
-	}
-	b.ReportMetric(float64(quantNs)/float64(b.N), "quant-ns/op")
-	b.ReportMetric(float64(exactNs)/float64(b.N), "exactscan-ns/op")
-	b.ReportMetric(float64(quantNs)/float64(exactNs), "vs-exact-ratio")
-	b.ReportMetric(float64(seg.ShadowBytes()), "shadow-bytes")
-	var t retrieval.Timing
-	clk.AddTo(&t)
-	if t.BoundScannedRows > 0 {
-		b.ReportMetric(float64(t.BoundExactRows)/float64(b.N), "exactRows/query")
-		b.ReportMetric(float64(t.BoundExactRows)/float64(t.BoundScannedRows), "exactFrac")
-	}
+	return ix, q
 }
 
 func BenchmarkSearch(b *testing.B) {
-	ix, q, _ := benchRetrievalIndex(b, 20000, 64)
+	ix, q := benchRetrievalIndex(b, 20000, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := ix.Search(q, 10, 200); err != nil {
@@ -161,7 +94,7 @@ func BenchmarkSearch(b *testing.B) {
 // BenchmarkSearch for the cost of evaluating the predicate below the
 // top-p cut.
 func BenchmarkSearchFiltered(b *testing.B) {
-	ix, q, _ := benchRetrievalIndex(b, 20000, 64)
+	ix, q := benchRetrievalIndex(b, 20000, 64)
 	rows := make([]meta.Map, ix.Size())
 	for i := range rows {
 		rows[i] = meta.Map{
@@ -169,7 +102,7 @@ func BenchmarkSearchFiltered(b *testing.B) {
 			"tenant": meta.StringValue(fmt.Sprintf("t%02d", i%16)),
 		}
 	}
-	seg := retrieval.NewSegmentedWithMeta(ix, meta.NewBlock(rows))
+	segs := []retrieval.Segment[[]float64]{{Seg: retrieval.NewSegmentedWithMeta(ix, meta.NewBlock(rows))}}
 	reg := meta.NewRegistry()
 	if err := reg.SeedRows(rows); err != nil {
 		b.Fatal(err)
@@ -189,7 +122,7 @@ func BenchmarkSearchFiltered(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := seg.Search(q, 10, 200, pred); err != nil {
+				if _, _, _, err := retrieval.Search(segs, q, 10, 200, pred); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -204,7 +137,7 @@ func BenchmarkSearchFiltered(b *testing.B) {
 // (128·p rows, DESIGN §16) sends every query to the exact scan, so it
 // measures what the gate costs a batch it rejects.
 func BenchmarkSearchBatch(b *testing.B) {
-	ix, _, _ := benchRetrievalIndex(b, 20000, 64)
+	ix, _ := benchRetrievalIndex(b, 20000, 64)
 	rng := rand.New(rand.NewSource(8))
 	queries := make([][]float64, 64)
 	for i := range queries {
@@ -225,10 +158,11 @@ func BenchmarkSearchBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	segs := []retrieval.Segment[[]float64]{{Seg: seg}}
 	b.Run("quantized8", func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := seg.SearchBatch(queries, 10, 200); err != nil {
+			if _, _, _, err := retrieval.SearchBatch(segs, queries, 10, 200, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

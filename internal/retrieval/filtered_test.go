@@ -91,11 +91,11 @@ func TestSearchFilteredNilIsSearch(t *testing.T) {
 	head := metaScript(t, NewSegmentedWithMeta(base, nil), 5, 120)
 	q := []float64{0.4, 0.6}
 	// A predicate without comparisons matches every row.
-	want, wantStats, err := head.Search(q, 5, 40, new(meta.Predicate))
+	want, wantStats, err := segSearch(head, q, 5, 40, new(meta.Predicate))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotStats, err := head.Search(q, 5, 40, nil)
+	got, gotStats, err := segSearch(head, q, 5, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSearchFilteredMatchesReference(t *testing.T) {
 				if k == 0 {
 					k = 1
 				}
-				got, st, err := head.Search(q, k, head.Total()+10, pred)
+				got, st, err := segSearch(head, q, k, head.Total()+10, pred)
 				if err != nil {
 					t.Fatalf("filter %s: %v", raw, err)
 				}
@@ -219,7 +219,7 @@ func TestAppendLeavesHeldVersion(t *testing.T) {
 		var out [][]space.Neighbor
 		for _, pred := range preds {
 			for _, q := range queries {
-				ns, _, err := s.Search(q, 5, 30, pred)
+				ns, _, err := segSearch(s, q, 5, 30, pred)
 				if err != nil {
 					return nil, err
 				}
@@ -282,7 +282,7 @@ func TestAppendLeavesHeldVersion(t *testing.T) {
 		t.Fatalf("head has %d delta rows, want 310", head.DeltaLen())
 	}
 	for i, pred := range preds {
-		got, _, err := head.Search(queries[0], head.Total(), head.Total(), pred)
+		got, _, err := segSearch(head, queries[0], head.Total(), head.Total(), pred)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,8 +323,8 @@ func TestFilterLiveMatchParallelBoundaries(t *testing.T) {
 	q := []float64{0.5, 0.5}
 	qvec := identityEmbedder{}.Embed(q)
 	for _, p := range []int{1, 17, 400, n} {
-		ser, serCount := seg.FilterLiveMatch(qvec, nil, p, false, nil, pred, nil, nil)
-		par1, parCount := seg.FilterLiveMatch(qvec, nil, p, true, nil, pred, nil, nil)
+		ser, serCount := filterLiveMatch(seg, qvec, nil, p, false, nil, pred, nil, nil)
+		par1, parCount := filterLiveMatch(seg, qvec, nil, p, true, nil, pred, nil, nil)
 		if serCount != parCount {
 			t.Fatalf("p=%d: match counts diverge: %d/%d", p, serCount, parCount)
 		}
@@ -383,11 +383,11 @@ func TestMetadataSurvivesCompactAndGather(t *testing.T) {
 	}
 	pred := mustFilter(t, `{"and":[{"field":"tag","eq":"a"},{"field":"bucket","le":6}]}`)
 	q := []float64{0.2, 0.9}
-	want, _, err := head.Search(q, 7, head.Total(), pred)
+	want, _, err := segSearch(head, q, 7, head.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := comp.Search(q, 7, comp.Total(), pred)
+	got, _, err := segSearch(comp, q, 7, comp.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,11 +421,11 @@ func TestSegmentedFromPartsRoundTripMeta(t *testing.T) {
 	}
 	pred := mustFilter(t, `{"field":"bucket","in":[0,4,8]}`)
 	q := []float64{0.8, 0.1}
-	want, _, err := head.Search(q, 9, head.Total(), pred)
+	want, _, err := segSearch(head, q, 9, head.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := re.Search(q, 9, re.Total(), pred)
+	got, _, err := segSearch(re, q, 9, re.Total(), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -577,7 +577,7 @@ func checkScanLoops(t *testing.T, bn, dn int) {
 						var n int
 						var run screenRun
 						withGOMAXPROCS(max(2, runtime.GOMAXPROCS(0)), func() {
-							got, n = c.s.FilterLiveMatch(q, weights, p, parallel, nil, c.pred, nil, nil)
+							got, n = filterLiveMatch(c.s, q, weights, p, parallel, nil, c.pred, nil, nil)
 							run = runScreen(quant, q, weights, p, parallel, quant.selectRows(c.pred, nil))
 						})
 						if n != sel {

@@ -138,9 +138,9 @@ func TestFilterLiveMatchRanksTiesOnID(t *testing.T) {
 			var tm Timing
 			withGOMAXPROCS(max(2, runtime.GOMAXPROCS(0)), func() {
 				var clk FilterClock
-				got, _ = c.s.FilterLiveMatch(q, nil, p, parallel, &clk, c.pred, baseIDs, deltaIDs)
+				got, _ = filterLiveMatch(c.s, q, nil, p, parallel, &clk, c.pred, baseIDs, deltaIDs)
 				clk.AddTo(&tm)
-				gotPos, _ = c.s.FilterLiveMatch(q, nil, p, parallel, nil, c.pred, nil, nil)
+				gotPos, _ = filterLiveMatch(c.s, q, nil, p, parallel, nil, c.pred, nil, nil)
 			})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s parallel=%v: ID tables\n  got  %v\n  want %v", c.name, parallel, got, want)

@@ -131,16 +131,16 @@ func checkBatchIdentity(t *testing.T, head, quant *Segmented[[]float64], n int, 
 	for _, p := range []int{1, 40, n + 50} {
 		k := min(10, p)
 		wantScreen := shadowed && seedGate(n, min(p, quant.Live()), seedable)
-		batchRes, batchStats, err := quant.SearchBatch(queries, k, p)
+		batchRes, batchStats, err := segSearchBatch(quant, queries, k, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactRes, _, err := head.SearchBatch(queries, k, p)
+		exactRes, _, err := segSearchBatch(head, queries, k, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range queries {
-			res, st, err := quant.Search(q, k, p, nil)
+			res, st, err := segSearch(quant, q, k, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func checkBatchIdentity(t *testing.T, head, quant *Segmented[[]float64], n int, 
 			if wantScreen {
 				screened++
 			}
-			one, _, err := quant.SearchBatch(queries[i:i+1], k, p)
+			one, _, err := segSearchBatch(quant, queries[i:i+1], k, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,8 +186,8 @@ func TestSearchBatchQuantizedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := [][]float64{{0.5, 0.5}, {1, 2, 3}, {0.1}}
-	_, _, batchErr := quant.SearchBatch(queries, 3, 10)
-	_, _, serialErr := NewSegmentedWithMeta(base, nil).SearchBatch(queries, 3, 10)
+	_, _, batchErr := segSearchBatch(quant, queries, 3, 10)
+	_, _, serialErr := segSearchBatch(NewSegmentedWithMeta(base, nil), queries, 3, 10)
 	if batchErr == nil || serialErr == nil || batchErr.Error() != serialErr.Error() {
 		t.Fatalf("batched error %q, per-query error %q", batchErr, serialErr)
 	}
@@ -205,7 +205,7 @@ func TestSearchBatchQuantizedDrained(t *testing.T) {
 		}
 	}
 	queries := clusteredDB(2, 5)
-	res, sts, err := head.SearchBatch(queries, 3, 10)
+	res, sts, err := segSearchBatch(head, queries, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +235,13 @@ func TestQuantizePackedLayout(t *testing.T) {
 	}
 	want := make([]uint8, seedDims)
 	for r := 0; r < n; r++ {
-		grid.Encode(seg.Vector(r), want)
+		grid.Encode(vectorAt(seg, r), want)
 		if got := q.BaseShadow()[r*seedDims : (r+1)*seedDims]; !reflect.DeepEqual(want, got) {
 			t.Fatalf("row %d: shadow codes %v != encoded %v", r, got, want)
 		}
 	}
 	x := clusteredDB(1, 6)[0]
-	if q, _, err = q.Add(x); err != nil {
+	if q, _, err = addObject(q, x); err != nil {
 		t.Fatal(err)
 	}
 	grid.Encode(x, want)
@@ -253,7 +253,7 @@ func TestQuantizePackedLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dormant, _, err = dormant.Add(x); err != nil {
+	if dormant, _, err = addObject(dormant, x); err != nil {
 		t.Fatal(err)
 	}
 	if dormant.QuantBits() != 8 || dormant.ShadowBytes() != 0 || dormant.QuantBounds() != nil || dormant.BaseShadow() != nil {
@@ -429,7 +429,7 @@ func TestClusterOrder(t *testing.T) {
 					if i%5 == 0 {
 						x[i%dims] = 100 // outside the base's range
 					}
-					if grown, _, err = grown.Add(x[:dims]); err != nil {
+					if grown, _, err = addObject(grown, x[:dims]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -513,8 +513,8 @@ func TestQuantizeFromPartsLegacyUnpacked(t *testing.T) {
 	}
 	q := clusteredDB(1, 5)[0]
 	var clk FilterClock
-	want, _ := big.FilterLiveMatch(q, nil, 7, false, nil, nil, nil, nil)
-	if got, _ := kept.FilterLiveMatch(q, nil, 7, false, &clk, nil, nil, nil); !reflect.DeepEqual(want, got) {
+	want, _ := filterLiveMatch(big, q, nil, 7, false, nil, nil, nil, nil)
+	if got, _ := filterLiveMatch(kept, q, nil, 7, false, &clk, nil, nil, nil); !reflect.DeepEqual(want, got) {
 		t.Fatalf("reopened 8-bit head diverges: %v vs %v", got, want)
 	}
 	var tm Timing

@@ -74,7 +74,7 @@ func mustShadow(t testing.TB, s *Segmented[[]float64]) *Segmented[[]float64] {
 // screenRun is one phase 1 + phase 2 pass of the seeded screen over s,
 // called directly whatever the gate says, with p clamped to the
 // matching-live population and nil weights read as the index's ones
-// vector like FilterLiveMatch: the merged candidates,
+// vector like the filter phase: the merged candidates,
 // phase 1's verdict (nil when the screen declined), the bound-scan
 // counters, and the clamped p.
 type screenRun struct {
@@ -96,7 +96,7 @@ func runScreen(s *Segmented[[]float64], qvec, weights []float64, p int, parallel
 	pr := s.screen(qvec, weights, p, parallel, &clk, viewOf(s, rs))
 	out := screenRun{pr: pr, p: p}
 	if pr != nil {
-		out.res = mergeTopP(s.scanCandidateChunks(qvec, weights, p, pr, idTables{}, &clk), p)
+		out.res = positions(mergeTopP(s.scanCandidateChunks(qvec, weights, p, pr, idTables{}, &clk), p))
 	}
 	clk.AddTo(&out.tm)
 	return out
@@ -141,9 +141,9 @@ func referenceTopP(s *Segmented[[]float64], qvec, weights []float64, p int, keep
 		if !keep(pos) {
 			continue
 		}
-		d := metrics.L1(qvec, s.Vector(pos))
+		d := metrics.L1(qvec, vectorAt(s, pos))
 		if weights != nil {
-			d = metrics.WeightedL1Unchecked(weights, qvec, s.Vector(pos))
+			d = metrics.WeightedL1Unchecked(weights, qvec, vectorAt(s, pos))
 		}
 		all = append(all, space.Neighbor{Index: pos, Distance: d})
 	}
@@ -493,9 +493,9 @@ func TestSeededScreenAtGate(t *testing.T) {
 	for _, p := range []int{10, shadowMinRows / seedBaseRowsPerP, shadowMinRows/seedBaseRowsPerP + 1} {
 		for qi, q := range clusteredDB(3, 13) {
 			for _, weights := range [][]float64{nil, seedWeights()} {
-				want, _ := exact.FilterLiveMatch(q, weights, p, true, nil, nil, nil, nil)
+				want, _ := filterLiveMatch(exact, q, weights, p, true, nil, nil, nil, nil)
 				var clk FilterClock
-				if got, _ := quant.FilterLiveMatch(q, weights, p, true, &clk, nil, nil, nil); !reflect.DeepEqual(got, want) {
+				if got, _ := filterLiveMatch(quant, q, weights, p, true, &clk, nil, nil, nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("p=%d query %d: quantized scan diverges from exact", p, qi)
 				}
 				var tm Timing
@@ -602,8 +602,8 @@ func TestGate(t *testing.T) {
 			if !filtered {
 				f, gate = nil, seedGate(n, p, liveBase)
 			}
-			want, _ := exactHead.FilterLiveMatch(q, nil, p, true, nil, f, nil, nil)
-			got, _ := quant.FilterLiveMatch(q, nil, p, true, &clk, f, nil, nil)
+			want, _ := filterLiveMatch(exactHead, q, nil, p, true, nil, f, nil, nil)
+			got, _ := filterLiveMatch(quant, q, nil, p, true, &clk, f, nil, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("p=%d filtered=%v: quantized diverges from exact", p, filtered)
 			}
@@ -653,7 +653,7 @@ func FuzzSeededScreen(f *testing.F) {
 			if r%3 == 0 {
 				x[r%dims] = 64 // outside the base's range
 			}
-			if head, _, err = head.Add(x); err != nil {
+			if head, _, err = addObject(head, x); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -714,7 +714,7 @@ func TestSeededScreenIsDeterministic(t *testing.T) {
 }
 
 // benchSink keeps the benchmarked scans' results live.
-var benchSink []space.Neighbor
+var benchSink []ranked
 
 // BenchmarkSeededScreen measures the gate's crossover: phase 1 plus
 // phase 2 of the seeded screen (called directly, below the gate too)
@@ -783,7 +783,7 @@ func BenchmarkSeededScreen(b *testing.B) {
 							benchSink = mergeTopP(s.scanCandidateChunks(q, w, p, pr, idTables{}, &clk), p)
 							took[1] += time.Since(t0)
 						} else {
-							benchSink, _ = exact.FilterLiveMatch(q, w, p, true, nil, nil, nil, nil)
+							benchSink, _ = exact.filter(q, w, p, true, nil, nil, idTables{})
 							took[0] += time.Since(t0)
 						}
 					}

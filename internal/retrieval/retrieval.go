@@ -4,6 +4,12 @@
 // filter distance (cheap vector arithmetic), the best p candidates are
 // re-ranked with the exact distance, and the top k survive.
 //
+// One function runs that pipeline, Search (search.go), over the segments
+// of one search: an Index alone (Index.Search), or the store's shard
+// snapshots, each a Segmented with its stable-ID tables. It embeds the
+// query once, filters the segments side by side, merges their
+// candidates and refines them.
+//
 // Retrieval cost is measured exactly as the paper measures it: the number
 // of exact distance computations per query (embedding step + refine step);
 // the vector arithmetic of the filter step is "a fraction of a second" and
@@ -171,9 +177,9 @@ func (ix *Index[T]) Flat() ([]float64, int) { return ix.flat, ix.dims }
 // Dims returns the embedding dimensionality.
 func (ix *Index[T]) Dims() int { return ix.dims }
 
-// CheckKP validates the k/p contract shared by every search entry point
-// — Index, Segmented, and the sharded store's scatter-gather — so the
-// client-visible error text cannot depend on the backend layout.
+// CheckKP validates the engine's k/p contract. Every search, an Index's
+// or a store's, is checked here, so the client-visible error text cannot
+// depend on the backend layout.
 func CheckKP(k, p int) error {
 	if k <= 0 {
 		return fmt.Errorf("retrieval: k = %d, want > 0", k)
@@ -182,12 +188,6 @@ func CheckKP(k, p int) error {
 		return fmt.Errorf("retrieval: p = %d must be >= k = %d", p, k)
 	}
 	return nil
-}
-
-// QueryDimsError is the shared wrong-query-width rejection, for the same
-// reason.
-func QueryDimsError(got, want int) error {
-	return fmt.Errorf("retrieval: query embedded to %d dims, index has %d", got, want)
 }
 
 // ObjectDimsError is the shared wrong-object-width rejection on insert.
@@ -361,10 +361,12 @@ func (c *FilterClock) AddTo(t *Timing) {
 	t.BoundExactRows += c.boundExact.Load()
 }
 
-// Search runs filter-and-refine: keep the p best database objects under
-// the filter distance, re-rank them with the exact distance, and return
-// the k best. If the embedder implements Weighter, the filter distance is
-// the query-sensitive D_out of Eq. 11; otherwise it is the unweighted L1.
+// Search runs filter-and-refine over the index (see the package's
+// Search): keep the p best database objects under the filter distance,
+// re-rank them with the exact distance, and return the k best, each
+// Neighbor's Index its database position. If the embedder implements
+// Weighter, the filter distance is the query-sensitive D_out of Eq. 11;
+// otherwise it is the unweighted L1.
 //
 // k and p must be positive; p is clamped to the database size and must be
 // at least k to be able to return k results. Fewer than k results — down
@@ -372,19 +374,13 @@ func (c *FilterClock) AddTo(t *Timing) {
 // empty index reassembled by FromParts, e.g. a store drained by removals)
 // answers with what it has, so a mutating workload can never turn a valid
 // query into a failure.
-//
-// There is exactly one search engine in this package: an Index searches
-// as a Segmented with an empty delta and no tombstones (see view), so the
-// two layouts cannot drift apart behaviorally.
 func (ix *Index[T]) Search(q T, k, p int) ([]space.Neighbor, Stats, error) {
-	return ix.view().search(q, k, p, nil, true)
+	rs, st, _, err := Search(ix.segments(), q, k, p, nil)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return neighbors(rs), st, nil
 }
-
-// view wraps the index as a delta-less, tombstone-less Segmented: global
-// positions coincide with index positions, the dead bitmaps are empty,
-// and the scan partitions [0, n) exactly as the single-segment scan did —
-// so delegating through it is behavior- and bit-identical.
-func (ix *Index[T]) view() *Segmented[T] { return &Segmented[T]{base: ix} }
 
 // SearchBatch runs Search for every query, pipelining the queries across a
 // GOMAXPROCS-sized worker pool (each individual query stays serial, so the
@@ -394,19 +390,32 @@ func (ix *Index[T]) view() *Segmented[T] { return &Segmented[T]{base: ix} }
 // lowest-indexed failing query is returned and the results are discarded —
 // never a silently nil result row.
 func (ix *Index[T]) SearchBatch(queries []T, k, p int) ([][]space.Neighbor, []Stats, error) {
-	return ix.view().SearchBatch(queries, k, p)
+	rss, sts, _, err := SearchBatch(ix.segments(), queries, k, p, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([][]space.Neighbor, len(rss))
+	for i, rs := range rss {
+		out[i] = neighbors(rs)
+	}
+	return out, sts, nil
 }
 
-// firstBatchError scans per-query errors in query order — deterministic
-// regardless of worker scheduling — and fails the whole batch on the first
-// one, annotated with the query's index.
-func firstBatchError(results [][]space.Neighbor, stats []Stats, errs []error) ([][]space.Neighbor, []Stats, error) {
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("query %d: %w", i, err)
-		}
+// segments is the index as the one segment of a search: a delta-less,
+// tombstone-less Segmented without ID tables, so its rows rank and
+// answer on their positions and the scan partitions [0, n) as a
+// single-segment scan does.
+func (ix *Index[T]) segments() []Segment[T] {
+	return []Segment[T]{{Seg: &Segmented[T]{base: ix}}}
+}
+
+// neighbors turns a position-keyed answer into neighbors.
+func neighbors(rs []Result) []space.Neighbor {
+	out := make([]space.Neighbor, len(rs))
+	for i, r := range rs {
+		out[i] = space.Neighbor{Index: int(r.ID), Distance: r.Distance}
 	}
-	return results, stats, nil
+	return out
 }
 
 // idTables map a segmented index's global positions to the stable IDs
@@ -417,13 +426,16 @@ type idTables struct {
 	base, delta []uint64
 }
 
-// ranked is one row in a scan's bounded heap: its filter distance, its
-// global position, and the key that breaks exact distance ties — its
-// stable ID, or its position when its segment has no ID table.
+// ranked is one row in a scan's bounded heap, and then one candidate of
+// the engine's gather and refine: its filter distance, the key that
+// breaks exact distance ties — its stable ID, or its position when its
+// segment has no ID table — its global position, and seg, the number of
+// its segment in the search (set once its segment's filter is done).
 type ranked struct {
 	dist float64
 	key  uint64
 	pos  int
+	seg  int
 }
 
 // before is the scan's total order: (distance, key).

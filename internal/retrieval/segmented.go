@@ -10,11 +10,11 @@
 //     versions; each version sees a prefix), and
 //   - tombstone bitmaps over both segments.
 //
-// Add and Remove are persistent-data-structure operations: they return a
-// new *Segmented and never modify the receiver, so a reader holding an
-// older version keeps getting exactly its answers. Because the delta
-// arrays are append-only and a version only ever reads its own prefix,
-// Add costs O(EmbedCost + dims) amortized — no copy of the base, the
+// AddWithVectorMeta and Remove are persistent-data-structure operations:
+// they return a new *Segmented and never modify the receiver, so a reader
+// holding an older version keeps getting exactly its answers. Because the
+// delta arrays are append-only and a version only ever reads its own
+// prefix, an add costs O(dims) amortized — no copy of the base, the
 // delta, or the id tables; a row with metadata adds one copy of the
 // delta's metadata bitsets (O(fields · rows/64) words) — and Remove
 // costs one bitmap copy (O(rows/64) words). Compact folds delta and
@@ -24,8 +24,9 @@
 // Positions are global: base rows keep their base positions, delta row j
 // sits at BaseSize()+j. The filter phase ranks rows on (distance, key),
 // where the key is the row's stable ID from the caller's ID tables, or
-// its position when the caller has none. Search results are bit-identical
-// to a freshly compacted index (see DESIGN.md §7): tombstoned rows are
+// its position when the caller has none. The engine's answers over a
+// Segmented (search.go) are bit-identical to its answers over a freshly
+// compacted index (see DESIGN.md §7): tombstoned rows are
 // filtered before the top-p truncation, distances are computed by the
 // same kernels on the same vectors, and compaction preserves both the
 // relative order of live rows and their IDs, so either order ranks live
@@ -45,7 +46,6 @@ import (
 	"qse/internal/meta"
 	"qse/internal/metrics"
 	"qse/internal/par"
-	"qse/internal/space"
 )
 
 // bitmap is an immutable tombstone set over row positions. Bits beyond
@@ -170,18 +170,6 @@ func (s *Segmented[T]) Object(pos int) T {
 	return s.base.db[pos]
 }
 
-// Vector returns the embedded vector of the row at global position pos —
-// a view into the segment's flat storage, not a copy. Callers must not
-// modify it.
-func (s *Segmented[T]) Vector(pos int) []float64 {
-	d := s.base.dims
-	if bn := s.base.Size(); pos >= bn {
-		off := (pos - bn) * d
-		return s.deltaFlat[off : off+d]
-	}
-	return s.base.flat[pos*d : (pos+1)*d]
-}
-
 // DeltaSegment returns this version's view of the delta segment: the
 // objects and their row-major flat vector block, in append order. The
 // slices are views of the (immutable-prefix) shared backing, not copies —
@@ -230,7 +218,7 @@ func (s *Segmented[T]) Metadata(pos int) meta.Map {
 // BaseMetaRows/DeltaMetaRows, used to reopen a base+delta bundle section as
 // the exact in-memory segment layout that was saved. Lengths and bitmap
 // shapes are validated; the vectors are trusted to be the embedder's
-// output for the objects, like AddWithVector.
+// output for the objects, like AddWithVectorMeta's.
 func NewSegmentedFromParts[T any](base *Index[T], deltaDB []T, deltaFlat []float64, baseDead, deltaDead []uint64, baseMeta, deltaMeta []meta.Map) (*Segmented[T], error) {
 	d := base.dims
 	if len(deltaFlat) != len(deltaDB)*d {
@@ -262,31 +250,15 @@ func NewSegmentedFromParts[T any](base *Index[T], deltaDB []T, deltaFlat []float
 	}, nil
 }
 
-// Add embeds x and returns a new version with x appended to the delta
-// segment, along with x's global position. The receiver is unchanged. An
-// object embedding to the wrong dimensionality is rejected with an error.
-// Callers that publish versions concurrently must serialize Adds (they
-// append to the shared delta backing).
-func (s *Segmented[T]) Add(x T) (*Segmented[T], int, error) {
-	return s.AddWithVector(x, s.base.embedder.Embed(x))
-}
-
-// AddWithVector is Add with the embedding already computed. It exists for
-// callers that must validate or route on the vector before committing to
-// an insert (the sharded store embeds outside any lock, then routes the
-// object to a shard by its assigned ID): the EmbedCost exact distances are
-// paid exactly once, not once per routing decision. v must be the
-// embedder's output for x — passing anything else silently corrupts
-// search results.
-func (s *Segmented[T]) AddWithVector(x T, v []float64) (*Segmented[T], int, error) {
-	return s.AddWithVectorMeta(x, v, nil)
-}
-
-// AddWithVectorMeta is AddWithVector carrying the new row's metadata
-// record (nil for a row without metadata). md must already be validated
-// against the store's field-type registry; this layer stores, it does
-// not type-check. The record's values are copied into the delta's
-// columns; md itself is not kept.
+// AddWithVectorMeta returns a new version with x appended to the delta
+// segment, and x's global position; the receiver is unchanged. v is x's
+// embedding, computed by the caller (the store embeds outside any lock),
+// and must be the embedder's output for x: anything else silently
+// corrupts search results, and a v of the wrong width is an error. md is
+// the row's metadata record (nil for none), already validated against
+// the store's field-type registry; its values are copied into the
+// delta's columns. Callers publishing versions concurrently must
+// serialize adds (they append to the shared delta backing).
 func (s *Segmented[T]) AddWithVectorMeta(x T, v []float64, md meta.Map) (*Segmented[T], int, error) {
 	if len(v) != s.base.dims {
 		return nil, 0, ObjectDimsError(len(v), s.base.dims)
@@ -369,82 +341,6 @@ func (s *Segmented[T]) CompactSegmented() (*Index[T], *meta.Block) {
 	return ix, meta.NewBlock(rows)
 }
 
-// Search runs filter-and-refine over the rows of both segments that
-// are live and match pred (nil for every live row): the predicate is a
-// query's extra tombstones, applied below the top-p truncation, so p
-// candidates are drawn from the matching live rows alone and a selective
-// filter never starves the result. Neighbor indices are global
-// positions; distances, ordering and the empty-index contract are
-// exactly those of Index.Search on the compacted equivalent.
-func (s *Segmented[T]) Search(q T, k, p int, pred *meta.Predicate) ([]space.Neighbor, Stats, error) {
-	return s.search(q, k, p, pred, true)
-}
-
-func (s *Segmented[T]) search(q T, k, p int, pred *meta.Predicate, parallel bool) ([]space.Neighbor, Stats, error) {
-	if err := CheckKP(k, p); err != nil {
-		return nil, Stats{}, err
-	}
-	var t Timing
-	t0 := time.Now()
-	qvec := s.base.embedder.Embed(q)
-	if len(qvec) != s.base.dims {
-		return nil, Stats{}, QueryDimsError(len(qvec), s.base.dims)
-	}
-	var weights []float64
-	if w, ok := s.base.embedder.(Weighter); ok {
-		weights = w.QueryWeights(qvec)
-	}
-	t.EmbedNanos = time.Since(t0).Nanoseconds()
-
-	var clk FilterClock
-	candidates, _ := s.FilterLiveMatch(qvec, weights, p, parallel, &clk, pred, nil, nil)
-	clk.AddTo(&t)
-
-	t0 = time.Now()
-	refined := make([]space.Neighbor, len(candidates))
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := candidates[i]
-			refined[i] = space.Neighbor{Index: c.Index, Distance: s.base.dist(q, s.Object(c.Index))}
-		}
-	}
-	if parallel {
-		par.For(len(candidates), minParallelDist, fill)
-	} else {
-		fill(0, len(candidates))
-	}
-	space.SortNeighbors(refined)
-	t.RefineNanos = time.Since(t0).Nanoseconds()
-	if k > len(refined) {
-		k = len(refined)
-	}
-	stats := Stats{
-		EmbedDistances:  s.base.embedder.EmbedCost(),
-		RefineDistances: len(candidates),
-		Timing:          t,
-	}
-	return refined[:k], stats, nil
-}
-
-// SearchBatch pipelines unfiltered queries across the worker pool like
-// Index.SearchBatch, with the same deterministic first-error semantics:
-// each query runs its own serial scan, so per-query results and stats
-// are bit-identical to running the queries one at a time.
-func (s *Segmented[T]) SearchBatch(queries []T, k, p int) ([][]space.Neighbor, []Stats, error) {
-	if err := CheckKP(k, p); err != nil {
-		return nil, nil, err
-	}
-	results := make([][]space.Neighbor, len(queries))
-	stats := make([]Stats, len(queries))
-	errs := make([]error, len(queries))
-	par.For(len(queries), 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			results[i], stats[i], errs[i] = s.search(queries[i], k, p, nil, false)
-		}
-	})
-	return firstBatchError(results, stats, errs)
-}
-
 // rowSet is one query's rows as per-query tombstones: per segment, the
 // rows the filter phase skips and the count of rows it selects. Bits
 // past a skip bitmap's end are selected, like a tombstone bitmap's.
@@ -492,26 +388,24 @@ func unmatched(pred *meta.Predicate, blk *meta.Block, rows int, dead bitmap) (bi
 	return skip, sel
 }
 
-// FilterLiveMatch runs only the filter phase, with a precomputed query
+// filter is one segment's filter phase, with a precomputed query
 // embedding: the p best live rows matching pred (nil for every live
 // row) under the filter distance, in ascending (distance, key) order,
-// and the count of those rows — the sharded store sums it across shards
-// to clamp the global truncation identically to an unsharded store. A
-// row's key is its stable ID: baseIDs[i] for base row i, deltaIDs[j] for
-// delta row j. Nil tables make the key the row's position; a caller
-// passes both tables or neither, since IDs and positions do not compare.
-// p is clamped to the selected count first, so p candidates survive
-// whenever p such rows exist. weights may be nil for the unweighted L1,
-// which the scan sums as the weighted L1 under the index's ones vector:
-// 1·|x| is |x| exactly, so every distance keeps the L1's bits. clk
-// accumulates the predicate evaluation, the per-segment scan and merge
-// durations and the screen's row counters (the store feeds it into the
-// query's stage breakdown); a nil clk drops them.
+// and the count of the live rows matching pred, which the engine sums
+// across segments. A row's
+// key is its stable ID from ids (ids.base[i] for base row i, ids.delta[j]
+// for delta row j), or its position under nil tables. p is clamped to
+// the selected count first, so p candidates survive whenever p such rows
+// exist. weights may be nil for the unweighted L1, which the scan sums as
+// the weighted L1 under the index's ones vector: 1·|x| is |x| exactly, so
+// every distance keeps the L1's bits. clk accumulates the predicate
+// evaluation, the per-segment scan and merge durations and the screen's
+// row counters; a nil clk drops them.
 //
 // A parallel scan partitions the global position space; the merged
 // top-p is unique under the total order (live rows' keys are distinct),
 // so the result is identical for any partition count.
-func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate, baseIDs, deltaIDs []uint64) ([]space.Neighbor, int) {
+func (s *Segmented[T]) filter(qvec, weights []float64, p int, parallel bool, clk *FilterClock, pred *meta.Predicate, ids idTables) ([]ranked, int) {
 	rs := s.selectRows(pred, clk)
 	selected := rs.baseSel + rs.deltaSel
 	if p > selected {
@@ -524,7 +418,6 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 		weights = s.base.ones
 	}
 	total := s.Total()
-	ids := idTables{baseIDs, deltaIDs}
 	var pr *boundPrune
 	if v := s.seedView(p, rs); v != nil {
 		t0 := time.Now()
@@ -551,12 +444,12 @@ func (s *Segmented[T]) FilterLiveMatch(qvec, weights []float64, p int, parallel 
 }
 
 // mergeTopP sorts each partition's candidate heap in place and merges
-// them with MergeSorted on the (distance, key) total order, keeping the
+// them with mergeSorted on the (distance, key) total order, keeping the
 // p best. No two scanned rows share a key (positions are unique, and so
 // are the IDs of live rows), so the merged top-p is a unique set in a
 // unique order — the same for any partition of the position space, which
 // is what makes the partitioned scan above deterministic.
-func mergeTopP(heaps []*topP, p int) []space.Neighbor {
+func mergeTopP(heaps []*topP, p int) []ranked {
 	lists := make([][]ranked, 0, 8) // on the stack up to 8 partitions
 	for _, h := range heaps {
 		slices.SortFunc(h.rows, func(a, b ranked) int {
@@ -570,22 +463,17 @@ func mergeTopP(heaps []*topP, p int) []space.Neighbor {
 		})
 		lists = append(lists, h.rows)
 	}
-	top := MergeSorted(lists, p, ranked.before)
-	out := make([]space.Neighbor, len(top))
-	for i, r := range top {
-		out[i] = space.Neighbor{Index: r.pos, Distance: r.dist}
-	}
-	return out
+	return mergeSorted(lists, p, ranked.before)
 }
 
-// MergeSorted is a k-way merge: given lists each ascending under the
+// mergeSorted is a k-way merge: given lists each ascending under the
 // strict order before, it returns the first p elements of their union in
 // ascending order. When the order is total over the union (no two
 // elements tie), the result is the same for any split of the union into
 // lists. It consumes the lists: each list header is advanced past the
 // elements taken, and a single list comes back as a prefix of itself,
 // not a copy.
-func MergeSorted[E any](lists [][]E, p int, before func(a, b E) bool) []E {
+func mergeSorted[E any](lists [][]E, p int, before func(a, b E) bool) []E {
 	if len(lists) == 1 {
 		return lists[0][:min(p, len(lists[0]))]
 	}

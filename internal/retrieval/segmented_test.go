@@ -17,7 +17,7 @@ func applyScript(t *testing.T, head *Segmented[[]float64], seed int64, steps int
 	versions := []*Segmented[[]float64]{head}
 	for i := 0; i < steps; i++ {
 		if rng.Intn(3) > 0 || head.Live() == 0 {
-			next, pos, err := head.Add([]float64{rng.Float64() * 2, rng.Float64() * 2})
+			next, pos, err := addObject(head, []float64{rng.Float64() * 2, rng.Float64() * 2})
 			if err != nil {
 				t.Fatalf("step %d: Add: %v", i, err)
 			}
@@ -79,7 +79,7 @@ func TestSegmentedMatchesCompacted(t *testing.T) {
 			rng := stats.NewRand(99)
 			for qi := 0; qi < 30; qi++ {
 				q := []float64{rng.Float64() * 2, rng.Float64() * 2}
-				got, gst, err := head.Search(q, 5, 25, nil)
+				got, gst, err := segSearch(head, q, 5, 25, nil)
 				if err != nil {
 					t.Fatalf("query %d: segmented: %v", qi, err)
 				}
@@ -116,7 +116,7 @@ func TestSegmentedVersionIsolation(t *testing.T) {
 	}
 	head, _ := applyScript(t, NewSegmentedWithMeta(base, nil), 7, 40)
 	q := []float64{0.4, 0.6}
-	before, bst, err := head.Search(q, 6, 30, nil)
+	before, bst, err := segSearch(head, q, 6, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestSegmentedVersionIsolation(t *testing.T) {
 	if head.Total() != total || head.Live() != live {
 		t.Fatalf("old version's shape changed: %d/%d, want %d/%d", head.Total(), head.Live(), total, live)
 	}
-	after, ast, err := head.Search(q, 6, 30, nil)
+	after, ast, err := segSearch(head, q, 6, 30, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestSegmentedMutationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSegmentedWithMeta(base, nil)
-	if _, _, err := s.Add([]float64{1, 2, 3}); err == nil {
+	if _, _, err := addObject(s, []float64{1, 2, 3}); err == nil {
 		t.Error("Add with drifted embedding dims should error, not panic")
 	}
 	if _, err := s.Remove(-1); err == nil {
@@ -181,11 +181,11 @@ func TestSegmentedParallelSerialIdentity(t *testing.T) {
 	rng := stats.NewRand(21)
 	for qi := 0; qi < 10; qi++ {
 		q := []float64{rng.Float64(), rng.Float64()}
-		par, pst, err := head.Search(q, 8, 40, nil) // parallel path
+		par, pst, err := segSearch(head, q, 8, 40, nil) // parallel path
 		if err != nil {
 			t.Fatal(err)
 		}
-		ser, sst, err := head.SearchBatch([][]float64{q}, 8, 40) // serial per query
+		ser, sst, err := segSearchBatch(head, [][]float64{q}, 8, 40) // serial per query
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestSegmentedDrained(t *testing.T) {
 	if head.Live() != 0 {
 		t.Fatalf("live = %d after draining", head.Live())
 	}
-	res, st, err := head.Search([]float64{0.5, 0.5}, 3, 9, nil)
+	res, st, err := segSearch(head, []float64{0.5, 0.5}, 3, 9, nil)
 	if err != nil {
 		t.Fatalf("search on drained index: %v", err)
 	}
@@ -224,11 +224,11 @@ func TestSegmentedDrained(t *testing.T) {
 	if compacted.Size() != 0 || compacted.Dims() != 2 {
 		t.Fatalf("drained compaction: size %d dims %d", compacted.Size(), compacted.Dims())
 	}
-	refilled, pos, err := NewSegmentedWithMeta(compacted, nil).Add([]float64{0.3, 0.3})
+	refilled, pos, err := addObject(NewSegmentedWithMeta(compacted, nil), []float64{0.3, 0.3})
 	if err != nil || pos != 0 {
 		t.Fatalf("Add after drain: pos %d, err %v", pos, err)
 	}
-	res, _, err = refilled.Search([]float64{0.3, 0.3}, 1, 1, nil)
+	res, _, err = segSearch(refilled, []float64{0.3, 0.3}, 1, 1, nil)
 	if err != nil || len(res) != 1 || res[0].Distance != 0 {
 		t.Fatalf("search after refill: %v, %v", res, err)
 	}
@@ -255,7 +255,7 @@ func TestSearchBatchSurfacesErrors(t *testing.T) {
 		t.Fatalf("batch error %q does not identify the first failing query", err)
 	}
 	// The segmented path shares the contract.
-	if _, _, err := NewSegmentedWithMeta(ix, nil).SearchBatch(queries, 2, 4); err == nil {
+	if _, _, err := segSearchBatch(NewSegmentedWithMeta(ix, nil), queries, 2, 4); err == nil {
 		t.Fatal("Segmented.SearchBatch swallowed the per-query error")
 	}
 }

@@ -24,9 +24,9 @@ func TestTimingDoesNotChangeResults(t *testing.T) {
 		for qi := 0; qi < 8; qi++ {
 			qvec := []float64{rng.Float64(), rng.Float64()}
 			p := 1 + rng.Intn(40)
-			bare, _ := head.FilterLiveMatch(qvec, nil, p, true, nil, nil, nil, nil)
+			bare, _ := filterLiveMatch(head, qvec, nil, p, true, nil, nil, nil, nil)
 			var clk FilterClock
-			timed, _ := head.FilterLiveMatch(qvec, nil, p, true, &clk, nil, nil, nil)
+			timed, _ := filterLiveMatch(head, qvec, nil, p, true, &clk, nil, nil, nil)
 			if !reflect.DeepEqual(bare, timed) {
 				t.Fatalf("n=%d query %d: clocked filter diverges:\nbare  %v\ntimed %v", n, qi, bare, timed)
 			}
@@ -49,7 +49,7 @@ func TestSearchTimingPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	head, _ := applyScript(t, NewSegmentedWithMeta(base, nil), 3, 100)
-	res, st, err := head.Search([]float64{0.3, 0.7}, 5, 50, nil)
+	res, st, err := segSearch(head, []float64{0.3, 0.7}, 5, 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,6 +100,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
 			q := []float64{3.5, -3.5, 0}
 			for i := 0; i < b.N; i++ {
 				if _, _, err := s.SearchFiltered(q, 10, 200, nil); err != nil {
@@ -108,6 +109,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("shards=%d-batch32", shards), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := s.SearchBatchFiltered(batch, 10, 200, nil); err != nil {
 					b.Fatal(err)

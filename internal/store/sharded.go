@@ -6,23 +6,17 @@
 // compaction schedule. S = 1 is the unsharded store: one shard, the same
 // code path.
 //
-// Search is scatter-gather, and the gather is constructed so that the
-// answer does not depend on S (DESIGN.md §8 gives the full argument; the
-// equivalence harness in equivalence_test.go checks S ∈ {1, 2, 7}
-// against a brute-force reference model, operation by operation):
-//
-//   - The query is embedded once; the same qvec/weights go to every
-//     shard, so filter distances are computed by the same kernels on the
-//     same float64 inputs whatever S is.
-//   - Each shard returns its p best live rows under the (filter
-//     distance, stable ID) total order: its scan breaks exact distance
-//     ties on the ID, read from the snapshot's ID tables. Any member of
-//     the global top-p lies in its own shard's top-p, so the union
-//     covers the global candidate set.
-//   - Merging the shards' rows on the same order and truncating to p
-//     gives the same candidate set for every S — same set, same order,
-//     same size, so the refine phase pays the same number of exact
-//     distances and ranks identically.
+// Search runs retrieval's filter-and-refine engine (retrieval.Search)
+// over one snapshot per shard, each shard's segmented index with its ID
+// tables: the engine embeds the query once, scatters the filter phase
+// over the shards, merges their candidates on the (filter distance,
+// stable ID) total order and refines the p survivors once, so the answer
+// does not depend on S (DESIGN.md §8 gives the argument; the equivalence
+// harness in equivalence_test.go checks S ∈ {1, 2, 7} against a
+// brute-force reference model, operation by operation). The store takes
+// the snapshots and keeps its own accounting: each shard's delta-scan
+// share, the filter selectivity tracker and the shadow screen's row
+// counters.
 //
 // Persistence is the version-3 layout (see snapshot.go): one manifest
 // plus a base section and a delta log per shard, whatever S is. It is
@@ -31,15 +25,12 @@ package store
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"qse/internal/core"
 	"qse/internal/fsio"
 	"qse/internal/meta"
-	"qse/internal/par"
 	"qse/internal/retrieval"
 	"qse/internal/space"
 )
@@ -71,11 +62,6 @@ var _ Backend[int] = (*Store[int])(nil)
 // maxShards bounds the shard count: beyond this the per-query merge and
 // the per-snapshot file fan-out dominate any lock-contention win.
 const maxShards = 1024
-
-// minParallelRefine mirrors the retrieval package's refine threshold: the
-// refine loop calls the (typically expensive) exact distance oracle, so
-// even small candidate sets amortize a fork-join.
-const minParallelRefine = 32
 
 // shardOf routes a stable ID to its shard: the splitmix64 finalizer over
 // the ID, reduced mod S. IDs are assigned sequentially, so a plain mod
@@ -245,19 +231,22 @@ func (s *Store[T]) Save(path string) error {
 	return err
 }
 
-// load captures one immutable snapshot per shard — the consistent view a
-// whole search (or a whole batch) runs against.
-func (s *Store[T]) load() []*snapshot[T] {
-	snaps := make([]*snapshot[T], len(s.shards))
+// load captures one immutable snapshot per shard as the segments of one
+// search (or one whole batch): each shard's segmented index with its ID
+// tables, in shard order.
+func (s *Store[T]) load() []retrieval.Segment[T] {
+	segs := make([]retrieval.Segment[T], len(s.shards))
 	for i, sh := range s.shards {
-		snaps[i] = sh.cur.Load()
+		sn := sh.cur.Load()
+		segs[i] = retrieval.Segment[T]{Seg: sn.seg, BaseIDs: sn.baseIDs, DeltaIDs: sn.deltaIDs}
 	}
-	return snaps
+	return segs
 }
 
 // SearchFiltered runs a filter-and-refine query over the rows matching
-// pred (nil for every live row): the filter phase scatters across all
-// shards in parallel, the per-shard candidates merge on the (filter
+// pred (nil for every live row) through retrieval.Search, with one
+// snapshot per shard as its segments: the filter phase scatters across
+// all shards in parallel, the per-shard candidates merge on the (filter
 // distance, ID) total order, and the surviving p are refined exactly
 // once — the same exact-distance budget, results and stats for every
 // shard count. The predicate is evaluated below top-p truncation, so the
@@ -268,33 +257,54 @@ func (s *Store[T]) load() []*snapshot[T] {
 // by removals — answers with what it has (possibly zero results); that
 // is not an error.
 func (s *Store[T]) SearchFiltered(q T, k, p int, pred *meta.Predicate) ([]Result, retrieval.Stats, error) {
-	return s.searchSnapshots(s.load(), q, k, p, true, pred)
+	segs := s.load()
+	res, st, matched, err := retrieval.Search(segs, q, k, p, pred)
+	if err != nil {
+		return nil, retrieval.Stats{}, err
+	}
+	s.account(segs, pred, matched, st.Timing)
+	return res, st, nil
 }
 
 // SearchBatchFiltered pipelines a query batch, every query restricted to
 // the rows matching pred (nil for no restriction), across the worker
 // pool. The whole batch runs against one snapshot set, so every query
 // sees the same store version even under concurrent mutation; the error
-// of the lowest-indexed failing query fails the batch deterministically.
+// of the lowest-indexed failing query fails the batch deterministically,
+// and a failed batch is not accounted.
 func (s *Store[T]) SearchBatchFiltered(queries []T, k, p int, pred *meta.Predicate) ([][]Result, []retrieval.Stats, error) {
-	if err := retrieval.CheckKP(k, p); err != nil {
+	segs := s.load()
+	res, sts, matched, err := retrieval.SearchBatch(segs, queries, k, p, pred)
+	if err != nil {
 		return nil, nil, err
 	}
-	snaps := s.load()
-	results := make([][]Result, len(queries))
-	stats := make([]retrieval.Stats, len(queries))
-	errs := make([]error, len(queries))
-	par.For(len(queries), 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			results[i], stats[i], errs[i] = s.searchSnapshots(snaps, queries[i], k, p, false, pred)
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("query %d: %w", i, err)
-		}
+	for i, st := range sts {
+		s.account(segs, pred, matched[i], st.Timing)
 	}
-	return results, stats, nil
+	return res, sts, nil
+}
+
+// account charges one search over segs to the store's own counters:
+// each shard's delta-scan share, the predicate's observed selectivity
+// (matched of the live rows) and the shadow screen's row counters.
+func (s *Store[T]) account(segs []retrieval.Segment[T], pred *meta.Predicate, matched int, t retrieval.Timing) {
+	live := 0
+	for i, sh := range s.shards {
+		sh.noteScan(segs[i].Seg)
+		live += segs[i].Seg.Live()
+	}
+	if pred != nil {
+		s.track.Observe(pred.Fields(), matched, live)
+	}
+	if t.BoundScannedRows > 0 {
+		s.boundRows.Add(uint64(t.BoundScannedRows))
+	}
+	if t.BoundVisitedRows > 0 {
+		s.boundVisited.Add(uint64(t.BoundVisitedRows))
+	}
+	if t.BoundExactRows > 0 {
+		s.boundExact.Add(uint64(t.BoundExactRows))
+	}
 }
 
 // CompileFilter parses and type-checks a JSON filter tree against the
@@ -306,136 +316,6 @@ func (s *Store[T]) CompileFilter(raw []byte) (*meta.Predicate, error) {
 // FilterStats snapshots the per-field observed filter selectivity.
 func (s *Store[T]) FilterStats() meta.TrackerStats {
 	return s.track.Snapshot()
-}
-
-// searchSnapshots is the one search engine: it scatters the filter
-// phase across the given per-shard snapshots, merges the per-snapshot
-// candidates on the (filter distance, stable ID) total order, and
-// refines the surviving p exactly once on the (exact distance, stable
-// ID) order, then accounts the scan toward each shard's delta-scan share
-// and the store's shadow-screen counters.
-//
-// pred, when non-nil, restricts the filter phase to matching rows: each
-// snapshot evaluates the predicate below its own top-p, and the global
-// p clamps to the total matching-live count — the filtered analogue of
-// clamping to the live count, which keeps the gather independent of the
-// shard count.
-func (s *Store[T]) searchSnapshots(snaps []*snapshot[T], q T, k, p int, parallel bool, pred *meta.Predicate) ([]Result, retrieval.Stats, error) {
-	// Validation errors are the retrieval package's own, byte for byte.
-	if err := retrieval.CheckKP(k, p); err != nil {
-		return nil, retrieval.Stats{}, err
-	}
-	var t retrieval.Timing
-	t0 := time.Now()
-	qvec := s.model.Embed(q)
-	if len(qvec) != s.dims {
-		return nil, retrieval.Stats{}, retrieval.QueryDimsError(len(qvec), s.dims)
-	}
-	var weights []float64
-	if w, ok := any(s.model).(retrieval.Weighter); ok {
-		weights = w.QueryWeights(qvec)
-	}
-	t.EmbedNanos = time.Since(t0).Nanoseconds()
-
-	// Scatter: every snapshot filters with the same qvec/weights, the
-	// shards spread over the workers. A shard's own scan partitions only
-	// while the scatter leaves workers idle (fewer shards than workers):
-	// a scatter over as many shards as workers already keeps every worker
-	// busy, and partitions inside it would add goroutines, heaps and
-	// sorts and no capacity (DESIGN §4). One clock serves every shard —
-	// its fields are atomic.
-	var clk retrieval.FilterClock
-	lists := make([][]cand, len(snaps))
-	matches := make([]int, len(snaps))
-	nested := parallel && len(snaps) < par.Workers()
-	scatter := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			lists[i], matches[i] = snaps[i].filterLiveMatch(qvec, weights, p, nested, &clk, pred, i)
-		}
-	}
-	if parallel && len(snaps) > 1 {
-		par.For(len(snaps), 2, scatter)
-	} else {
-		scatter(0, len(snaps))
-	}
-	clk.AddTo(&t)
-
-	// Gather: each shard's list is ascending on the (filter distance, ID)
-	// total order, so a k-way merge takes the global top p — no duplicate
-	// keys, so it is a unique set in a unique order for any shard count.
-	// p is clamped to the matching-live count (== the live count when
-	// pred is nil): exactly the p a single shard holding the same
-	// contents would refine.
-	t0 = time.Now()
-	live, matched := 0, 0
-	for i, sn := range snaps {
-		live += sn.seg.Live()
-		matched += matches[i]
-	}
-	if p > matched {
-		p = matched
-	}
-	merged := retrieval.MergeSorted(lists, p, func(a, b cand) bool {
-		if a.fdist != b.fdist {
-			return a.fdist < b.fdist
-		}
-		return a.id < b.id
-	})
-	t.MergeNanos += time.Since(t0).Nanoseconds()
-	if pred != nil {
-		s.track.Observe(pred.Fields(), matched, live)
-	}
-
-	// Refine: one exact distance per surviving candidate, ranked on the
-	// (exact distance, ID) total order.
-	t0 = time.Now()
-	refined := make([]Result, len(merged))
-	fill := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := merged[i]
-			refined[i] = Result{ID: c.id, Distance: s.dist(q, snaps[c.snap].seg.Object(c.pos))}
-		}
-	}
-	if parallel {
-		par.For(len(merged), minParallelRefine, fill)
-	} else {
-		fill(0, len(merged))
-	}
-	slices.SortFunc(refined, func(a, b Result) int {
-		switch {
-		case a.Distance < b.Distance:
-			return -1
-		case a.Distance > b.Distance:
-			return 1
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	if k > len(refined) {
-		k = len(refined)
-	}
-	t.RefineNanos = time.Since(t0).Nanoseconds()
-
-	for i, sh := range s.shards {
-		sh.noteScan(snaps[i])
-	}
-	if t.BoundScannedRows > 0 {
-		s.boundRows.Add(uint64(t.BoundScannedRows))
-	}
-	if t.BoundVisitedRows > 0 {
-		s.boundVisited.Add(uint64(t.BoundVisitedRows))
-	}
-	if t.BoundExactRows > 0 {
-		s.boundExact.Add(uint64(t.BoundExactRows))
-	}
-	return refined[:k], retrieval.Stats{
-		EmbedDistances:  s.model.EmbedCost(),
-		RefineDistances: len(merged),
-		Timing:          t,
-	}, nil
 }
 
 // Add embeds x (outside every lock — concurrent Adds embed in parallel),

@@ -20,10 +20,7 @@ var ErrUnknownID = errors.New("store: unknown object id")
 // Result is one retrieved neighbor, addressed by stable ID rather than by
 // database position: positions shift when objects are removed, IDs never
 // do, so IDs are the only handle that survives a mutating workload.
-type Result struct {
-	ID       uint64
-	Distance float64
-}
+type Result = retrieval.Result
 
 // Stats is a point-in-time summary of the store.
 type Stats struct {
@@ -306,44 +303,17 @@ func newBaseSnapshot[T any](ix *retrieval.Index[T], ids []uint64, gen, baseVer u
 	return &snapshot[T]{seg: retrieval.NewSegmentedWithMeta(ix, blk), baseIDs: ids, basePos: pos, gen: gen, baseVer: baseVer}
 }
 
-// noteScan accounts one filter scan over the given snapshot toward the
-// measured delta-scan share (see Stats.DeltaScanShare).
-func (s *shard[T]) noteScan(sn *snapshot[T]) {
-	s.scanRows.Add(uint64(sn.seg.Total()))
-	s.scanWaste.Add(uint64(sn.seg.DeltaLen() + sn.seg.Tombstones()))
+// noteScan accounts one filter scan over seg, a snapshot's segmented
+// index, toward the measured delta-scan share (see Stats.DeltaScanShare).
+func (s *shard[T]) noteScan(seg *retrieval.Segmented[T]) {
+	s.scanRows.Add(uint64(seg.Total()))
+	s.scanWaste.Add(uint64(seg.DeltaLen() + seg.Tombstones()))
 }
 
 // scanCounters returns the cumulative scan-work counters (rows visited,
 // rows of it wasted on delta/tombstones) since the last compaction.
 func (s *shard[T]) scanCounters() (rows, waste uint64) {
 	return s.scanRows.Load(), s.scanWaste.Load()
-}
-
-// cand is one surviving filter-phase candidate of a scatter-gather
-// search: the stable ID (the cross-shard tie-break), the filter distance
-// (the cross-shard merge key), and where the row sits: its global
-// position in snapshot snap of the search's snapshots. The gather fetches
-// only the merged survivors' objects, from the same snapshots the filter
-// scans ran on, so it cannot observe a different store version.
-type cand struct {
-	id    uint64
-	fdist float64
-	pos   int
-	snap  int
-}
-
-// filterLiveMatch runs the filter phase of one shard against this
-// immutable snapshot, the search's snapshot number snap: the p best live
-// rows matching pred (nil matches everything), in ascending (filter
-// distance, stable ID) order — the scan ranks on the snapshot's ID
-// tables — plus the count of matching live rows.
-func (sn *snapshot[T]) filterLiveMatch(qvec, weights []float64, p int, parallel bool, clk *retrieval.FilterClock, pred *meta.Predicate, snap int) ([]cand, int) {
-	ns, matched := sn.seg.FilterLiveMatch(qvec, weights, p, parallel, clk, pred, sn.baseIDs, sn.deltaIDs)
-	out := make([]cand, len(ns))
-	for i, n := range ns {
-		out[i] = cand{id: sn.idAt(n.Index), fdist: n.Distance, pos: n.Index, snap: snap}
-	}
-	return out, matched
 }
 
 // Get returns the object with the given stable ID.

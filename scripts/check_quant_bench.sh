@@ -38,7 +38,7 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 echo "== running the gated quantized filter bench (1 iteration, seeded data)"
-go test -run '^$' -bench 'BenchmarkFilterTopP/^n200k-quantized8$' -benchtime 1x . | tee "$out"
+go test -run '^$' -bench 'BenchmarkFilterTopP/^n200k-quantized8$' -benchtime 1x ./internal/retrieval | tee "$out"
 echo "== running the seeded screen bench on clustered rows (1 iteration each)"
 go test -run '^$' -bench 'BenchmarkSeededScreen/^n=(16384|200000)/p=200$' -benchtime 1x ./internal/retrieval | tee -a "$out"
 
